@@ -21,6 +21,7 @@ keyed by (seed, *indices) so parallel replication is deterministic.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -30,8 +31,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ToleranceError
+from .errors import PrecisionError, PrimeMismatchError, ToleranceError
 from .padic import CharacterSum, PAdicNumber, _check_prime, rational_valuation
+from .residues import ResidueBatch, decode, replay
 from .sets import Ball
 
 DEFAULT_RESOLUTION = -12
@@ -107,6 +109,10 @@ class StableParams:
 
 def stable_cf(params: StableParams, t: PAdicNumber) -> float:
     """exp(-a * |t|_p**alpha), exact in |t|."""
+    if t.prime != params.prime:
+        raise PrimeMismatchError(
+            f"transform over p={params.prime} evaluated at a point over p={t.prime}"
+        )
     if t.is_zero:
         return 1.0
     return math.exp(-params.a * float(t.abs_value()) ** params.alpha)
@@ -188,6 +194,10 @@ class RadialCharFn:
         return None
 
     def __call__(self, t: PAdicNumber) -> float:
+        if t.prime != self.prime:
+            raise PrimeMismatchError(
+                f"transform over p={self.prime} evaluated at a point over p={t.prime}"
+            )
         if t.is_zero:
             return 1.0
         return self.radial(-t.valuation)
@@ -346,8 +356,8 @@ def _uniform_digits_int(rng: np.random.Generator, p: int, count: int) -> int:
         return 0
     digs = rng.integers(0, p, size=count)
     u = 0
-    for d in reversed(digs):
-        u = u * p + int(d)
+    for d in reversed(digs.tolist()):
+        u = u * p + d
     return u
 
 
@@ -361,7 +371,20 @@ class Sampler:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, count: int) -> list[PAdicNumber]:
+        if count < 0:
+            raise ValueError(f"sample count must be >= 0, got {count}")
         return [self.draw(rng) for _ in range(count)]
+
+    def residue_sums(
+        self, rng: np.random.Generator, k: int, replicates: int
+    ) -> ResidueBatch:
+        """``replicates`` sums of ``k`` draws each, drawn in order, with
+        each draw converted to a residue once."""
+        p = self.prime
+        return ResidueBatch.from_padics(p, [
+            ResidueBatch.from_padics(p, self.sample(rng, k)).total()
+            for _ in range(replicates)
+        ])
 
     def spec(self) -> dict:
         raise NotImplementedError
@@ -450,14 +473,15 @@ class RadialSampler(Sampler):
         labels.append(self.table.n_hi)
         object.__setattr__(self, "_edges", tuple(edges))
         object.__setattr__(self, "_labels", tuple(labels))
+        # residue form: every draw has |x| <= p**top
+        object.__setattr__(self, "_top", max(self.table.n_hi, self.resolution))
 
     @property
     def prime(self) -> int:  # type: ignore[override]
         return self.table.prime
 
-    def draw(self, rng: np.random.Generator) -> PAdicNumber:
-        import bisect
-
+    def _draw_residue(self, rng: np.random.Generator) -> int:
+        """One draw x as x * p**top mod p**(top - resolution)."""
         p = self.table.prime
         edges = self._edges  # type: ignore[attr-defined]
         labels = self._labels  # type: ignore[attr-defined]
@@ -465,13 +489,27 @@ class RadialSampler(Sampler):
         idx = min(bisect.bisect_left(edges, u), len(labels) - 1)
         n = labels[idx]
         if n is None or n <= self.resolution:
-            return PAdicNumber.zero(p, -self.resolution)
-        count = n - self.resolution
+            return 0
         first = int(rng.integers(1, p))
-        rest = _uniform_digits_int(rng, p, count - 1)
-        unit = first + p * rest
-        value = Fraction(unit) * Fraction(p) ** (-n)
-        return _rational_at_resolution(value, p, self.resolution)
+        rest = _uniform_digits_int(rng, p, n - self.resolution - 1)
+        return (first + p * rest) * p ** (self._top - n)  # type: ignore[attr-defined]
+
+    def draw(self, rng: np.random.Generator) -> PAdicNumber:
+        return decode(
+            self.table.prime,
+            self._top,  # type: ignore[attr-defined]
+            -self.resolution,
+            self._draw_residue(rng),
+        )
+
+    def residue_sums(
+        self, rng: np.random.Generator, k: int, replicates: int
+    ) -> ResidueBatch:
+        top = self._top  # type: ignore[attr-defined]
+        mod = self.table.prime ** (top - self.resolution)
+        draw = self._draw_residue
+        sums = [sum(draw(rng) for _ in range(k)) % mod for _ in range(replicates)]
+        return ResidueBatch(self.table.prime, top, -self.resolution, sums)
 
     def spec(self) -> dict:
         return {
@@ -554,8 +592,6 @@ class CompoundPoissonSampler(Sampler):
         return g
 
     def _draw_jump(self, rng: np.random.Generator) -> Fraction:
-        import bisect
-
         meas = self.measure
         p = meas.prime
         j = meas.j
@@ -609,29 +645,33 @@ def sample(
 # ---------------------------------------------------------------------
 
 
+def _sample_phase(t: PAdicNumber, x: PAdicNumber):
+    try:
+        return (t * x).character_phase()
+    except PrecisionError as exc:
+        # heavy-tailed laws can produce draws so large that the
+        # phase at this t needs more digits of t than were supplied
+        raise PrecisionError(
+            f"sample with |x| = {x.abs_value()} needs more digits of "
+            f"t (|t| = {t.abs_value()}, {t.precision} known); widen "
+            "the evaluation point's precision or coarsen |t|"
+        ) from exc
+
+
 def empirical_phase_counts(
     samples: Sequence[PAdicNumber], t: PAdicNumber
 ) -> Counter:
     """Multiset of character phases chi-arguments of t * x_i.
 
     Exact bookkeeping: phases are rationals, so the empirical transform
-    is a character sum with rational coefficients.
+    is a character sum with rational coefficients.  Counted on residues
+    (see :mod:`padicprob.residues`).
     """
-    from .errors import PrecisionError
-
-    counts: Counter = Counter()
-    for x in samples:
-        try:
-            counts[(t * x).character_phase()] += 1
-        except PrecisionError as exc:
-            # heavy-tailed laws can produce draws so large that the
-            # phase at this t needs more digits of t than were supplied
-            raise PrecisionError(
-                f"sample with |x| = {x.abs_value()} needs more digits of "
-                f"t (|t| = {t.abs_value()}, {t.precision} known); widen "
-                "the evaluation point's precision or coarsen |t|"
-            ) from exc
-    return counts
+    if all(x.prime == t.prime for x in samples):
+        batch = ResidueBatch.from_padics(t.prime, samples)
+        if batch.phase_ok(t):
+            return batch.phase_counts(t)
+    replay(samples, [lambda x: _sample_phase(t, x)])
 
 
 def empirical_cf(samples: Sequence[PAdicNumber], t: PAdicNumber) -> complex:
@@ -647,6 +687,23 @@ def empirical_cf(samples: Sequence[PAdicNumber], t: PAdicNumber) -> complex:
     return cs.to_complex()
 
 
+def ball_counts(samples: Sequence[PAdicNumber], balls: Sequence[Ball]) -> list[int]:
+    """How many samples lie in each ball, counted on residues.
+
+    Raises what ``Ball.contains`` raises, ball by ball in order.
+    """
+    if not samples:
+        return [0] * len(balls)
+    p = samples[0].prime
+    batch = None
+    if all(x.prime == p for x in samples):
+        batch = ResidueBatch.from_padics(p, samples)
+    for b in balls:
+        if batch is None or not batch.ball_ok(b):
+            replay(samples, [b.contains])
+    return [batch.ball_count(b) for b in balls]
+
+
 def frequency(samples: Iterable[PAdicNumber], ball: Ball) -> float:
     xs = list(samples)
-    return sum(1 for x in xs if ball.contains(x)) / len(xs)
+    return ball_counts(xs, [ball])[0] / len(xs)

@@ -38,6 +38,7 @@ from .levy import (
     measure_mass,
 )
 from .padic import CharacterSum, PAdicNumber, _check_prime, grid_points
+from .residues import ResidueBatch, replay
 from .sets import Ball, TailSet
 
 BUDGET_CAP = 10**8
@@ -156,6 +157,26 @@ def theoretical_fn(source, scheme: LimitScheme, n: int, t: PAdicNumber) -> compl
     return complex(source(t_scaled)) ** k
 
 
+def sum_residues(
+    sampler: Sampler,
+    scheme: LimitScheme,
+    n: int,
+    replicates: int,
+    rng,
+    budget: int = BUDGET_CAP,
+) -> ResidueBatch:
+    """Replicates of S_n = B_n**-1 (X_1 + ... + X_k(n)) as one residue
+    batch: exact modular arithmetic throughout."""
+    k = scheme.k(n)
+    if k * replicates > budget:
+        raise ValueError(
+            f"budget exceeded: k(n)*m = {k * replicates} > {budget}"
+        )
+    if k < 1 and replicates:
+        raise ValueError(f"k({n}) = {k}: a sum needs at least one summand")
+    return sampler.residue_sums(rng, k, replicates).scale(1 / scheme.B(n))
+
+
 def simulate_sums(
     sampler: Sampler,
     scheme: LimitScheme,
@@ -164,22 +185,8 @@ def simulate_sums(
     rng,
     budget: int = BUDGET_CAP,
 ) -> list[PAdicNumber]:
-    """Replicates of S_n = B_n**-1 (X_1 + ... + X_k(n)), exact digit
-    arithmetic throughout."""
-    k = scheme.k(n)
-    if k * replicates > budget:
-        raise ValueError(
-            f"budget exceeded: k(n)*m = {k * replicates} > {budget}"
-        )
-    inv_b = 1 / scheme.B(n)
-    out = []
-    for _ in range(replicates):
-        draws = sampler.sample(rng, k)
-        total = draws[0]
-        for d in draws[1:]:
-            total = total + d
-        out.append(total.mul_rational(inv_b))
-    return out
+    """Replicates of S_n as PAdicNumbers (decoded from sum_residues)."""
+    return sum_residues(sampler, scheme, n, replicates, rng, budget).elements()
 
 
 def phi_n_measure(
@@ -353,16 +360,27 @@ class ConvergenceReport:
 
 
 def _mc_block(args) -> tuple[int, list[Counter], list[int], int]:
-    """One block of Monte Carlo replicates (top level for pickling)."""
+    """One block of Monte Carlo replicates (top level for pickling).
+
+    Phases and ball membership are counted on residues.  Where the exact
+    path would raise, it is replayed in its own order (replicate-major
+    over the grid, then ball-major) to raise the same exception.
+    """
     (sampler, scheme, n, seed, n_idx, block, count, grid, balls) = args
     rng = substream(seed, n_idx, block)
-    draws = simulate_sums(sampler, scheme, n, count, rng)
-    phase_counts: list[Counter] = [Counter() for _ in grid]
-    for x in draws:
-        for i, t in enumerate(grid):
-            phase_counts[i][(t * x).character_phase()] += 1
-    ball_counts = [sum(1 for x in draws if b.contains(x)) for b in balls]
-    return block, phase_counts, ball_counts, len(draws)
+    sums = sum_residues(sampler, scheme, n, count, rng)
+    bad_ts = [t for t in grid if not sums.phase_ok(t)]
+    if bad_ts:
+        replay(
+            sums.elements(),
+            [lambda x, t=t: (t * x).character_phase() for t in bad_ts],
+        )
+    for b in balls:
+        if not sums.ball_ok(b):
+            replay(sums.elements(), [b.contains])
+    phase_counts = [sums.phase_counts(t) for t in grid]
+    ball_counts = [sums.ball_count(b) for b in balls]
+    return block, phase_counts, ball_counts, len(sums)
 
 
 def _block_sizes(m: int, blocks: int = MC_BLOCKS) -> list[int]:

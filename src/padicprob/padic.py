@@ -33,6 +33,14 @@ DEFAULT_PRECISION = 48
 
 _TWO_PI = 2.0 * math.pi
 
+# chi at the dyadic phases 1/2, 1/4 and 3/4, keyed by (scale, numerator):
+# exact axis points rather than rounded cos/sin values
+_AXIS_PHASES = {
+    (1, 1): complex(-1.0, 0.0),
+    (2, 1): complex(0.0, 1.0),
+    (2, 3): complex(0.0, -1.0),
+}
+
 
 def is_prime(p: int) -> bool:
     if p < 2:
@@ -57,6 +65,8 @@ def int_valuation(n: int, p: int) -> int:
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
     n = abs(n)
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
         n //= p
@@ -418,18 +428,17 @@ class Phase:
         )
 
     def negate(self) -> "Phase":
-        return Phase.from_fraction(self.prime, -self.as_fraction())
+        if self.numerator == 0:
+            return self
+        return Phase(
+            self.prime, self.prime**self.scale - self.numerator, self.scale
+        )
 
     def to_complex(self) -> complex:
-        fr = self.as_fraction()
-        if fr == 0:
+        if self.numerator == 0:
             return complex(1.0, 0.0)
-        if fr == Fraction(1, 2):
-            return complex(-1.0, 0.0)
-        if fr == Fraction(1, 4):
-            return complex(0.0, 1.0)
-        if fr == Fraction(3, 4):
-            return complex(0.0, -1.0)
+        if self.prime == 2 and self.scale <= 2:
+            return _AXIS_PHASES[(self.scale, self.numerator)]
         theta = _TWO_PI * (self.numerator / self.prime**self.scale)
         return complex(math.cos(theta), math.sin(theta))
 
@@ -543,9 +552,8 @@ class CharacterSum:
                 continue
             if conj in self._terms:
                 c2 = self._terms[conj]
-                fr = ph.as_fraction()
                 theta = _TWO_PI * (ph.numerator / ph.prime**ph.scale)
-                if fr > Fraction(1, 2):
+                if 2 * ph.numerator > ph.prime**ph.scale:
                     theta = -_TWO_PI * (
                         conj.numerator / conj.prime**conj.scale
                     )
@@ -653,6 +661,8 @@ def parse_number(text: str, precision: int = DEFAULT_PRECISION) -> PAdicNumber:
     if m:
         num = int(m.group(1))
         den = int(m.group(2)) if m.group(2) else 1
+        if den == 0:
+            raise ValueError(f"zero denominator in {text.strip()!r}")
         return PAdicNumber.from_rational(
             num, den, p=int(m.group(3)), precision=precision
         )

@@ -1,0 +1,220 @@
+"""Monte Carlo batches as fixed-width integer residues.
+
+A batch holds values x_1, ..., x_N over Q_p that share one digit window:
+every value is known modulo p**E (E is the *window*) and every value has
+|x|_p <= p**D (D is the *top*).  Each value is stored as the integer
+
+    X = x * p**D  mod p**W,        W = D + E,
+
+and every Monte Carlo question becomes integer arithmetic on X:
+
+* a sum of draws is a modular add;
+* scaling by a rational r = p**v * a/b moves the top to D - v and
+  multiplies by a * b**-1 modulo p**W (the window moves to E + v);
+* the character phase of t*x, with t = p**v_t * u_t, is
+  (u_t * X mod p**m) / p**m where m = D - v_t;
+* x lies in the ball B(c, p**R) exactly when X = c * p**D mod p**(D - R).
+
+Residues live in a numpy array.  The dtype is uint64 when p = 2 and
+W <= 64 (products wrap modulo 2**64, which leaves every residue modulo
+2**W exact) or when p**(2W) fits in 64 bits (no product wraps), and
+Python ints (object dtype) otherwise.  No float is ever involved.
+
+A query is answered from residues only when the exact
+:class:`~padicprob.padic.PAdicNumber` arithmetic would answer it.
+:meth:`ResidueBatch.phase_ok` and :meth:`ResidueBatch.ball_ok` decide
+that from the window, the top and whether any residue has too few digits
+for the query; when they return False the caller hands the original
+values to :func:`replay`, which re-runs the exact arithmetic in the
+caller's loop order and so raises the exact path's own exception.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import Counter
+from fractions import Fraction
+from typing import Callable, Iterable, NoReturn, Sequence
+
+import numpy as np
+
+from .errors import PrimeMismatchError
+from .padic import PAdicNumber, Phase, int_valuation, split_p_part
+
+
+def _dtype(p: int, width: int):
+    if (p == 2 and width <= 64) or p ** (2 * width) < 2**64:
+        return np.uint64
+    return object
+
+
+def decode(p: int, top: int, window: int | None, residue: int) -> PAdicNumber:
+    """The PAdicNumber that ``residue`` stands for in a batch with this
+    top and window (``window=None``: the exact zero)."""
+    if window is None:
+        return PAdicNumber.zero(p)
+    if residue == 0:
+        return PAdicNumber.zero(p, window)
+    v = int_valuation(residue, p)
+    return PAdicNumber(p, v - top, residue // p**v, top + window - v)
+
+
+def replay(xs: Iterable[PAdicNumber], probes: Sequence[Callable]) -> NoReturn:
+    """Run each probe on each value, value-major, until one raises.
+
+    Called only after a batch has reported that some (value, probe) pair
+    cannot be decided, so the exact arithmetic inside a probe raises.
+    """
+    for x in xs:
+        for probe in probes:
+            probe(x)
+    raise RuntimeError("residue batch flagged a query the exact path answers")
+
+
+class ResidueBatch:
+    """N values over Q_p as residues X = x * p**top mod p**(top + window).
+
+    ``window`` is None when every value is the exact zero.
+    """
+
+    __slots__ = ("prime", "top", "window", "values")
+
+    def __init__(self, prime: int, top: int, window: int | None, values):
+        self.prime = prime
+        self.top = top
+        self.window = window
+        self.values = np.asarray(values, dtype=_dtype(prime, self.width))
+
+    @property
+    def width(self) -> int:
+        return 0 if self.window is None else self.top + self.window
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def _mod(self, values, e: int):
+        if self.prime == 2:
+            return values & (2**e - 1)
+        return values % self.prime**e
+
+    # -- construction -------------------------------------------------
+
+    @classmethod
+    def from_padics(cls, p: int, xs: Sequence[PAdicNumber]) -> "ResidueBatch":
+        """Residues of values over p, cut to the shortest window among them.
+
+        Cutting loses nothing a query can use: every query that needs a
+        digit beyond the shortest window fails on the value that sets it.
+        """
+        windows = []
+        for x in xs:
+            if x.prime != p:
+                raise PrimeMismatchError(f"mixed primes {p} and {x.prime}")
+            if not (x.is_zero and x.precision is None):
+                windows.append(x.known_mod_exp)
+        if not windows:
+            return cls(p, 0, None, [0] * len(xs))
+        window = min(windows)
+        live = [x for x in xs if not x.is_zero and x.valuation < window]
+        top = max((-x.valuation for x in live), default=-window)
+        mod = p ** (top + window)
+        return cls(p, top, window, [
+            0 if x.is_zero or x.valuation >= window
+            else (x.unit * p ** (top + x.valuation)) % mod
+            for x in xs
+        ])
+
+    def total(self) -> PAdicNumber:
+        """The sum of the values."""
+        s = sum(self.values.tolist()) % self.prime**self.width
+        return decode(self.prime, self.top, self.window, s)
+
+    def scale(self, r: Fraction) -> "ResidueBatch":
+        """Every value times the nonzero rational r."""
+        if self.window is None:
+            return self
+        p = self.prime
+        v, a, b = split_p_part(Fraction(r), p)
+        mod = p**self.width
+        c = (a * pow(b, -1, mod)) % mod
+        values = self._mod(self.values * c, self.width)
+        return ResidueBatch(p, self.top - v, self.window + v, values)
+
+    def elements(self) -> list[PAdicNumber]:
+        return [
+            decode(self.prime, self.top, self.window, x)
+            for x in self.values.tolist()
+        ]
+
+    # -- character phases ---------------------------------------------
+
+    def phase_ok(self, t: PAdicNumber) -> bool:
+        """False when the exact path raises on chi(t*x) for some value x."""
+        if not len(self):
+            return True
+        if t.prime != self.prime:
+            return False
+        if self.window is None:
+            return True
+        if t.is_zero:
+            # t*x is zero known modulo p**(e + v): t known mod p**e, v the
+            # valuation of x, or its window when x is a certified zero
+            return t.precision is None or self._lowest() + t.precision >= 0
+        # t*x needs x modulo p**(-v_t), and t's digits reach p**(K_t);
+        # a value with |x| > p**K_t needs digits of t that are not known
+        if self.window + t.valuation < 0:
+            return False
+        e = self.top - t.known_mod_exp
+        return e <= 0 or not self._mod(self.values, e).any()
+
+    def _lowest(self) -> int:
+        """The least valuation among the values, a certified zero counting
+        as its window.  Taking the window into the minimum is exact: the
+        value that sets the window is a certified zero or lies below it."""
+        g = math.gcd(*self.values.tolist())
+        if g == 0:
+            return self.window
+        return min(self.window, int_valuation(g, self.prime) - self.top)
+
+    def phase_counts(self, t: PAdicNumber) -> Counter:
+        """Multiset of the phases of chi(t*x); requires phase_ok(t)."""
+        p = self.prime
+        if not len(self):
+            return Counter()
+        m = 0 if t.is_zero or self.window is None else self.top - t.valuation
+        if m <= 0:
+            return Counter({Phase.zero(p): len(self)})
+        keys = self._mod(self.values * (t.unit % p**m), m)
+        return Counter(
+            {_phase(p, k, m): c for k, c in Counter(keys.tolist()).items()}
+        )
+
+    # -- ball membership ----------------------------------------------
+
+    def ball_ok(self, ball) -> bool:
+        """False when Ball.contains raises for some value."""
+        if not len(self):
+            return True
+        if ball.prime != self.prime:
+            return False
+        return self.window is None or self.window >= -ball.radius_exp
+
+    def ball_count(self, ball) -> int:
+        """Number of values in ``ball``; requires ball_ok(ball)."""
+        if self.window is None or not len(self):
+            return len(self) if ball.center == 0 else 0
+        p = self.prime
+        center = ball.center * Fraction(p) ** self.top
+        if center.denominator != 1:
+            return 0  # |center| > p**top >= |x| for every value x
+        e = max(self.top - ball.radius_exp, 0)
+        hits = self._mod(self.values, e) == int(center) % p**e
+        return int(np.count_nonzero(hits))
+
+
+def _phase(p: int, key: int, m: int) -> Phase:
+    """The phase key / p**m, reduced."""
+    if key == 0:
+        return Phase.zero(p)
+    v = int_valuation(key, p)
+    return Phase(p, key // p**v, m - v)

@@ -22,6 +22,7 @@ from .charfn import (
     CompoundPoissonSampler,
     RadialCharFn,
     StableParams,
+    ball_counts,
     ball_probability,
     stable_cf,
     substream,
@@ -352,9 +353,9 @@ def criterion_7(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
     balls = [b for b in default_ball_family(p, 12) if b.radius_exp >= resolution][:10]
     rows = []
     all_within = True
-    for b in balls:
+    for b, hits in zip(balls, ball_counts(draws, balls)):
         q = ball_probability(g, b, tol=1e-12).value
-        freq = sum(1 for x in draws if b.contains(x)) / count
+        freq = hits / count
         band = 4.0 * math.sqrt(max(q * (1.0 - q), 1e-12) / count)
         within = abs(freq - q) <= band
         all_within = all_within and within

@@ -19,7 +19,7 @@ from padicprob.charfn import (
     stable_sampler,
     substream,
 )
-from padicprob.errors import PrecisionError
+from padicprob.errors import PrecisionError, PrimeMismatchError
 from padicprob.levy import make_example_measure
 from padicprob.padic import PAdicNumber, from_rational
 from padicprob.sets import Ball
@@ -42,6 +42,23 @@ def test_stable_cf_basics():
         lhs = stable_cf(params, t.mul_rational(2))
         rhs = stable_cf(params, t) ** 0.5
         assert abs(lhs - rhs) < 1e-14
+
+
+def test_stable_cf_rejects_other_prime():
+    params = StableParams(1.0, 1.0, 2)
+    t = from_rational(1, p=3)
+    with pytest.raises(PrimeMismatchError):
+        stable_cf(params, t)
+    with pytest.raises(PrimeMismatchError):
+        RadialCharFn.stable(params)(t)
+    with pytest.raises(PrimeMismatchError):
+        RadialCharFn.one(2)(PAdicNumber.zero(3))
+
+
+def test_sample_rejects_negative_count():
+    s = HaarBallSampler(ball=Ball(2, 0, 0), resolution=-4)
+    with pytest.raises(ValueError):
+        s.sample(substream(0, 0), -1)
 
 
 def test_ball_probability_point_mass_at_zero():

@@ -204,3 +204,34 @@ def test_env_seed_override(tmp_path, capsys, monkeypatch):
     assert code == 0
     header = json.loads(f.read_text().splitlines()[0][2:])
     assert header["seed"] == 123
+
+
+def test_cf_eval_prime_mismatch_exits_2(capsys):
+    code, out, err = run(
+        ["cf-eval", "--stable", "a=1,alpha=1,p=2", "--t", "1 @ p=3"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_cf_eval_zero_denominator_exits_2(capsys):
+    code, out, err = run(
+        ["cf-eval", "--stable", "a=1,alpha=1,p=2", "--t", "1/0 @ p=2"], capsys
+    )
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_sample_negative_count_exits_2(tmp_path, capsys):
+    spec = json.dumps(
+        {"kind": "haar_ball", "p": 2, "center": 0, "radius_exp": 0,
+         "resolution": -6}
+    )
+    f = tmp_path / "dump.txt"
+    code, _, err = run(
+        ["sample", "--sampler", spec, "--count", "-5", "--out", str(f)], capsys
+    )
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert not f.exists()

@@ -225,3 +225,12 @@ def test_stable_limit_report_small_and_parallel_determinism():
     assert json.dumps(rep1.csv_rows(), sort_keys=True, default=str) == json.dumps(
         rep2.csv_rows(), sort_keys=True, default=str
     )
+
+
+def test_simulate_sums_needs_a_summand():
+    p = 2
+    law = PointMassSampler(xi=from_rational(1, p=p))
+    scheme = LimitScheme.explicit(p, [1, 1], [0, 1])
+    with pytest.raises(ValueError):
+        simulate_sums(law, scheme, 0, 3, substream(0, 0))
+    assert simulate_sums(law, scheme, 0, 0, substream(0, 0)) == []
