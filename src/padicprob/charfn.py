@@ -32,7 +32,13 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import PrecisionError, PrimeMismatchError, ToleranceError
-from .padic import CharacterSum, PAdicNumber, _check_prime, rational_valuation
+from .padic import (
+    CharacterSum,
+    PAdicNumber,
+    _check_prime,
+    rational_valuation,
+    split_p_part,
+)
 from .residues import ResidueBatch, decode, replay
 from .sets import Ball
 
@@ -390,6 +396,28 @@ class Sampler:
         raise NotImplementedError
 
 
+class _ResidueSampler(Sampler):
+    """A sampler that draws each value x straight into the residue
+    x * p**_top mod p**(_top - resolution) (see :mod:`padicprob.residues`)."""
+
+    _top: int
+
+    def _draw_residue(self, rng: np.random.Generator) -> int:
+        raise NotImplementedError
+
+    def _decode(self, residue: int) -> PAdicNumber:
+        return decode(self.prime, self._top, -self.resolution, residue)
+
+    def residue_sums(
+        self, rng: np.random.Generator, k: int, replicates: int
+    ) -> ResidueBatch:
+        top = self._top
+        mod = self.prime ** (top - self.resolution)
+        draw = self._draw_residue
+        sums = [sum(draw(rng) for _ in range(k)) % mod for _ in range(replicates)]
+        return ResidueBatch(self.prime, top, -self.resolution, sums)
+
+
 @dataclass(frozen=True)
 class PointMassSampler(Sampler):
     xi: PAdicNumber
@@ -439,7 +467,7 @@ class HaarBallSampler(Sampler):
 
 
 @dataclass(frozen=True)
-class RadialSampler(Sampler):
+class RadialSampler(_ResidueSampler):
     """Sphere index by inverse CDF on a mass table, then Haar-uniform
     digits on the sphere (first digit uniform on 1..p-1).
 
@@ -481,7 +509,6 @@ class RadialSampler(Sampler):
         return self.table.prime
 
     def _draw_residue(self, rng: np.random.Generator) -> int:
-        """One draw x as x * p**top mod p**(top - resolution)."""
         p = self.table.prime
         edges = self._edges  # type: ignore[attr-defined]
         labels = self._labels  # type: ignore[attr-defined]
@@ -492,24 +519,10 @@ class RadialSampler(Sampler):
             return 0
         first = int(rng.integers(1, p))
         rest = _uniform_digits_int(rng, p, n - self.resolution - 1)
-        return (first + p * rest) * p ** (self._top - n)  # type: ignore[attr-defined]
+        return (first + p * rest) * p ** (self._top - n)
 
     def draw(self, rng: np.random.Generator) -> PAdicNumber:
-        return decode(
-            self.table.prime,
-            self._top,  # type: ignore[attr-defined]
-            -self.resolution,
-            self._draw_residue(rng),
-        )
-
-    def residue_sums(
-        self, rng: np.random.Generator, k: int, replicates: int
-    ) -> ResidueBatch:
-        top = self._top  # type: ignore[attr-defined]
-        mod = self.table.prime ** (top - self.resolution)
-        draw = self._draw_residue
-        sums = [sum(draw(rng) for _ in range(k)) % mod for _ in range(replicates)]
-        return ResidueBatch(self.table.prime, top, -self.resolution, sums)
+        return self._decode(self._draw_residue(rng))
 
     def spec(self) -> dict:
         return {
@@ -534,7 +547,7 @@ def stable_sampler(
 
 
 @dataclass(frozen=True)
-class CompoundPoissonSampler(Sampler):
+class CompoundPoissonSampler(_ResidueSampler):
     """Sum of a Poisson number of jumps from a self-similar jump measure,
     truncated at the resolution scale.
 
@@ -544,6 +557,14 @@ class CompoundPoissonSampler(Sampler):
     such balls.  The jump rate is the (finite, exact) measure of
     {|y| > p**resolution}; note it grows like beta**(resolution/j), so
     fine resolutions are expensive by construction.
+
+    The sphere table covers the spheres p**n, resolution < n <= top,
+    until the jump mass beyond it is below 1e-14 of the rate; a measure
+    that needs more than ``max_sphere_span`` spheres for that is refused.
+    Jumps and draws are residues y * p**top mod p**(top - resolution):
+    reduction modulo a power of p is a ring map on p-integral rationals
+    and every jump has |y| <= p**top, so the sum of the residues is the
+    residue of the exact sum.
     """
 
     measure: object
@@ -552,6 +573,7 @@ class CompoundPoissonSampler(Sampler):
 
     def __post_init__(self) -> None:
         meas = self.measure
+        p = meas.prime
         lam = float(meas.tail_mass(self.resolution))
         # cumulative sphere masses {|y| = p**n}, n = resolution+1, ...
         cums: list[float] = []
@@ -563,17 +585,38 @@ class CompoundPoissonSampler(Sampler):
             acc += float(meas.sphere_mass(n))
             cums.append(acc)
             n += 1
+        if acc < lam * (1.0 - 1e-14):
+            raise ValueError(
+                "the sphere table stops at max_sphere_span="
+                f"{self.max_sphere_span} spheres with {100 * (lam - acc) / lam:.4g}% "
+                "of the jump rate on larger spheres; sampling would fold that "
+                "mass onto the top sphere"
+            )
+        top = self.resolution + len(cums)
+        mod = p ** (top - self.resolution)
+        # per fundamental sphere r: cumulative ball weights, and per ball
+        # (radius_exp, c, step) with z * p**r = c + u * step for the
+        # point z = center + u * p**-radius_exp of the ball
         fund = []
-        for entries in meas.fundamental:
+        for r, entries in enumerate(meas.fundamental):
             cw: list[float] = []
             tot = 0.0
             for _, w in entries:
                 tot += float(w)
                 cw.append(tot)
-            fund.append((tuple(cw), tuple(b for b, _ in entries)))
+            fund.append((tuple(cw), tuple(
+                (b.radius_exp, int(b.center * p**r), p ** (r - b.radius_exp))
+                for b, _ in entries
+            )))
+        _, a, b = split_p_part(meas.gamma0, p)
         object.__setattr__(self, "_lam", lam)
         object.__setattr__(self, "_cums", tuple(cums))
         object.__setattr__(self, "_fund", tuple(fund))
+        object.__setattr__(self, "_j", meas.j)
+        object.__setattr__(self, "_top", top)
+        object.__setattr__(self, "_mod", mod)
+        # gamma0**-1 = p**-j * b/a; its unit part modulo p**(top - resolution)
+        object.__setattr__(self, "_gamma_unit", b * pow(a, -1, mod) % mod)
         object.__setattr__(self, "_gpow", {})
 
     @property
@@ -583,48 +626,44 @@ class CompoundPoissonSampler(Sampler):
     def _jump_rate(self) -> float:
         return self._lam  # type: ignore[attr-defined]
 
-    def _gamma_power(self, k: int) -> Fraction:
-        cache: dict = self._gpow  # type: ignore[attr-defined]
-        g = cache.get(k)
-        if g is None:
-            g = Fraction(self.measure.gamma0) ** (-k)
-            cache[k] = g
-        return g
+    def _sphere_factor(self, n: int) -> int:
+        """The residue of p**(top - r) * gamma0**-k, n = r + k*j.
 
-    def _draw_jump(self, rng: np.random.Generator) -> Fraction:
-        meas = self.measure
-        p = meas.prime
-        j = meas.j
-        cums = self._cums  # type: ignore[attr-defined]
-        target = rng.random() * self._lam  # type: ignore[attr-defined]
-        idx = min(bisect.bisect_left(cums, target), len(cums) - 1)
-        n = self.resolution + 1 + idx
-        r = n % j
-        k = (n - r) // j
-        cw, balls = self._fund[r]  # type: ignore[attr-defined]
-        u2 = rng.random() * cw[-1]
-        chosen = balls[min(bisect.bisect_left(cw, u2), len(balls) - 1)]
-        # uniform point of the fundamental ball, deep enough that the
-        # rescaled jump y = gamma0**-k z is resolved at the sampler
-        # resolution: z needs digits modulo p**(k*j - resolution), i.e.
-        # radius_exp + k*j - resolution free digits inside the ball
-        count = chosen.radius_exp + k * j - self.resolution
-        u = _uniform_digits_int(rng, p, count)
-        z = chosen.center + Fraction(u) * Fraction(p) ** (-chosen.radius_exp)
-        return z * self._gamma_power(k)
+        A jump gamma0**-k * z with z on the fundamental sphere r lies on
+        the sphere p**n, and its residue is (z * p**r) times this.
+        """
+        cache: dict = self._gpow  # type: ignore[attr-defined]
+        f = cache.get(n)
+        if f is None:
+            mod = self._mod  # type: ignore[attr-defined]
+            k = n // self._j  # type: ignore[attr-defined]
+            unit = pow(self._gamma_unit, k, mod)  # type: ignore[attr-defined]
+            f = self.prime ** (self._top - n) * unit % mod  # type: ignore[attr-defined]
+            cache[n] = f
+        return f
+
+    def _draw_residue(self, rng: np.random.Generator) -> int:
+        p, j, res = self.prime, self._j, self.resolution  # type: ignore[attr-defined]
+        lam, cums, fund = self._lam, self._cums, self._fund  # type: ignore[attr-defined]
+        last = len(cums) - 1
+        total = 0
+        for _ in range(poisson_draw(rng, lam)):
+            n = res + 1 + min(bisect.bisect_left(cums, rng.random() * lam), last)
+            r = n % j
+            cw, balls = fund[r]
+            radius_exp, c, step = balls[
+                min(bisect.bisect_left(cw, rng.random() * cw[-1]), len(balls) - 1)
+            ]
+            # uniform point of the ball, deep enough that the rescaled
+            # jump is resolved at the sampler resolution: z needs digits
+            # modulo p**(k*j - resolution), i.e. radius_exp + k*j -
+            # resolution free digits inside the ball (k*j = n - r)
+            u = _uniform_digits_int(rng, p, radius_exp + n - r - res)
+            total += (c + u * step) * self._sphere_factor(n)
+        return total % self._mod  # type: ignore[attr-defined]
 
     def draw(self, rng: np.random.Generator) -> PAdicNumber:
-        p = self.measure.prime
-        jumps = poisson_draw(rng, self._lam)  # type: ignore[attr-defined]
-        if jumps == 0:
-            return PAdicNumber.zero(p, -self.resolution)
-        total = Fraction(0)
-        for _ in range(jumps):
-            total += self._draw_jump(rng)
-        # reducing the exact sum at the resolution window is equivalent
-        # to adding resolved jumps: dropped small jumps cannot carry
-        # across the resolution scale (ultrametric)
-        return _rational_at_resolution(total, p, self.resolution)
+        return self._decode(self._draw_residue(rng))
 
     def spec(self) -> dict:
         return {

@@ -25,6 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .errors import PrecisionError, PrimeMismatchError
@@ -42,6 +43,7 @@ _AXIS_PHASES = {
 }
 
 
+@lru_cache(maxsize=256)
 def is_prime(p: int) -> bool:
     if p < 2:
         return False

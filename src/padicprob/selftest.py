@@ -81,7 +81,7 @@ class CriterionResult:
 
 
 def _result(cid, name, limit_s, started, ok, details, metrics=None):
-    runtime = time.time() - started
+    runtime = time.perf_counter() - started
     return CriterionResult(
         cid=cid,
         name=name,
@@ -103,7 +103,7 @@ def _rand_padic(rng, p, precision=48):
 
 def criterion_1(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
     """Randomised arithmetic/character exactness: 10**4 checks."""
-    started = time.time()
+    started = time.perf_counter()
     rng = substream(seed, 1)
     failures = 0
     iters = 2000  # 5 checks each
@@ -170,7 +170,7 @@ def _oracle_char_integral(m: CompactOpenSet, t: PAdicNumber) -> complex:
 
 def criterion_2(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
     """Character-integral oracle agreement over random (set, t) pairs."""
-    started = time.time()
+    started = time.perf_counter()
     rng = substream(seed, 2)
     worst = 0.0
     pairs = 1000
@@ -204,7 +204,7 @@ def criterion_2(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
 
 def criterion_3(seed: int = DEFAULT_SEED, negative_control: bool = False, **_) -> CriterionResult:
     """Closed form: transform of the example measure vs exp(-a|t|^alpha)."""
-    started = time.time()
+    started = time.perf_counter()
     tol = 0.0 if negative_control else 1e-12
     worst = 0.0
     for p in (2, 3, 5):
@@ -235,7 +235,7 @@ def criterion_3(seed: int = DEFAULT_SEED, negative_control: bool = False, **_) -
 
 def criterion_4(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
     """Scaling law of the exponent and exact mass identities."""
-    started = time.time()
+    started = time.perf_counter()
     rng = substream(seed, 4)
     worst = 0.0
     mass_ok = True
@@ -266,7 +266,7 @@ def criterion_4(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
 
 def criterion_5(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
     """Exponent inversion recovers masses on annuli."""
-    started = time.time()
+    started = time.perf_counter()
     rng = substream(seed, 5)
     worst_rel = 0.0
     count = 0
@@ -293,7 +293,7 @@ def criterion_5(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
 
 def criterion_6(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
     """Convergence of the normalised sums' transforms."""
-    started = time.time()
+    started = time.perf_counter()
     # integer 1/beta regime: the construction reproduces the target exactly
     m2 = make_example_measure(1, 1, 2)
     scheme2 = LimitScheme.geometric(2, m2.beta, m2.gamma0, n_max=10)
@@ -338,7 +338,7 @@ def criterion_6(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
 
 def criterion_7(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
     """Compound-Poisson sampler fidelity against ball probabilities."""
-    started = time.time()
+    started = time.perf_counter()
     p = 2
     resolution = -4
     m = make_example_measure(1, 1, p)
@@ -379,7 +379,7 @@ def criterion_7(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
 
 def criterion_8(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
     """Rescaled-measure trajectory converges to the exact tail mass."""
-    started = time.time()
+    started = time.perf_counter()
     p = 2
     m = make_example_measure(1, 1, p)
     target = float(measure_mass(m, TailSet(p, 0)))
@@ -405,7 +405,7 @@ def criterion_8(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
 
 def criterion_9(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
     """Degenerate regimes: exact transforms and classification verdicts."""
-    started = time.time()
+    started = time.perf_counter()
     # beta = 1 scheme: transform of S_n is exactly 1 once n >= log_p |t|
     sc2 = beta_one_scenario(m=0)
     exact2 = True
@@ -462,7 +462,7 @@ def _report_bytes(scenario, workers: int) -> bytes:
 
 def criterion_10(seed: int = DEFAULT_SEED, workers: int = 2, **_) -> CriterionResult:
     """Byte-identical reports across repeated and parallel runs."""
-    started = time.time()
+    started = time.perf_counter()
     sc = stable_limit_scenario(m=400, n_list=(0, 2), seed=seed)
     b_serial_1 = _report_bytes(sc, workers=1)
     b_serial_2 = _report_bytes(sc, workers=1)

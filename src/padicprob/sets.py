@@ -10,7 +10,7 @@ B(c, p**N) the integral of chi(t*y) dy equals chi(t*c) * p**N when
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -26,12 +26,13 @@ from .padic import (
 )
 
 
-def _canonical_center(p: int, center, radius_exp: int) -> Fraction:
+def _canonical_center(p: int, center, radius_exp: int) -> tuple[int, int] | None:
     """Reduce a center modulo p**(-radius_exp).
 
     The canonical representative keeps exactly the digits above the
     radius scale: it is the unique rational in [0, p**-radius_exp) with
-    p-power denominator congruent to the given center.
+    p-power denominator congruent to the given center.  It is returned
+    as (v, u), meaning p**v * u with u coprime to p, or None when it is 0.
     """
     if isinstance(center, PAdicNumber):
         if center.prime != p:
@@ -44,16 +45,12 @@ def _canonical_center(p: int, center, radius_exp: int) -> Fraction:
         center = center.as_rational()
     c = Fraction(center)
     if c == 0:
-        return Fraction(0)
+        return None
     v, a, b = split_p_part(c, p)
     if v >= -radius_exp:
-        return Fraction(0)
-    width = -radius_exp - v
-    mod = p**width
-    residue = (a * pow(b, -1, mod)) % mod
-    if residue == 0:
-        return Fraction(0)
-    return Fraction(residue) * Fraction(p) ** v
+        return None
+    mod = p ** (-radius_exp - v)
+    return v, (a * pow(b, -1, mod)) % mod
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,13 +64,22 @@ class Ball:
     prime: int
     center: Fraction
     radius_exp: int
+    # the canonical center as (v, u) = p**v * u, None for center 0
+    _center_split: tuple[int, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __init__(self, prime: int, center, radius_exp: int):
         _check_prime(prime)
+        split = _canonical_center(prime, center, radius_exp)
         object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "radius_exp", int(radius_exp))
+        object.__setattr__(self, "_center_split", split)
         object.__setattr__(
-            self, "center", _canonical_center(prime, center, radius_exp)
+            self,
+            "center",
+            Fraction(0) if split is None
+            else Fraction(split[1]) * Fraction(prime) ** split[0],
         )
 
     @property
@@ -87,9 +93,9 @@ class Ball:
     @property
     def sphere_exp(self) -> int | None:
         """N with ball subset of {|x| = p**N}; None if the ball holds 0."""
-        if self.center == 0:
+        if self._center_split is None:
             return None
-        return -rational_valuation(self.center, self.prime)
+        return -self._center_split[0]
 
     def contains_rational(self, r: Fraction | int) -> bool:
         d = Fraction(r) - self.center
@@ -107,7 +113,14 @@ class Ball:
                     "point known modulo p**%s, membership needs p**%d"
                     % (x.known_mod_exp, -self.radius_exp)
                 )
-            return self.contains_rational(x.as_rational())
+            if self._center_split is None:
+                return x.is_zero or x.valuation >= -self.radius_exp
+            # |center| > p**radius_exp: x must share the center's
+            # valuation v and its unit modulo p**(-radius_exp - v)
+            v, u = self._center_split
+            return x.valuation == v and (
+                (x.unit - u) % self.prime ** (-self.radius_exp - v) == 0
+            )
         return self.contains_rational(x)
 
     def relate(self, other: "Ball") -> str:

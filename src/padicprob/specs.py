@@ -25,7 +25,7 @@ from .charfn import (
 )
 from .levy import SelfSimilarLevyMeasure, make_example_measure
 from .limits import LimitScheme, Scenario, default_ball_family
-from .padic import PAdicNumber, grid_points, parse_number
+from .padic import PAdicNumber, grid_points, parse_number, rational_valuation
 from .sets import Ball, TailSet, annulus, sphere
 
 
@@ -239,9 +239,16 @@ def measure_from_spec(obj) -> SelfSimilarLevyMeasure:
         s = obj["stable"]
         return make_example_measure(s["a"], s["alpha"], s["p"])
     p = obj["p"]
+    gamma0 = parse_rational(obj["gamma0"])
+    j = rational_valuation(gamma0, p)
     fundamental_map: dict[int, list] = {}
     for entry in obj["fundamental"]:
         r = entry["sphere"]
+        if 1 <= j <= r:  # j < 1 is the measure's own error
+            raise SpecValidationError(
+                f"fundamental sphere {r} does not exist: gamma0 = {gamma0} "
+                f"has |gamma0| = p**-{j}, so the spheres are 0..{j - 1}"
+            )
         balls = [
             (
                 Ball(p, parse_rational(b["center"]), b["radius_exp"]),
@@ -250,10 +257,6 @@ def measure_from_spec(obj) -> SelfSimilarLevyMeasure:
             for b in entry["balls"]
         ]
         fundamental_map.setdefault(r, []).extend(balls)
-    gamma0 = parse_rational(obj["gamma0"])
-    from .padic import rational_valuation
-
-    j = rational_valuation(gamma0, p)
     fundamental = tuple(
         tuple(fundamental_map.get(r, ())) for r in range(j)
     )

@@ -164,6 +164,23 @@ def test_compound_poisson_zero_jump_draw_is_resolved_zero():
     assert any(x.is_zero for x in draws)  # rate 32/3: zero draws are rare but the window marking must hold on all
 
 
+@pytest.mark.parametrize(
+    "beta, lost", [(Fraction(99, 100), r"1\.795%"), (Fraction(19, 20), r"1\.229e-07%")]
+)
+def test_compound_poisson_refuses_to_fold_jump_mass(beta, lost):
+    # beta near 1: 400 spheres leave beta**400 of the jump rate beyond the
+    # table, which the top sphere would silently absorb
+    from padicprob.levy import make_measure
+
+    fund = make_example_measure(1, 1, 2).fundamental
+    m = make_measure(2, beta, 2, fund)
+    with pytest.raises(ValueError, match=lost + " of the jump rate"):
+        CompoundPoissonSampler(measure=m, resolution=-4)
+    # the example measures reach the tolerance well inside the span
+    s = CompoundPoissonSampler(measure=make_example_measure(1, 1, 2), resolution=-4)
+    assert len(s._cums) == 47
+
+
 def test_compound_poisson_ball_fidelity_small():
     m = make_example_measure(1, 1, 2)
     s = CompoundPoissonSampler(measure=m, resolution=-4)

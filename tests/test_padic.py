@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from padicprob.padic import (
     CharacterSum,
     PAdicNumber,
     Phase,
+    _check_prime,
     format_padic,
     from_rational,
     parse_number,
@@ -17,6 +19,15 @@ from padicprob.padic import (
 )
 
 PRIMES = (2, 3, 5)
+
+
+def test_check_prime_rejects_with_the_value_named():
+    # is_prime is memoised; True and 1 share a cache key, 2.0 and 2 too
+    for good in (2, 3, 5, 7919):
+        _check_prime(good)
+    for bad in (1, True, False, 0, -3, 4, 7917, 2.0, Fraction(3), "3", None):
+        with pytest.raises(ValueError, match="^" + re.escape(f"not a prime: {bad!r}") + "$"):
+            _check_prime(bad)
 
 
 def test_from_rational_12_base2():

@@ -1,10 +1,11 @@
 """The residue kernel against the exact per-pair loops it replaced.
 
 The reference functions below are the former implementations, kept here
-as the oracle: sums of PAdicNumber draws, the phase of every (sum, grid
-point) pair and ``Ball.contains`` on every (ball, sum) pair.  Counts must
-agree exactly, and so must the exception (type and message) wherever the
-exact path raises.
+as the oracle: radial and compound-Poisson draws in exact Fractions, sums
+of PAdicNumber draws, the phase of every (sum, grid point) pair and
+rational ball membership on every (ball, sum) pair.  Draws and counts
+must agree exactly, and so must the exception (type and message)
+wherever the exact path raises.
 """
 
 import bisect
@@ -27,11 +28,12 @@ from padicprob.charfn import (
     _uniform_digits_int,
     ball_counts,
     empirical_phase_counts,
+    poisson_draw,
     stable_sampler,
     substream,
 )
 from padicprob.errors import PrecisionError, PrimeMismatchError
-from padicprob.levy import make_example_measure
+from padicprob.levy import make_example_measure, make_measure
 from padicprob.limits import (
     LimitScheme,
     _mc_block,
@@ -41,7 +43,7 @@ from padicprob.limits import (
 )
 from padicprob.padic import PAdicNumber, grid_points
 from padicprob.residues import ResidueBatch
-from padicprob.sets import Ball
+from padicprob.sets import Ball, split_sphere
 
 # ---------------------------------------------------------------------
 # Reference: the exact PAdicNumber loops
@@ -64,9 +66,38 @@ def reference_radial_draw(sampler: RadialSampler, rng) -> PAdicNumber:
     return _rational_at_resolution(value, p, sampler.resolution)
 
 
+def reference_cp_draw(sampler: CompoundPoissonSampler, rng) -> PAdicNumber:
+    """CompoundPoissonSampler.draw as it was before residues: each jump
+    an exact Fraction, the sum reduced at the resolution."""
+    meas = sampler.measure
+    p, j, res = meas.prime, meas.j, sampler.resolution
+    lam, cums = sampler._lam, sampler._cums
+    jumps = poisson_draw(rng, lam)
+    if jumps == 0:
+        return PAdicNumber.zero(p, -res)
+    total = Fraction(0)
+    for _ in range(jumps):
+        n = res + 1 + min(bisect.bisect_left(cums, rng.random() * lam), len(cums) - 1)
+        r = n % j
+        k = (n - r) // j
+        entries = meas.fundamental[r]
+        cw, tot = [], 0.0
+        for _, w in entries:
+            tot += float(w)
+            cw.append(tot)
+        u2 = rng.random() * cw[-1]
+        chosen = entries[min(bisect.bisect_left(cw, u2), len(entries) - 1)][0]
+        u = _uniform_digits_int(rng, p, chosen.radius_exp + k * j - res)
+        z = chosen.center + Fraction(u) * Fraction(p) ** (-chosen.radius_exp)
+        total += z * Fraction(meas.gamma0) ** (-k)
+    return _rational_at_resolution(total, p, res)
+
+
 def reference_draw(sampler, rng) -> PAdicNumber:
     if isinstance(sampler, RadialSampler):
         return reference_radial_draw(sampler, rng)
+    if isinstance(sampler, CompoundPoissonSampler):
+        return reference_cp_draw(sampler, rng)
     return sampler.draw(rng)
 
 
@@ -91,7 +122,7 @@ def reference_mc_block(args):
     for x in draws:
         for i, t in enumerate(grid):
             phase_counts[i][(t * x).character_phase()] += 1
-    ball_hits = [sum(1 for x in draws if b.contains(x)) for b in balls]
+    ball_hits = [sum(1 for x in draws if reference_contains(b, x)) for b in balls]
     return block, phase_counts, ball_hits, len(draws)
 
 
@@ -109,8 +140,21 @@ def reference_phase_counts(samples, t) -> Counter:
     return counts
 
 
+def reference_contains(ball: Ball, x: PAdicNumber) -> bool:
+    """Ball.contains on a PAdicNumber as it was: through the rational
+    value of the digit window."""
+    if x.prime != ball.prime:
+        raise PrimeMismatchError("point over a different prime")
+    if x.known_mod_exp < -ball.radius_exp:
+        raise PrecisionError(
+            "point known modulo p**%s, membership needs p**%d"
+            % (x.known_mod_exp, -ball.radius_exp)
+        )
+    return ball.contains_rational(x.as_rational())
+
+
 def reference_ball_counts(samples, balls) -> list[int]:
-    return [sum(1 for x in samples if b.contains(x)) for b in balls]
+    return [sum(1 for x in samples if reference_contains(b, x)) for b in balls]
 
 
 def outcome(fn, *args):
@@ -168,7 +212,7 @@ samplers = st.one_of(
         st.sampled_from(["exact_zero", "certified_zero", "short"]),
         st.integers(1, 3),
     ),
-    st.builds(compound_poisson, st.just(2)),
+    st.builds(compound_poisson, st.sampled_from([2, 3, 5])),
 )
 
 
@@ -361,6 +405,139 @@ def test_radial_draw_is_a_decode_of_the_same_stream():
             reference_radial_draw(sampler, b) for _ in range(300)
         ]
         assert a.random() == b.random()  # the same RNG calls were made
+
+
+@st.composite
+def cp_samplers(draw):
+    """Compound-Poisson samplers over self-similar measures with
+    gamma0 = p**j * a/b (a, b != 1, a of either sign), some fundamental
+    spheres possibly empty, at resolutions -1 to -6."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    j = draw(st.integers(1, 2))
+    a = draw(st.sampled_from([u for u in (1, -1, 2, -2, 7, -11) if u % p]))
+    b = draw(st.sampled_from([u for u in (1, 3, 4, 7) if u % p]))
+    fundamental = []
+    for r in range(j):
+        pool = split_sphere(r, draw(st.integers(1, 2)), p)
+        picks = draw(st.lists(st.sampled_from(range(len(pool))), unique=True, max_size=3))
+        fundamental.append(tuple(
+            (pool[i], Fraction(draw(st.integers(1, 4)), 8)) for i in picks
+        ))
+    beta = draw(st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), 0.6]))
+    measure = make_measure(p, beta, Fraction(p**j * a, b), tuple(fundamental))
+    return CompoundPoissonSampler(measure=measure, resolution=draw(st.integers(-6, -1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cp_samplers(), st.integers(0, 2**32), st.integers(1, 12))
+def test_cp_draws_match_fraction_jumps(sampler, seed, count):
+    a, b = substream(seed, 2), substream(seed, 2)
+    assert sampler.sample(a, count) == [reference_cp_draw(sampler, b) for _ in range(count)]
+    assert a.random() == b.random()  # the same RNG calls were made
+
+
+def test_cp_draws_reach_zero_jump_and_certified_zero_draws():
+    # p = 2 at resolution -1, rate about 1: draws with no jump, and draws
+    # whose jumps cancel above the resolution scale
+    m = make_measure(2, Fraction(1, 2), 2, (((Ball(2, 1, -1), Fraction(1, 8)),),))
+    sampler = CompoundPoissonSampler(measure=m, resolution=-1)
+    a, b = substream(3, 0), substream(3, 0)
+    kinds = Counter()
+    for _ in range(400):
+        state = a.bit_generator.state
+        jumps = poisson_draw(a, sampler._lam)
+        a.bit_generator.state = state
+        x = sampler.draw(a)
+        assert x == reference_cp_draw(sampler, b)
+        kinds[(jumps > 0, x.is_zero)] += 1
+    assert kinds[(False, True)] and kinds[(True, True)] and kinds[(True, False)]
+    assert all(x.precision == 1 for x in sampler.sample(a, 50) if x.is_zero)
+
+
+class ScriptedRng:
+    """Stands in for a Generator: random() replays a script, integers()
+    returns ones."""
+
+    def __init__(self, script):
+        self.script = list(script)
+
+    def random(self):
+        return self.script.pop(0)
+
+    def integers(self, low, high, size):
+        return np.ones(size, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cp_jump_on_the_top_sphere(p):
+    # the top sphere of the table carries about 1e-14 of the jump rate,
+    # so random draws never reach it; a scripted stream puts one jump there
+    sampler = CompoundPoissonSampler(measure=make_example_measure(1, 1, p), resolution=-3)
+    cums, lam = sampler._cums, sampler._lam
+    u = (cums[-2] + cums[-1]) / 2 / lam
+    assert bisect.bisect_left(cums, u * lam) == len(cums) - 1
+    script = [0.5, 1e-9, u, 0.5]  # Poisson: one jump; top sphere; a ball
+    got = sampler.draw(ScriptedRng(script))
+    assert got == reference_cp_draw(sampler, ScriptedRng(script))
+    assert -got.valuation == sampler._top
+
+
+def test_cp_residue_sums_match_summed_draws():
+    sampler = compound_poisson(3)
+    sums = sampler.residue_sums(substream(8, 1), 5, 6)
+    rng = substream(8, 1)
+    expected = []
+    for _ in range(6):
+        total = reference_cp_draw(sampler, rng)
+        for _ in range(4):
+            total = total + reference_cp_draw(sampler, rng)
+        expected.append(total)
+    assert sums.elements() == expected
+
+
+ball_args = st.builds(
+    Ball,
+    st.just(3),
+    st.sampled_from([0, 1, 2, 7, -5, 9, 18, Fraction(1, 3), Fraction(5, 9), Fraction(-4, 27)]),
+    st.integers(-6, 3),
+)
+points = st.one_of(
+    padic_values,
+    st.builds(PAdicNumber.zero, st.sampled_from([2, 5])),
+    st.builds(PAdicNumber.from_rational, st.sampled_from([1, Fraction(1, 4)]), p=st.just(2)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ball_args, points, st.integers(-30, 30), st.integers(-8, 2), st.integers(1, 10))
+def test_ball_contains_matches_rational_membership(ball, x, shift, scale, precision):
+    # besides x, a point near the center, which often lies inside
+    near = PAdicNumber.from_rational(
+        ball.center + shift * Fraction(3) ** scale, p=3, precision=precision
+    )
+    for point in (x, near):
+        assert outcome(ball.contains, point) == outcome(reference_contains, ball, point)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ball_contains_pinned_cases(p):
+    cases = [
+        (Ball(p, 0, -2), PAdicNumber.zero(p), True),
+        (Ball(p, 0, -2), PAdicNumber.zero(p, 2), True),  # certified zero
+        (Ball(p, 0, -2), PAdicNumber.zero(p, 1), "PrecisionError"),
+        (Ball(p, 1, -2), PAdicNumber.zero(p, 5), False),
+        (Ball(p, 1 + p * p, -2), PAdicNumber.from_rational(1, p=p), True),
+        (Ball(p, 1 + p * p, -3), PAdicNumber.from_rational(1 + p**4, p=p), False),
+        (Ball(p, 1 + p * p, -3), PAdicNumber.from_rational(1 + p**2 + p**4, p=p), True),
+        (Ball(p, p, -3), PAdicNumber.from_rational(p + p**3, p=p, precision=2), True),
+        (Ball(p, p, -3), PAdicNumber.from_rational(p + p**2, p=p, precision=2), False),
+        (Ball(p, p, -3), PAdicNumber.from_rational(p, p=p, precision=1), "PrecisionError"),
+        (Ball(p, 1, 0), PAdicNumber.from_rational(1, p=7 if p == 5 else 5), "PrimeMismatchError"),
+    ]
+    for ball, x, expected in cases:
+        got = outcome(ball.contains, x)
+        assert got == outcome(reference_contains, ball, x)
+        assert (got[1] if got[0] == "ok" else got[0]) == expected
 
 
 def test_from_padics_round_trip():
