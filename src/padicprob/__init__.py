@@ -14,21 +14,12 @@ from .padic import (
     DEFAULT_PRECISION,
     PAdicNumber,
     Phase,
-    abs_val,
-    add,
-    character_phase,
-    divide,
     format_padic,
-    frac_part,
     from_rational,
     grid_points,
-    invert,
-    mul,
-    negate,
     parse_number,
     parse_padic,
     rational_char_phase,
-    subtract,
 )
 from .sets import (
     Ball,
@@ -59,7 +50,6 @@ from .charfn import (
     ball_probability,
     empirical_cf,
     poisson_draw,
-    sample,
     sphere_masses,
     stable_cf,
     stable_sampler,

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -673,12 +673,6 @@ class CompoundPoissonSampler(_ResidueSampler):
         }
 
 
-def sample(
-    sampler: Sampler, rng: np.random.Generator, count: int
-) -> list[PAdicNumber]:
-    return sampler.sample(rng, count)
-
-
 # ---------------------------------------------------------------------
 # Empirical characteristic function
 # ---------------------------------------------------------------------
@@ -726,23 +720,23 @@ def empirical_cf(samples: Sequence[PAdicNumber], t: PAdicNumber) -> complex:
     return cs.to_complex()
 
 
-def ball_counts(samples: Sequence[PAdicNumber], balls: Sequence[Ball]) -> list[int]:
+def ball_counts(
+    samples: Sequence[PAdicNumber] | ResidueBatch, balls: Sequence[Ball]
+) -> list[int]:
     """How many samples lie in each ball, counted on residues.
 
-    Raises what ``Ball.contains`` raises, ball by ball in order.
+    ``samples`` is a list of values or a residue batch of them.  Raises
+    what ``Ball.contains`` raises, ball by ball in order.
     """
-    if not samples:
-        return [0] * len(balls)
-    p = samples[0].prime
-    batch = None
-    if all(x.prime == p for x in samples):
-        batch = ResidueBatch.from_padics(p, samples)
+    batch = samples
+    if not isinstance(samples, ResidueBatch):
+        if not samples:
+            return [0] * len(balls)
+        p = samples[0].prime
+        batch = None
+        if all(x.prime == p for x in samples):
+            batch = ResidueBatch.from_padics(p, samples)
     for b in balls:
         if batch is None or not batch.ball_ok(b):
-            replay(samples, [b.contains])
+            replay(batch.elements() if batch is samples else samples, [b.contains])
     return [batch.ball_count(b) for b in balls]
-
-
-def frequency(samples: Iterable[PAdicNumber], ball: Ball) -> float:
-    xs = list(samples)
-    return ball_counts(xs, [ball])[0] / len(xs)

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InfiniteMassError, ToleranceError
+from .errors import InfiniteMassError, PrecisionError, ToleranceError
 from .padic import (
     CharacterSum,
     DEFAULT_PRECISION,
@@ -36,6 +36,7 @@ from .padic import (
     Phase,
     _check_prime,
     rational_valuation,
+    split_p_part,
 )
 from .sets import Ball, CompactOpenSet, TailSet, split_sphere
 
@@ -304,74 +305,138 @@ def validate_scaling(
 # ---------------------------------------------------------------------
 
 
+class _ExponentTables:
+    """Integer data of one measure for :func:`levy_exponent_exact`,
+    filled in on first use.
+
+    gamma0 = p**j * a/b with a, b coprime to p, so on the sphere
+    n = r + j*k the point t * gamma0**-k has valuation v_t - j*k and unit
+    u_t * (b/a)**k, and a fundamental ball of sphere r has centre
+    p**-r * c_u.  The phase of t * gamma0**-k * centre is therefore the
+    integer u_t * (b/a)**k * c_u taken modulo p**(n - v_t).
+    """
+
+    __slots__ = ("measure", "j", "ginv", "_spheres", "_neg_tails")
+
+    def __init__(self, measure: SelfSimilarLevyMeasure):
+        self.measure = measure
+        self.j = measure.j
+        _, a, b = split_p_part(measure.gamma0, measure.prime)
+        self.ginv = (b, a)
+        self._spheres: dict[int, tuple] = {}
+        self._neg_tails: dict[int, Fraction | float] = {}
+
+    def sphere(self, n: int) -> tuple[int, tuple]:
+        """(k, balls) for the sphere n = r + j*k: each ball of nonzero
+        weight in fundamental sphere r as (radius_exp, c_u, w * beta**k)."""
+        hit = self._spheres.get(n)
+        if hit is None:
+            m = self.measure
+            r = n % self.j
+            k = (n - r) // self.j
+            beta_k = m.beta_pow(k)
+            # a canonical centre of the sphere |x| = p**r is c_u / p**r
+            hit = self._spheres[n] = (k, tuple(
+                (ball.radius_exp, ball.center.numerator, w * beta_k)
+                for ball, w in m.fundamental[r]
+                if w
+            ))
+        return hit
+
+    def neg_tail(self, i: int) -> Fraction | float:
+        """-tail_mass(i), the constant term of phi(t) for |t| = p**-i."""
+        c = self._neg_tails.get(i)
+        if c is None:
+            c = self._neg_tails[i] = -self.measure.tail_mass(i)
+        return c
+
+
 def levy_exponent_exact(
-    measure: SelfSimilarLevyMeasure, t: PAdicNumber
+    measure: SelfSimilarLevyMeasure,
+    t: PAdicNumber,
+    tables: _ExponentTables | None = None,
 ) -> CharacterSum:
     """phi(t) as an exact character sum.
 
     Only the spheres {|y| > 1/|t|} contribute; on each, the measure is an
     exact rescaling of the fundamental data, so the character part is a
     finite sum of ball averages chi(s * center) * [|s| <= radius bound]
-    and the constant part is the closed-form tail mass.
+    and the constant part is the closed-form tail mass.  Phases are
+    integers modulo p**m (see :class:`_ExponentTables`); a phase that
+    needs more digits of t than its window holds raises
+    :class:`PrecisionError`.  ``tables`` may be shared between calls on
+    the same measure.
     """
     p = measure.prime
     if t.prime != p:
         raise ValueError("t over a different prime")
     if t.is_zero:
         return CharacterSum.zero(p)
-    j = measure.j
-    tau = -t.valuation  # |t| = p**tau
-    total = CharacterSum.constant(p, -measure.tail_mass(-tau))
+    if tables is None:
+        tables = _ExponentTables(measure)
+    j = tables.j
+    tv, tu, precision = t.valuation, t.unit, t.precision
+    mod = p**precision
+    b, a = tables.ginv
+    ginv = b * pow(a, -1, mod) % mod  # the unit of gamma0**-1
+    terms: dict[Phase, Fraction | float] = {}
+    const = tables.neg_tail(tv)
+    if const:
+        terms[Phase.zero(p)] = const
     empty_streak = 0
-    n = -tau + 1
+    n = tv + 1
     while empty_streak < j:
-        r = n % j
-        k = (n - r) // j
+        k, balls = tables.sphere(n)
         contributed = False
-        entries = measure.fundamental[r]
-        if entries:
-            s = t.mul_rational(measure.gamma0 ** (-k))
-            for ball, w in entries:
-                if not w:
-                    continue
-                if s.abs_le_exp(-ball.radius_exp):
-                    phase = (
-                        s.mul_rational(ball.center).character_phase()
-                        if ball.center
-                        else Phase.zero(p)
-                    )
-                    total = total + CharacterSum.single(
-                        phase, w * measure.beta_pow(k)
-                    )
-                    contributed = True
+        sv = tv - j * k  # valuation of t * gamma0**-k
+        m = n - tv  # scale of every phase on this sphere
+        for radius_exp, cu, c in balls:
+            if sv < radius_exp:
+                continue
+            if precision < m:
+                raise PrecisionError(
+                    "need %d digits below the unit scale, have %d"
+                    % (m, precision)
+                )
+            contributed = True
+            if not c:
+                continue
+            phase = Phase(p, tu * pow(ginv, k, mod) * cu % p**m, m)
+            # weights and beta are positive, so merged terms never cancel
+            terms[phase] = terms[phase] + c if phase in terms else c
         empty_streak = 0 if contributed else empty_streak + 1
         n += 1
-    return total
+    return CharacterSum(p, terms)
 
 
 class LevyExponent:
     """Cached evaluator of phi(t) for a fixed measure.
 
-    The cache key is the canonical digit window of t; reads dominate and
+    One cache keyed by the canonical digit window of t holds the exact
+    sum and, once asked for, its complex value; reads dominate and
     correctness does not depend on hits, so instances may be shared.
     """
 
-    def __init__(self, measure: SelfSimilarLevyMeasure, cache: bool = True):
+    def __init__(self, measure: SelfSimilarLevyMeasure):
         self.measure = measure
-        self._cache: dict | None = {} if cache else None
+        self._tables = _ExponentTables(measure)
+        # key -> [exact sum, complex value or None]
+        self._cache: dict[tuple, list] = {}
 
     def exact(self, t: PAdicNumber) -> CharacterSum:
-        if self._cache is None:
-            return levy_exponent_exact(self.measure, t)
         key = (t.valuation, t.unit, t.precision)
         hit = self._cache.get(key)
         if hit is None:
-            hit = levy_exponent_exact(self.measure, t)
+            hit = [levy_exponent_exact(self.measure, t, self._tables), None]
             self._cache[key] = hit
-        return hit
+        return hit[0]
 
     def __call__(self, t: PAdicNumber) -> complex:
-        return self.exact(t).to_complex()
+        value = self.exact(t)
+        hit = self._cache[(t.valuation, t.unit, t.precision)]
+        if hit[1] is None:
+            hit[1] = value.to_complex()
+        return hit[1]
 
 
 def levy_exponent(measure: SelfSimilarLevyMeasure, t: PAdicNumber) -> complex:
@@ -398,22 +463,35 @@ class CfEvaluator:
 # ---------------------------------------------------------------------
 
 
+def _sphere_units(depth: int, p: int):
+    """0 < a < p**depth with p not dividing a, in increasing order: the
+    points a * p**-m are the canonical centres of split_sphere(m, depth, p)."""
+    return (a for a in range(1, p**depth) if a % p)
+
+
+def _probe_point(p: int, m: int, a: int) -> PAdicNumber:
+    """a * p**-m (a coprime to p) with the default digit window."""
+    return PAdicNumber(p, -m, a % p**DEFAULT_PRECISION, DEFAULT_PRECISION)
+
+
 class _PointCache:
-    def __init__(self, phi, p: int, precision: int = DEFAULT_PRECISION):
+    """phi at the points a * p**-m, keyed by (m, a)."""
+
+    def __init__(self, phi, p: int):
         self.phi = phi
         self.p = p
-        self.precision = precision
-        self._vals: dict[Fraction, complex] = {}
+        self._vals: dict[tuple[int, int], complex] = {}
 
-    def __call__(self, center: Fraction) -> complex:
-        v = self._vals.get(center)
-        if v is None:
-            t = PAdicNumber.from_rational(
-                center, p=self.p, precision=self.precision
-            )
-            v = complex(self.phi(t))
-            self._vals[center] = v
-        return v
+    def sphere(self, m: int, depth: int) -> dict[int, complex]:
+        """{a: phi(a * p**-m)} over ``_sphere_units(depth, p)``."""
+        out = {}
+        for a in _sphere_units(depth, self.p):
+            v = self._vals.get((m, a))
+            if v is None:
+                v = complex(self.phi(_probe_point(self.p, m, a)))
+                self._vals[(m, a)] = v
+            out[a] = v
+        return out
 
 
 def _sphere_integral(
@@ -427,12 +505,7 @@ def _sphere_integral(
     """
     prev: dict[int, complex] | None = None
     for depth in range(1, refine_cap + 2):
-        scale = Fraction(p) ** (-m)
-        vals: dict[int, complex] = {}
-        for a in range(1, p**depth):
-            if a % p == 0:
-                continue
-            vals[a] = cache(a * scale)
+        vals = cache.sphere(m, depth)
         if prev is not None:
             parent_mod = p ** (depth - 1)
             if all(vals[a] == prev[a % parent_mod] for a in vals):
@@ -581,7 +654,7 @@ def _reconstruct_point(g, p: int, lo: int, hi: int) -> PAdicNumber:
     """Digits of xi from the phases of g at t = p**-m, m in [lo, hi]."""
     phis: dict[int, Fraction] = {}
     for m in range(lo, hi + 1):
-        t = PAdicNumber.from_rational(Fraction(p) ** (-m), p=p)
+        t = _probe_point(p, m, 1)
         phis[m] = _snap_phase(complex(g(t)), p, max(0, m - lo + 2))
     value = Fraction(0)
     for idx in range(lo, hi):
@@ -616,8 +689,8 @@ def classify_two_valued(
     sphere_kind: dict[int, str] = {}
     for k in range(-probe_depth, search_radius_exp + 1):
         kinds = set()
-        for ball in split_sphere(k, depth, p):
-            t = PAdicNumber.from_rational(ball.center, p=p)
+        for a in _sphere_units(depth, p):
+            t = _probe_point(p, k, a)
             v = abs(complex(g(t)))
             if abs(v - 1.0) <= tol:
                 kinds.add("one")

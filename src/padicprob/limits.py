@@ -430,6 +430,10 @@ def _t_label(t: PAdicNumber) -> str:
 def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceReport:
     """Run the full diagnostic battery for one scenario."""
     p = scenario.prime
+    # one cached exponent serves the theory rows and the classification
+    source = scenario.law_source
+    if isinstance(source, SelfSimilarLevyMeasure):
+        source = LevyExponent(source)
     target_g = scenario.target_cf()
     target_radial = scenario.target_radial_fn()
     law_radial = (
@@ -449,10 +453,7 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
     ball_rows: list[dict] = []
 
     theo: dict[tuple[int, int], complex] = {}
-    if scenario.law_source is not None:
-        source = scenario.law_source
-        if isinstance(source, SelfSimilarLevyMeasure):
-            source = LevyExponent(source)
+    if source is not None:
         for n in scenario.n_list:
             sup_err = 0.0
             for i, t in enumerate(scenario.grid):
@@ -514,25 +515,29 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
                 }
             )
 
+    # per set, its row at the final n, or None when that row was dropped
+    phi_final: list[dict | None] = []
     if law_radial is not None and (
         scenario.target_measure is not None
     ):
         for s in scenario.sets:
             target_mass = float(measure_mass(scenario.target_measure, s))
+            row = None
             for n in scenario.n_list:
                 try:
                     val = phi_n_measure(law_radial, scenario.scheme, n, s)
                 except ToleranceError:
+                    row = None
                     continue
-                phi_rows.append(
-                    {
-                        "n": n,
-                        "set": str(s),
-                        "phi_n": val,
-                        "target": target_mass,
-                        "err": abs(val - target_mass),
-                    }
-                )
+                row = {
+                    "n": n,
+                    "set": str(s),
+                    "phi_n": val,
+                    "target": target_mass,
+                    "err": abs(val - target_mass),
+                }
+                phi_rows.append(row)
+            phi_final.append(row)
 
     min_abs_target: float | None = None
     if target_g is not None:
@@ -552,10 +557,10 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
         )
 
     degenerate: str | None = None
-    if scenario.kind in ("beta_one", "bounded_normalizers") and scenario.law_source is not None:
+    if scenario.kind in ("beta_one", "bounded_normalizers") and source is not None:
         n_top = scenario.n_list[-1]
         ev = lambda t: theoretical_fn(  # noqa: E731
-            scenario.law_source, scenario.scheme, n_top, t
+            source, scenario.scheme, n_top, t
         )
         form = classify_two_valued(ev, p, search_radius_exp=4, probe_depth=6)
         degenerate = form.kind
@@ -577,13 +582,10 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
         verdicts["mc_within_bands"] = frac_within >= scenario.tol(
             "mc_fraction", 0.95
         )
-    if phi_rows:
-        final_errs = {}
-        for r in phi_rows:
-            final_errs[r["set"]] = r  # last n wins (n_list ascending)
+    if phi_final:
         verdicts["phi_trajectory"] = all(
-            r["err"] <= scenario.tol("phi_final", 5e-3)
-            for r in final_errs.values()
+            r is not None and r["err"] <= scenario.tol("phi_final", 5e-3)
+            for r in phi_final
         )
     if ball_rows:
         verdicts["ball_frequencies"] = all(r["within"] for r in ball_rows)

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import PrecisionError, PrimeMismatchError
 
@@ -350,9 +350,6 @@ class PAdicNumber:
         """Argument of chi at this point, as an exact rational phase."""
         return Phase.from_fraction(self.prime, self.frac_part())
 
-    def character(self) -> complex:
-        return self.character_phase().to_complex()
-
     # -- misc -----------------------------------------------------------
 
     def abs_le_exp(self, e: int) -> bool:
@@ -480,14 +477,8 @@ class CharacterSum:
     ):
         _check_prime(prime)
         self.prime = prime
-        clean: dict[Phase, Fraction | float] = {}
-        if terms:
-            for ph, c in terms.items():
-                if c:
-                    clean[ph] = clean.get(ph, 0) + c
-                    if not clean[ph]:
-                        del clean[ph]
-        self._terms = clean
+        # a mapping holds each phase once: only zero coefficients go
+        self._terms = {ph: c for ph, c in (terms or {}).items() if c}
 
     @classmethod
     def zero(cls, p: int) -> "CharacterSum":
@@ -521,9 +512,6 @@ class CharacterSum:
         for ph, c in other._terms.items():
             merged[ph] = merged.get(ph, 0) + c
         return CharacterSum(self.prime, merged)
-
-    def __sub__(self, other: "CharacterSum") -> "CharacterSum":
-        return self + other.scale(-1)
 
     def scale(self, c: Fraction | float | int) -> "CharacterSum":
         if not c:
@@ -595,42 +583,6 @@ def from_rational(
     return PAdicNumber.from_rational(numer, denom, p=p, precision=precision)
 
 
-def add(x: PAdicNumber, y: PAdicNumber) -> PAdicNumber:
-    return x + y
-
-
-def subtract(x: PAdicNumber, y: PAdicNumber) -> PAdicNumber:
-    return x - y
-
-
-def negate(x: PAdicNumber) -> PAdicNumber:
-    return -x
-
-
-def mul(x: PAdicNumber, y: PAdicNumber) -> PAdicNumber:
-    return x * y
-
-
-def invert(x: PAdicNumber) -> PAdicNumber:
-    return x.invert()
-
-
-def divide(x: PAdicNumber, y: PAdicNumber) -> PAdicNumber:
-    return x / y
-
-
-def abs_val(x: PAdicNumber) -> Fraction:
-    return x.abs_value()
-
-
-def frac_part(x: PAdicNumber) -> Fraction:
-    return x.frac_part()
-
-
-def character_phase(x: PAdicNumber) -> Phase:
-    return x.character_phase()
-
-
 _DIGITS_RE = re.compile(
     r"^\s*(\d+)\^(-?\d+|inf)\s*\*\s*\[([0-9,\s]*)\]\s*$"
 )
@@ -699,7 +651,3 @@ def grid_points(
                 )
             )
     return pts
-
-
-def iter_digits(x: PAdicNumber) -> Iterator[int]:
-    return iter(x.digits)

@@ -349,7 +349,8 @@ def criterion_7(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
     sampler = CompoundPoissonSampler(measure=m, resolution=resolution)
     rng = substream(seed, 7)
     count = 100_000
-    draws = sampler.sample(rng, count)
+    # the draws of sampler.sample, kept as residues: same RNG calls
+    draws = sampler.residue_sums(rng, 1, count)
     balls = [b for b in default_ball_family(p, 12) if b.radius_exp >= resolution][:10]
     rows = []
     all_within = True

@@ -147,18 +147,6 @@ class Ball:
         v = rational_valuation(r, self.prime)
         return Ball(self.prime, self.center * r, self.radius_exp - v)
 
-    def translate(self, r: Fraction | int) -> "Ball":
-        return Ball(self.prime, self.center + Fraction(r), self.radius_exp)
-
-    def children(self) -> list["Ball"]:
-        """The p disjoint sub-balls of the next finer radius."""
-        p = self.prime
-        step = Fraction(p) ** (-self.radius_exp)
-        return [
-            Ball(p, self.center + i * step, self.radius_exp - 1)
-            for i in range(p)
-        ]
-
     def sort_key(self):
         return (self.center, self.radius_exp)
 
@@ -222,10 +210,6 @@ class CompactOpenSet:
     def __hash__(self) -> int:
         return hash((self.prime, self.balls))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.balls
-
     def measure(self) -> Fraction:
         return sum((b.measure for b in self.balls), Fraction(0))
 
@@ -234,9 +218,6 @@ class CompactOpenSet:
 
     def scale(self, r: Fraction | int) -> "CompactOpenSet":
         return CompactOpenSet(self.prime, (b.scale(r) for b in self.balls))
-
-    def union(self, other: "CompactOpenSet") -> "CompactOpenSet":
-        return CompactOpenSet(self.prime, self.balls + other.balls)
 
     def indicator(self) -> "StepFunction":
         return StepFunction(
@@ -349,9 +330,6 @@ class StepFunction:
             if b.contains(x):
                 return v
         return complex(0.0, 0.0)
-
-    def support_measure(self) -> Fraction:
-        return sum((b.measure for b, _ in self.pieces), Fraction(0))
 
 
 def integrate_step(f: StepFunction, t: PAdicNumber) -> complex:

@@ -48,10 +48,6 @@ def parse_rational(value) -> Fraction:
     raise SpecValidationError(f"cannot read a rational from {value!r}")
 
 
-def format_rational(fr: Fraction) -> str:
-    return str(fr)
-
-
 _BALL_RE = re.compile(r"^\s*ball\(\s*([^,]+?)\s*,\s*(-?\d+)\s*\)\s*$")
 _SPHERE_RE = re.compile(r"^\s*sphere\(\s*(-?\d+)\s*\)\s*$")
 _ANNULUS_RE = re.compile(

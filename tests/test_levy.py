@@ -3,12 +3,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicprob.charfn import RadialCharFn, StableParams, stable_cf, substream
-from padicprob.errors import InfiniteMassError, ToleranceError
+from padicprob.errors import InfiniteMassError, PrecisionError, ToleranceError
 from padicprob.levy import (
     CfEvaluator,
     LevyExponent,
+    _probe_point,
+    _sphere_units,
     cf_from_levy,
     classify_two_valued,
     invert_exponent,
@@ -20,7 +24,13 @@ from padicprob.levy import (
     random_self_similar_measure,
     validate_scaling,
 )
-from padicprob.padic import PAdicNumber, from_rational, grid_points
+from padicprob.padic import (
+    CharacterSum,
+    PAdicNumber,
+    Phase,
+    from_rational,
+    grid_points,
+)
 from padicprob.sets import Ball, CompactOpenSet, TailSet, annulus, split_sphere
 
 
@@ -251,3 +261,216 @@ def test_gamma0_with_unit_part():
     exact = float(measure_mass(m, annulus(0, 2, p)))
     got = invert_exponent(LevyExponent(m), 0, 2, p, tol=1e-12)
     assert abs(got - exact) <= 1e-10 * max(1.0, exact)
+
+
+# ---------------------------------------------------------------------
+# The integer exponent and probe points against the paths they replaced
+# ---------------------------------------------------------------------
+
+
+def oracle_exponent(measure, t):
+    """levy_exponent_exact as it was before integer residues: exact
+    rational scalings of t, character_phase per term, and one
+    CharacterSum added per term."""
+    p = measure.prime
+    if t.prime != p:
+        raise ValueError("t over a different prime")
+    if t.is_zero:
+        return CharacterSum.zero(p)
+    j = measure.j
+    tau = -t.valuation
+    total = CharacterSum.constant(p, -measure.tail_mass(-tau))
+    empty_streak = 0
+    n = -tau + 1
+    while empty_streak < j:
+        r = n % j
+        k = (n - r) // j
+        contributed = False
+        entries = measure.fundamental[r]
+        if entries:
+            s = t.mul_rational(measure.gamma0 ** (-k))
+            for ball, w in entries:
+                if not w:
+                    continue
+                if s.abs_le_exp(-ball.radius_exp):
+                    phase = (
+                        s.mul_rational(ball.center).character_phase()
+                        if ball.center
+                        else Phase.zero(p)
+                    )
+                    total = total + CharacterSum.single(
+                        phase, w * measure.beta_pow(k)
+                    )
+                    contributed = True
+        empty_streak = 0 if contributed else empty_streak + 1
+        n += 1
+    return total
+
+
+def _outcome(fn, *args):
+    try:
+        cs = fn(*args)
+    except (PrecisionError, ValueError) as exc:
+        return type(exc), str(exc)
+    # the terms in order, their exact coefficients, and the complex value
+    return list(cs.terms().items()), cs.to_complex()
+
+
+def assert_exponent_matches(measure, ts, shared=None):
+    for t in ts:
+        want = _outcome(oracle_exponent, measure, t)
+        assert _outcome(levy_exponent_exact, measure, t) == want
+        if shared is not None:
+            assert _outcome(shared.exact, t) == want
+
+
+_GAMMA_UNITS = {
+    p: (Fraction(1), Fraction(1 + p), Fraction(1, 1 + p)) for p in (2, 3, 5)
+}
+
+
+@st.composite
+def points(draw, p):
+    """Nonzero t over p; short windows reach the PrecisionError path."""
+    precision = draw(st.sampled_from((1, 2, 3, 4, 48)))
+    unit = draw(st.integers(1, p**precision - 1).filter(lambda u: u % p))
+    return PAdicNumber(p, draw(st.integers(-7, 7)), unit, precision)
+
+
+@st.composite
+def measures_and_points(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    m = random_self_similar_measure(
+        substream(draw(st.integers(0, 2**32 - 1)), 0), p
+    )
+    return m, draw(st.lists(points(p), min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(measures_and_points())
+def test_exponent_matches_oracle(case):
+    m, ts = case
+    # one LevyExponent across windows of different widths shares its tables
+    assert_exponent_matches(m, ts, LevyExponent(m))
+
+
+def test_exponent_oracle_covers_every_gamma_shape():
+    # random_self_similar_measure draws j in {1, 2} and the unit of gamma0
+    # from 1, 1+p and 1/(1+p): check each shape on the grid
+    for p in (2, 3, 5):
+        seen = set()
+        rng = substream(404, p)
+        for _ in range(200):
+            m = random_self_similar_measure(rng, p)
+            shape = (m.j, m.gamma0 / Fraction(p) ** m.j)
+            assert shape[1] in _GAMMA_UNITS[p]
+            if shape in seen:
+                continue
+            seen.add(shape)
+            ts = grid_points(p, -4, 4) + grid_points(
+                p, -3, 3, unit_digit_sets=((1, 1),), precision=2
+            )
+            assert_exponent_matches(m, ts, LevyExponent(m))
+        assert len(seen) == 6
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("alpha", (0.5, 0.7, 1.5, 2.5))
+def test_exponent_float_alpha_coefficients_equal(p, alpha):
+    # float beta and weights: the coefficients must be the same floats
+    m = make_example_measure(0.75, alpha, p)
+    assert isinstance(m.beta, float)
+    ts = grid_points(p, -5, 5)
+    assert_exponent_matches(m, ts, LevyExponent(m))
+    for t in ts:
+        got = levy_exponent_exact(m, t).terms()
+        assert all(isinstance(c, float) for c in got.values())
+
+
+def test_exponent_zero_and_foreign_prime():
+    m = random_self_similar_measure(substream(5, 5), 3)
+    for z in (PAdicNumber.zero(3), PAdicNumber.zero(3, 4)):
+        assert levy_exponent_exact(m, z) == CharacterSum.zero(3)
+        assert LevyExponent(m)(z) == 0j
+    t = from_rational(1, 2, p=2)
+    assert _outcome(levy_exponent_exact, m, t) == (
+        ValueError, "t over a different prime"
+    )
+    assert _outcome(levy_exponent_exact, m, t) == _outcome(oracle_exponent, m, t)
+
+
+def test_exponent_short_window_error_text():
+    # a depth-4 ball needs four digits of t below its leading one
+    p = 3
+    ball = split_sphere(0, 4, p)[7]
+    m = make_measure(p, Fraction(1, 2), p, (((ball, Fraction(1, 7)),),))
+    for precision in (1, 2, 3):
+        t = PAdicNumber(p, -2, 1, precision)
+        got = _outcome(levy_exponent_exact, m, t)
+        assert got[0] is PrecisionError
+        assert got == _outcome(oracle_exponent, m, t)
+    t = PAdicNumber(p, -2, 1, 4)
+    assert isinstance(_outcome(levy_exponent_exact, m, t)[0], list)
+    assert_exponent_matches(m, [t])
+
+
+def test_exponent_skips_zero_weights():
+    # a zero-weight ball contributes no term, needs no digits of t and
+    # does not keep the sphere loop going
+    p = 2
+    deep, shallow = split_sphere(0, 3, p)[1], split_sphere(0, 3, p)[2]
+    for weights in ((0, Fraction(1, 3)), (0, 0), (0.0, 0.25)):
+        m = make_measure(
+            p, Fraction(1, 2), Fraction(4), (
+                ((deep, weights[0]), (shallow, weights[1])),
+                ((split_sphere(1, 1, p)[0], Fraction(1, 5)),),
+            ),
+        )
+        ts = [PAdicNumber(p, v, 1, k) for v in (-3, -1, 0, 2) for k in (1, 2, 3)]
+        assert_exponent_matches(m, ts, LevyExponent(m))
+
+
+def test_levy_exponent_caches_sum_and_value():
+    m = random_self_similar_measure(substream(8, 1), 2)
+    phi = LevyExponent(m)
+    t = from_rational(3, 8, p=2)
+    first = phi.exact(t)
+    assert phi(t) == first.to_complex()
+    assert phi.exact(from_rational(3, 8, p=2)) is first
+    assert phi(t) is phi(t)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_probe_points_match_former_construction(p):
+    for m in (-3, 0, 2):
+        for depth in (1, 2, 3):
+            new = [_probe_point(p, m, a) for a in _sphere_units(depth, p)]
+            # classification read the centres of split_sphere ...
+            assert new == [
+                PAdicNumber.from_rational(b.center, p=p)
+                for b in split_sphere(m, depth, p)
+            ]
+            # ... and quadrature built a * p**-m as a Fraction
+            assert new == [
+                PAdicNumber.from_rational(a * Fraction(p) ** (-m), p=p)
+                for a in range(1, p**depth)
+                if a % p
+            ]
+
+
+def test_inversion_and_classification_match_oracle_values():
+    # the integer path must give bit-identical floats end to end
+    rng = substream(31, 2)
+    for _ in range(3):
+        m = random_self_similar_measure(rng)
+        p = m.prime
+        oracle = lambda t, m=m: oracle_exponent(m, t).to_complex()  # noqa: E731
+        for i, l in ((0, 2), (-1, None)):
+            assert invert_exponent(LevyExponent(m), i, l, p) == invert_exponent(
+                oracle, i, l, p
+            )
+    m = make_example_measure(1, 1, 2)
+    ev = lambda t: cmath.exp(oracle_exponent(m, t).to_complex())  # noqa: E731
+    assert classify_two_valued(CfEvaluator(m), 2, 3, 4) == classify_two_valued(
+        ev, 2, 3, 4
+    )

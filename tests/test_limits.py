@@ -14,7 +14,12 @@ from padicprob.charfn import (
     stable_sampler,
     substream,
 )
-from padicprob.levy import LevyExponent, make_example_measure, measure_mass
+from padicprob.levy import (
+    LevyExponent,
+    make_example_measure,
+    make_measure,
+    measure_mass,
+)
 from padicprob.limits import (
     LimitScheme,
     convergence_report,
@@ -234,3 +239,83 @@ def test_simulate_sums_needs_a_summand():
     with pytest.raises(ValueError):
         simulate_sums(law, scheme, 0, 3, substream(0, 0))
     assert simulate_sums(law, scheme, 0, 0, substream(0, 0)) == []
+
+
+def test_phi_trajectory_needs_a_row_at_the_final_n(monkeypatch):
+    import padicprob.limits as limits
+    from padicprob.errors import ToleranceError
+
+    sc = stable_limit_scenario(m=0, n_list=(0, 2))
+    sc.tolerances["phi_final"] = 1e9  # every row that is present passes
+    assert convergence_report(sc).verdicts["phi_trajectory"]
+    real = limits.phi_n_measure
+    final = sc.n_list[-1]
+
+    def drop_final(law, scheme, n, m, *args, **kwargs):
+        if n == final and m == sc.sets[0]:
+            raise ToleranceError("dropped")
+        return real(law, scheme, n, m, *args, **kwargs)
+
+    monkeypatch.setattr(limits, "phi_n_measure", drop_final)
+    rep = convergence_report(sc)
+    # the earlier row of the first set stays in the report, but the
+    # verdict may not fall back to it
+    assert [r["n"] for r in rep.phi_rows] == [0, 0, 2]
+    assert rep.verdicts["phi_trajectory"] is False
+
+
+def test_phi_trajectory_fails_when_every_row_is_dropped(monkeypatch):
+    import padicprob.limits as limits
+    from padicprob.errors import ToleranceError
+
+    def always(*args, **kwargs):
+        raise ToleranceError("dropped")
+
+    monkeypatch.setattr(limits, "phi_n_measure", always)
+    rep = convergence_report(stable_limit_scenario(m=0, n_list=(0, 2)))
+    assert rep.phi_rows == []
+    assert rep.verdicts["phi_trajectory"] is False
+    assert not rep.passed
+
+
+def test_measure_source_evaluates_each_point_once(monkeypatch):
+    # a beta_one-style report whose law is given by a jump measure: the
+    # theory rows and the classification share one cached exponent.  The
+    # weights are so small that |f_n| is 1 to within the classification
+    # tolerance, so classification probes every sphere and then re-reads
+    # the points p**-m to rebuild xi.
+    import padicprob.levy as levy
+    from padicprob.limits import Scenario
+    from padicprob.sets import split_sphere
+
+    p = 3
+    m = make_measure(
+        p, Fraction(1, 3), p,
+        ((tuple((b, Fraction(1, 10**15)) for b in split_sphere(0, 1, p))),),
+    )
+    sc = Scenario(
+        name="measure-beta-one",
+        prime=p,
+        law=HaarBallSampler(ball=Ball(p, 0, 0), resolution=-12),
+        scheme=LimitScheme.geometric(p, m.beta, m.gamma0, n_max=2),
+        grid=tuple(grid_points(p, -2, 2)),
+        balls=(),
+        sets=(),
+        m=0,
+        seed=0,
+        n_list=(0, 1, 2),
+        law_source=m,
+        kind="beta_one",
+    )
+    seen: dict = {}
+    real = levy.levy_exponent_exact
+
+    def counting(measure, t, *args):
+        key = (t.valuation, t.unit, t.precision)
+        seen[key] = seen.get(key, 0) + 1
+        return real(measure, t, *args)
+
+    monkeypatch.setattr(levy, "levy_exponent_exact", counting)
+    rep = convergence_report(sc)
+    assert rep.degenerate == "delta"
+    assert seen and max(seen.values()) == 1

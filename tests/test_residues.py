@@ -495,6 +495,26 @@ def test_cp_residue_sums_match_summed_draws():
     assert sums.elements() == expected
 
 
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_ball_counts_on_a_residue_batch(p):
+    # criterion c7 counts its compound-Poisson draws as residues: the
+    # counts and, for a ball finer than the draws' window, the exception
+    # must be those of the decoded draws
+    sampler = compound_poisson(p)
+    batch = sampler.residue_sums(substream(3, p), 1, 400)
+    draws = sampler.sample(substream(3, p), 400)
+    balls = list(default_ball_family(p, 12))
+    assert outcome(ball_counts, batch, balls) == outcome(
+        reference_ball_counts, draws, balls
+    )
+    fine = balls[:2] + [Ball(p, 1, sampler.resolution - 1)]
+    got = outcome(ball_counts, batch, fine)
+    assert got[0] == "PrecisionError"
+    assert got == outcome(ball_counts, draws, fine)
+    assert outcome(ball_counts, ResidueBatch(p, 0, 2, []), balls) == ("ok", [0] * 12)
+
+
 ball_args = st.builds(
     Ball,
     st.just(3),
