@@ -35,7 +35,6 @@ from .padic import (
     PAdicNumber,
     Phase,
     _check_prime,
-    rational_valuation,
     split_p_part,
 )
 from .sets import Ball, CompactOpenSet, TailSet, split_sphere
@@ -78,7 +77,11 @@ class SelfSimilarLevyMeasure:
             raise ValueError("gamma0 must be nonzero")
         if not 0 < float(self.beta) < 1:
             raise ValueError("beta must lie in (0, 1)")
-        j = rational_valuation(self.gamma0, self.prime)
+        # gamma0 = p**j * a/b with a, b coprime to p, split once
+        object.__setattr__(
+            self, "_gamma_split", split_p_part(self.gamma0, self.prime)
+        )
+        j = self.j
         if j < 1:
             raise ValueError("need 0 < |gamma0|_p <= 1/p")
         fund = tuple(
@@ -110,7 +113,7 @@ class SelfSimilarLevyMeasure:
 
     @property
     def j(self) -> int:
-        return rational_valuation(self.gamma0, self.prime)
+        return self._gamma_split[0]
 
     def beta_pow(self, k: int) -> Fraction | float:
         return self.beta**k
@@ -216,16 +219,21 @@ def _ball_mass(measure: SelfSimilarLevyMeasure, ball: Ball) -> Fraction | float:
             "the set contains a neighbourhood of 0; total jump mass there "
             "is infinite"
         )
-    j = measure.j
+    j, a, b = measure._gamma_split
     c_exp = ball.sphere_exp
     r = c_exp % j
     k = (c_exp - r) // j
-    image = ball.scale(measure.gamma0**k)
+    # the image under gamma0**k = p**(j*k) * (a/b)**k
+    if k >= 0:
+        image = ball._scaled(j * k, a**k, b**k)
+    else:
+        image = ball._scaled(j * k, b**-k, a**-k)
+    p = measure.prime
     total: Fraction | float = Fraction(0)
     for q, w in measure.fundamental[r]:
         rel = image.relate(q)
         if rel in ("inside", "equal"):
-            total = total + w * (image.measure / q.measure)
+            total = total + w * Fraction(1, p ** (q.radius_exp - image.radius_exp))
         elif rel == "contains":
             total = total + w
     return measure.beta_pow(k) * total
@@ -320,8 +328,7 @@ class _ExponentTables:
 
     def __init__(self, measure: SelfSimilarLevyMeasure):
         self.measure = measure
-        self.j = measure.j
-        _, a, b = split_p_part(measure.gamma0, measure.prime)
+        self.j, a, b = measure._gamma_split
         self.ginv = (b, a)
         self._spheres: dict[int, tuple] = {}
         self._neg_tails: dict[int, Fraction | float] = {}

@@ -37,7 +37,13 @@ from .levy import (
     classify_two_valued,
     measure_mass,
 )
-from .padic import CharacterSum, PAdicNumber, _check_prime, grid_points
+from .padic import (
+    CharacterSum,
+    PAdicNumber,
+    _check_prime,
+    grid_points,
+    split_p_part,
+)
 from .residues import ResidueBatch, replay
 from .sets import Ball, TailSet
 
@@ -93,6 +99,8 @@ class LimitScheme:
             object.__setattr__(self, "n_max", len(self.b_list) - 1)
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
+        # (n, p, K) -> (w, a/b mod p**K, p**K) where B_n**-1 = p**w * a/b
+        object.__setattr__(self, "_inv_b", {})
 
     @classmethod
     def geometric(
@@ -126,6 +134,21 @@ class LimitScheme:
     def rho(self, n: int) -> float:
         return self.k(n) / self.k(n + 1)
 
+    def scale_t(self, n: int, t: PAdicNumber) -> PAdicNumber:
+        """t / B_n, exactly as ``t.mul_rational(1 / B(n))``; the split of
+        B_n**-1 is computed once per (n, prime of t, digit window)."""
+        if t.is_zero:
+            return t.mul_rational(1 / self.B(n))
+        p, precision = t.prime, t.precision
+        key = (n, p, precision)
+        hit = self._inv_b.get(key)
+        if hit is None:
+            w, a, b = split_p_part(1 / self.B(n), p)
+            mod = p**precision
+            hit = self._inv_b[key] = (w, a * pow(b, -1, mod) % mod, mod)
+        w, unit, mod = hit
+        return PAdicNumber(p, t.valuation + w, t.unit * unit % mod, precision)
+
 
 # ---------------------------------------------------------------------
 # Theoretical transform of S_n
@@ -142,7 +165,7 @@ def theoretical_fn(source, scheme: LimitScheme, n: int, t: PAdicNumber) -> compl
     transform bit-for-bit.
     """
     k = scheme.k(n)
-    t_scaled = t.mul_rational(1 / scheme.B(n))
+    t_scaled = scheme.scale_t(n, t)
     if isinstance(source, SelfSimilarLevyMeasure):
         source = LevyExponent(source)
     if isinstance(source, LevyExponent):

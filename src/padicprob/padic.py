@@ -434,12 +434,17 @@ class Phase:
         )
 
     def to_complex(self) -> complex:
-        if self.numerator == 0:
-            return complex(1.0, 0.0)
-        if self.prime == 2 and self.scale <= 2:
-            return _AXIS_PHASES[(self.scale, self.numerator)]
-        theta = _TWO_PI * (self.numerator / self.prime**self.scale)
-        return complex(math.cos(theta), math.sin(theta))
+        return _chi(self.prime, self.scale, self.numerator)
+
+
+def _chi(p: int, scale: int, numerator: int) -> complex:
+    """chi at the reduced phase numerator / p**scale."""
+    if numerator == 0:
+        return complex(1.0, 0.0)
+    if p == 2 and scale <= 2:
+        return _AXIS_PHASES[(scale, numerator)]
+    theta = _TWO_PI * (numerator / p**scale)
+    return complex(math.cos(theta), math.sin(theta))
 
 
 def rational_char_phase(r: Fraction | int, p: int) -> Phase:
@@ -527,35 +532,29 @@ class CharacterSum:
         )
 
     def to_complex(self) -> complex:
+        p = self.prime
+        # (scale, numerator) -> coefficient, visited in increasing order;
+        # the conjugate of k / p**s is (p**s - k) / p**s (never a key when
+        # s = 0), and the smaller numerator of a pair comes first
+        terms = {(ph.scale, ph.numerator): c for ph, c in self._terms.items()}
         total = complex(0.0, 0.0)
-        done: set[Phase] = set()
-        for ph in sorted(
-            self._terms, key=lambda q: (q.scale, q.numerator)
-        ):
-            if ph in done:
+        done: set[tuple[int, int]] = set()
+        for key in sorted(terms):
+            if key in done:
                 continue
-            c = self._terms[ph]
-            conj = ph.negate()
-            if conj == ph:
-                total += float(c) * ph.to_complex()
-                done.add(ph)
-                continue
-            if conj in self._terms:
-                c2 = self._terms[conj]
-                theta = _TWO_PI * (ph.numerator / ph.prime**ph.scale)
-                if 2 * ph.numerator > ph.prime**ph.scale:
-                    theta = -_TWO_PI * (
-                        conj.numerator / conj.prime**conj.scale
-                    )
-                    c, c2 = c2, c
+            s, k = key
+            c = terms[key]
+            conj = (s, p**s - k)
+            if conj != key and conj in terms:
+                c2 = terms[conj]
+                theta = _TWO_PI * (k / p**s)
                 total += complex(
                     float(c + c2) * math.cos(theta),
                     float(c - c2) * math.sin(theta),
                 )
-                done.update((ph, conj))
+                done.add(conj)
             else:
-                total += float(c) * ph.to_complex()
-                done.add(ph)
+                total += float(c) * _chi(p, s, k)
         return total
 
     def __repr__(self) -> str:

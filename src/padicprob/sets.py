@@ -20,37 +20,26 @@ from .padic import (
     PAdicNumber,
     Phase,
     _check_prime,
+    int_valuation,
     rational_char_phase,
     rational_valuation,
     split_p_part,
 )
 
 
-def _canonical_center(p: int, center, radius_exp: int) -> tuple[int, int] | None:
-    """Reduce a center modulo p**(-radius_exp).
+_ZERO = Fraction(0)
 
-    The canonical representative keeps exactly the digits above the
-    radius scale: it is the unique rational in [0, p**-radius_exp) with
-    p-power denominator congruent to the given center.  It is returned
-    as (v, u), meaning p**v * u with u coprime to p, or None when it is 0.
-    """
-    if isinstance(center, PAdicNumber):
-        if center.prime != p:
-            raise PrimeMismatchError("ball center over a different prime")
-        if center.known_mod_exp < -radius_exp:
-            raise PrecisionError(
-                "center known modulo p**%s but the ball needs digits up to "
-                "p**%d" % (center.known_mod_exp, -radius_exp)
-            )
-        center = center.as_rational()
-    c = Fraction(center)
-    if c == 0:
-        return None
-    v, a, b = split_p_part(c, p)
-    if v >= -radius_exp:
-        return None
-    mod = p ** (-radius_exp - v)
-    return v, (a * pow(b, -1, mod)) % mod
+
+def _split(p: int, r) -> tuple[int, int, int] | None:
+    """A rational as p**v * a/b with a, b coprime to p and b > 0, or None
+    for 0."""
+    if isinstance(r, int):
+        if r == 0:
+            return None
+        v = int_valuation(r, p)
+        return v, r // p**v, 1
+    r = Fraction(r)
+    return None if r == 0 else split_p_part(r, p)
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,37 +47,71 @@ class Ball:
     """The ball {x : |x - center|_p <= p**radius_exp}.
 
     Centers are canonicalised on construction, so equality of balls is
-    structural equality and balls are hashable set-algebra atoms.
+    structural equality and balls are hashable set-algebra atoms.  The
+    canonical center is kept as integers (v, u), meaning p**v * u with
+    0 < u < p**(-radius_exp - v) coprime to p (None for center 0);
+    membership, scaling and relations are decided on them, and the
+    ``center`` fraction is derived from them.
     """
 
     prime: int
     center: Fraction
     radius_exp: int
-    # the canonical center as (v, u) = p**v * u, None for center 0
     _center_split: tuple[int, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __init__(self, prime: int, center, radius_exp: int):
         _check_prime(prime)
-        split = _canonical_center(prime, center, radius_exp)
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "radius_exp", int(radius_exp))
+        if isinstance(center, PAdicNumber):
+            if center.prime != prime:
+                raise PrimeMismatchError("ball center over a different prime")
+            if center.known_mod_exp < -radius_exp:
+                raise PrecisionError(
+                    "center known modulo p**%s but the ball needs digits up "
+                    "to p**%d" % (center.known_mod_exp, -radius_exp)
+                )
+            split = (
+                None if center.is_zero else (center.valuation, center.unit, 1)
+            )
+        else:
+            split = _split(prime, center)
+        self._assign(prime, split, int(radius_exp))
+
+    def _assign(self, p: int, split, radius_exp: int) -> None:
+        """Set the fields for the center p**v * a/b, split = (v, a, b),
+        or 0 when split is None: the one place centers are reduced."""
+        if split is not None:
+            v, a, b = split
+            k = -radius_exp - v
+            if k > 0:
+                mod = p**k
+                u = a * pow(b, -1, mod) % mod
+                center = Fraction(u * p**v) if v >= 0 else Fraction(u, p**-v)
+                split = (v, u)
+            else:
+                split = None
+        object.__setattr__(self, "prime", p)
+        object.__setattr__(self, "radius_exp", radius_exp)
         object.__setattr__(self, "_center_split", split)
-        object.__setattr__(
-            self,
-            "center",
-            Fraction(0) if split is None
-            else Fraction(split[1]) * Fraction(prime) ** split[0],
-        )
+        object.__setattr__(self, "center", _ZERO if split is None else center)
+
+    @classmethod
+    def _of(cls, p: int, split, radius_exp: int) -> "Ball":
+        """The ball of radius p**radius_exp around p**v * a/b, with
+        split = (v, a, b) or None for center 0; p is not checked."""
+        ball = object.__new__(cls)
+        ball._assign(p, split, radius_exp)
+        return ball
 
     @property
     def measure(self) -> Fraction:
-        return Fraction(self.prime) ** self.radius_exp
+        n = self.radius_exp
+        return Fraction(self.prime**n) if n >= 0 else Fraction(1, self.prime**-n)
 
     @property
     def contains_zero(self) -> bool:
-        return self.center == 0
+        return self._center_split is None
 
     @property
     def sphere_exp(self) -> int | None:
@@ -96,6 +119,15 @@ class Ball:
         if self._center_split is None:
             return None
         return -self._center_split[0]
+
+    def _holds(self, v: int | None, u: int) -> bool:
+        """Membership of p**v * u (u coprime to p), or of 0 if v is None."""
+        if self._center_split is None:
+            return v is None or v >= -self.radius_exp
+        # |center| > p**radius_exp: the point must share the center's
+        # valuation cv and its unit modulo p**(-radius_exp - cv)
+        cv, cu = self._center_split
+        return v == cv and (u - cu) % self.prime ** (-self.radius_exp - cv) == 0
 
     def contains_rational(self, r: Fraction | int) -> bool:
         d = Fraction(r) - self.center
@@ -113,14 +145,7 @@ class Ball:
                     "point known modulo p**%s, membership needs p**%d"
                     % (x.known_mod_exp, -self.radius_exp)
                 )
-            if self._center_split is None:
-                return x.is_zero or x.valuation >= -self.radius_exp
-            # |center| > p**radius_exp: x must share the center's
-            # valuation v and its unit modulo p**(-radius_exp - v)
-            v, u = self._center_split
-            return x.valuation == v and (
-                (x.unit - u) % self.prime ** (-self.radius_exp - v) == 0
-            )
+            return self._holds(x.valuation, x.unit)
         return self.contains_rational(x)
 
     def relate(self, other: "Ball") -> str:
@@ -131,21 +156,29 @@ class Ball:
         if self.prime != other.prime:
             raise PrimeMismatchError("balls over different primes")
         if self.radius_exp == other.radius_exp:
-            return "equal" if self.center == other.center else "disjoint"
+            same = self._center_split == other._center_split
+            return "equal" if same else "disjoint"
         big, small = (
             (self, other) if self.radius_exp > other.radius_exp else (other, self)
         )
-        inside = big.contains_rational(small.center)
-        if not inside:
+        if not big._holds(*(small._center_split or (None, 0))):
             return "disjoint"
         return "inside" if small is self else "contains"
 
     def scale(self, r: Fraction | int) -> "Ball":
-        r = Fraction(r)
-        if r == 0:
+        split = _split(self.prime, r)
+        if split is None:
             raise ValueError("cannot scale a ball by zero")
-        v = rational_valuation(r, self.prime)
-        return Ball(self.prime, self.center * r, self.radius_exp - v)
+        return self._scaled(*split)
+
+    def _scaled(self, w: int, a: int, b: int) -> "Ball":
+        """The image under multiplication by p**w * a/b (a, b coprime to p)."""
+        c = self._center_split
+        return Ball._of(
+            self.prime,
+            None if c is None else (c[0] + w, c[1] * a, b),
+            self.radius_exp - w,
+        )
 
     def sort_key(self):
         return (self.center, self.radius_exp)
@@ -217,7 +250,10 @@ class CompactOpenSet:
         return any(b.contains(x) for b in self.balls)
 
     def scale(self, r: Fraction | int) -> "CompactOpenSet":
-        return CompactOpenSet(self.prime, (b.scale(r) for b in self.balls))
+        split = _split(self.prime, r)
+        if split is None:
+            raise ValueError("cannot scale a ball by zero")
+        return CompactOpenSet(self.prime, (b._scaled(*split) for b in self.balls))
 
     def indicator(self) -> "StepFunction":
         return StepFunction(
@@ -255,9 +291,9 @@ def split_sphere(n: int, depth: int, p: int) -> list[Ball]:
     _check_prime(p)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    scale = Fraction(p) ** (-n)
+    # each a * p**-n with 0 < a < p**depth, p not dividing a, is canonical
     return [
-        Ball(p, a * scale, n - depth)
+        Ball._of(p, (-n, a, 1), n - depth)
         for a in range(1, p**depth)
         if a % p != 0
     ]
@@ -282,24 +318,51 @@ def annulus(i: int, l: int, p: int) -> CompactOpenSet:
 # ---------------------------------------------------------------------
 
 
+def _ball_phase(ball: Ball, t: PAdicNumber) -> Phase | None:
+    """The phase chi(t*c) of the integral of chi(t*y) dy over the ball
+    B(c, p**N), or None where the integral vanishes (|t| > p**-N).
+
+    With c = p**v * u and t = p**v_t * u_t the phase is the integer
+    u_t * u modulo p**m, m = -(v_t + v), and zero when m <= 0."""
+    if ball.prime != t.prime:
+        raise PrimeMismatchError("character sums over different primes")
+    if t.is_zero:
+        if not t.abs_le_exp(-ball.radius_exp):
+            return None
+        if ball.center == 0:
+            return Phase.zero(ball.prime)
+        return t.mul_rational(ball.center).character_phase()
+    if t.valuation < ball.radius_exp:
+        return None
+    split = ball._center_split
+    m = 0 if split is None else -(t.valuation + split[0])
+    if m <= 0:
+        return Phase.zero(ball.prime)
+    if t.precision < m:
+        raise PrecisionError(
+            "need %d digits below the unit scale, have %d" % (m, t.precision)
+        )
+    return Phase(ball.prime, t.unit * split[1] % ball.prime**m, m)
+
+
 def _ball_char_exact(ball: Ball, t: PAdicNumber) -> CharacterSum:
     """Exact integral of chi(t*y) dy over one ball."""
-    if not t.abs_le_exp(-ball.radius_exp):
+    phase = _ball_phase(ball, t)
+    if phase is None:
         return CharacterSum.zero(ball.prime)
-    if ball.center == 0:
-        phase = Phase.zero(ball.prime)
-    else:
-        phase = t.mul_rational(ball.center).character_phase()
     return CharacterSum.single(phase, ball.measure)
 
 
 def integrate_char_exact(m, t: PAdicNumber) -> CharacterSum:
     """Integral of chi(t*y) over a Ball or CompactOpenSet, kept exact."""
-    balls = [m] if isinstance(m, Ball) else list(m)
-    total = CharacterSum.zero(t.prime)
+    balls = [m] if isinstance(m, Ball) else m
+    terms: dict[Phase, Fraction] = {}
     for b in balls:
-        total = total + _ball_char_exact(b, t)
-    return total
+        phase = _ball_phase(b, t)
+        if phase is not None:
+            # Haar masses are positive, so merged terms never cancel
+            terms[phase] = terms[phase] + b.measure if phase in terms else b.measure
+    return CharacterSum(t.prime, terms)
 
 
 def integrate_char(m, t: PAdicNumber) -> complex:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .charfn import (
     CompoundPoissonSampler,
@@ -217,11 +218,21 @@ SCENARIO_SCHEMA = {
 }
 
 
-def validate(obj, schema, what: str = "config") -> None:
-    try:
-        jsonschema.validate(obj, schema)
-    except jsonschema.ValidationError as exc:
-        raise SpecValidationError(f"invalid {what}: {exc.message}") from exc
+# one validator per schema, built once and without checking the schema
+# itself on every call, as jsonschema.validate does (tests/test_specs.py
+# checks the schemas)
+MEASURE_VALIDATOR = validator_for(MEASURE_SCHEMA)(MEASURE_SCHEMA)
+SAMPLER_VALIDATOR = validator_for(SAMPLER_SCHEMA)(SAMPLER_SCHEMA)
+SCHEME_VALIDATOR = validator_for(SCHEME_SCHEMA)(SCHEME_SCHEMA)
+SCENARIO_VALIDATOR = validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+
+
+def validate(obj, validator, what: str = "config") -> None:
+    """Raise SpecValidationError with the message jsonschema.validate
+    would report: that of the best-matching error."""
+    error = best_match(validator.iter_errors(obj))
+    if error is not None:
+        raise SpecValidationError(f"invalid {what}: {error.message}")
 
 
 # ---------------------------------------------------------------------
@@ -230,7 +241,7 @@ def validate(obj, schema, what: str = "config") -> None:
 
 
 def measure_from_spec(obj) -> SelfSimilarLevyMeasure:
-    validate(obj, MEASURE_SCHEMA, "measure spec")
+    validate(obj, MEASURE_VALIDATOR, "measure spec")
     if "stable" in obj:
         s = obj["stable"]
         return make_example_measure(s["a"], s["alpha"], s["p"])
@@ -283,7 +294,7 @@ def measure_to_spec(m: SelfSimilarLevyMeasure) -> dict:
 
 
 def sampler_from_spec(obj) -> Sampler:
-    validate(obj, SAMPLER_SCHEMA, "sampler spec")
+    validate(obj, SAMPLER_VALIDATOR, "sampler spec")
     kind = obj["kind"]
     if kind == "point_mass":
         if "xi" not in obj:
@@ -342,7 +353,7 @@ def law_source_from_spec(obj, sampler: Sampler):
 
 
 def scheme_from_spec(obj) -> LimitScheme:
-    validate(obj, SCHEME_SCHEMA, "scheme spec")
+    validate(obj, SCHEME_VALIDATOR, "scheme spec")
     if obj["mode"] == "geometric":
         for key in ("beta", "gamma0"):
             if key not in obj:
@@ -366,7 +377,7 @@ def scheme_from_spec(obj) -> LimitScheme:
 
 
 def scenario_from_spec(obj) -> Scenario:
-    validate(obj, SCENARIO_SCHEMA, "scenario spec")
+    validate(obj, SCENARIO_VALIDATOR, "scenario spec")
     law = sampler_from_spec(obj["law"])
     scheme = scheme_from_spec(obj["scheme"])
     p = scheme.prime

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_balls as oracle
 from padicprob.charfn import RadialCharFn, StableParams, stable_cf, substream
 from padicprob.errors import InfiniteMassError, PrecisionError, ToleranceError
 from padicprob.levy import (
@@ -21,6 +22,7 @@ from padicprob.levy import (
     make_example_measure,
     make_measure,
     measure_mass,
+    random_compact_open,
     random_self_similar_measure,
     validate_scaling,
 )
@@ -474,3 +476,106 @@ def test_inversion_and_classification_match_oracle_values():
     assert classify_two_valued(CfEvaluator(m), 2, 3, 4) == classify_two_valued(
         ev, 2, 3, 4
     )
+
+
+
+# ---------------------------------------------------------------------
+# Integer ball masses against the Fraction path they replaced
+# ---------------------------------------------------------------------
+
+
+@st.composite
+def mass_measures(draw):
+    """Measures with j in {1, 2}, gamma0 units 1, 1+p, 1/(1+p) and negative
+    ones, rational or float beta, and rational or float weights."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    j = draw(st.integers(1, 2))
+    unit = draw(st.sampled_from(
+        (Fraction(1), Fraction(1 + p), Fraction(1, 1 + p), Fraction(-1),
+         Fraction(-(1 + p), 2 * p + 1))
+    ))
+    beta = draw(st.one_of(
+        st.fractions(Fraction(1, 20), Fraction(19, 20)), st.floats(0.05, 0.95)
+    ))
+    fundamental = []
+    for r in range(j):
+        pool = split_sphere(r, draw(st.integers(1, 2)), p)
+        picks = draw(st.lists(
+            st.integers(0, len(pool) - 1), unique=True, min_size=0, max_size=3
+        ))
+        fundamental.append(tuple(
+            (pool[i], draw(st.one_of(
+                st.fractions(Fraction(1, 9), 9), st.floats(0.1, 9.0)
+            )))
+            for i in sorted(picks)
+        ))
+    return make_measure(p, beta, Fraction(p) ** j * unit, fundamental)
+
+
+def _mass(fn, *args):
+    try:
+        out = fn(*args)
+    except InfiniteMassError as exc:
+        return type(exc), str(exc)
+    return out, type(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mass_measures(), st.integers(0, 2**32 - 1))
+def test_ball_mass_matches_fraction_oracle(m, seed):
+    rng = substream(seed, 9)
+    for _ in range(4):
+        s = random_compact_open(rng, m.prime, -7, 7, 5)
+        balls = [oracle.state(b) for b in s]
+        assert _mass(measure_mass, m, s) == _mass(oracle.measure_mass, m, balls)
+        for b in s:
+            assert _mass(measure_mass, m, b) == _mass(oracle.ball_mass, m, oracle.state(b))
+    for b in (Ball(m.prime, 0, -3), Ball(m.prime, m.prime**4, 2)):
+        assert _mass(measure_mass, m, b) == _mass(oracle.ball_mass, m, oracle.state(b))
+        assert _mass(measure_mass, m, b)[0] is InfiniteMassError
+
+
+def oracle_validate_scaling(m, trials, seed):
+    """validate_scaling with oracle masses and Fraction-scaled balls."""
+    rng = substream(seed, 97)
+    failures = []
+    for i in range(trials):
+        s = random_compact_open(rng, m.prime)
+        balls = [oracle.state(b) for b in s]
+        scaled = sorted(
+            (oracle.scale(b, m.gamma0) for b in balls), key=lambda b: (b[1], b[2])
+        )
+        lhs = oracle.measure_mass(m, balls)
+        rhs = m.beta * oracle.measure_mass(m, scaled)
+        if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
+            ok = lhs == rhs
+        else:
+            scale = max(abs(float(lhs)), abs(float(rhs)), 1e-30)
+            ok = abs(float(lhs) - float(rhs)) <= 1e-12 * scale
+        if not ok:
+            failures.append(f"trial {i}: {s}: {lhs} != beta * {rhs}")
+    return failures
+
+
+@settings(max_examples=60, deadline=None)
+@given(mass_measures(), st.integers(0, 2**16))
+def test_validate_scaling_matches_fraction_oracle(m, seed):
+    rep = validate_scaling(m, trials=8, seed=seed)
+    assert list(rep.failures) == oracle_validate_scaling(m, 8, seed)
+
+
+class _SkewedMeasure(type(make_example_measure(1, 1, 3))):
+    """Doubles the mass of every sphere above the fundamental ones, so
+    the scaling law fails wherever a set reaches them."""
+
+    def beta_pow(self, k):
+        return self.beta**k * (2 if k > 0 else 1)
+
+
+def test_validate_scaling_failures_match_fraction_oracle():
+    # the failure lines name the set and both masses as before
+    m = make_example_measure(1, 1, 3)
+    broken = _SkewedMeasure(m.prime, m.beta, m.gamma0, m.fundamental)
+    rep = validate_scaling(broken, trials=10, seed=2)
+    assert rep.failures
+    assert list(rep.failures) == oracle_validate_scaling(broken, 10, 2)

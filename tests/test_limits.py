@@ -1,8 +1,11 @@
+import cmath
 import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicprob.charfn import (
     HaarBallSampler,
@@ -19,6 +22,7 @@ from padicprob.levy import (
     make_example_measure,
     make_measure,
     measure_mass,
+    random_self_similar_measure,
 )
 from padicprob.limits import (
     LimitScheme,
@@ -33,7 +37,7 @@ from padicprob.limits import (
     theoretical_fn,
     stable_limit_scenario,
 )
-from padicprob.padic import from_rational, grid_points
+from padicprob.padic import PAdicNumber, from_rational, grid_points
 from padicprob.sets import Ball, TailSet, annulus
 
 
@@ -319,3 +323,91 @@ def test_measure_source_evaluates_each_point_once(monkeypatch):
     rep = convergence_report(sc)
     assert rep.degenerate == "delta"
     assert seen and max(seen.values()) == 1
+
+
+
+# ---------------------------------------------------------------------
+# t / B_n from a cached split, against mul_rational(1 / B(n))
+# ---------------------------------------------------------------------
+
+
+def oracle_theoretical_fn(source, scheme, n, t):
+    """theoretical_fn with t scaled by mul_rational on a new Fraction."""
+    k = scheme.k(n)
+    t_scaled = t.mul_rational(1 / scheme.B(n))
+    if isinstance(source, LevyExponent):
+        return cmath.exp(source.exact(t_scaled).scale(k).to_complex())
+    if isinstance(source, RadialCharFn):
+        val = source(t_scaled)
+        if val == 0.0:
+            return complex(0.0, 0.0)
+        if val > 0.0:
+            return complex(math.exp(k * math.log(val)), 0.0)
+        return complex(val, 0.0) ** k
+    return complex(source(t_scaled)) ** k
+
+
+@st.composite
+def schemes(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    if draw(st.booleans()):
+        unit = draw(st.sampled_from(
+            (Fraction(1), Fraction(1 + p), Fraction(1, 1 + p), Fraction(-1),
+             Fraction(-3, 7) if p != 3 else Fraction(-2, 7))
+        ))
+        j = draw(st.integers(1, 2))
+        beta = draw(st.sampled_from((Fraction(1, 2), Fraction(1, 3), 0.3, 0.45)))
+        return LimitScheme.geometric(p, beta, Fraction(p) ** j * unit, n_max=6)
+    b_list = draw(st.lists(
+        st.builds(
+            lambda a, b, e: Fraction(a, b) * Fraction(p) ** e,
+            st.integers(-50, 50).filter(bool),
+            st.integers(1, 50),
+            st.integers(-6, 6),
+        ),
+        min_size=2, max_size=7,
+    ))
+    return LimitScheme.explicit(p, b_list, list(range(1, len(b_list) + 1)))
+
+
+@st.composite
+def points(draw, p):
+    if draw(st.integers(0, 5)) == 0:
+        return PAdicNumber.zero(p, draw(st.one_of(st.none(), st.integers(-4, 4))))
+    precision = draw(st.sampled_from((1, 2, 3, 48)))
+    unit = draw(st.integers(1, p**precision - 1).filter(lambda u: u % p))
+    return PAdicNumber(p, draw(st.integers(-6, 6)), unit, precision)
+
+
+@settings(max_examples=120, deadline=None)
+@given(schemes(), st.data())
+def test_scale_t_matches_mul_rational(scheme, data):
+    p = scheme.prime
+    other = 7 if p != 7 else 11
+    for t in data.draw(st.lists(st.one_of(points(p), points(other)), max_size=6)):
+        for n in range(scheme.n_max + 1):
+            # twice: the second call reads the cached split
+            for _ in range(2):
+                assert scheme.scale_t(n, t) == t.mul_rational(1 / scheme.B(n))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_theoretical_fn_matches_oracle(seed):
+    rng = substream(seed, 12)
+    m = random_self_similar_measure(rng)
+    p = m.prime
+    scheme = LimitScheme.geometric(p, Fraction(1, 3), m.gamma0, n_max=3)
+    explicit = LimitScheme.explicit(
+        p, [Fraction(1), Fraction(p + 1, p**2), Fraction(-p, 7)], [1, 2, 4]
+    )
+    phi = LevyExponent(m)
+    radial = RadialCharFn.stable(StableParams(1.0, 0.7, p))
+    sources = (phi, radial, RadialCharFn.indicator(p, 0), lambda t: 0.5 + 0.25j)
+    ts = grid_points(p, -3, 3) + [PAdicNumber.zero(p)]
+    for sch in (scheme, explicit):
+        for n in range(sch.n_max + 1):
+            for t in ts:
+                for src in sources:
+                    assert theoretical_fn(src, sch, n, t) == (
+                        oracle_theoretical_fn(src, sch, n, t)
+                    )

@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -223,3 +224,72 @@ def test_character_sum_algebra():
     cancel = shifted + shifted.scale(-1)
     assert not cancel
     assert (one + one.scale(-1)).to_complex() == 0j
+
+
+
+# ---------------------------------------------------------------------
+# CharacterSum.to_complex on integer keys against the Phase-object loop
+# ---------------------------------------------------------------------
+
+
+def oracle_to_complex(cs: CharacterSum) -> complex:
+    """to_complex as it was: conjugates found through Phase.negate."""
+    terms = cs.terms()
+    total = complex(0.0, 0.0)
+    done = set()
+    for ph in sorted(terms, key=lambda q: (q.scale, q.numerator)):
+        if ph in done:
+            continue
+        c = terms[ph]
+        conj = ph.negate()
+        if conj == ph:
+            total += float(c) * ph.to_complex()
+            done.add(ph)
+            continue
+        if conj in terms:
+            c2 = terms[conj]
+            theta = 2.0 * math.pi * (ph.numerator / ph.prime**ph.scale)
+            if 2 * ph.numerator > ph.prime**ph.scale:
+                theta = -2.0 * math.pi * (conj.numerator / conj.prime**conj.scale)
+                c, c2 = c2, c
+            total += complex(
+                float(c + c2) * math.cos(theta),
+                float(c - c2) * math.sin(theta),
+            )
+            done.update((ph, conj))
+        else:
+            total += float(c) * ph.to_complex()
+            done.add(ph)
+    return total
+
+
+@st.composite
+def character_sums(draw):
+    """Sums with a zero phase, p = 2 phases of scale 1 and 2, and phases
+    drawn with and without their conjugate partners."""
+    p = draw(st.sampled_from(PRIMES))
+    coeff = st.one_of(
+        st.builds(Fraction, st.integers(-500, 500), st.integers(1, 60)),
+        st.floats(-50, 50, allow_nan=False),
+    )
+    terms = {}
+    if draw(st.booleans()):
+        terms[Phase.zero(p)] = draw(coeff)
+    if p == 2:
+        for scale, num in ((1, 1), (2, 1), (2, 3)):
+            if draw(st.booleans()):
+                terms[Phase(p, num, scale)] = draw(coeff)
+    for _ in range(draw(st.integers(0, 8))):
+        scale = draw(st.integers(1, 5))
+        num = draw(st.integers(1, p**scale - 1).filter(lambda k: k % p))
+        terms[Phase(p, num, scale)] = draw(coeff)
+        if draw(st.booleans()):
+            terms[Phase(p, p**scale - num, scale)] = draw(coeff)
+    return CharacterSum(p, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(character_sums())
+def test_to_complex_matches_phase_loop(cs):
+    got, want = cs.to_complex(), oracle_to_complex(cs)
+    assert got == want and repr(got) == repr(want)

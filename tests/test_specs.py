@@ -1,5 +1,8 @@
 import json
 from fractions import Fraction
+from pathlib import Path
+
+import jsonschema
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,12 @@ from hypothesis import strategies as st
 
 from padicprob.cli import main
 from padicprob.sets import split_sphere
+from padicprob import specs
 from padicprob.specs import SpecValidationError, measure_from_spec, measure_to_spec
+
+STABLE_CONFIG = json.loads(
+    (Path(__file__).resolve().parent.parent / "configs" / "stable_limit.json").read_text()
+)
 
 
 def _spec_with_sphere(r: int) -> dict:
@@ -76,3 +84,70 @@ def measure_specs(draw):
 @given(measure_specs())
 def test_measure_spec_round_trip(spec):
     assert measure_to_spec(measure_from_spec(spec)) == spec
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        specs.MEASURE_SCHEMA,
+        specs.SAMPLER_SCHEMA,
+        specs.SCHEME_SCHEMA,
+        specs.SCENARIO_SCHEMA,
+    ],
+)
+def test_schemas_are_valid(schema):
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+INVALID_SPECS = [
+    (
+        measure_from_spec,
+        {"stable": {"a": 1, "alpha": 1, "p": 2}, "extra": 1},
+        "invalid measure spec: {'stable': {'a': 1, 'alpha': 1, 'p': 2}, "
+        "'extra': 1} is not valid under any of the given schemas",
+    ),
+    (
+        measure_from_spec,
+        {"p": 3, "beta": "1/4", "gamma0": 9, "fundamental": []},
+        "invalid measure spec: 9 is not of type 'string'",
+    ),
+    (
+        specs.sampler_from_spec,
+        {"kind": "nope"},
+        "invalid sampler spec: 'nope' is not one of ['point_mass', "
+        "'haar_ball', 'radial_stable', 'compound_poisson']",
+    ),
+    (
+        specs.sampler_from_spec,
+        {"kind": "haar_ball", "p": 2, "center": 0, "radius_exp": "x"},
+        "invalid sampler spec: 'x' is not of type 'integer'",
+    ),
+    (
+        specs.scheme_from_spec,
+        {"mode": "geometric"},
+        "invalid scheme spec: 'p' is a required property",
+    ),
+    (
+        specs.scenario_from_spec,
+        {"name": "x"},
+        "invalid scenario spec: 'law' is a required property",
+    ),
+    (
+        specs.scenario_from_spec,
+        dict(STABLE_CONFIG, m=-1),
+        "invalid scenario spec: -1 is less than the minimum of 0",
+    ),
+    (
+        specs.scenario_from_spec,
+        dict(STABLE_CONFIG, extra=True),
+        "invalid scenario spec: Additional properties are not allowed "
+        "('extra' was unexpected)",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, obj, text", INVALID_SPECS)
+def test_spec_validation_error_text(build, obj, text):
+    with pytest.raises(SpecValidationError) as info:
+        build(obj)
+    assert str(info.value) == text
