@@ -44,7 +44,7 @@ from .padic import (
     grid_points,
     split_p_part,
 )
-from .residues import ResidueBatch, replay
+from .residues import ResidueBatch, key_phase, replay
 from .sets import Ball, TailSet
 
 BUDGET_CAP = 10**8
@@ -382,12 +382,14 @@ class ConvergenceReport:
         }
 
 
-def _mc_block(args) -> tuple[int, list[Counter], list[int], int]:
+def _mc_block(args) -> tuple[int, list[tuple[int, Counter]], list[int], int]:
     """One block of Monte Carlo replicates (top level for pickling).
 
-    Phases and ball membership are counted on residues.  Where the exact
-    path would raise, it is replayed in its own order (replicate-major
-    over the grid, then ball-major) to raise the same exception.
+    Phases and ball membership are counted on residues; each grid point's
+    phases come back as integer keys (see ResidueBatch.phase_keys).
+    Where the exact path would raise, it is replayed in its own order
+    (replicate-major over the grid, then ball-major) to raise the same
+    exception.
     """
     (sampler, scheme, n, seed, n_idx, block, count, grid, balls) = args
     rng = substream(seed, n_idx, block)
@@ -401,9 +403,9 @@ def _mc_block(args) -> tuple[int, list[Counter], list[int], int]:
     for b in balls:
         if not sums.ball_ok(b):
             replay(sums.elements(), [b.contains])
-    phase_counts = [sums.phase_counts(t) for t in grid]
+    phase_keys = [sums.phase_keys(t) for t in grid]
     ball_counts = [sums.ball_count(b) for b in balls]
-    return block, phase_counts, ball_counts, len(sums)
+    return block, phase_keys, ball_counts, len(sums)
 
 
 def _block_sizes(m: int, blocks: int = MC_BLOCKS) -> list[int]:
@@ -434,16 +436,25 @@ def _run_blocks(scenario: Scenario, n: int, n_idx: int, workers: int):
     else:
         results = [_mc_block(j) for j in jobs]
     results.sort(key=lambda r: r[0])
-    phase_counts: list[Counter] = [Counter() for _ in scenario.grid]
-    ball_counts = [0] * len(balls)
-    total = 0
-    for _, pcs, bcs, cnt in results:
-        for i, c in enumerate(pcs):
-            phase_counts[i].update(c)
-        for i, c in enumerate(bcs):
-            ball_counts[i] += c
-        total += cnt
-    return phase_counts, ball_counts, total
+    phase_counts = [
+        _merge_phase_keys(scenario.prime, [r[1][i] for r in results])
+        for i in range(len(scenario.grid))
+    ]
+    ball_counts = [sum(r[2][i] for r in results) for i in range(len(balls))]
+    return phase_counts, ball_counts, sum(r[3] for r in results)
+
+
+def _merge_phase_keys(p: int, blocks: list[tuple[int, Counter]]) -> Counter:
+    """The phase counts of one grid point over all blocks, in block order
+    and first-appearance order.  Keys key / p**m are lifted to the largest
+    m first, so equal phases share one key and each Phase is built once."""
+    top = max((m for m, _ in blocks), default=0)
+    merged: Counter = Counter()
+    for m, keys in blocks:
+        lift = p ** (top - m)
+        for key, c in keys.items():
+            merged[key * lift] += c
+    return Counter({key_phase(p, key, top): c for key, c in merged.items()})
 
 
 def _t_label(t: PAdicNumber) -> str:

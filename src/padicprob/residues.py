@@ -176,18 +176,22 @@ class ResidueBatch:
             return self.window
         return min(self.window, int_valuation(g, self.prime) - self.top)
 
-    def phase_counts(self, t: PAdicNumber) -> Counter:
-        """Multiset of the phases of chi(t*x); requires phase_ok(t)."""
-        p = self.prime
+    def phase_keys(self, t: PAdicNumber) -> tuple[int, Counter]:
+        """The phases of chi(t*x) as (m, multiset of keys): the phase of
+        a value is key / p**m.  Keys count in order of first appearance;
+        requires phase_ok(t)."""
         if not len(self):
-            return Counter()
+            return 0, Counter()
         m = 0 if t.is_zero or self.window is None else self.top - t.valuation
         if m <= 0:
-            return Counter({Phase.zero(p): len(self)})
-        keys = self._mod(self.values * (t.unit % p**m), m)
-        return Counter(
-            {_phase(p, k, m): c for k, c in Counter(keys.tolist()).items()}
-        )
+            return 0, Counter({0: len(self)})
+        keys = self._mod(self.values * (t.unit % self.prime**m), m)
+        return m, Counter(keys.tolist())
+
+    def phase_counts(self, t: PAdicNumber) -> Counter:
+        """Multiset of the phases of chi(t*x); requires phase_ok(t)."""
+        m, keys = self.phase_keys(t)
+        return Counter({key_phase(self.prime, k, m): c for k, c in keys.items()})
 
     # -- ball membership ----------------------------------------------
 
@@ -212,7 +216,7 @@ class ResidueBatch:
         return int(np.count_nonzero(hits))
 
 
-def _phase(p: int, key: int, m: int) -> Phase:
+def key_phase(p: int, key: int, m: int) -> Phase:
     """The phase key / p**m, reduced."""
     if key == 0:
         return Phase.zero(p)

@@ -37,12 +37,13 @@ from padicprob.levy import make_example_measure, make_measure
 from padicprob.limits import (
     LimitScheme,
     _mc_block,
+    _merge_phase_keys,
     default_ball_family,
     simulate_sums,
     sum_residues,
 )
 from padicprob.padic import PAdicNumber, grid_points
-from padicprob.residues import ResidueBatch
+from padicprob.residues import ResidueBatch, key_phase
 from padicprob.sets import Ball, split_sphere
 
 # ---------------------------------------------------------------------
@@ -124,6 +125,14 @@ def reference_mc_block(args):
             phase_counts[i][(t * x).character_phase()] += 1
     ball_hits = [sum(1 for x in draws if reference_contains(b, x)) for b in balls]
     return block, phase_counts, ball_hits, len(draws)
+
+
+def mc_block(args):
+    """_mc_block with each grid point's phase keys turned into Phases."""
+    block, keys, ball_hits, count = _mc_block(args)
+    p = args[0].prime
+    phases = [Counter({key_phase(p, k, m): c for k, c in ks.items()}) for m, ks in keys]
+    return block, phases, ball_hits, count
 
 
 def reference_phase_counts(samples, t) -> Counter:
@@ -269,7 +278,7 @@ def mc_blocks(draw):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(mc_blocks())
 def test_mc_block_matches_exact_loop(args):
-    assert outcome(_mc_block, args) == outcome(reference_mc_block, args)
+    assert outcome(mc_block, args) == outcome(reference_mc_block, args)
 
 
 @settings(max_examples=200, deadline=None)
@@ -355,8 +364,8 @@ def test_wide_windows_use_python_ints(sampler, width_bits):
     grid = tuple(grid_points(sampler.prime, -6, 4))  # |t| <= p**4: inside every window
     balls = tuple(default_ball_family(sampler.prime, 6))
     args = (sampler, scheme, 2, 5, 0, 3, 8, grid, balls)
-    assert outcome(_mc_block, args) == outcome(reference_mc_block, args)
-    assert outcome(_mc_block, args)[0] == "ok"
+    assert outcome(mc_block, args) == outcome(reference_mc_block, args)
+    assert outcome(mc_block, args)[0] == "ok"
 
 
 def test_narrow_windows_use_uint64():
@@ -374,8 +383,8 @@ def test_certified_zero_sums():
     grid = tuple(grid_points(3, -2, 2))
     for t_hi in (1, 2):  # |t| = 3 is fine, |t| = 9 needs an unknown digit
         args = (sampler, scheme, 1, 0, 0, 0, 4, grid[: 4 * (t_hi + 3)], ())
-        assert outcome(_mc_block, args) == outcome(reference_mc_block, args)
-    assert outcome(_mc_block, args)[0] == "PrecisionError"
+        assert outcome(mc_block, args) == outcome(reference_mc_block, args)
+    assert outcome(mc_block, args)[0] == "PrecisionError"
 
 
 @pytest.mark.parametrize("case", ["short_t", "large_t", "fine_ball", "other_prime"])
@@ -393,7 +402,7 @@ def test_failures_raise_what_the_exact_path_raises(case):
     else:
         grid.append(PAdicNumber.from_rational(1, p=3))
     args = (sampler, scheme, 2, 3, 0, 0, 12, tuple(grid), tuple(balls))
-    got = outcome(_mc_block, args)
+    got = outcome(mc_block, args)
     assert got[0] in ("PrecisionError", "PrimeMismatchError")
     assert got == outcome(reference_mc_block, args)
 
@@ -581,4 +590,23 @@ def test_empty_and_exact_zero_batches_count_far_balls(sampler):
     balls = (Ball(p, 0, -60), Ball(p, 1, -60), Ball(p, 0, 3))
     for count in (0, 3):
         args = (sampler, scheme, 0, 1, 0, 0, count, tuple(grid_points(p, -2, 2)), balls)
-        assert outcome(_mc_block, args) == outcome(reference_mc_block, args)
+        assert outcome(mc_block, args) == outcome(reference_mc_block, args)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_merged_phase_keys_match_merged_phases(p):
+    # blocks whose keys use different m: equal phases must merge into one
+    # entry, in block order and first-appearance order, as a Counter of
+    # Phases updated block by block would hold them
+    blocks = [
+        (2, Counter({1: 3, 0: 1, p + 1: 2})),
+        (0, Counter({0: 4})),
+        (3, Counter({p: 1, 2 * p * p - 1: 2, 1: 5})),
+        (1, Counter({1: 1})),
+    ]
+    expected = Counter()
+    for m, keys in blocks:
+        expected.update({key_phase(p, k, m): c for k, c in keys.items()})
+    got = _merge_phase_keys(p, blocks)
+    assert list(got.items()) == list(expected.items())
+    assert _merge_phase_keys(p, []) == Counter()
