@@ -38,13 +38,13 @@ from .levy import (
     measure_mass,
 )
 from .padic import (
-    CharacterSum,
     PAdicNumber,
     _check_prime,
+    character_value,
     grid_points,
     split_p_part,
 )
-from .residues import ResidueBatch, key_phase, replay
+from .residues import ResidueBatch, reduced_phase, replay
 from .sets import Ball, TailSet
 
 BUDGET_CAP = 10**8
@@ -382,7 +382,7 @@ class ConvergenceReport:
         }
 
 
-def _mc_block(args) -> tuple[int, list[tuple[int, Counter]], list[int], int]:
+def _mc_block(args) -> tuple[int, list[tuple[int, list[int]]], list[int], int]:
     """One block of Monte Carlo replicates (top level for pickling).
 
     Phases and ball membership are counted on residues; each grid point's
@@ -444,17 +444,18 @@ def _run_blocks(scenario: Scenario, n: int, n_idx: int, workers: int):
     return phase_counts, ball_counts, sum(r[3] for r in results)
 
 
-def _merge_phase_keys(p: int, blocks: list[tuple[int, Counter]]) -> Counter:
-    """The phase counts of one grid point over all blocks, in block order
-    and first-appearance order.  Keys key / p**m are lifted to the largest
-    m first, so equal phases share one key and each Phase is built once."""
+def _merge_phase_keys(
+    p: int, blocks: list[tuple[int, list[int]]]
+) -> dict[tuple[int, int], int]:
+    """The phase counts of one grid point over all blocks, keyed by the
+    reduced phase (scale, numerator), in first-appearance order.  Keys
+    key / p**m are lifted to the largest m first, so equal phases share
+    one key and each is reduced once."""
     top = max((m for m, _ in blocks), default=0)
-    merged: Counter = Counter()
-    for m, keys in blocks:
-        lift = p ** (top - m)
-        for key, c in keys.items():
-            merged[key * lift] += c
-    return Counter({key_phase(p, key, top): c for key, c in merged.items()})
+    keys: list[int] = []
+    for m, ks in blocks:
+        keys += ks if m == top else [k * p ** (top - m) for k in ks]
+    return {reduced_phase(p, k, top): c for k, c in Counter(keys).items()}
 
 
 def _t_label(t: PAdicNumber) -> str:
@@ -509,10 +510,7 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
             )
             band = 4.0 / math.sqrt(total)
             for i, t in enumerate(scenario.grid):
-                emp = CharacterSum(
-                    p,
-                    {ph: Fraction(c, total) for ph, c in phase_counts[i].items()},
-                ).to_complex()
+                emp = character_value(p, phase_counts[i], total)
                 ref = theo.get((n, i))
                 residual = abs(emp - ref) if ref is not None else None
                 cf_rows.append(

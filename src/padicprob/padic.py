@@ -447,6 +447,38 @@ def _chi(p: int, scale: int, numerator: int) -> complex:
     return complex(math.cos(theta), math.sin(theta))
 
 
+def character_value(
+    p: int, terms: Mapping[tuple[int, int], Fraction | float | int], denominator: int = 1
+) -> complex:
+    """The value of sum_j (c_j / denominator) * chi(k_j / p**s_j) for
+    terms {(s_j, k_j): c_j} with reduced phases.
+
+    Terms are visited in increasing (s, k) order and conjugate phases
+    are paired first, so that symmetric sums come out exactly real; the
+    conjugate of k / p**s is (p**s - k) / p**s (never a key when s = 0),
+    and the smaller numerator of a pair comes first.
+    """
+    total = complex(0.0, 0.0)
+    done: set[tuple[int, int]] = set()
+    for key in sorted(terms):
+        if key in done:
+            continue
+        s, k = key
+        c = terms[key]
+        conj = (s, p**s - k)
+        if conj != key and conj in terms:
+            c2 = terms[conj]
+            theta = _TWO_PI * (k / p**s)
+            total += complex(
+                float((c + c2) / denominator) * math.cos(theta),
+                float((c - c2) / denominator) * math.sin(theta),
+            )
+            done.add(conj)
+        else:
+            total += float(c / denominator) * _chi(p, s, k)
+    return total
+
+
 def rational_char_phase(r: Fraction | int, p: int) -> Phase:
     """Phase of chi at an exact rational point (no digit window needed)."""
     r = Fraction(r)
@@ -532,30 +564,9 @@ class CharacterSum:
         )
 
     def to_complex(self) -> complex:
-        p = self.prime
-        # (scale, numerator) -> coefficient, visited in increasing order;
-        # the conjugate of k / p**s is (p**s - k) / p**s (never a key when
-        # s = 0), and the smaller numerator of a pair comes first
-        terms = {(ph.scale, ph.numerator): c for ph, c in self._terms.items()}
-        total = complex(0.0, 0.0)
-        done: set[tuple[int, int]] = set()
-        for key in sorted(terms):
-            if key in done:
-                continue
-            s, k = key
-            c = terms[key]
-            conj = (s, p**s - k)
-            if conj != key and conj in terms:
-                c2 = terms[conj]
-                theta = _TWO_PI * (k / p**s)
-                total += complex(
-                    float(c + c2) * math.cos(theta),
-                    float(c - c2) * math.sin(theta),
-                )
-                done.add(conj)
-            else:
-                total += float(c) * _chi(p, s, k)
-        return total
+        return character_value(
+            self.prime, {(ph.scale, ph.numerator): c for ph, c in self._terms.items()}
+        )
 
     def __repr__(self) -> str:
         parts = ", ".join(

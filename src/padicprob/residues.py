@@ -176,22 +176,26 @@ class ResidueBatch:
             return self.window
         return min(self.window, int_valuation(g, self.prime) - self.top)
 
-    def phase_keys(self, t: PAdicNumber) -> tuple[int, Counter]:
-        """The phases of chi(t*x) as (m, multiset of keys): the phase of
-        a value is key / p**m.  Keys count in order of first appearance;
-        requires phase_ok(t)."""
+    def phase_keys(self, t: PAdicNumber) -> tuple[int, list[int]]:
+        """The phases of chi(t*x) as (m, keys), one key per value in
+        order: the phase of a value is key / p**m.  Requires phase_ok(t)."""
         if not len(self):
-            return 0, Counter()
+            return 0, []
         m = 0 if t.is_zero or self.window is None else self.top - t.valuation
         if m <= 0:
-            return 0, Counter({0: len(self)})
+            return 0, [0] * len(self)
         keys = self._mod(self.values * (t.unit % self.prime**m), m)
-        return m, Counter(keys.tolist())
+        return m, keys.tolist()
 
     def phase_counts(self, t: PAdicNumber) -> Counter:
         """Multiset of the phases of chi(t*x); requires phase_ok(t)."""
+        p = self.prime
         m, keys = self.phase_keys(t)
-        return Counter({key_phase(self.prime, k, m): c for k, c in keys.items()})
+        counts: Counter = Counter()
+        for key, c in Counter(keys).items():
+            scale, numerator = reduced_phase(p, key, m)
+            counts[Phase(p, numerator, scale)] = c
+        return counts
 
     # -- ball membership ----------------------------------------------
 
@@ -216,9 +220,9 @@ class ResidueBatch:
         return int(np.count_nonzero(hits))
 
 
-def key_phase(p: int, key: int, m: int) -> Phase:
-    """The phase key / p**m, reduced."""
+def reduced_phase(p: int, key: int, m: int) -> tuple[int, int]:
+    """The phase key / p**m in lowest terms, as (scale, numerator)."""
     if key == 0:
-        return Phase.zero(p)
+        return 0, 0
     v = int_valuation(key, p)
-    return Phase(p, key // p**v, m - v)
+    return m - v, key // p**v
