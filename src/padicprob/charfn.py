@@ -36,7 +36,6 @@ from .padic import (
     CharacterSum,
     PAdicNumber,
     _check_prime,
-    rational_valuation,
     split_p_part,
 )
 from .residues import ResidueBatch, decode, replay
@@ -345,19 +344,9 @@ def sphere_masses(
 # ---------------------------------------------------------------------
 
 
-def _rational_at_resolution(
-    value: Fraction, p: int, resolution: int
-) -> PAdicNumber:
-    """Exact rational draw reduced to the sampler's resolution window."""
-    if value == 0:
-        return PAdicNumber.zero(p, -resolution)
-    v = rational_valuation(value, p)
-    if v >= -resolution:
-        return PAdicNumber.zero(p, -resolution)
-    return PAdicNumber.from_rational(value, p=p, precision=-resolution - v)
-
-
 def _uniform_digits_int(rng: np.random.Generator, p: int, count: int) -> int:
+    """A uniform integer on [0, p**count), one digit per element of one
+    sized call (the compound-Poisson stream)."""
     if count <= 0:
         return 0
     digs = rng.integers(0, p, size=count)
@@ -367,55 +356,88 @@ def _uniform_digits_int(rng: np.random.Generator, p: int, count: int) -> int:
     return u
 
 
+@lru_cache(maxsize=None)
+def _limb_powers(p: int) -> np.ndarray:
+    """p**0, ..., p**a as int64, a the most digits one int64 draw holds
+    (p**a < 2**63)."""
+    powers = [1]
+    while powers[-1] * p < 2**63:
+        powers.append(powers[-1] * p)
+    return np.array(powers, dtype=np.int64)
+
+
+def _uniform_digits(rng: np.random.Generator, p: int, digits: np.ndarray, dtype):
+    """One uniform integer on [0, p**c) per entry c of ``digits``, as
+    ``dtype``: a uniform integer on [0, p**c) is exactly c iid uniform
+    digits.  One rng.integers call draws up to a digits of every entry
+    (see _limb_powers); entries wider than that add limbs,
+    u = lo + p**a * hi + ..., one call per limb."""
+    powers = _limb_powers(p)
+    a = len(powers) - 1
+    u = rng.integers(0, powers[np.minimum(digits, a)]).astype(dtype)
+    for shift in range(a, int(digits.max(initial=0)), a):
+        limb = rng.integers(0, powers[np.clip(digits - shift, 0, a)])
+        u += limb.astype(dtype) * p**shift
+    return u
+
+
 class Sampler:
-    """Base: immutable descriptor, RNG owned by the caller."""
+    """Base: immutable descriptor, RNG owned by the caller.
+
+    A sampler draws residue batches (see :mod:`padicprob.residues`);
+    ``sample`` and ``draw`` decode one, so every path reads one stream.
+    """
 
     prime: int
     resolution: int | None
 
-    def draw(self, rng: np.random.Generator) -> PAdicNumber:
+    def residue_sums(
+        self, rng: np.random.Generator, k: int, replicates: int
+    ) -> ResidueBatch:
+        """``replicates`` sums of ``k`` draws each, drawn in order."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, count: int) -> list[PAdicNumber]:
         if count < 0:
             raise ValueError(f"sample count must be >= 0, got {count}")
-        return [self.draw(rng) for _ in range(count)]
+        return self.residue_sums(rng, 1, count).elements()
 
-    def residue_sums(
-        self, rng: np.random.Generator, k: int, replicates: int
-    ) -> ResidueBatch:
-        """``replicates`` sums of ``k`` draws each, drawn in order, with
-        each draw converted to a residue once."""
-        p = self.prime
-        return ResidueBatch.from_padics(p, [
-            ResidueBatch.from_padics(p, self.sample(rng, k)).total()
-            for _ in range(replicates)
-        ])
+    def draw(self, rng: np.random.Generator) -> PAdicNumber:
+        return self.sample(rng, 1)[0]
+
+    def folds(self) -> dict | None:
+        """What the sampler folds, clamps or bounds away from the law it
+        stands for (None when it draws that law exactly)."""
+        return None
 
     def spec(self) -> dict:
         raise NotImplementedError
 
 
-class _ResidueSampler(Sampler):
-    """A sampler that draws each value x straight into the residue
-    x * p**_top mod p**(_top - resolution) (see :mod:`padicprob.residues`)."""
+class _BlockSampler(Sampler):
+    """A sampler that draws a whole block of values at once (RNG stream
+    v2), each value x as the residue x * p**_top mod p**W, W = _top -
+    resolution (see :mod:`padicprob.residues`).
+
+    The k-draw sums are row sums of the block, in uint64 when k * p**W <
+    2**64 and in Python ints otherwise, so they never wrap.
+    """
 
     _top: int
 
-    def _draw_residue(self, rng: np.random.Generator) -> int:
+    def _draw_block(self, rng: np.random.Generator, count: int, dtype) -> np.ndarray:
+        """``count`` residues, each below p**W, as ``dtype``."""
         raise NotImplementedError
-
-    def _decode(self, residue: int) -> PAdicNumber:
-        return decode(self.prime, self._top, -self.resolution, residue)
 
     def residue_sums(
         self, rng: np.random.Generator, k: int, replicates: int
     ) -> ResidueBatch:
-        top = self._top
-        mod = self.prime ** (top - self.resolution)
-        draw = self._draw_residue
-        sums = [sum(draw(rng) for _ in range(k)) % mod for _ in range(replicates)]
-        return ResidueBatch(self.prime, top, -self.resolution, sums)
+        p, top = self.prime, self._top
+        mod = p ** (top - self.resolution)
+        dtype = np.uint64 if max(k, 1) * mod < 2**64 else object
+        draws = self._draw_block(rng, k * replicates, dtype)
+        sums = draws.reshape(replicates, k).sum(axis=1) % mod
+        return ResidueBatch(p, top, -self.resolution, sums)
 
 
 @dataclass(frozen=True)
@@ -431,31 +453,50 @@ class PointMassSampler(Sampler):
         e = self.xi.known_mod_exp
         return None if e == math.inf else -int(e)
 
-    def draw(self, rng: np.random.Generator) -> PAdicNumber:
-        return self.xi
+    def residue_sums(
+        self, rng: np.random.Generator, k: int, replicates: int
+    ) -> ResidueBatch:
+        p = self.prime
+        one = ResidueBatch.from_padics(p, [self.xi])
+        total = k * one.values.tolist()[0] % p**one.width
+        return ResidueBatch(p, one.top, one.window, [total] * replicates)
 
     def spec(self) -> dict:
         return {"kind": "point_mass", "xi": str(self.xi)}
 
 
 @dataclass(frozen=True)
-class HaarBallSampler(Sampler):
-    """Haar-uniform draws from one ball, resolved to the stated scale."""
+class HaarBallSampler(_BlockSampler):
+    """Haar-uniform draws from one ball, resolved to the stated scale.
+
+    A draw is center + U * p**-radius_exp with U uniform on
+    [0, p**(radius_exp - resolution)): one rng.integers call per block
+    (and one more per limb beyond 63 bits, see _uniform_digits).
+    """
 
     ball: Ball
     resolution: int = DEFAULT_RESOLUTION
+
+    def __post_init__(self) -> None:
+        p, n, res = self.ball.prime, self.ball.radius_exp, self.resolution
+        # the canonical center p**v * u of a ball not around 0 has |center|
+        # = p**-v > p**n, so every draw has |x| <= p**top
+        split = self.ball._center_split
+        top = max(n, res) if split is None else max(-split[0], res)
+        center = 0 if split is None else split[1] * p ** (split[0] + top)
+        object.__setattr__(self, "_top", top)
+        object.__setattr__(self, "_center", center % p ** (top - res))
+        object.__setattr__(self, "_digits", max(n - res, 0))
+        object.__setattr__(self, "_step", p ** (top - n))
 
     @property
     def prime(self) -> int:  # type: ignore[override]
         return self.ball.prime
 
-    def draw(self, rng: np.random.Generator) -> PAdicNumber:
-        p = self.ball.prime
-        n = self.ball.radius_exp
-        count = n - self.resolution
-        u = _uniform_digits_int(rng, p, count)
-        value = self.ball.center + Fraction(u) * Fraction(p) ** (-n)
-        return _rational_at_resolution(value, p, self.resolution)
+    def _draw_block(self, rng: np.random.Generator, count: int, dtype) -> np.ndarray:
+        digits = np.full(count, self._digits)  # type: ignore[attr-defined]
+        u = _uniform_digits(rng, self.prime, digits, dtype)
+        return u * self._step + self._center  # type: ignore[attr-defined]
 
     def spec(self) -> dict:
         return {
@@ -467,7 +508,7 @@ class HaarBallSampler(Sampler):
 
 
 @dataclass(frozen=True)
-class RadialSampler(_ResidueSampler):
+class RadialSampler(_BlockSampler):
     """Sphere index by inverse CDF on a mass table, then Haar-uniform
     digits on the sphere (first digit uniform on 1..p-1).
 
@@ -476,6 +517,15 @@ class RadialSampler(_ResidueSampler):
     hence Haar-uniform on the sphere.  The table tails are folded: the
     mass below n_lo draws the zero-at-resolution element, the mass above
     n_hi draws from the top sphere.
+
+    A block of N draws makes three calls (RNG stream v2):
+    ``rng.random(N)`` picks the bins, right-closed so that a bin without
+    mass is never drawn; ``rng.integers(1, p, N)`` gives the leading
+    digits; ``rng.integers(0, p**c)``, with c the other digits of each
+    draw, gives the rest (plus one call per limb beyond 63 bits, see
+    _uniform_digits).  A draw on the sphere p**N has the residue
+    (first + p * rest) * p**(top - N); a draw at or below the resolution
+    is 0.
     """
 
     table: SphereMassTable
@@ -489,6 +539,7 @@ class RadialSampler(_ResidueSampler):
             )
         if not self.table.total() > 0:
             raise ValueError("empty mass table")
+        p, res = self.table.prime, self.resolution
         # cumulative bins; index 0 folds to zero, the top bin to n_hi
         edges: list[float] = [self.table.mass_at_zero]
         labels: list[int | None] = [None]
@@ -499,30 +550,49 @@ class RadialSampler(_ResidueSampler):
             labels.append(n)
         edges.append(acc + self.table.tail_above)
         labels.append(self.table.n_hi)
-        object.__setattr__(self, "_edges", tuple(edges))
-        object.__setattr__(self, "_labels", tuple(labels))
         # residue form: every draw has |x| <= p**top
-        object.__setattr__(self, "_top", max(self.table.n_hi, self.resolution))
+        top = max(self.table.n_hi, res)
+        live = [n is not None and n > res for n in labels]
+        object.__setattr__(self, "_edges", np.array(edges))
+        object.__setattr__(self, "_labels", tuple(labels))
+        object.__setattr__(self, "_top", top)
+        object.__setattr__(self, "_rest_digits", np.array(
+            [n - res - 1 if ok else 0 for n, ok in zip(labels, live)], dtype=np.int64
+        ))
+        object.__setattr__(self, "_scales", tuple(
+            p ** (top - n) if ok else 0 for n, ok in zip(labels, live)
+        ))
 
     @property
     def prime(self) -> int:  # type: ignore[override]
         return self.table.prime
 
-    def _draw_residue(self, rng: np.random.Generator) -> int:
+    def _draw_block(self, rng: np.random.Generator, count: int, dtype) -> np.ndarray:
         p = self.table.prime
         edges = self._edges  # type: ignore[attr-defined]
-        labels = self._labels  # type: ignore[attr-defined]
-        u = rng.random() * edges[-1]
-        idx = min(bisect.bisect_left(edges, u), len(labels) - 1)
-        n = labels[idx]
-        if n is None or n <= self.resolution:
-            return 0
-        first = int(rng.integers(1, p))
-        rest = _uniform_digits_int(rng, p, n - self.resolution - 1)
-        return (first + p * rest) * p ** (self._top - n)
+        u = rng.random(count) * edges[-1]
+        bins = np.minimum(np.searchsorted(edges, u, side="right"), len(edges) - 1)
+        first = rng.integers(1, p, count).astype(dtype)
+        rest = _uniform_digits(rng, p, self._rest_digits[bins], dtype)  # type: ignore[attr-defined]
+        scales = np.array(self._scales, dtype=dtype)  # type: ignore[attr-defined]
+        return (first + p * rest) * scales[bins]
 
-    def draw(self, rng: np.random.Generator) -> PAdicNumber:
-        return self._decode(self._draw_residue(rng))
+    # its own attribute, so the class's draws can be traced by name
+    draw = Sampler.draw
+
+    def folds(self) -> dict:
+        """The table's folds: ``zero_mass`` is drawn as the zero at the
+        resolution (the mass below n_lo and on the spheres at or below the
+        resolution), ``top_tail`` (the mass above n_hi) from the top
+        sphere; ``clamped`` spheres had a small negative mass set to 0, and
+        every mass is within ``error_bound`` of the law's."""
+        table, res = self.table, self.resolution
+        return {
+            "zero_mass": table.mass_at_zero + sum(m for n, m in table.masses if n <= res),
+            "top_tail": table.tail_above,
+            "clamped": list(table.clamped),
+            "error_bound": table.error_bound,
+        }
 
     def spec(self) -> dict:
         return {
@@ -547,7 +617,7 @@ def stable_sampler(
 
 
 @dataclass(frozen=True)
-class CompoundPoissonSampler(_ResidueSampler):
+class CompoundPoissonSampler(Sampler):
     """Sum of a Poisson number of jumps from a self-similar jump measure,
     truncated at the resolution scale.
 
@@ -561,7 +631,8 @@ class CompoundPoissonSampler(_ResidueSampler):
     The sphere table covers the spheres p**n, resolution < n <= top,
     until the jump mass beyond it is below 1e-14 of the rate; a measure
     that needs more than ``max_sphere_span`` spheres for that is refused.
-    Jumps and draws are residues y * p**top mod p**(top - resolution):
+    Draws are made one at a time (RNG stream v1), jump by jump.  Jumps
+    and draws are residues y * p**top mod p**(top - resolution):
     reduction modulo a power of p is a ring map on p-integral rationals
     and every jump has |y| <= p**top, so the sum of the residues is the
     residue of the exact sum.
@@ -647,12 +718,13 @@ class CompoundPoissonSampler(_ResidueSampler):
         lam, cums, fund = self._lam, self._cums, self._fund  # type: ignore[attr-defined]
         last = len(cums) - 1
         total = 0
+        # right-closed lookups: a sphere or ball without mass is never drawn
         for _ in range(poisson_draw(rng, lam)):
-            n = res + 1 + min(bisect.bisect_left(cums, rng.random() * lam), last)
+            n = res + 1 + min(bisect.bisect_right(cums, rng.random() * lam), last)
             r = n % j
             cw, balls = fund[r]
             radius_exp, c, step = balls[
-                min(bisect.bisect_left(cw, rng.random() * cw[-1]), len(balls) - 1)
+                min(bisect.bisect_right(cw, rng.random() * cw[-1]), len(balls) - 1)
             ]
             # uniform point of the ball, deep enough that the rescaled
             # jump is resolved at the sampler resolution: z needs digits
@@ -662,8 +734,22 @@ class CompoundPoissonSampler(_ResidueSampler):
             total += (c + u * step) * self._sphere_factor(n)
         return total % self._mod  # type: ignore[attr-defined]
 
+    def residue_sums(
+        self, rng: np.random.Generator, k: int, replicates: int
+    ) -> ResidueBatch:
+        mod, draw = self._mod, self._draw_residue  # type: ignore[attr-defined]
+        sums = [sum(draw(rng) for _ in range(k)) % mod for _ in range(replicates)]
+        return ResidueBatch(self.prime, self._top, -self.resolution, sums)  # type: ignore[attr-defined]
+
     def draw(self, rng: np.random.Generator) -> PAdicNumber:
-        return self._decode(self._draw_residue(rng))
+        return decode(self.prime, self._top, -self.resolution, self._draw_residue(rng))  # type: ignore[attr-defined]
+
+    def sample(self, rng: np.random.Generator, count: int) -> list[PAdicNumber]:
+        # one draw call per value (stream v1): the same RNG calls as
+        # residue_sums(rng, 1, count)
+        if count < 0:
+            raise ValueError(f"sample count must be >= 0, got {count}")
+        return [self.draw(rng) for _ in range(count)]
 
     def spec(self) -> dict:
         return {

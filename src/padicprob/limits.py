@@ -645,6 +645,9 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
         "balls": [str(b) for b in scenario.balls],
         "sets": [str(s) for s in scenario.sets],
     }
+    folds = scenario.law.folds()
+    if folds is not None:
+        effective["folds"] = folds
     return ConvergenceReport(
         scenario=scenario.name,
         effective=effective,

@@ -10,7 +10,9 @@ from padicprob.charfn import (
     PointMassSampler,
     RadialCharFn,
     RadialSampler,
+    SphereMassTable,
     StableParams,
+    ball_counts,
     ball_probability,
     empirical_cf,
     poisson_draw,
@@ -29,6 +31,13 @@ Z2_STABLE_MASS = 0.5480427915295704
 
 # chi-square 1% critical values by degrees of freedom
 CHI2_99 = {1: 6.635, 2: 9.210, 3: 11.345, 4: 13.277}
+# chi-square 0.1% critical values by degrees of freedom
+CHI2_999 = {3: 16.266, 6: 22.458, 8: 26.124, 18: 42.312, 24: 51.179}
+
+
+def chi2(counts, probs) -> float:
+    n = sum(counts)
+    return sum((c - n * q) ** 2 / (n * q) for c, q in zip(counts, probs))
 
 
 def test_stable_cf_basics():
@@ -152,6 +161,81 @@ def test_radial_sampler_first_digit_uniform():
     expected = total / 4
     chi2 = sum((counts.get(d, 0) - expected) ** 2 / expected for d in (1, 2, 3, 4))
     assert chi2 <= CHI2_99[3]
+
+
+@pytest.mark.parametrize("p, seed", [(2, 602), (3, 603), (5, 605)])
+def test_radial_sphere_frequencies_match_the_table(p, seed):
+    # the sampled law's sphere probabilities are the table's masses over
+    # its total, with the mass at or below the resolution drawn as zero
+    # and the tail drawn on the top sphere; bins: zero or |x| <= p**-3,
+    # the spheres p**-2 .. p**2, and |x| >= p**3
+    s = stable_sampler(StableParams(1.0, 1.0, p), resolution=-6)
+
+    def bin_of(k):
+        return 0 if k is None or k <= -3 else min(k, 3) + 3
+
+    table = s.table
+    probs = [0.0] * 7
+    probs[0] += table.mass_at_zero
+    for k, m in table.masses:
+        probs[bin_of(k)] += m
+    probs[bin_of(table.n_hi)] += table.tail_above
+    probs = [q / table.total() for q in probs]
+    counts = [0] * 7
+    for x in s.sample(substream(seed, 0), 20000):
+        counts[bin_of(None if x.is_zero else -x.valuation)] += 1
+    assert chi2(counts, probs) <= CHI2_999[6]
+
+
+@pytest.mark.parametrize("p, seed", [(2, 702), (3, 703), (5, 705)])
+def test_haar_sub_ball_frequencies_are_exact(p, seed):
+    # the p**2 sub-balls of radius p**-2 of 1/p + Z_p have probability
+    # p**-2 each
+    s = HaarBallSampler(ball=Ball(p, Fraction(1, p), 0), resolution=-6)
+    subs = [Ball(p, Fraction(1, p) + d, -2) for d in range(p * p)]
+    counts = ball_counts(s.sample(substream(seed, 0), 6000), subs)
+    assert sum(counts) == 6000
+    assert chi2(counts, [1 / p**2] * p**2) <= CHI2_999[p * p - 1]
+
+
+def _wide_radial() -> RadialSampler:
+    # p = 3, n_hi = 40, resolution -12: 52 ternary digits (about 2**82),
+    # with all the mass on the spheres 3**30 .. 3**40
+    masses = tuple((n, 1 / 11 if n >= 30 else 0.0) for n in range(-11, 41))
+    return RadialSampler(SphereMassTable(3, -11, 40, masses, 0.0, 0.0, 0.0), -12)
+
+
+@pytest.mark.parametrize(
+    "make, seed",
+    [(_wide_radial, 803), (lambda: HaarBallSampler(Ball(3, 0, 40), -12), 804)],
+    ids=["radial", "haar"],
+)
+def test_wide_window_digits_are_uniform(make, seed):
+    # each draw takes two 63-bit limbs; every digit from |x| = 3**29 down
+    # to the resolution is uniform, and digits on either side of a limb
+    # boundary are independent
+    s = make()
+    draws = s.sample(substream(seed, 0), 6000)
+
+    def digit(x, i):
+        return 0 if x.is_zero or i < x.valuation else x.digits[i - x.valuation]
+
+    def tally(keys, cells):
+        c = Counter(keys)
+        return [c.get(cell, 0) for cell in cells]
+
+    positions = (-29, -15, -2, -1, 0, 1, 5, 10, 11)
+    stat = sum(
+        chi2(tally((digit(x, i) for x in draws), range(3)), [1 / 3] * 3)
+        for i in positions
+    )
+    assert stat <= CHI2_999[18]
+    cells = [(a, b) for a in range(3) for b in range(3)]
+    stat = sum(
+        chi2(tally(((digit(x, i), digit(x, j)) for x in draws), cells), [1 / 9] * 9)
+        for i, j in ((-2, -1), (0, 1), (10, 11))
+    )
+    assert stat <= CHI2_999[24]
 
 
 def test_compound_poisson_zero_jump_draw_is_resolved_zero():

@@ -12,12 +12,15 @@ import contextlib
 import functools
 import hashlib
 import io
+import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import padicprob
 from padicprob import levy, limits, padic, sets
 from padicprob.charfn import substream
 from padicprob.cli import main
@@ -94,17 +97,30 @@ def scaling_and_masses() -> bytes:
     return "\n".join(lines).encode()
 
 
+def _limit_verify_report(args, out_dir: Path) -> bytes:
+    out = _cli_stdout(["limit-verify", *args, "--out", str(out_dir)])
+    out = out.replace(str(out_dir).encode(), b"OUT")
+    for f in sorted(out_dir.iterdir()):
+        out += f.name.encode() + b"\n" + f.read_bytes()
+    return out
+
+
 def _preset_report(name: str, tmp_path: Path, monkeypatch) -> bytes:
     # the degenerate classification does not depend on m; a small m keeps
     # the Monte Carlo part of the report cheap
     monkeypatch.setitem(
         limits.PRESETS, name, functools.partial(limits.PRESETS[name], m=120)
     )
-    out = _cli_stdout(["limit-verify", "--preset", name, "--out", str(tmp_path)])
-    out = out.replace(str(tmp_path).encode(), b"OUT")
-    for f in sorted(tmp_path.iterdir()):
-        out += f.name.encode() + b"\n" + f.read_bytes()
-    return out
+    return _limit_verify_report(["--preset", name], tmp_path)
+
+
+def stable_limit_report(tmp_path: Path) -> bytes:
+    """configs/stable_limit.json at a small m: pins the radial draws."""
+    config = json.loads((CONFIG_DIR / "stable_limit.json").read_text())
+    config["m"] = 200
+    path = tmp_path / "stable_limit.json"
+    path.write_text(json.dumps(config, indent=2))
+    return _limit_verify_report(["--config", str(path)], tmp_path / "out")
 
 
 DIGESTS = {
@@ -125,12 +141,16 @@ DIGESTS = {
         "be337e54888eeb77628ac2fac8ed326b"
     ),
     "preset_beta_one": (
-        "025d74bfb5c55504ad4e1da67ec48353"
-        "dc36d561098150ca2c118e28e263d049"
+        "9eb24398f7b0fbe905e5e71437be0923"
+        "c0aae6f9ea7bec19b1c9890ff0fecc09"
     ),
     "preset_bounded_normalizers": (
-        "48850856b220ef9468aaf9f514708050"
-        "d8c408561711cb39ceab799817d467c1"
+        "24fe625135f3550db34272225c610a7b"
+        "897c0bdda430419b6a53b9bca3c69bd9"
+    ),
+    "stable_limit_report": (
+        "aa04a65690bcbed5d8aa13ab52665c3a"
+        "94417a35d8d2705499cc107934b0a57b"
     ),
 }
 
@@ -157,6 +177,17 @@ def test_degenerate_preset_bytes(preset, tmp_path, monkeypatch):
     assert _digest(data) == DIGESTS[f"preset_{preset}"]
 
 
+def test_stable_limit_report_bytes(tmp_path):
+    assert _digest(stable_limit_report(tmp_path)) == DIGESTS["stable_limit_report"]
+
+
+def test_package_and_project_versions_agree():
+    text = (CONFIG_DIR.parent / "pyproject.toml").read_text()
+    project = text.split("[project]\n", 1)[1].split("\n[", 1)[0]
+    match = re.search(r'^version = "([^"]+)"$', project, re.MULTILINE)
+    assert match is not None and match.group(1) == padicprob.__version__
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -168,4 +199,6 @@ if __name__ == "__main__":
             digest = _digest(_preset_report(preset, Path(d), mp))
         print(f'    "preset_{preset}": "{digest}",')
     mp.undo()
+    with tempfile.TemporaryDirectory() as d:
+        print(f'    "stable_limit_report": "{_digest(stable_limit_report(Path(d)))}",')
     sys.exit(0)

@@ -1,11 +1,13 @@
-"""The residue kernel against the exact per-pair loops it replaced.
+"""The residue kernel against exact per-value references.
 
-The reference functions below are the former implementations, kept here
-as the oracle: radial and compound-Poisson draws in exact Fractions, sums
-of PAdicNumber draws, the phase of every (sum, grid point) pair and
-rational ball membership on every (ball, sum) pair.  Draws and counts
-must agree exactly, and so must the exception (type and message)
-wherever the exact path raises.
+The reference functions below keep the draws, sums, phases and ball
+membership in exact Fractions and PAdicNumbers: the radial, Haar-ball and
+point-mass draws by a scalar formula over the block stream (RNG stream
+v2), the compound-Poisson draws as the former implementation, sums of
+PAdicNumber draws, the phase of every (sum, grid point) pair and rational
+ball membership on every (ball, sum) pair.  Draws and counts must agree
+exactly, and so must the exception (type and message) wherever the exact
+path raises.
 """
 
 import bisect
@@ -23,8 +25,8 @@ from padicprob.charfn import (
     HaarBallSampler,
     PointMassSampler,
     RadialSampler,
+    SphereMassTable,
     StableParams,
-    _rational_at_resolution,
     _uniform_digits_int,
     ball_counts,
     empirical_phase_counts,
@@ -42,7 +44,7 @@ from padicprob.limits import (
     simulate_sums,
     sum_residues,
 )
-from padicprob.padic import PAdicNumber, Phase, grid_points
+from padicprob.padic import PAdicNumber, Phase, grid_points, rational_valuation
 from padicprob.residues import ResidueBatch
 from padicprob.sets import Ball, split_sphere
 
@@ -51,25 +53,71 @@ from padicprob.sets import Ball, split_sphere
 # ---------------------------------------------------------------------
 
 
-def reference_radial_draw(sampler: RadialSampler, rng) -> PAdicNumber:
-    """RadialSampler.draw as it was before residues: exact Fractions."""
-    p = sampler.table.prime
-    edges, labels = sampler._edges, sampler._labels
-    u = rng.random() * edges[-1]
-    idx = min(bisect.bisect_left(edges, u), len(labels) - 1)
-    n = labels[idx]
-    if n is None or n <= sampler.resolution:
-        return PAdicNumber.zero(p, -sampler.resolution)
-    count = n - sampler.resolution
-    first = int(rng.integers(1, p))
-    rest = _uniform_digits_int(rng, p, count - 1)
-    value = Fraction(first + p * rest) * Fraction(p) ** (-n)
-    return _rational_at_resolution(value, p, sampler.resolution)
+def rational_at_resolution(value: Fraction, p: int, resolution: int) -> PAdicNumber:
+    """An exact rational draw reduced to the sampler's resolution window."""
+    if value == 0:
+        return PAdicNumber.zero(p, -resolution)
+    v = rational_valuation(value, p)
+    if v >= -resolution:
+        return PAdicNumber.zero(p, -resolution)
+    return PAdicNumber.from_rational(value, p=p, precision=-resolution - v)
+
+
+def limb_digits(p: int) -> int:
+    """The most base-p digits below 2**63."""
+    a = 0
+    while p ** (a + 1) < 2**63:
+        a += 1
+    return a
+
+
+def reference_uniform(rng, p: int, digits: list[int]) -> list[int]:
+    """Stream v2's digits: per entry c a uniform integer on [0, p**c),
+    drawn up to limb_digits(p) digits per call, least significant limb
+    first."""
+    a = limb_digits(p)
+    out = [0] * len(digits)
+    shift = 0
+    while shift == 0 or shift < max(digits, default=0):
+        highs = np.array([p ** min(max(c - shift, 0), a) for c in digits], dtype=np.int64)
+        limb = rng.integers(0, highs).tolist()
+        out = [u + x * p**shift for u, x in zip(out, limb)]
+        shift += a
+    return out
+
+
+def reference_radial_draws(sampler: RadialSampler, rng, count: int) -> list[PAdicNumber]:
+    """A block of radial draws, one exact Fraction each: the bin by a
+    right-closed lookup, then (first + p * rest) / p**n."""
+    p, res = sampler.table.prime, sampler.resolution
+    edges, labels = [float(e) for e in sampler._edges], sampler._labels
+    us = rng.random(count).tolist()
+    firsts = rng.integers(1, p, count).tolist()
+    spheres = [labels[min(bisect.bisect_right(edges, u * edges[-1]), len(labels) - 1)]
+               for u in us]
+    live = [n is not None and n > res for n in spheres]
+    rests = reference_uniform(rng, p, [n - res - 1 if ok else 0 for n, ok in zip(spheres, live)])
+    return [
+        rational_at_resolution(Fraction(f + p * r) * Fraction(p) ** -n, p, res)
+        if ok else PAdicNumber.zero(p, -res)
+        for f, r, n, ok in zip(firsts, rests, spheres, live)
+    ]
+
+
+def reference_haar_draws(sampler: HaarBallSampler, rng, count: int) -> list[PAdicNumber]:
+    """A block of Haar draws: center + U / p**radius_exp, one exact
+    Fraction each."""
+    ball, res = sampler.ball, sampler.resolution
+    p, n = ball.prime, ball.radius_exp
+    us = reference_uniform(rng, p, [max(n - res, 0)] * count)
+    return [rational_at_resolution(ball.center + Fraction(u) * Fraction(p) ** -n, p, res)
+            for u in us]
 
 
 def reference_cp_draw(sampler: CompoundPoissonSampler, rng) -> PAdicNumber:
-    """CompoundPoissonSampler.draw as it was before residues: each jump
-    an exact Fraction, the sum reduced at the resolution."""
+    """CompoundPoissonSampler.draw as it was before residues, with
+    right-closed lookups: each jump an exact Fraction, the sum reduced at
+    the resolution."""
     meas = sampler.measure
     p, j, res = meas.prime, meas.j, sampler.resolution
     lam, cums = sampler._lam, sampler._cums
@@ -78,7 +126,7 @@ def reference_cp_draw(sampler: CompoundPoissonSampler, rng) -> PAdicNumber:
         return PAdicNumber.zero(p, -res)
     total = Fraction(0)
     for _ in range(jumps):
-        n = res + 1 + min(bisect.bisect_left(cums, rng.random() * lam), len(cums) - 1)
+        n = res + 1 + min(bisect.bisect_right(cums, rng.random() * lam), len(cums) - 1)
         r = n % j
         k = (n - r) // j
         entries = meas.fundamental[r]
@@ -87,29 +135,31 @@ def reference_cp_draw(sampler: CompoundPoissonSampler, rng) -> PAdicNumber:
             tot += float(w)
             cw.append(tot)
         u2 = rng.random() * cw[-1]
-        chosen = entries[min(bisect.bisect_left(cw, u2), len(entries) - 1)][0]
+        chosen = entries[min(bisect.bisect_right(cw, u2), len(entries) - 1)][0]
         u = _uniform_digits_int(rng, p, chosen.radius_exp + k * j - res)
         z = chosen.center + Fraction(u) * Fraction(p) ** (-chosen.radius_exp)
         total += z * Fraction(meas.gamma0) ** (-k)
-    return _rational_at_resolution(total, p, res)
+    return rational_at_resolution(total, p, res)
 
 
-def reference_draw(sampler, rng) -> PAdicNumber:
+def reference_draws(sampler, rng, count: int) -> list[PAdicNumber]:
     if isinstance(sampler, RadialSampler):
-        return reference_radial_draw(sampler, rng)
+        return reference_radial_draws(sampler, rng, count)
+    if isinstance(sampler, HaarBallSampler):
+        return reference_haar_draws(sampler, rng, count)
     if isinstance(sampler, CompoundPoissonSampler):
-        return reference_cp_draw(sampler, rng)
-    return sampler.draw(rng)
+        return [reference_cp_draw(sampler, rng) for _ in range(count)]
+    return [sampler.xi] * count
 
 
 def reference_sums(sampler, scheme, n, replicates, rng) -> list[PAdicNumber]:
     k = scheme.k(n)
     inv_b = 1 / scheme.B(n)
+    draws = reference_draws(sampler, rng, k * replicates)
     out = []
-    for _ in range(replicates):
-        draws = [reference_draw(sampler, rng) for _ in range(k)]
-        total = draws[0]
-        for d in draws[1:]:
+    for i in range(replicates):
+        total = draws[i * k]
+        for d in draws[i * k + 1:(i + 1) * k]:
             total = total + d
         out.append(total.mul_rational(inv_b))
     return out
@@ -411,13 +461,85 @@ def test_failures_raise_what_the_exact_path_raises(case):
     assert got == outcome(reference_mc_block, args)
 
 
-def test_radial_draw_is_a_decode_of_the_same_stream():
-    for sampler in (radial(2, -8, 40), radial(3, -12, 40), radial(5, -2, 30)):
-        a, b = substream(11, 1), substream(11, 1)
-        assert [sampler.draw(a) for _ in range(300)] == [
-            reference_radial_draw(sampler, b) for _ in range(300)
-        ]
-        assert a.random() == b.random()  # the same RNG calls were made
+def dyadic_radial(p: int) -> RadialSampler:
+    """Bins with dyadic masses summing to exactly 1, two of them empty, so
+    a scripted u lands exactly on every edge."""
+    masses = ((-2, 0.0), (-1, 0.25), (0, 0.0), (1, 0.5), (2, 0.125))
+    return RadialSampler(table=SphereMassTable(p, -2, 2, masses, 0.125, 0.0, 0.0), resolution=-3)
+
+
+@lru_cache(maxsize=None)
+def wide_radial(p: int, n_hi: int, resolution: int) -> RadialSampler:
+    """All mass on the top eleven spheres: every draw needs more digits than
+    one 63-bit call holds once n_hi - resolution is wide enough."""
+    spheres = range(resolution + 1, n_hi + 1)
+    masses = tuple((n, 1 / 11 if n > n_hi - 11 else 0.0) for n in spheres)
+    table = SphereMassTable(p, resolution + 1, n_hi, masses, 0.0, 0.0, 0.0)
+    return RadialSampler(table=table, resolution=resolution)
+
+
+BLOCK_SAMPLERS = {
+    "radial-p2": radial(2, -8, 40),
+    "radial-p3": radial(3, -12, 40),
+    "radial-p5": radial(5, -2, 30),
+    "wide-radial-p3": wide_radial(3, 40, -12),  # 52 ternary digits: two limbs
+    "wide-radial-p2": wide_radial(2, 70, -6),  # 76 bits: two limbs
+    "wide-radial-p5": wide_radial(5, 60, -2),  # 61 quinary digits: three limbs
+    "haar-p3-wide": HaarBallSampler(Ball(3, 0, 40), -12),
+    "haar-p2-wide": HaarBallSampler(Ball(2, Fraction(5, 8), -1), -70),
+    "haar-p5": HaarBallSampler(Ball(5, Fraction(7, 25), 1), -4),
+    "haar-p3-finer-than-resolution": HaarBallSampler(Ball(3, 1, -6), -4),
+    "point-mass": PointMassSampler(xi=PAdicNumber.from_rational(Fraction(7, 3), p=5)),
+    "certified-zero": PointMassSampler(xi=PAdicNumber.zero(3, 4)),
+    "exact-zero": PointMassSampler(xi=PAdicNumber.zero(2)),
+}
+
+
+@pytest.mark.parametrize("sampler", BLOCK_SAMPLERS.values(), ids=BLOCK_SAMPLERS.keys())
+def test_block_draws_match_the_fraction_reference(sampler):
+    a, b = substream(11, 1), substream(11, 1)
+    assert sampler.sample(a, 300) == reference_draws(sampler, b, 300)
+    assert a.random() == b.random()  # the same RNG calls were made
+
+
+SCRIPT = [0.0, 0.125, 0.375, 0.875, 0.5, 0.25, 0.999, 0.9999999999999999]
+
+
+@pytest.mark.parametrize(
+    "sampler",
+    [dyadic_radial(2), dyadic_radial(3), dyadic_radial(5), *BLOCK_SAMPLERS.values()],
+    ids=["dyadic-p2", "dyadic-p3", "dyadic-p5", *BLOCK_SAMPLERS.keys()],
+)
+def test_scripted_block_draws_match_the_fraction_reference(sampler):
+    # u on every edge of the dyadic tables, digits at their largest
+    got = sampler.sample(ScriptedRng(SCRIPT), len(SCRIPT))
+    assert got == reference_draws(sampler, ScriptedRng(SCRIPT), len(SCRIPT))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_scripted_edges_open_the_next_bin(p):
+    # right-closed bins: u on an edge draws from the next bin with mass
+    got = dyadic_radial(p).sample(ScriptedRng(SCRIPT[:5]), 5)
+    assert [None if x.is_zero else -x.valuation for x in got] == [None, -1, 1, 2, 1]
+
+
+@pytest.mark.parametrize(
+    "sampler, k",
+    [pytest.param(s, 3, id=name) for name, s in BLOCK_SAMPLERS.items()]
+    # 4 * 2**62 >= 2**64: the row sums leave uint64
+    + [pytest.param(wide_radial(2, 56, -6), 4, id="object-row-sums")],
+)
+def test_residue_sums_are_sums_of_samples(sampler, k):
+    sums = sampler.residue_sums(substream(4, 2), k, 50)
+    draws = sampler.sample(substream(4, 2), k * 50)
+    expected = []
+    for i in range(50):
+        total = draws[i * k]
+        for x in draws[i * k + 1:(i + 1) * k]:
+            total = total + x
+        expected.append(total)
+    assert sums.elements() == expected
+    assert sampler.draw(substream(4, 2)) == sampler.sample(substream(4, 2), 1)[0]
 
 
 @st.composite
@@ -468,17 +590,21 @@ def test_cp_draws_reach_zero_jump_and_certified_zero_draws():
 
 
 class ScriptedRng:
-    """Stands in for a Generator: random() replays a script, integers()
-    returns ones."""
+    """Stands in for a Generator: random() replays a script, one value per
+    call or per element of a sized call; integers() returns the largest
+    value of each range."""
 
     def __init__(self, script):
         self.script = list(script)
 
-    def random(self):
-        return self.script.pop(0)
+    def random(self, size=None):
+        if size is None:
+            return self.script.pop(0)
+        return np.array([self.script.pop(0) for _ in range(size)])
 
-    def integers(self, low, high, size):
-        return np.ones(size, dtype=np.int64)
+    def integers(self, low, high, size=None):
+        high = np.broadcast_to(high, np.shape(high) if size is None else size)
+        return (high - 1).astype(np.int64)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -488,11 +614,46 @@ def test_cp_jump_on_the_top_sphere(p):
     sampler = CompoundPoissonSampler(measure=make_example_measure(1, 1, p), resolution=-3)
     cums, lam = sampler._cums, sampler._lam
     u = (cums[-2] + cums[-1]) / 2 / lam
-    assert bisect.bisect_left(cums, u * lam) == len(cums) - 1
+    assert bisect.bisect_right(cums, u * lam) == len(cums) - 1
     script = [0.5, 1e-9, u, 0.5]  # Poisson: one jump; top sphere; a ball
     got = sampler.draw(ScriptedRng(script))
     assert got == reference_cp_draw(sampler, ScriptedRng(script))
     assert -got.valuation == sampler._top
+
+
+def test_cp_never_draws_an_empty_sphere():
+    # p = 2, j = 2, fundamental sphere 1 empty: at resolution -4 the first
+    # sphere of the table, p**-3, has no mass.  A sphere pick of exactly
+    # 0.0 must skip it rather than land on it and find no ball to draw.
+    m = make_measure(2, Fraction(1, 2), 4, (((Ball(2, 1, -1), Fraction(1, 8)),), ()))
+    sampler = CompoundPoissonSampler(measure=m, resolution=-4)
+    assert sampler._cums[0] == 0.0
+    script = [0.9, 1e-9, 0.0, 0.5]  # Poisson: one jump; sphere; ball
+    got = sampler.draw(ScriptedRng(script))
+    assert got == reference_cp_draw(sampler, ScriptedRng(script))
+    assert got.valuation == 2  # the first sphere with mass, p**-2
+
+
+def test_cp_never_draws_a_zero_weight_ball():
+    m = make_measure(
+        2, Fraction(1, 2), 2,
+        (((Ball(2, 1, -2), Fraction(0)), (Ball(2, 3, -2), Fraction(1, 8))),),
+    )
+    sampler = CompoundPoissonSampler(measure=m, resolution=-3)
+    script = [0.9, 1e-9, 0.5, 0.0]  # Poisson: one jump; sphere; ball
+    got = sampler.draw(ScriptedRng(script))
+    assert got == reference_cp_draw(sampler, ScriptedRng(script))
+    assert got.unit % 4 == 3  # inside 3 + 4Z_2, scaled by a power of 2
+
+
+def test_radial_never_draws_an_empty_bin():
+    # no mass at zero and none on the sphere p**-3: u = 0.0 must land on
+    # p**-2, and u on an edge opens the next bin
+    masses = ((-3, 0.0), (-2, 0.5), (-1, 0.0), (0, 0.5), (1, 0.0))
+    table = SphereMassTable(2, -3, 1, masses, 0.0, 0.0, 0.0)
+    sampler = RadialSampler(table=table, resolution=-4)
+    for u, valuation in ((0.0, 2), (0.25, 2), (0.5, 0), (0.75, 0)):
+        assert sampler.draw(ScriptedRng([u])).valuation == valuation
 
 
 def test_cp_residue_sums_match_summed_draws():
