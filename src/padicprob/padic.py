@@ -451,7 +451,9 @@ def character_value(
     p: int, terms: Mapping[tuple[int, int], Fraction | float | int], denominator: int = 1
 ) -> complex:
     """The value of sum_j (c_j / denominator) * chi(k_j / p**s_j) for
-    terms {(s_j, k_j): c_j} with reduced phases.
+    terms {(s_j, k_j): c_j} with reduced phases.  Integer coefficients
+    and denominator below 2**53 divide as exactly as Fraction(c_j,
+    denominator) converts to float: both are correctly rounded.
 
     Terms are visited in increasing (s, k) order and conjugate phases
     are paired first, so that symmetric sums come out exactly real; the
@@ -470,12 +472,12 @@ def character_value(
             c2 = terms[conj]
             theta = _TWO_PI * (k / p**s)
             total += complex(
-                float((c + c2) / denominator) * math.cos(theta),
-                float((c - c2) / denominator) * math.sin(theta),
+                float(c + c2) / denominator * math.cos(theta),
+                float(c - c2) / denominator * math.sin(theta),
             )
             done.add(conj)
         else:
-            total += float(c / denominator) * _chi(p, s, k)
+            total += float(c) / denominator * _chi(p, s, k)
     return total
 
 
