@@ -17,6 +17,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -37,11 +38,27 @@ def _cli_stdout(args) -> bytes:
     return f"exit {code}\n{buf.getvalue()}".encode()
 
 
-def levy_exponent_grid() -> bytes:
+def levy_exponent_grid(tmp: Path) -> bytes:
     return _cli_stdout(["levy-exponent", "--measure", CUSTOM, "--grid=-5:5"])
 
 
-def classify_measures() -> bytes:
+def levy_exponent_csv(tmp: Path) -> bytes:
+    return _eval_with_csv(["levy-exponent", "--measure", CUSTOM, "--grid=-3:3"], tmp)
+
+
+def cf_eval_stable(tmp: Path) -> bytes:
+    return _eval_with_csv(["cf-eval", "--stable", "a=1,alpha=0.5,p=2", "--grid=-5:5"], tmp)
+
+
+def cf_eval_measure(tmp: Path) -> bytes:
+    return _eval_with_csv(["cf-eval", "--measure", CUSTOM, "--grid=-5:5"], tmp)
+
+
+def classify_stable(tmp: Path) -> bytes:
+    return _cli_stdout(["classify", "--cf", "stable:a=1,alpha=1,p=2"])
+
+
+def classify_measures(tmp: Path) -> bytes:
     out = _cli_stdout(["classify", "--cf", f"measure:{CUSTOM}"])
     for spec in ("omega0", "omega:1", "delta:1/3"):
         out += _cli_stdout(["classify", "--cf", spec, "--p", "2"])
@@ -56,7 +73,7 @@ def _measures(seed: int) -> list:
     return out
 
 
-def integrate_char_reprs() -> bytes:
+def integrate_char_reprs(tmp: Path) -> bytes:
     lines = []
     for seed in SEEDS:
         for m in _measures(seed):
@@ -81,7 +98,7 @@ class _SkewedMeasure(levy.SelfSimilarLevyMeasure):
         return self.beta**k * (2 if k > 0 else 1)
 
 
-def scaling_and_masses() -> bytes:
+def scaling_and_masses(tmp: Path) -> bytes:
     lines = []
     for seed in SEEDS:
         measures = _measures(seed)
@@ -105,40 +122,130 @@ def _limit_verify_report(args, out_dir: Path) -> bytes:
     return out
 
 
-def _preset_report(name: str, tmp_path: Path, monkeypatch) -> bytes:
-    # the degenerate classification does not depend on m; a small m keeps
-    # the Monte Carlo part of the report cheap
-    monkeypatch.setitem(
-        limits.PRESETS, name, functools.partial(limits.PRESETS[name], m=120)
-    )
-    return _limit_verify_report(["--preset", name], tmp_path)
+def _preset_report(name: str, tmp: Path, **kwargs) -> bytes:
+    preset = functools.partial(limits.PRESETS[name], **kwargs)
+    with mock.patch.dict(limits.PRESETS, {name: preset}):
+        return _limit_verify_report(["--preset", name], tmp)
 
 
-def stable_limit_report(tmp_path: Path) -> bytes:
+def _config_report(config: dict, tmp: Path) -> bytes:
+    path = tmp / "config.json"
+    path.write_text(json.dumps(config, indent=2))
+    return _limit_verify_report(["--config", str(path)], tmp / "out")
+
+
+def _eval_with_csv(args, tmp: Path) -> bytes:
+    """stdout of a grid evaluation and the CSV it writes, with the
+    machine's paths replaced."""
+    csv_path = tmp / "values.csv"
+    out = _cli_stdout([*args, "--out", str(csv_path)]) + csv_path.read_bytes()
+    return out.replace(CUSTOM.encode(), b"CUSTOM")
+
+
+def stable_limit_report(tmp: Path) -> bytes:
     """configs/stable_limit.json at a small m: pins the radial draws."""
     config = json.loads((CONFIG_DIR / "stable_limit.json").read_text())
     config["m"] = 200
-    path = tmp_path / "stable_limit.json"
-    path.write_text(json.dumps(config, indent=2))
-    return _limit_verify_report(["--config", str(path)], tmp_path / "out")
+    return _config_report(config, tmp)
+
+
+_GEOMETRIC_2 = {"mode": "geometric", "p": 2, "beta": "1/2", "gamma0": "2", "n_max": 4}
+_GEOMETRIC_3 = {"mode": "geometric", "p": 3, "beta": "1/3", "gamma0": "3", "n_max": 4}
+# radial over p = 2, and not the stable example measure (its weight is 2/3)
+_RADIAL_MEASURE_2 = {
+    "p": 2, "beta": "1/2", "gamma0": "2",
+    "fundamental": [
+        {"sphere": 0, "balls": [{"center": "1", "radius_exp": -1, "weight": "1/2"}]}
+    ],
+}
+
+
+def _small_config(name: str, law: dict, scheme: dict, target, **extra) -> dict:
+    return {
+        "name": name, "law": law, "scheme": scheme, "target": target,
+        "grid": {"k_lo": -4, "k_hi": 4}, "m": 60, "seed": 5,
+        "n_list": [0, 1, 2], **extra,
+    }
+
+
+def law_point_mass(tmp: Path) -> bytes:
+    law = {"kind": "point_mass", "xi": "1/3 @ p=2"}
+    target = {"stable": {"a": 1, "alpha": 1, "p": 2}}
+    return _config_report(_small_config("point-mass", law, _GEOMETRIC_2, target), tmp)
+
+
+def law_haar_ball(tmp: Path) -> bytes:
+    """A Haar ball away from 0 (a transform that is not radial) against
+    the non-radial configs/custom_measure.json."""
+    law = {"kind": "haar_ball", "p": 3, "center": "1/3", "radius_exp": -2,
+           "resolution": -12}
+    target = json.loads(Path(CUSTOM).read_text())
+    return _config_report(_small_config("haar-ball", law, _GEOMETRIC_3, target), tmp)
+
+
+def law_compound_poisson(tmp: Path) -> bytes:
+    """Ball rows read a radial measure's own transform on spheres."""
+    law = {"kind": "compound_poisson", "resolution": -4,
+           "measure": {"stable": {"a": 1, "alpha": 1, "p": 2}}}
+    config = _small_config("compound-poisson", law, _GEOMETRIC_2, _RADIAL_MEASURE_2)
+    return _config_report(config, tmp)
+
+
+def target_stable_p3(tmp: Path) -> bytes:
+    """A stable target whose exponent and closed form differ in the last
+    bit: the sup, scaling and positivity rows read the exponent, the ball
+    rows the closed form."""
+    law = {"kind": "radial_stable", "a": 2, "alpha": 1.5, "p": 3, "resolution": -8}
+    scheme = {"mode": "geometric", "p": 3, "beta": 3**-1.5, "gamma0": "3", "n_max": 4}
+    target = {"stable": {"a": 2, "alpha": 1.5, "p": 3}}
+    config = _small_config("stable-p3", law, scheme, target, kind="stable_limit")
+    return _config_report(config, tmp)
 
 
 DIGESTS = {
-    "levy_exponent_grid": (
-        "8d93df0a92993e9a33b47dfba8b8a33c"
-        "c7be0860fbec2a81e8539351182a9f4c"
+    "cf_eval_measure": (
+        "3b030e7389f1b8aa34db386a67c576e0"
+        "0b9decc8657c273cc003ea746f878f1d"
+    ),
+    "cf_eval_stable": (
+        "377afbf52c1a53a2dadb34056983a027"
+        "396ed9d41836886a6a3068921184cb66"
     ),
     "classify_measures": (
         "25dfef2e3d2f020c80c2fe9925fcbf33"
         "f291b9efbdfdee26af16b4800e57de78"
     ),
+    "classify_stable": (
+        "e9462eb0a60293f08a34a1526be708e2"
+        "bc59e5a2b05f477cb2c31706ff00b568"
+    ),
     "integrate_char_reprs": (
         "62fc28f19b908ad726362cedf48873e1"
         "f62a17f0ea92c0a0704c8905704e42e3"
     ),
-    "scaling_and_masses": (
-        "326a981f685836ff85d2db4d1da5259a"
-        "be337e54888eeb77628ac2fac8ed326b"
+    "law_compound_poisson": (
+        "77d823bc88d18ba0c58b6c8d191b7025"
+        "88e53c2151e3dd7a37de2be78c195256"
+    ),
+    "law_haar_ball": (
+        "133d78244cd04b90803eb934cce2b885"
+        "17afc113dac924896685a37b3e00f4e6"
+    ),
+    "law_point_mass": (
+        "209c4c5c69be5b81928b54c9b289bc6d"
+        "5f1aa5837c131ae38c59e453804f657c"
+    ),
+    "levy_exponent_csv": (
+        "d36d6718ccf02c13274b0e9debe0b9be"
+        "8c6fd91ede9f761f12e256ae787ea83e"
+    ),
+    "levy_exponent_grid": (
+        "8d93df0a92993e9a33b47dfba8b8a33c"
+        "c7be0860fbec2a81e8539351182a9f4c"
+    ),
+    "preset_beta0_demo": (
+        "3e9cb292923b8b769fe532d02a23e360"
+        "b2628422fee2e9301d8b5159069c306f"
     ),
     "preset_beta_one": (
         "9eb24398f7b0fbe905e5e71437be0923"
@@ -148,17 +255,41 @@ DIGESTS = {
         "24fe625135f3550db34272225c610a7b"
         "897c0bdda430419b6a53b9bca3c69bd9"
     ),
+    "scaling_and_masses": (
+        "326a981f685836ff85d2db4d1da5259a"
+        "be337e54888eeb77628ac2fac8ed326b"
+    ),
     "stable_limit_report": (
         "aa04a65690bcbed5d8aa13ab52665c3a"
         "94417a35d8d2705499cc107934b0a57b"
+    ),
+    "target_stable_p3": (
+        "f5fdb59a05a88750a06c28a26cc7e743"
+        "68f1d349a8b5b0f63c1fa019e64998bf"
     ),
 }
 
 CASES = {
     "levy_exponent_grid": levy_exponent_grid,
+    "levy_exponent_csv": levy_exponent_csv,
+    "cf_eval_stable": cf_eval_stable,
+    "cf_eval_measure": cf_eval_measure,
     "classify_measures": classify_measures,
+    "classify_stable": classify_stable,
     "integrate_char_reprs": integrate_char_reprs,
     "scaling_and_masses": scaling_and_masses,
+    # the degenerate classification does not depend on m; a small m keeps
+    # the Monte Carlo part of the report cheap
+    "preset_beta_one": functools.partial(_preset_report, "beta_one", m=120),
+    "preset_bounded_normalizers": functools.partial(
+        _preset_report, "bounded_normalizers", m=120
+    ),
+    "preset_beta0_demo": functools.partial(_preset_report, "beta0_demo"),
+    "stable_limit_report": stable_limit_report,
+    "law_point_mass": law_point_mass,
+    "law_haar_ball": law_haar_ball,
+    "law_compound_poisson": law_compound_poisson,
+    "target_stable_p3": target_stable_p3,
 }
 
 
@@ -167,18 +298,8 @@ def _digest(data: bytes) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_bytes(name):
-    assert _digest(CASES[name]()) == DIGESTS[name]
-
-
-@pytest.mark.parametrize("preset", ["beta_one", "bounded_normalizers"])
-def test_degenerate_preset_bytes(preset, tmp_path, monkeypatch):
-    data = _preset_report(preset, tmp_path, monkeypatch)
-    assert _digest(data) == DIGESTS[f"preset_{preset}"]
-
-
-def test_stable_limit_report_bytes(tmp_path):
-    assert _digest(stable_limit_report(tmp_path)) == DIGESTS["stable_limit_report"]
+def test_report_bytes(name, tmp_path):
+    assert _digest(CASES[name](tmp_path)) == DIGESTS[name]
 
 
 def test_package_and_project_versions_agree():
@@ -192,13 +313,6 @@ if __name__ == "__main__":
     import tempfile
 
     for name, fn in sorted(CASES.items()):
-        print(f'    "{name}": "{_digest(fn())}",')
-    mp = pytest.MonkeyPatch()
-    for preset in ("beta_one", "bounded_normalizers"):
         with tempfile.TemporaryDirectory() as d:
-            digest = _digest(_preset_report(preset, Path(d), mp))
-        print(f'    "preset_{preset}": "{digest}",')
-    mp.undo()
-    with tempfile.TemporaryDirectory() as d:
-        print(f'    "stable_limit_report": "{_digest(stable_limit_report(Path(d)))}",')
+            print(f'    "{name}": "{_digest(fn(Path(d)))}",')
     sys.exit(0)
