@@ -24,15 +24,11 @@ from .padic import (
 from .sets import (
     Ball,
     CompactOpenSet,
-    StepFunction,
     TailSet,
     annulus,
-    fourier_indicator,
     haar_measure,
     integrate_char,
     integrate_char_exact,
-    integrate_step,
-    integrate_step_inverse,
     normalize,
     sphere,
     split_sphere,
@@ -41,22 +37,24 @@ from .charfn import (
     BallProbability,
     CompoundPoissonSampler,
     HaarBallSampler,
+    HaarUniform,
+    PointMass,
     PointMassSampler,
-    RadialCharFn,
     RadialSampler,
     Sampler,
     SphereMassTable,
+    StableLaw,
     StableParams,
+    Transform,
     ball_probability,
     empirical_cf,
     poisson_draw,
     sphere_masses,
-    stable_cf,
     stable_sampler,
     substream,
 )
 from .levy import (
-    CfEvaluator,
+    JumpMeasure,
     LevyExponent,
     SelfSimilarLevyMeasure,
     TwoValuedForm,

@@ -1,5 +1,5 @@
-"""Radial characteristic functions, ball probabilities, samplers, and
-empirical characteristic functions.
+"""Transforms of laws, ball probabilities, samplers, and empirical
+characteristic functions.
 
 A radial characteristic function depends on t only through |t|_p and is
 real-valued (these are the transforms of symmetric laws).  For such a g
@@ -12,8 +12,8 @@ and for a ball away from the origin with |center| = p**C > p**N,
     mu(B(c, p**N)) = p**N * ( sum_{k <= -C} (1-1/p) p**k g(p**k)
                               - p**-C g(p**(1-C)) ).
 
-Both series carry a certified geometric tail bound, and collapse to
-exact rationals whenever g is 0/1-valued (point mass at 0, uniform laws).
+Both series carry a certified geometric tail bound; a point mass or a
+Haar-uniform law gives its ball probabilities as exact rationals instead.
 
 Sampling follows a splittable counter-based RNG contract: streams are
 keyed by (seed, *indices) so parallel replication is deterministic.
@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import PrecisionError, PrimeMismatchError, ToleranceError
 from .padic import (
+    DEFAULT_PRECISION,
     CharacterSum,
     PAdicNumber,
     _check_prime,
@@ -94,8 +95,109 @@ def poisson_draw(rng: np.random.Generator, mean: float) -> int:
 
 
 # ---------------------------------------------------------------------
-# Radial characteristic functions
+# Transforms
 # ---------------------------------------------------------------------
+
+
+class Transform:
+    """The characteristic function g(t) = E chi(t X) of a law on Q_p.
+
+    ``__call__`` holds the one check that t lies over ``prime``, gives
+    g(0) = 1 and leaves t != 0 to ``_value``.  A radial transform
+    (``is_radial``) depends on t only through |t| and is real, with
+    ``radial_value(k)`` its value on the sphere |t| = p**k.  A two-valued
+    one (|g| is 0 or 1: a point mass or a Haar-uniform law) gives its ball
+    probabilities in closed form, by ``exact_ball_probability(ball)``.
+    ``measure`` is the jump measure whose exponent gives g, where there is
+    one.
+    """
+
+    prime: int
+    is_radial: bool = False
+    two_valued: bool = False
+    measure = None
+
+    def _check(self, t: PAdicNumber) -> None:
+        if t.prime != self.prime:
+            raise PrimeMismatchError(
+                f"transform over p={self.prime} evaluated at a point over p={t.prime}"
+            )
+
+    def __call__(self, t: PAdicNumber) -> complex:
+        self._check(t)
+        if t.is_zero:
+            return complex(1.0, 0.0)
+        return self._value(t)
+
+    def _value(self, t: PAdicNumber) -> complex:
+        raise NotImplementedError
+
+    def fresh(self) -> "Transform":
+        """This transform with empty memos; each report keeps its own."""
+        return self
+
+    def radial_value(self, k: int) -> float:
+        if not self.is_radial:
+            raise ValueError(f"{self!r} is not radial")
+        return self(PAdicNumber(self.prime, -k, 1, DEFAULT_PRECISION)).real
+
+    def power(self, t: PAdicNumber, k: int) -> complex:
+        """g(t)**k, the transform of a sum of k independent copies."""
+        if not self.is_radial:
+            return self(t) ** k
+        val = self(t).real
+        if val == 0.0:
+            return complex(0.0, 0.0)
+        if val > 0.0:
+            return complex(math.exp(k * math.log(val)), 0.0)
+        return complex(val, 0.0) ** k
+
+
+@dataclass(frozen=True)
+class PointMass(Transform):
+    """chi(t * xi), the transform of the point mass at xi (radial when xi = 0)."""
+
+    xi: PAdicNumber
+    two_valued = True
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "prime", self.xi.prime)
+        object.__setattr__(self, "is_radial", self.xi.is_zero)
+
+    def _value(self, t: PAdicNumber) -> complex:
+        return (t * self.xi).character_phase().to_complex()
+
+    def exact_ball_probability(self, ball: Ball) -> Fraction:
+        return Fraction(ball.contains(self.xi))
+
+
+@dataclass(frozen=True)
+class HaarUniform(Transform):
+    """The transform of the Haar-uniform law on a ball B(c, p**R): chi(t * c)
+    where |t| <= p**-R and 0 beyond (radial when the ball holds 0)."""
+
+    ball: Ball
+    two_valued = True
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "prime", self.ball.prime)
+        object.__setattr__(self, "is_radial", self.ball.contains_zero)
+
+    def _value(self, t: PAdicNumber) -> complex:
+        ball = self.ball
+        if t.valuation < ball.radius_exp:
+            return complex(0.0, 0.0)
+        if ball.contains_zero:
+            return complex(1.0, 0.0)
+        return t.mul_rational(ball.center).character_phase().to_complex()
+
+    def exact_ball_probability(self, ball: Ball) -> Fraction:
+        rel = self.ball.relate(ball)
+        if rel == "disjoint":
+            return Fraction(0)
+        if rel == "contains":
+            return ball.measure / self.ball.measure
+        return Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -112,100 +214,39 @@ class StableParams:
             raise ValueError("need a > 0 and alpha > 0")
 
 
-def stable_cf(params: StableParams, t: PAdicNumber) -> float:
-    """exp(-a * |t|_p**alpha), exact in |t|."""
-    if t.prime != params.prime:
-        raise PrimeMismatchError(
-            f"transform over p={params.prime} evaluated at a point over p={t.prime}"
-        )
-    if t.is_zero:
-        return 1.0
-    return math.exp(-params.a * float(t.abs_value()) ** params.alpha)
+@dataclass(frozen=True)
+class StableLaw(Transform):
+    """The closed form exp(-a |t|**alpha), as exp(-a * p**(alpha * k)) on
+    the sphere |t| = p**k."""
+
+    params: StableParams
+    is_radial = True
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "prime", self.params.prime)
+
+    def _value(self, t: PAdicNumber) -> complex:
+        return complex(self.radial_value(-t.valuation), 0.0)
+
+    def radial_value(self, k: int) -> float:
+        a, alpha = self.params.a, self.params.alpha
+        return math.exp(-a * float(self.prime) ** (alpha * k))
+
+
+class RadialCharFn:
+    """The name the benchmark in perfbench/ builds its stable law with."""
+
+    stable = StableLaw
 
 
 @lru_cache(maxsize=65536)
 def _measure_radial_value(measure, k: int) -> float:
-    from .levy import cf_from_levy  # local import; levy does not import us
+    from .levy import cf_from_levy  # local import; levy imports this module
 
     t = PAdicNumber.from_rational(
         Fraction(measure.prime) ** (-k), p=measure.prime
     )
     return cf_from_levy(measure, t).real
-
-
-@dataclass(frozen=True)
-class RadialCharFn:
-    """Radial evaluation rule k -> g on the sphere |t| = p**k; g(0) = 1.
-
-    Pure data (no closures) so instances serialise and pickle cleanly.
-    Kinds: 'one' (point mass at 0), 'indicator' (uniform law cutoff),
-    'stable' (closed form), 'measure' (transform of a self-similar jump
-    measure with rotation-invariant sphere data).
-    """
-
-    prime: int
-    kind: str
-    a: float | None = None
-    alpha: float | None = None
-    cutoff_exp: int | None = None
-    measure: object | None = None
-
-    @classmethod
-    def one(cls, p: int) -> "RadialCharFn":
-        return cls(p, "one")
-
-    @classmethod
-    def indicator(cls, p: int, cutoff_exp: int) -> "RadialCharFn":
-        return cls(p, "indicator", cutoff_exp=cutoff_exp)
-
-    @classmethod
-    def stable(cls, params: StableParams) -> "RadialCharFn":
-        return cls(params.prime, "stable", a=params.a, alpha=params.alpha)
-
-    @classmethod
-    def from_measure(cls, measure) -> "RadialCharFn":
-        if not measure.is_radial():
-            raise ValueError(
-                "sphere data is not rotation-invariant; radial evaluation "
-                "would be unsound"
-            )
-        return cls(measure.prime, "measure", measure=measure)
-
-    def radial(self, k: int) -> float:
-        if self.kind == "one":
-            return 1.0
-        if self.kind == "indicator":
-            return 1.0 if k <= self.cutoff_exp else 0.0
-        if self.kind == "stable":
-            return math.exp(-self.a * float(self.prime) ** (self.alpha * k))
-        if self.kind == "measure":
-            return _measure_radial_value(self.measure, k)
-        raise ValueError(f"unknown kind {self.kind!r}")
-
-    def radial_exact(self, k: int) -> Fraction | None:
-        """Exact rational value on the sphere, when one exists."""
-        if self.kind == "one":
-            return Fraction(1)
-        if self.kind == "indicator":
-            return Fraction(1 if k <= self.cutoff_exp else 0)
-        return None
-
-    def tail_constant(self, k: int) -> Fraction | None:
-        """c if g == c on every sphere at or below index k, else None."""
-        if self.kind == "one":
-            return Fraction(1)
-        if self.kind == "indicator" and k <= self.cutoff_exp:
-            return Fraction(1)
-        return None
-
-    def __call__(self, t: PAdicNumber) -> float:
-        if t.prime != self.prime:
-            raise PrimeMismatchError(
-                f"transform over p={self.prime} evaluated at a point over p={t.prime}"
-            )
-        if t.is_zero:
-            return 1.0
-        return self.radial(-t.valuation)
 
 
 class BallProbability(NamedTuple):
@@ -215,19 +256,25 @@ class BallProbability(NamedTuple):
 
 
 def ball_probability(
-    g: RadialCharFn,
+    g: Transform,
     ball: Ball,
     tol: float = 1e-12,
     max_terms: int = 2000,
 ) -> BallProbability:
-    """Probability of a ball under the symmetric law with transform g.
+    """Probability of a ball under the law with transform g.
 
-    Returns the truncated sphere series together with its certified tail
-    bound; the result is exact (bound 0) when g is 0/1 valued.
+    Exact (bound 0) for a two-valued g; otherwise g must be radial, and
+    the result is the truncated sphere series with its certified tail
+    bound.
     """
     p = g.prime
     if ball.prime != p:
-        raise ValueError("ball and transform over different primes")
+        raise PrimeMismatchError("ball and transform over different primes")
+    if g.two_valued:
+        exact = g.exact_ball_probability(ball)
+        return BallProbability(float(exact), 0.0, exact)
+    if not g.is_radial:
+        raise ValueError(f"the sphere series needs a radial transform, not {g!r}")
     n = ball.radius_exp
     if ball.center == 0:
         start = -n
@@ -237,28 +284,12 @@ def ball_probability(
         start = -c_exp
         corr_sphere = 1 - c_exp
 
-    # exact short-circuit for 0/1-valued transforms
-    if g.radial_exact(start) is not None:
-        total = Fraction(0)
-        k = start
-        while True:
-            c = g.tail_constant(k)
-            if c is not None:
-                total += c * Fraction(p) ** k
-                break
-            total += Fraction(p - 1, p) * Fraction(p) ** k * g.radial_exact(k)
-            k -= 1
-        if corr_sphere is not None:
-            total -= Fraction(p) ** start * g.radial_exact(corr_sphere)
-        exact = Fraction(p) ** n * total
-        return BallProbability(float(exact), 0.0, exact)
-
     acc = 0.0
     k = start
     terms = 0
     frac = (p - 1) / p
     while True:
-        acc += frac * float(p) ** k * g.radial(k)
+        acc += frac * float(p) ** k * g.radial_value(k)
         bound = float(p) ** (n + k - 1)
         if bound <= tol:
             break
@@ -269,7 +300,7 @@ def ball_probability(
                 f"ball probability did not reach tol={tol} in {max_terms} terms"
             )
     if corr_sphere is not None:
-        acc -= float(p) ** start * g.radial(corr_sphere)
+        acc -= float(p) ** start * g.radial_value(corr_sphere)
     return BallProbability(float(p) ** n * acc, bound, None)
 
 
@@ -304,7 +335,7 @@ class SphereMassTable:
 
 
 def sphere_masses(
-    g: RadialCharFn, n_lo: int, n_hi: int, tol: float = 1e-12
+    g: Transform, n_lo: int, n_hi: int, tol: float = 1e-12
 ) -> SphereMassTable:
     """Sphere masses as differences of ball probabilities."""
     if n_lo > n_hi:
@@ -611,7 +642,7 @@ def stable_sampler(
     tol: float = 1e-12,
 ) -> RadialSampler:
     table = sphere_masses(
-        RadialCharFn.stable(params), min(n_lo, resolution + 1), n_hi, tol=tol
+        StableLaw(params), min(n_lo, resolution + 1), n_hi, tol=tol
     )
     return RadialSampler(table=table, resolution=resolution)
 

@@ -16,10 +16,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .charfn import RadialCharFn, StableParams, substream
+from .charfn import HaarUniform, PointMass, StableLaw, StableParams, Transform, substream
 from .errors import PrecisionError, ToleranceError
 from .levy import (
-    CfEvaluator,
+    JumpMeasure,
     LevyExponent,
     classify_two_valued,
     invert_exponent,
@@ -27,7 +27,9 @@ from .levy import (
 )
 from .limits import PRESETS, convergence_report
 from .padic import PAdicNumber, format_padic, grid_points, parse_number
+from .sets import Ball
 from .specs import (
+    _ANNULUS_RE,
     SpecValidationError,
     measure_from_spec,
     parse_rational,
@@ -97,47 +99,46 @@ def _parse_kv(text: str) -> dict:
     return out
 
 
-def _cf_from_args(args) -> tuple[object, int]:
-    """Build a transform evaluator from --stable/--measure flags."""
+def _stable_from_kv(text: str) -> StableLaw:
+    kv = _parse_kv(text)
+    return StableLaw(StableParams(float(kv["a"]), float(kv["alpha"]), int(kv["p"])))
+
+
+def _cf_from_args(args) -> Transform:
+    """The transform named by the --stable or --measure flag."""
     if args.stable:
-        kv = _parse_kv(args.stable)
-        params = StableParams(float(kv["a"]), float(kv["alpha"]), int(kv["p"]))
-        g = RadialCharFn.stable(params)
-        return (lambda t: complex(g(t))), params.prime
+        return _stable_from_kv(args.stable)
     if args.measure:
-        measure = measure_from_spec(_load_json(args.measure))
-        return CfEvaluator(measure), measure.prime
+        return JumpMeasure(measure_from_spec(_load_json(args.measure)))
     raise SpecValidationError("need --stable or --measure")
 
 
-def _grid_from_arg(arg: str, p: int) -> list[PAdicNumber]:
-    lo, _, hi = arg.partition(":")
-    return grid_points(p, int(lo), int(hi))
-
-
-def cmd_cf_eval(args) -> int:
-    g, p = _cf_from_args(args)
+def _evaluate(args, fn, p: int, config: dict) -> int:
+    """Evaluate fn at the --t points and on the --grid of p, print each
+    value and write them all to the --out CSV."""
     ts: list[PAdicNumber] = [parse_number(s) for s in args.t or []]
     if args.grid:
-        ts.extend(_grid_from_arg(args.grid, p))
+        lo, _, hi = args.grid.partition(":")
+        ts.extend(grid_points(p, int(lo), int(hi)))
     if not ts:
         raise SpecValidationError("no evaluation points: pass --t or --grid")
     rows = []
     for t in ts:
-        val = complex(g(t))
+        val = complex(fn(t))
         rows.append(
             {"t": str(t.as_rational()), "abs_t": str(t.abs_value()),
              "re": val.real, "im": val.imag}
         )
         print(_fmt_value(val))
     if args.out:
-        _write_csv(
-            Path(args.out),
-            _meta(None, {"command": "cf-eval", "stable": args.stable,
-                         "measure": args.measure}),
-            rows,
-        )
+        _write_csv(Path(args.out), _meta(None, config), rows)
     return EXIT_OK
+
+
+def cmd_cf_eval(args) -> int:
+    g = _cf_from_args(args)
+    config = {"command": "cf-eval", "stable": args.stable, "measure": args.measure}
+    return _evaluate(args, g, g.prime, config)
 
 
 def cmd_sample(args) -> int:
@@ -168,35 +169,14 @@ def cmd_sample(args) -> int:
 
 def cmd_levy_exponent(args) -> int:
     measure = measure_from_spec(_load_json(args.measure))
-    phi = LevyExponent(measure)
-    ts: list[PAdicNumber] = [parse_number(s) for s in args.t or []]
-    if args.grid:
-        ts.extend(_grid_from_arg(args.grid, measure.prime))
-    if not ts:
-        raise SpecValidationError("no evaluation points: pass --t or --grid")
-    rows = []
-    for t in ts:
-        val = phi(t)
-        rows.append(
-            {"t": str(t.as_rational()), "abs_t": str(t.abs_value()),
-             "re": val.real, "im": val.imag}
-        )
-        print(_fmt_value(val))
-    if args.out:
-        _write_csv(
-            Path(args.out),
-            _meta(None, {"command": "levy-exponent", "measure": args.measure}),
-            rows,
-        )
-    return EXIT_OK
+    config = {"command": "levy-exponent", "measure": args.measure}
+    return _evaluate(args, LevyExponent(measure), measure.prime, config)
 
 
 def cmd_levy_invert(args) -> int:
-    import re
-
     measure = measure_from_spec(_load_json(args.measure))
     p = measure.prime
-    m = re.match(r"^\s*annulus\(\s*(-?\d+)\s*,\s*(-?\d+|inf)\s*\)\s*$", args.set)
+    m = _ANNULUS_RE.match(args.set)
     if not m:
         raise SpecValidationError(
             "inversion runs on annuli: use annulus(<i>,<l>) or annulus(<i>,inf)"
@@ -222,34 +202,22 @@ def cmd_classify(args) -> int:
     p = args.p
     if spec == "omega0":
         spec = "omega:0"
-    if spec.startswith("omega:"):
-        if p is None:
-            raise SpecValidationError("omega classification needs --p")
-        g = RadialCharFn.indicator(p, int(spec.split(":", 1)[1]))
-        ev = lambda t: complex(g(t))  # noqa: E731
-    elif spec.startswith("delta:"):
-        if p is None:
-            raise SpecValidationError("delta classification needs --p")
-        xi = parse_rational(spec.split(":", 1)[1])
-        if xi:
-            ev = lambda t: t.mul_rational(xi).character_phase().to_complex()  # noqa: E731
-        else:
-            ev = lambda t: complex(1.0, 0.0)  # noqa: E731
-    elif spec.startswith("stable:"):
-        kv = _parse_kv(spec.split(":", 1)[1])
-        p = int(kv["p"])
-        g = RadialCharFn.stable(
-            StableParams(float(kv["a"]), float(kv["alpha"]), p)
-        )
-        ev = lambda t: complex(g(t))  # noqa: E731
-    elif spec.startswith("measure:"):
-        measure = measure_from_spec(_load_json(spec.split(":", 1)[1]))
-        p = measure.prime
-        ev = CfEvaluator(measure)
-    else:
+    kind, sep, arg = spec.partition(":")
+    if not sep or kind not in ("omega", "delta", "stable", "measure"):
         raise SpecValidationError(f"unknown cf spec {spec!r}")
+    if kind in ("omega", "delta") and p is None:
+        raise SpecValidationError(f"{kind} classification needs --p")
+    if kind == "omega":
+        g = HaarUniform(Ball(p, 0, -int(arg)))
+    elif kind == "delta":
+        xi = parse_rational(arg)
+        g = PointMass(PAdicNumber.from_rational(xi, p=p) if xi else PAdicNumber.zero(p))
+    elif kind == "stable":
+        g = _stable_from_kv(arg)
+    else:
+        g = JumpMeasure(measure_from_spec(_load_json(arg)))
     form = classify_two_valued(
-        ev, p, search_radius_exp=args.radius, probe_depth=args.depth
+        g, g.prime, search_radius_exp=args.radius, probe_depth=args.depth
     )
     if form.kind == "delta":
         print(f"delta xi={form.xi.as_rational()}")

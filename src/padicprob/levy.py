@@ -28,6 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .charfn import Transform, _measure_radial_value, substream
 from .errors import InfiniteMassError, PrecisionError, ToleranceError
 from .padic import (
     CharacterSum,
@@ -290,8 +291,6 @@ def validate_scaling(
     With rational data both sides are exact rationals and the comparison
     is equality; float data is compared to 1e-12 relative.
     """
-    from .charfn import substream
-
     rng = substream(seed, 97)
     failures = []
     for i in range(trials):
@@ -419,9 +418,11 @@ def levy_exponent_exact(
 class LevyExponent:
     """Cached evaluator of phi(t) for a fixed measure.
 
-    One cache keyed by the canonical digit window of t holds the exact
-    sum and, once asked for, its complex value; reads dominate and
-    correctness does not depend on hits, so instances may be shared.
+    One cache keyed by t's prime and canonical digit window holds the
+    exact sum and, once asked for, its complex value; reads dominate and
+    correctness does not depend on hits, so instances may be shared.  A
+    point over another prime always misses, and levy_exponent_exact
+    refuses it.
     """
 
     def __init__(self, measure: SelfSimilarLevyMeasure):
@@ -431,7 +432,7 @@ class LevyExponent:
         self._cache: dict[tuple, list] = {}
 
     def exact(self, t: PAdicNumber) -> CharacterSum:
-        key = (t.valuation, t.unit, t.precision)
+        key = (t.prime, t.valuation, t.unit, t.precision)
         hit = self._cache.get(key)
         if hit is None:
             hit = [levy_exponent_exact(self.measure, t, self._tables), None]
@@ -440,7 +441,7 @@ class LevyExponent:
 
     def __call__(self, t: PAdicNumber) -> complex:
         value = self.exact(t)
-        hit = self._cache[(t.valuation, t.unit, t.precision)]
+        hit = self._cache[(t.prime, t.valuation, t.unit, t.precision)]
         if hit[1] is None:
             hit[1] = value.to_complex()
         return hit[1]
@@ -455,14 +456,43 @@ def cf_from_levy(measure: SelfSimilarLevyMeasure, t: PAdicNumber) -> complex:
     return cmath.exp(levy_exponent(measure, t))
 
 
-class CfEvaluator:
-    """Picklable t -> exp(phi(t)) callable."""
+@dataclass(frozen=True)
+class JumpMeasure(Transform):
+    """exp(phi(t)) for a self-similar jump measure, with phi from the one
+    cached LevyExponent the transform holds (``fresh`` starts a new one).
 
-    def __init__(self, measure: SelfSimilarLevyMeasure):
-        self.exponent = LevyExponent(measure)
+    It is radial when the measure is.  On spheres it reads ``closed_form``
+    when given, a radial transform equal to it (the stable law whose
+    measure make_example_measure builds), and exp(phi(p**-k)) otherwise.
+    """
 
-    def __call__(self, t: PAdicNumber) -> complex:
+    measure: SelfSimilarLevyMeasure
+    closed_form: Transform | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "prime", self.measure.prime)
+        object.__setattr__(self, "is_radial", self.measure.is_radial())
+        object.__setattr__(self, "exponent", LevyExponent(self.measure))
+
+    def fresh(self) -> "JumpMeasure":
+        return JumpMeasure(self.measure, self.closed_form)
+
+    def _value(self, t: PAdicNumber) -> complex:
         return cmath.exp(self.exponent(t))
+
+    def radial_value(self, k: int) -> float:
+        if self.closed_form is not None:
+            return self.closed_form.radial_value(k)
+        if not self.is_radial:
+            raise ValueError("sphere data is not rotation-invariant; radial "
+                             "evaluation would be unsound")
+        return _measure_radial_value(self.measure, k)
+
+    def power(self, t: PAdicNumber, k: int) -> complex:
+        """exp(k * phi(t)), scaled on the exact sum: where beta**-1 is an
+        integer, the sum of k(n) summands reproduces the limit bit for bit."""
+        self._check(t)
+        return cmath.exp(self.exponent.exact(t).scale(k).to_complex())
 
 
 # ---------------------------------------------------------------------

@@ -14,29 +14,28 @@ of |g| on the grid.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 from .charfn import (
     HaarBallSampler,
-    RadialCharFn,
+    HaarUniform,
+    PointMass,
     Sampler,
+    StableLaw,
     StableParams,
+    Transform,
     ball_probability,
     substream,
 )
 from .errors import ToleranceError
-from .levy import (
-    LevyExponent,
-    SelfSimilarLevyMeasure,
-    classify_two_valued,
-    measure_mass,
-)
+from .levy import JumpMeasure, classify_two_valued, measure_mass
 from .padic import (
     PAdicNumber,
     _check_prime,
@@ -155,29 +154,10 @@ class LimitScheme:
 # ---------------------------------------------------------------------
 
 
-def theoretical_fn(source, scheme: LimitScheme, n: int, t: PAdicNumber) -> complex:
-    """f_n(t) = f(t / B_n)**k(n) for the law with transform described by
-    ``source`` (a jump measure, a radial transform, or a plain callable).
-
-    For a measure source the value is computed at exponent level,
-    exp(k(n) * phi(t / B_n)), with the coefficient scaling done on the
-    exact character sum, so integer beta**-1 regimes reproduce the limit
-    transform bit-for-bit.
-    """
-    k = scheme.k(n)
-    t_scaled = scheme.scale_t(n, t)
-    if isinstance(source, SelfSimilarLevyMeasure):
-        source = LevyExponent(source)
-    if isinstance(source, LevyExponent):
-        return cmath.exp(source.exact(t_scaled).scale(k).to_complex())
-    if isinstance(source, RadialCharFn):
-        val = source(t_scaled)
-        if val == 0.0:
-            return complex(0.0, 0.0)
-        if val > 0.0:
-            return complex(math.exp(k * math.log(val)), 0.0)
-        return complex(val, 0.0) ** k
-    return complex(source(t_scaled)) ** k
+def theoretical_fn(source: Transform, scheme: LimitScheme, n: int, t: PAdicNumber) -> complex:
+    """f_n(t) = g(t / B_n)**k(n) for the summand law with transform g =
+    ``source`` (see Transform.power)."""
+    return source.power(scheme.scale_t(n, t), scheme.k(n))
 
 
 def sum_residues(
@@ -213,13 +193,14 @@ def simulate_sums(
 
 
 def phi_n_measure(
-    law: RadialCharFn,
+    law: Transform,
     scheme: LimitScheme,
     n: int,
     m,
     tol: float = 1e-9,
 ) -> float:
-    """The rescaled measure k(n) * F(B_n * M) for a radial law F.
+    """The rescaled measure k(n) * F(B_n * M) for a law F with ball
+    probabilities (see ball_probability).
 
     M may be a Ball, CompactOpenSet, or TailSet bounded away from 0;
     raises ToleranceError when the certified ball-probability bounds,
@@ -291,9 +272,9 @@ def default_ball_family(p: int, count: int = 20) -> list[Ball]:
 class Scenario:
     """A reproducible convergence experiment.
 
-    ``law`` draws the summands; ``law_source`` (when available) gives
-    their exact transform for theoretical curves; the target is either a
-    jump measure, closed-form stable parameters, or a degenerate preset.
+    ``law`` draws the summands; ``law_source`` (when available) is their
+    exact transform, for the theory rows; ``target`` is the transform of
+    the limit law.
     """
 
     name: str
@@ -306,38 +287,14 @@ class Scenario:
     m: int
     seed: int
     n_list: tuple[int, ...]
-    law_source: object | None = None
-    target_measure: SelfSimilarLevyMeasure | None = None
-    target_stable: StableParams | None = None
-    target_radial: RadialCharFn | None = None
+    law_source: Transform | None = None
+    target: Transform | None = None
     kind: str = "generic"
     tolerances: dict = field(default_factory=dict)
     law_spec: dict = field(default_factory=dict)
 
     def tol(self, key: str, default: float) -> float:
         return float(self.tolerances.get(key, default))
-
-    def target_cf(self) -> Callable[[PAdicNumber], complex] | None:
-        if self.target_measure is not None:
-            from .levy import CfEvaluator
-
-            return CfEvaluator(self.target_measure)
-        if self.target_stable is not None:
-            g = RadialCharFn.stable(self.target_stable)
-            return lambda t: complex(g(t))
-        if self.target_radial is not None:
-            g = self.target_radial
-            return lambda t: complex(g(t))
-        return None
-
-    def target_radial_fn(self) -> RadialCharFn | None:
-        if self.target_radial is not None:
-            return self.target_radial
-        if self.target_stable is not None:
-            return RadialCharFn.stable(self.target_stable)
-        if self.target_measure is not None and self.target_measure.is_radial():
-            return RadialCharFn.from_measure(self.target_measure)
-        return None
 
 
 @dataclass
@@ -358,18 +315,11 @@ class ConvergenceReport:
         return all(self.verdicts.values())
 
     def csv_rows(self) -> list[dict]:
-        rows: list[dict] = []
-        for r in self.sup_rows:
-            rows.append({"kind": "sup", **r})
-        for r in self.cf_rows:
-            rows.append({"kind": "cf", **r})
-        for r in self.phi_rows:
-            rows.append({"kind": "phi", **r})
-        for r in self.scaling_rows:
-            rows.append({"kind": "scaling", **r})
-        for r in self.ball_rows:
-            rows.append({"kind": "ball", **r})
-        return rows
+        parts = (
+            ("sup", self.sup_rows), ("cf", self.cf_rows), ("phi", self.phi_rows),
+            ("scaling", self.scaling_rows), ("ball", self.ball_rows),
+        )
+        return [{"kind": kind, **r} for kind, rows in parts for r in rows]
 
     def json_summary(self) -> dict:
         return {
@@ -413,7 +363,7 @@ def _block_sizes(m: int, blocks: int = MC_BLOCKS) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(blocks)]
 
 
-def _run_blocks(scenario: Scenario, n: int, n_idx: int, workers: int):
+def _run_blocks(scenario: Scenario, n: int, n_idx: int, pool):
     balls = scenario.balls
     jobs = [
         (
@@ -430,11 +380,7 @@ def _run_blocks(scenario: Scenario, n: int, n_idx: int, workers: int):
         for block, count in enumerate(_block_sizes(scenario.m))
         if count > 0
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_mc_block, jobs))
-    else:
-        results = [_mc_block(j) for j in jobs]
+    results = list((pool.map if pool else map)(_mc_block, jobs))
     results.sort(key=lambda r: r[0])
     phase_counts = [
         _merge_phase_keys(scenario.prime, [r[1][i] for r in results])
@@ -462,140 +408,143 @@ def _t_label(t: PAdicNumber) -> str:
     return str(t.as_rational())
 
 
-def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceReport:
-    """Run the full diagnostic battery for one scenario."""
-    p = scenario.prime
-    # one cached exponent serves the theory rows and the classification
-    source = scenario.law_source
-    if isinstance(source, SelfSimilarLevyMeasure):
-        source = LevyExponent(source)
-    target_g = scenario.target_cf()
-    target_radial = scenario.target_radial_fn()
-    law_radial = (
-        scenario.law_source
-        if isinstance(scenario.law_source, RadialCharFn)
-        else None
-    )
-    if law_radial is None and isinstance(
-        scenario.law_source, SelfSimilarLevyMeasure
-    ) and scenario.law_source.is_radial():
-        law_radial = RadialCharFn.from_measure(scenario.law_source)
-
-    sup_rows: list[dict] = []
-    cf_rows: list[dict] = []
-    phi_rows: list[dict] = []
-    scaling_rows: list[dict] = []
-    ball_rows: list[dict] = []
-
+def _theory_rows(scenario: Scenario) -> tuple[dict, list[dict]]:
+    """f_n on the grid, keyed by (n, grid index), and its sup distance to
+    the target for each n."""
+    source, target = scenario.law_source, scenario.target
     theo: dict[tuple[int, int], complex] = {}
-    if source is not None:
-        for n in scenario.n_list:
-            sup_err = 0.0
-            for i, t in enumerate(scenario.grid):
-                fn = theoretical_fn(source, scenario.scheme, n, t)
-                theo[(n, i)] = fn
-                if target_g is not None:
-                    sup_err = max(sup_err, abs(fn - complex(target_g(t))))
-            if target_g is not None:
-                sup_rows.append({"n": n, "sup_err": sup_err})
+    sup_rows: list[dict] = []
+    if source is None:
+        return theo, sup_rows
+    for n in scenario.n_list:
+        sup_err = 0.0
+        for i, t in enumerate(scenario.grid):
+            fn = theo[(n, i)] = theoretical_fn(source, scenario.scheme, n, t)
+            if target is not None:
+                sup_err = max(sup_err, abs(fn - target(t)))
+        if target is not None:
+            sup_rows.append({"n": n, "sup_err": sup_err})
+    return theo, sup_rows
 
-    last_ball_counts: list[int] | None = None
-    last_total = 0
-    if scenario.m > 0:
-        band_all_within = 0
-        band_total = 0
+
+def _mc_rows(scenario: Scenario, theo: dict, workers: int):
+    """The empirical transform of S_n on the grid against f_n for each n,
+    with one process pool for all of them when ``workers`` > 1; also the
+    ball counts and the replicate total of the final n."""
+    cf_rows: list[dict] = []
+    ball_counts, total = None, 0
+    if scenario.m <= 0:
+        return cf_rows, ball_counts, total
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for n_idx, n in enumerate(scenario.n_list):
-            phase_counts, ball_counts, total = _run_blocks(
-                scenario, n, n_idx, workers
-            )
+            phase_counts, ball_counts, total = _run_blocks(scenario, n, n_idx, pool)
             band = 4.0 / math.sqrt(total)
             for i, t in enumerate(scenario.grid):
-                emp = character_value(p, phase_counts[i], total)
+                emp = character_value(scenario.prime, phase_counts[i], total)
                 ref = theo.get((n, i))
-                residual = abs(emp - ref) if ref is not None else None
-                cf_rows.append(
-                    {
-                        "n": n,
-                        "t": _t_label(t),
-                        "theoretical_re": ref.real if ref is not None else "",
-                        "theoretical_im": ref.imag if ref is not None else "",
-                        "empirical_re": emp.real,
-                        "empirical_im": emp.imag,
-                        "residual": residual if residual is not None else "",
-                        "band": band,
-                    }
-                )
-                if residual is not None:
-                    band_total += 1
-                    if residual <= band:
-                        band_all_within += 1
-            last_ball_counts = ball_counts
-            last_total = total
-
-    if last_ball_counts is not None and target_radial is not None:
-        for b, cnt in zip(scenario.balls, last_ball_counts):
-            q = ball_probability(target_radial, b).value
-            freq = cnt / last_total
-            band = 4.0 * math.sqrt(max(q * (1 - q), 1e-12) / last_total)
-            ball_rows.append(
-                {
-                    "ball": str(b),
-                    "target_q": q,
-                    "freq": freq,
-                    "band": band,
-                    "within": abs(freq - q) <= band,
-                }
-            )
-
-    # per set, its row at the final n, or None when that row was dropped
-    phi_final: list[dict | None] = []
-    if law_radial is not None and (
-        scenario.target_measure is not None
-    ):
-        for s in scenario.sets:
-            target_mass = float(measure_mass(scenario.target_measure, s))
-            row = None
-            for n in scenario.n_list:
-                try:
-                    val = phi_n_measure(law_radial, scenario.scheme, n, s)
-                except ToleranceError:
-                    row = None
-                    continue
-                row = {
+                cf_rows.append({
                     "n": n,
-                    "set": str(s),
-                    "phi_n": val,
-                    "target": target_mass,
-                    "err": abs(val - target_mass),
-                }
-                phi_rows.append(row)
-            phi_final.append(row)
+                    "t": _t_label(t),
+                    "theoretical_re": "" if ref is None else ref.real,
+                    "theoretical_im": "" if ref is None else ref.imag,
+                    "empirical_re": emp.real,
+                    "empirical_im": emp.imag,
+                    "residual": "" if ref is None else abs(emp - ref),
+                    "band": band,
+                })
+    return cf_rows, ball_counts, total
 
-    min_abs_target: float | None = None
-    if target_g is not None:
-        gamma0 = (
-            scenario.scheme.gamma0
-            if scenario.scheme.mode == "geometric"
-            else None
-        )
-        beta = scenario.scheme.beta if scenario.scheme.mode == "geometric" else None
-        if gamma0 is not None and beta is not None:
-            for t, res in scaling_identity_check(
-                target_g, gamma0, beta, scenario.grid
-            ):
-                scaling_rows.append({"t": _t_label(t), "residual": res})
-        min_abs_target = min(
-            abs(complex(target_g(t))) for t in scenario.grid
-        )
 
-    degenerate: str | None = None
-    if scenario.kind in ("beta_one", "bounded_normalizers") and source is not None:
-        n_top = scenario.n_list[-1]
-        ev = lambda t: theoretical_fn(  # noqa: E731
-            source, scenario.scheme, n_top, t
-        )
-        form = classify_two_valued(ev, p, search_radius_exp=4, probe_depth=6)
-        degenerate = form.kind
+def _ball_rows(scenario: Scenario, counts: list[int] | None, total: int) -> list[dict]:
+    """Final-n ball frequencies against the target's ball probabilities."""
+    target = scenario.target
+    if counts is None or target is None or not target.is_radial:
+        return []
+    rows = []
+    for b, cnt in zip(scenario.balls, counts):
+        q = ball_probability(target, b).value
+        freq = cnt / total
+        band = 4.0 * math.sqrt(max(q * (1 - q), 1e-12) / total)
+        rows.append({
+            "ball": str(b),
+            "target_q": q,
+            "freq": freq,
+            "band": band,
+            "within": abs(freq - q) <= band,
+        })
+    return rows
+
+
+def _phi_rows(scenario: Scenario) -> tuple[list[dict], list[dict | None]]:
+    """k(n) F(B_n M) against the target's jump measure Phi(M), and each
+    set's row at the final n (None where it was dropped).  The rows follow
+    a radial law that is not two-valued: a report over a point mass or a
+    Haar ball has had none, and keeps its bytes."""
+    law, target = scenario.law_source, scenario.target
+    if law is None or not law.is_radial or law.two_valued:
+        return [], []
+    if target is None or target.measure is None:
+        return [], []
+    rows: list[dict] = []
+    final: list[dict | None] = []
+    for s in scenario.sets:
+        target_mass = float(measure_mass(target.measure, s))
+        row = None
+        for n in scenario.n_list:
+            try:
+                val = phi_n_measure(law, scenario.scheme, n, s)
+            except ToleranceError:
+                row = None
+                continue
+            row = {
+                "n": n,
+                "set": str(s),
+                "phi_n": val,
+                "target": target_mass,
+                "err": abs(val - target_mass),
+            }
+            rows.append(row)
+        final.append(row)
+    return rows, final
+
+
+def _scaling_rows(scenario: Scenario) -> tuple[list[dict], float | None]:
+    """Residuals of the target's modulus scaling identity (geometric
+    schemes), and the smallest |target| on the grid."""
+    target, scheme = scenario.target, scenario.scheme
+    if target is None:
+        return [], None
+    rows = []
+    if scheme.mode == "geometric":
+        for t, res in scaling_identity_check(target, scheme.gamma0, scheme.beta, scenario.grid):
+            rows.append({"t": _t_label(t), "residual": res})
+    return rows, min(abs(target(t)) for t in scenario.grid)
+
+
+def _classification(scenario: Scenario) -> str | None:
+    """The two-valued form of f_n at the final n, for the degenerate kinds."""
+    source = scenario.law_source
+    if scenario.kind not in ("beta_one", "bounded_normalizers") or source is None:
+        return None
+    ev = partial(theoretical_fn, source, scenario.scheme, scenario.n_list[-1])
+    return classify_two_valued(ev, scenario.prime, search_radius_exp=4, probe_depth=6).kind
+
+
+def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceReport:
+    """Run the full diagnostic battery for one scenario."""
+    # no memo outlives a report: each starts from fresh transforms
+    law, target = scenario.law_source, scenario.target
+    scenario = replace(
+        scenario,
+        law_source=None if law is None else law.fresh(),
+        target=None if target is None else target.fresh(),
+    )
+    theo, sup_rows = _theory_rows(scenario)
+    cf_rows, ball_counts, total = _mc_rows(scenario, theo, workers)
+    ball_rows = _ball_rows(scenario, ball_counts, total)
+    phi_rows, phi_final = _phi_rows(scenario)
+    scaling_rows, min_abs_target = _scaling_rows(scenario)
+    degenerate = _classification(scenario)
 
     verdicts: dict[str, bool] = {}
     if sup_rows and scenario.kind == "stable_limit":
@@ -607,10 +556,10 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
             r["residual"] <= scenario.tol("scaling", 1e-12)
             for r in scaling_rows
         )
-    if cf_rows and scenario.law_source is not None and scenario.m > 0:
-        frac_within = (
-            band_all_within / band_total if band_total else 1.0
-        )
+    if cf_rows and scenario.law_source is not None:
+        scored = [r for r in cf_rows if r["residual"] != ""]
+        within = sum(r["residual"] <= r["band"] for r in scored)
+        frac_within = within / len(scored) if scored else 1.0
         verdicts["mc_within_bands"] = frac_within >= scenario.tol(
             "mc_fraction", 0.95
         )
@@ -629,7 +578,7 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
 
     effective = {
         "name": scenario.name,
-        "p": p,
+        "p": scenario.prime,
         "m": scenario.m,
         "seed": scenario.seed,
         "n_list": list(scenario.n_list),
@@ -683,9 +632,8 @@ def stable_limit_scenario(
     from .levy import make_example_measure
 
     measure = make_example_measure(a, alpha, p)
-    law = stable_sampler(
-        StableParams(float(a), float(alpha), p), resolution=resolution
-    )
+    params = StableParams(float(a), float(alpha), p)
+    law = stable_sampler(params, resolution=resolution)
     scheme = LimitScheme.geometric(
         p, measure.beta, measure.gamma0, n_max=max(n_list)
     )
@@ -700,9 +648,8 @@ def stable_limit_scenario(
         m=m,
         seed=seed,
         n_list=tuple(n_list),
-        law_source=measure,
-        target_measure=measure,
-        target_stable=StableParams(float(a), float(alpha), p),
+        law_source=JumpMeasure(measure),
+        target=JumpMeasure(measure, closed_form=StableLaw(params)),
         kind="stable_limit",
     )
 
@@ -727,8 +674,8 @@ def beta_one_scenario(
         m=m,
         seed=seed,
         n_list=tuple(range(n_max + 1)),
-        law_source=RadialCharFn.indicator(p, 0),
-        target_radial=RadialCharFn.one(p),
+        law_source=HaarUniform(law.ball),
+        target=PointMass(PAdicNumber.zero(p)),
         kind="beta_one",
     )
 
@@ -753,8 +700,8 @@ def bounded_normalizer_scenario(
         m=m,
         seed=seed,
         n_list=tuple(range(n_max + 1)),
-        law_source=RadialCharFn.indicator(p, 0),
-        target_radial=RadialCharFn.indicator(p, 0),
+        law_source=HaarUniform(law.ball),
+        target=HaarUniform(law.ball),
         kind="bounded_normalizers",
     )
 
@@ -779,7 +726,7 @@ def beta0_demo_scenario(p: int = 2, m: int = 0, seed: int = 17) -> Scenario:
         m=m,
         seed=seed,
         n_list=tuple(range(n_max + 1)),
-        law_source=RadialCharFn.indicator(p, 0),
+        law_source=HaarUniform(law.ball),
         kind="demo",
     )
 

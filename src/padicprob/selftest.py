@@ -20,14 +20,14 @@ from fractions import Fraction
 from . import __version__
 from .charfn import (
     CompoundPoissonSampler,
-    RadialCharFn,
+    StableLaw,
     StableParams,
     ball_counts,
     ball_probability,
-    stable_cf,
     substream,
 )
 from .levy import (
+    JumpMeasure,
     LevyExponent,
     cf_from_levy,
     classify_two_valued,
@@ -211,13 +211,13 @@ def criterion_3(seed: int = DEFAULT_SEED, negative_control: bool = False, **_) -
         for a in (0.5, 1, 2):
             for alpha in (0.5, 1, 2):
                 measure = make_example_measure(a, alpha, p)
-                params = StableParams(float(a), float(alpha), p)
+                g = StableLaw(StableParams(float(a), float(alpha), p))
                 for k in range(-6, 7):
                     t = PAdicNumber.from_rational(
                         Fraction(p) ** (-k), p=p
                     )
                     got = cf_from_levy(measure, t)
-                    want = stable_cf(params, t)
+                    want = g(t)
                     worst = max(worst, abs(got - want))
     detail = f"27 parameter triples x 13 grid points, max abs error {worst:.2e}"
     if negative_control:
@@ -243,7 +243,6 @@ def criterion_4(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
     for i in range(10):
         m = random_self_similar_measure(rng)
         grid = grid_points(m.prime, -3, 3, unit_digit_sets=((1,), (1, 1)))
-        le = LevyExponent(m)
         for t in grid:
             lhs = levy_exponent_exact(m, t.mul_rational(m.gamma0))
             rhs = levy_exponent_exact(m, t).scale(m.beta)
@@ -297,26 +296,26 @@ def criterion_6(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
     # integer 1/beta regime: the construction reproduces the target exactly
     m2 = make_example_measure(1, 1, 2)
     scheme2 = LimitScheme.geometric(2, m2.beta, m2.gamma0, n_max=10)
-    le2 = LevyExponent(m2)
+    jump2 = JumpMeasure(m2)
     grid2 = grid_points(2)
     worst_exact = 0.0
     for n in range(11):
         for t in grid2:
             worst_exact = max(
                 worst_exact,
-                abs(theoretical_fn(le2, scheme2, n, t) - cf_from_levy(m2, t)),
+                abs(theoretical_fn(jump2, scheme2, n, t) - cf_from_levy(m2, t)),
             )
     # fractional regime alpha = 0.7 at p = 3: geometric decay of the gap
     p = 3
     m07 = make_example_measure(1.0, 0.7, p)
     scheme07 = LimitScheme.geometric(p, m07.beta, m07.gamma0, n_max=10)
-    le07 = LevyExponent(m07)
+    jump07 = JumpMeasure(m07)
     grid3 = grid_points(3)
-    params = StableParams(1.0, 0.7, 3)
+    g07 = StableLaw(StableParams(1.0, 0.7, 3))
     sups = {}
     for n in range(4, 11):
         sups[n] = max(
-            abs(theoretical_fn(le07, scheme07, n, t) - stable_cf(params, t))
+            abs(theoretical_fn(jump07, scheme07, n, t) - g07(t))
             for t in grid3
         )
     beta = float(m07.beta)
@@ -342,7 +341,7 @@ def criterion_7(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
     p = 2
     resolution = -4
     m = make_example_measure(1, 1, p)
-    g = RadialCharFn.stable(StableParams(1.0, 1.0, p))
+    g = StableLaw(StableParams(1.0, 1.0, p))
     # the unit-ball value must match the frozen independent oracle
     ref = ball_probability(g, Ball(p, 0, 0), tol=1e-12)
     ref_ok = abs(ref.value - STABLE_UNIT_BALL_REFERENCE) <= 1e-10
@@ -384,7 +383,7 @@ def criterion_8(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
     p = 2
     m = make_example_measure(1, 1, p)
     target = float(measure_mass(m, TailSet(p, 0)))
-    g = RadialCharFn.stable(StableParams(1.0, 1.0, p))
+    g = StableLaw(StableParams(1.0, 1.0, p))
     scheme = LimitScheme.geometric(p, m.beta, m.gamma0, n_max=8)
     errs = []
     for n in range(1, 9):

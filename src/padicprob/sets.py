@@ -21,7 +21,6 @@ from .padic import (
     Phase,
     _check_prime,
     int_valuation,
-    rational_char_phase,
     rational_valuation,
     split_p_part,
 )
@@ -255,11 +254,6 @@ class CompactOpenSet:
             raise ValueError("cannot scale a ball by zero")
         return CompactOpenSet(self.prime, (b._scaled(*split) for b in self.balls))
 
-    def indicator(self) -> "StepFunction":
-        return StepFunction(
-            self.prime, tuple((b, complex(1.0, 0.0)) for b in self.balls)
-        )
-
     def __str__(self) -> str:
         return " + ".join(str(b) for b in self.balls) or "(empty)"
 
@@ -345,14 +339,6 @@ def _ball_phase(ball: Ball, t: PAdicNumber) -> Phase | None:
     return Phase(ball.prime, t.unit * split[1] % ball.prime**m, m)
 
 
-def _ball_char_exact(ball: Ball, t: PAdicNumber) -> CharacterSum:
-    """Exact integral of chi(t*y) dy over one ball."""
-    phase = _ball_phase(ball, t)
-    if phase is None:
-        return CharacterSum.zero(ball.prime)
-    return CharacterSum.single(phase, ball.measure)
-
-
 def integrate_char_exact(m, t: PAdicNumber) -> CharacterSum:
     """Integral of chi(t*y) over a Ball or CompactOpenSet, kept exact."""
     balls = [m] if isinstance(m, Ball) else m
@@ -367,81 +353,3 @@ def integrate_char_exact(m, t: PAdicNumber) -> CharacterSum:
 
 def integrate_char(m, t: PAdicNumber) -> complex:
     return integrate_char_exact(m, t).to_complex()
-
-
-class StepFunction:
-    """A locally constant, compactly supported function: finitely many
-    disjoint balls with constant complex values (zero elsewhere)."""
-
-    __slots__ = ("prime", "pieces")
-
-    def __init__(self, prime: int, pieces: Iterable[tuple[Ball, complex]]):
-        _check_prime(prime)
-        ps = tuple((b, complex(v)) for b, v in pieces)
-        for b, _ in ps:
-            if b.prime != prime:
-                raise PrimeMismatchError("mixed primes in step function")
-        for i, (a, _) in enumerate(ps):
-            for b, _ in ps[i + 1:]:
-                if a.relate(b) != "disjoint":
-                    raise ValueError("step-function balls must be disjoint")
-        self.prime = prime
-        self.pieces = ps
-
-    def evaluate(self, x) -> complex:
-        for b, v in self.pieces:
-            if b.contains(x):
-                return v
-        return complex(0.0, 0.0)
-
-
-def integrate_step(f: StepFunction, t: PAdicNumber) -> complex:
-    """The transform  integral of f(y) chi(t*y) dy  at one point."""
-    total = complex(0.0, 0.0)
-    for ball, v in f.pieces:
-        cs = _ball_char_exact(ball, t)
-        if cs:
-            total += v * cs.to_complex()
-    return total
-
-
-def integrate_step_inverse(f: StepFunction, x: PAdicNumber) -> complex:
-    """The inverse transform  integral of chi(-x*t) f(t) dt  at one point."""
-    total = complex(0.0, 0.0)
-    for ball, v in f.pieces:
-        if not x.abs_le_exp(-ball.radius_exp):
-            continue
-        if ball.center == 0:
-            phase = Phase.zero(ball.prime)
-        else:
-            phase = x.mul_rational(ball.center).character_phase().negate()
-        total += v * float(ball.measure) * phase.to_complex()
-    return total
-
-
-def fourier_indicator(ball: Ball, cap: int = 200_000) -> StepFunction:
-    """Exact transform of a ball indicator as a step function.
-
-    The transform is chi(t*c) * p**N on {|t| <= p**-N}; the support is
-    refined into balls small enough that the phase factor is constant.
-    """
-    p = ball.prime
-    n = ball.radius_exp
-    if ball.center == 0:
-        return StepFunction(
-            p, [(Ball(p, 0, -n), complex(float(ball.measure), 0.0))]
-        )
-    c_exp = ball.sphere_exp  # |center| = p**c_exp > p**n
-    count = p ** (c_exp - n)
-    if count > cap:
-        raise ValueError(
-            f"indicator transform needs {count} pieces (cap {cap})"
-        )
-    mag = float(ball.measure)
-    step = Fraction(p) ** n
-    pieces = []
-    for i in range(count):
-        t0 = i * step
-        val = mag * rational_char_phase(t0 * ball.center, p).to_complex()
-        pieces.append((Ball(p, t0, -c_exp), val))
-    return StepFunction(p, pieces)

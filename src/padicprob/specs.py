@@ -18,15 +18,18 @@ from jsonschema.validators import validator_for
 from .charfn import (
     CompoundPoissonSampler,
     HaarBallSampler,
+    HaarUniform,
+    PointMass,
     PointMassSampler,
-    RadialCharFn,
     Sampler,
+    StableLaw,
     StableParams,
+    Transform,
     stable_sampler,
 )
-from .levy import SelfSimilarLevyMeasure, make_example_measure
+from .levy import JumpMeasure, SelfSimilarLevyMeasure, make_example_measure
 from .limits import LimitScheme, Scenario, default_ball_family
-from .padic import PAdicNumber, grid_points, parse_number, rational_valuation
+from .padic import grid_points, parse_number, rational_valuation
 from .sets import Ball, TailSet, annulus, sphere
 
 
@@ -328,27 +331,17 @@ def sampler_from_spec(obj) -> Sampler:
     raise SpecValidationError(f"unknown sampler kind {kind!r}")
 
 
-def law_source_from_spec(obj, sampler: Sampler):
+def law_source_from_spec(obj, sampler: Sampler) -> Transform | None:
     """Exact transform of the sampler's law, for theoretical curves."""
     kind = obj["kind"]
     if kind == "point_mass":
-        xi = sampler.xi  # type: ignore[attr-defined]
-        return lambda t: (t * xi).character_phase().to_complex()
+        return PointMass(sampler.xi)  # type: ignore[attr-defined]
     if kind == "haar_ball":
-        ball = sampler.ball  # type: ignore[attr-defined]
-
-        def ball_cf(t: PAdicNumber) -> complex:
-            if not t.abs_le_exp(-ball.radius_exp):
-                return complex(0.0, 0.0)
-            if ball.center == 0:
-                return complex(1.0, 0.0)
-            return t.mul_rational(ball.center).character_phase().to_complex()
-
-        return ball_cf
+        return HaarUniform(sampler.ball)  # type: ignore[attr-defined]
     if kind == "radial_stable":
-        return RadialCharFn.stable(StableParams(obj["a"], obj["alpha"], obj["p"]))
+        return StableLaw(StableParams(obj["a"], obj["alpha"], obj["p"]))
     if kind == "compound_poisson":
-        return sampler.measure  # type: ignore[attr-defined]
+        return JumpMeasure(sampler.measure)  # type: ignore[attr-defined]
     return None
 
 
@@ -398,13 +391,14 @@ def scenario_from_spec(obj) -> Scenario:
     sets = tuple(
         parse_set_literal(lit, p) for lit in obj.get("sets", ["annulus(0,inf)"])
     )
-    target_measure = None
-    target_stable = None
+    target = None
     if obj.get("target") is not None:
-        target_measure = measure_from_spec(obj["target"])
-        if "stable" in obj["target"]:
-            s = obj["target"]["stable"]
-            target_stable = StableParams(s["a"], s["alpha"], s["p"])
+        # a stable target is exact through its measure's exponent, and
+        # reads the closed form on spheres
+        measure = measure_from_spec(obj["target"])
+        s = obj["target"].get("stable")
+        closed_form = None if s is None else StableLaw(StableParams(s["a"], s["alpha"], s["p"]))
+        target = JumpMeasure(measure, closed_form)
     max_n = max(obj["n_list"])
     if scheme.mode == "explicit" and max_n > scheme.n_max:
         raise SpecValidationError("n_list exceeds explicit scheme length")
@@ -420,8 +414,7 @@ def scenario_from_spec(obj) -> Scenario:
         seed=obj["seed"],
         n_list=tuple(sorted(obj["n_list"])),
         law_source=law_source_from_spec(obj["law"], law),
-        target_measure=target_measure,
-        target_stable=target_stable,
+        target=target,
         kind=obj.get("kind", "generic"),
         tolerances=dict(obj.get("tolerances", {})),
         law_spec=dict(obj["law"]),

@@ -1,4 +1,6 @@
+import functools
 import math
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -7,8 +9,9 @@ import pytest
 from padicprob.charfn import (
     CompoundPoissonSampler,
     HaarBallSampler,
+    HaarUniform,
+    PointMass,
     PointMassSampler,
-    RadialCharFn,
     RadialSampler,
     SphereMassTable,
     StableParams,
@@ -17,14 +20,15 @@ from padicprob.charfn import (
     empirical_cf,
     poisson_draw,
     sphere_masses,
-    stable_cf,
+    StableLaw,
     stable_sampler,
     substream,
 )
 from padicprob.errors import PrecisionError, PrimeMismatchError
-from padicprob.levy import make_example_measure
-from padicprob.padic import PAdicNumber, from_rational
-from padicprob.sets import Ball
+from padicprob.levy import JumpMeasure, make_example_measure, make_measure
+from padicprob.padic import PAdicNumber, from_rational, grid_points
+from padicprob.sets import Ball, integrate_char_exact
+from padicprob.specs import law_source_from_spec, sampler_from_spec
 
 # frozen independent oracle: sum_{j<=0} 2**(j-1) exp(-2**j), j down to -60
 Z2_STABLE_MASS = 0.5480427915295704
@@ -41,27 +45,24 @@ def chi2(counts, probs) -> float:
 
 
 def test_stable_cf_basics():
-    params = StableParams(1.0, 1.0, 2)
-    assert stable_cf(params, PAdicNumber.zero(2)) == 1.0
+    g = StableLaw(StableParams(1.0, 1.0, 2))
+    assert g(PAdicNumber.zero(2)) == 1.0
     t = from_rational(1, 2, p=2)  # |t| = 2
-    assert abs(stable_cf(params, t) - math.exp(-2.0)) < 1e-15
+    assert abs(g(t) - math.exp(-2.0)) < 1e-15
     # scaling: g(p t) = g(t)**(p**-alpha)
     for num, den in ((1, 2), (3, 4), (5, 1)):
         t = from_rational(num, den, p=2)
-        lhs = stable_cf(params, t.mul_rational(2))
-        rhs = stable_cf(params, t) ** 0.5
+        lhs = g(t.mul_rational(2))
+        rhs = g(t) ** 0.5
         assert abs(lhs - rhs) < 1e-14
 
 
 def test_stable_cf_rejects_other_prime():
-    params = StableParams(1.0, 1.0, 2)
     t = from_rational(1, p=3)
     with pytest.raises(PrimeMismatchError):
-        stable_cf(params, t)
+        StableLaw(StableParams(1.0, 1.0, 2))(t)
     with pytest.raises(PrimeMismatchError):
-        RadialCharFn.stable(params)(t)
-    with pytest.raises(PrimeMismatchError):
-        RadialCharFn.one(2)(PAdicNumber.zero(3))
+        PointMass(PAdicNumber.zero(2))(PAdicNumber.zero(3))
 
 
 def test_sample_rejects_negative_count():
@@ -71,7 +72,7 @@ def test_sample_rejects_negative_count():
 
 
 def test_ball_probability_point_mass_at_zero():
-    g = RadialCharFn.one(5)
+    g = PointMass(PAdicNumber.zero(5))
     res = ball_probability(g, Ball(5, 0, 0))
     assert res.value == 1.0 and res.exact == 1
     off = ball_probability(g, Ball(5, 1, -1))
@@ -79,7 +80,7 @@ def test_ball_probability_point_mass_at_zero():
 
 
 def test_ball_probability_haar_exact():
-    g = RadialCharFn.indicator(3, 0)  # uniform on the unit ball
+    g = HaarUniform(Ball(3, 0, 0))  # uniform on the unit ball
     assert ball_probability(g, Ball(3, 0, 0)).exact == 1
     assert ball_probability(g, Ball(3, 0, -2)).exact == Fraction(1, 9)
     assert ball_probability(g, Ball(3, 1, -1)).exact == Fraction(1, 3)
@@ -87,20 +88,20 @@ def test_ball_probability_haar_exact():
 
 
 def test_ball_probability_stable_frozen_reference():
-    g = RadialCharFn.stable(StableParams(1.0, 1.0, 2))
+    g = StableLaw(StableParams(1.0, 1.0, 2))
     res = ball_probability(g, Ball(2, 0, 0), tol=1e-12)
     assert abs(res.value - Z2_STABLE_MASS) <= 1e-10
     assert res.error_bound <= 1e-12
 
 
 def test_ball_probability_monotone_in_radius():
-    g = RadialCharFn.stable(StableParams(0.7, 1.3, 3))
+    g = StableLaw(StableParams(0.7, 1.3, 3))
     vals = [ball_probability(g, Ball(3, 0, n)).value for n in range(-3, 4)]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_sphere_masses_haar():
-    g = RadialCharFn.indicator(2, 0)
+    g = HaarUniform(Ball(2, 0, 0))
     table = sphere_masses(g, -4, 4)
     for n, mass in table.masses:
         want = float((1 - Fraction(1, 2)) * Fraction(2) ** n) if n <= 0 else 0.0
@@ -109,13 +110,13 @@ def test_sphere_masses_haar():
 
 
 def test_sphere_masses_point_mass():
-    table = sphere_masses(RadialCharFn.one(3), -5, 5)
+    table = sphere_masses(PointMass(PAdicNumber.zero(3)), -5, 5)
     assert all(m == 0 for _, m in table.masses)
     assert table.mass_at_zero == 1.0
 
 
 def test_sphere_masses_stable_normalised():
-    g = RadialCharFn.stable(StableParams(1.0, 1.0, 2))
+    g = StableLaw(StableParams(1.0, 1.0, 2))
     table = sphere_masses(g, -40, 40)
     assert abs(table.total() - 1.0) <= 1e-12
 
@@ -143,7 +144,7 @@ def test_radial_sampler_matches_ball_probability():
     rng = substream(3, 0)
     n = 4000
     draws = s.sample(rng, n)
-    q = ball_probability(RadialCharFn.stable(params), Ball(2, 0, 0)).value
+    q = ball_probability(StableLaw(params), Ball(2, 0, 0)).value
     freq = sum(1 for x in draws if Ball(2, 0, 0).contains(x)) / n
     assert abs(freq - q) <= 4 * math.sqrt(q * (1 - q) / n)
 
@@ -271,7 +272,7 @@ def test_compound_poisson_ball_fidelity_small():
     rng = substream(6, 0)
     n = 3000
     draws = s.sample(rng, n)
-    g = RadialCharFn.stable(StableParams(1.0, 1.0, 2))
+    g = StableLaw(StableParams(1.0, 1.0, 2))
     for ball in (Ball(2, 0, 0), Ball(2, 0, 2), Ball(2, 1, -1)):
         q = ball_probability(g, ball).value
         freq = sum(1 for x in draws if ball.contains(x)) / n
@@ -286,7 +287,7 @@ def test_compound_poisson_resolution_scale_balls_on_high_spheres():
     rng = substream(5150, 0)
     n = 20000
     draws = s.sample(rng, n)
-    g = RadialCharFn.stable(StableParams(1.0, 1.0, 2))
+    g = StableLaw(StableParams(1.0, 1.0, 2))
     for center in (Fraction(1, 4), Fraction(3, 4), Fraction(5, 4), Fraction(7, 4)):
         ball = Ball(2, center, -1)  # radius = resolution, inside |x| = 4
         q = ball_probability(g, ball).value
@@ -409,7 +410,106 @@ def test_substream_independence_and_reproducibility():
 
 
 def test_radial_sampler_rejects_shallow_table():
-    g = RadialCharFn.stable(StableParams(1.0, 1.0, 2))
+    g = StableLaw(StableParams(1.0, 1.0, 2))
     table = sphere_masses(g, -2, 10)
     with pytest.raises(ValueError):
         RadialSampler(table=table, resolution=-8)
+
+
+# ---------------------------------------------------------------------
+# The Transform protocol
+# ---------------------------------------------------------------------
+
+_STABLE_3 = StableParams(2.0, 1.5, 3)
+_LAW_SPECS = {
+    "point_mass": {"kind": "point_mass", "xi": "1/3 @ p=3"},
+    "haar_ball": {"kind": "haar_ball", "p": 3, "center": "1/3", "radius_exp": -2},
+    "radial_stable": {"kind": "radial_stable", "a": 2, "alpha": 1.5, "p": 3,
+                      "resolution": -4},
+    "compound_poisson": {"kind": "compound_poisson", "resolution": -2,
+                         "measure": {"stable": {"a": 1, "alpha": 1, "p": 3}}},
+}
+
+
+def _law_source(kind):
+    spec = _LAW_SPECS[kind]
+    return law_source_from_spec(spec, sampler_from_spec(spec))
+
+
+# every kind of transform over p = 3, and the spec laws' sources
+TRANSFORMS = {
+    "point_mass": lambda: PointMass(from_rational(1, 3, p=3)),
+    "point_mass_zero": lambda: PointMass(PAdicNumber.zero(3)),
+    "haar_ball": lambda: HaarUniform(Ball(3, Fraction(1, 3), -2)),
+    "haar_ball_zero": lambda: HaarUniform(Ball(3, 0, 0)),
+    "stable": lambda: StableLaw(_STABLE_3),
+    "jump_measure": lambda: JumpMeasure(make_example_measure(1, 1, 3)),
+    "jump_measure_closed_form": lambda: JumpMeasure(
+        make_example_measure(2.0, 1.5, 3), StableLaw(_STABLE_3)
+    ),
+    **{f"spec_{kind}": functools.partial(_law_source, kind) for kind in _LAW_SPECS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORMS))
+def test_transform_checks_its_prime_and_pickles(name):
+    g = TRANSFORMS[name]()
+    foreign = from_rational(1, 5, p=5)
+    with pytest.raises(PrimeMismatchError):
+        g(foreign)
+    with pytest.raises(PrimeMismatchError):
+        g.power(foreign, 3)
+    h = pickle.loads(pickle.dumps(g))
+    assert g(PAdicNumber.zero(3)) == h(PAdicNumber.zero(3)) == 1
+    for t in grid_points(3, -3, 3):
+        assert h(t) == g(t)
+        assert h.power(t, 4) == g.power(t, 4)
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORMS))
+def test_radial_value_is_the_value_on_the_sphere(name):
+    g = TRANSFORMS[name]()
+    if not g.is_radial:
+        with pytest.raises(ValueError):
+            g.radial_value(0)
+        return
+    for k in range(-4, 5):
+        t = PAdicNumber(3, -k, 2, 48)  # |t| = 3**k
+        assert g(t).imag == 0.0
+        assert abs(g.radial_value(k) - g(t).real) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "p, center, radius",
+    [(2, 0, 0), (2, Fraction(1, 2), -2), (3, 0, 0), (3, Fraction(1, 3), -2),
+     (3, 0, -1), (5, Fraction(7, 25), -3)],
+)
+def test_haar_transform_is_the_normalised_character_integral(p, center, radius):
+    ball = Ball(p, center, radius)
+    g = HaarUniform(ball)
+    for t in grid_points(p, -4, 4):
+        want = integrate_char_exact(ball, t).scale(1 / ball.measure).to_complex()
+        assert abs(g(t) - want) <= 1e-15
+
+
+def test_ball_probability_rejects_a_foreign_prime():
+    for g in (StableLaw(StableParams(1.0, 1.0, 2)), HaarUniform(Ball(2, 0, 0))):
+        with pytest.raises(PrimeMismatchError):
+            ball_probability(g, Ball(3, 0, 0))
+
+
+def test_ball_probability_closed_forms_and_the_series_domain():
+    # a Haar ball away from 0 is not radial, but its ball probabilities
+    # are exact; a measure that is not radial has no sphere series
+    g = HaarUniform(Ball(3, Fraction(1, 3), -2))
+    assert ball_probability(g, Ball(3, Fraction(1, 3), -3)).exact == Fraction(1, 3)
+    assert ball_probability(g, Ball(3, 0, 1)).exact == 1
+    assert ball_probability(g, Ball(3, 0, 0)).exact == 0
+    xi = from_rational(1, 3, p=3)
+    assert ball_probability(PointMass(xi), Ball(3, Fraction(1, 3), -2)).exact == 1
+    custom = make_measure(
+        3, Fraction(1, 4), 9,
+        (((Ball(3, 1, -1), Fraction(2, 3)),), ((Ball(3, Fraction(1, 3), 0), Fraction(1, 5)),)),
+    )
+    with pytest.raises(ValueError):
+        ball_probability(JumpMeasure(custom), Ball(3, 0, 0))

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_balls as oracle
-from padicprob.charfn import RadialCharFn, StableParams, stable_cf, substream
+from padicprob.charfn import HaarUniform, StableLaw, StableParams, substream
 from padicprob.errors import InfiniteMassError, PrecisionError, ToleranceError
 from padicprob.levy import (
-    CfEvaluator,
+    JumpMeasure,
     LevyExponent,
     _probe_point,
     _sphere_units,
@@ -131,10 +131,10 @@ def test_levy_exponent_brute_force_two_ball():
 def test_cf_matches_closed_form_grid():
     for p, a, alpha in ((2, 1, 1), (3, 0.5, 2), (5, 2, 0.5)):
         m = make_example_measure(a, alpha, p)
-        params = StableParams(float(a), float(alpha), p)
+        g = StableLaw(StableParams(float(a), float(alpha), p))
         for k in range(-4, 5):
             t = from_rational(Fraction(p) ** (-k), p=p)
-            assert abs(cf_from_levy(m, t) - stable_cf(params, t)) <= 1e-12
+            assert abs(cf_from_levy(m, t) - g(t)) <= 1e-12
 
 
 def test_cf_basics_and_nonvanishing():
@@ -151,7 +151,7 @@ def test_cf_basics_and_nonvanishing():
 
 def test_cf_modulus_scaling_identity():
     m = make_example_measure(1, 1, 2)
-    g = CfEvaluator(m)
+    g = JumpMeasure(m)
     for t in grid_points(2, -4, 4):
         lhs = abs(g(t.mul_rational(m.gamma0)))
         rhs = abs(g(t)) ** float(m.beta)
@@ -189,8 +189,7 @@ def test_invert_exponent_refinement_cap():
 
 
 def test_classify_cutoff():
-    g = RadialCharFn.indicator(2, 0)
-    form = classify_two_valued(lambda t: complex(g(t)), 2)
+    form = classify_two_valued(HaarUniform(Ball(2, 0, 0)), 2)
     assert form.kind == "haar_cutoff"
     assert form.cutoff_exp == 0
     assert form.xi.is_zero
@@ -205,8 +204,7 @@ def test_classify_pure_character():
 
 
 def test_classify_stable_not_two_valued():
-    g = RadialCharFn.stable(StableParams(1.0, 1.0, 2))
-    form = classify_two_valued(lambda t: complex(g(t)), 2)
+    form = classify_two_valued(StableLaw(StableParams(1.0, 1.0, 2)), 2)
     assert form.kind == "not_two_valued"
 
 
@@ -240,7 +238,7 @@ def test_classify_inconsistent_phases_raise():
 
 def test_classify_symmetric_never_offcenter_delta():
     m = make_example_measure(1, 2, 3)
-    form = classify_two_valued(CfEvaluator(m), 3, search_radius_exp=3, probe_depth=5)
+    form = classify_two_valued(JumpMeasure(m), 3, search_radius_exp=3, probe_depth=5)
     assert form.kind == "not_two_valued"
 
 
@@ -473,7 +471,7 @@ def test_inversion_and_classification_match_oracle_values():
             )
     m = make_example_measure(1, 1, 2)
     ev = lambda t: cmath.exp(oracle_exponent(m, t).to_complex())  # noqa: E731
-    assert classify_two_valued(CfEvaluator(m), 2, 3, 4) == classify_two_valued(
+    assert classify_two_valued(JumpMeasure(m), 2, 3, 4) == classify_two_valued(
         ev, 2, 3, 4
     )
 
@@ -579,3 +577,14 @@ def test_validate_scaling_failures_match_fraction_oracle():
     rep = validate_scaling(broken, trials=10, seed=2)
     assert rep.failures
     assert list(rep.failures) == oracle_validate_scaling(broken, 10, 2)
+
+
+def test_exponent_cache_does_not_answer_another_prime():
+    # 1 over p = 5 has the digit window of 1 over p = 3; the cached value
+    # of the first point must not answer the second
+    phi = LevyExponent(make_example_measure(1, 1, 3))
+    phi(from_rational(1, p=3))
+    with pytest.raises(ValueError):
+        phi(from_rational(1, p=5))
+    with pytest.raises(ValueError):
+        phi.exact(from_rational(1, p=5))

@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 
 from padicprob.charfn import (
     HaarBallSampler,
+    HaarUniform,
+    PointMass,
     PointMassSampler,
-    RadialCharFn,
+    StableLaw,
     StableParams,
     empirical_cf,
-    stable_cf,
     stable_sampler,
     substream,
 )
 from padicprob.levy import (
-    LevyExponent,
+    JumpMeasure,
     make_example_measure,
     make_measure,
     measure_mass,
@@ -66,7 +67,7 @@ def test_explicit_scheme_validation():
 def test_theoretical_fn_exact_in_integer_regime():
     m = make_example_measure(1, 1, 2)
     scheme = LimitScheme.geometric(2, m.beta, m.gamma0, n_max=10)
-    le = LevyExponent(m)
+    le = JumpMeasure(m)
     from padicprob.levy import cf_from_levy
 
     for n in (0, 1, 5, 10):
@@ -75,10 +76,10 @@ def test_theoretical_fn_exact_in_integer_regime():
 
 
 def test_theoretical_fn_n0_is_f():
-    g = RadialCharFn.stable(StableParams(1.0, 1.0, 2))
+    g = StableLaw(StableParams(1.0, 1.0, 2))
     scheme = LimitScheme.geometric(2, Fraction(1, 2), 2, n_max=4)
     t = from_rational(1, 2, p=2)
-    assert theoretical_fn(g, scheme, 0, t) == complex(g(t), 0.0)
+    assert theoretical_fn(g, scheme, 0, t) == g(t)
 
 
 def test_simulate_sums_point_mass():
@@ -126,14 +127,14 @@ def test_simulate_sums_mc_matches_theory():
     grid = grid_points(p, -3, 3)
     for t in grid:
         emp = empirical_cf(sums, t)
-        theo = stable_cf(params, t)  # exact regime: f_n == g
+        theo = StableLaw(params)(t)  # exact regime: f_n == g
         hits += abs(emp - theo) <= band
     assert hits >= 0.95 * len(grid)
 
 
 def test_phi_n_measure_values():
     p = 2
-    g = RadialCharFn.stable(StableParams(1.0, 1.0, p))
+    g = StableLaw(StableParams(1.0, 1.0, p))
     m = make_example_measure(1, 1, p)
     scheme = LimitScheme.geometric(p, m.beta, m.gamma0, n_max=8)
     target = float(measure_mass(m, TailSet(p, 0)))
@@ -148,7 +149,7 @@ def test_phi_n_measure_values():
 def test_phi_n_scaled_set_trajectory():
     # k(n) F(B_n gamma0^-1 M) approaches beta * Phi(M), monotonically
     p = 2
-    g = RadialCharFn.stable(StableParams(1.0, 1.0, p))
+    g = StableLaw(StableParams(1.0, 1.0, p))
     m = make_example_measure(1, 1, p)
     scheme = LimitScheme.geometric(p, m.beta, m.gamma0, n_max=8)
     tail = TailSet(p, 0)
@@ -164,7 +165,7 @@ def test_phi_n_scaled_set_trajectory():
 
 def test_phi_n_measure_point_mass_zero():
     p = 2
-    g = RadialCharFn.one(p)  # point mass at 0
+    g = PointMass(PAdicNumber.zero(p))
     scheme = LimitScheme.geometric(p, Fraction(1, 2), 2, n_max=4)
     assert phi_n_measure(g, scheme, 3, TailSet(p, 0)) == 0.0
     assert phi_n_measure(g, scheme, 3, annulus(0, 2, p)) == 0.0
@@ -172,7 +173,7 @@ def test_phi_n_measure_point_mass_zero():
 
 def test_phi_n_measure_additive():
     p = 2
-    g = RadialCharFn.stable(StableParams(1.0, 1.0, p))
+    g = StableLaw(StableParams(1.0, 1.0, p))
     scheme = LimitScheme.geometric(p, Fraction(1, 2), 2, n_max=4)
     a = phi_n_measure(g, scheme, 2, annulus(0, 1, p))
     b = phi_n_measure(g, scheme, 2, annulus(1, 2, p))
@@ -183,7 +184,7 @@ def test_phi_n_measure_additive():
 def test_scaling_identity_check_and_negative_control():
     p = 2
     params = StableParams(1.0, 1.0, p)
-    g = lambda t: complex(stable_cf(params, t))  # noqa: E731
+    g = StableLaw(params)
     grid = grid_points(p, -4, 4)
     rows = scaling_identity_check(g, Fraction(2), Fraction(1, 2), grid)
     assert max(r for _, r in rows) <= 1e-14
@@ -308,7 +309,7 @@ def test_measure_source_evaluates_each_point_once(monkeypatch):
         m=0,
         seed=0,
         n_list=(0, 1, 2),
-        law_source=m,
+        law_source=JumpMeasure(m),
         kind="beta_one",
     )
     seen: dict = {}
@@ -335,16 +336,16 @@ def oracle_theoretical_fn(source, scheme, n, t):
     """theoretical_fn with t scaled by mul_rational on a new Fraction."""
     k = scheme.k(n)
     t_scaled = t.mul_rational(1 / scheme.B(n))
-    if isinstance(source, LevyExponent):
-        return cmath.exp(source.exact(t_scaled).scale(k).to_complex())
-    if isinstance(source, RadialCharFn):
-        val = source(t_scaled)
+    if source.measure is not None:
+        return cmath.exp(source.exponent.exact(t_scaled).scale(k).to_complex())
+    if source.is_radial:
+        val = source(t_scaled).real
         if val == 0.0:
             return complex(0.0, 0.0)
         if val > 0.0:
             return complex(math.exp(k * math.log(val)), 0.0)
         return complex(val, 0.0) ** k
-    return complex(source(t_scaled)) ** k
+    return source(t_scaled) ** k
 
 
 @st.composite
@@ -400,9 +401,13 @@ def test_theoretical_fn_matches_oracle(seed):
     explicit = LimitScheme.explicit(
         p, [Fraction(1), Fraction(p + 1, p**2), Fraction(-p, 7)], [1, 2, 4]
     )
-    phi = LevyExponent(m)
-    radial = RadialCharFn.stable(StableParams(1.0, 0.7, p))
-    sources = (phi, radial, RadialCharFn.indicator(p, 0), lambda t: 0.5 + 0.25j)
+    sources = (
+        JumpMeasure(m),
+        StableLaw(StableParams(1.0, 0.7, p)),
+        HaarUniform(Ball(p, 0, 0)),
+        HaarUniform(Ball(p, Fraction(1, p), -2)),
+        PointMass(from_rational(1, 3, p=p) if p != 3 else from_rational(1, 2, p=p)),
+    )
     ts = grid_points(p, -3, 3) + [PAdicNumber.zero(p)]
     for sch in (scheme, explicit):
         for n in range(sch.n_max + 1):
@@ -411,3 +416,31 @@ def test_theoretical_fn_matches_oracle(seed):
                     assert theoretical_fn(src, sch, n, t) == (
                         oracle_theoretical_fn(src, sch, n, t)
                     )
+
+
+def test_each_report_evaluates_through_its_own_exponent():
+    # a memo must not outlive its report: the scenario's transforms keep
+    # empty exponent caches however often it is reported
+    sc = stable_limit_scenario(m=0, n_list=(0, 2))
+    first = convergence_report(sc)
+    second = convergence_report(sc)
+    assert first.sup_rows == second.sup_rows and first.sup_rows
+    assert not sc.law_source.exponent._cache
+    assert not sc.target.exponent._cache
+
+
+def test_one_process_pool_per_report(monkeypatch):
+    import padicprob.limits as limits
+
+    opened = []
+    real = limits.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        opened.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(limits, "ProcessPoolExecutor", counting)
+    sc = stable_limit_scenario(m=64, n_list=(0, 2, 4))
+    parallel = convergence_report(sc, workers=2)
+    assert len(opened) == 1
+    assert parallel.csv_rows() == convergence_report(sc).csv_rows()

@@ -13,17 +13,12 @@ from padicprob.levy import random_compact_open
 from padicprob.padic import PAdicNumber, from_rational, rational_char_phase
 from padicprob.sets import (
     Ball,
-    _ball_char_exact,
     CompactOpenSet,
-    StepFunction,
     TailSet,
     annulus,
-    fourier_indicator,
     haar_measure,
     integrate_char,
     integrate_char_exact,
-    integrate_step,
-    integrate_step_inverse,
     normalize,
     sphere,
     split_sphere,
@@ -193,37 +188,6 @@ def test_integrate_char_exact_cancellation():
 def test_integrate_char_zero_t_gives_measure():
     m = annulus(0, 2, 3)
     assert integrate_char(m, PAdicNumber.zero(3)) == float(m.measure())
-
-
-def test_step_function_basics():
-    f = CompactOpenSet(2, [Ball(2, 1, -1)]).indicator()
-    assert f.evaluate(Fraction(3)) == 1
-    assert f.evaluate(Fraction(2)) == 0
-    assert integrate_step(f, PAdicNumber.zero(2)) == 0.5
-    with pytest.raises(ValueError):
-        StepFunction(2, [(Ball(2, 0, 0), 1.0), (Ball(2, 1, -1), 2.0)])
-
-
-def test_step_transform_self_dual_unit_ball():
-    f = CompactOpenSet(3, [Ball(3, 0, 0)]).indicator()
-    for k in range(-3, 4):
-        t = from_rational(Fraction(3) ** (-k), p=3)
-        want = 1.0 if k <= 0 else 0.0
-        assert abs(integrate_step(f, t) - want) <= 1e-15
-
-
-def test_fourier_round_trip_on_grid():
-    ball = Ball(2, Fraction(1, 2), -2)
-    fhat = fourier_indicator(ball)
-    for num, den in ((1, 2), (5, 2), (3, 4), (1, 1), (3, 1), (7, 8), (0, 1)):
-        x = (
-            from_rational(num, den, p=2)
-            if num
-            else PAdicNumber.zero(2)
-        )
-        want = 1.0 if (num and ball.contains(Fraction(num, den))) else 0.0
-        got = integrate_step_inverse(fhat, x)
-        assert abs(got - want) <= 1e-12
 
 
 def test_tailset_scaling():
@@ -422,9 +386,6 @@ def test_integrate_char_matches_fraction_oracle(p, seed, data):
         for b in list(s) + extra:
             assert _integral(integrate_char_exact, b, t) == _integral(
                 oracle.integrate_char_exact, [oracle.state(b)], t
-            )
-            assert _integral(_ball_char_exact, b, t) == _integral(
-                oracle.char_exact, oracle.state(b), t
             )
 
 
