@@ -21,7 +21,6 @@ keyed by (seed, *indices) so parallel replication is deterministic.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ from .padic import (
     _check_prime,
     split_p_part,
 )
-from .residues import ResidueBatch, decode, replay
+from .residues import ResidueBatch, replay
 from .sets import Ball
 
 DEFAULT_RESOLUTION = -12
@@ -136,6 +135,16 @@ class Transform:
         """This transform with empty memos; each report keeps its own."""
         return self
 
+    def log_modulus(self, t: PAdicNumber) -> float:
+        """log |g(t)|, and -inf exactly where g(t) is a certified zero.
+
+        Here for a two-valued transform, whose modulus is 0 or 1; any other
+        reads it from its exponent, so that a tiny |g| that underflows is
+        never taken for a zero."""
+        if not self.two_valued:
+            raise NotImplementedError
+        return 0.0 if self(t) != 0 else -math.inf
+
     def radial_value(self, k: int) -> float:
         if not self.is_radial:
             raise ValueError(f"{self!r} is not radial")
@@ -229,8 +238,14 @@ class StableLaw(Transform):
         return complex(self.radial_value(-t.valuation), 0.0)
 
     def radial_value(self, k: int) -> float:
-        a, alpha = self.params.a, self.params.alpha
-        return math.exp(-a * float(self.prime) ** (alpha * k))
+        return math.exp(self._log_radial(k))
+
+    def _log_radial(self, k: int) -> float:
+        return -self.params.a * float(self.prime) ** (self.params.alpha * k)
+
+    def log_modulus(self, t: PAdicNumber) -> float:
+        self._check(t)
+        return 0.0 if t.is_zero else self._log_radial(-t.valuation)
 
 
 class RadialCharFn:
@@ -375,18 +390,6 @@ def sphere_masses(
 # ---------------------------------------------------------------------
 
 
-def _uniform_digits_int(rng: np.random.Generator, p: int, count: int) -> int:
-    """A uniform integer on [0, p**count), one digit per element of one
-    sized call (the compound-Poisson stream)."""
-    if count <= 0:
-        return 0
-    digs = rng.integers(0, p, size=count)
-    u = 0
-    for d in reversed(digs.tolist()):
-        u = u * p + d
-    return u
-
-
 @lru_cache(maxsize=None)
 def _limb_powers(p: int) -> np.ndarray:
     """p**0, ..., p**a as int64, a the most digits one int64 draw holds
@@ -445,30 +448,36 @@ class Sampler:
         raise NotImplementedError
 
 
+def _residue_dtype(mod: int):
+    """uint64 for residues below ``mod`` when it fits, else Python ints."""
+    return np.uint64 if mod < 2**64 else object
+
+
 class _BlockSampler(Sampler):
     """A sampler that draws a whole block of values at once (RNG stream
-    v2), each value x as the residue x * p**_top mod p**W, W = _top -
-    resolution (see :mod:`padicprob.residues`).
+    v2), each value x as the residue x * p**D mod p**W, W = D -
+    resolution, for a top D with |x| <= p**D (see
+    :mod:`padicprob.residues`).
 
     The k-draw sums are row sums of the block, in uint64 when k * p**W <
     2**64 and in Python ints otherwise, so they never wrap.
     """
 
-    _top: int
-
-    def _draw_block(self, rng: np.random.Generator, count: int, dtype) -> np.ndarray:
-        """``count`` residues, each below p**W, as ``dtype``."""
+    def _draw_block(self, rng: np.random.Generator, count: int) -> tuple[int, np.ndarray]:
+        """(D, residues): ``count`` residues below p**W, typed by
+        _residue_dtype(p**W)."""
         raise NotImplementedError
 
     def residue_sums(
         self, rng: np.random.Generator, k: int, replicates: int
     ) -> ResidueBatch:
-        p, top = self.prime, self._top
-        mod = p ** (top - self.resolution)
-        dtype = np.uint64 if max(k, 1) * mod < 2**64 else object
-        draws = self._draw_block(rng, k * replicates, dtype)
+        p, res = self.prime, self.resolution
+        top, draws = self._draw_block(rng, k * replicates)
+        mod = p ** (top - res)
+        if max(k, 1) * mod >= 2**64:
+            draws = draws.astype(object)
         sums = draws.reshape(replicates, k).sum(axis=1) % mod
-        return ResidueBatch(p, top, -self.resolution, sums)
+        return ResidueBatch(p, top, -res, sums)
 
 
 @dataclass(frozen=True)
@@ -524,10 +533,12 @@ class HaarBallSampler(_BlockSampler):
     def prime(self) -> int:  # type: ignore[override]
         return self.ball.prime
 
-    def _draw_block(self, rng: np.random.Generator, count: int, dtype) -> np.ndarray:
+    def _draw_block(self, rng: np.random.Generator, count: int) -> tuple[int, np.ndarray]:
+        top = self._top  # type: ignore[attr-defined]
+        dtype = _residue_dtype(self.prime ** (top - self.resolution))
         digits = np.full(count, self._digits)  # type: ignore[attr-defined]
         u = _uniform_digits(rng, self.prime, digits, dtype)
-        return u * self._step + self._center  # type: ignore[attr-defined]
+        return top, u * self._step + self._center  # type: ignore[attr-defined]
 
     def spec(self) -> dict:
         return {
@@ -598,15 +609,16 @@ class RadialSampler(_BlockSampler):
     def prime(self) -> int:  # type: ignore[override]
         return self.table.prime
 
-    def _draw_block(self, rng: np.random.Generator, count: int, dtype) -> np.ndarray:
-        p = self.table.prime
+    def _draw_block(self, rng: np.random.Generator, count: int) -> tuple[int, np.ndarray]:
+        p, top = self.table.prime, self._top  # type: ignore[attr-defined]
+        dtype = _residue_dtype(p ** (top - self.resolution))
         edges = self._edges  # type: ignore[attr-defined]
         u = rng.random(count) * edges[-1]
         bins = np.minimum(np.searchsorted(edges, u, side="right"), len(edges) - 1)
         first = rng.integers(1, p, count).astype(dtype)
         rest = _uniform_digits(rng, p, self._rest_digits[bins], dtype)  # type: ignore[attr-defined]
         scales = np.array(self._scales, dtype=dtype)  # type: ignore[attr-defined]
-        return (first + p * rest) * scales[bins]
+        return top, (first + p * rest) * scales[bins]
 
     # its own attribute, so the class's draws can be traced by name
     draw = Sampler.draw
@@ -647,8 +659,14 @@ def stable_sampler(
     return RadialSampler(table=table, resolution=resolution)
 
 
+# Draws per chunk of a compound-Poisson block (RNG stream v2): each chunk
+# makes its own RNG calls, so the constant is part of the stream, and it
+# bounds the memory a block's jumps take.
+CP_CHUNK = 1024
+
+
 @dataclass(frozen=True)
-class CompoundPoissonSampler(Sampler):
+class CompoundPoissonSampler(_BlockSampler):
     """Sum of a Poisson number of jumps from a self-similar jump measure,
     truncated at the resolution scale.
 
@@ -659,66 +677,63 @@ class CompoundPoissonSampler(Sampler):
     {|y| > p**resolution}; note it grows like beta**(resolution/j), so
     fine resolutions are expensive by construction.
 
-    The sphere table covers the spheres p**n, resolution < n <= top,
-    until the jump mass beyond it is below 1e-14 of the rate; a measure
-    that needs more than ``max_sphere_span`` spheres for that is refused.
-    Draws are made one at a time (RNG stream v1), jump by jump.  Jumps
-    and draws are residues y * p**top mod p**(top - resolution):
-    reduction modulo a power of p is a ring map on p-integral rationals
-    and every jump has |y| <= p**top, so the sum of the residues is the
-    residue of the exact sum.
+    A jump is y = gamma0**-k * z with z Haar-uniform on a fundamental ball
+    of weight w on the sphere p**r, and lies on the sphere n = r + k*j.
+    The measure of gamma0**-1 * M is beta times that of M, so the jumps
+    above the resolution put the mass w * beta**k on each period k >=
+    k_min(r), the least with n > resolution: the ball follows the masses
+    w * beta**k_min(r), and the offset k - k_min(r) is geometric(1 - beta)
+    on every sphere, so no sphere table is cut.
+
+    RNG stream v2 draws a block CP_CHUNK draws at a time, a chunk of N
+    draws with J jumps in four steps: ``rng.poisson(rate, N)`` the jump
+    counts; ``rng.random(J)`` and a right-closed ``np.searchsorted`` the
+    balls (a ball of zero weight is left out of the table);
+    ``rng.geometric(1 - beta, J)`` the offsets; ``rng.integers(0,
+    p**c)``, with c the digits of z below its ball that the resolution
+    needs (plus one call per limb beyond 63 bits, see _uniform_digits),
+    the points.
+
+    A chunk's residues are y * p**D mod p**W, W = D - resolution, with D
+    the largest sphere it drew: a jump's is (z * p**r) * p**(D - n) *
+    (b/a)**k, gamma0 = p**j * a/b, in uint64 when p**(2W) < 2**64, and a
+    draw sums its jumps' (np.add.reduceat).  Reduction modulo a power of p
+    is a ring map on p-integral rationals and every jump has |y| <= p**D,
+    so the sum of the residues is the residue of the exact sum.  A block
+    lifts each chunk's residues to the largest chunk top.
     """
 
     measure: object
     resolution: int = DEFAULT_RESOLUTION
-    max_sphere_span: int = 400
 
     def __post_init__(self) -> None:
-        meas = self.measure
-        p = meas.prime
-        lam = float(meas.tail_mass(self.resolution))
-        # cumulative sphere masses {|y| = p**n}, n = resolution+1, ...
-        cums: list[float] = []
-        acc = 0.0
-        n = self.resolution + 1
-        while (acc < lam * (1.0 - 1e-14) or len(cums) < 4) and len(
-            cums
-        ) < self.max_sphere_span:
-            acc += float(meas.sphere_mass(n))
-            cums.append(acc)
-            n += 1
-        if acc < lam * (1.0 - 1e-14):
-            raise ValueError(
-                "the sphere table stops at max_sphere_span="
-                f"{self.max_sphere_span} spheres with {100 * (lam - acc) / lam:.4g}% "
-                "of the jump rate on larger spheres; sampling would fold that "
-                "mass onto the top sphere"
-            )
-        top = self.resolution + len(cums)
-        mod = p ** (top - self.resolution)
-        # per fundamental sphere r: cumulative ball weights, and per ball
-        # (radius_exp, c, step) with z * p**r = c + u * step for the
-        # point z = center + u * p**-radius_exp of the ball
-        fund = []
-        for r, entries in enumerate(meas.fundamental):
-            cw: list[float] = []
-            tot = 0.0
-            for _, w in entries:
-                tot += float(w)
-                cw.append(tot)
-            fund.append((tuple(cw), tuple(
-                (b.radius_exp, int(b.center * p**r), p ** (r - b.radius_exp))
-                for b, _ in entries
-            )))
+        meas, res = self.measure, self.resolution
+        p, j = meas.prime, meas.j
+        k_top = -((-res - 1) // j)  # k_min(0), the largest k_min(r)
+        balls = [
+            (r, -((r - res - 1) // j), ball, w)
+            for r, entries in enumerate(meas.fundamental)
+            for ball, w in entries
+            if w > 0
+        ]
         _, a, b = split_p_part(meas.gamma0, p)
-        object.__setattr__(self, "_lam", lam)
-        object.__setattr__(self, "_cums", tuple(cums))
-        object.__setattr__(self, "_fund", tuple(fund))
-        object.__setattr__(self, "_j", meas.j)
-        object.__setattr__(self, "_top", top)
-        object.__setattr__(self, "_mod", mod)
-        # gamma0**-1 = p**-j * b/a; its unit part modulo p**(top - resolution)
-        object.__setattr__(self, "_gamma_unit", b * pow(a, -1, mod) % mod)
+        object.__setattr__(self, "_lam", float(meas.tail_mass(res)))
+        object.__setattr__(self, "_edges", np.cumsum(
+            [float(w * meas.beta_pow(k - k_top)) for _, k, _, w in balls]
+        ))
+        object.__setattr__(self, "_r", np.array([row[0] for row in balls], dtype=np.int64))
+        object.__setattr__(self, "_k_min", np.array([row[1] for row in balls], dtype=np.int64))
+        # z = center + u * p**-radius_exp in the ball has z * p**r =
+        # centre + u * step, and needs radius_exp - r + n - resolution
+        # digits of u to resolve the jump on the sphere n
+        object.__setattr__(self, "_depth", np.array(
+            [x.radius_exp - r for r, _, x, _ in balls], dtype=np.int64
+        ))
+        object.__setattr__(self, "_centres", tuple(int(x.center * p**r) for r, _, x, _ in balls))
+        object.__setattr__(self, "_steps", tuple(p ** (r - x.radius_exp) for r, _, x, _ in balls))
+        object.__setattr__(self, "_j", j)
+        object.__setattr__(self, "_q", float(1 - meas.beta))
+        object.__setattr__(self, "_gamma_ab", (a, b))
         object.__setattr__(self, "_gpow", {})
 
     @property
@@ -728,59 +743,79 @@ class CompoundPoissonSampler(Sampler):
     def _jump_rate(self) -> float:
         return self._lam  # type: ignore[attr-defined]
 
-    def _sphere_factor(self, n: int) -> int:
-        """The residue of p**(top - r) * gamma0**-k, n = r + k*j.
+    def _sphere_factors(self, top: int) -> tuple[int, ...]:
+        """The residues of p**(top - n) * (b/a)**k modulo p**(top -
+        resolution) for the spheres n = resolution + 1, ..., top (k = n //
+        j), memoised by the top they are for."""
+        factors = self._gpow.get(top)  # type: ignore[attr-defined]
+        if factors is None:
+            p, j, res = self.prime, self._j, self.resolution  # type: ignore[attr-defined]
+            mod = p ** (top - res)
+            a, b = self._gamma_ab  # type: ignore[attr-defined]
+            unit = b * pow(a, -1, mod) % mod
+            unit_k = pow(unit, res // j, mod)  # (b/a)**k for k = res // j
+            factors = []
+            for n in range(res + 1, top + 1):
+                if n % j == 0:  # k = n // j steps up
+                    unit_k = unit_k * unit % mod
+                factors.append(p ** (top - n) * unit_k % mod)
+            self._gpow[top] = factors = tuple(factors)  # type: ignore[attr-defined]
+        return factors
 
-        A jump gamma0**-k * z with z on the fundamental sphere r lies on
-        the sphere p**n, and its residue is (z * p**r) times this.
-        """
-        cache: dict = self._gpow  # type: ignore[attr-defined]
-        f = cache.get(n)
-        if f is None:
-            mod = self._mod  # type: ignore[attr-defined]
-            k = n // self._j  # type: ignore[attr-defined]
-            unit = pow(self._gamma_unit, k, mod)  # type: ignore[attr-defined]
-            f = self.prime ** (self._top - n) * unit % mod  # type: ignore[attr-defined]
-            cache[n] = f
-        return f
-
-    def _draw_residue(self, rng: np.random.Generator) -> int:
+    def _draw_chunk(self, rng: np.random.Generator, count: int) -> tuple[int, np.ndarray]:
+        """``count`` draws as (D, residues), D the largest sphere drawn
+        (resolution + 1 when no draw has a jump)."""
         p, j, res = self.prime, self._j, self.resolution  # type: ignore[attr-defined]
-        lam, cums, fund = self._lam, self._cums, self._fund  # type: ignore[attr-defined]
-        last = len(cums) - 1
-        total = 0
-        # right-closed lookups: a sphere or ball without mass is never drawn
-        for _ in range(poisson_draw(rng, lam)):
-            n = res + 1 + min(bisect.bisect_right(cums, rng.random() * lam), last)
-            r = n % j
-            cw, balls = fund[r]
-            radius_exp, c, step = balls[
-                min(bisect.bisect_right(cw, rng.random() * cw[-1]), len(balls) - 1)
-            ]
-            # uniform point of the ball, deep enough that the rescaled
-            # jump is resolved at the sampler resolution: z needs digits
-            # modulo p**(k*j - resolution), i.e. radius_exp + k*j -
-            # resolution free digits inside the ball (k*j = n - r)
-            u = _uniform_digits_int(rng, p, radius_exp + n - r - res)
-            total += (c + u * step) * self._sphere_factor(n)
-        return total % self._mod  # type: ignore[attr-defined]
+        jumps = rng.poisson(self._lam, count)  # type: ignore[attr-defined]
+        total = int(jumps.sum())
+        if not total:
+            return res + 1, np.zeros(count, dtype=np.uint64)
+        edges = self._edges  # type: ignore[attr-defined]
+        ball = np.searchsorted(edges, rng.random(total) * edges[-1], side="right")
+        np.minimum(ball, len(edges) - 1, out=ball)
+        # the sphere n = r + k*j of each jump, k = k_min(r) + offset
+        n = rng.geometric(self._q, total)  # type: ignore[attr-defined]
+        n += self._k_min[ball] - 1  # type: ignore[attr-defined]
+        n *= j
+        n += self._r[ball]  # type: ignore[attr-defined]
+        top = int(n.max())
+        mod = p ** (top - res)
+        dtype = np.uint64 if mod * mod < 2**64 else object
+        digits = self._depth[ball] + n  # type: ignore[attr-defined]
+        digits -= res
+        np.maximum(digits, 0, out=digits)
+        y = _uniform_digits(rng, p, digits, dtype)
+        del digits
+        # z * p**r mod p**W, below p**W: centre < step, so it is below
+        # p**(n - resolution) when u has digits, and a step of p**W or
+        # more comes with none
+        steps, centres = self._steps, self._centres  # type: ignore[attr-defined]
+        y *= np.array([s % mod for s in steps], dtype=dtype)[ball]
+        y += np.array([c % mod for c in centres], dtype=dtype)[ball]
+        n -= res + 1
+        y *= np.array(self._sphere_factors(top), dtype=dtype)[n]
+        y %= mod
+        live = jumps > 0
+        sums = np.zeros(count, dtype=dtype)
+        sums[live] = np.add.reduceat(y, (np.cumsum(jumps) - jumps)[live])
+        sums %= mod
+        return top, sums
 
-    def residue_sums(
-        self, rng: np.random.Generator, k: int, replicates: int
-    ) -> ResidueBatch:
-        mod, draw = self._mod, self._draw_residue  # type: ignore[attr-defined]
-        sums = [sum(draw(rng) for _ in range(k)) % mod for _ in range(replicates)]
-        return ResidueBatch(self.prime, self._top, -self.resolution, sums)  # type: ignore[attr-defined]
+    def _draw_block(self, rng: np.random.Generator, count: int) -> tuple[int, np.ndarray]:
+        p, res = self.prime, self.resolution
+        chunks = [
+            self._draw_chunk(rng, min(CP_CHUNK, count - i))
+            for i in range(0, count, CP_CHUNK)
+        ]
+        top = max((t for t, _ in chunks), default=res + 1)
+        dtype = _residue_dtype(p ** (top - res))
+        # the residue of x at a chunk's top t, times p**(top - t), is its
+        # residue at the block's top
+        lifted = [sums.astype(dtype) * p ** (top - t) for t, sums in chunks]
+        return top, np.concatenate(lifted) if lifted else np.zeros(0, dtype=dtype)
 
-    def draw(self, rng: np.random.Generator) -> PAdicNumber:
-        return decode(self.prime, self._top, -self.resolution, self._draw_residue(rng))  # type: ignore[attr-defined]
-
-    def sample(self, rng: np.random.Generator, count: int) -> list[PAdicNumber]:
-        # one draw call per value (stream v1): the same RNG calls as
-        # residue_sums(rng, 1, count)
-        if count < 0:
-            raise ValueError(f"sample count must be >= 0, got {count}")
-        return [self.draw(rng) for _ in range(count)]
+    # its own attribute, so the class's draws can be traced by name
+    draw = Sampler.draw
 
     def spec(self) -> dict:
         return {

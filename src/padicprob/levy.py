@@ -480,6 +480,11 @@ class JumpMeasure(Transform):
     def _value(self, t: PAdicNumber) -> complex:
         return cmath.exp(self.exponent(t))
 
+    def log_modulus(self, t: PAdicNumber) -> float:
+        """Re phi(t): finite everywhere, as exp(phi) has no zero."""
+        self._check(t)
+        return 0.0 if t.is_zero else self.exponent(t).real
+
     def radial_value(self, k: int) -> float:
         if self.closed_form is not None:
             return self.closed_form.radial_value(k)

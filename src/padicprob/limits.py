@@ -9,7 +9,8 @@ scale by (a) sup-distance of transforms on a fixed exact grid, (b) Monte
 Carlo transforms with binomial bands, (c) trajectories of the rescaled
 measures k(n) * F(B_n M) on tail sets, (d) residuals of the modulus
 scaling identity |g(gamma0 t)| = |g(t)|**beta, and (e) a positivity check
-of |g| on the grid.
+of the target on the grid, on log |g| so that float underflow is not read
+as a zero.
 """
 
 from __future__ import annotations
@@ -306,7 +307,7 @@ class ConvergenceReport:
     phi_rows: list[dict]
     scaling_rows: list[dict]
     ball_rows: list[dict]
-    min_abs_target: float | None
+    min_log_abs_target: float | None
     degenerate: str | None
     verdicts: dict[str, bool]
 
@@ -327,7 +328,7 @@ class ConvergenceReport:
             "effective": self.effective,
             "verdicts": dict(sorted(self.verdicts.items())),
             "passed": self.passed,
-            "min_abs_target": self.min_abs_target,
+            "min_log_abs_target": self.min_log_abs_target,
             "degenerate": self.degenerate,
         }
 
@@ -475,18 +476,20 @@ def _ball_rows(scenario: Scenario, counts: list[int] | None, total: int) -> list
     return rows
 
 
-def _phi_rows(scenario: Scenario) -> tuple[list[dict], list[dict | None]]:
-    """k(n) F(B_n M) against the target's jump measure Phi(M), and each
-    set's row at the final n (None where it was dropped).  The rows follow
-    a radial law that is not two-valued: a report over a point mass or a
-    Haar ball has had none, and keeps its bytes."""
+def _phi_rows(scenario: Scenario) -> tuple[list[dict], list[dict | None], int]:
+    """k(n) F(B_n M) against the target's jump measure Phi(M), each set's
+    row at the final n (None where it was dropped) and the number of (set,
+    n) rows dropped because the ball series missed its tolerance.  The
+    rows follow a radial law that is not two-valued: a report over a point
+    mass or a Haar ball has had none, and keeps its bytes."""
     law, target = scenario.law_source, scenario.target
     if law is None or not law.is_radial or law.two_valued:
-        return [], []
+        return [], [], 0
     if target is None or target.measure is None:
-        return [], []
+        return [], [], 0
     rows: list[dict] = []
     final: list[dict | None] = []
+    dropped = 0
     for s in scenario.sets:
         target_mass = float(measure_mass(target.measure, s))
         row = None
@@ -495,6 +498,7 @@ def _phi_rows(scenario: Scenario) -> tuple[list[dict], list[dict | None]]:
                 val = phi_n_measure(law, scenario.scheme, n, s)
             except ToleranceError:
                 row = None
+                dropped += 1
                 continue
             row = {
                 "n": n,
@@ -505,12 +509,13 @@ def _phi_rows(scenario: Scenario) -> tuple[list[dict], list[dict | None]]:
             }
             rows.append(row)
         final.append(row)
-    return rows, final
+    return rows, final, dropped
 
 
 def _scaling_rows(scenario: Scenario) -> tuple[list[dict], float | None]:
     """Residuals of the target's modulus scaling identity (geometric
-    schemes), and the smallest |target| on the grid."""
+    schemes), and the least log |target| on the grid (-inf where the
+    target has a certified zero)."""
     target, scheme = scenario.target, scenario.scheme
     if target is None:
         return [], None
@@ -518,7 +523,7 @@ def _scaling_rows(scenario: Scenario) -> tuple[list[dict], float | None]:
     if scheme.mode == "geometric":
         for t, res in scaling_identity_check(target, scheme.gamma0, scheme.beta, scenario.grid):
             rows.append({"t": _t_label(t), "residual": res})
-    return rows, min(abs(target(t)) for t in scenario.grid)
+    return rows, min(target.log_modulus(t) for t in scenario.grid)
 
 
 def _classification(scenario: Scenario) -> str | None:
@@ -542,8 +547,8 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
     theo, sup_rows = _theory_rows(scenario)
     cf_rows, ball_counts, total = _mc_rows(scenario, theo, workers)
     ball_rows = _ball_rows(scenario, ball_counts, total)
-    phi_rows, phi_final = _phi_rows(scenario)
-    scaling_rows, min_abs_target = _scaling_rows(scenario)
+    phi_rows, phi_final, phi_dropped = _phi_rows(scenario)
+    scaling_rows, min_log_abs_target = _scaling_rows(scenario)
     degenerate = _classification(scenario)
 
     verdicts: dict[str, bool] = {}
@@ -570,8 +575,8 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
         )
     if ball_rows:
         verdicts["ball_frequencies"] = all(r["within"] for r in ball_rows)
-    if min_abs_target is not None and scenario.kind == "stable_limit":
-        verdicts["positivity"] = min_abs_target > 0.0
+    if min_log_abs_target is not None and scenario.kind == "stable_limit":
+        verdicts["positivity"] = min_log_abs_target > -math.inf
     if degenerate is not None:
         expected = {"beta_one": "delta", "bounded_normalizers": "haar_cutoff"}[scenario.kind]
         verdicts["degenerate_verdict"] = degenerate == expected
@@ -593,6 +598,7 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
         "grid": [str(t.as_rational()) for t in scenario.grid],
         "balls": [str(b) for b in scenario.balls],
         "sets": [str(s) for s in scenario.sets],
+        "phi_rows_dropped": phi_dropped,
     }
     folds = scenario.law.folds()
     if folds is not None:
@@ -605,7 +611,7 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
         phi_rows=phi_rows,
         scaling_rows=scaling_rows,
         ball_rows=ball_rows,
-        min_abs_target=min_abs_target,
+        min_log_abs_target=min_log_abs_target,
         degenerate=degenerate,
         verdicts=verdicts,
     )

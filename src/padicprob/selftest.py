@@ -550,6 +550,9 @@ def run_selftest(
                 "name": r.name,
                 "passed": r.passed,
                 "details": r.details,
+                "runtime_s": r.runtime_s,
+                "limit_s": r.limit_s,
+                "metrics": r.metrics,
             }
             for r in results
         ],

@@ -1,9 +1,11 @@
+import bisect
 import functools
 import math
 import pickle
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from padicprob.charfn import (
@@ -249,21 +251,57 @@ def test_compound_poisson_zero_jump_draw_is_resolved_zero():
     assert any(x.is_zero for x in draws)  # rate 32/3: zero draws are rare but the window marking must hold on all
 
 
-@pytest.mark.parametrize(
-    "beta, lost", [(Fraction(99, 100), r"1\.795%"), (Fraction(19, 20), r"1\.229e-07%")]
-)
-def test_compound_poisson_refuses_to_fold_jump_mass(beta, lost):
-    # beta near 1: 400 spheres leave beta**400 of the jump rate beyond the
-    # table, which the top sphere would silently absorb
-    from padicprob.levy import make_measure
+class OneJumpRng:
+    """A Generator whose poisson() gives every draw exactly one jump, so a
+    compound-Poisson draw is its jump."""
 
-    fund = make_example_measure(1, 1, 2).fundamental
-    m = make_measure(2, beta, 2, fund)
-    with pytest.raises(ValueError, match=lost + " of the jump rate"):
-        CompoundPoissonSampler(measure=m, resolution=-4)
-    # the example measures reach the tolerance well inside the span
-    s = CompoundPoissonSampler(measure=make_example_measure(1, 1, 2), resolution=-4)
-    assert len(s._cums) == 47
+    def __init__(self, rng):
+        self.rng = rng
+
+    def poisson(self, lam, size):
+        return np.ones(size, dtype=np.int64)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize(
+    "beta, edges, seed",
+    [
+        (Fraction(1, 2), (-3, -2, -1, 0, 1, 2, 3, 4, 5), 811),
+        (Fraction(99, 100), (-3, 17, 57, 97, 157, 237, 337, 477, 677), 812),
+    ],
+)
+def test_compound_poisson_sphere_frequencies_are_exact(beta, edges, seed):
+    # p = 2, gamma0 = 4 * 3: both fundamental spheres carry mass, so
+    # sphere n = r + 2k has mass F_r * beta**k for n above the resolution
+    # -4; bins [edges[i], edges[i+1]) and [edges[-1], oo).  beta = 99/100
+    # reaches spheres hundreds of digits up, with no table cut.
+    fund = (
+        ((Ball(2, 1, -2), Fraction(1, 100)), (Ball(2, 3, -2), Fraction(3, 100))),
+        ((Ball(2, Fraction(1, 2), 0), Fraction(2, 100)),),
+    )
+    m = make_measure(2, beta, 12, fund)
+    s = CompoundPoissonSampler(measure=m, resolution=-4)
+    rate = m.tail_mass(-4)
+    probs = [
+        sum(m.sphere_mass(n) for n in range(lo, hi)) / rate
+        for lo, hi in zip(edges, edges[1:])
+    ]
+    probs.append(1 - sum(probs))
+    count = 10000
+    draws = s.sample(OneJumpRng(substream(seed, 0)), count)
+    counts = Counter(bisect.bisect_right(edges, -x.valuation) - 1 for x in draws)
+    assert -1 not in counts  # no jump at or below the resolution
+    assert chi2([counts[i] for i in range(len(probs))], [float(q) for q in probs]) <= CHI2_999[8]
+
+
+def test_compound_poisson_never_draws_an_empty_fundamental_sphere():
+    # p = 2, j = 2 with fundamental sphere 1 empty: no jump on an odd sphere
+    m = make_measure(2, Fraction(1, 2), 4, (((Ball(2, 1, -1), Fraction(1, 8)),), ()))
+    s = CompoundPoissonSampler(measure=m, resolution=-4)
+    draws = s.sample(OneJumpRng(substream(813, 0)), 4000)
+    assert all(x.valuation % 2 == 0 for x in draws)
 
 
 def test_compound_poisson_ball_fidelity_small():

@@ -184,6 +184,9 @@ def test_selftest_filter_and_negative_control(tmp_path, capsys):
     assert "[PASS] c3" in out
     payload = json.loads(report.read_text())
     assert payload["all_passed"] is True
+    (c3,) = payload["criteria"]
+    assert 0 < c3["runtime_s"] < c3["limit_s"]
+    assert set(c3["metrics"]) == {"max_error"}
     code2, out2, _ = run(
         ["selftest", "--filter", "c3", "--negative-control"], capsys
     )

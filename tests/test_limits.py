@@ -38,6 +38,7 @@ from padicprob.limits import (
     theoretical_fn,
     stable_limit_scenario,
 )
+from padicprob.errors import PrimeMismatchError
 from padicprob.padic import PAdicNumber, from_rational, grid_points
 from padicprob.sets import Ball, TailSet, annulus
 
@@ -252,7 +253,9 @@ def test_phi_trajectory_needs_a_row_at_the_final_n(monkeypatch):
 
     sc = stable_limit_scenario(m=0, n_list=(0, 2))
     sc.tolerances["phi_final"] = 1e9  # every row that is present passes
-    assert convergence_report(sc).verdicts["phi_trajectory"]
+    rep = convergence_report(sc)
+    assert rep.verdicts["phi_trajectory"]
+    assert rep.effective["phi_rows_dropped"] == 0
     real = limits.phi_n_measure
     final = sc.n_list[-1]
 
@@ -267,6 +270,7 @@ def test_phi_trajectory_needs_a_row_at_the_final_n(monkeypatch):
     # verdict may not fall back to it
     assert [r["n"] for r in rep.phi_rows] == [0, 0, 2]
     assert rep.verdicts["phi_trajectory"] is False
+    assert rep.effective["phi_rows_dropped"] == 1
 
 
 def test_phi_trajectory_fails_when_every_row_is_dropped(monkeypatch):
@@ -281,6 +285,7 @@ def test_phi_trajectory_fails_when_every_row_is_dropped(monkeypatch):
     assert rep.phi_rows == []
     assert rep.verdicts["phi_trajectory"] is False
     assert not rep.passed
+    assert rep.effective["phi_rows_dropped"] == 4  # two sets, two n
 
 
 def test_measure_source_evaluates_each_point_once(monkeypatch):
@@ -444,3 +449,55 @@ def test_one_process_pool_per_report(monkeypatch):
     parallel = convergence_report(sc, workers=2)
     assert len(opened) == 1
     assert parallel.csv_rows() == convergence_report(sc).csv_rows()
+
+
+def _stable_p3_scenario(m: int = 0):
+    """A stable target at a = 2, alpha = 1.5, p = 3 on the grid up to |t| =
+    3**4, where exp(-2 * 3**6) underflows to 0.0."""
+    from padicprob.specs import scenario_from_spec
+
+    return scenario_from_spec({
+        "name": "stable-p3",
+        "law": {"kind": "radial_stable", "a": 2, "alpha": 1.5, "p": 3, "resolution": -8},
+        "scheme": {"mode": "geometric", "p": 3, "beta": 3**-1.5, "gamma0": "3", "n_max": 2},
+        "target": {"stable": {"a": 2, "alpha": 1.5, "p": 3}},
+        "grid": {"k_lo": -4, "k_hi": 4},
+        "m": m,
+        "seed": 5,
+        "n_list": [0, 1],
+        "kind": "stable_limit",
+    })
+
+
+def test_positivity_is_decided_on_the_log_modulus():
+    # |g| underflows to 0.0 on the largest spheres of the grid, but the
+    # transform exp(phi) has no zero: only a certified zero may fail
+    scenario = _stable_p3_scenario()
+    assert min(abs(scenario.target(t)) for t in scenario.grid) == 0.0
+    rep = convergence_report(scenario)
+    assert rep.verdicts["positivity"] is True
+    exponent = scenario.target.exponent
+    least = min(exponent(t).real for t in scenario.grid)
+    assert rep.min_log_abs_target == least
+    assert least < -1000
+    assert rep.json_summary()["min_log_abs_target"] == least
+
+
+def test_log_modulus_of_each_transform():
+    t_big = from_rational(Fraction(1, 3**4), p=3)
+    stable = StableLaw(StableParams(2.0, 1.5, 3))
+    assert stable.log_modulus(t_big) == -2.0 * 3.0 ** 6.0
+    assert stable(t_big) == 0.0  # the value itself underflows
+    t = from_rational(Fraction(1, 3), p=3)
+    assert math.exp(stable.log_modulus(t)) == stable(t).real
+    assert stable.log_modulus(PAdicNumber.zero(3)) == 0.0
+    jump = JumpMeasure(make_example_measure(2, 1.5, 3))
+    assert jump.log_modulus(t_big) == jump.exponent(t_big).real
+    haar = HaarUniform(Ball(3, Fraction(1, 3), -2))
+    assert haar.log_modulus(t) == 0.0
+    assert haar.log_modulus(t_big) == -math.inf  # a certified zero
+    assert PointMass(from_rational(Fraction(1, 3), p=3)).log_modulus(t_big) == 0.0
+    with pytest.raises(PrimeMismatchError):
+        stable.log_modulus(from_rational(1, p=2))
+    with pytest.raises(PrimeMismatchError):
+        jump.log_modulus(from_rational(1, p=2))

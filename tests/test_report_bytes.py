@@ -204,12 +204,12 @@ def target_stable_p3(tmp: Path) -> bytes:
 
 DIGESTS = {
     "cf_eval_measure": (
-        "3b030e7389f1b8aa34db386a67c576e0"
-        "0b9decc8657c273cc003ea746f878f1d"
+        "22569c1460ccd8c077d5b43330d89f35"
+        "5bbc0a496bd9d085f723ec14ea330be7"
     ),
     "cf_eval_stable": (
-        "377afbf52c1a53a2dadb34056983a027"
-        "396ed9d41836886a6a3068921184cb66"
+        "8d4e6e770e6790f51a2d44fe673cbece"
+        "e065d176b8fc40915db8d6e93793f44d"
     ),
     "classify_measures": (
         "25dfef2e3d2f020c80c2fe9925fcbf33"
@@ -224,48 +224,48 @@ DIGESTS = {
         "f62a17f0ea92c0a0704c8905704e42e3"
     ),
     "law_compound_poisson": (
-        "77d823bc88d18ba0c58b6c8d191b7025"
-        "88e53c2151e3dd7a37de2be78c195256"
+        "2af1f4de023873ff0384b349f2c06286"
+        "90d81f4875e814b751272f056a5ab56b"
     ),
     "law_haar_ball": (
-        "133d78244cd04b90803eb934cce2b885"
-        "17afc113dac924896685a37b3e00f4e6"
+        "aa457523b39ce5e15da993d736eee6df"
+        "6ad3fcf96e7da7fe2f51d78e4146a39f"
     ),
     "law_point_mass": (
-        "209c4c5c69be5b81928b54c9b289bc6d"
-        "5f1aa5837c131ae38c59e453804f657c"
+        "6b3f43747891902f657e609ae1f6e361"
+        "dd28bf6b44f72a4dfe14f102450ac838"
     ),
     "levy_exponent_csv": (
-        "d36d6718ccf02c13274b0e9debe0b9be"
-        "8c6fd91ede9f761f12e256ae787ea83e"
+        "ff5767c17e7eb86fcd5040bed93c509d"
+        "d6fdda086374374d68895587010c4598"
     ),
     "levy_exponent_grid": (
         "8d93df0a92993e9a33b47dfba8b8a33c"
         "c7be0860fbec2a81e8539351182a9f4c"
     ),
     "preset_beta0_demo": (
-        "3e9cb292923b8b769fe532d02a23e360"
-        "b2628422fee2e9301d8b5159069c306f"
+        "65f822d603e8cde3ed08e10129334cce"
+        "2ccf130b1565094c1235912fdfccf196"
     ),
     "preset_beta_one": (
-        "9eb24398f7b0fbe905e5e71437be0923"
-        "c0aae6f9ea7bec19b1c9890ff0fecc09"
+        "75e0dd872fd7aaf9e2537d3c44d10e14"
+        "1738fd03df4ad3f878c2a8788e726243"
     ),
     "preset_bounded_normalizers": (
-        "24fe625135f3550db34272225c610a7b"
-        "897c0bdda430419b6a53b9bca3c69bd9"
+        "ea6ac7403fbae0a7915692235d3ee3e0"
+        "f2299d2310e3bf0117839588b1341a9e"
     ),
     "scaling_and_masses": (
         "326a981f685836ff85d2db4d1da5259a"
         "be337e54888eeb77628ac2fac8ed326b"
     ),
     "stable_limit_report": (
-        "aa04a65690bcbed5d8aa13ab52665c3a"
-        "94417a35d8d2705499cc107934b0a57b"
+        "e16a39e584ac352aa8d94714aef6d4c8"
+        "7684f55a2ac2ed1b72d87a351e5794d1"
     ),
     "target_stable_p3": (
-        "f5fdb59a05a88750a06c28a26cc7e743"
-        "68f1d349a8b5b0f63c1fa019e64998bf"
+        "7b74104a8209398cfcb296240f1e80ed"
+        "0afd8fc2ae609110f6fc87962e56bbfc"
     ),
 }
 

@@ -3,7 +3,7 @@
 The reference functions below keep the draws, sums, phases and ball
 membership in exact Fractions and PAdicNumbers: the radial, Haar-ball and
 point-mass draws by a scalar formula over the block stream (RNG stream
-v2), the compound-Poisson draws as the former implementation, sums of
+v2), the compound-Poisson draws jump by jump over the same stream, sums of
 PAdicNumber draws, the phase of every (sum, grid point) pair and rational
 ball membership on every (ball, sum) pair.  Draws and counts must agree
 exactly, and so must the exception (type and message) wherever the exact
@@ -21,16 +21,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from padicprob.charfn import (
+    CP_CHUNK,
     CompoundPoissonSampler,
     HaarBallSampler,
     PointMassSampler,
     RadialSampler,
     SphereMassTable,
     StableParams,
-    _uniform_digits_int,
     ball_counts,
     empirical_phase_counts,
-    poisson_draw,
     stable_sampler,
     substream,
 )
@@ -114,32 +113,51 @@ def reference_haar_draws(sampler: HaarBallSampler, rng, count: int) -> list[PAdi
             for u in us]
 
 
-def reference_cp_draw(sampler: CompoundPoissonSampler, rng) -> PAdicNumber:
-    """CompoundPoissonSampler.draw as it was before residues, with
-    right-closed lookups: each jump an exact Fraction, the sum reduced at
-    the resolution."""
+def reference_cp_draws(sampler: CompoundPoissonSampler, rng, count: int) -> list[PAdicNumber]:
+    """A block of compound-Poisson draws, one exact Fraction sum of jumps
+    each, CP_CHUNK draws at a time: the jump counts, every jump's ball by a
+    right-closed lookup on the masses w * beta**k_min(r) (k_min(r) the
+    least period with r + k*j above the resolution, relative to that of
+    r = 0), its period k_min(r) + offset, and its point of the ball."""
     meas = sampler.measure
     p, j, res = meas.prime, meas.j, sampler.resolution
-    lam, cums = sampler._lam, sampler._cums
-    jumps = poisson_draw(rng, lam)
-    if jumps == 0:
-        return PAdicNumber.zero(p, -res)
-    total = Fraction(0)
-    for _ in range(jumps):
-        n = res + 1 + min(bisect.bisect_right(cums, rng.random() * lam), len(cums) - 1)
-        r = n % j
-        k = (n - r) // j
-        entries = meas.fundamental[r]
-        cw, tot = [], 0.0
-        for _, w in entries:
-            tot += float(w)
-            cw.append(tot)
-        u2 = rng.random() * cw[-1]
-        chosen = entries[min(bisect.bisect_right(cw, u2), len(entries) - 1)][0]
-        u = _uniform_digits_int(rng, p, chosen.radius_exp + k * j - res)
-        z = chosen.center + Fraction(u) * Fraction(p) ** (-chosen.radius_exp)
-        total += z * Fraction(meas.gamma0) ** (-k)
-    return rational_at_resolution(total, p, res)
+
+    def k_min(r):
+        k = 0
+        while r + (k - 1) * j > res:
+            k -= 1
+        while r + k * j <= res:
+            k += 1
+        return k
+
+    table = [(r, k_min(r), ball, w) for r, entries in enumerate(meas.fundamental)
+             for ball, w in entries if w > 0]
+    edges, acc = [], 0.0
+    for r, k, _, w in table:
+        acc += float(w * meas.beta_pow(k - k_min(0)))
+        edges.append(acc)
+    lam, q = float(meas.tail_mass(res)), float(1 - meas.beta)
+    out = []
+    for start in range(0, count, CP_CHUNK):
+        jumps = rng.poisson(lam, min(CP_CHUNK, count - start)).tolist()
+        if not sum(jumps):
+            out += [PAdicNumber.zero(p, -res)] * len(jumps)
+            continue
+        picks = [table[min(bisect.bisect_right(edges, u * edges[-1]), len(table) - 1)]
+                 for u in rng.random(sum(jumps)).tolist()]
+        periods = [k + g - 1 for (_, k, _, _), g in
+                   zip(picks, rng.geometric(q, len(picks)).tolist())]
+        points = reference_uniform(rng, p, [
+            max(ball.radius_exp + k * j - res, 0) for (_, _, ball, _), k in zip(picks, periods)
+        ])
+        ys = [
+            (ball.center + Fraction(u) * Fraction(p) ** -ball.radius_exp) * meas.gamma0 ** -k
+            for (_, _, ball, _), k, u in zip(picks, periods, points)
+        ]
+        for c in jumps:
+            out.append(rational_at_resolution(sum(ys[:c], Fraction(0)), p, res))
+            del ys[:c]
+    return out
 
 
 def reference_draws(sampler, rng, count: int) -> list[PAdicNumber]:
@@ -148,7 +166,7 @@ def reference_draws(sampler, rng, count: int) -> list[PAdicNumber]:
     if isinstance(sampler, HaarBallSampler):
         return reference_haar_draws(sampler, rng, count)
     if isinstance(sampler, CompoundPoissonSampler):
-        return [reference_cp_draw(sampler, rng) for _ in range(count)]
+        return reference_cp_draws(sampler, rng, count)
     return [sampler.xi] * count
 
 
@@ -492,6 +510,18 @@ BLOCK_SAMPLERS = {
     "point-mass": PointMassSampler(xi=PAdicNumber.from_rational(Fraction(7, 3), p=5)),
     "certified-zero": PointMassSampler(xi=PAdicNumber.zero(3, 4)),
     "exact-zero": PointMassSampler(xi=PAdicNumber.zero(2)),
+    "cp-p2": CompoundPoissonSampler(measure=make_example_measure(1, 1, 2), resolution=-4),
+    # j = 2, gamma0 = 9 * 2/5, a zero-weight ball and a ball deep enough
+    # that the jumps on the lowest spheres need none of its digits
+    "cp-p3-j2": CompoundPoissonSampler(measure=make_measure(
+        3, Fraction(2, 3), Fraction(18, 5),
+        (((Ball(3, 1, -1), Fraction(1, 4)), (Ball(3, 2, -1), Fraction(0))),
+         ((Ball(3, Fraction(5, 3), -4), Fraction(1, 2)),)),
+    ), resolution=-3),
+    # beta = 99/100: spheres hundreds of digits above the resolution
+    "cp-p2-beta-99/100": CompoundPoissonSampler(measure=make_measure(
+        2, Fraction(99, 100), 2, (((Ball(2, 1, -1), Fraction(1, 100)),),)
+    ), resolution=-2),
 }
 
 
@@ -567,35 +597,46 @@ def cp_samplers(draw):
 @given(cp_samplers(), st.integers(0, 2**32), st.integers(1, 12))
 def test_cp_draws_match_fraction_jumps(sampler, seed, count):
     a, b = substream(seed, 2), substream(seed, 2)
-    assert sampler.sample(a, count) == [reference_cp_draw(sampler, b) for _ in range(count)]
+    assert sampler.sample(a, count) == reference_cp_draws(sampler, b, count)
     assert a.random() == b.random()  # the same RNG calls were made
 
 
 def test_cp_draws_reach_zero_jump_and_certified_zero_draws():
-    # p = 2 at resolution -1, rate about 1: draws with no jump, and draws
-    # whose jumps cancel above the resolution scale
+    # p = 2 at resolution -1, rate 1/4: draws with no jump, and draws whose
+    # jumps cancel above the resolution scale, over two chunks
     m = make_measure(2, Fraction(1, 2), 2, (((Ball(2, 1, -1), Fraction(1, 8)),),))
     sampler = CompoundPoissonSampler(measure=m, resolution=-1)
-    a, b = substream(3, 0), substream(3, 0)
-    kinds = Counter()
-    for _ in range(400):
-        state = a.bit_generator.state
-        jumps = poisson_draw(a, sampler._lam)
-        a.bit_generator.state = state
-        x = sampler.draw(a)
-        assert x == reference_cp_draw(sampler, b)
-        kinds[(jumps > 0, x.is_zero)] += 1
+    count = CP_CHUNK + 500
+    draws = sampler.sample(substream(3, 0), count)
+    assert draws == reference_cp_draws(sampler, substream(3, 0), count)
+    # the first chunk's jump counts are the block's first call
+    jumps = substream(3, 0).poisson(sampler._lam, CP_CHUNK).tolist()
+    kinds = Counter((n > 0, x.is_zero) for n, x in zip(jumps, draws))
     assert kinds[(False, True)] and kinds[(True, True)] and kinds[(True, False)]
-    assert all(x.precision == 1 for x in sampler.sample(a, 50) if x.is_zero)
+    assert all(x.precision == 1 for x in draws if x.is_zero)
+
+
+def test_cp_blocks_of_several_chunks_match_the_reference():
+    # three chunks, each with its own top, lifted to the block's
+    sampler = CompoundPoissonSampler(measure=make_example_measure(1, 1, 3), resolution=-1)
+    count = 2 * CP_CHUNK + 5
+    a, b = substream(21, 0), substream(21, 0)
+    assert sampler.sample(a, count) == reference_cp_draws(sampler, b, count)
+    assert a.random() == b.random()
 
 
 class ScriptedRng:
     """Stands in for a Generator: random() replays a script, one value per
     call or per element of a sized call; integers() returns the largest
-    value of each range."""
+    value of each range; poisson() and geometric() give one value per
+    element, the same int each time or the next of a list."""
 
-    def __init__(self, script):
+    def __init__(self, script, poisson=1, geometric=1):
         self.script = list(script)
+        self.counts = {"poisson": poisson, "geometric": geometric}
+        for name, value in self.counts.items():
+            if not isinstance(value, int):
+                self.counts[name] = list(value)
 
     def random(self, size=None):
         if size is None:
@@ -606,32 +647,44 @@ class ScriptedRng:
         high = np.broadcast_to(high, np.shape(high) if size is None else size)
         return (high - 1).astype(np.int64)
 
+    def _replay(self, name, size):
+        script = self.counts[name]
+        if isinstance(script, int):
+            return np.full(size, script, dtype=np.int64)
+        return np.array([script.pop(0) for _ in range(size)], dtype=np.int64)
+
+    def poisson(self, lam, size):
+        return self._replay("poisson", size)
+
+    def geometric(self, q, size):
+        return self._replay("geometric", size)
+
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_cp_jump_on_the_top_sphere(p):
-    # the top sphere of the table carries about 1e-14 of the jump rate,
-    # so random draws never reach it; a scripted stream puts one jump there
+def test_cp_blocks_with_different_tops_match_the_reference(p):
+    # one sampler draws two blocks whose tops differ: the sphere factors
+    # memoised for the first block must not serve the second
     sampler = CompoundPoissonSampler(measure=make_example_measure(1, 1, p), resolution=-3)
-    cums, lam = sampler._cums, sampler._lam
-    u = (cums[-2] + cums[-1]) / 2 / lam
-    assert bisect.bisect_right(cums, u * lam) == len(cums) - 1
-    script = [0.5, 1e-9, u, 0.5]  # Poisson: one jump; top sphere; a ball
-    got = sampler.draw(ScriptedRng(script))
-    assert got == reference_cp_draw(sampler, ScriptedRng(script))
-    assert -got.valuation == sampler._top
+    tops = []
+    for trials in ([1, 2, 1], [5, 1, 9]):
+        script = dict(poisson=[1, 2, 0], geometric=trials)
+        got = sampler.residue_sums(ScriptedRng(SCRIPT[:3], **script), 1, 3)
+        assert got.elements() == reference_cp_draws(sampler, ScriptedRng(SCRIPT[:3], **script), 3)
+        tops.append(got.top)
+    assert tops[0] < tops[1]
+    assert -sampler.sample(ScriptedRng([0.5], geometric=9), 1)[0].valuation == tops[1]
 
 
 def test_cp_never_draws_an_empty_sphere():
-    # p = 2, j = 2, fundamental sphere 1 empty: at resolution -4 the first
-    # sphere of the table, p**-3, has no mass.  A sphere pick of exactly
-    # 0.0 must skip it rather than land on it and find no ball to draw.
+    # p = 2, j = 2, fundamental sphere 1 empty: the odd spheres have no
+    # mass, so every jump lands on an even sphere, also for u = 0.0 and u
+    # on the last edge
     m = make_measure(2, Fraction(1, 2), 4, (((Ball(2, 1, -1), Fraction(1, 8)),), ()))
     sampler = CompoundPoissonSampler(measure=m, resolution=-4)
-    assert sampler._cums[0] == 0.0
-    script = [0.9, 1e-9, 0.0, 0.5]  # Poisson: one jump; sphere; ball
-    got = sampler.draw(ScriptedRng(script))
-    assert got == reference_cp_draw(sampler, ScriptedRng(script))
-    assert got.valuation == 2  # the first sphere with mass, p**-2
+    trials = range(1, len(SCRIPT) + 1)
+    got = sampler.sample(ScriptedRng(SCRIPT, geometric=trials), len(SCRIPT))
+    assert got == reference_cp_draws(sampler, ScriptedRng(SCRIPT, geometric=trials), len(SCRIPT))
+    assert [x.valuation for x in got] == [4 - 2 * t for t in trials]
 
 
 def test_cp_never_draws_a_zero_weight_ball():
@@ -640,10 +693,24 @@ def test_cp_never_draws_a_zero_weight_ball():
         (((Ball(2, 1, -2), Fraction(0)), (Ball(2, 3, -2), Fraction(1, 8))),),
     )
     sampler = CompoundPoissonSampler(measure=m, resolution=-3)
-    script = [0.9, 1e-9, 0.5, 0.0]  # Poisson: one jump; sphere; ball
-    got = sampler.draw(ScriptedRng(script))
-    assert got == reference_cp_draw(sampler, ScriptedRng(script))
-    assert got.unit % 4 == 3  # inside 3 + 4Z_2, scaled by a power of 2
+    # on the sphere p**2, two digits above the resolution and more
+    got = sampler.sample(ScriptedRng(SCRIPT, geometric=5), len(SCRIPT))
+    assert got == reference_cp_draws(sampler, ScriptedRng(SCRIPT, geometric=5), len(SCRIPT))
+    assert all(x.unit % 4 == 3 for x in got)  # inside 3 + 4Z_2, scaled by a power of 2
+
+
+def test_cp_scripted_edges_open_the_next_ball():
+    # two balls of weight 1/8: u = 0.5 lands on the edge between them and
+    # draws the second, right-closed
+    m = make_measure(
+        2, Fraction(1, 2), 2,
+        (((Ball(2, 1, -2), Fraction(1, 8)), (Ball(2, 3, -2), Fraction(1, 8))),),
+    )
+    sampler = CompoundPoissonSampler(measure=m, resolution=-3)
+    script = [0.0, 0.5, 0.25, 0.75, 0.9999999999999999]
+    got = sampler.sample(ScriptedRng(script, geometric=5), len(script))
+    assert got == reference_cp_draws(sampler, ScriptedRng(script, geometric=5), len(script))
+    assert [x.unit % 4 for x in got] == [1, 3, 1, 3, 3]
 
 
 def test_radial_never_draws_an_empty_bin():
@@ -659,15 +726,14 @@ def test_radial_never_draws_an_empty_bin():
 def test_cp_residue_sums_match_summed_draws():
     sampler = compound_poisson(3)
     sums = sampler.residue_sums(substream(8, 1), 5, 6)
-    rng = substream(8, 1)
+    draws = reference_cp_draws(sampler, substream(8, 1), 30)
     expected = []
-    for _ in range(6):
-        total = reference_cp_draw(sampler, rng)
-        for _ in range(4):
-            total = total + reference_cp_draw(sampler, rng)
+    for i in range(6):
+        total = draws[5 * i]
+        for x in draws[5 * i + 1:5 * i + 5]:
+            total = total + x
         expected.append(total)
     assert sums.elements() == expected
-
 
 
 @pytest.mark.parametrize("p", (2, 3))
