@@ -22,7 +22,6 @@ keyed by (seed, *indices) so parallel replication is deterministic.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,15 +29,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import PrecisionError, PrimeMismatchError, ToleranceError
+from .errors import PrimeMismatchError, ToleranceError
 from .padic import (
     DEFAULT_PRECISION,
-    CharacterSum,
     PAdicNumber,
     _check_prime,
+    character_value,
     split_p_part,
 )
-from .residues import ResidueBatch, replay
+from .residues import ResidueBatch, merge_phase_keys, tally
 from .sets import Ball
 
 DEFAULT_RESOLUTION = -12
@@ -830,46 +829,13 @@ class CompoundPoissonSampler(_BlockSampler):
 # ---------------------------------------------------------------------
 
 
-def _sample_phase(t: PAdicNumber, x: PAdicNumber):
-    try:
-        return (t * x).character_phase()
-    except PrecisionError as exc:
-        # heavy-tailed laws can produce draws so large that the
-        # phase at this t needs more digits of t than were supplied
-        raise PrecisionError(
-            f"sample with |x| = {x.abs_value()} needs more digits of "
-            f"t (|t| = {t.abs_value()}, {t.precision} known); widen "
-            "the evaluation point's precision or coarsen |t|"
-        ) from exc
-
-
-def empirical_phase_counts(
-    samples: Sequence[PAdicNumber], t: PAdicNumber
-) -> Counter:
-    """Multiset of character phases chi-arguments of t * x_i.
-
-    Exact bookkeeping: phases are rationals, so the empirical transform
-    is a character sum with rational coefficients.  Counted on residues
-    (see :mod:`padicprob.residues`).
-    """
-    if all(x.prime == t.prime for x in samples):
-        batch = ResidueBatch.from_padics(t.prime, samples)
-        if batch.phase_ok(t):
-            return batch.phase_counts(t)
-    replay(samples, [lambda x: _sample_phase(t, x)])
-
-
 def empirical_cf(samples: Sequence[PAdicNumber], t: PAdicNumber) -> complex:
     """(1/n) sum_i chi(t * x_i); raises PrecisionError when |t| exceeds
     what the sample resolution can support."""
     if not samples:
         raise ValueError("no samples")
-    counts = empirical_phase_counts(samples, t)
-    n = len(samples)
-    cs = CharacterSum(
-        t.prime, {ph: Fraction(c, n) for ph, c in counts.items()}
-    )
-    return cs.to_complex()
+    keys, _ = tally(t.prime, samples, [t], [])
+    return character_value(t.prime, merge_phase_keys(t.prime, keys), len(samples))
 
 
 def ball_counts(
@@ -880,15 +846,7 @@ def ball_counts(
     ``samples`` is a list of values or a residue batch of them.  Raises
     what ``Ball.contains`` raises, ball by ball in order.
     """
-    batch = samples
-    if not isinstance(samples, ResidueBatch):
-        if not samples:
-            return [0] * len(balls)
-        p = samples[0].prime
-        batch = None
-        if all(x.prime == p for x in samples):
-            batch = ResidueBatch.from_padics(p, samples)
-    for b in balls:
-        if batch is None or not batch.ball_ok(b):
-            replay(batch.elements() if batch is samples else samples, [b.contains])
-    return [batch.ball_count(b) for b in balls]
+    if not len(samples):
+        return [0] * len(balls)
+    p = samples.prime if isinstance(samples, ResidueBatch) else samples[0].prime
+    return tally(p, samples, [], balls)[1]

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charfn import Transform, _measure_radial_value, substream
+from .charfn import Transform, substream
 from .errors import InfiniteMassError, PrecisionError, ToleranceError
 from .padic import (
     CharacterSum,
@@ -491,7 +491,7 @@ class JumpMeasure(Transform):
         if not self.is_radial:
             raise ValueError("sphere data is not rotation-invariant; radial "
                              "evaluation would be unsound")
-        return _measure_radial_value(self.measure, k)
+        return super().radial_value(k)
 
     def power(self, t: PAdicNumber, k: int) -> complex:
         """exp(k * phi(t)), scaled on the exact sum: where beta**-1 is an

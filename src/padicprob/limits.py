@@ -16,7 +16,6 @@ as a zero.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -44,7 +43,7 @@ from .padic import (
     grid_points,
     split_p_part,
 )
-from .residues import ResidueBatch, reduced_phase, replay
+from .residues import ResidueBatch, merge_phase_keys, tally
 from .sets import Ball, TailSet
 
 BUDGET_CAP = 10**8
@@ -333,30 +332,13 @@ class ConvergenceReport:
         }
 
 
-def _mc_block(args) -> tuple[int, list[tuple[int, list[int]]], list[int], int]:
-    """One block of Monte Carlo replicates (top level for pickling).
-
-    Phases and ball membership are counted on residues; each grid point's
-    phases come back as integer keys (see ResidueBatch.phase_keys).
-    Where the exact path would raise, it is replayed in its own order
-    (replicate-major over the grid, then ball-major) to raise the same
-    exception.
-    """
+def _mc_block(args) -> tuple[list[tuple[int, list[int]]], list[int]]:
+    """One block of Monte Carlo replicates (top level for pickling): each
+    grid point's phase keys and each ball's count, by residues.tally."""
     (sampler, scheme, n, seed, n_idx, block, count, grid, balls) = args
     rng = substream(seed, n_idx, block)
     sums = sum_residues(sampler, scheme, n, count, rng)
-    bad_ts = [t for t in grid if not sums.phase_ok(t)]
-    if bad_ts:
-        replay(
-            sums.elements(),
-            [lambda x, t=t: (t * x).character_phase() for t in bad_ts],
-        )
-    for b in balls:
-        if not sums.ball_ok(b):
-            replay(sums.elements(), [b.contains])
-    phase_keys = [sums.phase_keys(t) for t in grid]
-    ball_counts = [sums.ball_count(b) for b in balls]
-    return block, phase_keys, ball_counts, len(sums)
+    return tally(sums.prime, sums, grid, balls)
 
 
 def _block_sizes(m: int, blocks: int = MC_BLOCKS) -> list[int]:
@@ -382,27 +364,12 @@ def _run_blocks(scenario: Scenario, n: int, n_idx: int, pool):
         if count > 0
     ]
     results = list((pool.map if pool else map)(_mc_block, jobs))
-    results.sort(key=lambda r: r[0])
     phase_counts = [
-        _merge_phase_keys(scenario.prime, [r[1][i] for r in results])
+        merge_phase_keys(scenario.prime, [r[0][i] for r in results])
         for i in range(len(scenario.grid))
     ]
-    ball_counts = [sum(r[2][i] for r in results) for i in range(len(balls))]
-    return phase_counts, ball_counts, sum(r[3] for r in results)
-
-
-def _merge_phase_keys(
-    p: int, blocks: list[tuple[int, list[int]]]
-) -> dict[tuple[int, int], int]:
-    """The phase counts of one grid point over all blocks, keyed by the
-    reduced phase (scale, numerator), in first-appearance order.  Keys
-    key / p**m are lifted to the largest m first, so equal phases share
-    one key and each is reduced once."""
-    top = max((m for m, _ in blocks), default=0)
-    keys: list[int] = []
-    for m, ks in blocks:
-        keys += ks if m == top else [k * p ** (top - m) for k in ks]
-    return {reduced_phase(p, k, top): c for k, c in Counter(keys).items()}
+    ball_counts = [sum(r[1][i] for r in results) for i in range(len(balls))]
+    return phase_counts, ball_counts
 
 
 def _t_label(t: PAdicNumber) -> str:
@@ -431,17 +398,17 @@ def _theory_rows(scenario: Scenario) -> tuple[dict, list[dict]]:
 def _mc_rows(scenario: Scenario, theo: dict, workers: int):
     """The empirical transform of S_n on the grid against f_n for each n,
     with one process pool for all of them when ``workers`` > 1; also the
-    ball counts and the replicate total of the final n."""
+    ball counts of the final n."""
     cf_rows: list[dict] = []
-    ball_counts, total = None, 0
+    ball_counts = None
     if scenario.m <= 0:
-        return cf_rows, ball_counts, total
+        return cf_rows, ball_counts
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for n_idx, n in enumerate(scenario.n_list):
-            phase_counts, ball_counts, total = _run_blocks(scenario, n, n_idx, pool)
-            band = 4.0 / math.sqrt(total)
+            phase_counts, ball_counts = _run_blocks(scenario, n, n_idx, pool)
+            band = 4.0 / math.sqrt(scenario.m)
             for i, t in enumerate(scenario.grid):
-                emp = character_value(scenario.prime, phase_counts[i], total)
+                emp = character_value(scenario.prime, phase_counts[i], scenario.m)
                 ref = theo.get((n, i))
                 cf_rows.append({
                     "n": n,
@@ -453,10 +420,10 @@ def _mc_rows(scenario: Scenario, theo: dict, workers: int):
                     "residual": "" if ref is None else abs(emp - ref),
                     "band": band,
                 })
-    return cf_rows, ball_counts, total
+    return cf_rows, ball_counts
 
 
-def _ball_rows(scenario: Scenario, counts: list[int] | None, total: int) -> list[dict]:
+def _ball_rows(scenario: Scenario, counts: list[int] | None) -> list[dict]:
     """Final-n ball frequencies against the target's ball probabilities."""
     target = scenario.target
     if counts is None or target is None or not target.is_radial:
@@ -464,8 +431,8 @@ def _ball_rows(scenario: Scenario, counts: list[int] | None, total: int) -> list
     rows = []
     for b, cnt in zip(scenario.balls, counts):
         q = ball_probability(target, b).value
-        freq = cnt / total
-        band = 4.0 * math.sqrt(max(q * (1 - q), 1e-12) / total)
+        freq = cnt / scenario.m
+        band = 4.0 * math.sqrt(max(q * (1 - q), 1e-12) / scenario.m)
         rows.append({
             "ball": str(b),
             "target_q": q,
@@ -545,8 +512,8 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
         target=None if target is None else target.fresh(),
     )
     theo, sup_rows = _theory_rows(scenario)
-    cf_rows, ball_counts, total = _mc_rows(scenario, theo, workers)
-    ball_rows = _ball_rows(scenario, ball_counts, total)
+    cf_rows, ball_counts = _mc_rows(scenario, theo, workers)
+    ball_rows = _ball_rows(scenario, ball_counts)
     phi_rows, phi_final, phi_dropped = _phi_rows(scenario)
     scaling_rows, min_log_abs_target = _scaling_rows(scenario)
     degenerate = _classification(scenario)

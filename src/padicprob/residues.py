@@ -20,13 +20,14 @@ W <= 64 (products wrap modulo 2**64, which leaves every residue modulo
 2**W exact) or when p**(2W) fits in 64 bits (no product wraps), and
 Python ints (object dtype) otherwise.  No float is ever involved.
 
-A query is answered from residues only when the exact
+Every Monte Carlo count goes through :func:`tally`, which answers a
+query from residues only when the exact
 :class:`~padicprob.padic.PAdicNumber` arithmetic would answer it.
 :meth:`ResidueBatch.phase_ok` and :meth:`ResidueBatch.ball_ok` decide
 that from the window, the top and whether any residue has too few digits
-for the query; when they return False the caller hands the original
+for the query; when they return False, ``tally`` hands the original
 values to :func:`replay`, which re-runs the exact arithmetic in the
-caller's loop order and so raises the exact path's own exception.
+exact loop's order and so raises the exact path's own exception.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Callable, Iterable, NoReturn, Sequence
 import numpy as np
 
 from .errors import PrimeMismatchError
-from .padic import PAdicNumber, Phase, int_valuation, split_p_part
+from .padic import PAdicNumber, int_valuation, split_p_part
 
 
 def _dtype(p: int, width: int):
@@ -124,11 +125,6 @@ class ResidueBatch:
             for x in xs
         ])
 
-    def total(self) -> PAdicNumber:
-        """The sum of the values."""
-        s = sum(self.values.tolist()) % self.prime**self.width
-        return decode(self.prime, self.top, self.window, s)
-
     def scale(self, r: Fraction) -> "ResidueBatch":
         """Every value times the nonzero rational r."""
         if self.window is None:
@@ -187,16 +183,6 @@ class ResidueBatch:
         keys = self._mod(self.values * (t.unit % self.prime**m), m)
         return m, keys.tolist()
 
-    def phase_counts(self, t: PAdicNumber) -> Counter:
-        """Multiset of the phases of chi(t*x); requires phase_ok(t)."""
-        p = self.prime
-        m, keys = self.phase_keys(t)
-        counts: Counter = Counter()
-        for key, c in Counter(keys).items():
-            scale, numerator = reduced_phase(p, key, m)
-            counts[Phase(p, numerator, scale)] = c
-        return counts
-
     # -- ball membership ----------------------------------------------
 
     def ball_ok(self, ball) -> bool:
@@ -226,3 +212,50 @@ def reduced_phase(p: int, key: int, m: int) -> tuple[int, int]:
         return 0, 0
     v = int_valuation(key, p)
     return m - v, key // p**v
+
+
+def merge_phase_keys(
+    p: int, blocks: Sequence[tuple[int, list[int]]]
+) -> dict[tuple[int, int], int]:
+    """The phase counts of one grid point over all blocks, keyed by the
+    reduced phase (scale, numerator), in first-appearance order.  Keys
+    key / p**m are lifted to the largest m first, so equal phases share
+    one key and each is reduced once."""
+    top = max((m for m, _ in blocks), default=0)
+    keys: list[int] = []
+    for m, ks in blocks:
+        keys += ks if m == top else [k * p ** (top - m) for k in ks]
+    return {reduced_phase(p, k, top): c for k, c in Counter(keys).items()}
+
+
+def tally(
+    p: int,
+    values: ResidueBatch | Sequence[PAdicNumber],
+    grid: Sequence[PAdicNumber],
+    balls: Sequence,
+) -> tuple[list[tuple[int, list[int]]], list[int]]:
+    """The phase keys (m, keys) of chi(t*x) at each grid point t (see
+    ResidueBatch.phase_keys) and the number of values in each ball.
+
+    ``values`` is a residue batch or a list of values over p; a list with
+    a value over another prime fails every query.  Where the exact path
+    raises, the original values (the list as given, since from_padics
+    cuts windows, or the decoded batch) are replayed value-major over the
+    failing grid points, then ball by ball, to raise its exception.
+    """
+    if isinstance(values, ResidueBatch):
+        batch, xs = values, None
+    else:
+        xs = values
+        same = all(x.prime == p for x in xs)
+        batch = ResidueBatch.from_padics(p, xs) if same else None
+    bad_ts = [t for t in grid if batch is None or not batch.phase_ok(t)]
+    if bad_ts:
+        replay(
+            batch.elements() if xs is None else xs,
+            [lambda x, t=t: (t * x).character_phase() for t in bad_ts],
+        )
+    for b in balls:
+        if batch is None or not batch.ball_ok(b):
+            replay(batch.elements() if xs is None else xs, [b.contains])
+    return [batch.phase_keys(t) for t in grid], [batch.ball_count(b) for b in balls]

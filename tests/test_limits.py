@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicprob import charfn
 from padicprob.charfn import (
     HaarBallSampler,
     HaarUniform,
@@ -425,13 +426,16 @@ def test_theoretical_fn_matches_oracle(seed):
 
 def test_each_report_evaluates_through_its_own_exponent():
     # a memo must not outlive its report: the scenario's transforms keep
-    # empty exponent caches however often it is reported
+    # empty exponent caches however often it is reported, and the
+    # module-level sphere-value memo is never filled
+    charfn._measure_radial_value.cache_clear()
     sc = stable_limit_scenario(m=0, n_list=(0, 2))
     first = convergence_report(sc)
     second = convergence_report(sc)
     assert first.sup_rows == second.sup_rows and first.sup_rows
     assert not sc.law_source.exponent._cache
     assert not sc.target.exponent._cache
+    assert charfn._measure_radial_value.cache_info().currsize == 0
 
 
 def test_one_process_pool_per_report(monkeypatch):

@@ -128,10 +128,10 @@ def _preset_report(name: str, tmp: Path, **kwargs) -> bytes:
         return _limit_verify_report(["--preset", name], tmp)
 
 
-def _config_report(config: dict, tmp: Path) -> bytes:
+def _config_report(config: dict, tmp: Path, *args: str) -> bytes:
     path = tmp / "config.json"
     path.write_text(json.dumps(config, indent=2))
-    return _limit_verify_report(["--config", str(path)], tmp / "out")
+    return _limit_verify_report(["--config", str(path), *args], tmp / "out")
 
 
 def _eval_with_csv(args, tmp: Path) -> bytes:
@@ -168,27 +168,29 @@ def _small_config(name: str, law: dict, scheme: dict, target, **extra) -> dict:
     }
 
 
-def law_point_mass(tmp: Path) -> bytes:
+def law_point_mass(tmp: Path, *args: str) -> bytes:
     law = {"kind": "point_mass", "xi": "1/3 @ p=2"}
     target = {"stable": {"a": 1, "alpha": 1, "p": 2}}
-    return _config_report(_small_config("point-mass", law, _GEOMETRIC_2, target), tmp)
+    config = _small_config("point-mass", law, _GEOMETRIC_2, target)
+    return _config_report(config, tmp, *args)
 
 
-def law_haar_ball(tmp: Path) -> bytes:
+def law_haar_ball(tmp: Path, *args: str) -> bytes:
     """A Haar ball away from 0 (a transform that is not radial) against
     the non-radial configs/custom_measure.json."""
     law = {"kind": "haar_ball", "p": 3, "center": "1/3", "radius_exp": -2,
            "resolution": -12}
     target = json.loads(Path(CUSTOM).read_text())
-    return _config_report(_small_config("haar-ball", law, _GEOMETRIC_3, target), tmp)
+    config = _small_config("haar-ball", law, _GEOMETRIC_3, target)
+    return _config_report(config, tmp, *args)
 
 
-def law_compound_poisson(tmp: Path) -> bytes:
+def law_compound_poisson(tmp: Path, *args: str) -> bytes:
     """Ball rows read a radial measure's own transform on spheres."""
     law = {"kind": "compound_poisson", "resolution": -4,
            "measure": {"stable": {"a": 1, "alpha": 1, "p": 2}}}
     config = _small_config("compound-poisson", law, _GEOMETRIC_2, _RADIAL_MEASURE_2)
-    return _config_report(config, tmp)
+    return _config_report(config, tmp, *args)
 
 
 def target_stable_p3(tmp: Path) -> bytes:
@@ -300,6 +302,15 @@ def _digest(data: bytes) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes(name, tmp_path):
     assert _digest(CASES[name](tmp_path)) == DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "name", ["law_compound_poisson", "law_haar_ball", "law_point_mass"]
+)
+def test_law_reports_keep_their_bytes_under_a_process_pool(name, tmp_path):
+    # --workers 2 runs the Monte Carlo blocks in a process pool; every
+    # sampler kind must give the serial report's bytes
+    assert _digest(CASES[name](tmp_path, "--workers", "2")) == DIGESTS[name]
 
 
 def test_package_and_project_versions_agree():

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from padicprob.charfn import (
@@ -29,7 +29,6 @@ from padicprob.charfn import (
     SphereMassTable,
     StableParams,
     ball_counts,
-    empirical_phase_counts,
     stable_sampler,
     substream,
 )
@@ -38,13 +37,12 @@ from padicprob.levy import make_example_measure, make_measure
 from padicprob.limits import (
     LimitScheme,
     _mc_block,
-    _merge_phase_keys,
     default_ball_family,
     simulate_sums,
     sum_residues,
 )
 from padicprob.padic import PAdicNumber, Phase, grid_points, rational_valuation
-from padicprob.residues import ResidueBatch
+from padicprob.residues import ResidueBatch, merge_phase_keys, tally
 from padicprob.sets import Ball, split_sphere
 
 # ---------------------------------------------------------------------
@@ -200,24 +198,24 @@ def key_phase(p: int, key: int, m: int) -> Phase:
 
 
 def mc_block(args):
-    """_mc_block with each grid point's phase keys turned into Phases."""
-    block, keys, ball_hits, count = _mc_block(args)
+    """_mc_block with each grid point's phase keys turned into Phases, and
+    the block index and size read from its args."""
+    keys, ball_hits = _mc_block(args)
     p = args[0].prime
     phases = [Counter(key_phase(p, k, m) for k in ks) for m, ks in keys]
-    return block, phases, ball_hits, count
+    return args[5], phases, ball_hits, args[6]
+
+
+def phase_counts(samples, t) -> Counter:
+    """tally's phase keys of one grid point turned into a Counter of Phases."""
+    [(m, keys)], _ = tally(t.prime, samples, [t], [])
+    return Counter(key_phase(t.prime, k, m) for k in keys)
 
 
 def reference_phase_counts(samples, t) -> Counter:
     counts = Counter()
     for x in samples:
-        try:
-            counts[(t * x).character_phase()] += 1
-        except PrecisionError as exc:
-            raise PrecisionError(
-                f"sample with |x| = {x.abs_value()} needs more digits of "
-                f"t (|t| = {t.abs_value()}, {t.precision} known); widen "
-                "the evaluation point's precision or coarsen |t|"
-            ) from exc
+        counts[(t * x).character_phase()] += 1
     return counts
 
 
@@ -387,12 +385,19 @@ padic_values = st.one_of(
     ),
     st.booleans(),
 )
+# a failing query replays the list as given: the exact loop's exception,
+# not that of the values from_padics cuts to the shortest window, nor
+# from_padics' own refusal of a second prime
+@example([PAdicNumber.zero(3), PAdicNumber.from_digits(3, -3, [1, 0])],
+         PAdicNumber.zero(3, 0), False)
+@example([PAdicNumber.zero(3, -1), PAdicNumber.from_rational(1, p=2), PAdicNumber.zero(3)],
+         PAdicNumber.zero(3, 0), False)
 def test_empirical_phase_counts_matches_exact_loop(samples, t, other_prime):
     # mixed windows, exact and certified zeros, and optionally a sample
     # over another prime
     if other_prime and samples:
         samples.insert(len(samples) // 2, PAdicNumber.from_rational(1, p=2))
-    assert outcome(empirical_phase_counts, samples, t) == outcome(
+    assert outcome(phase_counts, samples, t) == outcome(
         reference_phase_counts, samples, t
     )
 
@@ -407,6 +412,9 @@ def test_empirical_phase_counts_matches_exact_loop(samples, t, other_prime):
         max_size=4,
     ),
 )
+@example([PAdicNumber.zero(3, 0), PAdicNumber.zero(3, -1)], [Ball(3, 0, -1)])
+@example([PAdicNumber.from_rational(1, p=3), PAdicNumber.from_rational(1, p=2)],
+         [Ball(3, 0, 0)])
 def test_ball_counts_matches_exact_loop(samples, balls):
     assert outcome(ball_counts, samples, balls) == outcome(
         reference_ball_counts, samples, balls
@@ -459,20 +467,24 @@ def test_certified_zero_sums():
     assert outcome(mc_block, args)[0] == "PrecisionError"
 
 
-@pytest.mark.parametrize("case", ["short_t", "large_t", "fine_ball", "other_prime"])
+@pytest.mark.parametrize(
+    "case", ["short_t", "large_t", "fine_ball", "other_prime", "short_t_and_fine_ball"]
+)
 def test_failures_raise_what_the_exact_path_raises(case):
+    # with a failing grid point and a failing ball, the grid point raises
+    # first, as in the exact loop
     sampler = radial(2, -6, 12)
     scheme = _geometric(2)
     grid = grid_points(2, -4, 4)
     balls = default_ball_family(2, 6)
-    if case == "short_t":
+    if case.startswith("short_t"):
         grid = grid_points(2, -4, 4, precision=3)
     elif case == "large_t":
         grid = grid_points(2, -4, 9)
-    elif case == "fine_ball":
-        balls.append(Ball(2, Fraction(1, 2), -12))
-    else:
+    elif case == "other_prime":
         grid.append(PAdicNumber.from_rational(1, p=3))
+    if case.endswith("fine_ball"):
+        balls.append(Ball(2, Fraction(1, 2), -12))
     args = (sampler, scheme, 2, 3, 0, 0, 12, tuple(grid), tuple(balls))
     got = outcome(mc_block, args)
     assert got[0] in ("PrecisionError", "PrimeMismatchError")
@@ -838,6 +850,6 @@ def test_merged_phase_keys_match_merged_phases(p):
     expected = Counter()
     for m, keys in blocks:
         expected.update(key_phase(p, k, m) for k in keys)
-    got = _merge_phase_keys(p, blocks)
+    got = merge_phase_keys(p, blocks)
     assert list(got.items()) == [((ph.scale, ph.numerator), c) for ph, c in expected.items()]
-    assert _merge_phase_keys(p, []) == {}
+    assert merge_phase_keys(p, []) == {}
