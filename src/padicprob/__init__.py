@@ -13,7 +13,6 @@ from .padic import (
     CharacterSum,
     DEFAULT_PRECISION,
     PAdicNumber,
-    Phase,
     format_padic,
     from_rational,
     grid_points,

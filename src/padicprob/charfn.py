@@ -35,6 +35,7 @@ from .padic import (
     PAdicNumber,
     _check_prime,
     character_value,
+    chi,
     split_p_part,
 )
 from .residues import ResidueBatch, merge_phase_keys, tally
@@ -173,7 +174,7 @@ class PointMass(Transform):
         object.__setattr__(self, "is_radial", self.xi.is_zero)
 
     def _value(self, t: PAdicNumber) -> complex:
-        return (t * self.xi).character_phase().to_complex()
+        return chi(self.prime, *(t * self.xi).character_phase())
 
     def exact_ball_probability(self, ball: Ball) -> Fraction:
         return Fraction(ball.contains(self.xi))
@@ -197,7 +198,7 @@ class HaarUniform(Transform):
             return complex(0.0, 0.0)
         if ball.contains_zero:
             return complex(1.0, 0.0)
-        return t.mul_rational(ball.center).character_phase().to_complex()
+        return chi(self.prime, *t.mul_rational(ball.center).character_phase())
 
     def exact_ball_probability(self, ball: Ball) -> Fraction:
         rel = self.ball.relate(ball)
@@ -337,12 +338,6 @@ class SphereMassTable:
     tail_above: float
     error_bound: float
     clamped: tuple[int, ...] = ()
-
-    def mass(self, n: int) -> float:
-        for k, v in self.masses:
-            if k == n:
-                return v
-        return 0.0
 
     def total(self) -> float:
         return self.mass_at_zero + sum(v for _, v in self.masses) + self.tail_above

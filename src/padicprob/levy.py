@@ -29,14 +29,14 @@ from fractions import Fraction
 import numpy as np
 
 from .charfn import Transform, substream
-from .errors import InfiniteMassError, PrecisionError, ToleranceError
+from .errors import InfiniteMassError, PrimeMismatchError, ToleranceError
 from .padic import (
     CharacterSum,
     DEFAULT_PRECISION,
     PAdicNumber,
-    Phase,
     _check_prime,
     split_p_part,
+    unit_phase,
 )
 from .sets import Ball, CompactOpenSet, TailSet, split_sphere
 
@@ -375,7 +375,7 @@ def levy_exponent_exact(
     """
     p = measure.prime
     if t.prime != p:
-        raise ValueError("t over a different prime")
+        raise PrimeMismatchError("t over a different prime")
     if t.is_zero:
         return CharacterSum.zero(p)
     if tables is None:
@@ -385,10 +385,10 @@ def levy_exponent_exact(
     mod = p**precision
     b, a = tables.ginv
     ginv = b * pow(a, -1, mod) % mod  # the unit of gamma0**-1
-    terms: dict[Phase, Fraction | float] = {}
+    terms: dict[tuple[int, int], Fraction | float] = {}
     const = tables.neg_tail(tv)
     if const:
-        terms[Phase.zero(p)] = const
+        terms[0, 0] = const
     empty_streak = 0
     n = tv + 1
     while empty_streak < j:
@@ -399,15 +399,10 @@ def levy_exponent_exact(
         for radius_exp, cu, c in balls:
             if sv < radius_exp:
                 continue
-            if precision < m:
-                raise PrecisionError(
-                    "need %d digits below the unit scale, have %d"
-                    % (m, precision)
-                )
+            phase = unit_phase(p, -m, tu * pow(ginv, k, mod) * cu, precision)
             contributed = True
             if not c:
                 continue
-            phase = Phase(p, tu * pow(ginv, k, mod) * cu % p**m, m)
             # weights and beta are positive, so merged terms never cancel
             terms[phase] = terms[phase] + c if phase in terms else c
         empty_streak = 0 if contributed else empty_streak + 1

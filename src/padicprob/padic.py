@@ -15,8 +15,11 @@ round-trip identities like ``n*from_rational(m, n) - m`` report an honest
 residual window rather than a fabricated exact zero.
 
 The canonical additive character chi(x) = exp(2*pi*i*{x}_p) is handled as
-an exact rational phase; complex numbers are materialised only at output
-boundaries.
+an exact rational phase k / p**s, stored as the reduced integer pair
+(s, k): 0 <= k < p**s with p not dividing k, and (0, 0) for phase 0.
+:func:`unit_phase` computes every phase of a value known to a digit
+window and is the one place that checks the window reaches p**0; complex
+numbers are materialised only at output boundaries.
 """
 
 from __future__ import annotations
@@ -324,31 +327,22 @@ class PAdicNumber:
     # -- fractional part and character ---------------------------------
 
     def frac_part(self) -> Fraction:
-        """The p-adic fractional part, an exact rational in [0, 1).
+        """The p-adic fractional part, an exact rational in [0, 1)."""
+        s, k = self.character_phase()
+        return Fraction(k, self.prime**s)
 
-        Needs every digit below p**0; raises :class:`PrecisionError` when
-        the stored window does not reach that far.
-        """
+    def character_phase(self) -> tuple[int, int]:
+        """Argument of chi at this point, as a reduced phase (scale,
+        numerator); raises :class:`PrecisionError` when the stored window
+        does not reach p**0."""
         if self.is_zero:
             if self.precision is None or self.precision >= 0:
-                return Fraction(0)
+                return 0, 0
             raise PrecisionError(
                 "zero certified only modulo p**%d; fractional part unknown"
                 % self.precision
             )
-        if self.valuation >= 0:
-            return Fraction(0)
-        m = -self.valuation
-        if self.precision < m:
-            raise PrecisionError(
-                "need %d digits below the unit scale, have %d"
-                % (m, self.precision)
-            )
-        return Fraction(self.unit % self.prime**m, self.prime**m)
-
-    def character_phase(self) -> "Phase":
-        """Argument of chi at this point, as an exact rational phase."""
-        return Phase.from_fraction(self.prime, self.frac_part())
+        return unit_phase(self.prime, self.valuation, self.unit, self.precision)
 
     # -- misc -----------------------------------------------------------
 
@@ -375,69 +369,29 @@ class PAdicNumber:
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Phase:
-    """A rational phase k / p**m taken modulo 1, stored reduced.
-
-    Invariants: 0 <= k < p**m, gcd(k, p) = 1 unless k = 0 and m = 0.
-    Addition is addition modulo 1 with re-reduction, so phases form an
-    exact model of the character group generated by chi.
-    """
-
-    prime: int
-    numerator: int
-    scale: int
-
-    def __post_init__(self) -> None:
-        _check_prime(self.prime)
-        if self.scale < 0 or not 0 <= self.numerator < self.prime**self.scale or (
-            self.numerator == 0 and self.scale != 0
-        ):
-            raise ValueError("non-canonical phase")
-        if self.numerator and self.numerator % self.prime == 0:
-            raise ValueError("phase numerator divisible by p")
-
-    @classmethod
-    def zero(cls, p: int) -> "Phase":
-        return cls(p, 0, 0)
-
-    @classmethod
-    def from_fraction(cls, p: int, fr: Fraction) -> "Phase":
-        fr = fr - math.floor(fr)
-        if fr == 0:
-            return cls.zero(p)
-        den = fr.denominator
-        m = int_valuation(den, p)
-        if p**m != den:
-            raise ValueError(f"denominator {den} is not a power of {p}")
-        return cls(p, fr.numerator, m)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.prime**self.scale)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.numerator == 0
-
-    def __add__(self, other: "Phase") -> "Phase":
-        if self.prime != other.prime:
-            raise PrimeMismatchError("phase primes differ")
-        return Phase.from_fraction(
-            self.prime, self.as_fraction() + other.as_fraction()
+def unit_phase(p: int, v: int, u: int, precision: int) -> tuple[int, int]:
+    """The phase of chi at p**v * u, u coprime to p and known modulo
+    p**precision, as the reduced pair (scale, numerator): the phase is
+    numerator / p**scale.  Raises :class:`PrecisionError` when the digits
+    below the unit scale are not all known."""
+    if v >= 0:
+        return 0, 0
+    if precision < -v:
+        raise PrecisionError(
+            "need %d digits below the unit scale, have %d" % (-v, precision)
         )
-
-    def negate(self) -> "Phase":
-        if self.numerator == 0:
-            return self
-        return Phase(
-            self.prime, self.prime**self.scale - self.numerator, self.scale
-        )
-
-    def to_complex(self) -> complex:
-        return _chi(self.prime, self.scale, self.numerator)
+    return -v, u % p**-v
 
 
-def _chi(p: int, scale: int, numerator: int) -> complex:
+def reduced_phase(p: int, key: int, m: int) -> tuple[int, int]:
+    """The phase key / p**m in lowest terms, as (scale, numerator)."""
+    if key == 0:
+        return 0, 0
+    v = int_valuation(key, p)
+    return m - v, key // p**v
+
+
+def chi(p: int, scale: int, numerator: int) -> complex:
     """chi at the reduced phase numerator / p**scale."""
     if numerator == 0:
         return complex(1.0, 0.0)
@@ -477,21 +431,21 @@ def character_value(
             )
             done.add(conj)
         else:
-            total += float(c) / denominator * _chi(p, s, k)
+            total += float(c) / denominator * chi(p, s, k)
     return total
 
 
-def rational_char_phase(r: Fraction | int, p: int) -> Phase:
-    """Phase of chi at an exact rational point (no digit window needed)."""
+def rational_char_phase(r: Fraction | int, p: int) -> tuple[int, int]:
+    """Phase (scale, numerator) of chi at an exact rational point (no
+    digit window needed)."""
     r = Fraction(r)
     if r == 0:
-        return Phase.zero(p)
+        return 0, 0
     v, a, b = split_p_part(r, p)
     if v >= 0:
-        return Phase.zero(p)
-    m = -v
-    mod = p**m
-    return Phase(p, (a * pow(b, -1, mod)) % mod, m)
+        return 0, 0
+    mod = p**-v
+    return -v, (a * pow(b, -1, mod)) % mod
 
 
 # ---------------------------------------------------------------------
@@ -500,7 +454,8 @@ def rational_char_phase(r: Fraction | int, p: int) -> Phase:
 
 
 class CharacterSum:
-    """A finite sum  sum_j c_j * chi(phase_j)  with exact phases.
+    """A finite sum  sum_j c_j * chi(phase_j)  with exact phases, keyed by
+    the reduced pairs (scale, numerator).
 
     Coefficients stay :class:`Fraction` as long as the inputs are
     rational, so geometric-series manipulations downstream are exact;
@@ -512,7 +467,9 @@ class CharacterSum:
     __slots__ = ("prime", "_terms")
 
     def __init__(
-        self, prime: int, terms: Mapping[Phase, Fraction | float] | None = None
+        self,
+        prime: int,
+        terms: Mapping[tuple[int, int], Fraction | float] | None = None,
     ):
         _check_prime(prime)
         self.prime = prime
@@ -525,13 +482,9 @@ class CharacterSum:
 
     @classmethod
     def constant(cls, p: int, c: Fraction | float) -> "CharacterSum":
-        return cls(p, {Phase.zero(p): c})
+        return cls(p, {(0, 0): c})
 
-    @classmethod
-    def single(cls, phase: Phase, c: Fraction | float) -> "CharacterSum":
-        return cls(phase.prime, {phase: c})
-
-    def terms(self) -> dict[Phase, Fraction | float]:
+    def terms(self) -> dict[tuple[int, int], Fraction | float]:
         return dict(self._terms)
 
     def __bool__(self) -> bool:
@@ -559,23 +512,13 @@ class CharacterSum:
             self.prime, {ph: coeff * c for ph, coeff in self._terms.items()}
         )
 
-    def rotate(self, phase: Phase) -> "CharacterSum":
-        """Multiply by chi(phase): shifts every term's phase."""
-        return CharacterSum(
-            self.prime, {ph + phase: c for ph, c in self._terms.items()}
-        )
-
     def to_complex(self) -> complex:
-        return character_value(
-            self.prime, {(ph.scale, ph.numerator): c for ph, c in self._terms.items()}
-        )
+        return character_value(self.prime, self._terms)
 
     def __repr__(self) -> str:
         parts = ", ".join(
-            f"{c}*chi({ph.as_fraction()})"
-            for ph, c in sorted(
-                self._terms.items(), key=lambda kv: (kv[0].scale, kv[0].numerator)
-            )
+            f"{c}*chi({Fraction(k, self.prime**s)})"
+            for (s, k), c in sorted(self._terms.items())
         )
         return f"CharacterSum({self.prime}; {parts or '0'})"
 

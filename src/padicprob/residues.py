@@ -40,7 +40,7 @@ from typing import Callable, Iterable, NoReturn, Sequence
 import numpy as np
 
 from .errors import PrimeMismatchError
-from .padic import PAdicNumber, int_valuation, split_p_part
+from .padic import PAdicNumber, int_valuation, reduced_phase, split_p_part
 
 
 def _dtype(p: int, width: int):
@@ -204,14 +204,6 @@ class ResidueBatch:
         e = max(self.top - ball.radius_exp, 0)
         hits = self._mod(self.values, e) == int(center) % p**e
         return int(np.count_nonzero(hits))
-
-
-def reduced_phase(p: int, key: int, m: int) -> tuple[int, int]:
-    """The phase key / p**m in lowest terms, as (scale, numerator)."""
-    if key == 0:
-        return 0, 0
-    v = int_valuation(key, p)
-    return m - v, key // p**v
 
 
 def merge_phase_keys(

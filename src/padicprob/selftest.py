@@ -122,10 +122,8 @@ def criterion_1(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
         if (x * y).abs_value() != ax * ay:
             failures += 1
         # character homomorphism (exact rational phases)
-        lhs = s.character_phase().as_fraction()
-        rhs = (
-            x.character_phase().as_fraction() + y.character_phase().as_fraction()
-        ) % 1
+        lhs = s.frac_part()
+        rhs = (x.frac_part() + y.frac_part()) % 1
         if lhs != rhs:
             failures += 1
         # rational round trip: n * expand(m/n) - m vanishes to window depth
@@ -163,8 +161,8 @@ def _oracle_char_integral(m: CompactOpenSet, t: PAdicNumber) -> complex:
         step = Fraction(p) ** (-n)
         for i in range(cells):
             y = ball.center + i * step
-            fr = rational_char_phase(tval * y, p).as_fraction()
-            total += haar * cmath.exp(2j * math.pi * float(fr))
+            s, k = rational_char_phase(tval * y, p)
+            total += haar * cmath.exp(2j * math.pi * float(Fraction(k, p**s)))
     return total
 
 

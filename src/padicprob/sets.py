@@ -18,11 +18,11 @@ from .errors import PrecisionError, PrimeMismatchError
 from .padic import (
     CharacterSum,
     PAdicNumber,
-    Phase,
     _check_prime,
     int_valuation,
     rational_valuation,
     split_p_part,
+    unit_phase,
 )
 
 
@@ -312,37 +312,33 @@ def annulus(i: int, l: int, p: int) -> CompactOpenSet:
 # ---------------------------------------------------------------------
 
 
-def _ball_phase(ball: Ball, t: PAdicNumber) -> Phase | None:
+def _ball_phase(ball: Ball, t: PAdicNumber) -> tuple[int, int] | None:
     """The phase chi(t*c) of the integral of chi(t*y) dy over the ball
     B(c, p**N), or None where the integral vanishes (|t| > p**-N).
 
-    With c = p**v * u and t = p**v_t * u_t the phase is the integer
-    u_t * u modulo p**m, m = -(v_t + v), and zero when m <= 0."""
+    With c = p**v * u and t = p**v_t * u_t this is the phase of
+    p**(v_t + v) * u_t * u."""
     if ball.prime != t.prime:
         raise PrimeMismatchError("character sums over different primes")
     if t.is_zero:
         if not t.abs_le_exp(-ball.radius_exp):
             return None
         if ball.center == 0:
-            return Phase.zero(ball.prime)
+            return 0, 0
         return t.mul_rational(ball.center).character_phase()
     if t.valuation < ball.radius_exp:
         return None
     split = ball._center_split
-    m = 0 if split is None else -(t.valuation + split[0])
-    if m <= 0:
-        return Phase.zero(ball.prime)
-    if t.precision < m:
-        raise PrecisionError(
-            "need %d digits below the unit scale, have %d" % (m, t.precision)
-        )
-    return Phase(ball.prime, t.unit * split[1] % ball.prime**m, m)
+    if split is None:
+        return 0, 0
+    v, u = split
+    return unit_phase(ball.prime, t.valuation + v, t.unit * u, t.precision)
 
 
 def integrate_char_exact(m, t: PAdicNumber) -> CharacterSum:
     """Integral of chi(t*y) over a Ball or CompactOpenSet, kept exact."""
     balls = [m] if isinstance(m, Ball) else m
-    terms: dict[Phase, Fraction] = {}
+    terms: dict[tuple[int, int], Fraction] = {}
     for b in balls:
         phase = _ball_phase(b, t)
         if phase is not None:

@@ -16,7 +16,6 @@ from padicprob.errors import InfiniteMassError, PrecisionError, PrimeMismatchErr
 from padicprob.padic import (
     CharacterSum,
     PAdicNumber,
-    Phase,
     _check_prime,
     rational_valuation,
     split_p_part,
@@ -94,10 +93,10 @@ def char_exact(b, t: PAdicNumber) -> CharacterSum:
     if not t.abs_le_exp(-radius_exp):
         return CharacterSum.zero(p)
     if c == 0:
-        phase = Phase.zero(p)
+        phase = (0, 0)
     else:
         phase = t.mul_rational(c).character_phase()
-    return CharacterSum.single(phase, measure(b))
+    return CharacterSum(p, {phase: measure(b)})
 
 
 def integrate_char_exact(balls, t: PAdicNumber) -> CharacterSum:

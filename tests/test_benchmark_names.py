@@ -2,21 +2,27 @@
 
 A traced run (``perfbench/run.py --trace 1``) wraps every entry of
 ``perfbench/tracing.TARGETS``, the workloads clear or read a few memos by
-name, and ``limit_mc`` drives the CLI with a fixed argv; perfbench's own
-tests are not in this suite, so a rename here would otherwise break the
-benchmark unnoticed.
+name, ``limit_mc`` drives the CLI with a fixed argv, and ``exact_theory``
+compares CharacterSums; perfbench's own tests are not in this suite, so a
+rename here would otherwise break the benchmark unnoticed.
 """
 
 import importlib
 import importlib.util
+import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from padicprob import charfn, cli
-from padicprob.levy import make_example_measure
+from padicprob.levy import levy_exponent_exact, make_example_measure, random_compact_open
+from padicprob.padic import CharacterSum, grid_points
+from padicprob.sets import integrate_char_exact
+from padicprob.specs import measure_from_spec
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _targets():
@@ -60,3 +66,28 @@ def test_limit_mc_argv_parses():
     args = cli.build_parser().parse_args(argv)
     assert args.fn is cli.cmd_limit_verify
     assert (args.config, args.seed, args.out, args.workers) == ("C", 7, "D", 1)
+
+
+def test_exact_theory_character_sum_api():
+    # the checks of ExactTheory in perfbench/workloads.py (workload
+    # exact_theory): the scaling identities compare CharacterSums with ==
+    # after .scale, and the negative control adds a 2**-60 constant that
+    # must merge into the phase-0 term and break the equality
+    spec = json.loads((ROOT / "configs" / "custom_measure.json").read_text())
+    m = measure_from_spec(spec)
+    p = m.prime
+    abs_gamma = Fraction(p) ** -2  # |gamma0|_3 for gamma0 = 9
+    bump = CharacterSum.constant(p, Fraction(1, 2**60))
+    sets = [random_compact_open(charfn.substream(11, k), p) for k in range(3)]
+    for t in grid_points(p, -3, 3, unit_digit_sets=((1,), (1, 1))):
+        lhs = levy_exponent_exact(m, t.mul_rational(m.gamma0))
+        rhs = levy_exponent_exact(m, t).scale(m.beta)
+        assert lhs == rhs
+        bumped = rhs + bump
+        assert bumped.prime == p and bumped != lhs
+        # the exponent's tail-mass constant sits under the same key
+        assert (0, 0) in rhs.terms() and bumped.terms().keys() == rhs.terms().keys()
+        for s in sets:
+            lhs = integrate_char_exact(s.scale(m.gamma0), t)
+            rhs = integrate_char_exact(s, t.mul_rational(m.gamma0)).scale(abs_gamma)
+            assert lhs == rhs and rhs + bump != lhs

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 import fraction_balls as oracle
 from padicprob.charfn import HaarUniform, StableLaw, StableParams, substream
-from padicprob.errors import InfiniteMassError, PrecisionError, ToleranceError
+from padicprob.errors import (
+    InfiniteMassError,
+    PrecisionError,
+    PrimeMismatchError,
+    ToleranceError,
+)
 from padicprob.levy import (
     JumpMeasure,
     LevyExponent,
@@ -29,7 +34,7 @@ from padicprob.levy import (
 from padicprob.padic import (
     CharacterSum,
     PAdicNumber,
-    Phase,
+    chi,
     from_rational,
     grid_points,
 )
@@ -197,7 +202,7 @@ def test_classify_cutoff():
 
 def test_classify_pure_character():
     xi = Fraction(1, 3)
-    ev = lambda t: t.mul_rational(xi).character_phase().to_complex()  # noqa: E731
+    ev = lambda t: chi(3, *t.mul_rational(xi).character_phase())  # noqa: E731
     form = classify_two_valued(ev, 3)
     assert form.kind == "delta"
     assert form.xi.as_rational() == xi
@@ -215,7 +220,7 @@ def test_classify_shifted_cutoff():
 
     def ev(t):
         if t.is_zero or -t.valuation <= 1:
-            return t.mul_rational(xi).character_phase().to_complex()
+            return chi(p, *t.mul_rational(xi).character_phase())
         return complex(0.0, 0.0)
 
     form = classify_two_valued(ev, p)
@@ -274,7 +279,7 @@ def oracle_exponent(measure, t):
     CharacterSum added per term."""
     p = measure.prime
     if t.prime != p:
-        raise ValueError("t over a different prime")
+        raise PrimeMismatchError("t over a different prime")
     if t.is_zero:
         return CharacterSum.zero(p)
     j = measure.j
@@ -296,10 +301,10 @@ def oracle_exponent(measure, t):
                     phase = (
                         s.mul_rational(ball.center).character_phase()
                         if ball.center
-                        else Phase.zero(p)
+                        else (0, 0)
                     )
-                    total = total + CharacterSum.single(
-                        phase, w * measure.beta_pow(k)
+                    total = total + CharacterSum(
+                        p, {phase: w * measure.beta_pow(k)}
                     )
                     contributed = True
         empty_streak = 0 if contributed else empty_streak + 1
@@ -394,9 +399,11 @@ def test_exponent_zero_and_foreign_prime():
         assert LevyExponent(m)(z) == 0j
     t = from_rational(1, 2, p=2)
     assert _outcome(levy_exponent_exact, m, t) == (
-        ValueError, "t over a different prime"
+        PrimeMismatchError, "t over a different prime"
     )
     assert _outcome(levy_exponent_exact, m, t) == _outcome(oracle_exponent, m, t)
+    with pytest.raises(PrimeMismatchError, match="t over a different prime"):
+        LevyExponent(m)(t)
 
 
 def test_exponent_short_window_error_text():

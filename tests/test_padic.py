@@ -6,18 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicprob.charfn import HaarUniform, PointMass, empirical_cf
 from padicprob.errors import PrecisionError, PrimeMismatchError
+from padicprob.levy import levy_exponent_exact, make_measure
 from padicprob.padic import (
+    DEFAULT_PRECISION,
     CharacterSum,
     PAdicNumber,
-    Phase,
     _check_prime,
+    chi,
     format_padic,
     from_rational,
     parse_number,
     parse_padic,
     rational_char_phase,
 )
+from padicprob.sets import Ball, integrate_char_exact, split_sphere
 
 PRIMES = (2, 3, 5)
 
@@ -111,11 +115,43 @@ def test_frac_part_insufficient_precision():
         x.frac_part()
 
 
+# Every exact phase path meets the one window check at its edge: each
+# case needs `need` digits below the unit scale and is run on a digit
+# window w wide (the window of t, or of the sample for empirical_cf).
+def _q(num, den, w=DEFAULT_PRECISION):
+    return from_rational(num, den, p=3, precision=w)
+
+
+_BALL = Ball(3, Fraction(1, 9), -3)
+_MEASURE = make_measure(
+    3, Fraction(1, 2), 3, (((split_sphere(0, 4, 3)[7], Fraction(1, 7)),),)
+)
+_WINDOW_PATHS = {
+    "character_phase": (3, lambda w: _q(-5, 27, w).character_phase()),
+    "frac_part": (3, lambda w: _q(-5, 27, w).frac_part()),
+    "integrate_char_exact": (3, lambda w: integrate_char_exact(_BALL, _q(-5, 3, w))),
+    "HaarUniform": (3, lambda w: HaarUniform(_BALL)(_q(-5, 3, w))),
+    "PointMass": (3, lambda w: PointMass(_q(1, 9))(_q(-5, 3, w))),
+    "levy_exponent_exact": (4, lambda w: levy_exponent_exact(_MEASURE, _q(-5, 9, w))),
+    "empirical_cf": (3, lambda w: empirical_cf([_q(-5, 9, w)], _q(1, 3))),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_WINDOW_PATHS))
+def test_phase_window_edge(path):
+    need, value = _WINDOW_PATHS[path]
+    text = f"^need {need} digits below the unit scale, have {need - 1}$"
+    with pytest.raises(PrecisionError, match=text):
+        value(need - 1)
+    # at the exact width the answer is the one every wider window gives
+    assert value(need) == value(DEFAULT_PRECISION)
+
+
 def test_character_examples():
-    assert from_rational(1, 3, p=3).character_phase().as_fraction() == Fraction(1, 3)
-    assert from_rational(5, p=3).character_phase().is_zero
+    assert from_rational(1, 3, p=3).character_phase() == (1, 1)
+    assert from_rational(5, p=3).character_phase() == (0, 0)
     h = from_rational(1, 2, p=2)
-    assert (h + h).character_phase().is_zero
+    assert (h + h).character_phase() == (0, 0)
 
 
 def test_prime_mismatch():
@@ -175,10 +211,8 @@ def test_multiplicativity(p, a, b):
 def test_character_homomorphism(p, a, b):
     x = from_rational(a[0], a[1], p=p)
     y = from_rational(b[0], b[1], p=p)
-    lhs = (x + y).character_phase().as_fraction()
-    rhs = (
-        x.character_phase().as_fraction() + y.character_phase().as_fraction()
-    ) % 1
+    lhs = (x + y).frac_part()
+    rhs = (x.frac_part() + y.frac_part()) % 1
     assert lhs == rhs
 
 
@@ -210,8 +244,8 @@ def test_rational_char_phase_agrees(p, a):
 
 
 def test_character_sum_symmetric_pairing_is_real():
-    cs = CharacterSum.single(Phase(3, 1, 1), Fraction(2, 7)) + CharacterSum.single(
-        Phase(3, 2, 1), Fraction(2, 7)
+    cs = CharacterSum(3, {(1, 1): Fraction(2, 7)}) + CharacterSum(
+        3, {(1, 2): Fraction(2, 7)}
     )
     assert cs.to_complex().imag == 0.0
 
@@ -219,7 +253,7 @@ def test_character_sum_symmetric_pairing_is_real():
 def test_character_sum_algebra():
     p = 2
     one = CharacterSum.constant(p, Fraction(1))
-    shifted = one.rotate(Phase(p, 1, 1))
+    shifted = CharacterSum(p, {(1, 1): Fraction(1)})
     assert shifted.to_complex() == complex(-1.0, 0.0)
     cancel = shifted + shifted.scale(-1)
     assert not cancel
@@ -228,29 +262,30 @@ def test_character_sum_algebra():
 
 
 # ---------------------------------------------------------------------
-# CharacterSum.to_complex on integer keys against the Phase-object loop
+# CharacterSum.to_complex against the phase-by-phase conjugate loop
 # ---------------------------------------------------------------------
 
 
 def oracle_to_complex(cs: CharacterSum) -> complex:
-    """to_complex as it was: conjugates found through Phase.negate."""
-    terms = cs.terms()
+    """to_complex as it was: each phase looks up its own conjugate."""
+    p, terms = cs.prime, cs.terms()
     total = complex(0.0, 0.0)
     done = set()
-    for ph in sorted(terms, key=lambda q: (q.scale, q.numerator)):
+    for ph in sorted(terms):
         if ph in done:
             continue
         c = terms[ph]
-        conj = ph.negate()
+        s, k = ph
+        conj = (s, p**s - k)
         if conj == ph:
-            total += float(c) * ph.to_complex()
+            total += float(c) * chi(p, s, k)
             done.add(ph)
             continue
         if conj in terms:
             c2 = terms[conj]
-            theta = 2.0 * math.pi * (ph.numerator / ph.prime**ph.scale)
-            if 2 * ph.numerator > ph.prime**ph.scale:
-                theta = -2.0 * math.pi * (conj.numerator / conj.prime**conj.scale)
+            theta = 2.0 * math.pi * (k / p**s)
+            if 2 * k > p**s:
+                theta = -2.0 * math.pi * (conj[1] / p**s)
                 c, c2 = c2, c
             total += complex(
                 float(c + c2) * math.cos(theta),
@@ -258,7 +293,7 @@ def oracle_to_complex(cs: CharacterSum) -> complex:
             )
             done.update((ph, conj))
         else:
-            total += float(c) * ph.to_complex()
+            total += float(c) * chi(p, s, k)
             done.add(ph)
     return total
 
@@ -274,17 +309,17 @@ def character_sums(draw):
     )
     terms = {}
     if draw(st.booleans()):
-        terms[Phase.zero(p)] = draw(coeff)
+        terms[0, 0] = draw(coeff)
     if p == 2:
         for scale, num in ((1, 1), (2, 1), (2, 3)):
             if draw(st.booleans()):
-                terms[Phase(p, num, scale)] = draw(coeff)
+                terms[scale, num] = draw(coeff)
     for _ in range(draw(st.integers(0, 8))):
         scale = draw(st.integers(1, 5))
         num = draw(st.integers(1, p**scale - 1).filter(lambda k: k % p))
-        terms[Phase(p, num, scale)] = draw(coeff)
+        terms[scale, num] = draw(coeff)
         if draw(st.booleans()):
-            terms[Phase(p, p**scale - num, scale)] = draw(coeff)
+            terms[scale, p**scale - num] = draw(coeff)
     return CharacterSum(p, terms)
 
 

@@ -150,8 +150,8 @@ def brute_char_integral(m: CompactOpenSet, t: PAdicNumber) -> complex:
         step = Fraction(p) ** (-ball.radius_exp)
         haar = float(Fraction(p) ** (ball.radius_exp - depth))
         for i in range(p**depth):
-            fr = rational_char_phase(tval * (ball.center + i * step), p)
-            total += haar * cmath.exp(2j * math.pi * float(fr.as_fraction()))
+            s, k = rational_char_phase(tval * (ball.center + i * step), p)
+            total += haar * cmath.exp(2j * math.pi * float(Fraction(k, p**s)))
     return total
 
 
