@@ -38,7 +38,7 @@ from .padic import (
     chi,
     split_p_part,
 )
-from .residues import ResidueBatch, merge_phase_keys, tally
+from .residues import ResidueBatch, tally
 from .sets import Ball
 
 DEFAULT_RESOLUTION = -12
@@ -829,8 +829,8 @@ def empirical_cf(samples: Sequence[PAdicNumber], t: PAdicNumber) -> complex:
     what the sample resolution can support."""
     if not samples:
         raise ValueError("no samples")
-    keys, _ = tally(t.prime, samples, [t], [])
-    return character_value(t.prime, merge_phase_keys(t.prime, keys), len(samples))
+    [counts], _ = tally(t.prime, samples, [t], [])
+    return character_value(t.prime, counts, len(samples))
 
 
 def ball_counts(

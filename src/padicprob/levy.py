@@ -407,7 +407,7 @@ def levy_exponent_exact(
             terms[phase] = terms[phase] + c if phase in terms else c
         empty_streak = 0 if contributed else empty_streak + 1
         n += 1
-    return CharacterSum(p, terms)
+    return CharacterSum.from_reduced(p, terms)
 
 
 class LevyExponent:

@@ -43,7 +43,7 @@ from .padic import (
     grid_points,
     split_p_part,
 )
-from .residues import ResidueBatch, merge_phase_keys, tally
+from .residues import ResidueBatch, tally_blocks
 from .sets import Ball, TailSet
 
 BUDGET_CAP = 10**8
@@ -332,13 +332,26 @@ class ConvergenceReport:
         }
 
 
-def _mc_block(args) -> tuple[list[tuple[int, list[int]]], list[int]]:
-    """One block of Monte Carlo replicates (top level for pickling): each
-    grid point's phase keys and each ball's count, by residues.tally."""
-    (sampler, scheme, n, seed, n_idx, block, count, grid, balls) = args
-    rng = substream(seed, n_idx, block)
-    sums = sum_residues(sampler, scheme, n, count, rng)
-    return tally(sums.prime, sums, grid, balls)
+def _mc_blocks(
+    sampler: Sampler,
+    scheme: LimitScheme,
+    n: int,
+    seed: int,
+    n_idx: int,
+    blocks: Sequence[tuple[int, int]],
+    grid: Sequence[PAdicNumber],
+    balls: Sequence[Ball],
+) -> tuple[list[dict[tuple[int, int], int]], list[int]]:
+    """Monte Carlo replicates of S_n over the given (block, count) pairs:
+    each block drawn from its own substream (seed, n_idx, block), then
+    all of them counted as one batch by residues.tally_blocks, which
+    gives each grid point's phase counts and each ball's count, and on an
+    undecidable query the exception of the first block that fails."""
+    batches = [
+        sum_residues(sampler, scheme, n, count, substream(seed, n_idx, block))
+        for block, count in blocks
+    ]
+    return tally_blocks(sampler.prime, batches, grid, balls)
 
 
 def _block_sizes(m: int, blocks: int = MC_BLOCKS) -> list[int]:
@@ -346,30 +359,66 @@ def _block_sizes(m: int, blocks: int = MC_BLOCKS) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(blocks)]
 
 
-def _run_blocks(scenario: Scenario, n: int, n_idx: int, pool):
-    balls = scenario.balls
-    jobs = [
-        (
-            scenario.law,
-            scenario.scheme,
-            n,
-            scenario.seed,
-            n_idx,
-            block,
-            count,
-            scenario.grid,
-            balls,
-        )
-        for block, count in enumerate(_block_sizes(scenario.m))
-        if count > 0
-    ]
-    results = list((pool.map if pool else map)(_mc_block, jobs))
-    phase_counts = [
-        merge_phase_keys(scenario.prime, [r[0][i] for r in results])
-        for i in range(len(scenario.grid))
-    ]
-    ball_counts = [sum(r[1][i] for r in results) for i in range(len(balls))]
+def _mc_range(scenario: Scenario, n: int, n_idx: int, lo: int, hi: int):
+    """_mc_blocks over the scenario's blocks lo, ..., hi - 1."""
+    sizes = _block_sizes(scenario.m)
+    return _mc_blocks(
+        scenario.law, scenario.scheme, n, scenario.seed, n_idx,
+        [(b, sizes[b]) for b in range(lo, hi)],
+        scenario.grid, scenario.balls,
+    )
+
+
+# A pool worker's scenario, set once per worker by _init_worker, so that
+# a job carries only integers.
+_WORKER_SCENARIO: Scenario | None = None
+
+
+def _init_worker(scenario: Scenario) -> None:
+    global _WORKER_SCENARIO
+    _WORKER_SCENARIO = scenario
+
+
+def _mc_job(job: tuple[int, int, int, int]):
+    """One pool job (n, n_idx, lo, hi): _mc_range on the worker's scenario."""
+    return _mc_range(_WORKER_SCENARIO, *job)
+
+
+def _add_counts(parts):
+    """The sum of several (phase counts, ball counts) results."""
+    phase_counts, ball_counts = parts[0]
+    for counts, balls in parts[1:]:
+        for total, part in zip(phase_counts, counts):
+            for key, c in part.items():
+                total[key] = total.get(key, 0) + c
+        ball_counts = [a + b for a, b in zip(ball_counts, balls)]
     return phase_counts, ball_counts
+
+
+def _run_blocks(scenario: Scenario, pool, parts: int):
+    """Yield (phase counts, ball counts) for each n of the scenario, in
+    order.
+
+    The drawn blocks of each n are cut into ``parts`` contiguous ranges,
+    one job (n, n_idx, lo, hi) each.  Serially the jobs run here, one n
+    at a time.  With a pool (see _mc_rows) every job is submitted at once
+    and each n is yielded as soon as its parts are back, so the caller's
+    work on one n overlaps the workers' on the next.  Results are read
+    in (n, block) order, so the first failing block raises, as serially.
+    """
+    drawn = min(scenario.m, MC_BLOCKS)
+    cuts = [drawn * i // parts for i in range(parts + 1)]
+    jobs = [
+        (n, n_idx, lo, hi)
+        for n_idx, n in enumerate(scenario.n_list)
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+    if pool is None:
+        results = (_mc_range(scenario, *job) for job in jobs)
+    else:
+        results = pool.map(_mc_job, jobs)
+    for _ in scenario.n_list:
+        yield _add_counts([next(results) for _ in range(parts)])
 
 
 def _t_label(t: PAdicNumber) -> str:
@@ -403,16 +452,21 @@ def _mc_rows(scenario: Scenario, theo: dict, workers: int):
     ball_counts = None
     if scenario.m <= 0:
         return cf_rows, ball_counts
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for n_idx, n in enumerate(scenario.n_list):
-            phase_counts, ball_counts = _run_blocks(scenario, n, n_idx, pool)
-            band = 4.0 / math.sqrt(scenario.m)
-            for i, t in enumerate(scenario.grid):
+    band = 4.0 / math.sqrt(scenario.m)
+    labels = [_t_label(t) for t in scenario.grid]
+    parts = max(1, min(workers, scenario.m, MC_BLOCKS))
+    with ProcessPoolExecutor(
+        parts, initializer=_init_worker, initargs=(scenario,)
+    ) if parts > 1 else nullcontext() as pool:
+        for n, (phase_counts, ball_counts) in zip(
+            scenario.n_list, _run_blocks(scenario, pool, parts)
+        ):
+            for i, label in enumerate(labels):
                 emp = character_value(scenario.prime, phase_counts[i], scenario.m)
                 ref = theo.get((n, i))
                 cf_rows.append({
                     "n": n,
-                    "t": _t_label(t),
+                    "t": label,
                     "theoretical_re": "" if ref is None else ref.real,
                     "theoretical_im": "" if ref is None else ref.imag,
                     "empirical_re": emp.real,

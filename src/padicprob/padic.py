@@ -18,8 +18,9 @@ The canonical additive character chi(x) = exp(2*pi*i*{x}_p) is handled as
 an exact rational phase k / p**s, stored as the reduced integer pair
 (s, k): 0 <= k < p**s with p not dividing k, and (0, 0) for phase 0.
 :func:`unit_phase` computes every phase of a value known to a digit
-window and is the one place that checks the window reaches p**0; complex
-numbers are materialised only at output boundaries.
+window; :func:`phase_known` is the one statement of when the window
+reaches far enough.  Complex numbers are materialised only at output
+boundaries.
 """
 
 from __future__ import annotations
@@ -336,7 +337,7 @@ class PAdicNumber:
         numerator); raises :class:`PrecisionError` when the stored window
         does not reach p**0."""
         if self.is_zero:
-            if self.precision is None or self.precision >= 0:
+            if self.precision is None or phase_known(self.precision, self.precision):
                 return 0, 0
             raise PrecisionError(
                 "zero certified only modulo p**%d; fractional part unknown"
@@ -369,6 +370,15 @@ class PAdicNumber:
 # ---------------------------------------------------------------------
 
 
+def phase_known(valuation: int, known_mod_exp: int) -> bool:
+    """The phase-window rule: chi at a value of this valuation, known
+    modulo p**known_mod_exp, is determined exactly when the value lies in
+    Z_p or its known digits reach p**0.  A zero certified modulo p**e
+    passes e as both arguments.  Every exact phase and every residue
+    batch's phase check (see :mod:`padicprob.residues`) applies it."""
+    return valuation >= 0 or known_mod_exp >= 0
+
+
 def unit_phase(p: int, v: int, u: int, precision: int) -> tuple[int, int]:
     """The phase of chi at p**v * u, u coprime to p and known modulo
     p**precision, as the reduced pair (scale, numerator): the phase is
@@ -376,7 +386,7 @@ def unit_phase(p: int, v: int, u: int, precision: int) -> tuple[int, int]:
     below the unit scale are not all known."""
     if v >= 0:
         return 0, 0
-    if precision < -v:
+    if not phase_known(v, v + precision):
         raise PrecisionError(
             "need %d digits below the unit scale, have %d" % (-v, precision)
         )
@@ -455,7 +465,10 @@ def rational_char_phase(r: Fraction | int, p: int) -> tuple[int, int]:
 
 class CharacterSum:
     """A finite sum  sum_j c_j * chi(phase_j)  with exact phases, keyed by
-    the reduced pairs (scale, numerator).
+    the reduced pairs (scale, numerator).  A key (s, k) given to the
+    constructor stands for the phase k / p**s and is reduced (mod 1, then
+    to lowest terms), so equal phases share one key and their
+    coefficients add.
 
     Coefficients stay :class:`Fraction` as long as the inputs are
     rational, so geometric-series manipulations downstream are exact;
@@ -473,8 +486,24 @@ class CharacterSum:
     ):
         _check_prime(prime)
         self.prime = prime
-        # a mapping holds each phase once: only zero coefficients go
-        self._terms = {ph: c for ph, c in (terms or {}).items() if c}
+        merged: dict[tuple[int, int], Fraction | float] = {}
+        for (s, k), c in (terms or {}).items():
+            key = reduced_phase(prime, k % prime**s, s) if s > 0 else (0, 0)
+            merged[key] = merged[key] + c if key in merged else c
+        self._terms = {ph: c for ph, c in merged.items() if c}
+
+    @classmethod
+    def from_reduced(
+        cls, prime: int, terms: Mapping[tuple[int, int], Fraction | float]
+    ) -> "CharacterSum":
+        """A sum whose keys are reduced phases already, as unit_phase,
+        reduced_phase and rational_char_phase give them: taken as they
+        are, without the constructor's reduction."""
+        _check_prime(prime)
+        out = cls.__new__(cls)
+        out.prime = prime
+        out._terms = {ph: c for ph, c in terms.items() if c}
+        return out
 
     @classmethod
     def zero(cls, p: int) -> "CharacterSum":
@@ -503,12 +532,12 @@ class CharacterSum:
         merged = dict(self._terms)
         for ph, c in other._terms.items():
             merged[ph] = merged.get(ph, 0) + c
-        return CharacterSum(self.prime, merged)
+        return CharacterSum.from_reduced(self.prime, merged)
 
     def scale(self, c: Fraction | float | int) -> "CharacterSum":
         if not c:
             return CharacterSum(self.prime)
-        return CharacterSum(
+        return CharacterSum.from_reduced(
             self.prime, {ph: coeff * c for ph, coeff in self._terms.items()}
         )
 

@@ -24,23 +24,34 @@ Every Monte Carlo count goes through :func:`tally`, which answers a
 query from residues only when the exact
 :class:`~padicprob.padic.PAdicNumber` arithmetic would answer it.
 :meth:`ResidueBatch.phase_ok` and :meth:`ResidueBatch.ball_ok` decide
-that from the window, the top and whether any residue has too few digits
-for the query; when they return False, ``tally`` hands the original
-values to :func:`replay`, which re-runs the exact arithmetic in the
-exact loop's order and so raises the exact path's own exception.
+that from the window, the top and the least valuation among the values
+(computed once per batch); when they return False, ``tally`` hands the
+original values to :func:`replay`, which re-runs the exact arithmetic in
+the exact loop's order and so raises the exact path's own exception.
+
+A decidable batch is counted all at once: the phase keys of every grid
+point come from one numpy expression over the batch, one sort counts the
+distinct keys of each grid point, and only those are reduced to
+(scale, numerator) phases, with vectorised valuations.
+
+:func:`tally_blocks` counts the blocks of one Monte Carlo step as a
+single batch: their residues are lifted to a common top and
+concatenated, so each n of a report is tallied once.  Its counts are the
+per-block counts summed, and when any block leaves a query undecidable
+it tallies the blocks one by one, in order, so the first failing block
+raises what a per-block tally raises.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
 from .errors import PrimeMismatchError
-from .padic import PAdicNumber, int_valuation, reduced_phase, split_p_part
+from .padic import PAdicNumber, int_valuation, phase_known, split_p_part
 
 
 def _dtype(p: int, width: int):
@@ -78,13 +89,14 @@ class ResidueBatch:
     ``window`` is None when every value is the exact zero.
     """
 
-    __slots__ = ("prime", "top", "window", "values")
+    __slots__ = ("prime", "top", "window", "values", "_low")
 
     def __init__(self, prime: int, top: int, window: int | None, values):
         self.prime = prime
         self.top = top
         self.window = window
         self.values = np.asarray(values, dtype=_dtype(prime, self.width))
+        self._low: int | None = None
 
     @property
     def width(self) -> int:
@@ -125,6 +137,27 @@ class ResidueBatch:
             for x in xs
         ])
 
+    @classmethod
+    def concat(cls, p: int, batches: Sequence["ResidueBatch"]) -> "ResidueBatch":
+        """The values of ``batches`` over p, in order, as one batch.
+
+        The batches share a window (a sampler's window does not depend
+        on its draws); each residue is lifted to the largest top, which
+        leaves its value and every query's answer unchanged.
+        """
+        windows = {b.window for b in batches}
+        if len(windows) > 1:
+            raise ValueError(f"batches with different windows {sorted(windows)}")
+        window = windows.pop() if windows else None
+        top = max((b.top for b in batches), default=0)
+        dtype = _dtype(p, 0 if window is None else top + window)
+        parts = [
+            b.values.astype(dtype) * p ** (top - b.top) if b.top < top
+            else b.values.astype(dtype)
+            for b in batches
+        ]
+        return cls(p, top, window, np.concatenate(parts) if parts else [])
+
     def scale(self, r: Fraction) -> "ResidueBatch":
         """Every value times the nonzero rational r."""
         if self.window is None:
@@ -145,43 +178,85 @@ class ResidueBatch:
     # -- character phases ---------------------------------------------
 
     def phase_ok(self, t: PAdicNumber) -> bool:
-        """False when the exact path raises on chi(t*x) for some value x."""
+        """False when the exact path raises on chi(t*x) for some value x.
+
+        The product t*x has valuation v_t + v_x and is known modulo
+        p**min(K_t + v_x, v_t + window) (K_t: t known modulo p**K_t);
+        both grow with v_x, so the value of least valuation decides.
+        """
         if not len(self):
             return True
         if t.prime != self.prime:
             return False
-        if self.window is None:
+        if self.window is None or (t.is_zero and t.precision is None):
             return True
+        low = self._lowest()
         if t.is_zero:
-            # t*x is zero known modulo p**(e + v): t known mod p**e, v the
-            # valuation of x, or its window when x is a certified zero
-            return t.precision is None or self._lowest() + t.precision >= 0
-        # t*x needs x modulo p**(-v_t), and t's digits reach p**(K_t);
-        # a value with |x| > p**K_t needs digits of t that are not known
-        if self.window + t.valuation < 0:
-            return False
-        e = self.top - t.known_mod_exp
-        return e <= 0 or not self._mod(self.values, e).any()
+            # a zero certified modulo p**(e + v), e from t, v from x
+            return phase_known(t.precision + low, t.precision + low)
+        return phase_known(
+            t.valuation + low,
+            min(t.known_mod_exp + low, t.valuation + self.window),
+        )
 
     def _lowest(self) -> int:
         """The least valuation among the values, a certified zero counting
-        as its window.  Taking the window into the minimum is exact: the
-        value that sets the window is a certified zero or lies below it."""
-        g = math.gcd(*self.values.tolist())
-        if g == 0:
-            return self.window
-        return min(self.window, int_valuation(g, self.prime) - self.top)
+        as its window; computed once per batch.  Taking the window into
+        the minimum is exact: the value that sets the window is a
+        certified zero or lies below it."""
+        if self._low is None:
+            values, p = self.values, self.prime
+            if values.dtype == object:
+                g = math.gcd(*values.tolist())
+            elif p == 2:  # the least valuation is that of the bitwise OR
+                g = int(np.bitwise_or.reduce(values))
+            else:
+                g = int(np.gcd.reduce(values))
+            self._low = self.window if g == 0 else min(
+                self.window, int_valuation(g, p) - self.top
+            )
+        return self._low
 
-    def phase_keys(self, t: PAdicNumber) -> tuple[int, list[int]]:
-        """The phases of chi(t*x) as (m, keys), one key per value in
-        order: the phase of a value is key / p**m.  Requires phase_ok(t)."""
-        if not len(self):
-            return 0, []
-        m = 0 if t.is_zero or self.window is None else self.top - t.valuation
-        if m <= 0:
-            return 0, [0] * len(self)
-        keys = self._mod(self.values * (t.unit % self.prime**m), m)
-        return m, keys.tolist()
+    def phase_counts(
+        self, grid: Sequence[PAdicNumber]
+    ) -> list[dict[tuple[int, int], int]]:
+        """The phases of chi(t*x) over the values at each grid point t, as
+        {(scale, numerator): count}.  Requires phase_ok(t) for every t.
+
+        The phase of t*x is key / p**m with key = u_t * X mod p**m and m =
+        top - v_t (m <= width by phase_ok); the keys of all grid points
+        form one (grid x values) array, and one sort of its rows counts
+        the distinct keys, as np.unique(..., return_counts=True) would
+        for each row.
+        """
+        size, p = len(self), self.prime
+        if not size or not grid:
+            return [{} for _ in grid]
+        ms = [
+            0 if t.is_zero or self.window is None else max(self.top - t.valuation, 0)
+            for t in grid
+        ]
+        dtype = self.values.dtype
+        units = np.array([t.unit % p**m for t, m in zip(grid, ms)], dtype=dtype)
+        keys = self.values[None, :] * units[:, None]
+        if p == 2:
+            keys &= np.array([2**m - 1 for m in ms], dtype=dtype)[:, None]
+        else:
+            keys %= np.array([p**m for m in ms], dtype=dtype)[:, None]
+        keys.sort(axis=1)
+        first = np.ones(keys.shape, dtype=bool)
+        first[:, 1:] = keys[:, 1:] != keys[:, :-1]
+        starts = np.flatnonzero(first)
+        counts = np.diff(starts, append=keys.size).tolist()
+        rows = starts // size
+        scales, numerators = _reduced_phases(
+            p, keys.reshape(-1)[starts], np.array(ms, dtype=np.int64)[rows]
+        )
+        bounds = np.searchsorted(rows, np.arange(len(grid) + 1)).tolist()
+        return [
+            dict(zip(zip(scales[a:b], numerators[a:b]), counts[a:b]))
+            for a, b in zip(bounds, bounds[1:])
+        ]
 
     # -- ball membership ----------------------------------------------
 
@@ -206,18 +281,26 @@ class ResidueBatch:
         return int(np.count_nonzero(hits))
 
 
-def merge_phase_keys(
-    p: int, blocks: Sequence[tuple[int, list[int]]]
-) -> dict[tuple[int, int], int]:
-    """The phase counts of one grid point over all blocks, keyed by the
-    reduced phase (scale, numerator), in first-appearance order.  Keys
-    key / p**m are lifted to the largest m first, so equal phases share
-    one key and each is reduced once."""
-    top = max((m for m, _ in blocks), default=0)
-    keys: list[int] = []
-    for m, ks in blocks:
-        keys += ks if m == top else [k * p ** (top - m) for k in ks]
-    return {reduced_phase(p, k, top): c for k, c in Counter(keys).items()}
+def _reduced_phases(p: int, keys: np.ndarray, ms: np.ndarray) -> tuple[list[int], list[int]]:
+    """reduced_phase(p, key, m) over arrays of keys and their m, as lists
+    of scales and numerators: the valuation of a key is its count of
+    trailing zero bits for uint64 keys at p = 2 (the lowest set bit,
+    converted exactly to a float, gives it through frexp) and is found by
+    repeated division otherwise."""
+    live = keys != 0
+    if p == 2 and keys.dtype == np.uint64:
+        low = keys & (~keys + np.uint64(1))
+        v = np.where(live, np.frexp(low.astype(np.float64))[1] - 1, 0)
+        numerators = keys >> v.astype(np.uint64)
+    else:
+        numerators = keys.copy()
+        v = np.zeros(len(keys), dtype=np.int64)
+        step = live & np.asarray(numerators % p == 0, dtype=bool)
+        while step.any():
+            numerators[step] //= p
+            v += step
+            step &= np.asarray(numerators % p == 0, dtype=bool)
+    return np.where(live, ms - v, 0).tolist(), numerators.tolist()
 
 
 def tally(
@@ -225,9 +308,10 @@ def tally(
     values: ResidueBatch | Sequence[PAdicNumber],
     grid: Sequence[PAdicNumber],
     balls: Sequence,
-) -> tuple[list[tuple[int, list[int]]], list[int]]:
-    """The phase keys (m, keys) of chi(t*x) at each grid point t (see
-    ResidueBatch.phase_keys) and the number of values in each ball.
+) -> tuple[list[dict[tuple[int, int], int]], list[int]]:
+    """The phase counts {(scale, numerator): count} of chi(t*x) at each
+    grid point t (see ResidueBatch.phase_counts) and the number of values
+    in each ball.
 
     ``values`` is a residue batch or a list of values over p; a list with
     a value over another prime fails every query.  Where the exact path
@@ -250,4 +334,23 @@ def tally(
     for b in balls:
         if batch is None or not batch.ball_ok(b):
             replay(batch.elements() if xs is None else xs, [b.contains])
-    return [batch.phase_keys(t) for t in grid], [batch.ball_count(b) for b in balls]
+    return batch.phase_counts(grid), [batch.ball_count(b) for b in balls]
+
+
+def tally_blocks(
+    p: int,
+    batches: Sequence[ResidueBatch],
+    grid: Sequence[PAdicNumber],
+    balls: Sequence,
+) -> tuple[list[dict[tuple[int, int], int]], list[int]]:
+    """tally over the values of ``batches`` (the blocks of one Monte Carlo
+    step, in block order) as one batch: the counts are those of tallying
+    each block and adding.  A query that one block cannot decide is one
+    the joined batch cannot decide; then the blocks are tallied one by
+    one, in order, so the first failing block raises what its own tally
+    raises."""
+    whole = ResidueBatch.concat(p, batches)
+    if not (all(whole.phase_ok(t) for t in grid) and all(whole.ball_ok(b) for b in balls)):
+        for batch in batches:
+            tally(p, batch, grid, balls)
+    return tally(p, whole, grid, balls)

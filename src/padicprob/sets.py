@@ -344,7 +344,7 @@ def integrate_char_exact(m, t: PAdicNumber) -> CharacterSum:
         if phase is not None:
             # Haar masses are positive, so merged terms never cancel
             terms[phase] = terms[phase] + b.measure if phase in terms else b.measure
-    return CharacterSum(t.prime, terms)
+    return CharacterSum.from_reduced(t.prime, terms)
 
 
 def integrate_char(m, t: PAdicNumber) -> complex:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from padicprob import charfn
 from padicprob.charfn import (
+    CompoundPoissonSampler,
     HaarBallSampler,
     HaarUniform,
     PointMass,
@@ -28,6 +29,8 @@ from padicprob.levy import (
 )
 from padicprob.limits import (
     LimitScheme,
+    Scenario,
+    _block_sizes,
     convergence_report,
     default_ball_family,
     phi_n_measure,
@@ -36,10 +39,12 @@ from padicprob.limits import (
     beta0_demo_scenario,
     scaling_identity_check,
     simulate_sums,
+    sum_residues,
     theoretical_fn,
     stable_limit_scenario,
 )
-from padicprob.errors import PrimeMismatchError
+from padicprob.errors import PrecisionError, PrimeMismatchError
+from padicprob.residues import tally
 from padicprob.padic import PAdicNumber, from_rational, grid_points
 from padicprob.sets import Ball, TailSet, annulus
 
@@ -453,6 +458,66 @@ def test_one_process_pool_per_report(monkeypatch):
     parallel = convergence_report(sc, workers=2)
     assert len(opened) == 1
     assert parallel.csv_rows() == convergence_report(sc).csv_rows()
+
+
+# Seeds at which the blocks of n = 0 (m = 64: 16 blocks of 4) disagree on
+# a grid point t = 1/2 known to a few binary digits: the product t*x needs
+# digits of t that are not known once |x| is large, which few blocks draw.
+def _failing_block_scenario(case: str) -> Scenario:
+    p = 2
+    law = stable_sampler(StableParams(1.0, 1.0, p), resolution=-8)
+    balls = default_ball_family(p, 4)
+    if case == "late_block_fails_a_grid_point":  # blocks 0-11 pass
+        seed, precision = 0, 5
+    elif case == "ball_in_block_0_grid_point_in_block_1":
+        seed, precision = 2, 7
+        balls.append(Ball(p, Fraction(1, 2), -12))  # finer than every window
+    else:  # compound-Poisson blocks, tops 3, 0, 2, 5, ...; blocks 0-11 pass
+        law = CompoundPoissonSampler(measure=make_example_measure(1, 1, p), resolution=-3)
+        seed, precision = 5, 6
+    grid = (from_rational(1, 4, p=p), from_rational(1, 2, p=p, precision=precision))
+    return Scenario(
+        name=case, prime=p, law=law,
+        scheme=LimitScheme.geometric(p, Fraction(1, 2), 2, n_max=1),
+        grid=grid, balls=tuple(balls), sets=(), m=64, seed=seed, n_list=(0, 1),
+    )
+
+
+def _first_block_error(sc: Scenario):
+    """Each block of each n tallied on its own, in order: the first
+    block that raises, and its exception."""
+    for n_idx, n in enumerate(sc.n_list):
+        for block, count in enumerate(_block_sizes(sc.m)):
+            sums = sum_residues(sc.law, sc.scheme, n, count, substream(sc.seed, n_idx, block))
+            try:
+                tally(sc.prime, sums, sc.grid, sc.balls)
+            except (PrecisionError, PrimeMismatchError) as exc:
+                return (n_idx, block), (type(exc).__name__, str(exc))
+    return None, None
+
+
+def _report_error(sc: Scenario, workers: int):
+    try:
+        convergence_report(sc, workers=workers)
+    except (PrecisionError, PrimeMismatchError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case, first_block, message", [
+    ("late_block_fails_a_grid_point", (0, 12), "digits below the unit scale"),
+    ("ball_in_block_0_grid_point_in_block_1", (0, 0), "membership needs"),
+    ("cp_blocks_with_different_tops", (0, 12), "digits below the unit scale"),
+])
+def test_report_raises_what_the_first_failing_block_raises(case, first_block, message, workers):
+    # the report counts each n's blocks as one batch, serially and in a
+    # pool; where a block cannot decide a query, it must still raise the
+    # exception of the first block that fails when tallied on its own
+    sc = _failing_block_scenario(case)
+    block, expected = _first_block_error(sc)
+    assert block == first_block and message in expected[1]
+    assert _report_error(sc, workers) == expected
 
 
 def _stable_p3_scenario(m: int = 0):

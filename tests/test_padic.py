@@ -262,6 +262,20 @@ def test_character_sum_algebra():
 
 
 # ---------------------------------------------------------------------
+def test_character_sum_reduces_its_keys():
+    # (2, 3), (1, 1) and (1, 7) all stand for chi(1/3) at p = 3
+    one_third = CharacterSum(3, {(1, 1): 1})
+    assert CharacterSum(3, {(2, 3): 1}) == one_third
+    assert CharacterSum(3, {(1, 7): 1}) == one_third
+    assert repr(CharacterSum(3, {(1, 7): 1})) == "CharacterSum(3; 1*chi(1/3))"
+    # keys of one phase add their coefficients, and a zero sum is dropped
+    half = Fraction(1, 2)
+    assert CharacterSum(3, {(2, 3): half, (1, 1): half}).terms() == {(1, 1): 1}
+    assert not CharacterSum(3, {(2, 3): 1, (1, 1): -1})
+    # integer phases are chi(0)
+    assert CharacterSum(3, {(1, 3): 2, (0, 5): 1}).terms() == {(0, 0): 3}
+
+
 # CharacterSum.to_complex against the phase-by-phase conjugate loop
 # ---------------------------------------------------------------------
 

@@ -36,13 +36,13 @@ from padicprob.errors import PrecisionError, PrimeMismatchError
 from padicprob.levy import make_example_measure, make_measure
 from padicprob.limits import (
     LimitScheme,
-    _mc_block,
+    _mc_blocks,
     default_ball_family,
     simulate_sums,
     sum_residues,
 )
-from padicprob.padic import PAdicNumber, grid_points, int_valuation, rational_valuation
-from padicprob.residues import ResidueBatch, merge_phase_keys, tally
+from padicprob.padic import PAdicNumber, grid_points, rational_valuation, reduced_phase
+from padicprob.residues import ResidueBatch, _reduced_phases, tally, tally_blocks
 from padicprob.sets import Ball, split_sphere
 
 # ---------------------------------------------------------------------
@@ -193,25 +193,18 @@ def reference_mc_block(args):
     return block, phase_counts, ball_hits, len(draws)
 
 
-def key_phase(p: int, key: int, m: int) -> tuple[int, int]:
-    """The phase key / p**m reduced through Fraction, as (scale, numerator)."""
-    fr = Fraction(key, p**m) % 1
-    return int_valuation(fr.denominator, p), fr.numerator
-
-
 def mc_block(args):
-    """_mc_block with each grid point's phase keys turned into phases, and
-    the block index and size read from its args."""
-    keys, ball_hits = _mc_block(args)
-    p = args[0].prime
-    phases = [Counter(key_phase(p, k, m) for k in ks) for m, ks in keys]
-    return args[5], phases, ball_hits, args[6]
+    """_mc_blocks on the one block of ``args``, with the block index and
+    size read from them."""
+    (sampler, scheme, n, seed, n_idx, block, count, grid, balls) = args
+    counts, ball_hits = _mc_blocks(sampler, scheme, n, seed, n_idx, [(block, count)], grid, balls)
+    return block, [Counter(c) for c in counts], ball_hits, count
 
 
 def phase_counts(samples, t) -> Counter:
-    """tally's phase keys of one grid point turned into a Counter of phases."""
-    [(m, keys)], _ = tally(t.prime, samples, [t], [])
-    return Counter(key_phase(t.prime, k, m) for k in keys)
+    """tally's phase counts of one grid point."""
+    [counts], _ = tally(t.prime, samples, [t], [])
+    return Counter(counts)
 
 
 def reference_phase_counts(samples, t) -> Counter:
@@ -349,6 +342,10 @@ def mc_blocks(draw):
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(mc_blocks())
+# a grid point and a ball that both fail: the grid point raises first
+@example((radial(2, -6, 12), LimitScheme.geometric(2, Fraction(1, 2), Fraction(6, 5), n_max=3),
+          2, 3, 0, 0, 12, tuple(grid_points(2, -4, 4, precision=3)),
+          (Ball(2, 0, 0), Ball(2, Fraction(1, 2), -12))))
 def test_mc_block_matches_exact_loop(args):
     assert outcome(mc_block, args) == outcome(reference_mc_block, args)
 
@@ -838,20 +835,86 @@ def test_empty_and_exact_zero_batches_count_far_balls(sampler):
         assert outcome(mc_block, args) == outcome(reference_mc_block, args)
 
 
+@pytest.mark.parametrize("p, m, dtype", [
+    (2, 64, np.uint64),  # trailing zeros, up to the top bit of a uint64
+    (3, 40, np.uint64),
+    (2, 70, object),
+    (5, 30, object),
+])
+def test_reduced_phases_match_reduced_phase(p, m, dtype):
+    rng = np.random.default_rng(p * m)
+    keys = [0, 1, p - 1, p, p**m - 1, p ** (m - 1), (p - 1) * p ** (m - 1), 7 * p**5 % p**m]
+    keys += [int(u) * p**int(v) % p**m for u, v in zip(rng.integers(1, 2**40, 40),
+                                                      rng.integers(0, m, 40))]
+    ms = [m] * len(keys)
+    ms[-1] = m - 3  # each key has its own m
+    keys[-1] %= p ** (m - 3)
+    scales, numerators = _reduced_phases(p, np.array(keys, dtype=dtype), np.array(ms))
+    assert list(zip(scales, numerators)) == [reduced_phase(p, k, e) for k, e in zip(keys, ms)]
+
+
+def summed_block_tallies(p, batches, grid, balls):
+    """tally on each block in order, the counts added: the reference for
+    tally_blocks, whose exception is the first failing block's."""
+    phases, hits = [Counter() for _ in grid], [0] * len(balls)
+    for batch in batches:
+        counts, ball_hits = tally(p, batch, grid, balls)
+        for total, part in zip(phases, counts):
+            total.update(part)
+        hits = [a + b for a, b in zip(hits, ball_hits)]
+    return phases, hits
+
+
+def joined_tally(p, batches, grid, balls):
+    counts, hits = tally_blocks(p, batches, grid, balls)
+    return [Counter(c) for c in counts], hits
+
+
 @pytest.mark.parametrize("p", [2, 3])
-def test_merged_phase_keys_match_merged_phases(p):
-    # blocks whose keys use different m: equal phases must merge into one
-    # entry, in block order and first-appearance order, as a Counter of
-    # phases updated block by block would hold them
-    blocks = [
-        (2, [1, 0, p + 1, 1, p + 1, 1]),
-        (0, [0, 0]),
-        (3, [p, 2 * p * p - 1, 1, 2 * p * p - 1]),
-        (1, [1]),
-    ]
-    expected = Counter()
-    for m, keys in blocks:
-        expected.update(key_phase(p, k, m) for k in keys)
-    got = merge_phase_keys(p, blocks)
-    assert list(got.items()) == list(expected.items())
-    assert merge_phase_keys(p, []) == {}
+def test_joined_blocks_with_different_tops_count_as_their_sum(p):
+    # compound-Poisson blocks have different tops: joined, each residue is
+    # lifted to the largest, and the values and counts are the blocks'
+    sampler = compound_poisson(p)
+    batches = [sampler.residue_sums(substream(9, b), 2, count)
+               for b, count in enumerate((40, 0, 25, 60))]
+    assert len({b.top for b in batches if len(b)}) > 1
+    whole = ResidueBatch.concat(p, batches)
+    assert whole.top == max(b.top for b in batches)
+    assert whole.elements() == [x for b in batches for x in b.elements()]
+    grid, balls = grid_points(p, -4, 2), default_ball_family(p, 6)
+    got = outcome(joined_tally, p, batches, grid, balls)
+    assert got[0] == "ok"
+    assert got == outcome(summed_block_tallies, p, batches, grid, balls)
+    assert outcome(joined_tally, p, [], grid, balls) == ("ok", ([Counter()] * len(grid), [0] * 6))
+
+
+@st.composite
+def block_runs(draw):
+    """mc_blocks' inputs with one to five blocks of their own sizes in
+    place of a single block."""
+    (sampler, scheme, n, seed, n_idx, _, _, grid, balls) = draw(mc_blocks())
+    blocks = draw(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 8)),
+                           min_size=1, max_size=5, unique_by=lambda b: b[0]))
+    return sampler, scheme, n, seed, n_idx, blocks, grid, balls
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(block_runs())
+# block 0 fails only the fine ball, block 1 also the short grid point:
+# block 0's ball raises, as the blocks' own tallies in order would
+@example((radial(2, -6, 12), LimitScheme.geometric(2, Fraction(1, 2), Fraction(6, 5), n_max=3),
+          0, 2, 0, [(0, 8), (1, 8)], (PAdicNumber.from_rational(Fraction(1, 2), p=2, precision=5),),
+          (Ball(2, 0, 0), Ball(2, Fraction(1, 2), -12))))
+def test_joined_blocks_match_summed_block_tallies(args):
+    # counts summed over blocks, and the exception of the first block that
+    # fails, whatever later blocks hold
+    sampler, scheme, n, seed, n_idx, blocks, grid, balls = args
+    p = sampler.prime
+
+    def run(tally_fn):
+        batches = [sum_residues(sampler, scheme, n, count, substream(seed, n_idx, block))
+                   for block, count in blocks]
+        return tally_fn(p, batches, grid, balls)
+
+    assert outcome(run, joined_tally) == outcome(run, summed_block_tallies)
