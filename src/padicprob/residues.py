@@ -18,7 +18,9 @@ and every Monte Carlo question becomes integer arithmetic on X:
 Residues live in a numpy array.  The dtype is uint64 when p = 2 and
 W <= 64 (products wrap modulo 2**64, which leaves every residue modulo
 2**W exact) or when p**(2W) fits in 64 bits (no product wraps), and
-Python ints (object dtype) otherwise.  No float is ever involved.
+Python ints (object dtype) otherwise.  No float ever holds a value (the
+p = 2 phase kernel reads the exponent of a power of two, which converts
+exactly).
 
 Every Monte Carlo count goes through :func:`tally`, which answers a
 query from residues only when the exact
@@ -45,13 +47,14 @@ raises what a per-block tally raises.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
 from .errors import PrimeMismatchError
-from .padic import PAdicNumber, int_valuation, phase_known, split_p_part
+from .padic import PAdicNumber, int_valuation, phase_known, reduced_phase, split_p_part
 
 
 def _dtype(p: int, width: int):
@@ -224,10 +227,12 @@ class ResidueBatch:
         {(scale, numerator): count}.  Requires phase_ok(t) for every t.
 
         The phase of t*x is key / p**m with key = u_t * X mod p**m and m =
-        top - v_t (m <= width by phase_ok); the keys of all grid points
-        form one (grid x values) array, and one sort of its rows counts
-        the distinct keys, as np.unique(..., return_counts=True) would
-        for each row.
+        top - v_t (m <= width by phase_ok).  uint64 keys of all grid
+        points form one (grid x values) array, and one sort of its rows
+        counts the distinct keys, as np.unique(..., return_counts=True)
+        would for each row; Python-int keys, which sort slowly, are
+        counted by hashing, one grid point at a time.  Only distinct keys
+        are reduced to phases.
         """
         size, p = len(self), self.prime
         if not size or not grid:
@@ -237,6 +242,16 @@ class ResidueBatch:
             for t in grid
         ]
         dtype = self.values.dtype
+        if dtype == object:
+            return [
+                {
+                    reduced_phase(p, k, m): c
+                    for k, c in Counter(
+                        self._mod(self.values * (t.unit % p**m), m).tolist()
+                    ).items()
+                }
+                for t, m in zip(grid, ms)
+            ]
         units = np.array([t.unit % p**m for t, m in zip(grid, ms)], dtype=dtype)
         keys = self.values[None, :] * units[:, None]
         if p == 2:
@@ -282,24 +297,25 @@ class ResidueBatch:
 
 
 def _reduced_phases(p: int, keys: np.ndarray, ms: np.ndarray) -> tuple[list[int], list[int]]:
-    """reduced_phase(p, key, m) over arrays of keys and their m, as lists
-    of scales and numerators: the valuation of a key is its count of
-    trailing zero bits for uint64 keys at p = 2 (the lowest set bit,
-    converted exactly to a float, gives it through frexp) and is found by
-    repeated division otherwise."""
+    """reduced_phase(p, key, m) over uint64 arrays of keys and their m, as
+    lists of scales and numerators.  The valuation of a key is its number
+    of trailing zero bits at p = 2 (the lowest set bit converts exactly to
+    a float, whose exponent frexp reads) and is found by repeated division
+    otherwise, each round only on the keys the last round divided."""
     live = keys != 0
-    if p == 2 and keys.dtype == np.uint64:
+    if p == 2:
         low = keys & (~keys + np.uint64(1))
         v = np.where(live, np.frexp(low.astype(np.float64))[1] - 1, 0)
         numerators = keys >> v.astype(np.uint64)
     else:
         numerators = keys.copy()
         v = np.zeros(len(keys), dtype=np.int64)
-        step = live & np.asarray(numerators % p == 0, dtype=bool)
-        while step.any():
-            numerators[step] //= p
-            v += step
-            step &= np.asarray(numerators % p == 0, dtype=bool)
+        idx = np.flatnonzero(live)
+        while idx.size:
+            q, r = np.divmod(numerators[idx], np.uint64(p))
+            idx, q = idx[r == 0], q[r == 0]
+            numerators[idx] = q
+            v[idx] += 1
     return np.where(live, ms - v, 0).tolist(), numerators.tolist()
 
 

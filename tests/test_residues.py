@@ -835,13 +835,12 @@ def test_empty_and_exact_zero_batches_count_far_balls(sampler):
         assert outcome(mc_block, args) == outcome(reference_mc_block, args)
 
 
-@pytest.mark.parametrize("p, m, dtype", [
-    (2, 64, np.uint64),  # trailing zeros, up to the top bit of a uint64
-    (3, 40, np.uint64),
-    (2, 70, object),
-    (5, 30, object),
+@pytest.mark.parametrize("p, m", [
+    (2, 64),  # trailing zeros, up to the top bit of a uint64
+    (3, 40),
+    (5, 27),
 ])
-def test_reduced_phases_match_reduced_phase(p, m, dtype):
+def test_reduced_phases_match_reduced_phase(p, m):
     rng = np.random.default_rng(p * m)
     keys = [0, 1, p - 1, p, p**m - 1, p ** (m - 1), (p - 1) * p ** (m - 1), 7 * p**5 % p**m]
     keys += [int(u) * p**int(v) % p**m for u, v in zip(rng.integers(1, 2**40, 40),
@@ -849,7 +848,7 @@ def test_reduced_phases_match_reduced_phase(p, m, dtype):
     ms = [m] * len(keys)
     ms[-1] = m - 3  # each key has its own m
     keys[-1] %= p ** (m - 3)
-    scales, numerators = _reduced_phases(p, np.array(keys, dtype=dtype), np.array(ms))
+    scales, numerators = _reduced_phases(p, np.array(keys, dtype=np.uint64), np.array(ms))
     assert list(zip(scales, numerators)) == [reduced_phase(p, k, e) for k, e in zip(keys, ms)]
 
 
