@@ -34,7 +34,7 @@ from .padic import (
     DEFAULT_PRECISION,
     PAdicNumber,
     _check_prime,
-    character_value,
+    character_values,
     chi,
     split_p_part,
 )
@@ -829,8 +829,8 @@ def empirical_cf(samples: Sequence[PAdicNumber], t: PAdicNumber) -> complex:
     what the sample resolution can support."""
     if not samples:
         raise ValueError("no samples")
-    [counts], _ = tally(t.prime, samples, [t], [])
-    return character_value(t.prime, counts, len(samples))
+    table, _ = tally(t.prime, samples, [t], [])
+    return character_values(t.prime, table, 1, len(samples))[0]
 
 
 def ball_counts(

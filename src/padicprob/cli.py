@@ -50,6 +50,14 @@ def _default_seed(args_seed) -> int:
     return int(env) if env else 0
 
 
+def _worker_count(text: str) -> int:
+    """argparse type of --workers: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 worker, got {n}")
+    return n
+
+
 def _meta(seed: int | None, config: dict) -> dict:
     out = {"version": __version__, "config": config}
     if seed is not None:
@@ -332,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     lv.add_argument("--preset", help="named preset scenario")
     lv.add_argument("--out", help="output directory")
     lv.add_argument("--seed", type=int)
-    lv.add_argument("--workers", type=int, default=1)
+    lv.add_argument("--workers", type=_worker_count, default=1)
     lv.set_defaults(fn=cmd_limit_verify)
 
     st = sub.add_parser("selftest", help="run the acceptance battery")
@@ -340,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--seed", type=int)
     st.add_argument("--negative-control", action="store_true",
                     help="corrupt one tolerance to prove failures are detected")
-    st.add_argument("--workers", type=int, default=1)
+    st.add_argument("--workers", type=_worker_count, default=1)
     st.add_argument("--out", help="JSON report path")
     st.set_defaults(fn=cmd_selftest)
     return ap

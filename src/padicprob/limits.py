@@ -39,7 +39,8 @@ from .levy import JumpMeasure, classify_two_valued, measure_mass
 from .padic import (
     PAdicNumber,
     _check_prime,
-    character_value,
+    PhaseTable,
+    character_values,
     grid_points,
     split_p_part,
 )
@@ -341,12 +342,13 @@ def _mc_blocks(
     blocks: Sequence[tuple[int, int]],
     grid: Sequence[PAdicNumber],
     balls: Sequence[Ball],
-) -> tuple[list[dict[tuple[int, int], int]], list[int]]:
+) -> tuple[PhaseTable, list[int]]:
     """Monte Carlo replicates of S_n over the given (block, count) pairs:
     each block drawn from its own substream (seed, n_idx, block), then
     all of them counted as one batch by residues.tally_blocks, which
-    gives each grid point's phase counts and each ball's count, and on an
-    undecidable query the exception of the first block that fails."""
+    gives the phase table of the grid (row i for grid[i]) and each ball's
+    count, and on an undecidable query the exception of the first block
+    that fails."""
     batches = [
         sum_residues(sampler, scheme, n, count, substream(seed, n_idx, block))
         for block, count in blocks
@@ -385,26 +387,25 @@ def _mc_job(job: tuple[int, int, int, int]):
 
 
 def _add_counts(parts):
-    """The sum of several (phase counts, ball counts) results."""
-    phase_counts, ball_counts = parts[0]
-    for counts, balls in parts[1:]:
-        for total, part in zip(phase_counts, counts):
-            for key, c in part.items():
-                total[key] = total.get(key, 0) + c
-        ball_counts = [a + b for a, b in zip(ball_counts, balls)]
-    return phase_counts, ball_counts
+    """The sum of several (phase table, ball counts) results: the tables
+    joined (character_values adds the counts of equal keys) and the ball
+    counts added."""
+    tables, balls = zip(*parts)
+    return PhaseTable.concat(tables), [sum(c) for c in zip(*balls)]
 
 
 def _run_blocks(scenario: Scenario, pool, parts: int):
-    """Yield (phase counts, ball counts) for each n of the scenario, in
+    """Yield (phase table, ball counts) for each n of the scenario, in
     order.
 
     The drawn blocks of each n are cut into ``parts`` contiguous ranges,
     one job (n, n_idx, lo, hi) each.  Serially the jobs run here, one n
     at a time.  With a pool (see _mc_rows) every job is submitted at once
     and each n is yielded as soon as its parts are back, so the caller's
-    work on one n overlaps the workers' on the next.  Results are read
-    in (n, block) order, so the first failing block raises, as serially.
+    work on one n overlaps the workers' on the next; a worker's result
+    is its phase table, four arrays, and its ball counts.  Results are
+    read in (n, block) order, so the first failing block raises, as
+    serially.
     """
     drawn = min(scenario.m, MC_BLOCKS)
     cuts = [drawn * i // parts for i in range(parts + 1)]
@@ -458,11 +459,11 @@ def _mc_rows(scenario: Scenario, theo: dict, workers: int):
     with ProcessPoolExecutor(
         parts, initializer=_init_worker, initargs=(scenario,)
     ) if parts > 1 else nullcontext() as pool:
-        for n, (phase_counts, ball_counts) in zip(
+        for n, (table, ball_counts) in zip(
             scenario.n_list, _run_blocks(scenario, pool, parts)
         ):
-            for i, label in enumerate(labels):
-                emp = character_value(scenario.prime, phase_counts[i], scenario.m)
+            emps = character_values(scenario.prime, table, len(labels), scenario.m)
+            for i, (label, emp) in enumerate(zip(labels, emps)):
                 ref = theo.get((n, i))
                 cf_rows.append({
                     "n": n,

@@ -30,7 +30,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import PrecisionError, PrimeMismatchError
 
@@ -423,6 +425,12 @@ def character_value(
     are paired first, so that symmetric sums come out exactly real; the
     conjugate of k / p**s is (p**s - k) / p**s (never a key when s = 0),
     and the smaller numerator of a pair comes first.
+
+    This scalar loop serves CharacterSum.to_complex, whose few terms
+    carry Fraction coefficients and where a numpy call per sum would
+    cost more than the loop.  Monte Carlo counts, many rows of integer
+    terms at once, go through :func:`character_values`, which gives
+    these same bits.
     """
     total = complex(0.0, 0.0)
     done: set[tuple[int, int]] = set()
@@ -443,6 +451,123 @@ def character_value(
         else:
             total += float(c) / denominator * chi(p, s, k)
     return total
+
+
+class PhaseTable(NamedTuple):
+    """Phase counts of several rows (grid points) as parallel arrays:
+    ``count[j]`` values have the reduced phase numerator[j] / p**scale[j]
+    in row ``row[j]``.  row, scale and count are int64; numerator is
+    uint64, or object (Python ints) when a phase outgrows 64 bits.  A key
+    (row, scale, numerator) may appear more than once, as when the
+    tables of several workers are joined; its counts then add."""
+
+    row: np.ndarray
+    scale: np.ndarray
+    numerator: np.ndarray
+    count: np.ndarray
+
+    @classmethod
+    def from_counts(
+        cls, rows: Sequence[Mapping[tuple[int, int], int]]
+    ) -> "PhaseTable":
+        """The table of one {(scale, numerator): count} mapping per row."""
+        items = [(i, s, k, c) for i, terms in enumerate(rows) for (s, k), c in terms.items()]
+        row, scale, numerator, count = zip(*items) if items else ((), (), (), ())
+        return cls(
+            np.array(row, dtype=np.int64),
+            np.array(scale, dtype=np.int64),
+            np.array(numerator, dtype=object if items else np.uint64),
+            np.array(count, dtype=np.int64),
+        )
+
+    @classmethod
+    def concat(cls, tables: Sequence["PhaseTable"]) -> "PhaseTable":
+        """The terms of all ``tables`` in one table."""
+        return cls(*(np.concatenate(column) for column in zip(*tables)))
+
+
+def character_values(
+    p: int, table: PhaseTable, n_rows: int, denominator: int = 1
+) -> list[complex]:
+    """character_value(p, terms_i, denominator) for each row i < n_rows of
+    ``table`` (terms_i: row i's {(scale, numerator): count}, equal keys
+    added), bit for bit, with array operations in place of the loop.
+
+    Keys are summed in int64, sorted by (row, s, k), and each conjugate
+    (s, p**s - k) is found by a search within its (row, s).  Each kept
+    term, a conjugate pair led by its smaller numerator or an unpaired
+    key, gets the loop's float operations in the loop's order: k / p**s
+    is divided as floats only while p**s < 2**53, where that is the
+    correctly rounded quotient Python gives, and as Python ints beyond;
+    cos and sin are math's, once per distinct angle; an unpaired term is
+    the complex product float(c) / denominator * chi, written out.  Each
+    row is then summed strictly in sequence from 0.0 by
+    np.add.accumulate (np.sum adds pairwise, which changes bits).
+    """
+    row, scale, numerator, count = table
+    if not len(row):
+        return [complex(0.0, 0.0)] * n_rows
+    top = p ** int(scale.max())
+    if top >= 2**63:
+        k = numerator.astype(object)
+        power = p ** scale.astype(object)
+    else:
+        k = numerator.astype(np.int64)
+        power = np.int64(p) ** scale
+    size = len(k)
+    # ranks of numerators and conjugate numerators on one scale, so that
+    # (group, rank) packs into one int64
+    ranked, rank = np.unique(np.concatenate([k, power - k]), return_inverse=True)
+    width = len(ranked)
+    order = np.lexsort((rank[:size], scale, row))
+    row, scale, k, power = row[order], scale[order], k[order], power[order]
+    rk, rc, count = rank[:size][order], rank[size:][order], count[order]
+    new_group = np.ones(size, dtype=bool)
+    new_group[1:] = (row[1:] != row[:-1]) | (scale[1:] != scale[:-1])
+    new_key = new_group.copy()
+    new_key[1:] |= rk[1:] != rk[:-1]
+    first = np.flatnonzero(new_key)
+    count = np.add.reduceat(count, first)
+    row, scale, k, power, rk, rc = (a[first] for a in (row, scale, k, power, rk, rc))
+    group = np.cumsum(new_group[first])
+    key, conj_key = group * width + rk, group * width + rc
+    at = np.minimum(np.searchsorted(key, conj_key), len(key) - 1)
+    paired = key[at] == conj_key
+    keep = ~(paired & (rk > rc))
+    lead = (paired & (rk < rc))[keep]
+    row, scale, k, power, c = row[keep], scale[keep], k[keep], power[keep], count[keep]
+    c2 = count[at[keep]]
+
+    axis = ~lead & (k != 0) & (p == 2) & (scale <= 2)
+    trig = (k != 0) & ~axis
+    if top >= 2**53:
+        ratio = (k[trig].astype(object) / power[trig].astype(object)).astype(np.float64)
+    else:
+        ratio = k[trig].astype(np.float64) / power[trig].astype(np.float64)
+    angles, which = np.unique(_TWO_PI * ratio, return_inverse=True)
+    angles = angles.tolist()
+    re, im = np.ones(len(k)), np.zeros(len(k))
+    re[trig] = np.array([math.cos(a) for a in angles])[which]
+    im[trig] = np.array([math.sin(a) for a in angles])[which]
+    for (s, num), z in _AXIS_PHASES.items():
+        hit = axis & (scale == s) & (k == num)
+        re[hit], im[hit] = z.real, z.imag
+
+    den = float(denominator)
+    f = c.astype(np.float64) / den
+    terms_re = f * re - 0.0 * im
+    terms_im = f * im + 0.0 * re
+    terms_re[lead] = (c + c2)[lead].astype(np.float64) / den * re[lead]
+    terms_im[lead] = (c - c2)[lead].astype(np.float64) / den * im[lead]
+
+    start = np.searchsorted(row, np.arange(n_rows))
+    pos = np.arange(len(row)) - start[row] + 1
+    out = []
+    for part in (terms_re, terms_im):
+        padded = np.zeros((int(pos.max()) + 1, n_rows))
+        padded[pos, row] = part
+        out.append(np.add.accumulate(padded, axis=0)[-1].tolist())
+    return [complex(a, b) for a, b in zip(*out)]
 
 
 def rational_char_phase(r: Fraction | int, p: int) -> tuple[int, int]:

@@ -34,7 +34,11 @@ the exact loop's order and so raises the exact path's own exception.
 A decidable batch is counted all at once: the phase keys of every grid
 point come from one numpy expression over the batch, one sort counts the
 distinct keys of each grid point, and only those are reduced to
-(scale, numerator) phases, with vectorised valuations.
+(scale, numerator) phases, with vectorised valuations.  The counts stay
+arrays: a :class:`~padicprob.padic.PhaseTable` of (row, scale,
+numerator, count), row i for the i-th grid point, which
+:func:`~padicprob.padic.character_values` turns into the empirical
+transform of every grid point at once.
 
 :func:`tally_blocks` counts the blocks of one Monte Carlo step as a
 single batch: their residues are lifted to a common top and
@@ -54,7 +58,9 @@ from typing import Callable, Iterable, NoReturn, Sequence
 import numpy as np
 
 from .errors import PrimeMismatchError
-from .padic import PAdicNumber, int_valuation, phase_known, reduced_phase, split_p_part
+from .padic import (
+    PAdicNumber, PhaseTable, int_valuation, phase_known, reduced_phase, split_p_part,
+)
 
 
 def _dtype(p: int, width: int):
@@ -220,30 +226,30 @@ class ResidueBatch:
             )
         return self._low
 
-    def phase_counts(
-        self, grid: Sequence[PAdicNumber]
-    ) -> list[dict[tuple[int, int], int]]:
+    def phase_counts(self, grid: Sequence[PAdicNumber]) -> PhaseTable:
         """The phases of chi(t*x) over the values at each grid point t, as
-        {(scale, numerator): count}.  Requires phase_ok(t) for every t.
+        a PhaseTable whose row i counts the phases at grid[i].  Requires
+        phase_ok(t) for every t.
 
         The phase of t*x is key / p**m with key = u_t * X mod p**m and m =
         top - v_t (m <= width by phase_ok).  uint64 keys of all grid
         points form one (grid x values) array, and one sort of its rows
         counts the distinct keys, as np.unique(..., return_counts=True)
-        would for each row; Python-int keys, which sort slowly, are
-        counted by hashing, one grid point at a time.  Only distinct keys
-        are reduced to phases.
+        would for each row; only the distinct keys are reduced to phases,
+        and the table is the arrays of that sort.  Python-int keys, which
+        sort slowly, are counted by hashing, one grid point at a time,
+        into a table with Python-int numerators.
         """
         size, p = len(self), self.prime
         if not size or not grid:
-            return [{} for _ in grid]
+            return PhaseTable.from_counts([])
         ms = [
             0 if t.is_zero or self.window is None else max(self.top - t.valuation, 0)
             for t in grid
         ]
         dtype = self.values.dtype
         if dtype == object:
-            return [
+            return PhaseTable.from_counts([
                 {
                     reduced_phase(p, k, m): c
                     for k, c in Counter(
@@ -251,7 +257,7 @@ class ResidueBatch:
                     ).items()
                 }
                 for t, m in zip(grid, ms)
-            ]
+            ])
         units = np.array([t.unit % p**m for t, m in zip(grid, ms)], dtype=dtype)
         keys = self.values[None, :] * units[:, None]
         if p == 2:
@@ -262,16 +268,11 @@ class ResidueBatch:
         first = np.ones(keys.shape, dtype=bool)
         first[:, 1:] = keys[:, 1:] != keys[:, :-1]
         starts = np.flatnonzero(first)
-        counts = np.diff(starts, append=keys.size).tolist()
         rows = starts // size
         scales, numerators = _reduced_phases(
             p, keys.reshape(-1)[starts], np.array(ms, dtype=np.int64)[rows]
         )
-        bounds = np.searchsorted(rows, np.arange(len(grid) + 1)).tolist()
-        return [
-            dict(zip(zip(scales[a:b], numerators[a:b]), counts[a:b]))
-            for a, b in zip(bounds, bounds[1:])
-        ]
+        return PhaseTable(rows, scales, numerators, np.diff(starts, append=keys.size))
 
     # -- ball membership ----------------------------------------------
 
@@ -296,9 +297,9 @@ class ResidueBatch:
         return int(np.count_nonzero(hits))
 
 
-def _reduced_phases(p: int, keys: np.ndarray, ms: np.ndarray) -> tuple[list[int], list[int]]:
+def _reduced_phases(p: int, keys: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """reduced_phase(p, key, m) over uint64 arrays of keys and their m, as
-    lists of scales and numerators.  The valuation of a key is its number
+    arrays of scales (int64) and numerators (uint64).  The valuation of a key is its number
     of trailing zero bits at p = 2 (the lowest set bit converts exactly to
     a float, whose exponent frexp reads) and is found by repeated division
     otherwise, each round only on the keys the last round divided."""
@@ -316,7 +317,7 @@ def _reduced_phases(p: int, keys: np.ndarray, ms: np.ndarray) -> tuple[list[int]
             idx, q = idx[r == 0], q[r == 0]
             numerators[idx] = q
             v[idx] += 1
-    return np.where(live, ms - v, 0).tolist(), numerators.tolist()
+    return np.where(live, ms - v, 0).astype(np.int64), numerators
 
 
 def tally(
@@ -324,10 +325,9 @@ def tally(
     values: ResidueBatch | Sequence[PAdicNumber],
     grid: Sequence[PAdicNumber],
     balls: Sequence,
-) -> tuple[list[dict[tuple[int, int], int]], list[int]]:
-    """The phase counts {(scale, numerator): count} of chi(t*x) at each
-    grid point t (see ResidueBatch.phase_counts) and the number of values
-    in each ball.
+) -> tuple[PhaseTable, list[int]]:
+    """The phase table of chi(t*x), row i for grid point grid[i] (see
+    ResidueBatch.phase_counts), and the number of values in each ball.
 
     ``values`` is a residue batch or a list of values over p; a list with
     a value over another prime fails every query.  Where the exact path
@@ -358,10 +358,10 @@ def tally_blocks(
     batches: Sequence[ResidueBatch],
     grid: Sequence[PAdicNumber],
     balls: Sequence,
-) -> tuple[list[dict[tuple[int, int], int]], list[int]]:
+) -> tuple[PhaseTable, list[int]]:
     """tally over the values of ``batches`` (the blocks of one Monte Carlo
     step, in block order) as one batch: the counts are those of tallying
-    each block and adding.  A query that one block cannot decide is one
+    each block and adding (phase tables by concatenation).  A query that one block cannot decide is one
     the joined batch cannot decide; then the blocks are tallied one by
     one, in order, so the first failing block raises what its own tally
     raises."""

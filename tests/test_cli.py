@@ -2,6 +2,8 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 from padicprob.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -238,3 +240,17 @@ def test_sample_negative_count_exits_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert not f.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["limit-verify", "--preset", "beta_one"],
+    ["selftest", "--filter", "no-such-criterion"],
+])
+@pytest.mark.parametrize("workers", ["0", "-2", "1.5", "two"])
+def test_workers_below_one_rejected_at_parse_time(command, workers, tmp_path, capsys):
+    # a worker count below 1 once ran serially and exited 0
+    out = ["--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *out, "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err

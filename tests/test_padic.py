@@ -2,6 +2,7 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,10 @@ from padicprob.padic import (
     DEFAULT_PRECISION,
     CharacterSum,
     PAdicNumber,
+    PhaseTable,
     _check_prime,
+    character_value,
+    character_values,
     chi,
     format_padic,
     from_rational,
@@ -342,3 +346,92 @@ def character_sums(draw):
 def test_to_complex_matches_phase_loop(cs):
     got, want = cs.to_complex(), oracle_to_complex(cs)
     assert got == want and repr(got) == repr(want)
+
+
+# character_value on counts, and the batched character_values
+# ---------------------------------------------------------------------
+
+
+def test_character_value_pairs_conjugates_and_divides_once():
+    p = 3
+    # chi(1/3) and chi(2/3) with equal counts pair into an exactly real sum
+    got = character_value(p, {(1, 1): 5, (1, 2): 5, (0, 0): 2}, 12)
+    assert got.imag == 0.0
+    assert got == complex(2 / 12 + 10 / 12 * math.cos(2 * math.pi / 3), 0.0)
+    # an unpaired phase is float(c) / denominator times chi
+    assert character_value(p, {(2, 4): 3}, 7) == 3 / 7 * chi(p, 2, 4)
+    # p = 2: 1/2 is its own conjugate; 1/4 alone is the exact axis point i
+    assert character_value(2, {(1, 1): 4, (2, 1): 2}, 8) == complex(-0.5, 0.25)
+    # 1/4 with 3/4 pairs through cos and sin, not the axis points
+    paired = character_value(2, {(2, 1): 1, (2, 3): 3}, 4)
+    assert paired == complex(math.cos(math.pi / 2), -0.5 * math.sin(math.pi / 2))
+    assert character_value(5, {}, 3) == 0j
+
+
+def _split_table(rows, seed: int, object_numerators: bool) -> PhaseTable:
+    """rows as a PhaseTable joined from two workers' tables: each count
+    split in two at random, each part in one of them, the terms
+    shuffled."""
+    rng = np.random.default_rng(seed)
+    parts = ([], [])
+    for i, terms in enumerate(rows):
+        for (s, k), c in terms.items():
+            a = int(rng.integers(0, c + 1))
+            for part, share in zip(parts, (a, c - a)):
+                if share:
+                    part.append((i, s, k, share))
+    tables = []
+    for part in parts:
+        part = [part[j] for j in rng.permutation(len(part))]
+        row, scale, numerator, count = zip(*part) if part else ((), (), (), ())
+        tables.append(PhaseTable(
+            np.array(row, dtype=np.int64), np.array(scale, dtype=np.int64),
+            np.array(numerator, dtype=object if object_numerators else np.uint64),
+            np.array(count, dtype=np.int64),
+        ))
+    return PhaseTable.concat(tables)
+
+
+@st.composite
+def phase_tables(draw):
+    """(p, rows, table, denominator): rows of reduced phases with counts,
+    among them the zero phase, the p = 2 axis phases 1/2, 1/4 and 3/4,
+    conjugate pairs with and without their second half, and scales with
+    p**s past 2**53 and 2**63; the table holds the same counts split
+    between two workers' tables."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    # p**s passes 2**53 and 2**63 within each deep range
+    scales = st.one_of(
+        st.integers(1, 6), st.integers(*{2: (40, 70), 3: (28, 45), 5: (20, 30), 7: (16, 25)}[p])
+    )
+    counts = st.integers(1, 10**6)
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        terms = {}
+        if draw(st.booleans()):
+            terms[0, 0] = draw(counts)
+        if p == 2:
+            for key in ((1, 1), (2, 1), (2, 3)):
+                if draw(st.booleans()):
+                    terms[key] = draw(counts)
+        for _ in range(draw(st.integers(0, 8))):
+            s = draw(scales)
+            k = draw(st.integers(1, p**s - 1).filter(lambda k: k % p))
+            terms[s, k] = draw(counts)
+            if draw(st.booleans()):
+                terms[s, p**s - k] = draw(counts)
+        rows.append(terms)
+    big = any(k >= 2**64 for terms in rows for _, k in terms)
+    table = _split_table(rows, draw(st.integers(0, 2**32)), big or draw(st.booleans()))
+    return p, rows, table, draw(st.integers(1, 10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(phase_tables())
+def test_character_values_match_character_value_bit_for_bit(case):
+    p, rows, table, denominator = case
+    got = character_values(p, table, len(rows) + 1, denominator)
+    want = [character_value(p, terms, denominator) for terms in [*rows, {}]]
+    assert [(repr(z.real), repr(z.imag)) for z in got] == [
+        (repr(z.real), repr(z.imag)) for z in want
+    ]

@@ -149,6 +149,18 @@ def stable_limit_report(tmp: Path) -> bytes:
     return _config_report(config, tmp)
 
 
+def stable_limit_deep_p3(tmp: Path, *args: str) -> bytes:
+    """configs/stable_limit.json over p = 3 at resolution -50 with a grid
+    of large |t|: phase scales reach 44 (3**44 > 2**63) and every batch
+    holds Python ints."""
+    config = json.loads((CONFIG_DIR / "stable_limit.json").read_text())
+    config["law"].update(p=3, resolution=-50)
+    config["scheme"].update(p=3, beta="1/3", gamma0="3")
+    config["target"]["stable"]["p"] = 3
+    config.update(grid={"k_lo": 30, "k_hi": 40}, m=60, sets=[])
+    return _config_report(config, tmp, *args)
+
+
 _GEOMETRIC_2 = {"mode": "geometric", "p": 2, "beta": "1/2", "gamma0": "2", "n_max": 4}
 _GEOMETRIC_3 = {"mode": "geometric", "p": 3, "beta": "1/3", "gamma0": "3", "n_max": 4}
 # radial over p = 2, and not the stable example measure (its weight is 2/3)
@@ -261,6 +273,10 @@ DIGESTS = {
         "326a981f685836ff85d2db4d1da5259a"
         "be337e54888eeb77628ac2fac8ed326b"
     ),
+    "stable_limit_deep_p3": (
+        "58007bbd4c342fc8fcdc8574fa5a9606"
+        "975cc72dd2c4427b3ca40eb1b284ac2f"
+    ),
     "stable_limit_report": (
         "e16a39e584ac352aa8d94714aef6d4c8"
         "7684f55a2ac2ed1b72d87a351e5794d1"
@@ -288,6 +304,7 @@ CASES = {
     ),
     "preset_beta0_demo": functools.partial(_preset_report, "beta0_demo"),
     "stable_limit_report": stable_limit_report,
+    "stable_limit_deep_p3": stable_limit_deep_p3,
     "law_point_mass": law_point_mass,
     "law_haar_ball": law_haar_ball,
     "law_compound_poisson": law_compound_poisson,
@@ -305,7 +322,8 @@ def test_report_bytes(name, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name", ["law_compound_poisson", "law_haar_ball", "law_point_mass"]
+    "name",
+    ["law_compound_poisson", "law_haar_ball", "law_point_mass", "stable_limit_deep_p3"],
 )
 def test_law_reports_keep_their_bytes_under_a_process_pool(name, tmp_path):
     # --workers 2 runs the Monte Carlo blocks in a process pool; every

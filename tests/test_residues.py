@@ -193,18 +193,29 @@ def reference_mc_block(args):
     return block, phase_counts, ball_hits, len(draws)
 
 
+def row_counts(table, n_rows: int) -> list[Counter]:
+    """A phase table as one Counter {(scale, numerator): count} per row,
+    equal keys added; checks the table's column types on the way."""
+    assert [a.dtype for a in (table.row, table.scale, table.count)] == [np.int64] * 3
+    assert table.numerator.dtype in (np.uint64, object)
+    out = [Counter() for _ in range(n_rows)]
+    for i, s, k, c in zip(*(a.tolist() for a in table)):
+        out[i][s, k] += c
+    return out
+
+
 def mc_block(args):
     """_mc_blocks on the one block of ``args``, with the block index and
     size read from them."""
     (sampler, scheme, n, seed, n_idx, block, count, grid, balls) = args
-    counts, ball_hits = _mc_blocks(sampler, scheme, n, seed, n_idx, [(block, count)], grid, balls)
-    return block, [Counter(c) for c in counts], ball_hits, count
+    table, ball_hits = _mc_blocks(sampler, scheme, n, seed, n_idx, [(block, count)], grid, balls)
+    return block, row_counts(table, len(grid)), ball_hits, count
 
 
 def phase_counts(samples, t) -> Counter:
     """tally's phase counts of one grid point."""
-    [counts], _ = tally(t.prime, samples, [t], [])
-    return Counter(counts)
+    table, _ = tally(t.prime, samples, [t], [])
+    return row_counts(table, 1)[0]
 
 
 def reference_phase_counts(samples, t) -> Counter:
@@ -857,16 +868,16 @@ def summed_block_tallies(p, batches, grid, balls):
     tally_blocks, whose exception is the first failing block's."""
     phases, hits = [Counter() for _ in grid], [0] * len(balls)
     for batch in batches:
-        counts, ball_hits = tally(p, batch, grid, balls)
-        for total, part in zip(phases, counts):
+        table, ball_hits = tally(p, batch, grid, balls)
+        for total, part in zip(phases, row_counts(table, len(grid))):
             total.update(part)
         hits = [a + b for a, b in zip(hits, ball_hits)]
     return phases, hits
 
 
 def joined_tally(p, batches, grid, balls):
-    counts, hits = tally_blocks(p, batches, grid, balls)
-    return [Counter(c) for c in counts], hits
+    table, hits = tally_blocks(p, batches, grid, balls)
+    return row_counts(table, len(grid)), hits
 
 
 @pytest.mark.parametrize("p", [2, 3])
