@@ -298,11 +298,12 @@ class ResidueBatch:
 
 
 def _reduced_phases(p: int, keys: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """reduced_phase(p, key, m) over uint64 arrays of keys and their m, as
-    arrays of scales (int64) and numerators (uint64).  The valuation of a key is its number
-    of trailing zero bits at p = 2 (the lowest set bit converts exactly to
-    a float, whose exponent frexp reads) and is found by repeated division
-    otherwise, each round only on the keys the last round divided."""
+    """reduced_phase(p, key, m) over uint64 arrays of keys and their
+    (int64) m, as arrays of scales (int64) and numerators (uint64).  The
+    valuation of a key is its number of trailing zero bits at p = 2 (the
+    lowest set bit converts exactly to a float, whose exponent frexp
+    reads) and is found by repeated division otherwise, each round only
+    on the keys the last round divided."""
     live = keys != 0
     if p == 2:
         low = keys & (~keys + np.uint64(1))
@@ -317,7 +318,7 @@ def _reduced_phases(p: int, keys: np.ndarray, ms: np.ndarray) -> tuple[np.ndarra
             idx, q = idx[r == 0], q[r == 0]
             numerators[idx] = q
             v[idx] += 1
-    return np.where(live, ms - v, 0).astype(np.int64), numerators
+    return np.where(live, ms - v, 0), numerators
 
 
 def tally(
@@ -361,10 +362,10 @@ def tally_blocks(
 ) -> tuple[PhaseTable, list[int]]:
     """tally over the values of ``batches`` (the blocks of one Monte Carlo
     step, in block order) as one batch: the counts are those of tallying
-    each block and adding (phase tables by concatenation).  A query that one block cannot decide is one
-    the joined batch cannot decide; then the blocks are tallied one by
-    one, in order, so the first failing block raises what its own tally
-    raises."""
+    each block and adding, each key once in the table.  A query that one
+    block cannot decide is one the joined batch cannot decide; then the
+    blocks are tallied one by one, in order, so the first failing block
+    raises what its own tally raises."""
     whole = ResidueBatch.concat(p, batches)
     if not (all(whole.phase_ok(t) for t in grid) and all(whole.ball_ok(b) for b in balls)):
         for batch in batches:

@@ -357,7 +357,7 @@ def test_character_value_pairs_conjugates_and_divides_once():
     # chi(1/3) and chi(2/3) with equal counts pair into an exactly real sum
     got = character_value(p, {(1, 1): 5, (1, 2): 5, (0, 0): 2}, 12)
     assert got.imag == 0.0
-    assert got == complex(2 / 12 + 10 / 12 * math.cos(2 * math.pi / 3), 0.0)
+    assert got == complex(2 / 12 + 10 / 12 * math.cos(2 * math.pi * (1 / 3)), 0.0)
     # an unpaired phase is float(c) / denominator times chi
     assert character_value(p, {(2, 4): 3}, 7) == 3 / 7 * chi(p, 2, 4)
     # p = 2: 1/2 is its own conjugate; 1/4 alone is the exact axis point i
