@@ -185,6 +185,79 @@ def test_from_rational_rejects_bad_inputs():
         from_rational(1, 0, p=2)
 
 
+# Every way the constructor rejects integer fields (and a prime of any
+# type), with its exception and exact text, in the order the checks run:
+# the prime first, then the zero element's unit, then a nonzero value's
+# precision, unit range and leading digit.
+CONSTRUCTOR_REJECTS = [
+    ((4, 0, 1, 48), "not a prime: 4"),
+    ((1, 0, 1, 48), "not a prime: 1"),
+    ((0, None, 0, None), "not a prime: 0"),
+    ((-3, 0, 1, 48), "not a prime: -3"),
+    ((True, 0, 1, 48), "not a prime: True"),
+    ((2.0, 0, 1, 48), "not a prime: 2.0"),
+    ((Fraction(3), 0, 1, 48), "not a prime: Fraction(3, 1)"),
+    (("3", 0, 1, 48), "not a prime: '3'"),
+    ((None, 0, 1, 48), "not a prime: None"),
+    ((4, None, 5, None), "not a prime: 4"),
+    ((3, None, 1, None), "zero element must have unit 0"),
+    ((3, None, -2, 5), "zero element must have unit 0"),
+    ((3, 0, 1, None), "nonzero value needs precision >= 1"),
+    ((3, 0, 1, 0), "nonzero value needs precision >= 1"),
+    ((3, -2, 5, -1), "nonzero value needs precision >= 1"),
+    ((3, 0, 0, 0), "nonzero value needs precision >= 1"),
+    ((3, 0, 0, 5), "unit out of range for stated precision"),
+    ((3, 0, -1, 5), "unit out of range for stated precision"),
+    ((3, 0, 27, 3), "unit out of range for stated precision"),
+    ((3, 0, 3, 1), "unit out of range for stated precision"),
+    ((3, 0, 3, 2), "leading digit must be nonzero"),
+    ((2, 4, 2, 2), "leading digit must be nonzero"),
+    ((5, -7, 25, 48), "leading digit must be nonzero"),
+]
+
+
+@pytest.mark.parametrize("fields, text", CONSTRUCTOR_REJECTS)
+def test_constructor_rejects_with_the_same_text(fields, text):
+    with pytest.raises(ValueError, match="^" + re.escape(text) + "$") as info:
+        PAdicNumber(*fields)
+    assert type(info.value) is ValueError
+    keywords = dict(zip(("prime", "valuation", "unit", "precision"), fields))
+    with pytest.raises(ValueError, match="^" + re.escape(text) + "$"):
+        PAdicNumber(**keywords)
+
+
+def test_constructor_keeps_the_dataclass_behaviour():
+    import copy
+    import dataclasses
+    import pickle
+
+    x = PAdicNumber(3, 5, 7, 48)
+    z = PAdicNumber(3, None, 0, 4)
+    assert x == PAdicNumber(prime=3, valuation=5, unit=7, precision=48)
+    assert x != PAdicNumber(3, 5, 7, 47) and z != PAdicNumber.zero(3)
+    assert hash(x) == hash((3, 5, 7, 48))
+    assert hash(z) == hash((3, None, 0, 4))
+    assert [f.name for f in dataclasses.fields(x)] == [
+        "prime", "valuation", "unit", "precision"
+    ]
+    for y in (x, z, PAdicNumber.zero(2), from_rational(-1, 3, p=5)):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(y, protocol))
+            assert back == y and hash(back) == hash(y)
+        assert copy.copy(y) == y and copy.deepcopy(y) == y
+    assert dataclasses.replace(x, precision=2) == PAdicNumber(3, 5, 7, 2)
+    with pytest.raises(ValueError, match="^leading digit must be nonzero$"):
+        dataclasses.replace(x, unit=6)
+    with pytest.raises(ValueError, match="^unit out of range for stated precision$"):
+        dataclasses.replace(x, precision=1)
+    for name in ("prime", "valuation", "unit", "precision"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(x, name)
+    assert x == PAdicNumber(3, 5, 7, 48)
+
+
 rationals = st.tuples(
     st.integers(min_value=-500, max_value=500).filter(bool),
     st.integers(min_value=1, max_value=500),
