@@ -100,7 +100,22 @@ def split_p_part(r: Fraction, p: int) -> tuple[int, int, int]:
     return vn - vd, num // p**vn, den // p**vd
 
 
-@dataclass(frozen=True, slots=True)
+@lru_cache(maxsize=64)
+def _modulus(p: int, precision: int) -> int:
+    """p**precision, for the constructor's unit range check."""
+    return p**precision
+
+
+def _check_int(name: str, value, none_ok: bool) -> None:
+    if (value is None and none_ok) or (
+        isinstance(value, int) and not isinstance(value, bool)
+    ):
+        return
+    kind = "an int or None" if none_ok else "an int"
+    raise TypeError(f"{name} must be {kind}: {value!r}")
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class PAdicNumber:
     """A p-adic number known to finitely many digits.
 
@@ -116,6 +131,11 @@ class PAdicNumber:
         K, the number of known digits.  For the zero element this field
         instead stores the certified-zero exponent e (value is congruent
         to 0 modulo p**e), with ``None`` meaning exactly zero.
+
+    Every construction checks its fields: the prime, that valuation,
+    unit and precision are ints (bool excluded; valuation and precision
+    may be None), and the value invariants above.  Plain ints take a
+    fast path through each check.
     """
 
     prime: int
@@ -123,18 +143,31 @@ class PAdicNumber:
     unit: int
     precision: int | None
 
-    def __post_init__(self) -> None:
-        _check_prime(self.prime)
-        if self.valuation is None:
-            if self.unit != 0:
+    def __init__(
+        self, prime: int, valuation: int | None, unit: int, precision: int | None
+    ) -> None:
+        if type(prime) is not int or not is_prime(prime):
+            _check_prime(prime)
+        if type(valuation) is not int:
+            _check_int("valuation", valuation, True)
+        if type(unit) is not int:
+            _check_int("unit", unit, False)
+        if type(precision) is not int:
+            _check_int("precision", precision, True)
+        if valuation is None:
+            if unit != 0:
                 raise ValueError("zero element must have unit 0")
         else:
-            if self.precision is None or self.precision < 1:
+            if precision is None or precision < 1:
                 raise ValueError("nonzero value needs precision >= 1")
-            if not 1 <= self.unit < self.prime**self.precision:
+            if not 1 <= unit < _modulus(prime, precision):
                 raise ValueError("unit out of range for stated precision")
-            if self.unit % self.prime == 0:
+            if unit % prime == 0:
                 raise ValueError("leading digit must be nonzero")
+        _set_prime(self, prime)
+        _set_valuation(self, valuation)
+        _set_unit(self, unit)
+        _set_precision(self, precision)
 
     # -- constructors -------------------------------------------------
 
@@ -365,6 +398,13 @@ class PAdicNumber:
 
     def __repr__(self) -> str:
         return f"PAdicNumber({format_padic(self)!r})"
+
+
+# the slots' own descriptors, which assign past the frozen __setattr__
+_set_prime, _set_valuation, _set_unit, _set_precision = (
+    PAdicNumber.__dict__[name].__set__
+    for name in ("prime", "valuation", "unit", "precision")
+)
 
 
 # ---------------------------------------------------------------------

@@ -226,6 +226,30 @@ def test_constructor_rejects_with_the_same_text(fields, text):
         PAdicNumber(**keywords)
 
 
+@pytest.mark.parametrize("fields, name", [
+    ((3, 0.5, 1, 48), "valuation"),
+    ((3, True, 1, 48), "valuation"),
+    ((3, np.int64(2), 1, 48), "valuation"),
+    ((3, 0, 1.0, 48), "unit"),
+    ((3, 0, np.int64(1), 48), "unit"),
+    ((3, None, False, None), "unit"),
+    ((3, None, 0.0, 4), "unit"),
+    ((3, 0, 1, 2.5), "precision"),
+    ((3, 0, 1, True), "precision"),
+    ((3, None, 0, 2.0), "precision"),
+])
+def test_constructor_rejects_fields_that_are_not_ints(fields, name):
+    # PAdicNumber(3, 0.5, 1, 48) used to build, with known_mod_exp 48.5
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        PAdicNumber(*fields)
+
+
+def test_constructor_allows_the_certified_zero_nones():
+    assert PAdicNumber(3, None, 0, None) == PAdicNumber.zero(3)
+    assert PAdicNumber(3, None, 0, -2).known_mod_exp == -2
+    assert PAdicNumber(3, -2, 2, 1).known_mod_exp == -1
+
+
 def test_constructor_keeps_the_dataclass_behaviour():
     import copy
     import dataclasses
