@@ -396,10 +396,13 @@ def levy_exponent_exact(
         contributed = False
         sv = tv - j * k  # valuation of t * gamma0**-k
         m = n - tv  # scale of every phase on this sphere
+        su = None  # unit of t * gamma0**-k, once a ball needs it
         for radius_exp, cu, c in balls:
             if sv < radius_exp:
                 continue
-            phase = unit_phase(p, -m, tu * pow(ginv, k, mod) * cu, precision)
+            if su is None:
+                su = tu * pow(ginv, k, mod) % mod
+            phase = unit_phase(p, -m, su * cu, precision)
             contributed = True
             if not c:
                 continue
@@ -418,6 +421,12 @@ class LevyExponent:
     correctness does not depend on hits, so instances may be shared.  A
     point over another prime always misses, and levy_exponent_exact
     refuses it.
+
+    ``quadrature`` is the sphere-quadrature memo of
+    :func:`invert_exponent`: phi's complex value at each probed point
+    a * p**-m and each finished sphere integral.  It lives as long as
+    this evaluator (a fresh LevyExponent starts empty), refers back to
+    nothing, and changes no bit of any inversion.
     """
 
     def __init__(self, measure: SelfSimilarLevyMeasure):
@@ -425,6 +434,7 @@ class LevyExponent:
         self._tables = _ExponentTables(measure)
         # key -> [exact sum, complex value or None]
         self._cache: dict[tuple, list] = {}
+        self.quadrature = _Quadrature()
 
     def exact(self, t: PAdicNumber) -> CharacterSum:
         key = (t.prime, t.valuation, t.unit, t.precision)
@@ -511,45 +521,54 @@ def _probe_point(p: int, m: int, a: int) -> PAdicNumber:
     return PAdicNumber(p, -m, a % p**DEFAULT_PRECISION, DEFAULT_PRECISION)
 
 
-class _PointCache:
-    """phi at the points a * p**-m, keyed by (m, a)."""
+class _Quadrature:
+    """The sphere-quadrature memo of one evaluator phi: phi at the points
+    a * p**-m keyed by (m, a), and each finished sphere integral keyed by
+    (m, refine_cap).  It holds no reference to phi, so that a memo kept
+    on a LevyExponent makes no reference cycle; phi is passed in."""
 
-    def __init__(self, phi, p: int):
-        self.phi = phi
-        self.p = p
-        self._vals: dict[tuple[int, int], complex] = {}
+    __slots__ = ("points", "spheres")
 
-    def sphere(self, m: int, depth: int) -> dict[int, complex]:
+    def __init__(self):
+        self.points: dict[tuple[int, int], complex] = {}
+        self.spheres: dict[tuple[int, int], complex] = {}
+
+    def sphere_values(self, phi, p: int, m: int, depth: int) -> dict[int, complex]:
         """{a: phi(a * p**-m)} over ``_sphere_units(depth, p)``."""
         out = {}
-        for a in _sphere_units(depth, self.p):
-            v = self._vals.get((m, a))
+        for a in _sphere_units(depth, p):
+            v = self.points.get((m, a))
             if v is None:
-                v = complex(self.phi(_probe_point(self.p, m, a)))
-                self._vals[(m, a)] = v
+                v = self.points[m, a] = complex(phi(_probe_point(p, m, a)))
             out[a] = v
         return out
 
 
 def _sphere_integral(
-    cache: _PointCache, m: int, p: int, refine_cap: int
+    phi, memo: _Quadrature, m: int, p: int, refine_cap: int
 ) -> complex:
     """Integral of phi over the sphere {|t| = p**m} by local-constancy
     quadrature: refine until two successive refinements agree exactly.
 
     Exact agreement is the right test here: a locally constant evaluator
     returns bit-identical values at points of the same constancy ball.
+    The result depends on (phi, m, refine_cap) alone, so it is memoised
+    under (m, refine_cap).
     """
+    done = memo.spheres.get((m, refine_cap))
+    if done is not None:
+        return done
     prev: dict[int, complex] | None = None
     for depth in range(1, refine_cap + 2):
-        vals = cache.sphere(m, depth)
+        vals = memo.sphere_values(phi, p, m, depth)
         if prev is not None:
             parent_mod = p ** (depth - 1)
             if all(vals[a] == prev[a % parent_mod] for a in vals):
                 haar = float(p) ** (m - (depth - 1))
-                return sum(
+                done = memo.spheres[m, refine_cap] = sum(
                     haar * prev[a] for a in sorted(prev)
                 )
+                return done
         prev = vals
     raise ToleranceError(
         f"refinement cap {refine_cap} hit on sphere |t| = p**{m}: "
@@ -561,7 +580,8 @@ _DECAY_WINDOW = 4  # covers magnitude alternation of period up to 4
 
 
 def _ball_integral(
-    cache: _PointCache,
+    phi,
+    memo: _Quadrature,
     i: int,
     p: int,
     tol: float,
@@ -584,7 +604,7 @@ def _ball_integral(
     mags: list[float] = []
     m = -i
     while True:
-        val = _sphere_integral(cache, m, p, refine_cap)
+        val = _sphere_integral(phi, memo, m, p, refine_cap)
         total += val
         mags.append(abs(val))
         if len(mags) >= w and all(x == 0.0 for x in mags[-w:]):
@@ -607,6 +627,18 @@ def _ball_integral(
     return total
 
 
+def _integral_exp(name: str, e) -> int:
+    """The annulus bound ``e`` as an int; a bound that is not an integer
+    (0.5, nan, -inf) has no annulus, so it raises instead of truncating."""
+    try:
+        n = int(e)
+    except (OverflowError, TypeError, ValueError):
+        n = None
+    if n is None or n != e:
+        raise ValueError(f"{name}={e!r} is not an integer")
+    return n
+
+
 def invert_exponent(
     phi,
     i: int,
@@ -618,7 +650,8 @@ def invert_exponent(
 ) -> float:
     """Recover the jump mass of the annulus {p**(i+1) <= |x| <= p**l}
     from the exponent evaluator alone; ``l=None`` (or inf) gives the tail
-    {|x| > p**i}.
+    {|x| > p**i}.  ``i`` and a finite ``l`` must be integers (an
+    integral float counts as its int); any other bound raises ValueError.
 
     The kernel is the inverse transform of the annulus indicator, a
     difference of ball indicators whose transforms carry their Haar
@@ -627,21 +660,35 @@ def invert_exponent(
         mass = -p**i * integral_{|t| <= p**-i} phi(t) dt
                + p**l * integral_{|t| <= p**-l} phi(t) dt
 
-    (the second term absent for the tail).  Each ball integral uses
-    exact local-constancy quadrature per sphere.
+    (the second term absent for the tail).  Each ball integral is an
+    inner series of sphere integrals, each by exact local-constancy
+    quadrature.
+
+    When phi is a :class:`LevyExponent`, the quadrature memo it carries
+    keeps phi's value at every probed point and every finished sphere
+    integral for as long as phi lives, so the balls of later calls on
+    the same phi reuse the spheres of earlier ones (ball(i) is sphere(-i)
+    together with ball(i+1)).  A sphere integral depends only on phi,
+    the sphere and refine_cap, and the ball series sums the spheres in
+    the same order, so every result is bit for bit what a fresh phi
+    gives.  Any other evaluator gets a memo for this call only.
     """
     _check_prime(p)
-    cache = _PointCache(phi, p)
+    memo = phi.quadrature if isinstance(phi, LevyExponent) else _Quadrature()
+    i = _integral_exp("i", i)
     scale_i = float(p) ** i
-    if l is None or (isinstance(l, float) and math.isinf(l)):
-        val = _ball_integral(cache, i, p, tol / scale_i, refine_cap, max_spheres)
+    if l is None or l == math.inf:
+        val = _ball_integral(phi, memo, i, p, tol / scale_i, refine_cap, max_spheres)
         return -scale_i * val.real
+    l = _integral_exp("l", l)
     if l < i + 1:
         raise ValueError("empty annulus")
-    scale_l = float(p) ** int(l)
-    bi = _ball_integral(cache, i, p, tol / (2 * scale_i), refine_cap, max_spheres)
+    scale_l = float(p) ** l
+    bi = _ball_integral(
+        phi, memo, i, p, tol / (2 * scale_i), refine_cap, max_spheres
+    )
     bl = _ball_integral(
-        cache, int(l), p, tol / (2 * scale_l), refine_cap, max_spheres
+        phi, memo, l, p, tol / (2 * scale_l), refine_cap, max_spheres
     )
     return -scale_i * bi.real + scale_l * bl.real
 

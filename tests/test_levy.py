@@ -173,6 +173,22 @@ def test_invert_exponent_annulus_and_tail():
     assert invert_exponent(lambda t: 0j, 0, 2, 2) == 0.0
 
 
+def test_invert_exponent_rejects_bounds_that_are_not_integers():
+    m = make_example_measure(1, 1, 2)
+    phi = LevyExponent(m)
+    # {2**-1 <= |x| <= 2**-0.5} is annulus(-2, -1); l = -0.5 used to be
+    # truncated to 0, which gave the mass of annulus(-2, 0)
+    bad = ((-2, -0.5), (0.5, 2), (-2, 1.5), (math.nan, 2), (0, math.nan),
+           (0, -math.inf), (math.inf, None), (Fraction(1, 2), 3))
+    for i, l in bad:
+        with pytest.raises(ValueError, match="is not an integer"):
+            invert_exponent(phi, i, l, 2, tol=1e-12)
+    exact = float(measure_mass(m, annulus(-2, -1, 2)))
+    got = invert_exponent(phi, -2.0, -1.0, 2, tol=1e-12)
+    assert got == invert_exponent(LevyExponent(m), -2, -1, 2, tol=1e-12)
+    assert abs(got - exact) <= 1e-10 * exact
+
+
 def test_invert_exponent_random_round_trip():
     rng = substream(123, 9)
     for _ in range(3):
@@ -182,6 +198,105 @@ def test_invert_exponent_random_round_trip():
             exact = float(measure_mass(m, annulus(i, l, m.prime)))
             got = invert_exponent(phi, i, l, m.prime, tol=1e-12)
             assert abs(got - exact) <= 1e-10 * max(1.0, abs(exact))
+
+
+MEMO_REGIONS = ((0, 2), (-1, 1), (1, 3), (-2, 0), (0, math.inf))
+
+
+def _memo_measures():
+    rng = substream(7, 3)
+    for p in (2, 3, 5):
+        yield make_example_measure(1, 1, p)
+        yield random_self_similar_measure(rng, p)
+
+
+class _CountingExponent(LevyExponent):
+    """A LevyExponent that records every point it is asked for."""
+
+    def __init__(self, measure):
+        super().__init__(measure)
+        self.asked = []
+
+    def __call__(self, t):
+        self.asked.append(t)
+        return super().__call__(t)
+
+
+@pytest.mark.parametrize("m", list(_memo_measures()), ids=lambda m: f"p{m.prime}j{m.j}")
+def test_inversion_memo_changes_no_bit(m):
+    p = m.prime
+
+    def invert(phi, i, l):
+        return repr(invert_exponent(phi, i, l, p, tol=1e-12))
+
+    fresh = [invert(LevyExponent(m), i, l) for i, l in MEMO_REGIONS]
+    shared = LevyExponent(m)
+    assert [invert(shared, i, l) for i, l in MEMO_REGIONS] == fresh
+    backwards = LevyExponent(m)
+    assert [invert(backwards, i, l) for i, l in MEMO_REGIONS[::-1]] == fresh[::-1]
+    # the ball integrals of later regions reuse the spheres of earlier ones
+    assert len(shared.quadrature.spheres) < sum(
+        _spheres_of(m, i, l) for i, l in MEMO_REGIONS
+    )
+
+
+def _spheres_of(m, i, l):
+    phi = LevyExponent(m)
+    invert_exponent(phi, i, l, m.prime, tol=1e-12)
+    return len(phi.quadrature.spheres)
+
+
+def test_repeated_inversion_evaluates_no_new_point():
+    m = make_example_measure(1, 1, 3)
+    phi = _CountingExponent(m)
+    first = [invert_exponent(phi, i, l, 3, tol=1e-12) for i, l in MEMO_REGIONS]
+    asked = len(phi.asked)
+    assert asked == len(set(phi.asked)) == len(phi.quadrature.points)
+    again = [invert_exponent(phi, i, l, 3, tol=1e-12) for i, l in MEMO_REGIONS]
+    assert again == first
+    assert len(phi.asked) == asked
+    # finished sphere integrals are answered without reading any point
+    phi.quadrature.points.clear()
+    again = [invert_exponent(phi, i, l, 3, tol=1e-12) for i, l in MEMO_REGIONS]
+    assert again == first
+    assert len(phi.asked) == asked
+    # a tighter tolerance extends the series by new spheres only
+    invert_exponent(phi, 0, 2, 3, tol=1e-15)
+    assert len(set(phi.asked)) == len(phi.asked)
+
+
+def test_inversion_memo_keeps_its_exponent_collectable():
+    import gc
+    import weakref
+
+    m = make_example_measure(1, 1, 2)
+    gc.disable()
+    try:
+        phi = LevyExponent(m)
+        invert_exponent(phi, 0, 2, 2, tol=1e-12)
+        assert phi.quadrature.points
+        ref = weakref.ref(phi)
+        del phi
+        # no reference cycle: plain reference counting frees it
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_other_evaluators_get_a_memo_per_call():
+    m = make_example_measure(1, 1, 2)
+    exponent = LevyExponent(m)
+    calls = []
+
+    def phi(t):
+        calls.append(t)
+        return exponent(t)
+
+    first = invert_exponent(phi, 0, 2, 2, tol=1e-12)
+    n = len(calls)
+    assert invert_exponent(phi, 0, 2, 2, tol=1e-12) == first
+    assert len(calls) == 2 * n
+    assert not exponent.quadrature.points
 
 
 def test_invert_exponent_refinement_cap():
