@@ -13,6 +13,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -22,8 +23,8 @@ from unittest import mock
 import pytest
 
 import padicprob
-from padicprob import levy, limits, padic, sets
-from padicprob.charfn import substream
+from padicprob import levy, limits, padic, sets, specs
+from padicprob.charfn import HaarUniform, substream
 from padicprob.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -65,6 +66,15 @@ def classify_measures(tmp: Path) -> bytes:
     return out
 
 
+def classify_odd_primes(tmp: Path) -> bytes:
+    out = b""
+    for spec, p in (("omega:2", "3"), ("delta:2/9", "3"), ("delta:3/5", "5")):
+        out += _cli_stdout(["classify", "--cf", spec, "--p", p])
+    # a Haar ball away from 0, through the API
+    form = levy.classify_two_valued(HaarUniform(sets.Ball(3, Fraction(1, 3), -1)), 3)
+    return out + repr(form).encode()
+
+
 def _measures(seed: int) -> list:
     rng = substream(seed, 5)
     out = [levy.random_self_similar_measure(rng) for _ in range(6)]
@@ -87,6 +97,27 @@ def integrate_char_reprs(tmp: Path) -> bytes:
                     lines.append(repr(scaled))
                     for t in grid:
                         lines.append(repr(sets.integrate_char_exact(scaled, t)))
+    return "\n".join(lines).encode()
+
+
+INVERT_REGIONS = ((0, 2), (-1, 1), (1, 3), (-2, 0), (0, math.inf))
+
+
+def inversion_reprs(tmp: Path) -> bytes:
+    """Every inversion region on the custom measure and on the seeded
+    measures, one exponent per measure."""
+    measures = [specs.measure_from_spec(json.loads(Path(CUSTOM).read_text()))]
+    for seed in SEEDS:
+        measures += _measures(seed)
+    lines = []
+    for m in measures:
+        phi = levy.LevyExponent(m)
+        for i, l in INVERT_REGIONS:
+            try:
+                got = repr(levy.invert_exponent(phi, i, l, m.prime, tol=1e-12))
+            except Exception as exc:  # an error is pinned as its text
+                got = f"{type(exc).__name__}: {exc}"
+            lines.append(f"{m.prime} {i} {l}: {got}")
     return "\n".join(lines).encode()
 
 
@@ -229,6 +260,10 @@ DIGESTS = {
         "25dfef2e3d2f020c80c2fe9925fcbf33"
         "f291b9efbdfdee26af16b4800e57de78"
     ),
+    "classify_odd_primes": (
+        "4449a70e5493d456f211858e81a6e652"
+        "55a6ce4e6df3f434f39fd8603560dcf8"
+    ),
     "classify_stable": (
         "e9462eb0a60293f08a34a1526be708e2"
         "bc59e5a2b05f477cb2c31706ff00b568"
@@ -236,6 +271,10 @@ DIGESTS = {
     "integrate_char_reprs": (
         "62fc28f19b908ad726362cedf48873e1"
         "f62a17f0ea92c0a0704c8905704e42e3"
+    ),
+    "inversion_reprs": (
+        "d26da0b59c612809d0151ab3dabcb185"
+        "f20a4d40475b96a247e9674616e3ef34"
     ),
     "law_compound_poisson": (
         "2af1f4de023873ff0384b349f2c06286"
@@ -294,6 +333,8 @@ CASES = {
     "cf_eval_measure": cf_eval_measure,
     "classify_measures": classify_measures,
     "classify_stable": classify_stable,
+    "classify_odd_primes": classify_odd_primes,
+    "inversion_reprs": inversion_reprs,
     "integrate_char_reprs": integrate_char_reprs,
     "scaling_and_masses": scaling_and_masses,
     # the degenerate classification does not depend on m; a small m keeps
