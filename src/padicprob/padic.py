@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -115,6 +115,25 @@ def _check_int(name: str, value, none_ok: bool) -> None:
     raise TypeError(f"{name} must be {kind}: {value!r}")
 
 
+def read_only(cls):
+    """Refuse every attribute assignment and deletion on a frozen slots
+    dataclass with FrozenInstanceError.  The ``__setattr__`` that
+    dataclass writes calls ``super()`` on the class it was given, which
+    ``slots=True`` replaces, so on Python 3.11 setting a name that is not
+    a field raised TypeError instead."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls.__setattr__ = __setattr__
+    cls.__delattr__ = __delattr__
+    return cls
+
+
+@read_only
 @dataclass(frozen=True, slots=True, init=False)
 class PAdicNumber:
     """A p-adic number known to finitely many digits.

@@ -21,6 +21,7 @@ from .padic import (
     _check_prime,
     int_valuation,
     rational_valuation,
+    read_only,
     split_p_part,
     unit_phase,
 )
@@ -41,6 +42,7 @@ def _split(p: int, r) -> tuple[int, int, int] | None:
     return None if r == 0 else split_p_part(r, p)
 
 
+@read_only
 @dataclass(frozen=True, slots=True)
 class Ball:
     """The ball {x : |x - center|_p <= p**radius_exp}.
@@ -186,6 +188,7 @@ class Ball:
         return f"ball({self.center},{self.radius_exp})"
 
 
+@read_only
 @dataclass(frozen=True, slots=True)
 class TailSet:
     """The unbounded annulus {x : |x|_p > p**radius_exp}."""

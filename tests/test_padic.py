@@ -25,7 +25,7 @@ from padicprob.padic import (
     parse_padic,
     rational_char_phase,
 )
-from padicprob.sets import Ball, integrate_char_exact, split_sphere
+from padicprob.sets import Ball, TailSet, integrate_char_exact, split_sphere
 
 PRIMES = (2, 3, 5)
 
@@ -532,3 +532,25 @@ def test_character_values_match_character_value_bit_for_bit(case):
     assert [(repr(z.real), repr(z.imag)) for z in got] == [
         (repr(z.real), repr(z.imag)) for z in want
     ]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PAdicNumber(3, 5, 7, 48),
+        lambda: Ball(3, Fraction(1, 3), -2),
+        lambda: TailSet(3, 1),
+    ],
+    ids=["PAdicNumber", "Ball", "TailSet"],
+)
+def test_frozen_values_refuse_every_attribute(make):
+    import dataclasses
+
+    x = make()
+    names = [f.name for f in dataclasses.fields(x)] + ["extra", "__dict__"]
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(x, name)
+    assert x == make() and hash(x) == hash(make())
