@@ -62,6 +62,7 @@ from .levy import (
     invert_exponent,
     levy_exponent,
     levy_exponent_exact,
+    levy_exponent_sphere,
     make_example_measure,
     make_measure,
     measure_mass,
@@ -72,10 +73,12 @@ from .limits import (
     ConvergenceReport,
     LimitScheme,
     Scenario,
+    SumTransform,
     convergence_report,
     default_ball_family,
     phi_n_measure,
     scaling_identity_check,
     simulate_sums,
     theoretical_fn,
+    theoretical_sphere,
 )

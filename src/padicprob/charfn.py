@@ -36,6 +36,7 @@ from .padic import (
     _check_prime,
     character_values,
     chi,
+    phase_scale,
     split_p_part,
 )
 from .residues import ResidueBatch, tally
@@ -101,14 +102,21 @@ def poisson_draw(rng: np.random.Generator, mean: float) -> int:
 class Transform:
     """The characteristic function g(t) = E chi(t X) of a law on Q_p.
 
-    ``__call__`` holds the one check that t lies over ``prime``, gives
-    g(0) = 1 and leaves t != 0 to ``_value``.  A radial transform
-    (``is_radial``) depends on t only through |t| and is real, with
-    ``radial_value(k)`` its value on the sphere |t| = p**k.  A two-valued
-    one (|g| is 0 or 1: a point mass or a Haar-uniform law) gives its ball
-    probabilities in closed form, by ``exact_ball_probability(ball)``.
-    ``measure`` is the jump measure whose exponent gives g, where there is
-    one.
+    Each transform has one evaluator, ``sphere(p, v, units, precision,
+    k)``: g at the points p**v * u of one sphere, for a list of units u
+    (coprime to p, below p**precision) on one digit window, each value
+    raised to the power k unless k is None.  It holds the one check that
+    the points lie over ``prime``, and a point that needs digits the
+    window lacks raises what the whole sphere raises.  ``power(t, k)``,
+    g(t)**k, and ``__call__(t)``, g(t), are its one-point cases, with
+    g(0) = 1.
+
+    A radial transform (``is_radial``) depends on t only through |t| and
+    is real, with ``radial_value(k)`` its value on the sphere |t| =
+    p**k.  A two-valued one (|g| is 0 or 1: a point mass or a
+    Haar-uniform law) gives its ball probabilities in closed form, by
+    ``exact_ball_probability(ball)``.  ``measure`` is the jump measure
+    whose exponent gives g, where there is one.
     """
 
     prime: int
@@ -116,20 +124,50 @@ class Transform:
     two_valued: bool = False
     measure = None
 
-    def _check(self, t: PAdicNumber) -> None:
-        if t.prime != self.prime:
+    def _check(self, p: int) -> None:
+        if p != self.prime:
             raise PrimeMismatchError(
-                f"transform over p={self.prime} evaluated at a point over p={t.prime}"
+                f"transform over p={self.prime} evaluated at a point over p={p}"
             )
 
     def __call__(self, t: PAdicNumber) -> complex:
-        self._check(t)
-        if t.is_zero:
-            return complex(1.0, 0.0)
-        return self._value(t)
+        return self.power(t, None)
 
-    def _value(self, t: PAdicNumber) -> complex:
+    def power(self, t: PAdicNumber, k: int | None) -> complex:
+        """g(t)**k, the transform of a sum of k independent copies (g(t)
+        when k is None)."""
+        if t.is_zero:
+            self._check(t.prime)
+            return complex(1.0, 0.0)
+        return self.sphere(t.prime, t.valuation, (t.unit,), t.precision, k)[0]
+
+    def sphere(
+        self, p: int, v: int, units: Sequence[int], precision: int, k: int | None = None
+    ) -> list[complex]:
+        """g(p**v * u) for each u in ``units``, or its k-th power."""
+        self._check(p)
+        return self._powers(self._sphere(v, units, precision), k)
+
+    def _sphere(self, v: int, units: Sequence[int], precision: int) -> list[complex]:
         raise NotImplementedError
+
+    def _powers(self, values: list[complex], k: int | None) -> list[complex]:
+        """Each value to the k-th power in floats: through exp and log
+        for a positive radial value."""
+        if k is None:
+            return values
+        if not self.is_radial:
+            return [x**k for x in values]
+        out = []
+        for x in values:
+            val = x.real
+            if val == 0.0:
+                out.append(complex(0.0, 0.0))
+            elif val > 0.0:
+                out.append(complex(math.exp(k * math.log(val)), 0.0))
+            else:
+                out.append(complex(val, 0.0) ** k)
+        return out
 
     def fresh(self) -> "Transform":
         """This transform with empty memos; each report keeps its own."""
@@ -148,18 +186,15 @@ class Transform:
     def radial_value(self, k: int) -> float:
         if not self.is_radial:
             raise ValueError(f"{self!r} is not radial")
-        return self(PAdicNumber(self.prime, -k, 1, DEFAULT_PRECISION)).real
+        return self.sphere(self.prime, -k, (1,), DEFAULT_PRECISION)[0].real
 
-    def power(self, t: PAdicNumber, k: int) -> complex:
-        """g(t)**k, the transform of a sum of k independent copies."""
-        if not self.is_radial:
-            return self(t) ** k
-        val = self(t).real
-        if val == 0.0:
-            return complex(0.0, 0.0)
-        if val > 0.0:
-            return complex(math.exp(k * math.log(val)), 0.0)
-        return complex(val, 0.0) ** k
+
+def _chis(p: int, v: int, units: Sequence[int], precision: int) -> list[complex]:
+    """chi(p**v * u) for each u in ``units`` (coprime to p, known modulo
+    p**precision), with the digit window checked once (see phase_scale)."""
+    s = phase_scale(v, precision)
+    mod = p**s
+    return [chi(p, s, u % mod) for u in units]
 
 
 @dataclass(frozen=True)
@@ -173,8 +208,16 @@ class PointMass(Transform):
         object.__setattr__(self, "prime", self.xi.prime)
         object.__setattr__(self, "is_radial", self.xi.is_zero)
 
-    def _value(self, t: PAdicNumber) -> complex:
-        return chi(self.prime, *(t * self.xi).character_phase())
+    def _sphere(self, v: int, units: Sequence[int], precision: int) -> list[complex]:
+        xi, p = self.xi, self.prime
+        if xi.is_zero:
+            # t * O(p**e) is O(p**(e + v)), whatever the unit of t
+            e = None if xi.precision is None else xi.precision + v
+            return [chi(p, *PAdicNumber.zero(p, e).character_phase())] * len(units)
+        # t * xi is known to the shorter of the two windows
+        k = min(precision, xi.precision)
+        mod = p**k
+        return _chis(p, v + xi.valuation, [u * xi.unit % mod for u in units], k)
 
     def exact_ball_probability(self, ball: Ball) -> Fraction:
         return Fraction(ball.contains(self.xi))
@@ -192,13 +235,15 @@ class HaarUniform(Transform):
         object.__setattr__(self, "prime", self.ball.prime)
         object.__setattr__(self, "is_radial", self.ball.contains_zero)
 
-    def _value(self, t: PAdicNumber) -> complex:
+    def _sphere(self, v: int, units: Sequence[int], precision: int) -> list[complex]:
         ball = self.ball
-        if t.valuation < ball.radius_exp:
-            return complex(0.0, 0.0)
+        if v < ball.radius_exp:
+            return [complex(0.0, 0.0)] * len(units)
         if ball.contains_zero:
-            return complex(1.0, 0.0)
-        return chi(self.prime, *t.mul_rational(ball.center).character_phase())
+            return [complex(1.0, 0.0)] * len(units)
+        # the canonical centre is the integer p**cv * cu
+        cv, cu = ball._center_split
+        return _chis(self.prime, v + cv, [u * cu for u in units], precision)
 
     def exact_ball_probability(self, ball: Ball) -> Fraction:
         rel = self.ball.relate(ball)
@@ -234,8 +279,8 @@ class StableLaw(Transform):
     def __post_init__(self) -> None:
         object.__setattr__(self, "prime", self.params.prime)
 
-    def _value(self, t: PAdicNumber) -> complex:
-        return complex(self.radial_value(-t.valuation), 0.0)
+    def _sphere(self, v: int, units: Sequence[int], precision: int) -> list[complex]:
+        return [complex(self.radial_value(-v), 0.0)] * len(units)
 
     def radial_value(self, k: int) -> float:
         return math.exp(self._log_radial(k))
@@ -244,7 +289,7 @@ class StableLaw(Transform):
         return -self.params.a * float(self.prime) ** (self.params.alpha * k)
 
     def log_modulus(self, t: PAdicNumber) -> float:
-        self._check(t)
+        self._check(t.prime)
         return 0.0 if t.is_zero else self._log_radial(-t.valuation)
 
 

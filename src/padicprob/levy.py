@@ -25,6 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -35,8 +36,8 @@ from .padic import (
     DEFAULT_PRECISION,
     PAdicNumber,
     _check_prime,
+    phase_scale,
     split_p_part,
-    unit_phase,
 )
 from .sets import Ball, CompactOpenSet, TailSet, split_sphere
 
@@ -271,13 +272,20 @@ def random_compact_open(
     sphere_hi: int = 3,
     max_balls: int = 4,
 ) -> CompactOpenSet:
-    """Random disjoint union of balls inside a bounded annulus."""
+    """Random disjoint union of balls inside a bounded annulus.
+
+    Each ball is drawn as an index into split_sphere(n, depth, p), whose
+    (p - 1) * p**(depth - 1) balls are centred at a * p**-n for the a
+    below p**depth that p does not divide, in increasing order: index i
+    is a = (i // (p - 1)) * p + i % (p - 1) + 1."""
+    _check_prime(p)
     balls = []
     for _ in range(int(rng.integers(1, max_balls + 1))):
         n = int(rng.integers(sphere_lo, sphere_hi + 1))
         depth = int(rng.integers(1, 3))
-        pool = split_sphere(n, depth, p)
-        balls.append(pool[int(rng.integers(0, len(pool)))])
+        i = int(rng.integers(0, (p - 1) * p ** (depth - 1)))
+        a = i // (p - 1) * p + i % (p - 1) + 1
+        balls.append(Ball._of(p, (-n, a, 1), n - depth))
     return CompactOpenSet(p, balls)
 
 
@@ -357,70 +365,103 @@ class _ExponentTables:
         return c
 
 
+def levy_exponent_sphere(
+    measure: SelfSimilarLevyMeasure,
+    p: int,
+    v: int,
+    units: Sequence[int],
+    precision: int,
+    tables: _ExponentTables | None = None,
+) -> list[CharacterSum]:
+    """phi(p**v * u) as an exact character sum, for each unit u in
+    ``units`` (coprime to p, below p**precision; one or more).
+
+    Only the spheres {|y| > p**v} contribute; on each, the measure is an
+    exact rescaling of the fundamental data, so the character part is a
+    finite sum of ball averages chi(s * center) * [|s| <= radius bound]
+    and the constant part is the closed-form tail mass.  The spheres and
+    which balls meet them depend on v alone, so they are walked once for
+    all the units, and each unit gets each ball's phase, an integer
+    modulo p**m (see :class:`_ExponentTables`), with one multiply-mod.
+    A ball that needs more digits than the window holds raises
+    :class:`PrecisionError`, whatever its weight.  ``tables`` may be
+    shared between calls on the same measure.
+    """
+    if p != measure.prime:
+        raise PrimeMismatchError("t over a different prime")
+    if tables is None:
+        tables = _ExponentTables(measure)
+    j = tables.j
+    mod = p**precision
+    b, a = tables.ginv
+    ginv = b * pow(a, -1, mod) % mod  # the unit of gamma0**-1
+    # each term as (scale m, p**m, f, coefficient): the unit u has the
+    # phase u * f mod p**m there; the constant term is f = 0 mod 1
+    const = tables.neg_tail(v)
+    gens: list[tuple] = [(0, 1, 0, const)] if const else []
+    empty_streak = 0
+    n = v + 1
+    while empty_streak < j:
+        k, balls = tables.sphere(n)
+        contributed = False
+        sv = v - j * k  # valuation of t * gamma0**-k
+        at: dict[int, int] = {}  # f -> index in gens, on this sphere
+        gk = None  # the unit of gamma0**-k, once a ball needs it
+        for radius_exp, cu, c in balls:
+            if sv < radius_exp:
+                continue
+            m = phase_scale(-(n - v), precision)  # the scale of every phase here
+            contributed = True
+            if not c:
+                continue
+            if gk is None:
+                gk = pow(ginv, k, mod)
+            q = p**m
+            f = gk * cu % q
+            # balls with equal f give every unit one phase; weights and
+            # beta are positive, so merged terms never cancel
+            i = at.get(f)
+            if i is None:
+                at[f] = len(gens)
+                gens.append((m, q, f, c))
+            else:
+                gens[i] = (m, q, f, gens[i][3] + c)
+        empty_streak = 0 if contributed else empty_streak + 1
+        n += 1
+    # every coefficient is nonzero, and p is the measure's prime
+    return [
+        CharacterSum._own(p, {(m, u * f % q): c for m, q, f, c in gens})
+        for u in units
+    ]
+
+
 def levy_exponent_exact(
     measure: SelfSimilarLevyMeasure,
     t: PAdicNumber,
     tables: _ExponentTables | None = None,
 ) -> CharacterSum:
-    """phi(t) as an exact character sum.
-
-    Only the spheres {|y| > 1/|t|} contribute; on each, the measure is an
-    exact rescaling of the fundamental data, so the character part is a
-    finite sum of ball averages chi(s * center) * [|s| <= radius bound]
-    and the constant part is the closed-form tail mass.  Phases are
-    integers modulo p**m (see :class:`_ExponentTables`); a phase that
-    needs more digits of t than its window holds raises
-    :class:`PrecisionError`.  ``tables`` may be shared between calls on
-    the same measure.
-    """
-    p = measure.prime
-    if t.prime != p:
+    """phi(t) as an exact character sum: phi(0) = 0, and any other t is
+    the one-unit case of :func:`levy_exponent_sphere`."""
+    if t.prime != measure.prime:
         raise PrimeMismatchError("t over a different prime")
     if t.is_zero:
-        return CharacterSum.zero(p)
-    if tables is None:
-        tables = _ExponentTables(measure)
-    j = tables.j
-    tv, tu, precision = t.valuation, t.unit, t.precision
-    mod = p**precision
-    b, a = tables.ginv
-    ginv = b * pow(a, -1, mod) % mod  # the unit of gamma0**-1
-    terms: dict[tuple[int, int], Fraction | float] = {}
-    const = tables.neg_tail(tv)
-    if const:
-        terms[0, 0] = const
-    empty_streak = 0
-    n = tv + 1
-    while empty_streak < j:
-        k, balls = tables.sphere(n)
-        contributed = False
-        sv = tv - j * k  # valuation of t * gamma0**-k
-        m = n - tv  # scale of every phase on this sphere
-        su = None  # unit of t * gamma0**-k, once a ball needs it
-        for radius_exp, cu, c in balls:
-            if sv < radius_exp:
-                continue
-            if su is None:
-                su = tu * pow(ginv, k, mod) % mod
-            phase = unit_phase(p, -m, su * cu, precision)
-            contributed = True
-            if not c:
-                continue
-            # weights and beta are positive, so merged terms never cancel
-            terms[phase] = terms[phase] + c if phase in terms else c
-        empty_streak = 0 if contributed else empty_streak + 1
-        n += 1
-    return CharacterSum.from_reduced(p, terms)
+        return CharacterSum.zero(t.prime)
+    return levy_exponent_sphere(
+        measure, t.prime, t.valuation, (t.unit,), t.precision, tables
+    )[0]
 
 
 class LevyExponent:
     """Cached evaluator of phi(t) for a fixed measure.
 
-    One cache keyed by t's prime and canonical digit window holds the
-    exact sum and, once asked for, its complex value; reads dominate and
-    correctness does not depend on hits, so instances may be shared.  A
-    point over another prime always misses, and levy_exponent_exact
-    refuses it.
+    One cache keyed by a point's prime and canonical digit window holds
+    the exact sum and, once asked for, its complex value; reads dominate
+    and correctness does not depend on hits, so instances may be shared.
+    ``sphere_exact`` and ``sphere`` give phi at the points p**v * u of one
+    sphere, computing the ones the cache lacks with one call of
+    :func:`levy_exponent_sphere`; ``exact`` and ``__call__`` are their
+    one-point cases.  A point over another prime always misses, and the
+    kernel refuses it.
 
     ``quadrature`` is the sphere-quadrature memo of
     :func:`invert_exponent`: phi's complex value at each probed point
@@ -436,20 +477,38 @@ class LevyExponent:
         self._cache: dict[tuple, list] = {}
         self.quadrature = _Quadrature()
 
+    def _entries(self, p: int, v: int, units: Sequence[int], precision: int) -> list[list]:
+        cache = self._cache
+        keys = [(p, v, u, precision) for u in units]
+        missing = [key[2] for key in keys if key not in cache]
+        if missing:
+            sums = levy_exponent_sphere(self.measure, p, v, missing, precision, self._tables)
+            for u, value in zip(missing, sums):
+                cache[p, v, u, precision] = [value, None]
+        return [cache[key] for key in keys]
+
+    def sphere_exact(
+        self, p: int, v: int, units: Sequence[int], precision: int
+    ) -> list[CharacterSum]:
+        return [hit[0] for hit in self._entries(p, v, units, precision)]
+
+    def sphere(self, p: int, v: int, units: Sequence[int], precision: int) -> list[complex]:
+        out = []
+        for hit in self._entries(p, v, units, precision):
+            if hit[1] is None:
+                hit[1] = hit[0].to_complex()
+            out.append(hit[1])
+        return out
+
     def exact(self, t: PAdicNumber) -> CharacterSum:
-        key = (t.prime, t.valuation, t.unit, t.precision)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = [levy_exponent_exact(self.measure, t, self._tables), None]
-            self._cache[key] = hit
-        return hit[0]
+        if t.is_zero:
+            return levy_exponent_exact(self.measure, t)
+        return self.sphere_exact(t.prime, t.valuation, (t.unit,), t.precision)[0]
 
     def __call__(self, t: PAdicNumber) -> complex:
-        value = self.exact(t)
-        hit = self._cache[(t.prime, t.valuation, t.unit, t.precision)]
-        if hit[1] is None:
-            hit[1] = value.to_complex()
-        return hit[1]
+        if t.is_zero:
+            return self.exact(t).to_complex()
+        return self.sphere(t.prime, t.valuation, (t.unit,), t.precision)[0]
 
 
 def levy_exponent(measure: SelfSimilarLevyMeasure, t: PAdicNumber) -> complex:
@@ -482,12 +541,24 @@ class JumpMeasure(Transform):
     def fresh(self) -> "JumpMeasure":
         return JumpMeasure(self.measure, self.closed_form)
 
-    def _value(self, t: PAdicNumber) -> complex:
-        return cmath.exp(self.exponent(t))
+    def sphere(
+        self, p: int, v: int, units: Sequence[int], precision: int, k: int | None = None
+    ) -> list[complex]:
+        """exp(phi) on the sphere, from the exponent's cached values; the
+        k-th power scales each exact sum by k, so that where beta**-1 is
+        an integer the sum of k(n) summands reproduces the limit bit for
+        bit."""
+        self._check(p)
+        if k is None:
+            return [cmath.exp(z) for z in self.exponent.sphere(p, v, units, precision)]
+        return [
+            cmath.exp(value.scale(k).to_complex())
+            for value in self.exponent.sphere_exact(p, v, units, precision)
+        ]
 
     def log_modulus(self, t: PAdicNumber) -> float:
         """Re phi(t): finite everywhere, as exp(phi) has no zero."""
-        self._check(t)
+        self._check(t.prime)
         return 0.0 if t.is_zero else self.exponent(t).real
 
     def radial_value(self, k: int) -> float:
@@ -497,12 +568,6 @@ class JumpMeasure(Transform):
             raise ValueError("sphere data is not rotation-invariant; radial "
                              "evaluation would be unsound")
         return super().radial_value(k)
-
-    def power(self, t: PAdicNumber, k: int) -> complex:
-        """exp(k * phi(t)), scaled on the exact sum: where beta**-1 is an
-        integer, the sum of k(n) summands reproduces the limit bit for bit."""
-        self._check(t)
-        return cmath.exp(self.exponent.exact(t).scale(k).to_complex())
 
 
 # ---------------------------------------------------------------------
@@ -521,6 +586,20 @@ def _probe_point(p: int, m: int, a: int) -> PAdicNumber:
     return PAdicNumber(p, -m, a % p**DEFAULT_PRECISION, DEFAULT_PRECISION)
 
 
+def _probe_sphere(g, p: int, m: int, units: list[int]):
+    """g at the probe points a * p**-m, a in ``units``, in order.
+
+    An evaluator with a ``sphere`` method (a Transform, a LevyExponent,
+    the law of S_n) gives the whole sphere in one call, and raises what
+    its first point would.  A plain callable is asked point by point, as
+    the values are read, so a caller that stops early asks no further."""
+    sphere = getattr(g, "sphere", None)
+    if sphere is not None:
+        mod = p**DEFAULT_PRECISION
+        return sphere(p, -m, [a % mod for a in units], DEFAULT_PRECISION)
+    return (complex(g(_probe_point(p, m, a))) for a in units)
+
+
 class _Quadrature:
     """The sphere-quadrature memo of one evaluator phi: phi at the points
     a * p**-m keyed by (m, a), and each finished sphere integral keyed by
@@ -535,13 +614,13 @@ class _Quadrature:
 
     def sphere_values(self, phi, p: int, m: int, depth: int) -> dict[int, complex]:
         """{a: phi(a * p**-m)} over ``_sphere_units(depth, p)``."""
-        out = {}
-        for a in _sphere_units(depth, p):
-            v = self.points.get((m, a))
-            if v is None:
-                v = self.points[m, a] = complex(phi(_probe_point(p, m, a)))
-            out[a] = v
-        return out
+        points = self.points
+        units = list(_sphere_units(depth, p))
+        missing = [a for a in units if (m, a) not in points]
+        if missing:
+            for a, v in zip(missing, _probe_sphere(phi, p, m, missing)):
+                points[m, a] = complex(v)
+        return {a: points[m, a] for a in units}
 
 
 def _sphere_integral(
@@ -672,6 +751,11 @@ def invert_exponent(
     the sphere and refine_cap, and the ball series sums the spheres in
     the same order, so every result is bit for bit what a fresh phi
     gives.  Any other evaluator gets a memo for this call only.
+
+    The points a probed sphere lacks in the memo are read in one call
+    when phi has a sphere method, ``sphere(p, v, units, precision)`` with
+    the values phi gives at the points p**v * u (a LevyExponent, a
+    Transform), and one point at a time from a plain callable.
     """
     _check_prime(p)
     memo = phi.quadrature if isinstance(phi, LevyExponent) else _Quadrature()
@@ -767,15 +851,23 @@ def classify_two_valued(
     The verdict is relative to the probed grid: a finite probe can only
     certify two-valuedness where it looked.  Phases are snapped to exact
     p-power rationals before the point xi is rebuilt digit by digit.
+
+    Each sphere's units a * p**-k (a below p**depth, coprime to p) are
+    read in one call when g has a sphere method, ``sphere(p, v, units,
+    precision)`` with the values g gives at those points (a Transform,
+    a LevyExponent, the law of S_n as limits.SumTransform), and a sphere
+    that raises raises what its first point would; a plain callable is
+    called point by point and no further than the first value that is
+    neither 0 nor 1.  Both read the same grid and give the same verdict.
     """
     _check_prime(p)
     depth = _probe_depth(p, probe_depth)
     sphere_kind: dict[int, str] = {}
+    units = list(_sphere_units(depth, p))
     for k in range(-probe_depth, search_radius_exp + 1):
         kinds = set()
-        for a in _sphere_units(depth, p):
-            t = _probe_point(p, k, a)
-            v = abs(complex(g(t)))
+        for value in _probe_sphere(g, p, k, units):
+            v = abs(value)
             if abs(v - 1.0) <= tol:
                 kinds.add("one")
             elif v <= tol:

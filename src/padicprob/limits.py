@@ -16,11 +16,9 @@ as a zero.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Sequence
 
 from .charfn import (
@@ -134,12 +132,12 @@ class LimitScheme:
     def rho(self, n: int) -> float:
         return self.k(n) / self.k(n + 1)
 
-    def scale_t(self, n: int, t: PAdicNumber) -> PAdicNumber:
-        """t / B_n, exactly as ``t.mul_rational(1 / B(n))``; the split of
-        B_n**-1 is computed once per (n, prime of t, digit window)."""
-        if t.is_zero:
-            return t.mul_rational(1 / self.B(n))
-        p, precision = t.prime, t.precision
+    def move_sphere(
+        self, n: int, p: int, v: int, units: Sequence[int], precision: int
+    ) -> tuple[int, list[int]]:
+        """The points p**v * u (u in ``units``, known modulo p**precision)
+        times B_n**-1, as the valuation and units of their sphere; the
+        split of B_n**-1 is computed once per (n, p, digit window)."""
         key = (n, p, precision)
         hit = self._inv_b.get(key)
         if hit is None:
@@ -147,7 +145,15 @@ class LimitScheme:
             mod = p**precision
             hit = self._inv_b[key] = (w, a * pow(b, -1, mod) % mod, mod)
         w, unit, mod = hit
-        return PAdicNumber(p, t.valuation + w, t.unit * unit % mod, precision)
+        return v + w, [u * unit % mod for u in units]
+
+    def scale_t(self, n: int, t: PAdicNumber) -> PAdicNumber:
+        """t / B_n, exactly as ``t.mul_rational(1 / B(n))``: the one-point
+        case of move_sphere."""
+        if t.is_zero:
+            return t.mul_rational(1 / self.B(n))
+        v, (u,) = self.move_sphere(n, t.prime, t.valuation, (t.unit,), t.precision)
+        return PAdicNumber(t.prime, v, u, t.precision)
 
 
 # ---------------------------------------------------------------------
@@ -155,10 +161,50 @@ class LimitScheme:
 # ---------------------------------------------------------------------
 
 
+def theoretical_sphere(
+    source: Transform,
+    scheme: LimitScheme,
+    n: int,
+    p: int,
+    v: int,
+    units: Sequence[int],
+    precision: int,
+) -> list[complex]:
+    """f_n at p**v * u for each u in ``units``: the sphere moved by B_n**-1
+    (LimitScheme.move_sphere), where ``source`` is evaluated and each
+    value raised to k(n) (see Transform.sphere)."""
+    w, moved = scheme.move_sphere(n, p, v, units, precision)
+    return source.sphere(p, w, moved, precision, scheme.k(n))
+
+
 def theoretical_fn(source: Transform, scheme: LimitScheme, n: int, t: PAdicNumber) -> complex:
     """f_n(t) = g(t / B_n)**k(n) for the summand law with transform g =
-    ``source`` (see Transform.power)."""
-    return source.power(scheme.scale_t(n, t), scheme.k(n))
+    ``source``: f_n(0) = 1, and any other t is the one-unit case of
+    theoretical_sphere."""
+    if t.is_zero:
+        return source.power(t, scheme.k(n))
+    return theoretical_sphere(
+        source, scheme, n, t.prime, t.valuation, (t.unit,), t.precision
+    )[0]
+
+
+@dataclass(frozen=True)
+class SumTransform(Transform):
+    """f_n, the transform of S_n for the summand law ``source``, as a
+    Transform: its sphere evaluator is theoretical_sphere."""
+
+    source: Transform
+    scheme: LimitScheme
+    n: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "prime", self.source.prime)
+        object.__setattr__(self, "is_radial", self.source.is_radial)
+
+    def _sphere(self, v: int, units: Sequence[int], precision: int) -> list[complex]:
+        return theoretical_sphere(
+            self.source, self.scheme, self.n, self.prime, v, units, precision
+        )
 
 
 def sum_residues(
@@ -456,9 +502,14 @@ def _mc_rows(scenario: Scenario, theo: dict, workers: int):
     band = 4.0 / math.sqrt(scenario.m)
     labels = [_t_label(t) for t in scenario.grid]
     parts = max(1, min(workers, scenario.m, MC_BLOCKS))
-    with ProcessPoolExecutor(
-        parts, initializer=_init_worker, initargs=(scenario,)
-    ) if parts > 1 else nullcontext() as pool:
+    if parts > 1:
+        # imported here, so that a serial run never loads it
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = ProcessPoolExecutor(parts, initializer=_init_worker, initargs=(scenario,))
+    else:
+        context = nullcontext()
+    with context as pool:
         for n, (table, ball_counts) in zip(
             scenario.n_list, _run_blocks(scenario, pool, parts)
         ):
@@ -553,8 +604,8 @@ def _classification(scenario: Scenario) -> str | None:
     source = scenario.law_source
     if scenario.kind not in ("beta_one", "bounded_normalizers") or source is None:
         return None
-    ev = partial(theoretical_fn, source, scenario.scheme, scenario.n_list[-1])
-    return classify_two_valued(ev, scenario.prime, search_radius_exp=4, probe_depth=6).kind
+    f_n = SumTransform(source, scenario.scheme, scenario.n_list[-1])
+    return classify_two_valued(f_n, scenario.prime, search_radius_exp=4, probe_depth=6).kind
 
 
 def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceReport:

@@ -18,8 +18,9 @@ The canonical additive character chi(x) = exp(2*pi*i*{x}_p) is handled as
 an exact rational phase k / p**s, stored as the reduced integer pair
 (s, k): 0 <= k < p**s with p not dividing k, and (0, 0) for phase 0.
 :func:`unit_phase` computes every phase of a value known to a digit
-window; :func:`phase_known` is the one statement of when the window
-reaches far enough.  Complex numbers are materialised only at output
+window, with the window checked by :func:`phase_scale` (once for a whole
+sphere of values); :func:`phase_known` is the one statement of when the
+window reaches far enough.  Complex numbers are materialised only at output
 boundaries.
 """
 
@@ -440,18 +441,29 @@ def phase_known(valuation: int, known_mod_exp: int) -> bool:
     return valuation >= 0 or known_mod_exp >= 0
 
 
-def unit_phase(p: int, v: int, u: int, precision: int) -> tuple[int, int]:
-    """The phase of chi at p**v * u, u coprime to p and known modulo
-    p**precision, as the reduced pair (scale, numerator): the phase is
-    numerator / p**scale.  Raises :class:`PrecisionError` when the digits
-    below the unit scale are not all known."""
+def phase_scale(v: int, precision: int) -> int:
+    """The scale of chi's phase at every p**v * u, u coprime to p and
+    known modulo p**precision: 0 when v >= 0, else -v.  Raises
+    :class:`PrecisionError` when the digits below the unit scale are not
+    all known.  It depends on the sphere alone, so a sphere of points is
+    checked once."""
     if v >= 0:
-        return 0, 0
+        return 0
     if not phase_known(v, v + precision):
         raise PrecisionError(
             "need %d digits below the unit scale, have %d" % (-v, precision)
         )
-    return -v, u % p**-v
+    return -v
+
+
+def unit_phase(p: int, v: int, u: int, precision: int) -> tuple[int, int]:
+    """The phase of chi at p**v * u, u coprime to p and known modulo
+    p**precision, as the reduced pair (scale, numerator): the phase is
+    numerator / p**scale (see phase_scale)."""
+    if v >= 0:
+        return 0, 0
+    s = phase_scale(v, precision)
+    return s, u % p**s
 
 
 def reduced_phase(p: int, key: int, m: int) -> tuple[int, int]:
@@ -501,14 +513,24 @@ def character_value(
         conj = (s, p**s - k)
         if conj != key and conj in terms:
             c2 = terms[conj]
+            if type(c) is Fraction and type(c2) is Fraction:
+                # float(c +- c2) is the correctly rounded quotient of the
+                # exact integers, so they are divided without building the
+                # Fractions
+                a, b = c.numerator * c2.denominator, c2.numerator * c.denominator
+                d = c.denominator * c2.denominator
+                plus, minus = (a + b) / d, (a - b) / d
+            else:
+                plus, minus = float(c + c2), float(c - c2)
             theta = _TWO_PI * (k / p**s)
             total += complex(
-                float(c + c2) / denominator * math.cos(theta),
-                float(c - c2) / denominator * math.sin(theta),
+                plus / denominator * math.cos(theta),
+                minus / denominator * math.sin(theta),
             )
             done.add(conj)
         else:
-            total += float(c) / denominator * chi(p, s, k)
+            f = c.numerator / c.denominator if type(c) is Fraction else float(c)
+            total += f / denominator * chi(p, s, k)
     return total
 
 
@@ -684,9 +706,17 @@ class CharacterSum:
         reduced_phase and rational_char_phase give them: taken as they
         are, without the constructor's reduction."""
         _check_prime(prime)
+        return cls._own(prime, {ph: c for ph, c in terms.items() if c})
+
+    @classmethod
+    def _own(
+        cls, prime: int, terms: dict[tuple[int, int], Fraction | float]
+    ) -> "CharacterSum":
+        """A sum that keeps ``terms`` as they are: reduced phases and
+        nonzero coefficients over a prime the caller has checked."""
         out = cls.__new__(cls)
         out.prime = prime
-        out._terms = {ph: c for ph, c in terms.items() if c}
+        out._terms = terms
         return out
 
     @classmethod

@@ -40,6 +40,7 @@ from .levy import (
 )
 from .limits import (
     LimitScheme,
+    SumTransform,
     convergence_report,
     default_ball_family,
     phi_n_measure,
@@ -426,8 +427,7 @@ def criterion_9(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
                 exact3 = False
     rep3 = convergence_report(sc3)
     form3 = classify_two_valued(
-        lambda t: theoretical_fn(sc3.law_source, sc3.scheme, max(sc3.n_list), t),
-        sc3.prime,
+        SumTransform(sc3.law_source, sc3.scheme, max(sc3.n_list)), sc3.prime
     )
     verdicts_ok = (
         rep2.degenerate == "delta"

@@ -12,9 +12,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
-
 from .charfn import (
     CompoundPoissonSampler,
     HaarBallSampler,
@@ -221,19 +218,24 @@ SCENARIO_SCHEMA = {
 }
 
 
-# one validator per schema, built once and without checking the schema
-# itself on every call, as jsonschema.validate does (tests/test_specs.py
-# checks the schemas)
-MEASURE_VALIDATOR = validator_for(MEASURE_SCHEMA)(MEASURE_SCHEMA)
-SAMPLER_VALIDATOR = validator_for(SAMPLER_SCHEMA)(SAMPLER_SCHEMA)
-SCHEME_VALIDATOR = validator_for(SCHEME_SCHEMA)(SCHEME_SCHEMA)
-SCENARIO_VALIDATOR = validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+# one validator per schema, built on first use and without checking the
+# schema itself on every call, as jsonschema.validate does
+# (tests/test_specs.py checks the schemas); jsonschema is imported only
+# then, so that a command that reads no spec does not load it
+_VALIDATORS: dict[int, tuple[dict, object]] = {}
 
 
-def validate(obj, validator, what: str = "config") -> None:
+def validate(obj, schema: dict, what: str = "config") -> None:
     """Raise SpecValidationError with the message jsonschema.validate
     would report: that of the best-matching error."""
-    error = best_match(validator.iter_errors(obj))
+    from jsonschema.exceptions import best_match
+
+    hit = _VALIDATORS.get(id(schema))
+    if hit is None or hit[0] is not schema:
+        from jsonschema.validators import validator_for
+
+        hit = _VALIDATORS[id(schema)] = (schema, validator_for(schema)(schema))
+    error = best_match(hit[1].iter_errors(obj))
     if error is not None:
         raise SpecValidationError(f"invalid {what}: {error.message}")
 
@@ -244,7 +246,7 @@ def validate(obj, validator, what: str = "config") -> None:
 
 
 def measure_from_spec(obj) -> SelfSimilarLevyMeasure:
-    validate(obj, MEASURE_VALIDATOR, "measure spec")
+    validate(obj, MEASURE_SCHEMA, "measure spec")
     if "stable" in obj:
         s = obj["stable"]
         return make_example_measure(s["a"], s["alpha"], s["p"])
@@ -297,7 +299,7 @@ def measure_to_spec(m: SelfSimilarLevyMeasure) -> dict:
 
 
 def sampler_from_spec(obj) -> Sampler:
-    validate(obj, SAMPLER_VALIDATOR, "sampler spec")
+    validate(obj, SAMPLER_SCHEMA, "sampler spec")
     kind = obj["kind"]
     if kind == "point_mass":
         if "xi" not in obj:
@@ -346,7 +348,7 @@ def law_source_from_spec(obj, sampler: Sampler) -> Transform | None:
 
 
 def scheme_from_spec(obj) -> LimitScheme:
-    validate(obj, SCHEME_VALIDATOR, "scheme spec")
+    validate(obj, SCHEME_SCHEMA, "scheme spec")
     if obj["mode"] == "geometric":
         for key in ("beta", "gamma0"):
             if key not in obj:
@@ -370,7 +372,7 @@ def scheme_from_spec(obj) -> LimitScheme:
 
 
 def scenario_from_spec(obj) -> Scenario:
-    validate(obj, SCENARIO_VALIDATOR, "scenario spec")
+    validate(obj, SCENARIO_SCHEMA, "scenario spec")
     law = sampler_from_spec(obj["law"])
     scheme = scheme_from_spec(obj["scheme"])
     p = scheme.prime

@@ -254,3 +254,36 @@ def test_workers_below_one_rejected_at_parse_time(command, workers, tmp_path, ca
         main([*command, *out, "--workers", workers])
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_no_schema_or_pool_machinery(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (
+        "import sys, padicprob.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'"
+        " or m == 'concurrent.futures.process'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+    # jsonschema is loaded when a spec is read, with the same verdict
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"p": 3, "beta": "1/4", "gamma0": "9", "fundamental": [], "extra": 1}
+    ))
+    run_bad = subprocess.run(
+        [sys.executable, "-m", "padicprob.cli", "levy-exponent", "--measure", str(bad),
+         "--grid=0:1"],
+        env=env, capture_output=True, text=True,
+    )
+    assert run_bad.returncode == 2
+    assert run_bad.stderr == (
+        "error: invalid measure spec: {'p': 3, 'beta': '1/4', 'gamma0': '9', "
+        "'fundamental': [], 'extra': 1} is not valid under any of the given schemas\n"
+    )

@@ -211,15 +211,16 @@ def _memo_measures():
 
 
 class _CountingExponent(LevyExponent):
-    """A LevyExponent that records every point it is asked for."""
+    """A LevyExponent that records every point it is asked for, as
+    (valuation, unit): the point call is the one-unit case of ``sphere``."""
 
     def __init__(self, measure):
         super().__init__(measure)
         self.asked = []
 
-    def __call__(self, t):
-        self.asked.append(t)
-        return super().__call__(t)
+    def sphere(self, p, v, units, precision):
+        self.asked.extend((v, u) for u in units)
+        return super().sphere(p, v, units, precision)
 
 
 @pytest.mark.parametrize("m", list(_memo_measures()), ids=lambda m: f"p{m.prime}j{m.j}")

@@ -324,14 +324,15 @@ def test_measure_source_evaluates_each_point_once(monkeypatch):
         kind="beta_one",
     )
     seen: dict = {}
-    real = levy.levy_exponent_exact
+    real = levy.levy_exponent_sphere
 
-    def counting(measure, t, *args):
-        key = (t.valuation, t.unit, t.precision)
-        seen[key] = seen.get(key, 0) + 1
-        return real(measure, t, *args)
+    def counting(measure, p, v, units, precision, *args):
+        for u in units:
+            key = (v, u, precision)
+            seen[key] = seen.get(key, 0) + 1
+        return real(measure, p, v, units, precision, *args)
 
-    monkeypatch.setattr(levy, "levy_exponent_exact", counting)
+    monkeypatch.setattr(levy, "levy_exponent_sphere", counting)
     rep = convergence_report(sc)
     assert rep.degenerate == "delta"
     assert seen and max(seen.values()) == 1
@@ -444,16 +445,17 @@ def test_each_report_evaluates_through_its_own_exponent():
 
 
 def test_one_process_pool_per_report(monkeypatch):
-    import padicprob.limits as limits
+    import concurrent.futures
 
     opened = []
-    real = limits.ProcessPoolExecutor
+    real = concurrent.futures.ProcessPoolExecutor
 
     def counting(*args, **kwargs):
         opened.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(limits, "ProcessPoolExecutor", counting)
+    # _mc_rows imports the pool class when it opens a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
     sc = stable_limit_scenario(m=64, n_list=(0, 2, 4))
     parallel = convergence_report(sc, workers=2)
     assert len(opened) == 1
