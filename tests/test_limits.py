@@ -294,6 +294,26 @@ def test_phi_trajectory_fails_when_every_row_is_dropped(monkeypatch):
     assert rep.effective["phi_rows_dropped"] == 4  # two sets, two n
 
 
+@pytest.mark.parametrize("name", ["beta_one", "bounded_normalizers"])
+def test_preset_classification_reads_every_probe_point_by_spheres(name, monkeypatch):
+    import padicprob.limits as limits
+
+    sizes = []
+    real = limits.theoretical_sphere
+
+    def counting(source, scheme, n, p, v, units, precision):
+        sizes.append(len(units))
+        return real(source, scheme, n, p, v, units, precision)
+
+    monkeypatch.setattr(limits, "theoretical_sphere", counting)
+    sc = limits.PRESETS[name](m=0)
+    assert limits._classification(sc) == {"beta_one": "delta"}.get(name, "haar_cutoff")
+    # 11 spheres of all 486 units of probe depth 6 over p = 3: 5346 points,
+    # then one point per sphere to rebuild xi
+    assert [s for s in sizes if s > 1] == [486] * 11
+    assert sum(sizes) - 5346 == sizes.count(1) > 0
+
+
 def test_measure_source_evaluates_each_point_once(monkeypatch):
     # a beta_one-style report whose law is given by a jump measure: the
     # theory rows and the classification share one cached exponent.  The
