@@ -544,7 +544,9 @@ def test_character_values_match_character_value_bit_for_bit(case):
     ids=["PAdicNumber", "Ball", "TailSet"],
 )
 def test_frozen_values_refuse_every_attribute(make):
+    import copy
     import dataclasses
+    import pickle
 
     x = make()
     names = [f.name for f in dataclasses.fields(x)] + ["extra", "__dict__"]
@@ -554,3 +556,48 @@ def test_frozen_values_refuse_every_attribute(make):
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(x, name)
     assert x == make() and hash(x) == hash(make())
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(x, protocol))
+        assert back == x and hash(back) == hash(x)
+    assert copy.copy(x) == x and copy.deepcopy(x) == x
+    name = [f.name for f in dataclasses.fields(x) if f.init][-1]
+    assert dataclasses.replace(x, **{name: getattr(x, name)}) == x
+
+
+def _character_value_in_fractions(p, terms):
+    """character_value as it summed before its integer shortcut: float()
+    of each coefficient and of each Fraction sum and difference."""
+    total = complex(0.0, 0.0)
+    done = set()
+    for key in sorted(terms):
+        if key in done:
+            continue
+        s, k = key
+        c = terms[key]
+        conj = (s, p**s - k)
+        if conj != key and conj in terms:
+            c2 = terms[conj]
+            theta = 2.0 * math.pi * (k / p**s)
+            total += complex(
+                float(c + c2) * math.cos(theta), float(c - c2) * math.sin(theta)
+            )
+            done.add(conj)
+        else:
+            total += float(c) * chi(p, s, k)
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 5)),
+    terms=st.dictionaries(
+        st.tuples(st.integers(1, 3), st.integers(1, 124)),
+        st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**30).filter(bool),
+        max_size=8,
+    ),
+)
+def test_character_value_divides_fraction_integers_as_float_does(p, terms):
+    terms = {(s, k % p**s): c for (s, k), c in terms.items() if k % p}
+    want = _character_value_in_fractions(p, terms)
+    got = character_value(p, terms)
+    assert (repr(got.real), repr(got.imag)) == (repr(want.real), repr(want.imag))
