@@ -619,7 +619,7 @@ class _Quadrature:
         missing = [a for a in units if (m, a) not in points]
         if missing:
             for a, v in zip(missing, _probe_sphere(phi, p, m, missing)):
-                points[m, a] = complex(v)
+                points[m, a] = v
         return {a: points[m, a] for a in units}
 
 
