@@ -25,6 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -36,10 +37,11 @@ from .padic import (
     DEFAULT_PRECISION,
     PAdicNumber,
     _check_prime,
+    _integral_exp,
     phase_scale,
     split_p_part,
 )
-from .sets import Ball, CompactOpenSet, TailSet, split_sphere
+from .sets import _ZERO, Ball, CompactOpenSet, TailSet, _haar, split_sphere
 
 
 def _as_gamma_fraction(gamma0, p: int) -> Fraction:
@@ -54,6 +56,14 @@ def _as_gamma_fraction(gamma0, p: int) -> Fraction:
             raise ValueError("gamma0 over a different prime")
         return gamma0.as_rational()
     return Fraction(gamma0)
+
+
+@lru_cache(maxsize=1)
+def _generation() -> object:
+    """A new token each time the package's lru_caches are cleared; a memo
+    kept on a measure is dropped once the token it was filled under is
+    gone, so clearing the caches leaves no warm memo behind."""
+    return object()
 
 
 @dataclass(frozen=True)
@@ -110,6 +120,15 @@ class SelfSimilarLevyMeasure:
                     if ball.relate(other) != "disjoint":
                         raise ValueError("fundamental balls must be disjoint")
         object.__setattr__(self, "fundamental", fund)
+        masses = []
+        for entries in fund:
+            total: Fraction | float = _ZERO
+            for _, w in entries:
+                total = total + w
+            masses.append(total)
+        object.__setattr__(self, "_sphere_masses", tuple(masses))
+        object.__setattr__(self, "_one_minus_beta", 1 - self.beta)
+        object.__setattr__(self, "_beta_powers", (None, {}))
 
     # -- structure ------------------------------------------------------
 
@@ -118,13 +137,19 @@ class SelfSimilarLevyMeasure:
         return self._gamma_split[0]
 
     def beta_pow(self, k: int) -> Fraction | float:
-        return self.beta**k
+        """beta**k, memoised on the measure (see :func:`_generation`)."""
+        token, powers = self._beta_powers
+        if token is not _generation():
+            powers = {}
+            object.__setattr__(self, "_beta_powers", (_generation(), powers))
+        hit = powers.get(k)
+        if hit is None:
+            hit = powers[k] = self.beta**k
+        return hit
 
     def fundamental_sphere_mass(self, r: int) -> Fraction | float:
-        total: Fraction | float = Fraction(0)
-        for _, w in self.fundamental[r]:
-            total = total + w
-        return total
+        """The summed weights of fundamental sphere r, added up once."""
+        return self._sphere_masses[r]
 
     def sphere_mass(self, n: int) -> Fraction | float:
         """Mass of the sphere {|x| = p**n}."""
@@ -136,14 +161,12 @@ class SelfSimilarLevyMeasure:
     def tail_mass(self, i: int) -> Fraction | float:
         """Mass of {|x| > p**i}: an exact geometric series."""
         j = self.j
-        total: Fraction | float = Fraction(0)
-        one_minus = 1 - self.beta
-        for r in range(j):
-            fr = self.fundamental_sphere_mass(r)
+        total: Fraction | float = _ZERO
+        for r, fr in enumerate(self._sphere_masses):
             if not fr:
                 continue
             k_min = -((r - i - 1) // j)  # smallest k with r + k*j >= i + 1
-            total = total + fr * self.beta_pow(k_min) / one_minus
+            total = total + fr * self.beta_pow(k_min) / self._one_minus_beta
         return total
 
     def is_symmetric(self) -> bool:
@@ -216,43 +239,54 @@ def make_example_measure(a, alpha, p: int) -> SelfSimilarLevyMeasure:
 
 
 def _ball_mass(measure: SelfSimilarLevyMeasure, ball: Ball) -> Fraction | float:
-    if ball.contains_zero:
+    """The mass of one ball over the measure's prime, decided on integers.
+
+    The ball B(p**-c * cu, p**R) on the sphere c = r + j*k keeps d = c - R
+    digits of its unit.  Its image under gamma0**k lies in the fundamental
+    sphere r and keeps d digits of the unit cu * (a/b)**k.  A fundamental
+    ball there, with qd digits of its unit, meets the image iff the two
+    units agree on their first min(d, qd) digits; it then holds the image
+    (d >= qd), which takes p**(qd - d) of its weight, or lies inside it
+    and gives all of it.
+    """
+    split = ball._center_split
+    if split is None:
         raise InfiniteMassError(
             "the set contains a neighbourhood of 0; total jump mass there "
             "is infinite"
         )
     j, a, b = measure._gamma_split
-    c_exp = ball.sphere_exp
-    r = c_exp % j
-    k = (c_exp - r) // j
-    # the image under gamma0**k = p**(j*k) * (a/b)**k
-    if k >= 0:
-        image = ball._scaled(j * k, a**k, b**k)
-    else:
-        image = ball._scaled(j * k, b**-k, a**-k)
     p = measure.prime
-    total: Fraction | float = Fraction(0)
+    cv, cu = split
+    r = -cv % j
+    k = (-cv - r) // j
+    d = -ball.radius_exp - cv
+    mod = p**d
+    g = a if b == 1 else a * pow(b, -1, mod)  # the unit of gamma0, mod p**d
+    iu = cu * pow(g, k, mod) % mod
+    total: Fraction | float = _ZERO
     for q, w in measure.fundamental[r]:
-        rel = image.relate(q)
-        if rel in ("inside", "equal"):
-            total = total + w * Fraction(1, p ** (q.radius_exp - image.radius_exp))
-        elif rel == "contains":
-            total = total + w
+        qd = r - q.radius_exp
+        if (iu - q._center_split[1]) % p ** min(d, qd):
+            continue
+        total = total + (w * _haar(p, qd - d) if d >= qd else w)
     return measure.beta_pow(k) * total
 
 
 def measure_mass(measure: SelfSimilarLevyMeasure, m) -> Fraction | float:
     """Exact mass of a compact-open set or of a tail {|x| > p**i}."""
+    if not isinstance(m, (Ball, CompactOpenSet, TailSet)):
+        raise TypeError(f"no mass for {type(m).__name__}")
+    if m.prime != measure.prime:
+        raise PrimeMismatchError("set over a different prime")
     if isinstance(m, TailSet):
         return measure.tail_mass(m.radius_exp)
     if isinstance(m, Ball):
         return _ball_mass(measure, m)
-    if isinstance(m, CompactOpenSet):
-        total: Fraction | float = Fraction(0)
-        for b in m:
-            total = total + _ball_mass(measure, b)
-        return total
-    raise TypeError(f"no mass for {type(m).__name__}")
+    total: Fraction | float = _ZERO
+    for b in m:
+        total = total + _ball_mass(measure, b)
+    return total
 
 
 @dataclass(frozen=True)
@@ -704,18 +738,6 @@ def _ball_integral(
             )
         m -= 1
     return total
-
-
-def _integral_exp(name: str, e) -> int:
-    """The annulus bound ``e`` as an int; a bound that is not an integer
-    (0.5, nan, -inf) has no annulus, so it raises instead of truncating."""
-    try:
-        n = int(e)
-    except (OverflowError, TypeError, ValueError):
-        n = None
-    if n is None or n != e:
-        raise ValueError(f"{name}={e!r} is not an integer")
-    return n
 
 
 def invert_exponent(

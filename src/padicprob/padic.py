@@ -69,6 +69,19 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"not a prime: {p!r}")
 
 
+def _integral_exp(name: str, e) -> int:
+    """The exponent ``e`` as an int; an integral float (or other number)
+    counts as its int, as a JSON-schema integer does, and anything else
+    (0.5, nan, -inf, "3", True) raises instead of truncating or parsing."""
+    try:
+        n = None if isinstance(e, bool) else int(e)
+    except (OverflowError, TypeError, ValueError):
+        n = None
+    if n is None or n != e:
+        raise ValueError(f"{name}={e!r} is not an integer")
+    return n
+
+
 def int_valuation(n: int, p: int) -> int:
     """Exponent of p in a nonzero integer."""
     if n == 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PrecisionError, PrimeMismatchError
@@ -19,6 +20,7 @@ from .padic import (
     CharacterSum,
     PAdicNumber,
     _check_prime,
+    _integral_exp,
     int_valuation,
     rational_valuation,
     read_only,
@@ -30,6 +32,12 @@ from .padic import (
 _ZERO = Fraction(0)
 
 
+@lru_cache(maxsize=1024)
+def _haar(p: int, n: int) -> Fraction:
+    """p**n as a Fraction: the Haar measure of a ball of radius p**n."""
+    return Fraction(p**n) if n >= 0 else Fraction(1, p**-n)
+
+
 def _split(p: int, r) -> tuple[int, int, int] | None:
     """A rational as p**v * a/b with a, b coprime to p and b > 0, or None
     for 0."""
@@ -38,7 +46,8 @@ def _split(p: int, r) -> tuple[int, int, int] | None:
             return None
         v = int_valuation(r, p)
         return v, r // p**v, 1
-    r = Fraction(r)
+    if not isinstance(r, Fraction):
+        r = Fraction(r)
     return None if r == 0 else split_p_part(r, p)
 
 
@@ -64,6 +73,7 @@ class Ball:
 
     def __init__(self, prime: int, center, radius_exp: int):
         _check_prime(prime)
+        radius_exp = _integral_exp("radius_exp", radius_exp)
         if isinstance(center, PAdicNumber):
             if center.prime != prime:
                 raise PrimeMismatchError("ball center over a different prime")
@@ -77,7 +87,7 @@ class Ball:
             )
         else:
             split = _split(prime, center)
-        self._assign(prime, split, int(radius_exp))
+        self._assign(prime, split, radius_exp)
 
     def _assign(self, p: int, split, radius_exp: int) -> None:
         """Set the fields for the center p**v * a/b, split = (v, a, b),
@@ -87,7 +97,7 @@ class Ball:
             k = -radius_exp - v
             if k > 0:
                 mod = p**k
-                u = a * pow(b, -1, mod) % mod
+                u = a % mod if b == 1 else a * pow(b, -1, mod) % mod
                 center = Fraction(u * p**v) if v >= 0 else Fraction(u, p**-v)
                 split = (v, u)
             else:
@@ -107,8 +117,7 @@ class Ball:
 
     @property
     def measure(self) -> Fraction:
-        n = self.radius_exp
-        return Fraction(self.prime**n) if n >= 0 else Fraction(1, self.prime**-n)
+        return _haar(self.prime, self.radius_exp)
 
     @property
     def contains_zero(self) -> bool:
@@ -181,9 +190,6 @@ class Ball:
             self.radius_exp - w,
         )
 
-    def sort_key(self):
-        return (self.center, self.radius_exp)
-
     def __str__(self) -> str:
         return f"ball({self.center},{self.radius_exp})"
 
@@ -196,20 +202,39 @@ class TailSet:
     prime: int
     radius_exp: int
 
+    def __post_init__(self) -> None:
+        _check_prime(self.prime)
+        object.__setattr__(
+            self, "radius_exp", _integral_exp("radius_exp", self.radius_exp)
+        )
+
     def scale(self, r: Fraction | int) -> "TailSet":
-        v = rational_valuation(Fraction(r), self.prime)
-        return TailSet(self.prime, self.radius_exp - v)
+        split = _split(self.prime, r)
+        if split is None:
+            raise ValueError("cannot scale a ball by zero")
+        return TailSet(self.prime, self.radius_exp - split[0])
 
     def __str__(self) -> str:
         return f"annulus({self.radius_exp},inf)"
 
 
+def _center_keys(p: int, balls: Sequence[Ball]) -> list[int]:
+    """One integer per ball, ordered as the balls' centres: p**v * u times
+    p**shift, with one shift for all the balls that makes every exponent
+    nonnegative, and 0 for the centre 0."""
+    splits = [b._center_split for b in balls]
+    shift = -min((s[0] for s in splits if s is not None), default=0)
+    return [0 if s is None else s[1] * p ** (s[0] + shift) for s in splits]
+
+
 class CompactOpenSet:
     """Canonical finite disjoint union of balls.
 
-    Normalisation drops balls nested inside others and sorts the rest,
-    so the representation is deterministic and idempotent; it does not
-    merge complete sibling families into their parent.
+    Normalisation drops balls nested inside others and sorts the rest by
+    (center, radius_exp), so the representation is deterministic and
+    idempotent; it does not merge complete sibling families into their
+    parent.  Both orders are read on the integer centre splits (see
+    :func:`_center_keys`).
     """
 
     __slots__ = ("prime", "balls")
@@ -220,14 +245,26 @@ class CompactOpenSet:
         for b in pool:
             if b.prime != prime:
                 raise PrimeMismatchError("mixed primes in set")
-        pool.sort(key=lambda b: (-b.radius_exp,) + b.sort_key())
-        kept: list[Ball] = []
-        for b in pool:
-            if not any(b.relate(k) in ("inside", "equal") for k in kept):
-                kept.append(b)
-        kept.sort(key=Ball.sort_key)
+        keys = _center_keys(prime, pool)
+        # largest balls first, so a ball is dropped only for one before it
+        kept: list[int] = []
+        for _, _, i in sorted(
+            (-b.radius_exp, key, i) for i, (b, key) in enumerate(zip(pool, keys))
+        ):
+            if not any(pool[i].relate(pool[k]) in ("inside", "equal") for k in kept):
+                kept.append(i)
+        self._fill(prime, [pool[i] for i in kept], [keys[i] for i in kept])
+
+    def _fill(self, prime: int, balls: list[Ball], keys: list[int]) -> None:
+        """Keep ``balls`` (disjoint, none inside another, with their centre
+        keys) in (center, radius_exp) order."""
         self.prime = prime
-        self.balls = tuple(kept)
+        self.balls = tuple(
+            balls[i]
+            for _, _, i in sorted(
+                (key, b.radius_exp, i) for i, (b, key) in enumerate(zip(balls, keys))
+            )
+        )
 
     def __iter__(self) -> Iterator[Ball]:
         return iter(self.balls)
@@ -255,7 +292,12 @@ class CompactOpenSet:
         split = _split(self.prime, r)
         if split is None:
             raise ValueError("cannot scale a ball by zero")
-        return CompactOpenSet(self.prime, (b._scaled(*split) for b in self.balls))
+        # multiplying by r is a bijection on balls: the images stay
+        # disjoint and none falls inside another, so only the order changes
+        balls = [b._scaled(*split) for b in self.balls]
+        scaled = object.__new__(CompactOpenSet)
+        scaled._fill(self.prime, balls, _center_keys(self.prime, balls))
+        return scaled
 
     def __str__(self) -> str:
         return " + ".join(str(b) for b in self.balls) or "(empty)"

@@ -179,7 +179,8 @@ def test_invert_exponent_rejects_bounds_that_are_not_integers():
     # {2**-1 <= |x| <= 2**-0.5} is annulus(-2, -1); l = -0.5 used to be
     # truncated to 0, which gave the mass of annulus(-2, 0)
     bad = ((-2, -0.5), (0.5, 2), (-2, 1.5), (math.nan, 2), (0, math.nan),
-           (0, -math.inf), (math.inf, None), (Fraction(1, 2), 3))
+           (0, -math.inf), (math.inf, None), (Fraction(1, 2), 3),
+           (True, 3), (0, False))
     for i, l in bad:
         with pytest.raises(ValueError, match="is not an integer"):
             invert_exponent(phi, i, l, 2, tol=1e-12)
@@ -707,3 +708,121 @@ def test_exponent_cache_does_not_answer_another_prime():
         phi(from_rational(1, p=5))
     with pytest.raises(ValueError):
         phi.exact(from_rational(1, p=5))
+
+
+def test_measure_mass_refuses_sets_over_another_prime():
+    # each of these used to answer a mass: only relate raised, and only
+    # when the set's sphere had fundamental balls to relate to
+    m3 = make_measure(
+        3, Fraction(1, 4), 9, (((Ball(3, 1, -1), Fraction(2, 3)),), ())
+    )
+    foreign = Ball(2, Fraction(1, 2), -2)  # sphere 1 of m3 is empty
+    m2 = make_example_measure(1, 1, 2)
+    cases = [
+        (m3, foreign),
+        (m3, CompactOpenSet(2, [foreign])),
+        (m3, Ball(2, 0, 0)),  # contains 0: the prime is checked first
+        (m2, TailSet(3, 0)),
+        (m2, Ball(3, 1, -1)),
+        (m2, CompactOpenSet(3, [])),
+    ]
+    for m, s in cases:
+        with pytest.raises(PrimeMismatchError, match="set over a different prime"):
+            measure_mass(m, s)
+    with pytest.raises(TypeError, match="no mass for"):
+        measure_mass(m2, 1)
+
+
+# ---------------------------------------------------------------------
+# Integer ball masses against the image-ball path they replaced
+# ---------------------------------------------------------------------
+
+
+def image_ball_mass(measure, ball):
+    """levy._ball_mass as it was: the image of the ball under gamma0**k
+    built as a Ball and related to each fundamental ball."""
+    if ball.contains_zero:
+        raise InfiniteMassError(
+            "the set contains a neighbourhood of 0; total jump mass there "
+            "is infinite"
+        )
+    j, a, b = measure._gamma_split
+    c_exp = ball.sphere_exp
+    r = c_exp % j
+    k = (c_exp - r) // j
+    if k >= 0:
+        image = ball._scaled(j * k, a**k, b**k)
+    else:
+        image = ball._scaled(j * k, b**-k, a**-k)
+    p = measure.prime
+    total = Fraction(0)
+    for q, w in measure.fundamental[r]:
+        rel = image.relate(q)
+        if rel in ("inside", "equal"):
+            total = total + w * Fraction(1, p ** (q.radius_exp - image.radius_exp))
+        elif rel == "contains":
+            total = total + w
+    return measure.beta_pow(k) * total
+
+
+def image_ball_measure_mass(measure, m):
+    """measure_mass as it was (weights summed again for every tail), with
+    the one prime check it now makes first."""
+    if isinstance(m, (Ball, CompactOpenSet, TailSet)) and m.prime != measure.prime:
+        raise PrimeMismatchError("set over a different prime")
+    if isinstance(m, TailSet):
+        j, total = measure.j, Fraction(0)
+        for r in range(j):
+            fr = Fraction(0)
+            for _, w in measure.fundamental[r]:
+                fr = fr + w
+            if fr:
+                k_min = -((r - m.radius_exp - 1) // j)
+                total = total + fr * measure.beta_pow(k_min) / (1 - measure.beta)
+        return total
+    if isinstance(m, Ball):
+        return image_ball_mass(measure, m)
+    total = Fraction(0)
+    for b in m:
+        total = total + image_ball_mass(measure, b)
+    return total
+
+
+def _mass_repr(fn, *args):
+    try:
+        out = fn(*args)
+    except (InfiniteMassError, PrimeMismatchError) as exc:
+        return type(exc), str(exc)
+    return repr(out), type(out)
+
+
+@st.composite
+def mass_inputs(draw, p):
+    """Balls, sets and tails over p, ones that contain 0, and ones over
+    another prime."""
+    q = draw(st.sampled_from((p, p, p, 7)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    s = random_compact_open(substream(seed, 9), q, -7, 7, 5)
+    kind = draw(st.sampled_from(("set", "ball", "zero", "tail")))
+    if kind == "set":
+        if draw(st.booleans()):
+            return s
+        return CompactOpenSet(q, list(s) + [Ball(q, 0, draw(st.integers(-9, 9)))])
+    if kind == "ball":
+        return s.balls[0]
+    if kind == "zero":
+        return Ball(q, q ** draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+    return TailSet(q, draw(st.integers(-9, 9)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mass_measures(), st.booleans(), st.data())
+def test_integer_masses_match_image_balls(m, skewed, data):
+    if skewed:
+        m = _SkewedMeasure(m.prime, m.beta, m.gamma0, m.fundamental)
+    for s in data.draw(st.lists(mass_inputs(m.prime), min_size=1, max_size=4)):
+        want = _mass_repr(image_ball_measure_mass, m, s)
+        assert _mass_repr(measure_mass, m, s) == want
+        if isinstance(s, CompactOpenSet) and s.prime == m.prime:
+            for b in s:
+                assert _mass_repr(measure_mass, m, b) == _mass_repr(image_ball_mass, m, b)

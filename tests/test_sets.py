@@ -330,6 +330,24 @@ def test_set_scale_matches_scaled_balls(p, seed, r):
         (oracle.scale(oracle.state(b), r) for b in s), key=lambda b: (b[1], b[2])
     )
     assert [oracle.state(b) for b in got] == want
+    # scaling only re-sorts: normalising the scaled balls again agrees
+    again = CompactOpenSet(p, [b.scale(r) for b in s])
+    assert got == again and got.balls == again.balls
+    assert [_state(b) for b in got] == [_state(b) for b in again]
+
+
+def test_set_order_reads_every_digit_of_deep_centres():
+    # units near 3**61 that differ in their last digits: an order read on
+    # anything coarser than the exact integer keys would tie them
+    u = 3**60 + 1
+    deep = [Ball(3, Fraction(u + k, 3), -61) for k in (3, 0, 1)]
+    balls = deep + [Ball(3, 5, -2), Ball(3, 0, -70), Ball(3, u, -61)]
+    s = CompactOpenSet(3, balls)
+    by_center = lambda b: (b.center, b.radius_exp)
+    assert s.balls == tuple(sorted(balls, key=by_center))
+    for r in (Fraction(2, 7), -9, Fraction(1, 27)):
+        scaled = sorted((b.scale(r) for b in balls), key=by_center)
+        assert s.scale(r).balls == tuple(scaled)
 
 
 @st.composite
@@ -400,3 +418,29 @@ def test_integrate_char_short_window_and_certified_zero_texts():
     got = _integral(integrate_char_exact, zero_ball, t)
     assert got == (PrecisionError, "cannot compare |x| with p**-1: x only certified O(p**0)")
     assert got == _integral(oracle.integrate_char_exact, [oracle.state(zero_ball)], t)
+
+
+def test_radii_must_be_integers():
+    # a radius that is not an integer used to be truncated (-2.9 -> -2)
+    # or parsed ("3" -> 3), and TailSet kept it as given
+    for bad in (-2.9, 0.5, "3", math.nan, math.inf, Fraction(1, 2), None, True):
+        with pytest.raises(ValueError, match="radius_exp=.* is not an integer"):
+            Ball(2, 1, bad)
+        with pytest.raises(ValueError, match="radius_exp=.* is not an integer"):
+            TailSet(2, bad)
+    # an integral float counts as its int, as a JSON-schema integer does
+    for ball in (Ball(2, 1, -2.0), Ball(2, 1, Fraction(-2))):
+        assert ball == Ball(2, 1, -2) and type(ball.radius_exp) is int
+    tail = TailSet(2, 1.0)
+    assert tail == TailSet(2, 1) and type(tail.radius_exp) is int
+    assert str(tail) == "annulus(1,inf)"
+    for bad_prime in (4, 1, "2", 2.0):
+        with pytest.raises(ValueError, match="not a prime"):
+            TailSet(bad_prime, 1)
+
+
+def test_scaling_by_zero_has_one_text():
+    for s in (Ball(2, 1, -2), CompactOpenSet(2, [Ball(2, 1, -2)]), TailSet(2, 0)):
+        for zero in (0, Fraction(0), 0.0):
+            with pytest.raises(ValueError, match="^cannot scale a ball by zero$"):
+                s.scale(zero)
