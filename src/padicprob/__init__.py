@@ -25,10 +25,8 @@ from .sets import (
     CompactOpenSet,
     TailSet,
     annulus,
-    haar_measure,
     integrate_char,
     integrate_char_exact,
-    normalize,
     sphere,
     split_sphere,
 )
@@ -46,7 +44,6 @@ from .charfn import (
     StableParams,
     Transform,
     ball_probability,
-    empirical_cf,
     poisson_draw,
     sphere_masses,
     stable_sampler,
@@ -57,12 +54,9 @@ from .levy import (
     LevyExponent,
     SelfSimilarLevyMeasure,
     TwoValuedForm,
-    cf_from_levy,
     classify_two_valued,
     invert_exponent,
-    levy_exponent,
     levy_exponent_exact,
-    levy_exponent_sphere,
     make_example_measure,
     make_measure,
     measure_mass,

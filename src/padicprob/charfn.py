@@ -1,5 +1,5 @@
-"""Transforms of laws, ball probabilities, samplers, and empirical
-characteristic functions.
+"""Transforms of laws, ball probabilities, samplers, and empirical ball
+counts.
 
 A radial characteristic function depends on t only through |t|_p and is
 real-valued (these are the transforms of symmetric laws).  For such a g
@@ -34,7 +34,6 @@ from .padic import (
     DEFAULT_PRECISION,
     PAdicNumber,
     _check_prime,
-    character_values,
     chi,
     phase_scale,
     split_p_part,
@@ -301,12 +300,12 @@ class RadialCharFn:
 
 @lru_cache(maxsize=65536)
 def _measure_radial_value(measure, k: int) -> float:
-    from .levy import cf_from_levy  # local import; levy imports this module
+    from .levy import JumpMeasure  # local import; levy imports this module
 
     t = PAdicNumber.from_rational(
         Fraction(measure.prime) ** (-k), p=measure.prime
     )
-    return cf_from_levy(measure, t).real
+    return JumpMeasure(measure)(t).real
 
 
 class BallProbability(NamedTuple):
@@ -865,17 +864,8 @@ class CompoundPoissonSampler(_BlockSampler):
 
 
 # ---------------------------------------------------------------------
-# Empirical characteristic function
+# Empirical counts
 # ---------------------------------------------------------------------
-
-
-def empirical_cf(samples: Sequence[PAdicNumber], t: PAdicNumber) -> complex:
-    """(1/n) sum_i chi(t * x_i); raises PrecisionError when |t| exceeds
-    what the sample resolution can support."""
-    if not samples:
-        raise ValueError("no samples")
-    table, _ = tally(t.prime, samples, [t], [])
-    return character_values(t.prime, table, 1, len(samples))[0]
 
 
 def ball_counts(

@@ -147,17 +147,6 @@ class SelfSimilarLevyMeasure:
             hit = powers[k] = self.beta**k
         return hit
 
-    def fundamental_sphere_mass(self, r: int) -> Fraction | float:
-        """The summed weights of fundamental sphere r, added up once."""
-        return self._sphere_masses[r]
-
-    def sphere_mass(self, n: int) -> Fraction | float:
-        """Mass of the sphere {|x| = p**n}."""
-        j = self.j
-        r = n % j
-        k = (n - r) // j
-        return self.beta_pow(k) * self.fundamental_sphere_mass(r)
-
     def tail_mass(self, i: int) -> Fraction | float:
         """Mass of {|x| > p**i}: an exact geometric series."""
         j = self.j
@@ -168,16 +157,6 @@ class SelfSimilarLevyMeasure:
             k_min = -((r - i - 1) // j)  # smallest k with r + k*j >= i + 1
             total = total + fr * self.beta_pow(k_min) / self._one_minus_beta
         return total
-
-    def is_symmetric(self) -> bool:
-        """Invariant under x -> -x (ball-for-ball with equal weights)."""
-        for entries in self.fundamental:
-            table = {(b.center, b.radius_exp): w for b, w in entries}
-            for b, w in entries:
-                neg = Ball(self.prime, -b.center, b.radius_exp)
-                if table.get((neg.center, neg.radius_exp)) != w:
-                    return False
-        return True
 
     def is_radial(self) -> bool:
         """Sufficient check: each fundamental sphere carries the full
@@ -354,147 +333,24 @@ def validate_scaling(
 # ---------------------------------------------------------------------
 
 
-class _ExponentTables:
-    """Integer data of one measure for :func:`levy_exponent_exact`,
-    filled in on first use.
+class LevyExponent:
+    """The evaluator of phi(t) for a fixed measure, with its caches.
 
     gamma0 = p**j * a/b with a, b coprime to p, so on the sphere
     n = r + j*k the point t * gamma0**-k has valuation v_t - j*k and unit
     u_t * (b/a)**k, and a fundamental ball of sphere r has centre
     p**-r * c_u.  The phase of t * gamma0**-k * centre is therefore the
-    integer u_t * (b/a)**k * c_u taken modulo p**(n - v_t).
-    """
-
-    __slots__ = ("measure", "j", "ginv", "_spheres", "_neg_tails")
-
-    def __init__(self, measure: SelfSimilarLevyMeasure):
-        self.measure = measure
-        self.j, a, b = measure._gamma_split
-        self.ginv = (b, a)
-        self._spheres: dict[int, tuple] = {}
-        self._neg_tails: dict[int, Fraction | float] = {}
-
-    def sphere(self, n: int) -> tuple[int, tuple]:
-        """(k, balls) for the sphere n = r + j*k: each ball of nonzero
-        weight in fundamental sphere r as (radius_exp, c_u, w * beta**k)."""
-        hit = self._spheres.get(n)
-        if hit is None:
-            m = self.measure
-            r = n % self.j
-            k = (n - r) // self.j
-            beta_k = m.beta_pow(k)
-            # a canonical centre of the sphere |x| = p**r is c_u / p**r
-            hit = self._spheres[n] = (k, tuple(
-                (ball.radius_exp, ball.center.numerator, w * beta_k)
-                for ball, w in m.fundamental[r]
-                if w
-            ))
-        return hit
-
-    def neg_tail(self, i: int) -> Fraction | float:
-        """-tail_mass(i), the constant term of phi(t) for |t| = p**-i."""
-        c = self._neg_tails.get(i)
-        if c is None:
-            c = self._neg_tails[i] = -self.measure.tail_mass(i)
-        return c
-
-
-def levy_exponent_sphere(
-    measure: SelfSimilarLevyMeasure,
-    p: int,
-    v: int,
-    units: Sequence[int],
-    precision: int,
-    tables: _ExponentTables | None = None,
-) -> list[CharacterSum]:
-    """phi(p**v * u) as an exact character sum, for each unit u in
-    ``units`` (coprime to p, below p**precision; one or more).
-
-    Only the spheres {|y| > p**v} contribute; on each, the measure is an
-    exact rescaling of the fundamental data, so the character part is a
-    finite sum of ball averages chi(s * center) * [|s| <= radius bound]
-    and the constant part is the closed-form tail mass.  The spheres and
-    which balls meet them depend on v alone, so they are walked once for
-    all the units, and each unit gets each ball's phase, an integer
-    modulo p**m (see :class:`_ExponentTables`), with one multiply-mod.
-    A ball that needs more digits than the window holds raises
-    :class:`PrecisionError`, whatever its weight.  ``tables`` may be
-    shared between calls on the same measure.
-    """
-    if p != measure.prime:
-        raise PrimeMismatchError("t over a different prime")
-    if tables is None:
-        tables = _ExponentTables(measure)
-    j = tables.j
-    mod = p**precision
-    b, a = tables.ginv
-    ginv = b * pow(a, -1, mod) % mod  # the unit of gamma0**-1
-    # each term as (scale m, p**m, f, coefficient): the unit u has the
-    # phase u * f mod p**m there; the constant term is f = 0 mod 1
-    const = tables.neg_tail(v)
-    gens: list[tuple] = [(0, 1, 0, const)] if const else []
-    empty_streak = 0
-    n = v + 1
-    while empty_streak < j:
-        k, balls = tables.sphere(n)
-        contributed = False
-        sv = v - j * k  # valuation of t * gamma0**-k
-        at: dict[int, int] = {}  # f -> index in gens, on this sphere
-        gk = None  # the unit of gamma0**-k, once a ball needs it
-        for radius_exp, cu, c in balls:
-            if sv < radius_exp:
-                continue
-            m = phase_scale(-(n - v), precision)  # the scale of every phase here
-            contributed = True
-            if not c:
-                continue
-            if gk is None:
-                gk = pow(ginv, k, mod)
-            q = p**m
-            f = gk * cu % q
-            # balls with equal f give every unit one phase; weights and
-            # beta are positive, so merged terms never cancel
-            i = at.get(f)
-            if i is None:
-                at[f] = len(gens)
-                gens.append((m, q, f, c))
-            else:
-                gens[i] = (m, q, f, gens[i][3] + c)
-        empty_streak = 0 if contributed else empty_streak + 1
-        n += 1
-    # every coefficient is nonzero, and p is the measure's prime
-    return [
-        CharacterSum._own(p, {(m, u * f % q): c for m, q, f, c in gens})
-        for u in units
-    ]
-
-
-def levy_exponent_exact(
-    measure: SelfSimilarLevyMeasure,
-    t: PAdicNumber,
-    tables: _ExponentTables | None = None,
-) -> CharacterSum:
-    """phi(t) as an exact character sum: phi(0) = 0, and any other t is
-    the one-unit case of :func:`levy_exponent_sphere`."""
-    if t.prime != measure.prime:
-        raise PrimeMismatchError("t over a different prime")
-    if t.is_zero:
-        return CharacterSum.zero(t.prime)
-    return levy_exponent_sphere(
-        measure, t.prime, t.valuation, (t.unit,), t.precision, tables
-    )[0]
-
-
-class LevyExponent:
-    """Cached evaluator of phi(t) for a fixed measure.
+    integer u_t * (b/a)**k * c_u taken modulo p**(n - v_t).  Those
+    integer tables of each sphere, and the tail masses, are filled in
+    on first use.
 
     One cache keyed by a point's prime and canonical digit window holds
     the exact sum and, once asked for, its complex value; reads dominate
     and correctness does not depend on hits, so instances may be shared.
     ``sphere_exact`` and ``sphere`` give phi at the points p**v * u of one
-    sphere, computing the ones the cache lacks with one call of
-    :func:`levy_exponent_sphere`; ``exact`` and ``__call__`` are their
-    one-point cases.  A point over another prime always misses, and the
+    sphere, computing the ones the cache lacks with one kernel call;
+    ``exact`` and ``__call__`` are their one-point cases, with
+    phi(0) = 0.  A point over another prime always misses, and the
     kernel refuses it.
 
     ``quadrature`` is the sphere-quadrature memo of
@@ -506,17 +362,95 @@ class LevyExponent:
 
     def __init__(self, measure: SelfSimilarLevyMeasure):
         self.measure = measure
-        self._tables = _ExponentTables(measure)
+        self._spheres: dict[int, tuple] = {}
+        self._neg_tails: dict[int, Fraction | float] = {}
         # key -> [exact sum, complex value or None]
         self._cache: dict[tuple, list] = {}
         self.quadrature = _Quadrature()
+
+    def _kernel(
+        self, p: int, v: int, units: Sequence[int], precision: int
+    ) -> list[CharacterSum]:
+        """phi(p**v * u) as an exact character sum, for each unit u in
+        ``units`` (coprime to p, below p**precision; one or more).
+
+        Only the spheres {|y| > p**v} contribute; on each, the measure is
+        an exact rescaling of the fundamental data, so the character part
+        is a finite sum of ball averages chi(s * center) * [|s| <= radius
+        bound] and the constant part is the closed-form tail mass.  The
+        spheres and which balls meet them depend on v alone, so they are
+        walked once for all the units, and each unit gets each ball's
+        phase, an integer modulo p**m, with one multiply-mod.  A ball that
+        needs more digits than the window holds raises
+        :class:`PrecisionError`, whatever its weight.
+        """
+        measure = self.measure
+        if p != measure.prime:
+            raise PrimeMismatchError("t over a different prime")
+        j, a, b = measure._gamma_split
+        mod = p**precision
+        ginv = b * pow(a, -1, mod) % mod  # the unit of gamma0**-1
+        # the constant term -tail_mass(v); then each term as (scale m,
+        # p**m, f, coefficient): the unit u has the phase u * f mod p**m
+        # there, and the constant term is f = 0 mod 1
+        const = self._neg_tails.get(v)
+        if const is None:
+            const = self._neg_tails[v] = -measure.tail_mass(v)
+        gens: list[tuple] = [(0, 1, 0, const)] if const else []
+        empty_streak = 0
+        n = v + 1
+        while empty_streak < j:
+            # (k, balls) for the sphere n = r + j*k: each ball of nonzero
+            # weight in fundamental sphere r as (radius_exp, c_u, w * beta**k),
+            # where c_u / p**r is a canonical centre of the ball
+            hit = self._spheres.get(n)
+            if hit is None:
+                r = n % j
+                k = (n - r) // j
+                beta_k = measure.beta_pow(k)
+                hit = self._spheres[n] = (k, tuple(
+                    (ball.radius_exp, ball.center.numerator, w * beta_k)
+                    for ball, w in measure.fundamental[r]
+                    if w
+                ))
+            k, balls = hit
+            contributed = False
+            sv = v - j * k  # valuation of t * gamma0**-k
+            at: dict[int, int] = {}  # f -> index in gens, on this sphere
+            gk = None  # the unit of gamma0**-k, once a ball needs it
+            for radius_exp, cu, c in balls:
+                if sv < radius_exp:
+                    continue
+                m = phase_scale(-(n - v), precision)  # the scale of every phase here
+                contributed = True
+                if not c:
+                    continue
+                if gk is None:
+                    gk = pow(ginv, k, mod)
+                q = p**m
+                f = gk * cu % q
+                # balls with equal f give every unit one phase; weights and
+                # beta are positive, so merged terms never cancel
+                i = at.get(f)
+                if i is None:
+                    at[f] = len(gens)
+                    gens.append((m, q, f, c))
+                else:
+                    gens[i] = (m, q, f, gens[i][3] + c)
+            empty_streak = 0 if contributed else empty_streak + 1
+            n += 1
+        # every coefficient is nonzero, and p is the measure's prime
+        return [
+            CharacterSum._own(p, {(m, u * f % q): c for m, q, f, c in gens})
+            for u in units
+        ]
 
     def _entries(self, p: int, v: int, units: Sequence[int], precision: int) -> list[list]:
         cache = self._cache
         keys = [(p, v, u, precision) for u in units]
         missing = [key[2] for key in keys if key not in cache]
         if missing:
-            sums = levy_exponent_sphere(self.measure, p, v, missing, precision, self._tables)
+            sums = self._kernel(p, v, missing, precision)
             for u, value in zip(missing, sums):
                 cache[p, v, u, precision] = [value, None]
         return [cache[key] for key in keys]
@@ -536,7 +470,9 @@ class LevyExponent:
 
     def exact(self, t: PAdicNumber) -> CharacterSum:
         if t.is_zero:
-            return levy_exponent_exact(self.measure, t)
+            if t.prime != self.measure.prime:
+                raise PrimeMismatchError("t over a different prime")
+            return CharacterSum.zero(t.prime)
         return self.sphere_exact(t.prime, t.valuation, (t.unit,), t.precision)[0]
 
     def __call__(self, t: PAdicNumber) -> complex:
@@ -545,13 +481,9 @@ class LevyExponent:
         return self.sphere(t.prime, t.valuation, (t.unit,), t.precision)[0]
 
 
-def levy_exponent(measure: SelfSimilarLevyMeasure, t: PAdicNumber) -> complex:
-    return levy_exponent_exact(measure, t).to_complex()
-
-
-def cf_from_levy(measure: SelfSimilarLevyMeasure, t: PAdicNumber) -> complex:
-    """exp(phi(t)): a characteristic function value; never 0."""
-    return cmath.exp(levy_exponent(measure, t))
+def levy_exponent_exact(measure: SelfSimilarLevyMeasure, t: PAdicNumber) -> CharacterSum:
+    """phi(t) as an exact character sum, from a fresh :class:`LevyExponent`."""
+    return LevyExponent(measure).exact(t)
 
 
 @dataclass(frozen=True)
@@ -615,23 +547,12 @@ def _sphere_units(depth: int, p: int):
     return (a for a in range(1, p**depth) if a % p)
 
 
-def _probe_point(p: int, m: int, a: int) -> PAdicNumber:
-    """a * p**-m (a coprime to p) with the default digit window."""
-    return PAdicNumber(p, -m, a % p**DEFAULT_PRECISION, DEFAULT_PRECISION)
-
-
-def _probe_sphere(g, p: int, m: int, units: list[int]):
-    """g at the probe points a * p**-m, a in ``units``, in order.
-
-    An evaluator with a ``sphere`` method (a Transform, a LevyExponent,
-    the law of S_n) gives the whole sphere in one call, and raises what
-    its first point would.  A plain callable is asked point by point, as
-    the values are read, so a caller that stops early asks no further."""
-    sphere = getattr(g, "sphere", None)
-    if sphere is not None:
-        mod = p**DEFAULT_PRECISION
-        return sphere(p, -m, [a % mod for a in units], DEFAULT_PRECISION)
-    return (complex(g(_probe_point(p, m, a))) for a in units)
+def _probe_sphere(g, p: int, m: int, units: list[int]) -> list[complex]:
+    """g at the probe points a * p**-m, a in ``units``, in order, read in
+    one call of g's sphere evaluator (a Transform, a LevyExponent, the law
+    of S_n), which raises what its first point would."""
+    mod = p**DEFAULT_PRECISION
+    return g.sphere(p, -m, [a % mod for a in units], DEFAULT_PRECISION)
 
 
 class _Quadrature:
@@ -774,10 +695,10 @@ def invert_exponent(
     the same order, so every result is bit for bit what a fresh phi
     gives.  Any other evaluator gets a memo for this call only.
 
-    The points a probed sphere lacks in the memo are read in one call
-    when phi has a sphere method, ``sphere(p, v, units, precision)`` with
-    the values phi gives at the points p**v * u (a LevyExponent, a
-    Transform), and one point at a time from a plain callable.
+    phi is read through its sphere evaluator, ``sphere(p, v, units,
+    precision)`` with the values phi gives at the points p**v * u (a
+    LevyExponent, a Transform): the points a probed sphere lacks in the
+    memo are read in one call.
     """
     _check_prime(p)
     memo = phi.quadrature if isinstance(phi, LevyExponent) else _Quadrature()
@@ -844,8 +765,8 @@ def _reconstruct_point(g, p: int, lo: int, hi: int) -> PAdicNumber:
     """Digits of xi from the phases of g at t = p**-m, m in [lo, hi]."""
     phis: dict[int, Fraction] = {}
     for m in range(lo, hi + 1):
-        t = _probe_point(p, m, 1)
-        phis[m] = _snap_phase(complex(g(t)), p, max(0, m - lo + 2))
+        (g_m,) = _probe_sphere(g, p, m, [1])
+        phis[m] = _snap_phase(g_m, p, max(0, m - lo + 2))
     value = Fraction(0)
     for idx in range(lo, hi):
         d = p * phis[idx + 1] - phis[idx]
@@ -875,12 +796,10 @@ def classify_two_valued(
     p-power rationals before the point xi is rebuilt digit by digit.
 
     Each sphere's units a * p**-k (a below p**depth, coprime to p) are
-    read in one call when g has a sphere method, ``sphere(p, v, units,
+    read in one call of g's sphere evaluator, ``sphere(p, v, units,
     precision)`` with the values g gives at those points (a Transform,
     a LevyExponent, the law of S_n as limits.SumTransform), and a sphere
-    that raises raises what its first point would; a plain callable is
-    called point by point and no further than the first value that is
-    neither 0 nor 1.  Both read the same grid and give the same verdict.
+    that raises raises what its first point would.
     """
     _check_prime(p)
     depth = _probe_depth(p, probe_depth)

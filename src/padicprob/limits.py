@@ -147,14 +147,6 @@ class LimitScheme:
         w, unit, mod = hit
         return v + w, [u * unit % mod for u in units]
 
-    def scale_t(self, n: int, t: PAdicNumber) -> PAdicNumber:
-        """t / B_n, exactly as ``t.mul_rational(1 / B(n))``: the one-point
-        case of move_sphere."""
-        if t.is_zero:
-            return t.mul_rational(1 / self.B(n))
-        v, (u,) = self.move_sphere(n, t.prime, t.valuation, (t.unit,), t.precision)
-        return PAdicNumber(t.prime, v, u, t.precision)
-
 
 # ---------------------------------------------------------------------
 # Theoretical transform of S_n

@@ -209,10 +209,6 @@ class PAdicNumber:
         return cls(p, None, 0, certified_exp)
 
     @classmethod
-    def one(cls, p: int, precision: int = DEFAULT_PRECISION) -> "PAdicNumber":
-        return cls(p, 0, 1, precision)
-
-    @classmethod
     def from_rational(
         cls,
         numer: int | Fraction,

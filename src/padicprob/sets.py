@@ -306,24 +306,6 @@ class CompactOpenSet:
         return f"CompactOpenSet({self.prime}, [{', '.join(map(str, self.balls))}])"
 
 
-def normalize(balls: Sequence[Ball], p: int | None = None) -> CompactOpenSet:
-    """Canonical disjoint representation of a union of balls."""
-    if p is None:
-        if not balls:
-            raise ValueError("cannot infer prime from an empty ball list")
-        p = balls[0].prime
-    return CompactOpenSet(p, balls)
-
-
-def haar_measure(m) -> Fraction:
-    """Exact Haar measure (unit ball normalised to measure 1)."""
-    if isinstance(m, Ball):
-        return m.measure
-    if isinstance(m, CompactOpenSet):
-        return m.measure()
-    raise TypeError(f"no Haar measure for {type(m).__name__}")
-
-
 def split_sphere(n: int, depth: int, p: int) -> list[Ball]:
     """Partition the sphere {|x| = p**n} into (p-1)p**(depth-1) balls of
     radius p**(n-depth)."""

@@ -141,17 +141,24 @@ MEASURE_SCHEMA = {
     ]
 }
 
+# the keys each kind needs and the further keys it reads, beyond the
+# one naming the kind; a spec with any other key is refused, as the
+# kind would silently ignore it
+_SAMPLER_KEYS = {
+    "point_mass": (("xi",), ()),
+    "haar_ball": (("p", "center", "radius_exp"), ("resolution",)),
+    "radial_stable": (("p", "a", "alpha"), ("resolution", "n_lo", "n_hi")),
+    "compound_poisson": (("measure",), ("resolution",)),
+}
+_SCHEME_KEYS = {
+    "geometric": (("p", "beta", "gamma0"), ("n_max",)),
+    "explicit": (("p", "b_list", "k_list"), ()),
+}
+
 SAMPLER_SCHEMA = {
     "type": "object",
     "properties": {
-        "kind": {
-            "enum": [
-                "point_mass",
-                "haar_ball",
-                "radial_stable",
-                "compound_poisson",
-            ]
-        },
+        "kind": {"enum": list(_SAMPLER_KEYS)},
         "p": {"type": "integer", "minimum": 2},
         "xi": {"type": "string"},
         "center": _RAT,
@@ -170,7 +177,7 @@ SAMPLER_SCHEMA = {
 SCHEME_SCHEMA = {
     "type": "object",
     "properties": {
-        "mode": {"enum": ["geometric", "explicit"]},
+        "mode": {"enum": list(_SCHEME_KEYS)},
         "p": {"type": "integer", "minimum": 2},
         "beta": _RAT,
         "gamma0": {"type": "string"},
@@ -210,7 +217,12 @@ SCENARIO_SCHEMA = {
         },
         "tolerances": {
             "type": "object",
-            "additionalProperties": {"type": "number"},
+            # the names Scenario.tol is asked for
+            "properties": {
+                key: {"type": "number"}
+                for key in ("sup", "scaling", "mc_fraction", "phi_final")
+            },
+            "additionalProperties": False,
         },
     },
     "required": ["name", "law", "scheme", "m", "seed", "n_list"],
@@ -298,39 +310,38 @@ def measure_to_spec(m: SelfSimilarLevyMeasure) -> dict:
     }
 
 
+def _check_keys(obj, field: str, table: dict, what: str) -> None:
+    needs, reads = table[obj[field]]
+    for key in needs:
+        if key not in obj:
+            raise SpecValidationError(f"{what} needs {key}")
+    unread = sorted(set(obj) - {field, *needs, *reads})
+    if unread:
+        raise SpecValidationError(f"{what} does not read {', '.join(unread)}")
+
+
 def sampler_from_spec(obj) -> Sampler:
     validate(obj, SAMPLER_SCHEMA, "sampler spec")
     kind = obj["kind"]
+    _check_keys(obj, "kind", _SAMPLER_KEYS, kind)
     if kind == "point_mass":
-        if "xi" not in obj:
-            raise SpecValidationError("point_mass needs xi")
         return PointMassSampler(xi=parse_number(obj["xi"]))
     if kind == "haar_ball":
-        for key in ("p", "center", "radius_exp"):
-            if key not in obj:
-                raise SpecValidationError(f"haar_ball needs {key}")
         return HaarBallSampler(
             ball=Ball(obj["p"], parse_rational(obj["center"]), obj["radius_exp"]),
             resolution=obj.get("resolution", -12),
         )
     if kind == "radial_stable":
-        for key in ("p", "a", "alpha"):
-            if key not in obj:
-                raise SpecValidationError(f"radial_stable needs {key}")
         return stable_sampler(
             StableParams(obj["a"], obj["alpha"], obj["p"]),
             resolution=obj.get("resolution", -12),
             n_lo=obj.get("n_lo", -40),
             n_hi=obj.get("n_hi", 40),
         )
-    if kind == "compound_poisson":
-        if "measure" not in obj:
-            raise SpecValidationError("compound_poisson needs measure")
-        return CompoundPoissonSampler(
-            measure=measure_from_spec(obj["measure"]),
-            resolution=obj.get("resolution", -6),
-        )
-    raise SpecValidationError(f"unknown sampler kind {kind!r}")
+    return CompoundPoissonSampler(
+        measure=measure_from_spec(obj["measure"]),
+        resolution=obj.get("resolution", -6),
+    )
 
 
 def law_source_from_spec(obj, sampler: Sampler) -> Transform | None:
@@ -349,10 +360,8 @@ def law_source_from_spec(obj, sampler: Sampler) -> Transform | None:
 
 def scheme_from_spec(obj) -> LimitScheme:
     validate(obj, SCHEME_SCHEMA, "scheme spec")
+    _check_keys(obj, "mode", _SCHEME_KEYS, f"{obj['mode']} scheme")
     if obj["mode"] == "geometric":
-        for key in ("beta", "gamma0"):
-            if key not in obj:
-                raise SpecValidationError(f"geometric scheme needs {key}")
         beta = obj["beta"]
         beta_val = parse_rational(beta) if isinstance(beta, str) else beta
         return LimitScheme.geometric(
@@ -361,9 +370,6 @@ def scheme_from_spec(obj) -> LimitScheme:
             parse_rational(obj["gamma0"]),
             n_max=obj.get("n_max", 10),
         )
-    for key in ("b_list", "k_list"):
-        if key not in obj:
-            raise SpecValidationError(f"explicit scheme needs {key}")
     return LimitScheme.explicit(
         obj["p"],
         [parse_rational(b) for b in obj["b_list"]],
@@ -378,7 +384,19 @@ def scenario_from_spec(obj) -> Scenario:
     p = scheme.prime
     if law.prime != p:
         raise SpecValidationError("law and scheme primes differ")
+    target = None
+    if obj.get("target") is not None:
+        # a stable target is exact through its measure's exponent, and
+        # reads the closed form on spheres
+        measure = measure_from_spec(obj["target"])
+        if measure.prime != p:
+            raise SpecValidationError("target and scheme primes differ")
+        s = obj["target"].get("stable")
+        closed_form = None if s is None else StableLaw(StableParams(s["a"], s["alpha"], s["p"]))
+        target = JumpMeasure(measure, closed_form)
     grid_cfg = obj.get("grid", {"k_lo": -6, "k_hi": 6})
+    if grid_cfg["k_lo"] > grid_cfg["k_hi"]:
+        raise SpecValidationError("grid is empty: k_lo exceeds k_hi")
     grid = tuple(grid_points(p, grid_cfg["k_lo"], grid_cfg["k_hi"]))
     if "balls" in obj:
         balls = []
@@ -393,16 +411,11 @@ def scenario_from_spec(obj) -> Scenario:
     sets = tuple(
         parse_set_literal(lit, p) for lit in obj.get("sets", ["annulus(0,inf)"])
     )
-    target = None
-    if obj.get("target") is not None:
-        # a stable target is exact through its measure's exponent, and
-        # reads the closed form on spheres
-        measure = measure_from_spec(obj["target"])
-        s = obj["target"].get("stable")
-        closed_form = None if s is None else StableLaw(StableParams(s["a"], s["alpha"], s["p"]))
-        target = JumpMeasure(measure, closed_form)
-    max_n = max(obj["n_list"])
-    if scheme.mode == "explicit" and max_n > scheme.n_max:
+    n_list = sorted(obj["n_list"])
+    for a, b in zip(n_list, n_list[1:]):
+        if a == b:
+            raise SpecValidationError(f"n_list repeats n = {a}")
+    if scheme.mode == "explicit" and n_list[-1] > scheme.n_max:
         raise SpecValidationError("n_list exceeds explicit scheme length")
     return Scenario(
         name=obj["name"],
@@ -414,7 +427,7 @@ def scenario_from_spec(obj) -> Scenario:
         sets=sets,
         m=obj["m"],
         seed=obj["seed"],
-        n_list=tuple(sorted(obj["n_list"])),
+        n_list=tuple(n_list),
         law_source=law_source_from_spec(obj["law"], law),
         target=target,
         kind=obj.get("kind", "generic"),

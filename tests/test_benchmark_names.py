@@ -4,9 +4,12 @@ A traced run (``perfbench/run.py --trace 1``) wraps every entry of
 ``perfbench/tracing.TARGETS``, the workloads clear or read a few memos by
 name, ``limit_mc`` drives the CLI with a fixed argv, and ``exact_theory``
 compares CharacterSums; perfbench's own tests are not in this suite, so a
-rename here would otherwise break the benchmark unnoticed.
+rename here would otherwise break the benchmark unnoticed.  Names that
+nothing in ``src/`` calls are still read there, so every module-level
+name perfbench reads is checked from perfbench's own source.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -23,6 +26,7 @@ from padicprob.specs import measure_from_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _targets():
@@ -91,3 +95,52 @@ def test_exact_theory_character_sum_api():
             lhs = integrate_char_exact(s.scale(m.gamma0), t)
             rhs = integrate_char_exact(s, t.mul_rational(m.gamma0)).scale(abs_gamma)
             assert lhs == rhs and rhs + bump != lhs
+
+
+def _is_module(name: str) -> bool:
+    try:
+        return importlib.util.find_spec(name) is not None
+    except ModuleNotFoundError:  # a name inside a module that is no package
+        return False
+
+
+def _import(module: str, name: str):
+    """``from module import name``: a submodule, or else an attribute."""
+    if _is_module(f"{module}.{name}"):
+        return importlib.import_module(f"{module}.{name}")
+    return getattr(importlib.import_module(module), name)
+
+
+def _perfbench_reads() -> list[tuple[str, str, tuple[str, ...]]]:
+    """(file, module, attribute chain) for every name perfbench imports
+    from padicprob and every attribute chain it reads off a padicprob
+    module it imported by name (``levy.make_measure``,
+    ``charfn.RadialCharFn.stable``)."""
+    reads = set()
+    for path in PERFBENCH:
+        tree = ast.parse(path.read_text())
+        modules = {}  # local name -> the padicprob module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "padicprob":
+                for alias in node.names:
+                    reads.add((path.name, node.module, (alias.name,)))
+                    if _is_module(f"{node.module}.{alias.name}"):
+                        modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        for node in ast.walk(tree):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id in modules:
+                reads.add((path.name, modules[node.id], tuple(reversed(chain))))
+    return sorted(reads)
+
+
+@pytest.mark.parametrize(
+    "read", _perfbench_reads(), ids=lambda r: f"{r[0]}:{r[1]}.{'.'.join(r[2])}"
+)
+def test_perfbench_module_reads_resolve(read):
+    _, module, chain = read
+    obj = _import(module, chain[0])
+    for attr in chain[1:]:
+        obj = getattr(obj, attr)

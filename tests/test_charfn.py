@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from evaluators import empirical_cf
 from padicprob.charfn import (
     CompoundPoissonSampler,
     HaarBallSampler,
@@ -19,7 +20,6 @@ from padicprob.charfn import (
     StableParams,
     ball_counts,
     ball_probability,
-    empirical_cf,
     poisson_draw,
     sphere_masses,
     StableLaw,
@@ -27,9 +27,9 @@ from padicprob.charfn import (
     substream,
 )
 from padicprob.errors import PrecisionError, PrimeMismatchError
-from padicprob.levy import JumpMeasure, make_example_measure, make_measure
+from padicprob.levy import JumpMeasure, make_example_measure, make_measure, measure_mass
 from padicprob.padic import PAdicNumber, chi, from_rational, grid_points
-from padicprob.sets import Ball, integrate_char_exact
+from padicprob.sets import Ball, integrate_char_exact, sphere
 from padicprob.specs import law_source_from_spec, sampler_from_spec
 
 # frozen independent oracle: sum_{j<=0} 2**(j-1) exp(-2**j), j down to -60
@@ -285,7 +285,7 @@ def test_compound_poisson_sphere_frequencies_are_exact(beta, edges, seed):
     s = CompoundPoissonSampler(measure=m, resolution=-4)
     rate = m.tail_mass(-4)
     probs = [
-        sum(m.sphere_mass(n) for n in range(lo, hi)) / rate
+        sum(measure_mass(m, sphere(n, 2)) for n in range(lo, hi)) / rate
         for lo, hi in zip(edges, edges[1:])
     ]
     probs.append(1 - sum(probs))
@@ -336,16 +336,15 @@ def test_compound_poisson_resolution_scale_balls_on_high_spheres():
 def test_compound_poisson_empirical_cf_agreement():
     # the sampled law must reproduce the measure's transform at every t
     # the resolution supports
-    from padicprob.levy import cf_from_levy
-
     m = make_example_measure(1, 1, 2)
     s = CompoundPoissonSampler(measure=m, resolution=-4)
     n = 3000
     draws = s.sample(substream(31, 0), n)
     band = 4.0 / math.sqrt(n)
+    jump = JumpMeasure(m)
     for k in range(-3, 5):
         t = from_rational(Fraction(2) ** (-k), p=2)
-        assert abs(empirical_cf(draws, t) - cf_from_levy(m, t)) <= band
+        assert abs(empirical_cf(draws, t) - jump(t)) <= band
 
 
 def test_compound_poisson_nonradial_measure_cf_agreement():
@@ -353,7 +352,6 @@ def test_compound_poisson_nonradial_measure_cf_agreement():
     # the sampled law still matches the exact transform on the grid
     from fractions import Fraction as F
 
-    from padicprob.levy import cf_from_levy, make_measure
     from padicprob.padic import grid_points
     from padicprob.sets import split_sphere
 
@@ -371,8 +369,9 @@ def test_compound_poisson_nonradial_measure_cf_agreement():
     n = 2500
     draws = cp.sample(substream(778, 2), n)
     band = 4.0 / math.sqrt(n)
+    jump = JumpMeasure(m)
     for t in grid_points(p, -2, 3, unit_digit_sets=((1,), (1, 1)), precision=160):
-        assert abs(empirical_cf(draws, t) - cf_from_levy(m, t)) <= band
+        assert abs(empirical_cf(draws, t) - jump(t)) <= band
 
 
 def test_empirical_cf_point_mass_exact():

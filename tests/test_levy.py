@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_balls as oracle
+from evaluators import Pointwise
 from padicprob.charfn import HaarUniform, StableLaw, StableParams, substream
 from padicprob.errors import (
     InfiniteMassError,
@@ -17,12 +18,10 @@ from padicprob.errors import (
 from padicprob.levy import (
     JumpMeasure,
     LevyExponent,
-    _probe_point,
+    _probe_sphere,
     _sphere_units,
-    cf_from_levy,
     classify_two_valued,
     invert_exponent,
-    levy_exponent,
     levy_exponent_exact,
     make_example_measure,
     make_measure,
@@ -38,7 +37,7 @@ from padicprob.padic import (
     from_rational,
     grid_points,
 )
-from padicprob.sets import Ball, CompactOpenSet, TailSet, annulus, split_sphere
+from padicprob.sets import Ball, CompactOpenSet, TailSet, annulus, sphere, split_sphere
 
 
 def test_example_measure_construction():
@@ -46,9 +45,9 @@ def test_example_measure_construction():
     assert m.beta == Fraction(1, 2)
     assert m.gamma0 == 2
     assert m.j == 1
-    assert m.sphere_mass(0) == Fraction(2, 3)
-    assert m.sphere_mass(1) == Fraction(1, 3)
-    assert m.is_symmetric() and m.is_radial()
+    assert measure_mass(m, sphere(0, 2)) == Fraction(2, 3)
+    assert measure_mass(m, sphere(1, 2)) == Fraction(1, 3)
+    assert m.is_radial()
 
 
 def test_example_measure_masses():
@@ -84,9 +83,9 @@ def test_levy_exponent_closed_form_values():
     m = make_example_measure(1, 1, 2)
     for num, den, want in ((1, 4, -4.0), (1, 1, -1.0), (4, 1, -0.25)):
         t = from_rational(num, den, p=2)
-        val = levy_exponent(m, t)
+        val = LevyExponent(m)(t)
         assert val == complex(want, 0.0)
-    assert levy_exponent(m, PAdicNumber.zero(2)) == 0
+    assert LevyExponent(m)(PAdicNumber.zero(2)) == 0
 
 
 def test_levy_exponent_scaling_exact():
@@ -103,9 +102,9 @@ def test_levy_exponent_symmetric_is_real():
     # residues 1 and 2 mod 3 swap under negation: symmetric data
     balls = split_sphere(0, 1, 3)
     m = make_measure(3, Fraction(1, 3), 3, ((tuple((b, Fraction(2, 5)) for b in balls)),))
-    assert m.is_symmetric()
+    assert [-b.center % 3 for b in balls] == [b.center for b in balls[::-1]]
     for t in grid_points(3, -3, 3):
-        assert levy_exponent(m, t).imag == 0.0
+        assert LevyExponent(m)(t).imag == 0.0
 
 
 def test_levy_exponent_brute_force_two_ball():
@@ -129,7 +128,7 @@ def test_levy_exponent_brute_force_two_ball():
         + float(w2) * chi(Fraction(1, 3) * b2.center)
         - tail
     )
-    val = complex(levy_exponent(m, t))
+    val = LevyExponent(m)(t)
     assert abs(val - hand) <= 1e-12
 
 
@@ -137,16 +136,18 @@ def test_cf_matches_closed_form_grid():
     for p, a, alpha in ((2, 1, 1), (3, 0.5, 2), (5, 2, 0.5)):
         m = make_example_measure(a, alpha, p)
         g = StableLaw(StableParams(float(a), float(alpha), p))
+        jump = JumpMeasure(m)
         for k in range(-4, 5):
             t = from_rational(Fraction(p) ** (-k), p=p)
-            assert abs(cf_from_levy(m, t) - g(t)) <= 1e-12
+            assert abs(jump(t) - g(t)) <= 1e-12
 
 
 def test_cf_basics_and_nonvanishing():
     m = make_example_measure(1, 1, 2)
-    assert cf_from_levy(m, PAdicNumber.zero(2)) == 1.0
+    jump = JumpMeasure(m)
+    assert jump(PAdicNumber.zero(2)) == 1.0
     for t in grid_points(2, -5, 5):
-        g = cf_from_levy(m, t)
+        g = jump(t)
         assert abs(g) <= 1.0 + 1e-15
         tau = -t.valuation
         lower = math.exp(-2.0 * float(measure_mass(m, TailSet(2, -tau))))
@@ -170,7 +171,7 @@ def test_invert_exponent_annulus_and_tail():
     assert abs(got - 0.5) <= 1e-10
     tail = invert_exponent(phi, 0, None, 2, tol=1e-8)
     assert abs(tail - 2.0 / 3.0) <= 1e-8
-    assert invert_exponent(lambda t: 0j, 0, 2, 2) == 0.0
+    assert invert_exponent(Pointwise(lambda t: 0j, 2), 0, 2, 2) == 0.0
 
 
 def test_invert_exponent_rejects_bounds_that_are_not_integers():
@@ -290,9 +291,10 @@ def test_other_evaluators_get_a_memo_per_call():
         calls.append(t)
         return exponent(t)
 
-    first = invert_exponent(phi, 0, 2, 2, tol=1e-12)
+    pointwise = Pointwise(phi, 2)
+    first = invert_exponent(pointwise, 0, 2, 2, tol=1e-12)
     n = len(calls)
-    assert invert_exponent(phi, 0, 2, 2, tol=1e-12) == first
+    assert invert_exponent(pointwise, 0, 2, 2, tol=1e-12) == first
     assert len(calls) == 2 * n
     assert not exponent.quadrature.points
 
@@ -301,7 +303,7 @@ def test_invert_exponent_refinement_cap():
     # an evaluator that is not locally constant anywhere
     import random
 
-    noisy = lambda t: complex(random.random())  # noqa: E731
+    noisy = Pointwise(lambda t: random.random(), 2)
     with pytest.raises(ToleranceError):
         invert_exponent(noisy, 0, 2, 2, refine_cap=3)
 
@@ -315,7 +317,7 @@ def test_classify_cutoff():
 
 def test_classify_pure_character():
     xi = Fraction(1, 3)
-    ev = lambda t: chi(3, *t.mul_rational(xi).character_phase())  # noqa: E731
+    ev = Pointwise(lambda t: chi(3, *t.mul_rational(xi).character_phase()), 3)
     form = classify_two_valued(ev, 3)
     assert form.kind == "delta"
     assert form.xi.as_rational() == xi
@@ -336,7 +338,7 @@ def test_classify_shifted_cutoff():
             return chi(p, *t.mul_rational(xi).character_phase())
         return complex(0.0, 0.0)
 
-    form = classify_two_valued(ev, p)
+    form = classify_two_valued(Pointwise(ev, p), p)
     assert form.kind == "haar_cutoff"
     assert form.cutoff_exp == 1
     assert form.xi.as_rational() == xi
@@ -347,11 +349,11 @@ def test_classify_inconsistent_phases_raise():
     # no single point
     quarter = cmath.exp(2j * math.pi * 0.25)
     with pytest.raises(ValueError):
-        classify_two_valued(lambda t: quarter, 2)
+        classify_two_valued(Pointwise(lambda t: quarter, 2), 2)
     # phases that do not even lie on a p-power grid
     off_grid = cmath.exp(2j * math.pi * 0.137)
     with pytest.raises(ValueError):
-        classify_two_valued(lambda t: off_grid, 2)
+        classify_two_valued(Pointwise(lambda t: off_grid, 2), 2)
 
 
 def test_classify_symmetric_never_offcenter_delta():
@@ -564,7 +566,10 @@ def test_levy_exponent_caches_sum_and_value():
 def test_probe_points_match_former_construction(p):
     for m in (-3, 0, 2):
         for depth in (1, 2, 3):
-            new = [_probe_point(p, m, a) for a in _sphere_units(depth, p)]
+            # the points a probe of the sphere asks a pointwise evaluator for
+            new = []
+            asked = Pointwise(lambda t: new.append(t) or 0j, p)
+            _probe_sphere(asked, p, m, list(_sphere_units(depth, p)))
             # classification read the centres of split_sphere ...
             assert new == [
                 PAdicNumber.from_rational(b.center, p=p)
@@ -584,13 +589,13 @@ def test_inversion_and_classification_match_oracle_values():
     for _ in range(3):
         m = random_self_similar_measure(rng)
         p = m.prime
-        oracle = lambda t, m=m: oracle_exponent(m, t).to_complex()  # noqa: E731
+        oracle = Pointwise(lambda t, m=m: oracle_exponent(m, t).to_complex(), p)
         for i, l in ((0, 2), (-1, None)):
             assert invert_exponent(LevyExponent(m), i, l, p) == invert_exponent(
                 oracle, i, l, p
             )
     m = make_example_measure(1, 1, 2)
-    ev = lambda t: cmath.exp(oracle_exponent(m, t).to_complex())  # noqa: E731
+    ev = Pointwise(lambda t: cmath.exp(oracle_exponent(m, t).to_complex()), 2)
     assert classify_two_valued(JumpMeasure(m), 2, 3, 4) == classify_two_valued(
         ev, 2, 3, 4
     )

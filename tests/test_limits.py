@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evaluators import empirical_cf
 from padicprob import charfn
 from padicprob.charfn import (
     CompoundPoissonSampler,
@@ -16,7 +17,6 @@ from padicprob.charfn import (
     PointMassSampler,
     StableLaw,
     StableParams,
-    empirical_cf,
     stable_sampler,
     substream,
 )
@@ -75,11 +75,9 @@ def test_theoretical_fn_exact_in_integer_regime():
     m = make_example_measure(1, 1, 2)
     scheme = LimitScheme.geometric(2, m.beta, m.gamma0, n_max=10)
     le = JumpMeasure(m)
-    from padicprob.levy import cf_from_levy
-
     for n in (0, 1, 5, 10):
         for t in grid_points(2, -4, 4):
-            assert theoretical_fn(le, scheme, n, t) == cf_from_levy(m, t)
+            assert theoretical_fn(le, scheme, n, t) == JumpMeasure(m)(t)
 
 
 def test_theoretical_fn_n0_is_f():
@@ -344,15 +342,15 @@ def test_measure_source_evaluates_each_point_once(monkeypatch):
         kind="beta_one",
     )
     seen: dict = {}
-    real = levy.levy_exponent_sphere
+    real = levy.LevyExponent._kernel
 
-    def counting(measure, p, v, units, precision, *args):
+    def counting(self, p, v, units, precision):
         for u in units:
             key = (v, u, precision)
             seen[key] = seen.get(key, 0) + 1
-        return real(measure, p, v, units, precision, *args)
+        return real(self, p, v, units, precision)
 
-    monkeypatch.setattr(levy, "levy_exponent_sphere", counting)
+    monkeypatch.setattr(levy.LevyExponent, "_kernel", counting)
     rep = convergence_report(sc)
     assert rep.degenerate == "delta"
     assert seen and max(seen.values()) == 1
@@ -405,8 +403,7 @@ def schemes(draw):
 
 @st.composite
 def points(draw, p):
-    if draw(st.integers(0, 5)) == 0:
-        return PAdicNumber.zero(p, draw(st.one_of(st.none(), st.integers(-4, 4))))
+    """Nonzero t over p: move_sphere moves the points of a sphere."""
     precision = draw(st.sampled_from((1, 2, 3, 48)))
     unit = draw(st.integers(1, p**precision - 1).filter(lambda u: u % p))
     return PAdicNumber(p, draw(st.integers(-6, 6)), unit, precision)
@@ -414,14 +411,16 @@ def points(draw, p):
 
 @settings(max_examples=120, deadline=None)
 @given(schemes(), st.data())
-def test_scale_t_matches_mul_rational(scheme, data):
+def test_move_sphere_matches_mul_rational(scheme, data):
     p = scheme.prime
     other = 7 if p != 7 else 11
     for t in data.draw(st.lists(st.one_of(points(p), points(other)), max_size=6)):
         for n in range(scheme.n_max + 1):
+            want = t.mul_rational(1 / scheme.B(n))
             # twice: the second call reads the cached split
             for _ in range(2):
-                assert scheme.scale_t(n, t) == t.mul_rational(1 / scheme.B(n))
+                v, (u,) = scheme.move_sphere(n, t.prime, t.valuation, (t.unit,), t.precision)
+                assert PAdicNumber(t.prime, v, u, t.precision) == want
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -16,10 +16,8 @@ from padicprob.sets import (
     CompactOpenSet,
     TailSet,
     annulus,
-    haar_measure,
     integrate_char,
     integrate_char_exact,
-    normalize,
     sphere,
     split_sphere,
 )
@@ -28,18 +26,18 @@ PRIMES = (2, 3, 5)
 
 
 def test_normalize_nested_merge():
-    s = normalize([Ball(2, 0, 0), Ball(2, 1, -1)])
+    s = CompactOpenSet(2, [Ball(2, 0, 0), Ball(2, 1, -1)])
     assert s.balls == (Ball(2, 0, 0),)
 
 
 def test_normalize_keeps_disjoint_siblings():
-    s = normalize([Ball(2, 0, -1), Ball(2, 1, -1)])
+    s = CompactOpenSet(2, [Ball(2, 0, -1), Ball(2, 1, -1)])
     assert len(s) == 2
     assert s.measure() == 1
 
 
 def test_normalize_idempotent():
-    s = normalize([Ball(3, 1, -2), Ball(3, 0, -1), Ball(3, 1, -1)])
+    s = CompactOpenSet(3, [Ball(3, 1, -2), Ball(3, 0, -1), Ball(3, 1, -1)])
     again = CompactOpenSet(3, s.balls)
     assert again == s
 
@@ -50,8 +48,8 @@ def test_normalize_mixed_primes():
 
 
 def test_haar_measures():
-    assert haar_measure(Ball(5, 0, 0)) == 1
-    assert haar_measure(Ball(5, 0, 3)) == 125
+    assert Ball(5, 0, 0).measure == 1
+    assert Ball(5, 0, 3).measure == 125
     assert sphere(0, 3).measure() == Fraction(2, 3)
 
 
@@ -98,7 +96,7 @@ def test_annulus_measure():
 
 
 def test_scaling_law_of_measure():
-    s = normalize([Ball(3, 1, -1), Ball(3, Fraction(2, 3), -2)])
+    s = CompactOpenSet(3, [Ball(3, 1, -1), Ball(3, Fraction(2, 3), -2)])
     a = Fraction(9, 2)  # |a|_3 = 1/9
     assert s.scale(a).measure() == Fraction(1, 9) * s.measure()
 
@@ -133,8 +131,8 @@ def test_ball_dichotomy(args):
 )
 def test_normalize_permutation_invariant(p, ns):
     balls = [Ball(p, i, n) for i, n in enumerate(ns)]
-    s1 = normalize(balls)
-    s2 = normalize(list(reversed(balls)) + [balls[0]])
+    s1 = CompactOpenSet(p, balls)
+    s2 = CompactOpenSet(p, list(reversed(balls)) + [balls[0]])
     assert s1 == s2
     assert s1.measure() == s2.measure()
 

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -151,3 +152,96 @@ def test_spec_validation_error_text(build, obj, text):
     with pytest.raises(SpecValidationError) as info:
         build(obj)
     assert str(info.value) == text
+
+
+# Keys a kind never reads, tolerance names no verdict reads, and scenario
+# fields that only fail (or silently misbehave) at run time are all
+# rejected when the spec is read.
+REJECTED_SPECS = [
+    (
+        specs.sampler_from_spec,
+        {"kind": "point_mass", "xi": "1/3 @ p=3", "resolution": -4, "a": 2},
+        "point_mass does not read a, resolution",
+    ),
+    (
+        specs.sampler_from_spec,
+        {"kind": "haar_ball", "p": 2, "center": 0, "radius_exp": 0,
+         "n_lo": -3, "alpha": 1},
+        "haar_ball does not read alpha, n_lo",
+    ),
+    (
+        specs.sampler_from_spec,
+        {"kind": "radial_stable", "p": 2, "a": 1, "alpha": 1, "center": "1/2"},
+        "radial_stable does not read center",
+    ),
+    (
+        specs.sampler_from_spec,
+        {"kind": "compound_poisson", "measure": {"stable": {"a": 1, "alpha": 1, "p": 2}},
+         "p": 2},
+        "compound_poisson does not read p",
+    ),
+    (
+        specs.scheme_from_spec,
+        {"mode": "geometric", "p": 2, "beta": "1/2", "gamma0": "2",
+         "b_list": [1, "1/2"], "k_list": [1, 2]},
+        "geometric scheme does not read b_list, k_list",
+    ),
+    (
+        specs.scheme_from_spec,
+        {"mode": "explicit", "p": 2, "b_list": [1, "1/2"], "k_list": [1, 2],
+         "beta": "1/2", "n_max": 9},
+        "explicit scheme does not read beta, n_max",
+    ),
+    (
+        specs.scenario_from_spec,
+        dict(STABLE_CONFIG, tolerances={"phi_finall": 1e9}),
+        "invalid scenario spec: Additional properties are not allowed "
+        "('phi_finall' was unexpected)",
+    ),
+    (
+        specs.scenario_from_spec,
+        dict(STABLE_CONFIG, grid={"k_lo": 3, "k_hi": -3}),
+        "grid is empty: k_lo exceeds k_hi",
+    ),
+    (
+        specs.scenario_from_spec,
+        dict(STABLE_CONFIG, n_list=[0, 0, 2]),
+        "n_list repeats n = 0",
+    ),
+    (
+        specs.scenario_from_spec,
+        dict(STABLE_CONFIG, target={"stable": {"a": 1, "alpha": 1, "p": 3}}),
+        "target and scheme primes differ",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, obj, text", REJECTED_SPECS)
+def test_spec_rejects_what_no_run_reads(build, obj, text):
+    with pytest.raises(SpecValidationError) as info:
+        build(obj)
+    assert str(info.value) == text
+
+
+@pytest.mark.parametrize("field, value, text", [
+    ("law", dict(STABLE_CONFIG["law"], center=0), "radial_stable does not read center"),
+    ("scheme", dict(STABLE_CONFIG["scheme"], k_list=[1]), "geometric scheme does not read k_list"),
+    ("n_list", [2, 2], "n_list repeats n = 2"),
+])
+def test_limit_verify_rejects_unread_input_with_exit_2(tmp_path, capsys, field, value, text):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(STABLE_CONFIG, m=0, **{field: value})))
+    assert main(["limit-verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert text in capsys.readouterr().err
+
+
+def test_every_tolerance_name_is_read():
+    # the four names Scenario.tol is asked for, and nothing else
+    import inspect
+
+    from padicprob import limits
+
+    read = set(re.findall(r'\.tol\(\s*"(\w+)"', inspect.getsource(limits)))
+    assert read == set(specs.SCENARIO_SCHEMA["properties"]["tolerances"]["properties"])
+    sc = specs.scenario_from_spec(dict(STABLE_CONFIG, tolerances={k: 0.5 for k in read}))
+    assert all(sc.tol(k, 1.0) == 0.5 for k in read)
