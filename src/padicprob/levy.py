@@ -761,12 +761,10 @@ def _probe_depth(p: int, requested: int, per_sphere_cap: int = 512) -> int:
     return max(1, min(requested, d))
 
 
-def _reconstruct_point(g, p: int, lo: int, hi: int) -> PAdicNumber:
-    """Digits of xi from the phases of g at t = p**-m, m in [lo, hi]."""
-    phis: dict[int, Fraction] = {}
-    for m in range(lo, hi + 1):
-        (g_m,) = _probe_sphere(g, p, m, [1])
-        phis[m] = _snap_phase(g_m, p, max(0, m - lo + 2))
+def _reconstruct_point(at_power: dict[int, complex], p: int, lo: int, hi: int) -> PAdicNumber:
+    """Digits of xi from the phases of g at t = p**-m, m in [lo, hi],
+    given as ``at_power[m]`` = g(p**-m)."""
+    phis = {m: _snap_phase(at_power[m], p, max(0, m - lo + 2)) for m in range(lo, hi + 1)}
     value = Fraction(0)
     for idx in range(lo, hi):
         d = p * phis[idx + 1] - phis[idx]
@@ -804,10 +802,14 @@ def classify_two_valued(
     _check_prime(p)
     depth = _probe_depth(p, probe_depth)
     sphere_kind: dict[int, str] = {}
+    # units[0] is 1, so each sweep reads g(p**-k), which rebuilds xi
     units = list(_sphere_units(depth, p))
+    at_power: dict[int, complex] = {}
     for k in range(-probe_depth, search_radius_exp + 1):
         kinds = set()
-        for value in _probe_sphere(g, p, k, units):
+        values = _probe_sphere(g, p, k, units)
+        at_power[k] = values[0]
+        for value in values:
             v = abs(value)
             if abs(v - 1.0) <= tol:
                 kinds.add("one")
@@ -822,7 +824,7 @@ def classify_two_valued(
     ks = sorted(sphere_kind)
     ones = [k for k in ks if sphere_kind[k] == "one"]
     if len(ones) == len(ks):
-        xi = _reconstruct_point(g, p, -probe_depth, search_radius_exp)
+        xi = _reconstruct_point(at_power, p, -probe_depth, search_radius_exp)
         return TwoValuedForm("delta", xi=xi)
     if not ones:
         raise ValueError(
@@ -832,7 +834,7 @@ def classify_two_valued(
     cut = max(ones)
     if ones != [k for k in ks if k <= cut]:
         return TwoValuedForm("not_two_valued")
-    xi = _reconstruct_point(g, p, -probe_depth, cut)
+    xi = _reconstruct_point(at_power, p, -probe_depth, cut)
     return TwoValuedForm("haar_cutoff", xi=xi, cutoff_exp=cut)
 
 

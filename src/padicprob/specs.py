@@ -5,12 +5,24 @@ command line.
 All configs are schema-validated before execution and unknown keys are
 rejected; rationals may be written as strings ("2/3") to stay exact
 through JSON.
+
+The schemas are JSON Schema dicts, the one description of a spec, and
+``validate`` interprets them itself.  It implements only the keywords
+they use: ``type`` (a name or a list of names, ``null`` included),
+``properties``, ``required``, ``additionalProperties: false``, ``enum``
+(of strings), ``minimum``, ``exclusiveMinimum``, ``items``, ``minItems``
+and ``oneOf``.  Each fails with jsonschema's message, and of several
+errors ``validate`` reports the one jsonschema's ``best_match`` picks.
+The one difference in verdict: an ``integer`` is an int that is not a
+bool, so 8.0 is refused where JSON Schema admits it.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from numbers import Number
+from typing import NamedTuple
 
 from .charfn import (
     CompoundPoissonSampler,
@@ -230,26 +242,172 @@ SCENARIO_SCHEMA = {
 }
 
 
-# one validator per schema, built on first use and without checking the
-# schema itself on every call, as jsonschema.validate does
-# (tests/test_specs.py checks the schemas); jsonschema is imported only
-# then, so that a command that reads no spec does not load it
-_VALIDATORS: dict[int, tuple[dict, object]] = {}
+# ---------------------------------------------------------------------
+# Validation: a JSON Schema interpreter for the keywords above
+# ---------------------------------------------------------------------
+
+SCHEMA_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": lambda x: isinstance(x, Number) and not isinstance(x, bool),
+    # JSON Schema's integer also admits 8.0, which every reader of an
+    # integer field here would crash on or echo into a report as a float
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+    "null": lambda x: x is None,
+}
+
+
+class _Error(NamedTuple):
+    """One failed keyword, with what jsonschema's ``best_match`` reads of
+    a ValidationError: ``path`` leads from the instance the enclosing
+    validation began at (the document, or a oneOf's instance) to
+    ``instance``, the value whose ``schema`` holds ``keyword``."""
+
+    message: str
+    keyword: str
+    schema: dict
+    instance: object
+    path: tuple
+    context: list | tuple = ()
+
+    def relevance(self) -> tuple:
+        """jsonschema.exceptions.relevance, oneOf being the weak keyword."""
+        typed = "type" in self.schema and not any(
+            _type(self.instance, self.schema["type"], self.schema, self.path)
+        )
+        return (-len(self.path), self.path, self.keyword != "oneOf", not typed)
+
+
+def _errors(instance, schema: dict, path: tuple = ()):
+    """The errors of ``instance`` against ``schema`` in jsonschema's order:
+    keyword by keyword as the schema lists them, depth first."""
+    for keyword, value in schema.items():
+        yield from SCHEMA_KEYWORDS[keyword](instance, value, schema, path)
+
+
+def _type(instance, names, schema, path):
+    names = [names] if isinstance(names, str) else names
+    if not any(SCHEMA_TYPES[name](instance) for name in names):
+        reprs = ", ".join(repr(name) for name in names)
+        yield _Error(f"{instance!r} is not of type {reprs}", "type", schema, instance, path)
+
+
+def _properties(instance, properties, schema, path):
+    if isinstance(instance, dict):
+        for key, sub in properties.items():
+            if key in instance:
+                yield from _errors(instance[key], sub, (*path, key))
+
+
+def _required(instance, required, schema, path):
+    if isinstance(instance, dict):
+        for key in required:
+            if key not in instance:
+                yield _Error(
+                    f"{key!r} is a required property", "required", schema, instance, path
+                )
+
+
+def _additional_properties(instance, allowed, schema, path):
+    # only ``false``: no key beyond ``properties``
+    if isinstance(instance, dict):
+        known = schema.get("properties", {})
+        extras = sorted((key for key in instance if key not in known), key=str)
+        if extras:
+            listed = ", ".join(repr(key) for key in extras)
+            verb = "was" if len(extras) == 1 else "were"
+            yield _Error(
+                f"Additional properties are not allowed ({listed} {verb} unexpected)",
+                "additionalProperties", schema, instance, path,
+            )
+
+
+def _enum(instance, values, schema, path):
+    # of strings only
+    if not (isinstance(instance, str) and instance in values):
+        yield _Error(f"{instance!r} is not one of {values!r}", "enum", schema, instance, path)
+
+
+def _minimum(instance, minimum, schema, path):
+    if SCHEMA_TYPES["number"](instance) and instance < minimum:
+        yield _Error(
+            f"{instance!r} is less than the minimum of {minimum!r}",
+            "minimum", schema, instance, path,
+        )
+
+
+def _exclusive_minimum(instance, minimum, schema, path):
+    if SCHEMA_TYPES["number"](instance) and instance <= minimum:
+        yield _Error(
+            f"{instance!r} is less than or equal to the minimum of {minimum!r}",
+            "exclusiveMinimum", schema, instance, path,
+        )
+
+
+def _items(instance, items, schema, path):
+    if isinstance(instance, list):
+        for index, item in enumerate(instance):
+            yield from _errors(item, items, (*path, index))
+
+
+def _min_items(instance, least, schema, path):
+    if isinstance(instance, list) and len(instance) < least:
+        message = "should be non-empty" if least == 1 else "is too short"
+        yield _Error(f"{instance!r} {message}", "minItems", schema, instance, path)
+
+
+def _one_of(instance, subschemas, schema, path):
+    context, valid = [], []
+    for sub in subschemas:
+        errors = list(_errors(instance, sub))
+        if not errors:
+            valid.append(sub)
+        context.extend(errors)
+    if not valid:
+        yield _Error(
+            f"{instance!r} is not valid under any of the given schemas",
+            "oneOf", schema, instance, path, context,
+        )
+    elif len(valid) > 1:
+        reprs = ", ".join(repr(sub) for sub in valid[1:] + valid[:1])
+        yield _Error(
+            f"{instance!r} is valid under each of {reprs}", "oneOf", schema, instance, path
+        )
+
+
+SCHEMA_KEYWORDS = {
+    "type": _type,
+    "properties": _properties,
+    "required": _required,
+    "additionalProperties": _additional_properties,
+    "enum": _enum,
+    "minimum": _minimum,
+    "exclusiveMinimum": _exclusive_minimum,
+    "items": _items,
+    "minItems": _min_items,
+    "oneOf": _one_of,
+}
 
 
 def validate(obj, schema: dict, what: str = "config") -> None:
-    """Raise SpecValidationError with the message jsonschema.validate
-    would report: that of the best-matching error."""
-    from jsonschema.exceptions import best_match
+    """Raise SpecValidationError if ``obj`` fails ``schema``, with the
+    message of the error jsonschema's ``best_match`` would pick.
 
-    hit = _VALIDATORS.get(id(schema))
-    if hit is None or hit[0] is not schema:
-        from jsonschema.validators import validator_for
-
-        hit = _VALIDATORS[id(schema)] = (schema, validator_for(schema)(schema))
-    error = best_match(hit[1].iter_errors(obj))
-    if error is not None:
-        raise SpecValidationError(f"invalid {what}: {error.message}")
+    The schema may use only the keywords in SCHEMA_KEYWORDS and the types
+    in SCHEMA_TYPES; ``integer`` is an int that is not a bool.  Each
+    keyword fails with jsonschema's message.  Of several errors the
+    shallowest wins, then the one at the later path, then one that is
+    not a oneOf.  From a oneOf error the choice descends into the errors
+    of its branches, the deepest first, unless the two best of them tie."""
+    best = max(_errors(obj, schema), key=_Error.relevance, default=None)
+    while best is not None and best.context:
+        first, *rest = sorted(best.context, key=_Error.relevance)[:2]
+        if rest and first.relevance() == rest[0].relevance():
+            break
+        best = first
+    if best is not None:
+        raise SpecValidationError(f"invalid {what}: {best.message}")
 
 
 # ---------------------------------------------------------------------

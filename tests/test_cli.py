@@ -261,29 +261,58 @@ def test_importing_the_cli_loads_no_schema_or_pool_machinery(tmp_path):
     import subprocess
     import sys
 
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    probe = (
-        "import sys, padicprob.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'"
-        " or m == 'concurrent.futures.process'))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
-    # jsonschema is loaded when a spec is read, with the same verdict
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(
         {"p": 3, "beta": "1/4", "gamma0": "9", "fundamental": [], "extra": 1}
     ))
-    run_bad = subprocess.run(
-        [sys.executable, "-m", "padicprob.cli", "levy-exponent", "--measure", str(bad),
-         "--grid=0:1"],
-        env=env, capture_output=True, text=True,
+    good_run = ["levy-exponent", "--measure", str(root / "configs" / "custom_measure.json"),
+                "--grid=0:1"]
+    bad_run = ["levy-exponent", "--measure", str(bad), "--grid=0:1"]
+    # reading a spec, good or bad, loads no jsonschema either
+    probe = (
+        "import sys\n"
+        "from padicprob.cli import main\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'"
+        " or m == 'concurrent.futures.process')\n"
+        "print(loaded())\n"
+        f"print([main({good_run!r}), main({bad_run!r})], loaded())\n"
     )
-    assert run_bad.returncode == 2
-    assert run_bad.stderr == (
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    lines = out.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[0, 2] []")
+    assert out.stderr == (
         "error: invalid measure spec: {'p': 3, 'beta': '1/4', 'gamma0': '9', "
         "'fundamental': [], 'extra': 1} is not valid under any of the given schemas\n"
     )
+
+
+def test_src_imports_only_the_stdlib_and_the_declared_dependencies():
+    # every import in the package, lazy ones included, is of the stdlib,
+    # padicprob itself, or a runtime dependency pyproject.toml declares
+    import ast
+    import re
+    import sys
+
+    root = Path(__file__).resolve().parent.parent
+    block = re.search(
+        r"^dependencies = \[(.*?)\]", (root / "pyproject.toml").read_text(), re.M | re.S
+    ).group(1)
+    dependencies = set(re.findall(r'"([A-Za-z0-9_]+)', block))
+    assert dependencies == {"numpy"}
+    allowed = set(sys.stdlib_module_names) | dependencies | {"padicprob"}
+    stray = []
+    for path in sorted((root / "src" / "padicprob").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            stray += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed]
+    assert stray == []

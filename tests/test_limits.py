@@ -22,6 +22,7 @@ from padicprob.charfn import (
 )
 from padicprob.levy import (
     JumpMeasure,
+    classify_two_valued,
     make_example_measure,
     make_measure,
     measure_mass,
@@ -307,9 +308,17 @@ def test_preset_classification_reads_every_probe_point_by_spheres(name, monkeypa
     sc = limits.PRESETS[name](m=0)
     assert limits._classification(sc) == {"beta_one": "delta"}.get(name, "haar_cutoff")
     # 11 spheres of all 486 units of probe depth 6 over p = 3: 5346 points,
-    # then one point per sphere to rebuild xi
-    assert [s for s in sizes if s > 1] == [486] * 11
-    assert sum(sizes) - 5346 == sizes.count(1) > 0
+    # and xi is rebuilt from their first units, read no second time (a
+    # one-unit call per sphere up to the cutoff did: 11 on beta_one, 7 on
+    # bounded_normalizers)
+    assert sizes == [486] * 11
+    form = classify_two_valued(
+        limits.SumTransform(sc.law_source, sc.scheme, sc.n_list[-1]),
+        sc.prime, search_radius_exp=4, probe_depth=6,
+    )
+    expected = {"beta_one": ("delta", None)}.get(name, ("haar_cutoff", 0))
+    assert (form.kind, form.cutoff_exp) == expected
+    assert form.xi.is_zero
 
 
 def test_measure_source_evaluates_each_point_once(monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 from fractions import Fraction
@@ -14,9 +15,9 @@ from padicprob.sets import split_sphere
 from padicprob import specs
 from padicprob.specs import SpecValidationError, measure_from_spec, measure_to_spec
 
-STABLE_CONFIG = json.loads(
-    (Path(__file__).resolve().parent.parent / "configs" / "stable_limit.json").read_text()
-)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+STABLE_CONFIG = json.loads((CONFIGS / "stable_limit.json").read_text())
+CUSTOM_MEASURE = json.loads((CONFIGS / "custom_measure.json").read_text())
 
 
 def _spec_with_sphere(r: int) -> dict:
@@ -87,15 +88,10 @@ def test_measure_spec_round_trip(spec):
     assert measure_to_spec(measure_from_spec(spec)) == spec
 
 
-@pytest.mark.parametrize(
-    "schema",
-    [
-        specs.MEASURE_SCHEMA,
-        specs.SAMPLER_SCHEMA,
-        specs.SCHEME_SCHEMA,
-        specs.SCENARIO_SCHEMA,
-    ],
-)
+SCHEMAS = [specs.MEASURE_SCHEMA, specs.SAMPLER_SCHEMA, specs.SCHEME_SCHEMA, specs.SCENARIO_SCHEMA]
+
+
+@pytest.mark.parametrize("schema", SCHEMAS)
 def test_schemas_are_valid(schema):
     jsonschema.validators.validator_for(schema).check_schema(schema)
 
@@ -143,6 +139,23 @@ INVALID_SPECS = [
         dict(STABLE_CONFIG, extra=True),
         "invalid scenario spec: Additional properties are not allowed "
         "('extra' was unexpected)",
+    ),
+    (
+        specs.scenario_from_spec,
+        dict(STABLE_CONFIG, n_list=[]),
+        "invalid scenario spec: [] should be non-empty",
+    ),
+    (
+        specs.scenario_from_spec,
+        dict(STABLE_CONFIG, target={"stable": {"a": 0, "alpha": 1, "p": 2}}),
+        "invalid scenario spec: 0 is less than or equal to the minimum of 0",
+    ),
+    (
+        specs.scenario_from_spec,
+        dict(STABLE_CONFIG, target={"p": 3, "beta": "1/4", "gamma0": "9", "fundamental": [
+            {"sphere": 0, "balls": [{"center": 1, "radius_exp": 0}]},
+        ]}),
+        "invalid scenario spec: 'weight' is a required property",
     ),
 ]
 
@@ -235,6 +248,24 @@ def test_limit_verify_rejects_unread_input_with_exit_2(tmp_path, capsys, field, 
     assert text in capsys.readouterr().err
 
 
+# JSON Schema's "integer" admits 8.0, and every reader of these fields
+# takes an int: the float crashed the run (or, for the seed, was echoed
+# into the report as 7.0)
+@pytest.mark.parametrize("field, value, text", [
+    ("m", 8.0, "8.0 is not of type 'integer'"),
+    ("n_list", [0, 2.0], "2.0 is not of type 'integer'"),
+    ("grid", {"k_lo": -2.0, "k_hi": 6}, "-2.0 is not of type 'integer'"),
+    ("law", dict(STABLE_CONFIG["law"], resolution=-8.0), "-8.0 is not of type 'integer'"),
+    ("scheme", dict(STABLE_CONFIG["scheme"], n_max=4.0), "4.0 is not of type 'integer'"),
+    ("seed", 7.0, "7.0 is not of type 'integer'"),
+])
+def test_limit_verify_refuses_integral_floats_with_exit_2(tmp_path, capsys, field, value, text):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(STABLE_CONFIG, **{field: value})))
+    assert main(["limit-verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: invalid scenario spec: {text}\n"
+
+
 def test_every_tolerance_name_is_read():
     # the four names Scenario.tol is asked for, and nothing else
     import inspect
@@ -245,3 +276,142 @@ def test_every_tolerance_name_is_read():
     assert read == set(specs.SCENARIO_SCHEMA["properties"]["tolerances"]["properties"])
     sc = specs.scenario_from_spec(dict(STABLE_CONFIG, tolerances={k: 0.5 for k in read}))
     assert all(sc.tol(k, 1.0) == 0.5 for k in read)
+
+
+# ---------------------------------------------------------------------
+# The schema interpreter against jsonschema
+# ---------------------------------------------------------------------
+
+def _subschemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+    for sub in schema.get("oneOf", ()):
+        yield from _subschemas(sub)
+
+
+@pytest.mark.parametrize("schema", SCHEMAS)
+def test_schemas_use_only_what_the_validator_interprets(schema):
+    # a schema edit that reaches past the interpreter fails here, not
+    # silently at run time
+    for sub in _subschemas(schema):
+        assert set(sub) <= set(specs.SCHEMA_KEYWORDS), sub
+        names = sub.get("type", [])
+        assert set([names] if isinstance(names, str) else names) <= set(specs.SCHEMA_TYPES), sub
+        assert sub.get("additionalProperties", False) is False, sub
+        assert all(isinstance(value, str) for value in sub.get("enum", ())), sub
+
+
+# the one intended difference: "integer" is int and not bool, where
+# JSON Schema also admits integral floats such as 8.0
+INT_ONLY = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, x: isinstance(x, int) and not isinstance(x, bool)
+    ),
+)
+
+
+def _oracle(cls, doc, schema):
+    error = jsonschema.exceptions.best_match(cls(schema).iter_errors(doc))
+    return None if error is None else error.message
+
+
+def _verdict(doc, schema):
+    try:
+        specs.validate(doc, schema, "spec")
+    except SpecValidationError as exc:
+        return str(exc).removeprefix("invalid spec: ")
+    return None
+
+
+# Two oneOf rules no spec schema reaches today, on small schemas: of two
+# branch errors at one place, best_match descends into the one whose
+# schema's type the instance has, and an instance valid under two
+# branches fails.
+BRANCHES = {"oneOf": [
+    {"type": "object", "required": ["a"], "additionalProperties": False},
+    {"type": "array", "minItems": 1},
+]}
+OVERLAP = {"oneOf": [{"type": "number"}, {"type": "integer"}, {"type": "string"}]}
+
+
+@pytest.mark.parametrize("schema, doc", [
+    *((BRANCHES, doc) for doc in ({}, [], {"a": 1}, "x", None)),
+    *((OVERLAP, doc) for doc in (1, 0.5, "x", None)),
+])
+def test_validator_matches_jsonschema_on_small_oneof_schemas(schema, doc):
+    assert _verdict(doc, schema) == _oracle(INT_ONLY, doc, schema)
+
+
+def _has_integral_float(doc):
+    if isinstance(doc, float):
+        return doc.is_integer()
+    children = doc.values() if isinstance(doc, dict) else doc if isinstance(doc, list) else ()
+    return any(map(_has_integral_float, children))
+
+
+def _slots(doc):
+    """(container, key) for every value below doc."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield doc, key
+        yield from _slots(value)
+
+
+SEED_SPECS = [
+    (specs.SCENARIO_SCHEMA, STABLE_CONFIG),
+    (specs.SCENARIO_SCHEMA, dict(
+        STABLE_CONFIG,
+        law={"kind": "compound_poisson", "measure": CUSTOM_MEASURE, "resolution": -4},
+        scheme={"mode": "explicit", "p": 3, "b_list": [1, "1/3"], "k_list": [1, 2]},
+        target=CUSTOM_MEASURE,
+        tolerances={"sup": 1e-9, "phi_final": 0.5},
+        balls=["ball(0,1)"],
+    )),
+    (specs.SCENARIO_SCHEMA, dict(STABLE_CONFIG, target=None)),
+    (specs.SAMPLER_SCHEMA, STABLE_CONFIG["law"]),
+    (specs.SCHEME_SCHEMA, STABLE_CONFIG["scheme"]),
+    (specs.MEASURE_SCHEMA, CUSTOM_MEASURE),
+    (specs.MEASURE_SCHEMA, STABLE_CONFIG["target"]),
+]
+OTHER_VALUES = [True, False, None, "x", "1/3", [], [2, "a"], {}, {"a": 1},
+                0.5, -2.5, 3.0, -8.0, -1, -7, 0, 5]
+NEW_KEYS = ["extra", "zz", "p", "kind", "stable", "resolution", "balls"]
+
+
+@st.composite
+def mutated_specs(draw):
+    """A valid spec with one to three mutations: a key or item deleted, an
+    unknown key added, or a value swapped for one of another type."""
+    schema, doc = draw(st.one_of(
+        st.sampled_from(SEED_SPECS),
+        measure_specs().map(lambda spec: (specs.MEASURE_SCHEMA, spec)),
+    ))
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        dicts = [doc] + [c[k] for c, k in slots if isinstance(c[k], dict)]
+        op = draw(st.sampled_from(["delete", "add", "swap", "swap"]))
+        value = copy.deepcopy(draw(st.sampled_from(OTHER_VALUES)))
+        if op == "add":
+            draw(st.sampled_from(dicts))[draw(st.sampled_from(NEW_KEYS))] = value
+        elif slots:
+            container, key = draw(st.sampled_from(slots))
+            if op == "delete":
+                del container[key]
+            else:
+                container[key] = value
+    return schema, doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_specs())
+def test_validator_matches_jsonschema_best_match(case):
+    schema, doc = case
+    ours = _verdict(doc, schema)
+    assert ours == _oracle(INT_ONLY, doc, schema)
+    if ours != _oracle(jsonschema.Draft202012Validator, doc, schema):
+        assert _has_integral_float(doc)
