@@ -176,11 +176,9 @@ class SelfSimilarLevyMeasure:
 
 
 def make_measure(p, beta, gamma0, fundamental) -> SelfSimilarLevyMeasure:
-    """Convenience constructor accepting loose types."""
-    fund = tuple(
-        tuple((ball, w) for ball, w in entries) for entries in fundamental
-    )
-    return SelfSimilarLevyMeasure(p, beta, _as_gamma_fraction(gamma0, p), fund)
+    """Convenience constructor accepting loose types (the measure itself
+    coerces gamma0 and the fundamental data)."""
+    return SelfSimilarLevyMeasure(p, beta, gamma0, fundamental)
 
 
 def make_example_measure(a, alpha, p: int) -> SelfSimilarLevyMeasure:
@@ -353,10 +351,10 @@ class LevyExponent:
     phi(0) = 0.  A point over another prime always misses, and the
     kernel refuses it.
 
-    ``quadrature`` is the sphere-quadrature memo of
-    :func:`invert_exponent`: phi's complex value at each probed point
-    a * p**-m and each finished sphere integral.  It lives as long as
-    this evaluator (a fresh LevyExponent starts empty), refers back to
+    ``sphere_integrals`` holds each sphere integral of
+    :func:`invert_exponent` keyed by (m, refine_cap); the points they
+    probe stay in the one cache above.  It lives as long as this
+    evaluator (a fresh LevyExponent starts empty), refers back to
     nothing, and changes no bit of any inversion.
     """
 
@@ -366,7 +364,7 @@ class LevyExponent:
         self._neg_tails: dict[int, Fraction | float] = {}
         # key -> [exact sum, complex value or None]
         self._cache: dict[tuple, list] = {}
-        self.quadrature = _Quadrature()
+        self.sphere_integrals: dict[tuple[int, int], complex] = {}
 
     def _kernel(
         self, p: int, v: int, units: Sequence[int], precision: int
@@ -555,55 +553,34 @@ def _probe_sphere(g, p: int, m: int, units: list[int]) -> list[complex]:
     return g.sphere(p, -m, [a % mod for a in units], DEFAULT_PRECISION)
 
 
-class _Quadrature:
-    """The sphere-quadrature memo of one evaluator phi: phi at the points
-    a * p**-m keyed by (m, a), and each finished sphere integral keyed by
-    (m, refine_cap).  It holds no reference to phi, so that a memo kept
-    on a LevyExponent makes no reference cycle; phi is passed in."""
-
-    __slots__ = ("points", "spheres")
-
-    def __init__(self):
-        self.points: dict[tuple[int, int], complex] = {}
-        self.spheres: dict[tuple[int, int], complex] = {}
-
-    def sphere_values(self, phi, p: int, m: int, depth: int) -> dict[int, complex]:
-        """{a: phi(a * p**-m)} over ``_sphere_units(depth, p)``."""
-        points = self.points
-        units = list(_sphere_units(depth, p))
-        missing = [a for a in units if (m, a) not in points]
-        if missing:
-            for a, v in zip(missing, _probe_sphere(phi, p, m, missing)):
-                points[m, a] = v
-        return {a: points[m, a] for a in units}
-
-
 def _sphere_integral(
-    phi, memo: _Quadrature, m: int, p: int, refine_cap: int
+    phi, spheres: dict[tuple[int, int], complex], m: int, p: int, refine_cap: int
 ) -> complex:
     """Integral of phi over the sphere {|t| = p**m} by local-constancy
     quadrature: refine until two successive refinements agree exactly.
 
     Exact agreement is the right test here: a locally constant evaluator
     returns bit-identical values at points of the same constancy ball.
-    The result depends on (phi, m, refine_cap) alone, so it is memoised
-    under (m, refine_cap).
+    Each depth reads only the units new at it in one sphere call, so
+    phi is asked for each point once.  The result depends on (phi, m,
+    refine_cap) alone, so it is memoised in ``spheres`` under
+    (m, refine_cap).
     """
-    done = memo.spheres.get((m, refine_cap))
+    done = spheres.get((m, refine_cap))
     if done is not None:
         return done
-    prev: dict[int, complex] | None = None
+    vals: dict[int, complex] = {}
     for depth in range(1, refine_cap + 2):
-        vals = memo.sphere_values(phi, p, m, depth)
-        if prev is not None:
-            parent_mod = p ** (depth - 1)
-            if all(vals[a] == prev[a % parent_mod] for a in vals):
-                haar = float(p) ** (m - (depth - 1))
-                done = memo.spheres[m, refine_cap] = sum(
-                    haar * prev[a] for a in sorted(prev)
-                )
-                return done
-        prev = vals
+        lo = p ** (depth - 1)
+        new = [a for a in range(lo, p * lo) if a % p]
+        vals.update(zip(new, _probe_sphere(phi, p, m, new)))
+        # the units below lo are the previous refinement's
+        if depth > 1 and all(vals[a] == vals[a % lo] for a in new):
+            haar = float(p) ** (m - (depth - 1))
+            done = spheres[m, refine_cap] = sum(
+                haar * vals[a] for a in _sphere_units(depth - 1, p)
+            )
+            return done
     raise ToleranceError(
         f"refinement cap {refine_cap} hit on sphere |t| = p**{m}: "
         "evaluator not locally constant at reachable scale"
@@ -615,7 +592,7 @@ _DECAY_WINDOW = 4  # covers magnitude alternation of period up to 4
 
 def _ball_integral(
     phi,
-    memo: _Quadrature,
+    spheres: dict[tuple[int, int], complex],
     i: int,
     p: int,
     tol: float,
@@ -638,7 +615,7 @@ def _ball_integral(
     mags: list[float] = []
     m = -i
     while True:
-        val = _sphere_integral(phi, memo, m, p, refine_cap)
+        val = _sphere_integral(phi, spheres, m, p, refine_cap)
         total += val
         mags.append(abs(val))
         if len(mags) >= w and all(x == 0.0 for x in mags[-w:]):
@@ -686,36 +663,38 @@ def invert_exponent(
     inner series of sphere integrals, each by exact local-constancy
     quadrature.
 
-    When phi is a :class:`LevyExponent`, the quadrature memo it carries
-    keeps phi's value at every probed point and every finished sphere
-    integral for as long as phi lives, so the balls of later calls on
-    the same phi reuse the spheres of earlier ones (ball(i) is sphere(-i)
-    together with ball(i+1)).  A sphere integral depends only on phi,
-    the sphere and refine_cap, and the ball series sums the spheres in
-    the same order, so every result is bit for bit what a fresh phi
-    gives.  Any other evaluator gets a memo for this call only.
+    When phi is a :class:`LevyExponent`, every finished sphere integral
+    is kept on it (``sphere_integrals``) for as long as phi lives, and
+    its exponent cache keeps every probed value, so the balls of later
+    calls on the same phi reuse the spheres of earlier ones (ball(i) is
+    sphere(-i) together with ball(i+1)).  A sphere integral depends only
+    on phi, the sphere and refine_cap, and the ball series sums the
+    spheres in the same order, so every result is bit for bit what a
+    fresh phi gives.  Any other evaluator gets a dict of sphere
+    integrals for this call only.  ``tol`` must be > 0.
 
     phi is read through its sphere evaluator, ``sphere(p, v, units,
     precision)`` with the values phi gives at the points p**v * u (a
-    LevyExponent, a Transform): the points a probed sphere lacks in the
-    memo are read in one call.
+    LevyExponent, a Transform): each refinement of a sphere is one call.
     """
     _check_prime(p)
-    memo = phi.quadrature if isinstance(phi, LevyExponent) else _Quadrature()
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
+    spheres = phi.sphere_integrals if isinstance(phi, LevyExponent) else {}
     i = _integral_exp("i", i)
     scale_i = float(p) ** i
     if l is None or l == math.inf:
-        val = _ball_integral(phi, memo, i, p, tol / scale_i, refine_cap, max_spheres)
+        val = _ball_integral(phi, spheres, i, p, tol / scale_i, refine_cap, max_spheres)
         return -scale_i * val.real
     l = _integral_exp("l", l)
     if l < i + 1:
         raise ValueError("empty annulus")
     scale_l = float(p) ** l
     bi = _ball_integral(
-        phi, memo, i, p, tol / (2 * scale_i), refine_cap, max_spheres
+        phi, spheres, i, p, tol / (2 * scale_i), refine_cap, max_spheres
     )
     bl = _ball_integral(
-        phi, memo, l, p, tol / (2 * scale_l), refine_cap, max_spheres
+        phi, spheres, l, p, tol / (2 * scale_l), refine_cap, max_spheres
     )
     return -scale_i * bi.real + scale_l * bl.real
 
@@ -800,6 +779,8 @@ def classify_two_valued(
     that raises raises what its first point would.
     """
     _check_prime(p)
+    if search_radius_exp < -probe_depth:
+        raise ValueError(f"radius {search_radius_exp} < -{probe_depth} probes no sphere")
     depth = _probe_depth(p, probe_depth)
     sphere_kind: dict[int, str] = {}
     # units[0] is 1, so each sweep reads g(p**-k), which rebuilds xi

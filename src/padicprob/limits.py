@@ -688,30 +688,25 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
 
 
 def stable_limit_scenario(
-    a=1,
-    alpha=1,
-    p: int = 2,
-    m: int = 4000,
-    seed: int = 7,
-    n_list: tuple[int, ...] = (0, 2, 4, 6),
-    resolution: int = -8,
+    m: int = 4000, seed: int = 7, n_list: tuple[int, ...] = (0, 2, 4, 6)
 ) -> Scenario:
-    """Self-similar construction: stable summands drawn sphere-first,
-    geometric scheme, closed-form target (which the exact transform of
-    the jump measure reproduces)."""
+    """Self-similar construction over p = 2 with a = alpha = 1: stable
+    summands drawn sphere-first at resolution -8, geometric scheme,
+    closed-form target (which the exact transform of the jump measure
+    reproduces)."""
     from .charfn import stable_sampler
     from .levy import make_example_measure
 
-    measure = make_example_measure(a, alpha, p)
-    params = StableParams(float(a), float(alpha), p)
-    law = stable_sampler(params, resolution=resolution)
+    p = 2
+    measure = make_example_measure(1, 1, p)
+    params = StableParams(1.0, 1.0, p)
     scheme = LimitScheme.geometric(
         p, measure.beta, measure.gamma0, n_max=max(n_list)
     )
     return Scenario(
         name="stable-limit-example",
         prime=p,
-        law=law,
+        law=stable_sampler(params, resolution=-8),
         scheme=scheme,
         grid=tuple(grid_points(p)),
         balls=tuple(default_ball_family(p, 10)),
@@ -725,80 +720,62 @@ def stable_limit_scenario(
     )
 
 
-def beta_one_scenario(
-    p: int = 3, n_max: int = 8, m: int = 800, seed: int = 11
+def _haar_scenario(
+    name: str, kind: str, p: int, b_list: list[Fraction], k_list: list[int],
+    half_width: int, balls: int, m: int, seed: int, target: Transform | None = None,
 ) -> Scenario:
-    """beta = 1 regime: Haar summands, B_n = p**-n, k(n) = n; the limit
-    is the point mass at 0."""
-    b_list = [Fraction(1, p**n) for n in range(n_max + 1)]
-    k_list = [max(n, 1) for n in range(n_max + 1)]
-    scheme = LimitScheme.explicit(p, b_list, k_list)
+    """A preset with Haar summands on Z_p (resolution -12), the explicit
+    scheme (b_list, k_list) for n = 0..len(b_list) - 1, the grid of
+    |t| <= p**half_width, the first ``balls`` diagnostic balls and no
+    sets."""
     law = HaarBallSampler(ball=Ball(p, 0, 0), resolution=-12)
     return Scenario(
-        name="beta-one-degenerate",
+        name=name,
         prime=p,
         law=law,
-        scheme=scheme,
-        grid=tuple(grid_points(p, -4, 4)),
-        balls=tuple(default_ball_family(p, 6)),
+        scheme=LimitScheme.explicit(p, b_list, k_list),
+        grid=tuple(grid_points(p, -half_width, half_width)),
+        balls=tuple(default_ball_family(p, balls)),
         sets=(),
         m=m,
         seed=seed,
-        n_list=tuple(range(n_max + 1)),
+        n_list=tuple(range(len(b_list))),
         law_source=HaarUniform(law.ball),
-        target=PointMass(PAdicNumber.zero(p)),
-        kind="beta_one",
+        target=target,
+        kind=kind,
     )
 
 
-def bounded_normalizer_scenario(
-    p: int = 3, n_max: int = 6, m: int = 800, seed: int = 13
-) -> Scenario:
-    """Bounded normalisers B_n = 1 with Haar summands: the limit is the
-    uniform law on the unit ball (transform = unit-ball cutoff)."""
-    b_list = [Fraction(1) for _ in range(n_max + 1)]
-    k_list = [n + 1 for n in range(n_max + 1)]
-    scheme = LimitScheme.explicit(p, b_list, k_list)
-    law = HaarBallSampler(ball=Ball(p, 0, 0), resolution=-12)
-    return Scenario(
-        name="bounded-normalizers-cutoff",
-        prime=p,
-        law=law,
-        scheme=scheme,
-        grid=tuple(grid_points(p, -4, 4)),
-        balls=tuple(default_ball_family(p, 6)),
-        sets=(),
-        m=m,
-        seed=seed,
-        n_list=tuple(range(n_max + 1)),
-        law_source=HaarUniform(law.ball),
-        target=HaarUniform(law.ball),
-        kind="bounded_normalizers",
+def beta_one_scenario(m: int = 800) -> Scenario:
+    """beta = 1 regime over p = 3: Haar summands, B_n = 3**-n, k(n) = n
+    (k(0) = 1), n <= 8; the limit is the point mass at 0."""
+    return _haar_scenario(
+        "beta-one-degenerate", "beta_one", 3,
+        [Fraction(1, 3**n) for n in range(9)], [max(n, 1) for n in range(9)],
+        half_width=4, balls=6, m=m, seed=11, target=PointMass(PAdicNumber.zero(3)),
     )
 
 
-def beta0_demo_scenario(p: int = 2, m: int = 0, seed: int = 17) -> Scenario:
-    """Exploratory beta -> 0 demonstration (k(n) growing super-fast with
-    gamma0 != 0).  Nothing is asserted about this scenario; it exists to
-    expose the corner, not to verify a claim."""
-    n_max = 3
-    b_list = [Fraction(1, p) ** n for n in range(n_max + 1)]
-    k_list = [2 ** (2**n) for n in range(n_max + 1)]
-    scheme = LimitScheme.explicit(p, b_list, k_list)
-    law = HaarBallSampler(ball=Ball(p, 0, 0), resolution=-12)
-    return Scenario(
-        name="beta0-demo",
-        prime=p,
-        law=law,
-        scheme=scheme,
-        grid=tuple(grid_points(p, -3, 3)),
-        balls=(),
-        sets=(),
-        m=m,
-        seed=seed,
-        n_list=tuple(range(n_max + 1)),
-        law_source=HaarUniform(law.ball),
-        kind="demo",
+def bounded_normalizer_scenario(m: int = 800) -> Scenario:
+    """Bounded normalisers B_n = 1 with Haar summands over p = 3, n <= 6:
+    the limit is the uniform law on the unit ball (transform = unit-ball
+    cutoff)."""
+    return _haar_scenario(
+        "bounded-normalizers-cutoff", "bounded_normalizers", 3,
+        [Fraction(1)] * 7, [n + 1 for n in range(7)],
+        half_width=4, balls=6, m=m, seed=13, target=HaarUniform(Ball(3, 0, 0)),
+    )
+
+
+def beta0_demo_scenario(m: int = 0) -> Scenario:
+    """Exploratory beta -> 0 demonstration over p = 2 (k(n) = 2**(2**n)
+    growing super-fast with gamma0 != 0, n <= 3).  Nothing is asserted
+    about this scenario; it exists to expose the corner, not to verify a
+    claim."""
+    return _haar_scenario(
+        "beta0-demo", "demo", 2,
+        [Fraction(1, 2) ** n for n in range(4)], [2 ** (2**n) for n in range(4)],
+        half_width=3, balls=0, m=m, seed=17,
     )
 
 

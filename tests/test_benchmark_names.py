@@ -6,19 +6,23 @@ name, ``limit_mc`` drives the CLI with a fixed argv, and ``exact_theory``
 compares CharacterSums; perfbench's own tests are not in this suite, so a
 rename here would otherwise break the benchmark unnoticed.  Names that
 nothing in ``src/`` calls are still read there, so every module-level
-name perfbench reads is checked from perfbench's own source.
+name perfbench reads is checked from perfbench's own source, and so is
+every call it makes of such a name: a parameter dropped from a padicprob
+callable that perfbench still passes fails here, not in the benchmark
+run.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from padicprob import charfn, cli
+from padicprob import charfn, cli, limits
 from padicprob.levy import levy_exponent_exact, make_example_measure, random_compact_open
 from padicprob.padic import CharacterSum, grid_points
 from padicprob.sets import integrate_char_exact
@@ -111,6 +115,17 @@ def _import(module: str, name: str):
     return getattr(importlib.import_module(module), name)
 
 
+def _padicprob_imports(tree: ast.AST) -> list[tuple[str, str, str]]:
+    """(local name, module, name) for every ``from padicprob... import
+    name`` in a perfbench file."""
+    return [
+        (alias.asname or alias.name, node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "padicprob"
+        for alias in node.names
+    ]
+
+
 def _perfbench_reads() -> list[tuple[str, str, tuple[str, ...]]]:
     """(file, module, attribute chain) for every name perfbench imports
     from padicprob and every attribute chain it reads off a padicprob
@@ -120,12 +135,10 @@ def _perfbench_reads() -> list[tuple[str, str, tuple[str, ...]]]:
     for path in PERFBENCH:
         tree = ast.parse(path.read_text())
         modules = {}  # local name -> the padicprob module it is bound to
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "padicprob":
-                for alias in node.names:
-                    reads.add((path.name, node.module, (alias.name,)))
-                    if _is_module(f"{node.module}.{alias.name}"):
-                        modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        for local, module, name in _padicprob_imports(tree):
+            reads.add((path.name, module, (name,)))
+            if _is_module(f"{module}.{name}"):
+                modules[local] = f"{module}.{name}"
         for node in ast.walk(tree):
             chain = []
             while isinstance(node, ast.Attribute):
@@ -144,3 +157,69 @@ def test_perfbench_module_reads_resolve(read):
     obj = _import(module, chain[0])
     for attr in chain[1:]:
         obj = getattr(obj, attr)
+
+
+def _perfbench_calls() -> list[tuple]:
+    """(file, line, module, attribute chain, subscripted, positional
+    count, keywords) for every call in perfbench, with arguments, of a
+    name it imports from padicprob or reads off a padicprob module it
+    imported by name.  ``subscripted`` marks a call of an item of that
+    name (``limits.PRESETS[name](m=0)``); the positional count is None
+    where a starred argument hides it."""
+    calls = []
+    for path in PERFBENCH:
+        tree = ast.parse(path.read_text())
+        modules, names = {}, {}  # local name -> padicprob module / (module, name)
+        for local, module, name in _padicprob_imports(tree):
+            if _is_module(f"{module}.{name}"):
+                modules[local] = f"{module}.{name}"
+            else:
+                names[local] = (module, name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or not (node.args or node.keywords):
+                continue
+            func, subscripted = node.func, isinstance(node.func, ast.Subscript)
+            if subscripted:
+                func = func.value
+            chain = []
+            while isinstance(func, ast.Attribute):
+                chain.append(func.attr)
+                func = func.value
+            if not isinstance(func, ast.Name):
+                continue
+            if func.id in modules:
+                module = modules[func.id]
+            elif func.id in names:
+                module, name = names[func.id]
+                chain.append(name)
+            else:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls.append((
+                path.name, node.lineno, module, tuple(reversed(chain)), subscripted,
+                None if starred else len(node.args),
+                tuple(kw.arg for kw in node.keywords if kw.arg is not None),
+            ))
+    return sorted(calls)
+
+
+@pytest.mark.parametrize(
+    "call", _perfbench_calls(), ids=lambda c: f"{c[0]}:{c[1]}:{c[2]}.{'.'.join(c[3])}"
+)
+def test_perfbench_call_arguments_bind(call):
+    _, _, module, chain, subscripted, positional, keywords = call
+    obj = _import(module, chain[0])
+    for attr in chain[1:]:
+        obj = getattr(obj, attr)
+    # a call of an item of a mapping may reach any of its values
+    callees = list(obj.values()) if subscripted else [obj]
+    for callee in callees:
+        args = [None] * (positional or 0)
+        inspect.signature(callee).bind_partial(*args, **dict.fromkeys(keywords))
+
+
+@pytest.mark.parametrize("name", sorted(limits.PRESETS))
+def test_every_preset_accepts_m_0(name):
+    # exact_theory builds its degenerate scenarios as PRESETS[name](m=0)
+    scenario = limits.PRESETS[name](m=0)
+    assert scenario.m == 0

@@ -87,6 +87,27 @@ def test_levy_invert_check(tmp_path, capsys):
     assert code2 == 3
 
 
+def test_classify_empty_probe_range_exits_2(capsys):
+    code, out, err = run(
+        ["classify", "--cf", "stable:a=1,alpha=1,p=2", "--radius", "-9",
+         "--depth", "8"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert "probes no sphere" in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_levy_invert_tolerance_not_positive_exits_2(tol, capsys):
+    code, out, err = run(
+        ["levy-invert", "--measure", str(CONFIG_DIR / "custom_measure.json"),
+         "--set", "annulus(0,2)", "--tol", tol],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: tol must be > 0")
+
+
 def test_sample_dump_format_and_determinism(tmp_path, capsys):
     spec = json.dumps(
         {"kind": "haar_ball", "p": 2, "center": 0, "radius_exp": 0,

@@ -191,6 +191,18 @@ def test_invert_exponent_rejects_bounds_that_are_not_integers():
     assert abs(got - exact) <= 1e-10 * exact
 
 
+def test_invert_exponent_refuses_a_tolerance_that_is_not_positive():
+    # tol = -1 or nan used to run the whole series of spheres and end in
+    # a ToleranceError ("tol=-0.5") instead of refusing the input
+    phi = LevyExponent(make_example_measure(1, 1, 2))
+    for tol in (0.0, -1.0, -0.0, math.nan, -math.inf):
+        for l in (2, None):
+            with pytest.raises(ValueError, match="tol must be > 0"):
+                invert_exponent(phi, 0, l, 2, tol=tol)
+    assert not phi._cache
+    assert math.isfinite(invert_exponent(phi, 0, 2, 2, tol=math.inf))
+
+
 def test_invert_exponent_random_round_trip():
     rng = substream(123, 9)
     for _ in range(3):
@@ -236,13 +248,13 @@ def test_inversion_memo_changes_no_bit(m):
     for i, l in MEMO_REGIONS:
         phi = LevyExponent(m)
         fresh.append(invert(phi, i, l))
-        spheres += len(phi.quadrature.spheres)
+        spheres += len(phi.sphere_integrals)
     shared = LevyExponent(m)
     assert [invert(shared, i, l) for i, l in MEMO_REGIONS] == fresh
     backwards = LevyExponent(m)
     assert [invert(backwards, i, l) for i, l in MEMO_REGIONS[::-1]] == fresh[::-1]
     # the ball integrals of later regions reuse the spheres of earlier ones
-    assert len(shared.quadrature.spheres) < spheres
+    assert len(shared.sphere_integrals) < spheres
 
 
 def test_repeated_inversion_evaluates_no_new_point():
@@ -250,12 +262,14 @@ def test_repeated_inversion_evaluates_no_new_point():
     phi = _CountingExponent(m)
     first = [invert_exponent(phi, i, l, 3, tol=1e-12) for i, l in MEMO_REGIONS]
     asked = len(phi.asked)
-    assert asked == len(set(phi.asked)) == len(phi.quadrature.points)
+    # each point is asked for once, and the exponent cache is the one
+    # place its value is kept
+    assert asked == len(set(phi.asked)) == len(phi._cache)
     again = [invert_exponent(phi, i, l, 3, tol=1e-12) for i, l in MEMO_REGIONS]
     assert again == first
     assert len(phi.asked) == asked
     # finished sphere integrals are answered without reading any point
-    phi.quadrature.points.clear()
+    phi._cache.clear()
     again = [invert_exponent(phi, i, l, 3, tol=1e-12) for i, l in MEMO_REGIONS]
     assert again == first
     assert len(phi.asked) == asked
@@ -273,7 +287,7 @@ def test_inversion_memo_keeps_its_exponent_collectable():
     try:
         phi = LevyExponent(m)
         invert_exponent(phi, 0, 2, 2, tol=1e-12)
-        assert phi.quadrature.points
+        assert phi.sphere_integrals and phi._cache
         ref = weakref.ref(phi)
         del phi
         # no reference cycle: plain reference counting frees it
@@ -296,7 +310,7 @@ def test_other_evaluators_get_a_memo_per_call():
     n = len(calls)
     assert invert_exponent(pointwise, 0, 2, 2, tol=1e-12) == first
     assert len(calls) == 2 * n
-    assert not exponent.quadrature.points
+    assert not exponent.sphere_integrals
 
 
 def test_invert_exponent_refinement_cap():
@@ -354,6 +368,16 @@ def test_classify_inconsistent_phases_raise():
     off_grid = cmath.exp(2j * math.pi * 0.137)
     with pytest.raises(ValueError):
         classify_two_valued(Pointwise(lambda t: off_grid, 2), 2)
+
+
+def test_classify_refuses_an_empty_probe_range():
+    # radius -9 below depth 8 probed no sphere and gave "delta xi=0"
+    g = StableLaw(StableParams(1.0, 1.0, 2))
+    with pytest.raises(ValueError, match="probes no sphere"):
+        classify_two_valued(g, 2, search_radius_exp=-9, probe_depth=8)
+    # one sphere is a probe range
+    form = classify_two_valued(HaarUniform(Ball(2, 0, 0)), 2, -8, 8)
+    assert form.kind == "delta" and form.xi.is_zero
 
 
 def test_classify_symmetric_never_offcenter_delta():

@@ -308,6 +308,10 @@ DIGESTS = {
         "ea6ac7403fbae0a7915692235d3ee3e0"
         "f2299d2310e3bf0117839588b1341a9e"
     ),
+    "preset_stable_limit": (
+        "b8a1f5cbe30763df458c68b6a76d8aa4"
+        "b38b8c09ec2df5d20d5d54c8bf478697"
+    ),
     "scaling_and_masses": (
         "326a981f685836ff85d2db4d1da5259a"
         "be337e54888eeb77628ac2fac8ed326b"
@@ -344,6 +348,7 @@ CASES = {
         _preset_report, "bounded_normalizers", m=120
     ),
     "preset_beta0_demo": functools.partial(_preset_report, "beta0_demo"),
+    "preset_stable_limit": functools.partial(_preset_report, "stable_limit", m=400),
     "stable_limit_report": stable_limit_report,
     "stable_limit_deep_p3": stable_limit_deep_p3,
     "law_point_mass": law_point_mass,
