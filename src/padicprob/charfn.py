@@ -482,9 +482,6 @@ class Sampler:
         stands for (None when it draws that law exactly)."""
         return None
 
-    def spec(self) -> dict:
-        raise NotImplementedError
-
 
 def _residue_dtype(mod: int):
     """uint64 for residues below ``mod`` when it fits, else Python ints."""
@@ -539,9 +536,6 @@ class PointMassSampler(Sampler):
         total = k * one.values.tolist()[0] % p**one.width
         return ResidueBatch(p, one.top, one.window, [total] * replicates)
 
-    def spec(self) -> dict:
-        return {"kind": "point_mass", "xi": str(self.xi)}
-
 
 @dataclass(frozen=True)
 class HaarBallSampler(_BlockSampler):
@@ -577,14 +571,6 @@ class HaarBallSampler(_BlockSampler):
         digits = np.full(count, self._digits)  # type: ignore[attr-defined]
         u = _uniform_digits(rng, self.prime, digits, dtype)
         return top, u * self._step + self._center  # type: ignore[attr-defined]
-
-    def spec(self) -> dict:
-        return {
-            "kind": "haar_ball",
-            "center": str(self.ball.center),
-            "radius_exp": self.ball.radius_exp,
-            "resolution": self.resolution,
-        }
 
 
 @dataclass(frozen=True)
@@ -673,14 +659,6 @@ class RadialSampler(_BlockSampler):
             "top_tail": table.tail_above,
             "clamped": list(table.clamped),
             "error_bound": table.error_bound,
-        }
-
-    def spec(self) -> dict:
-        return {
-            "kind": "radial_table",
-            "n_lo": self.table.n_lo,
-            "n_hi": self.table.n_hi,
-            "resolution": self.resolution,
         }
 
 
@@ -778,9 +756,6 @@ class CompoundPoissonSampler(_BlockSampler):
     def prime(self) -> int:  # type: ignore[override]
         return self.measure.prime
 
-    def _jump_rate(self) -> float:
-        return self._lam  # type: ignore[attr-defined]
-
     def _sphere_factors(self, top: int) -> tuple[int, ...]:
         """The residues of p**(top - n) * (b/a)**k modulo p**(top -
         resolution) for the spheres n = resolution + 1, ..., top (k = n //
@@ -854,13 +829,6 @@ class CompoundPoissonSampler(_BlockSampler):
 
     # its own attribute, so the class's draws can be traced by name
     draw = Sampler.draw
-
-    def spec(self) -> dict:
-        return {
-            "kind": "compound_poisson",
-            "resolution": self.resolution,
-            "rate": self._jump_rate(),
-        }
 
 
 # ---------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .levy import (
     invert_exponent,
     measure_mass,
 )
-from .limits import PRESETS, convergence_report
+from .limits import convergence_report, preset_spec
 from .padic import PAdicNumber, format_padic, grid_points, parse_number
 from .sets import Ball
 from .specs import (
@@ -237,18 +237,14 @@ def cmd_classify(args) -> int:
 
 
 def cmd_limit_verify(args) -> int:
+    # a preset is its scenario document, run as a --config of it
     if args.preset:
-        if args.preset not in PRESETS:
-            raise SpecValidationError(
-                f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}"
-            )
-        scenario = PRESETS[args.preset]()
-        config = {"preset": args.preset}
-    else:
-        if not args.config:
-            raise SpecValidationError("pass --config FILE or --preset NAME")
+        config = preset_spec(args.preset)
+    elif args.config:
         config = _load_json(args.config)
-        scenario = scenario_from_spec(config)
+    else:
+        raise SpecValidationError("pass --config FILE or --preset NAME")
+    scenario = scenario_from_spec(config)
     if args.seed is not None:
         scenario.seed = int(args.seed)
     report = convergence_report(scenario, workers=args.workers)

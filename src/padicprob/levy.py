@@ -740,9 +740,18 @@ def _probe_depth(p: int, requested: int, per_sphere_cap: int = 512) -> int:
     return max(1, min(requested, d))
 
 
-def _reconstruct_point(at_power: dict[int, complex], p: int, lo: int, hi: int) -> PAdicNumber:
+def _reconstruct_point(
+    at_power: dict[int, complex], p: int, lo: int, hi: int, tol: float
+) -> PAdicNumber:
     """Digits of xi from the phases of g at t = p**-m, m in [lo, hi],
-    given as ``at_power[m]`` = g(p**-m)."""
+    given as ``at_power[m]`` = g(p**-m).  g(p**-lo) = chi(xi * p**-lo) is
+    1 exactly when xi has no digit below p**lo, which no probe reads; when
+    it is not within ``tol`` of 1, raises ValueError."""
+    if abs(at_power[lo] - 1) > tol:
+        raise ValueError(
+            f"xi has a digit below the probe depth {-lo}: g(p**{-lo}) = "
+            f"{at_power[lo]}, not 1"
+        )
     phis = {m: _snap_phase(at_power[m], p, max(0, m - lo + 2)) for m in range(lo, hi + 1)}
     value = Fraction(0)
     for idx in range(lo, hi):
@@ -805,7 +814,7 @@ def classify_two_valued(
     ks = sorted(sphere_kind)
     ones = [k for k in ks if sphere_kind[k] == "one"]
     if len(ones) == len(ks):
-        xi = _reconstruct_point(at_power, p, -probe_depth, search_radius_exp)
+        xi = _reconstruct_point(at_power, p, -probe_depth, search_radius_exp, tol)
         return TwoValuedForm("delta", xi=xi)
     if not ones:
         raise ValueError(
@@ -815,7 +824,7 @@ def classify_two_valued(
     cut = max(ones)
     if ones != [k for k in ks if k <= cut]:
         return TwoValuedForm("not_two_valued")
-    xi = _reconstruct_point(at_power, p, -probe_depth, cut)
+    xi = _reconstruct_point(at_power, p, -probe_depth, cut, tol)
     return TwoValuedForm("haar_cutoff", xi=xi, cutoff_exp=cut)
 
 

@@ -1,6 +1,5 @@
 """Normalised-sum schemes, their theoretical and simulated transforms,
-rescaled jump measures, convergence diagnostics, and degenerate-case
-presets.
+rescaled jump measures, convergence diagnostics, and the presets.
 
 The scheme S_n = B_n**-1 (X_1 + ... + X_k(n)) is driven either by the
 geometric construction B_n = gamma0**-n, k(n) = floor(beta**-n), or by
@@ -15,31 +14,23 @@ as a zero.
 
 from __future__ import annotations
 
+import json
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 from typing import Callable, Sequence
 
-from .charfn import (
-    HaarBallSampler,
-    HaarUniform,
-    PointMass,
-    Sampler,
-    StableLaw,
-    StableParams,
-    Transform,
-    ball_probability,
-    substream,
-)
+from .charfn import Sampler, Transform, ball_probability, substream
 from .errors import ToleranceError
-from .levy import JumpMeasure, classify_two_valued, measure_mass
+from .levy import classify_two_valued, measure_mass
 from .padic import (
     PAdicNumber,
     _check_prime,
     PhaseTable,
     character_values,
-    grid_points,
     split_p_part,
 )
 from .residues import ResidueBatch, tally_blocks
@@ -311,9 +302,10 @@ def default_ball_family(p: int, count: int = 20) -> list[Ball]:
 class Scenario:
     """A reproducible convergence experiment.
 
-    ``law`` draws the summands; ``law_source`` (when available) is their
-    exact transform, for the theory rows; ``target`` is the transform of
-    the limit law.
+    ``law`` draws the summands and ``law_spec`` is the sampler spec it
+    was built from; ``law_source`` (when available) is their exact
+    transform, for the theory rows; ``target`` is the transform of the
+    limit law.
     """
 
     name: str
@@ -326,11 +318,11 @@ class Scenario:
     m: int
     seed: int
     n_list: tuple[int, ...]
+    law_spec: dict
     law_source: Transform | None = None
     target: Transform | None = None
     kind: str = "generic"
     tolerances: dict = field(default_factory=dict)
-    law_spec: dict = field(default_factory=dict)
 
     def tol(self, key: str, default: float) -> float:
         return float(self.tolerances.get(key, default))
@@ -657,7 +649,7 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
             "beta": str(scenario.scheme.beta),
             "gamma0": str(scenario.scheme.gamma0),
         },
-        "law": scenario.law_spec or scenario.law.spec(),
+        "law": scenario.law_spec,
         "kind": scenario.kind,
         "tolerances": dict(scenario.tolerances),
         "grid": [str(t.as_rational()) for t in scenario.grid],
@@ -686,102 +678,30 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
 # Presets
 # ---------------------------------------------------------------------
 
-
-def stable_limit_scenario(
-    m: int = 4000, seed: int = 7, n_list: tuple[int, ...] = (0, 2, 4, 6)
-) -> Scenario:
-    """Self-similar construction over p = 2 with a = alpha = 1: stable
-    summands drawn sphere-first at resolution -8, geometric scheme,
-    closed-form target (which the exact transform of the jump measure
-    reproduces)."""
-    from .charfn import stable_sampler
-    from .levy import make_example_measure
-
-    p = 2
-    measure = make_example_measure(1, 1, p)
-    params = StableParams(1.0, 1.0, p)
-    scheme = LimitScheme.geometric(
-        p, measure.beta, measure.gamma0, n_max=max(n_list)
-    )
-    return Scenario(
-        name="stable-limit-example",
-        prime=p,
-        law=stable_sampler(params, resolution=-8),
-        scheme=scheme,
-        grid=tuple(grid_points(p)),
-        balls=tuple(default_ball_family(p, 10)),
-        sets=(TailSet(p, 0), TailSet(p, 1)),
-        m=m,
-        seed=seed,
-        n_list=tuple(n_list),
-        law_source=JumpMeasure(measure),
-        target=JumpMeasure(measure, closed_form=StableLaw(params)),
-        kind="stable_limit",
-    )
+# The paper's k(n) regimes as scenario documents, presets/<name>.json:
+# the stable limit of k(n) ~ beta**-n (over p = 2, a = alpha = 1), and
+# three degenerate limits with Haar summands on Z_p, at beta = 1 (a point
+# mass), at bounded normalisers (the uniform law on Z_p) and at beta -> 0
+# (a demonstration nothing is asserted of).
+PRESET_DIR = Path(__file__).with_name("presets")
 
 
-def _haar_scenario(
-    name: str, kind: str, p: int, b_list: list[Fraction], k_list: list[int],
-    half_width: int, balls: int, m: int, seed: int, target: Transform | None = None,
-) -> Scenario:
-    """A preset with Haar summands on Z_p (resolution -12), the explicit
-    scheme (b_list, k_list) for n = 0..len(b_list) - 1, the grid of
-    |t| <= p**half_width, the first ``balls`` diagnostic balls and no
-    sets."""
-    law = HaarBallSampler(ball=Ball(p, 0, 0), resolution=-12)
-    return Scenario(
-        name=name,
-        prime=p,
-        law=law,
-        scheme=LimitScheme.explicit(p, b_list, k_list),
-        grid=tuple(grid_points(p, -half_width, half_width)),
-        balls=tuple(default_ball_family(p, balls)),
-        sets=(),
-        m=m,
-        seed=seed,
-        n_list=tuple(range(len(b_list))),
-        law_source=HaarUniform(law.ball),
-        target=target,
-        kind=kind,
-    )
+def preset_spec(name: str) -> dict:
+    """The scenario document of the preset ``name``."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    return json.loads((PRESET_DIR / f"{name}.json").read_text())
 
 
-def beta_one_scenario(m: int = 800) -> Scenario:
-    """beta = 1 regime over p = 3: Haar summands, B_n = 3**-n, k(n) = n
-    (k(0) = 1), n <= 8; the limit is the point mass at 0."""
-    return _haar_scenario(
-        "beta-one-degenerate", "beta_one", 3,
-        [Fraction(1, 3**n) for n in range(9)], [max(n, 1) for n in range(9)],
-        half_width=4, balls=6, m=m, seed=11, target=PointMass(PAdicNumber.zero(3)),
-    )
+def _build_preset(name: str, m: int) -> Scenario:
+    """The preset ``name``'s scenario at ``m`` replicates."""
+    from .specs import scenario_from_spec  # specs imports this module
+
+    return scenario_from_spec({**preset_spec(name), "m": m})
 
 
-def bounded_normalizer_scenario(m: int = 800) -> Scenario:
-    """Bounded normalisers B_n = 1 with Haar summands over p = 3, n <= 6:
-    the limit is the uniform law on the unit ball (transform = unit-ball
-    cutoff)."""
-    return _haar_scenario(
-        "bounded-normalizers-cutoff", "bounded_normalizers", 3,
-        [Fraction(1)] * 7, [n + 1 for n in range(7)],
-        half_width=4, balls=6, m=m, seed=13, target=HaarUniform(Ball(3, 0, 0)),
-    )
-
-
-def beta0_demo_scenario(m: int = 0) -> Scenario:
-    """Exploratory beta -> 0 demonstration over p = 2 (k(n) = 2**(2**n)
-    growing super-fast with gamma0 != 0, n <= 3).  Nothing is asserted
-    about this scenario; it exists to expose the corner, not to verify a
-    claim."""
-    return _haar_scenario(
-        "beta0-demo", "demo", 2,
-        [Fraction(1, 2) ** n for n in range(4)], [2 ** (2**n) for n in range(4)],
-        half_width=3, balls=0, m=m, seed=17,
-    )
-
-
+# PRESETS[name](m) builds the preset ``name``
 PRESETS = {
-    "stable_limit": stable_limit_scenario,
-    "beta_one": beta_one_scenario,
-    "bounded_normalizers": bounded_normalizer_scenario,
-    "beta0_demo": beta0_demo_scenario,
+    name: partial(_build_preset, name)
+    for name in ("stable_limit", "beta_one", "bounded_normalizers", "beta0_demo")
 }

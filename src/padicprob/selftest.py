@@ -38,15 +38,14 @@ from .levy import (
     validate_scaling,
 )
 from .limits import (
+    PRESETS,
     LimitScheme,
     SumTransform,
     convergence_report,
     default_ball_family,
     phi_n_measure,
+    preset_spec,
     theoretical_fn,
-    stable_limit_scenario,
-    beta_one_scenario,
-    bounded_normalizer_scenario,
 )
 from .padic import (
     PAdicNumber,
@@ -54,6 +53,7 @@ from .padic import (
     rational_char_phase,
 )
 from .sets import Ball, CompactOpenSet, TailSet, annulus, integrate_char, split_sphere
+from .specs import scenario_from_spec
 
 # frozen by the independent truncated-series oracle (j down to -60):
 # sum_{j<=0} 2**(j-1) * exp(-2**j)
@@ -405,7 +405,7 @@ def criterion_9(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
     """Degenerate regimes: exact transforms and classification verdicts."""
     started = time.perf_counter()
     # beta = 1 scheme: transform of S_n is exactly 1 once n >= log_p |t|
-    sc2 = beta_one_scenario(m=0)
+    sc2 = PRESETS["beta_one"](m=0)
     exact2 = True
     for n in sc2.n_list:
         for t in sc2.grid:
@@ -416,7 +416,7 @@ def criterion_9(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
                 exact2 = False
     rep2 = convergence_report(sc2)
     # bounded normalisers: transform is exactly the unit-ball cutoff
-    sc3 = bounded_normalizer_scenario(m=0)
+    sc3 = PRESETS["bounded_normalizers"](m=0)
     exact3 = True
     for n in sc3.n_list:
         for t in sc3.grid:
@@ -460,7 +460,8 @@ def _report_bytes(scenario, workers: int) -> bytes:
 def criterion_10(seed: int = DEFAULT_SEED, workers: int = 2, **_) -> CriterionResult:
     """Byte-identical reports across repeated and parallel runs."""
     started = time.perf_counter()
-    sc = stable_limit_scenario(m=400, n_list=(0, 2), seed=seed)
+    stable = {**preset_spec("stable_limit"), "m": 400, "n_list": [0, 2], "seed": seed}
+    sc = scenario_from_spec(stable)
     b_serial_1 = _report_bytes(sc, workers=1)
     b_serial_2 = _report_bytes(sc, workers=1)
     b_parallel = _report_bytes(sc, workers=max(2, workers))

@@ -49,9 +49,7 @@ class SpecValidationError(ValueError):
 def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, float)):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -201,6 +199,23 @@ SCHEME_SCHEMA = {
     "additionalProperties": False,
 }
 
+# the keys of a two-valued target (a delta or Haar-cutoff limit law), as
+# in _SAMPLER_KEYS: it is drawn from by no run, so has no resolution
+_TARGET_KEYS = {
+    "point_mass": (("xi",), ()),
+    "haar_ball": (("p", "center", "radius_exp"), ()),
+}
+
+TWO_VALUED_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "kind": {"enum": list(_TARGET_KEYS)},
+        **{key: SAMPLER_SCHEMA["properties"][key] for key in ("p", "xi", "center", "radius_exp")},
+    },
+    "required": ["kind"],
+    "additionalProperties": False,
+}
+
 SCENARIO_SCHEMA = {
     "type": "object",
     "properties": {
@@ -208,7 +223,7 @@ SCENARIO_SCHEMA = {
         "kind": {"enum": ["generic", "stable_limit", "beta_one", "bounded_normalizers", "demo"]},
         "law": SAMPLER_SCHEMA,
         "scheme": SCHEME_SCHEMA,
-        "target": {"oneOf": [MEASURE_SCHEMA, {"type": "null"}]},
+        "target": {"oneOf": [MEASURE_SCHEMA, {"type": "null"}, TWO_VALUED_SCHEMA]},
         "grid": {
             "type": "object",
             "properties": {
@@ -415,8 +430,14 @@ def validate(obj, schema: dict, what: str = "config") -> None:
 # ---------------------------------------------------------------------
 
 
+# A public builder validates its document, once; a private one builds a
+# part of a document that has been validated.
 def measure_from_spec(obj) -> SelfSimilarLevyMeasure:
     validate(obj, MEASURE_SCHEMA, "measure spec")
+    return _measure(obj)
+
+
+def _measure(obj) -> SelfSimilarLevyMeasure:
     if "stable" in obj:
         s = obj["stable"]
         return make_example_measure(s["a"], s["alpha"], s["p"])
@@ -480,6 +501,10 @@ def _check_keys(obj, field: str, table: dict, what: str) -> None:
 
 def sampler_from_spec(obj) -> Sampler:
     validate(obj, SAMPLER_SCHEMA, "sampler spec")
+    return _sampler(obj)
+
+
+def _sampler(obj) -> Sampler:
     kind = obj["kind"]
     _check_keys(obj, "kind", _SAMPLER_KEYS, kind)
     if kind == "point_mass":
@@ -497,12 +522,12 @@ def sampler_from_spec(obj) -> Sampler:
             n_hi=obj.get("n_hi", 40),
         )
     return CompoundPoissonSampler(
-        measure=measure_from_spec(obj["measure"]),
+        measure=_measure(obj["measure"]),
         resolution=obj.get("resolution", -6),
     )
 
 
-def law_source_from_spec(obj, sampler: Sampler) -> Transform | None:
+def law_source_from_spec(obj, sampler: Sampler) -> Transform:
     """Exact transform of the sampler's law, for theoretical curves."""
     kind = obj["kind"]
     if kind == "point_mass":
@@ -511,23 +536,20 @@ def law_source_from_spec(obj, sampler: Sampler) -> Transform | None:
         return HaarUniform(sampler.ball)  # type: ignore[attr-defined]
     if kind == "radial_stable":
         return StableLaw(StableParams(obj["a"], obj["alpha"], obj["p"]))
-    if kind == "compound_poisson":
-        return JumpMeasure(sampler.measure)  # type: ignore[attr-defined]
-    return None
+    return JumpMeasure(sampler.measure)  # type: ignore[attr-defined]
 
 
 def scheme_from_spec(obj) -> LimitScheme:
     validate(obj, SCHEME_SCHEMA, "scheme spec")
+    return _scheme(obj)
+
+
+def _scheme(obj) -> LimitScheme:
     _check_keys(obj, "mode", _SCHEME_KEYS, f"{obj['mode']} scheme")
     if obj["mode"] == "geometric":
-        beta = obj["beta"]
-        beta_val = parse_rational(beta) if isinstance(beta, str) else beta
-        return LimitScheme.geometric(
-            obj["p"],
-            beta_val,
-            parse_rational(obj["gamma0"]),
-            n_max=obj.get("n_max", 10),
-        )
+        beta = parse_rational(obj["beta"]) if isinstance(obj["beta"], str) else obj["beta"]
+        gamma0 = parse_rational(obj["gamma0"])
+        return LimitScheme.geometric(obj["p"], beta, gamma0, n_max=obj.get("n_max", 10))
     return LimitScheme.explicit(
         obj["p"],
         [parse_rational(b) for b in obj["b_list"]],
@@ -535,37 +557,41 @@ def scheme_from_spec(obj) -> LimitScheme:
     )
 
 
+def _target(obj) -> Transform:
+    """The transform of a target spec: a two-valued law's is the one
+    law_source_from_spec gives, and a measure's is its JumpMeasure.  A
+    stable target is exact through its measure's exponent, and reads the
+    closed form on spheres."""
+    if "kind" in obj:
+        _check_keys(obj, "kind", _TARGET_KEYS, f"{obj['kind']} target")
+        return law_source_from_spec(obj, _sampler(obj))
+    s = obj.get("stable")
+    closed_form = None if s is None else StableLaw(StableParams(s["a"], s["alpha"], s["p"]))
+    return JumpMeasure(_measure(obj), closed_form)
+
+
 def scenario_from_spec(obj) -> Scenario:
     validate(obj, SCENARIO_SCHEMA, "scenario spec")
-    law = sampler_from_spec(obj["law"])
-    scheme = scheme_from_spec(obj["scheme"])
+    law = _sampler(obj["law"])
+    scheme = _scheme(obj["scheme"])
     p = scheme.prime
     if law.prime != p:
         raise SpecValidationError("law and scheme primes differ")
     target = None
     if obj.get("target") is not None:
-        # a stable target is exact through its measure's exponent, and
-        # reads the closed form on spheres
-        measure = measure_from_spec(obj["target"])
-        if measure.prime != p:
+        target = _target(obj["target"])
+        if target.prime != p:
             raise SpecValidationError("target and scheme primes differ")
-        s = obj["target"].get("stable")
-        closed_form = None if s is None else StableLaw(StableParams(s["a"], s["alpha"], s["p"]))
-        target = JumpMeasure(measure, closed_form)
     grid_cfg = obj.get("grid", {"k_lo": -6, "k_hi": 6})
     if grid_cfg["k_lo"] > grid_cfg["k_hi"]:
         raise SpecValidationError("grid is empty: k_lo exceeds k_hi")
     grid = tuple(grid_points(p, grid_cfg["k_lo"], grid_cfg["k_hi"]))
     if "balls" in obj:
-        balls = []
-        for lit in obj["balls"]:
-            b = parse_set_literal(lit, p)
-            if not isinstance(b, Ball):
-                raise SpecValidationError("ball family entries must be balls")
-            balls.append(b)
-        balls = tuple(balls)
+        balls = tuple(parse_set_literal(lit, p) for lit in obj["balls"])
     else:
         balls = tuple(default_ball_family(p, 10))
+    if not all(isinstance(b, Ball) for b in balls):
+        raise SpecValidationError("ball family entries must be balls")
     sets = tuple(
         parse_set_literal(lit, p) for lit in obj.get("sets", ["annulus(0,inf)"])
     )

@@ -68,6 +68,25 @@ def test_classify_delta(capsys):
     assert out.strip() == "delta xi=1/2"
 
 
+@pytest.mark.parametrize("args, depth", [
+    (["--cf", "delta:1/512", "--p", "2"], 8),
+    (["--cf", "delta:1/2", "--p", "2", "--depth", "0"], 0),
+    (["--cf", f"delta:1/{2**30}", "--p", "2"], 8),
+])
+def test_classify_a_point_below_the_probe_depth_exits_2(args, depth, capsys):
+    # xi = 2**-9 and 2**-30 at depth 8, and 1/2 at depth 0, have a digit
+    # no probed sphere reads: each printed "delta xi=0" and exited 0
+    code, out, err = run(["classify", *args], capsys)
+    assert code == 2 and out == ""
+    assert f"below the probe depth {depth}" in err
+
+
+def test_classify_a_point_at_the_probe_depth(capsys):
+    code, out, _ = run(["classify", "--cf", "delta:1/256", "--p", "2"], capsys)
+    assert code == 0
+    assert out.strip() == "delta xi=1/256"
+
+
 def test_levy_invert_check(tmp_path, capsys):
     mfile = tmp_path / "m.json"
     mfile.write_text(json.dumps({"stable": {"a": 1, "alpha": 1, "p": 2}}))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fraction_balls as oracle
 from evaluators import Pointwise
-from padicprob.charfn import HaarUniform, StableLaw, StableParams, substream
+from padicprob.charfn import HaarUniform, PointMass, StableLaw, StableParams, substream
 from padicprob.errors import (
     InfiniteMassError,
     PrecisionError,
@@ -378,6 +378,20 @@ def test_classify_refuses_an_empty_probe_range():
     # one sphere is a probe range
     form = classify_two_valued(HaarUniform(Ball(2, 0, 0)), 2, -8, 8)
     assert form.kind == "delta" and form.xi.is_zero
+
+
+def test_classify_refuses_a_point_below_the_probe_depth():
+    # the phase of g(p**probe_depth) is 0 exactly when xi has no digit
+    # below the probe depth; a truncated xi was returned
+    for xi, p, depth in ((Fraction(1, 2**9), 2, 8), (Fraction(1, 2), 2, 0), (Fraction(5, 3**4), 3, 3)):
+        g = PointMass(from_rational(xi, p=p))
+        with pytest.raises(ValueError, match=f"below the probe depth {depth}"):
+            classify_two_valued(g, p, probe_depth=depth)
+        form = classify_two_valued(g, p, probe_depth=depth + 1)
+        assert form.kind == "delta" and form.xi.as_rational() == xi
+    # a Haar ball around such a point is refused alike
+    with pytest.raises(ValueError, match="below the probe depth 2"):
+        classify_two_valued(HaarUniform(Ball(3, Fraction(1, 27), -4)), 3, probe_depth=2)
 
 
 def test_classify_symmetric_never_offcenter_delta():

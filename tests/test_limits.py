@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from evaluators import empirical_cf
 from padicprob import charfn
 from padicprob.charfn import (
-    CompoundPoissonSampler,
     HaarBallSampler,
     HaarUniform,
     PointMass,
@@ -29,21 +28,20 @@ from padicprob.levy import (
     random_self_similar_measure,
 )
 from padicprob.limits import (
+    PRESETS,
     LimitScheme,
     Scenario,
     _block_sizes,
     convergence_report,
     default_ball_family,
     phi_n_measure,
-    beta_one_scenario,
-    bounded_normalizer_scenario,
-    beta0_demo_scenario,
+    preset_spec,
     scaling_identity_check,
     simulate_sums,
     sum_residues,
     theoretical_fn,
-    stable_limit_scenario,
 )
+from padicprob.specs import sampler_from_spec, scenario_from_spec
 from padicprob.errors import PrecisionError, PrimeMismatchError
 from padicprob.residues import tally
 from padicprob.padic import PAdicNumber, from_rational, grid_points
@@ -206,8 +204,13 @@ def test_default_ball_family_deterministic():
     assert len(set(fam1)) == 20
 
 
+def _stable_preset(**changes) -> Scenario:
+    """The stable_limit preset's document, with ``changes``."""
+    return scenario_from_spec({**preset_spec("stable_limit"), **changes})
+
+
 def test_beta_one_scenario_degenerate():
-    sc = beta_one_scenario(m=0)
+    sc = PRESETS["beta_one"](m=0)
     rep = convergence_report(sc)
     assert rep.degenerate == "delta"
     assert rep.verdicts["degenerate_verdict"]
@@ -220,20 +223,20 @@ def test_beta_one_scenario_degenerate():
 
 
 def test_bounded_normalizer_scenario_haar_cutoff():
-    sc = bounded_normalizer_scenario(m=0)
+    sc = PRESETS["bounded_normalizers"](m=0)
     rep = convergence_report(sc)
     assert rep.degenerate == "haar_cutoff"
     assert rep.verdicts["degenerate_verdict"]
 
 
 def test_beta0_demo_runs_without_assertions():
-    sc = beta0_demo_scenario()
+    sc = PRESETS["beta0_demo"](m=0)
     rep = convergence_report(sc)
     assert rep.verdicts == {} or all(rep.verdicts.values())
 
 
 def test_stable_limit_report_small_and_parallel_determinism():
-    sc = stable_limit_scenario(m=300, n_list=(0, 2), seed=5)
+    sc = _stable_preset(m=300, n_list=[0, 2], seed=5)
     sc.tolerances["phi_final"] = 0.1  # shallow n_list: trajectory not converged yet
     rep1 = convergence_report(sc, workers=1)
     rep2 = convergence_report(sc, workers=2)
@@ -256,7 +259,7 @@ def test_phi_trajectory_needs_a_row_at_the_final_n(monkeypatch):
     import padicprob.limits as limits
     from padicprob.errors import ToleranceError
 
-    sc = stable_limit_scenario(m=0, n_list=(0, 2))
+    sc = _stable_preset(m=0, n_list=[0, 2])
     sc.tolerances["phi_final"] = 1e9  # every row that is present passes
     rep = convergence_report(sc)
     assert rep.verdicts["phi_trajectory"]
@@ -286,7 +289,7 @@ def test_phi_trajectory_fails_when_every_row_is_dropped(monkeypatch):
         raise ToleranceError("dropped")
 
     monkeypatch.setattr(limits, "phi_n_measure", always)
-    rep = convergence_report(stable_limit_scenario(m=0, n_list=(0, 2)))
+    rep = convergence_report(_stable_preset(m=0, n_list=[0, 2]))
     assert rep.phi_rows == []
     assert rep.verdicts["phi_trajectory"] is False
     assert not rep.passed
@@ -347,6 +350,7 @@ def test_measure_source_evaluates_each_point_once(monkeypatch):
         m=0,
         seed=0,
         n_list=(0, 1, 2),
+        law_spec={"kind": "haar_ball", "p": p, "center": "0", "radius_exp": 0, "resolution": -12},
         law_source=JumpMeasure(m),
         kind="beta_one",
     )
@@ -459,11 +463,14 @@ def test_theoretical_fn_matches_oracle(seed):
 
 
 def test_each_report_evaluates_through_its_own_exponent():
-    # a memo must not outlive its report: the scenario's transforms keep
-    # empty exponent caches however often it is reported, and the
+    # a memo must not outlive its report: the scenario's transforms (a
+    # compound-Poisson law's and a stable target's, each a JumpMeasure)
+    # keep empty exponent caches however often it is reported, and the
     # module-level sphere-value memo is never filled
     charfn._measure_radial_value.cache_clear()
-    sc = stable_limit_scenario(m=0, n_list=(0, 2))
+    law = {"kind": "compound_poisson", "measure": {"stable": {"a": 1, "alpha": 1, "p": 2}},
+           "resolution": -4}
+    sc = _stable_preset(law=law, m=0, n_list=[0, 2])
     first = convergence_report(sc)
     second = convergence_report(sc)
     assert first.sup_rows == second.sup_rows and first.sup_rows
@@ -484,7 +491,7 @@ def test_one_process_pool_per_report(monkeypatch):
 
     # _mc_rows imports the pool class when it opens a pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
-    sc = stable_limit_scenario(m=64, n_list=(0, 2, 4))
+    sc = _stable_preset(m=64, n_list=[0, 2, 4])
     parallel = convergence_report(sc, workers=2)
     assert len(opened) == 1
     assert parallel.csv_rows() == convergence_report(sc).csv_rows()
@@ -495,7 +502,7 @@ def test_one_process_pool_per_report(monkeypatch):
 # digits of t that are not known once |x| is large, which few blocks draw.
 def _failing_block_scenario(case: str) -> Scenario:
     p = 2
-    law = stable_sampler(StableParams(1.0, 1.0, p), resolution=-8)
+    law_spec = {"kind": "radial_stable", "a": 1.0, "alpha": 1.0, "p": p, "resolution": -8}
     balls = default_ball_family(p, 4)
     if case == "late_block_fails_a_grid_point":  # blocks 0-11 pass
         seed, precision = 0, 5
@@ -503,13 +510,15 @@ def _failing_block_scenario(case: str) -> Scenario:
         seed, precision = 2, 7
         balls.append(Ball(p, Fraction(1, 2), -12))  # finer than every window
     else:  # compound-Poisson blocks, tops 3, 0, 2, 5, ...; blocks 0-11 pass
-        law = CompoundPoissonSampler(measure=make_example_measure(1, 1, p), resolution=-3)
+        law_spec = {"kind": "compound_poisson", "resolution": -3,
+                    "measure": {"stable": {"a": 1, "alpha": 1, "p": p}}}
         seed, precision = 5, 6
     grid = (from_rational(1, 4, p=p), from_rational(1, 2, p=p, precision=precision))
     return Scenario(
-        name=case, prime=p, law=law,
+        name=case, prime=p, law=sampler_from_spec(law_spec),
         scheme=LimitScheme.geometric(p, Fraction(1, 2), 2, n_max=1),
         grid=grid, balls=tuple(balls), sets=(), m=64, seed=seed, n_list=(0, 1),
+        law_spec=law_spec,
     )
 
 
@@ -553,7 +562,7 @@ def test_report_raises_what_the_first_failing_block_raises(case, first_block, me
 def _stable_p3_scenario(m: int = 0):
     """A stable target at a = 2, alpha = 1.5, p = 3 on the grid up to |t| =
     3**4, where exp(-2 * 3**6) underflows to 0.0."""
-    from padicprob.specs import scenario_from_spec
+    from padicprob.specs import sampler_from_spec, scenario_from_spec
 
     return scenario_from_spec({
         "name": "stable-p3",

@@ -153,10 +153,15 @@ def _limit_verify_report(args, out_dir: Path) -> bytes:
     return out
 
 
-def _preset_report(name: str, tmp: Path, **kwargs) -> bytes:
-    preset = functools.partial(limits.PRESETS[name], **kwargs)
-    with mock.patch.dict(limits.PRESETS, {name: preset}):
-        return _limit_verify_report(["--preset", name], tmp)
+def _preset_report(name: str, tmp: Path, m: int | None = None) -> bytes:
+    """limit-verify --preset ``name``, read from a copy of its document
+    with m lowered to ``m``."""
+    spec = limits.preset_spec(name)
+    if m is not None:
+        spec["m"] = m
+    (tmp / f"{name}.json").write_text(json.dumps(spec, indent=2))
+    with mock.patch.object(limits, "PRESET_DIR", tmp):
+        return _limit_verify_report(["--preset", name], tmp / "out")
 
 
 def _config_report(config: dict, tmp: Path, *args: str) -> bytes:
@@ -211,29 +216,26 @@ def _small_config(name: str, law: dict, scheme: dict, target, **extra) -> dict:
     }
 
 
-def law_point_mass(tmp: Path, *args: str) -> bytes:
-    law = {"kind": "point_mass", "xi": "1/3 @ p=2"}
-    target = {"stable": {"a": 1, "alpha": 1, "p": 2}}
-    config = _small_config("point-mass", law, _GEOMETRIC_2, target)
-    return _config_report(config, tmp, *args)
-
-
-def law_haar_ball(tmp: Path, *args: str) -> bytes:
-    """A Haar ball away from 0 (a transform that is not radial) against
-    the non-radial configs/custom_measure.json."""
-    law = {"kind": "haar_ball", "p": 3, "center": "1/3", "radius_exp": -2,
-           "resolution": -12}
-    target = json.loads(Path(CUSTOM).read_text())
-    config = _small_config("haar-ball", law, _GEOMETRIC_3, target)
-    return _config_report(config, tmp, *args)
-
-
-def law_compound_poisson(tmp: Path, *args: str) -> bytes:
-    """Ball rows read a radial measure's own transform on spheres."""
-    law = {"kind": "compound_poisson", "resolution": -4,
-           "measure": {"stable": {"a": 1, "alpha": 1, "p": 2}}}
-    config = _small_config("compound-poisson", law, _GEOMETRIC_2, _RADIAL_MEASURE_2)
-    return _config_report(config, tmp, *args)
+LAW_CONFIGS = {
+    "law_point_mass": _small_config(
+        "point-mass", {"kind": "point_mass", "xi": "1/3 @ p=2"}, _GEOMETRIC_2,
+        {"stable": {"a": 1, "alpha": 1, "p": 2}},
+    ),
+    # a Haar ball away from 0 (a transform that is not radial) against the
+    # non-radial configs/custom_measure.json
+    "law_haar_ball": _small_config(
+        "haar-ball",
+        {"kind": "haar_ball", "p": 3, "center": "1/3", "radius_exp": -2, "resolution": -12},
+        _GEOMETRIC_3, json.loads(Path(CUSTOM).read_text()),
+    ),
+    # ball rows read a radial measure's own transform on spheres
+    "law_compound_poisson": _small_config(
+        "compound-poisson",
+        {"kind": "compound_poisson", "resolution": -4,
+         "measure": {"stable": {"a": 1, "alpha": 1, "p": 2}}},
+        _GEOMETRIC_2, _RADIAL_MEASURE_2,
+    ),
+}
 
 
 def target_stable_p3(tmp: Path) -> bytes:
@@ -249,12 +251,12 @@ def target_stable_p3(tmp: Path) -> bytes:
 
 DIGESTS = {
     "cf_eval_measure": (
-        "22569c1460ccd8c077d5b43330d89f35"
-        "5bbc0a496bd9d085f723ec14ea330be7"
+        "c9c2b575b8ce087160c87423b3c43a8c"
+        "7c1924353d7f2b444bf2318173870867"
     ),
     "cf_eval_stable": (
-        "8d4e6e770e6790f51a2d44fe673cbece"
-        "e065d176b8fc40915db8d6e93793f44d"
+        "6c3d4a7f964ac3e7ce42452dd8fae7a6"
+        "33a3927356e01f73943f079470b7273d"
     ),
     "classify_measures": (
         "25dfef2e3d2f020c80c2fe9925fcbf33"
@@ -277,56 +279,56 @@ DIGESTS = {
         "f20a4d40475b96a247e9674616e3ef34"
     ),
     "law_compound_poisson": (
-        "2af1f4de023873ff0384b349f2c06286"
-        "90d81f4875e814b751272f056a5ab56b"
+        "5c413814070d34b364eb91f434607146"
+        "c5e5493b91c82f84c93c41d6a4a4ccab"
     ),
     "law_haar_ball": (
-        "aa457523b39ce5e15da993d736eee6df"
-        "6ad3fcf96e7da7fe2f51d78e4146a39f"
+        "28732c6104c796e61140c0b3294feaa7"
+        "1eb0120f4ccb8fc15968023b9c3748a9"
     ),
     "law_point_mass": (
-        "6b3f43747891902f657e609ae1f6e361"
-        "dd28bf6b44f72a4dfe14f102450ac838"
+        "df60fb44ad07767bfe2f33a59df4fb5d"
+        "ec2efcadc5ef64ea717213606a478241"
     ),
     "levy_exponent_csv": (
-        "ff5767c17e7eb86fcd5040bed93c509d"
-        "d6fdda086374374d68895587010c4598"
+        "1a2abf241aa7c14dd1dbc217f3ed7ce3"
+        "65f91de73aee81c1ea35c35b7a722b7a"
     ),
     "levy_exponent_grid": (
         "8d93df0a92993e9a33b47dfba8b8a33c"
         "c7be0860fbec2a81e8539351182a9f4c"
     ),
     "preset_beta0_demo": (
-        "65f822d603e8cde3ed08e10129334cce"
-        "2ccf130b1565094c1235912fdfccf196"
+        "670b9c03dd1a70266fe7b700a970c59c"
+        "16c634203619b1332d005305899b59fc"
     ),
     "preset_beta_one": (
-        "75e0dd872fd7aaf9e2537d3c44d10e14"
-        "1738fd03df4ad3f878c2a8788e726243"
+        "9a3c633de65348b8cd4a7f1f8fdbbffd"
+        "f5624a0596557e3c3756384e497a7fda"
     ),
     "preset_bounded_normalizers": (
-        "ea6ac7403fbae0a7915692235d3ee3e0"
-        "f2299d2310e3bf0117839588b1341a9e"
+        "4d79d9208a2b60c1fac22a4e83b53c0c"
+        "3fa3c7a93c23b261dff5d1941ff38f90"
     ),
     "preset_stable_limit": (
-        "b8a1f5cbe30763df458c68b6a76d8aa4"
-        "b38b8c09ec2df5d20d5d54c8bf478697"
+        "03b5c214a91df61bd498a35b526a1e1c"
+        "224964d2ade6d3c0f511c62377dfabee"
     ),
     "scaling_and_masses": (
         "326a981f685836ff85d2db4d1da5259a"
         "be337e54888eeb77628ac2fac8ed326b"
     ),
     "stable_limit_deep_p3": (
-        "58007bbd4c342fc8fcdc8574fa5a9606"
-        "975cc72dd2c4427b3ca40eb1b284ac2f"
+        "0ceae820c5f0a4b01a1959a8004996bc"
+        "6d7075b44f6bedc7a288ed764abc498f"
     ),
     "stable_limit_report": (
-        "e16a39e584ac352aa8d94714aef6d4c8"
-        "7684f55a2ac2ed1b72d87a351e5794d1"
+        "5f99cb230272cdbacef3875c29b6e87c"
+        "6e397b03588cc83cad3b74b4a7ddd2d1"
     ),
     "target_stable_p3": (
-        "7b74104a8209398cfcb296240f1e80ed"
-        "0afd8fc2ae609110f6fc87962e56bbfc"
+        "66b10421a5510cf3a5645e0f9f184c50"
+        "0bbd5b2a37c8924b4697a321fbee3e1f"
     ),
 }
 
@@ -351,9 +353,7 @@ CASES = {
     "preset_stable_limit": functools.partial(_preset_report, "stable_limit", m=400),
     "stable_limit_report": stable_limit_report,
     "stable_limit_deep_p3": stable_limit_deep_p3,
-    "law_point_mass": law_point_mass,
-    "law_haar_ball": law_haar_ball,
-    "law_compound_poisson": law_compound_poisson,
+    **{name: functools.partial(_config_report, config) for name, config in LAW_CONFIGS.items()},
     "target_stable_p3": target_stable_p3,
 }
 
@@ -375,6 +375,41 @@ def test_law_reports_keep_their_bytes_under_a_process_pool(name, tmp_path):
     # --workers 2 runs the Monte Carlo blocks in a process pool; every
     # sampler kind must give the serial report's bytes
     assert _digest(CASES[name](tmp_path, "--workers", "2")) == DIGESTS[name]
+
+
+def _scenarios() -> dict:
+    """Each preset, each shipped scenario config and each law_* config,
+    at m = 0."""
+    out = {f"preset_{name}": functools.partial(build, m=0) for name, build in limits.PRESETS.items()}
+    configs = {path.name: json.loads(path.read_text()) for path in CONFIG_DIR.glob("*.json")}
+    configs.update(LAW_CONFIGS)
+    for name, config in configs.items():
+        if "law" in config:  # a scenario, not a measure
+            out[name] = functools.partial(specs.scenario_from_spec, dict(config, m=0))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_scenarios()))
+def test_every_report_names_a_valid_law_spec(name):
+    # a report's effective law is the spec its law was built from
+    scenario = _scenarios()[name]()
+    law = limits.convergence_report(scenario).effective["law"]
+    assert specs.sampler_from_spec(law) == scenario.law
+
+
+@pytest.mark.parametrize("name", sorted(limits.PRESETS))
+def test_a_preset_writes_what_a_config_of_its_document_writes(name, tmp_path):
+    # --preset reads the document the --config run reads, at a lowered m
+    spec = limits.preset_spec(name)
+    spec["m"] = min(spec["m"], 40)
+    (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+    runs = []
+    for args in (["--preset", name], ["--config", str(tmp_path / f"{name}.json")]):
+        out = tmp_path / args[0].strip("-")
+        with mock.patch.object(limits, "PRESET_DIR", tmp_path):
+            code = main(["limit-verify", *args, "--out", str(out)])
+        runs.append((code, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+    assert runs[0] == runs[1] and len(runs[0][1]) == 2
 
 
 def test_package_and_project_versions_agree():

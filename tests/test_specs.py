@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicprob.charfn import HaarUniform, PointMass
 from padicprob.cli import main
-from padicprob.sets import split_sphere
-from padicprob import specs
+from padicprob.padic import parse_number
+from padicprob.sets import Ball, split_sphere
+from padicprob import limits, specs
 from padicprob.specs import SpecValidationError, measure_from_spec, measure_to_spec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -226,6 +228,35 @@ REJECTED_SPECS = [
         dict(STABLE_CONFIG, target={"stable": {"a": 1, "alpha": 1, "p": 3}}),
         "target and scheme primes differ",
     ),
+    (
+        specs.scenario_from_spec,
+        dict(STABLE_CONFIG, target={"kind": "point_mass", "xi": "0 @ p=3"}),
+        "target and scheme primes differ",
+    ),
+    (
+        specs.scenario_from_spec,
+        dict(STABLE_CONFIG, target={"kind": "point_mass", "xi": "0 @ p=2", "p": 2}),
+        "point_mass target does not read p",
+    ),
+    (
+        specs.scenario_from_spec,
+        dict(STABLE_CONFIG, target={"kind": "haar_ball", "center": "0", "radius_exp": 0}),
+        "haar_ball target needs p",
+    ),
+    # a target is a transform, drawn from by no run: no resolution, and
+    # no kind whose law is not two-valued
+    (
+        specs.scenario_from_spec,
+        dict(STABLE_CONFIG, target={"kind": "haar_ball", "p": 2, "center": "0",
+                                    "radius_exp": 0, "resolution": -12}),
+        "invalid scenario spec: {'kind': 'haar_ball', 'p': 2, 'center': '0', "
+        "'radius_exp': 0, 'resolution': -12} is not valid under any of the given schemas",
+    ),
+    (
+        specs.scenario_from_spec,
+        dict(STABLE_CONFIG, target={"kind": "radial_stable", "a": 1, "alpha": 1, "p": 2}),
+        "invalid scenario spec: 'radial_stable' is not one of ['point_mass', 'haar_ball']",
+    ),
 ]
 
 
@@ -264,6 +295,56 @@ def test_limit_verify_refuses_integral_floats_with_exit_2(tmp_path, capsys, fiel
     path.write_text(json.dumps(dict(STABLE_CONFIG, **{field: value})))
     assert main(["limit-verify", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: invalid scenario spec: {text}\n"
+
+
+@pytest.mark.parametrize("target, transform", [
+    ({"kind": "point_mass", "xi": "1/2 @ p=2"}, PointMass(parse_number("1/2 @ p=2"))),
+    ({"kind": "haar_ball", "p": 2, "center": "1/2", "radius_exp": 1},
+     HaarUniform(Ball(2, Fraction(1, 2), 1))),
+])
+def test_a_two_valued_target_is_its_law_transform(target, transform):
+    assert specs.scenario_from_spec(dict(STABLE_CONFIG, target=target)).target == transform
+
+
+@pytest.mark.parametrize("config", [
+    STABLE_CONFIG,
+    dict(
+        STABLE_CONFIG,
+        law={"kind": "compound_poisson", "measure": CUSTOM_MEASURE, "resolution": -2},
+        scheme={"mode": "geometric", "p": 3, "beta": "1/3", "gamma0": "3"},
+        target=CUSTOM_MEASURE,
+    ),
+])
+def test_a_scenario_spec_is_validated_once(config, monkeypatch):
+    # its law, scheme and target are parts of the one document validated
+    calls = []
+    real = specs.validate
+
+    def counting(obj, schema, what="config"):
+        calls.append(what)
+        return real(obj, schema, what)
+
+    monkeypatch.setattr(specs, "validate", counting)
+    specs.scenario_from_spec(config)
+    assert calls == ["scenario spec"]
+    # a part built on its own is validated on its own
+    specs.sampler_from_spec(config["law"])
+    specs.scheme_from_spec(config["scheme"])
+    specs.measure_from_spec(config["target"])
+    assert calls == ["scenario spec", "sampler spec", "scheme spec", "measure spec"]
+
+
+PRESET_DOCS = {name: limits.preset_spec(name) for name in limits.PRESETS}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_DOCS))
+def test_every_preset_document_is_a_scenario_spec(name):
+    specs.validate(PRESET_DOCS[name], specs.SCENARIO_SCHEMA)
+    INT_ONLY(specs.SCENARIO_SCHEMA).validate(PRESET_DOCS[name])
+
+
+def test_the_stable_preset_is_the_shipped_config():
+    assert PRESET_DOCS["stable_limit"] == STABLE_CONFIG
 
 
 def test_every_tolerance_name_is_read():
@@ -372,6 +453,8 @@ SEED_SPECS = [
         balls=["ball(0,1)"],
     )),
     (specs.SCENARIO_SCHEMA, dict(STABLE_CONFIG, target=None)),
+    (specs.SCENARIO_SCHEMA, PRESET_DOCS["beta_one"]),
+    (specs.SCENARIO_SCHEMA, PRESET_DOCS["bounded_normalizers"]),
     (specs.SAMPLER_SCHEMA, STABLE_CONFIG["law"]),
     (specs.SCHEME_SCHEMA, STABLE_CONFIG["scheme"]),
     (specs.MEASURE_SCHEMA, CUSTOM_MEASURE),
