@@ -687,7 +687,7 @@ PRESET_DIR = Path(__file__).with_name("presets")
 
 
 def preset_spec(name: str) -> dict:
-    """The scenario document of the preset ``name``."""
+    """A fresh copy of the scenario document of the preset ``name``."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     return json.loads((PRESET_DIR / f"{name}.json").read_text())

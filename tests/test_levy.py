@@ -381,9 +381,10 @@ def test_classify_refuses_an_empty_probe_range():
 
 
 def test_classify_refuses_a_point_below_the_probe_depth():
-    # the phase of g(p**probe_depth) is 0 exactly when xi has no digit
-    # below the probe depth; a truncated xi was returned
-    for xi, p, depth in ((Fraction(1, 2**9), 2, 8), (Fraction(1, 2), 2, 0), (Fraction(5, 3**4), 3, 3)):
+    # g(p**probe_depth) is 1 (its phase is 0) exactly when xi has no
+    # digit below the probe depth; a truncated xi was returned
+    cases = ((Fraction(1, 2**9), 2, 8), (Fraction(1, 2), 2, 0), (Fraction(5, 3**4), 3, 3))
+    for xi, p, depth in cases:
         g = PointMass(from_rational(xi, p=p))
         with pytest.raises(ValueError, match=f"below the probe depth {depth}"):
             classify_two_valued(g, p, probe_depth=depth)

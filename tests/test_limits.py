@@ -562,7 +562,7 @@ def test_report_raises_what_the_first_failing_block_raises(case, first_block, me
 def _stable_p3_scenario(m: int = 0):
     """A stable target at a = 2, alpha = 1.5, p = 3 on the grid up to |t| =
     3**4, where exp(-2 * 3**6) underflows to 0.0."""
-    from padicprob.specs import sampler_from_spec, scenario_from_spec
+    from padicprob.specs import scenario_from_spec
 
     return scenario_from_spec({
         "name": "stable-p3",
