@@ -41,8 +41,6 @@ from .padic import (
 from .residues import ResidueBatch, tally
 from .sets import Ball
 
-DEFAULT_RESOLUTION = -12
-
 
 # ---------------------------------------------------------------------
 # RNG plumbing
@@ -308,6 +306,12 @@ def _measure_radial_value(measure, k: int) -> float:
     return JumpMeasure(measure)(t).real
 
 
+# the most terms past the first a ball probability's sphere series sums
+BALL_SERIES_TERMS = 2000
+# the tolerance of each ball probability a sphere mass table is built from
+SPHERE_MASS_TOL = 1e-12
+
+
 class BallProbability(NamedTuple):
     value: float
     error_bound: float
@@ -318,7 +322,6 @@ def ball_probability(
     g: Transform,
     ball: Ball,
     tol: float = 1e-12,
-    max_terms: int = 2000,
 ) -> BallProbability:
     """Probability of a ball under the law with transform g.
 
@@ -335,7 +338,7 @@ def ball_probability(
     if not g.is_radial:
         raise ValueError(f"the sphere series needs a radial transform, not {g!r}")
     n = ball.radius_exp
-    if ball.center == 0:
+    if ball.contains_zero:
         start = -n
         corr_sphere = None
     else:
@@ -354,9 +357,9 @@ def ball_probability(
             break
         k -= 1
         terms += 1
-        if terms > max_terms:
+        if terms > BALL_SERIES_TERMS:
             raise ToleranceError(
-                f"ball probability did not reach tol={tol} in {max_terms} terms"
+                f"ball probability did not reach tol={tol} in {BALL_SERIES_TERMS} terms"
             )
     if corr_sphere is not None:
         acc -= float(p) ** start * g.radial_value(corr_sphere)
@@ -387,23 +390,22 @@ class SphereMassTable:
         return self.mass_at_zero + sum(v for _, v in self.masses) + self.tail_above
 
 
-def sphere_masses(
-    g: Transform, n_lo: int, n_hi: int, tol: float = 1e-12
-) -> SphereMassTable:
-    """Sphere masses as differences of ball probabilities."""
+def sphere_masses(g: Transform, n_lo: int, n_hi: int) -> SphereMassTable:
+    """Sphere masses as differences of ball probabilities, each within
+    SPHERE_MASS_TOL."""
     if n_lo > n_hi:
         raise ValueError("need n_lo <= n_hi")
     p = g.prime
     probs: dict[int, BallProbability] = {}
     for n in range(n_lo - 1, n_hi + 1):
-        probs[n] = ball_probability(g, Ball(p, 0, n), tol=tol)
+        probs[n] = ball_probability(g, Ball(p, 0, n), tol=SPHERE_MASS_TOL)
     masses = []
     clamped = []
     bound = 2.0 * max(pr.error_bound for pr in probs.values())
     for n in range(n_lo, n_hi + 1):
         m = probs[n].value - probs[n - 1].value
         if m < 0:
-            if m < -(tol + bound):
+            if m < -(SPHERE_MASS_TOL + bound):
                 raise ToleranceError(
                     f"sphere mass at {n} is {m}, below -tol; transform is "
                     "not a valid radial characteristic function at this tol"
@@ -547,7 +549,7 @@ class HaarBallSampler(_BlockSampler):
     """
 
     ball: Ball
-    resolution: int = DEFAULT_RESOLUTION
+    resolution: int
 
     def __post_init__(self) -> None:
         p, n, res = self.ball.prime, self.ball.radius_exp, self.resolution
@@ -595,7 +597,7 @@ class RadialSampler(_BlockSampler):
     """
 
     table: SphereMassTable
-    resolution: int = DEFAULT_RESOLUTION
+    resolution: int
 
     def __post_init__(self) -> None:
         if self.table.n_lo - 1 > self.resolution:
@@ -663,15 +665,9 @@ class RadialSampler(_BlockSampler):
 
 
 def stable_sampler(
-    params: StableParams,
-    resolution: int = DEFAULT_RESOLUTION,
-    n_lo: int = -40,
-    n_hi: int = 40,
-    tol: float = 1e-12,
+    params: StableParams, resolution: int, n_lo: int, n_hi: int
 ) -> RadialSampler:
-    table = sphere_masses(
-        StableLaw(params), min(n_lo, resolution + 1), n_hi, tol=tol
-    )
+    table = sphere_masses(StableLaw(params), min(n_lo, resolution + 1), n_hi)
     return RadialSampler(table=table, resolution=resolution)
 
 
@@ -720,7 +716,7 @@ class CompoundPoissonSampler(_BlockSampler):
     """
 
     measure: object
-    resolution: int = DEFAULT_RESOLUTION
+    resolution: int
 
     def __post_init__(self) -> None:
         meas, res = self.measure, self.resolution
@@ -739,13 +735,13 @@ class CompoundPoissonSampler(_BlockSampler):
         ))
         object.__setattr__(self, "_r", np.array([row[0] for row in balls], dtype=np.int64))
         object.__setattr__(self, "_k_min", np.array([row[1] for row in balls], dtype=np.int64))
-        # z = center + u * p**-radius_exp in the ball has z * p**r =
-        # centre + u * step, and needs radius_exp - r + n - resolution
-        # digits of u to resolve the jump on the sphere n
+        # z = center + u * p**-radius_exp in the ball, center = p**-r * c_u,
+        # has z * p**r = c_u + u * step, and needs radius_exp - r + n -
+        # resolution digits of u to resolve the jump on the sphere n
         object.__setattr__(self, "_depth", np.array(
             [x.radius_exp - r for r, _, x, _ in balls], dtype=np.int64
         ))
-        object.__setattr__(self, "_centres", tuple(int(x.center * p**r) for r, _, x, _ in balls))
+        object.__setattr__(self, "_centres", tuple(x._center_split[1] for _, _, x, _ in balls))
         object.__setattr__(self, "_steps", tuple(p ** (r - x.radius_exp) for r, _, x, _ in balls))
         object.__setattr__(self, "_j", j)
         object.__setattr__(self, "_q", float(1 - meas.beta))

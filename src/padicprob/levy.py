@@ -44,20 +44,6 @@ from .padic import (
 from .sets import _ZERO, Ball, CompactOpenSet, TailSet, _haar, split_sphere
 
 
-def _as_gamma_fraction(gamma0, p: int) -> Fraction:
-    """Coerce gamma0 to an exact rational.
-
-    A finite-precision number is read as the exact value of its stored
-    digit window; the scaling map must be an exact rational so that all
-    sphere rotations stay in exact arithmetic.
-    """
-    if isinstance(gamma0, PAdicNumber):
-        if gamma0.prime != p:
-            raise ValueError("gamma0 over a different prime")
-        return gamma0.as_rational()
-    return Fraction(gamma0)
-
-
 @lru_cache(maxsize=1)
 def _generation() -> object:
     """A new token each time the package's lru_caches are cleared; a memo
@@ -82,9 +68,8 @@ class SelfSimilarLevyMeasure:
 
     def __post_init__(self) -> None:
         _check_prime(self.prime)
-        object.__setattr__(
-            self, "gamma0", _as_gamma_fraction(self.gamma0, self.prime)
-        )
+        # an exact rational, so that all sphere rotations stay exact
+        object.__setattr__(self, "gamma0", Fraction(self.gamma0))
         if self.gamma0 == 0:
             raise ValueError("gamma0 must be nonzero")
         if not 0 < float(self.beta) < 1:
@@ -352,7 +337,7 @@ class LevyExponent:
     kernel refuses it.
 
     ``sphere_integrals`` holds each sphere integral of
-    :func:`invert_exponent` keyed by (m, refine_cap); the points they
+    :func:`invert_exponent` keyed by the sphere m; the points they
     probe stay in the one cache above.  It lives as long as this
     evaluator (a fresh LevyExponent starts empty), refers back to
     nothing, and changes no bit of any inversion.
@@ -364,7 +349,7 @@ class LevyExponent:
         self._neg_tails: dict[int, Fraction | float] = {}
         # key -> [exact sum, complex value or None]
         self._cache: dict[tuple, list] = {}
-        self.sphere_integrals: dict[tuple[int, int], complex] = {}
+        self.sphere_integrals: dict[int, complex] = {}
 
     def _kernel(
         self, p: int, v: int, units: Sequence[int], precision: int
@@ -407,7 +392,7 @@ class LevyExponent:
                 k = (n - r) // j
                 beta_k = measure.beta_pow(k)
                 hit = self._spheres[n] = (k, tuple(
-                    (ball.radius_exp, ball.center.numerator, w * beta_k)
+                    (ball.radius_exp, ball._center_split[1], w * beta_k)
                     for ball, w in measure.fundamental[r]
                     if w
                 ))
@@ -553,36 +538,39 @@ def _probe_sphere(g, p: int, m: int, units: list[int]) -> list[complex]:
     return g.sphere(p, -m, [a % mod for a in units], DEFAULT_PRECISION)
 
 
-def _sphere_integral(
-    phi, spheres: dict[tuple[int, int], complex], m: int, p: int, refine_cap: int
-) -> complex:
+# the deepest refinement a sphere integral tries beyond its first, and the
+# most inner spheres a ball integral sums past its own
+REFINE_CAP = 12
+MAX_SPHERES = 200
+
+
+def _sphere_integral(phi, spheres: dict[int, complex], m: int, p: int) -> complex:
     """Integral of phi over the sphere {|t| = p**m} by local-constancy
     quadrature: refine until two successive refinements agree exactly.
 
     Exact agreement is the right test here: a locally constant evaluator
     returns bit-identical values at points of the same constancy ball.
     Each depth reads only the units new at it in one sphere call, so
-    phi is asked for each point once.  The result depends on (phi, m,
-    refine_cap) alone, so it is memoised in ``spheres`` under
-    (m, refine_cap).
+    phi is asked for each point once.  The result depends on (phi, m)
+    alone, so it is memoised in ``spheres`` under m.
     """
-    done = spheres.get((m, refine_cap))
+    done = spheres.get(m)
     if done is not None:
         return done
     vals: dict[int, complex] = {}
-    for depth in range(1, refine_cap + 2):
+    for depth in range(1, REFINE_CAP + 2):
         lo = p ** (depth - 1)
         new = [a for a in range(lo, p * lo) if a % p]
         vals.update(zip(new, _probe_sphere(phi, p, m, new)))
         # the units below lo are the previous refinement's
         if depth > 1 and all(vals[a] == vals[a % lo] for a in new):
             haar = float(p) ** (m - (depth - 1))
-            done = spheres[m, refine_cap] = sum(
+            done = spheres[m] = sum(
                 haar * vals[a] for a in _sphere_units(depth - 1, p)
             )
             return done
     raise ToleranceError(
-        f"refinement cap {refine_cap} hit on sphere |t| = p**{m}: "
+        f"refinement cap {REFINE_CAP} hit on sphere |t| = p**{m}: "
         "evaluator not locally constant at reachable scale"
     )
 
@@ -590,15 +578,7 @@ def _sphere_integral(
 _DECAY_WINDOW = 4  # covers magnitude alternation of period up to 4
 
 
-def _ball_integral(
-    phi,
-    spheres: dict[tuple[int, int], complex],
-    i: int,
-    p: int,
-    tol: float,
-    refine_cap: int,
-    max_spheres: int,
-) -> complex:
+def _ball_integral(phi, spheres: dict[int, complex], i: int, p: int, tol: float) -> complex:
     """Integral of phi over the ball {|t| <= p**-i}: an inner-sphere
     series, truncated once the per-sphere integrals exhibit geometric
     decay.
@@ -615,7 +595,7 @@ def _ball_integral(
     mags: list[float] = []
     m = -i
     while True:
-        val = _sphere_integral(phi, spheres, m, p, refine_cap)
+        val = _sphere_integral(phi, spheres, m, p)
         total += val
         mags.append(abs(val))
         if len(mags) >= w and all(x == 0.0 for x in mags[-w:]):
@@ -629,10 +609,10 @@ def _ball_integral(
                 bound = w * w_now * q / (1.0 - q)
                 if bound <= tol / 2 and w_now <= tol / 2:
                     break
-        if -i - m > max_spheres:
+        if -i - m > MAX_SPHERES:
             raise ToleranceError(
                 f"inner series did not certify tol={tol} within "
-                f"{max_spheres} spheres"
+                f"{MAX_SPHERES} spheres"
             )
         m -= 1
     return total
@@ -644,8 +624,6 @@ def invert_exponent(
     l: int | float | None,
     p: int,
     tol: float = 1e-10,
-    refine_cap: int = 12,
-    max_spheres: int = 200,
 ) -> float:
     """Recover the jump mass of the annulus {p**(i+1) <= |x| <= p**l}
     from the exponent evaluator alone; ``l=None`` (or inf) gives the tail
@@ -668,7 +646,7 @@ def invert_exponent(
     its exponent cache keeps every probed value, so the balls of later
     calls on the same phi reuse the spheres of earlier ones (ball(i) is
     sphere(-i) together with ball(i+1)).  A sphere integral depends only
-    on phi, the sphere and refine_cap, and the ball series sums the
+    on phi and the sphere, and the ball series sums the
     spheres in the same order, so every result is bit for bit what a
     fresh phi gives.  Any other evaluator gets a dict of sphere
     integrals for this call only.  ``tol`` must be > 0.
@@ -684,18 +662,14 @@ def invert_exponent(
     i = _integral_exp("i", i)
     scale_i = float(p) ** i
     if l is None or l == math.inf:
-        val = _ball_integral(phi, spheres, i, p, tol / scale_i, refine_cap, max_spheres)
+        val = _ball_integral(phi, spheres, i, p, tol / scale_i)
         return -scale_i * val.real
     l = _integral_exp("l", l)
     if l < i + 1:
         raise ValueError("empty annulus")
     scale_l = float(p) ** l
-    bi = _ball_integral(
-        phi, spheres, i, p, tol / (2 * scale_i), refine_cap, max_spheres
-    )
-    bl = _ball_integral(
-        phi, spheres, l, p, tol / (2 * scale_l), refine_cap, max_spheres
-    )
+    bi = _ball_integral(phi, spheres, i, p, tol / (2 * scale_i))
+    bl = _ball_integral(phi, spheres, l, p, tol / (2 * scale_l))
     return -scale_i * bi.real + scale_l * bl.real
 
 
@@ -733,21 +707,25 @@ def _snap_phase(value: complex, p: int, max_scale: int) -> Fraction:
     return fr
 
 
-def _probe_depth(p: int, requested: int, per_sphere_cap: int = 512) -> int:
+# the most units classification probes on one sphere, and the distance
+# from 0 or 1 within which it reads a modulus as that value
+PROBE_UNITS_CAP = 512
+CLASSIFY_TOL = 1e-9
+
+
+def _probe_depth(p: int, requested: int) -> int:
     d = 1
-    while (p - 1) * p**d <= per_sphere_cap:
+    while (p - 1) * p**d <= PROBE_UNITS_CAP:
         d += 1
     return max(1, min(requested, d))
 
 
-def _reconstruct_point(
-    at_power: dict[int, complex], p: int, lo: int, hi: int, tol: float
-) -> PAdicNumber:
+def _reconstruct_point(at_power: dict[int, complex], p: int, lo: int, hi: int) -> PAdicNumber:
     """Digits of xi from the phases of g at t = p**-m, m in [lo, hi],
     given as ``at_power[m]`` = g(p**-m).  g(p**-lo) = chi(xi * p**-lo) is
     1 exactly when xi has no digit below p**lo, which no probe reads; when
-    it is not within ``tol`` of 1, raises ValueError."""
-    if abs(at_power[lo] - 1) > tol:
+    it is not within CLASSIFY_TOL of 1, raises ValueError."""
+    if abs(at_power[lo] - 1) > CLASSIFY_TOL:
         raise ValueError(
             f"xi has a digit below the probe depth {-lo}: g(p**{-lo}) = "
             f"{at_power[lo]}, not 1"
@@ -772,7 +750,6 @@ def classify_two_valued(
     p: int,
     search_radius_exp: int = 6,
     probe_depth: int = 8,
-    tol: float = 1e-9,
 ) -> TwoValuedForm:
     """Probe |g| on a canonical grid of spheres |t| = p**k for
     k in [-probe_depth, search_radius_exp].
@@ -801,9 +778,9 @@ def classify_two_valued(
         at_power[k] = values[0]
         for value in values:
             v = abs(value)
-            if abs(v - 1.0) <= tol:
+            if abs(v - 1.0) <= CLASSIFY_TOL:
                 kinds.add("one")
-            elif v <= tol:
+            elif v <= CLASSIFY_TOL:
                 kinds.add("zero")
             else:
                 return TwoValuedForm("not_two_valued")
@@ -814,7 +791,7 @@ def classify_two_valued(
     ks = sorted(sphere_kind)
     ones = [k for k in ks if sphere_kind[k] == "one"]
     if len(ones) == len(ks):
-        xi = _reconstruct_point(at_power, p, -probe_depth, search_radius_exp, tol)
+        xi = _reconstruct_point(at_power, p, -probe_depth, search_radius_exp)
         return TwoValuedForm("delta", xi=xi)
     if not ones:
         raise ValueError(
@@ -824,7 +801,7 @@ def classify_two_valued(
     cut = max(ones)
     if ones != [k for k in ks if k <= cut]:
         return TwoValuedForm("not_two_valued")
-    xi = _reconstruct_point(at_power, p, -probe_depth, cut, tol)
+    xi = _reconstruct_point(at_power, p, -probe_depth, cut)
     return TwoValuedForm("haar_cutoff", xi=xi, cutoff_exp=cut)
 
 
@@ -833,16 +810,18 @@ def classify_two_valued(
 # ---------------------------------------------------------------------
 
 
+RANDOM_MAX_J = 2
+
+
 def random_self_similar_measure(
-    rng: np.random.Generator,
-    p: int | None = None,
-    max_j: int = 2,
+    rng: np.random.Generator, p: int | None = None
 ) -> SelfSimilarLevyMeasure:
-    """Measure with rational data: rational beta, gamma0 = unit * p**j,
-    and random disjoint weighted balls in each fundamental sphere."""
+    """Measure with rational data: rational beta, gamma0 = unit * p**j
+    with 1 <= j <= RANDOM_MAX_J, and random disjoint weighted balls in
+    each fundamental sphere."""
     if p is None:
         p = (2, 3, 5)[int(rng.integers(0, 3))]
-    j = int(rng.integers(1, max_j + 1))
+    j = int(rng.integers(1, RANDOM_MAX_J + 1))
     den = int(rng.integers(3, 10))
     num = int(rng.integers(1, den))
     beta = Fraction(num, den)

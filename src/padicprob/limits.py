@@ -46,14 +46,15 @@ class LimitScheme:
 
     Geometric mode takes B_n = gamma0**-n and k(n) = floor(beta**-n)
     (floor of the exact fraction when beta is rational, of the float
-    power otherwise); explicit mode takes user-listed sequences.
+    power otherwise); explicit mode takes user-listed sequences.  n_max is
+    the last n: a geometric caller gives it, explicit mode reads it off.
     """
 
     prime: int
     mode: str  # 'geometric' | 'explicit'
     beta: Fraction | float | None = None
     gamma0: Fraction | None = None
-    n_max: int = 10
+    n_max: int | None = None
     b_list: tuple[Fraction, ...] | None = None
     k_list: tuple[int, ...] | None = None
 
@@ -92,9 +93,7 @@ class LimitScheme:
         object.__setattr__(self, "_inv_b", {})
 
     @classmethod
-    def geometric(
-        cls, p: int, beta, gamma0, n_max: int = 10
-    ) -> "LimitScheme":
+    def geometric(cls, p: int, beta, gamma0, n_max: int) -> "LimitScheme":
         b = Fraction(beta) if isinstance(beta, (int, Fraction, str)) else beta
         return cls(p, "geometric", beta=b, gamma0=Fraction(gamma0), n_max=n_max)
 
@@ -196,14 +195,13 @@ def sum_residues(
     n: int,
     replicates: int,
     rng,
-    budget: int = BUDGET_CAP,
 ) -> ResidueBatch:
     """Replicates of S_n = B_n**-1 (X_1 + ... + X_k(n)) as one residue
     batch: exact modular arithmetic throughout."""
     k = scheme.k(n)
-    if k * replicates > budget:
+    if k * replicates > BUDGET_CAP:
         raise ValueError(
-            f"budget exceeded: k(n)*m = {k * replicates} > {budget}"
+            f"budget exceeded: k(n)*m = {k * replicates} > {BUDGET_CAP}"
         )
     if k < 1 and replicates:
         raise ValueError(f"k({n}) = {k}: a sum needs at least one summand")
@@ -216,10 +214,9 @@ def simulate_sums(
     n: int,
     replicates: int,
     rng,
-    budget: int = BUDGET_CAP,
 ) -> list[PAdicNumber]:
     """Replicates of S_n as PAdicNumbers (decoded from sum_residues)."""
-    return sum_residues(sampler, scheme, n, replicates, rng, budget).elements()
+    return sum_residues(sampler, scheme, n, replicates, rng).elements()
 
 
 def phi_n_measure(
@@ -276,7 +273,7 @@ def scaling_identity_check(
     return rows
 
 
-def default_ball_family(p: int, count: int = 20) -> list[Ball]:
+def default_ball_family(p: int, count: int) -> list[Ball]:
     """Deterministic family of balls used for tightness diagnostics."""
     from .sets import split_sphere
 
@@ -319,9 +316,9 @@ class Scenario:
     seed: int
     n_list: tuple[int, ...]
     law_spec: dict
+    kind: str
     law_source: Transform | None = None
     target: Transform | None = None
-    kind: str = "generic"
     tolerances: dict = field(default_factory=dict)
 
     def tol(self, key: str, default: float) -> float:
@@ -386,9 +383,9 @@ def _mc_blocks(
     return tally_blocks(sampler.prime, batches, grid, balls)
 
 
-def _block_sizes(m: int, blocks: int = MC_BLOCKS) -> list[int]:
-    base, extra = divmod(m, blocks)
-    return [base + (1 if i < extra else 0) for i in range(blocks)]
+def _block_sizes(m: int) -> list[int]:
+    base, extra = divmod(m, MC_BLOCKS)
+    return [base + (1 if i < extra else 0) for i in range(MC_BLOCKS)]
 
 
 def _mc_range(scenario: Scenario, n: int, n_idx: int, lo: int, hi: int):

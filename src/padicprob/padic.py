@@ -816,7 +816,7 @@ def parse_padic(text: str) -> PAdicNumber:
     return PAdicNumber.from_digits(p, int(m.group(2)), digits)
 
 
-def parse_number(text: str, precision: int = DEFAULT_PRECISION) -> PAdicNumber:
+def parse_number(text: str) -> PAdicNumber:
     """Parse either digit form ``p^v * [..]`` or rational ``m/n @ p=<p>``."""
     m = _RATIONAL_RE.match(text)
     if m:
@@ -824,9 +824,7 @@ def parse_number(text: str, precision: int = DEFAULT_PRECISION) -> PAdicNumber:
         den = int(m.group(2)) if m.group(2) else 1
         if den == 0:
             raise ValueError(f"zero denominator in {text.strip()!r}")
-        return PAdicNumber.from_rational(
-            num, den, p=int(m.group(3)), precision=precision
-        )
+        return PAdicNumber.from_rational(num, den, p=int(m.group(3)))
     return parse_padic(text)
 
 

@@ -287,7 +287,7 @@ class ResidueBatch:
     def ball_count(self, ball) -> int:
         """Number of values in ``ball``; requires ball_ok(ball)."""
         if self.window is None or not len(self):
-            return len(self) if ball.center == 0 else 0
+            return len(self) if ball.contains_zero else 0
         p = self.prime
         center = ball.center * Fraction(p) ** self.top
         if center.denominator != 1:

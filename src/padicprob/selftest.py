@@ -93,12 +93,12 @@ def _result(cid, name, limit_s, started, ok, details, metrics=None):
     )
 
 
-def _rand_padic(rng, p, precision=48):
+def _rand_padic(rng, p):
     num = int(rng.integers(-200, 201))
     den = int(rng.integers(1, 200))
     if num == 0:
         num = 1
-    return PAdicNumber.from_rational(num, den, p=p, precision=precision)
+    return PAdicNumber.from_rational(num, den, p=p)
 
 
 def criterion_1(seed: int = DEFAULT_SEED, **_) -> CriterionResult:

@@ -10,7 +10,7 @@ B(c, p**N) the integral of chi(t*y) dy equals chi(t*c) * p**N when
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -51,25 +51,30 @@ def _split(p: int, r) -> tuple[int, int, int] | None:
     return None if r == 0 else split_p_part(r, p)
 
 
+def _center_of(ball) -> Fraction:
+    split = ball._center_split
+    return _ZERO if split is None else split[1] * _haar(ball.prime, split[0])
+
+
 @read_only
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False)
 class Ball:
     """The ball {x : |x - center|_p <= p**radius_exp}.
 
     Centers are canonicalised on construction, so equality of balls is
     structural equality and balls are hashable set-algebra atoms.  The
-    canonical center is kept as integers (v, u), meaning p**v * u with
-    0 < u < p**(-radius_exp - v) coprime to p (None for center 0);
-    membership, scaling and relations are decided on them, and the
-    ``center`` fraction is derived from them.
+    canonical center is kept only as integers (v, u), meaning p**v * u
+    with 0 < u < p**(-radius_exp - v) coprime to p (None for center 0);
+    membership, scaling and relations are decided on them.  ``center``
+    is a field that is never stored: reading it computes the fraction
+    from them, so building or scaling a ball makes no Fraction.
     """
 
+    __slots__ = ("prime", "radius_exp", "_center_split")
+
     prime: int
-    center: Fraction
+    center: Fraction = property(_center_of)
     radius_exp: int
-    _center_split: tuple[int, int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __init__(self, prime: int, center, radius_exp: int):
         _check_prime(prime)
@@ -98,14 +103,15 @@ class Ball:
             if k > 0:
                 mod = p**k
                 u = a % mod if b == 1 else a * pow(b, -1, mod) % mod
-                center = Fraction(u * p**v) if v >= 0 else Fraction(u, p**-v)
                 split = (v, u)
             else:
                 split = None
         object.__setattr__(self, "prime", p)
         object.__setattr__(self, "radius_exp", radius_exp)
         object.__setattr__(self, "_center_split", split)
-        object.__setattr__(self, "center", _ZERO if split is None else center)
+
+    def __reduce__(self):
+        return Ball, (self.prime, self.center, self.radius_exp)
 
     @classmethod
     def _of(cls, p: int, split, radius_exp: int) -> "Ball":
@@ -350,7 +356,7 @@ def _ball_phase(ball: Ball, t: PAdicNumber) -> tuple[int, int] | None:
     if t.is_zero:
         if not t.abs_le_exp(-ball.radius_exp):
             return None
-        if ball.center == 0:
+        if ball.contains_zero:
             return 0, 0
         return t.mul_rational(ball.center).character_phase()
     if t.valuation < ball.radius_exp:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from numbers import Number
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .charfn import (
     CompoundPoissonSampler,
@@ -151,24 +151,68 @@ MEASURE_SCHEMA = {
     ]
 }
 
-# the keys each kind needs and the further keys it reads, beyond the
-# one naming the kind; a spec with any other key is refused, as the
-# kind would silently ignore it
-_SAMPLER_KEYS = {
-    "point_mass": (("xi",), ()),
-    "haar_ball": (("p", "center", "radius_exp"), ("resolution",)),
-    "radial_stable": (("p", "a", "alpha"), ("resolution", "n_lo", "n_hi")),
-    "compound_poisson": (("measure",), ("resolution",)),
+
+class _Kind(NamedTuple):
+    """A sampler kind, target kind or scheme mode: the keys a spec of it
+    needs beyond the one naming it, the further keys it reads with the
+    value each takes when left out, and its builder, given the spec with
+    those values filled in.  A spec with any other key is refused, as the
+    kind would silently ignore it."""
+
+    needs: tuple[str, ...]
+    defaults: dict
+    build: Callable  # a law's exact transform, or a scheme
+    sampler: Callable | None = None  # a law's sampler, from its transform and spec
+
+
+def _rational_or_float(value):
+    return parse_rational(value) if isinstance(value, str) else value
+
+
+_LAWS = {
+    "point_mass": _Kind(
+        ("xi",), {},
+        lambda s: PointMass(parse_number(s["xi"])),
+        lambda g, s: PointMassSampler(g.xi),
+    ),
+    "haar_ball": _Kind(
+        ("p", "center", "radius_exp"), {"resolution": -12},
+        lambda s: HaarUniform(Ball(s["p"], parse_rational(s["center"]), s["radius_exp"])),
+        lambda g, s: HaarBallSampler(g.ball, s["resolution"]),
+    ),
+    "radial_stable": _Kind(
+        ("p", "a", "alpha"), {"resolution": -12, "n_lo": -40, "n_hi": 40},
+        lambda s: StableLaw(StableParams(s["a"], s["alpha"], s["p"])),
+        lambda g, s: stable_sampler(g.params, s["resolution"], s["n_lo"], s["n_hi"]),
+    ),
+    "compound_poisson": _Kind(
+        ("measure",), {"resolution": -6},
+        lambda s: JumpMeasure(_measure(s["measure"])),
+        lambda g, s: CompoundPoissonSampler(g.measure, s["resolution"]),
+    ),
 }
-_SCHEME_KEYS = {
-    "geometric": (("p", "beta", "gamma0"), ("n_max",)),
-    "explicit": (("p", "b_list", "k_list"), ()),
+# a two-valued law as a target (a delta or Haar-cutoff limit law): it is
+# drawn from by no run, so it reads no resolution
+_TARGETS = {kind: _LAWS[kind]._replace(defaults={}) for kind in ("point_mass", "haar_ball")}
+_SCHEMES = {
+    "geometric": _Kind(
+        ("p", "beta", "gamma0"), {"n_max": 10},
+        lambda s: LimitScheme.geometric(
+            s["p"], _rational_or_float(s["beta"]), parse_rational(s["gamma0"]), s["n_max"]
+        ),
+    ),
+    "explicit": _Kind(
+        ("p", "b_list", "k_list"), {},
+        lambda s: LimitScheme.explicit(
+            s["p"], [parse_rational(b) for b in s["b_list"]], s["k_list"]
+        ),
+    ),
 }
 
 SAMPLER_SCHEMA = {
     "type": "object",
     "properties": {
-        "kind": {"enum": list(_SAMPLER_KEYS)},
+        "kind": {"enum": list(_LAWS)},
         "p": {"type": "integer", "minimum": 2},
         "xi": {"type": "string"},
         "center": _RAT,
@@ -187,7 +231,7 @@ SAMPLER_SCHEMA = {
 SCHEME_SCHEMA = {
     "type": "object",
     "properties": {
-        "mode": {"enum": list(_SCHEME_KEYS)},
+        "mode": {"enum": list(_SCHEMES)},
         "p": {"type": "integer", "minimum": 2},
         "beta": _RAT,
         "gamma0": {"type": "string"},
@@ -199,17 +243,10 @@ SCHEME_SCHEMA = {
     "additionalProperties": False,
 }
 
-# the keys of a two-valued target (a delta or Haar-cutoff limit law), as
-# in _SAMPLER_KEYS: it is drawn from by no run, so has no resolution
-_TARGET_KEYS = {
-    "point_mass": (("xi",), ()),
-    "haar_ball": (("p", "center", "radius_exp"), ()),
-}
-
 TWO_VALUED_SCHEMA = {
     "type": "object",
     "properties": {
-        "kind": {"enum": list(_TARGET_KEYS)},
+        "kind": {"enum": list(_TARGETS)},
         **{key: SAMPLER_SCHEMA["properties"][key] for key in ("p", "xi", "center", "radius_exp")},
     },
     "required": ["kind"],
@@ -463,8 +500,7 @@ def _measure(obj) -> SelfSimilarLevyMeasure:
     fundamental = tuple(
         tuple(fundamental_map.get(r, ())) for r in range(j)
     )
-    beta = parse_rational(obj["beta"]) if isinstance(obj["beta"], str) else obj["beta"]
-    return SelfSimilarLevyMeasure(p, beta, gamma0, fundamental)
+    return SelfSimilarLevyMeasure(p, _rational_or_float(obj["beta"]), gamma0, fundamental)
 
 
 def measure_to_spec(m: SelfSimilarLevyMeasure) -> dict:
@@ -489,54 +525,34 @@ def measure_to_spec(m: SelfSimilarLevyMeasure) -> dict:
     }
 
 
-def _check_keys(obj, field: str, table: dict, what: str) -> None:
-    needs, reads = table[obj[field]]
-    for key in needs:
+def _read(obj, field: str, table: dict, what: str) -> tuple[_Kind, dict]:
+    """The table entry of a spec part's kind, and the part with the
+    entry's defaults filled in."""
+    kind = table[obj[field]]
+    for key in kind.needs:
         if key not in obj:
             raise SpecValidationError(f"{what} needs {key}")
-    unread = sorted(set(obj) - {field, *needs, *reads})
+    unread = sorted(set(obj) - {field, *kind.needs, *kind.defaults})
     if unread:
         raise SpecValidationError(f"{what} does not read {', '.join(unread)}")
+    return kind, {**kind.defaults, **obj}
+
+
+def law_from_spec(obj) -> tuple[Sampler, Transform]:
+    """The sampler of a law spec, and the exact transform of its law for
+    theoretical curves."""
+    validate(obj, SAMPLER_SCHEMA, "sampler spec")
+    return _law(obj)
 
 
 def sampler_from_spec(obj) -> Sampler:
-    validate(obj, SAMPLER_SCHEMA, "sampler spec")
-    return _sampler(obj)
+    return law_from_spec(obj)[0]
 
 
-def _sampler(obj) -> Sampler:
-    kind = obj["kind"]
-    _check_keys(obj, "kind", _SAMPLER_KEYS, kind)
-    if kind == "point_mass":
-        return PointMassSampler(xi=parse_number(obj["xi"]))
-    if kind == "haar_ball":
-        return HaarBallSampler(
-            ball=Ball(obj["p"], parse_rational(obj["center"]), obj["radius_exp"]),
-            resolution=obj.get("resolution", -12),
-        )
-    if kind == "radial_stable":
-        return stable_sampler(
-            StableParams(obj["a"], obj["alpha"], obj["p"]),
-            resolution=obj.get("resolution", -12),
-            n_lo=obj.get("n_lo", -40),
-            n_hi=obj.get("n_hi", 40),
-        )
-    return CompoundPoissonSampler(
-        measure=_measure(obj["measure"]),
-        resolution=obj.get("resolution", -6),
-    )
-
-
-def law_source_from_spec(obj, sampler: Sampler) -> Transform:
-    """Exact transform of the sampler's law, for theoretical curves."""
-    kind = obj["kind"]
-    if kind == "point_mass":
-        return PointMass(sampler.xi)  # type: ignore[attr-defined]
-    if kind == "haar_ball":
-        return HaarUniform(sampler.ball)  # type: ignore[attr-defined]
-    if kind == "radial_stable":
-        return StableLaw(StableParams(obj["a"], obj["alpha"], obj["p"]))
-    return JumpMeasure(sampler.measure)  # type: ignore[attr-defined]
+def _law(obj) -> tuple[Sampler, Transform]:
+    kind, spec = _read(obj, "kind", _LAWS, obj["kind"])
+    law = kind.build(spec)
+    return kind.sampler(law, spec), law
 
 
 def scheme_from_spec(obj) -> LimitScheme:
@@ -545,76 +561,80 @@ def scheme_from_spec(obj) -> LimitScheme:
 
 
 def _scheme(obj) -> LimitScheme:
-    _check_keys(obj, "mode", _SCHEME_KEYS, f"{obj['mode']} scheme")
-    if obj["mode"] == "geometric":
-        beta = parse_rational(obj["beta"]) if isinstance(obj["beta"], str) else obj["beta"]
-        gamma0 = parse_rational(obj["gamma0"])
-        return LimitScheme.geometric(obj["p"], beta, gamma0, n_max=obj.get("n_max", 10))
-    return LimitScheme.explicit(
-        obj["p"],
-        [parse_rational(b) for b in obj["b_list"]],
-        obj["k_list"],
-    )
+    kind, spec = _read(obj, "mode", _SCHEMES, f"{obj['mode']} scheme")
+    return kind.build(spec)
 
 
 def _target(obj) -> Transform:
-    """The transform of a target spec: a two-valued law's is the one
-    law_source_from_spec gives, and a measure's is its JumpMeasure.  A
-    stable target is exact through its measure's exponent, and reads the
-    closed form on spheres."""
+    """The transform of a target spec: a two-valued law's is the one its
+    law spec gives, and a measure's is its JumpMeasure.  A stable target
+    is exact through its measure's exponent, and reads the closed form on
+    spheres."""
     if "kind" in obj:
-        _check_keys(obj, "kind", _TARGET_KEYS, f"{obj['kind']} target")
-        return law_source_from_spec(obj, _sampler(obj))
+        kind, spec = _read(obj, "kind", _TARGETS, f"{obj['kind']} target")
+        return kind.build(spec)
     s = obj.get("stable")
-    closed_form = None if s is None else StableLaw(StableParams(s["a"], s["alpha"], s["p"]))
+    closed_form = None if s is None else _LAWS["radial_stable"].build(s)
     return JumpMeasure(_measure(obj), closed_form)
+
+
+# what a scenario spec leaving these keys out runs; without "balls", the
+# first _DEFAULT_BALLS balls of limits.default_ball_family
+_SCENARIO_DEFAULTS = {
+    "kind": "generic",
+    "target": None,
+    "grid": {"k_lo": -6, "k_hi": 6},
+    "sets": ["annulus(0,inf)"],
+    "tolerances": {},
+}
+_DEFAULT_BALLS = 10
 
 
 def scenario_from_spec(obj) -> Scenario:
     validate(obj, SCENARIO_SCHEMA, "scenario spec")
-    law = _sampler(obj["law"])
-    scheme = _scheme(obj["scheme"])
+    spec = {**_SCENARIO_DEFAULTS, **obj}
+    law, law_source = _law(spec["law"])
+    scheme = _scheme(spec["scheme"])
     p = scheme.prime
     if law.prime != p:
         raise SpecValidationError("law and scheme primes differ")
     target = None
-    if obj.get("target") is not None:
-        target = _target(obj["target"])
+    if spec["target"] is not None:
+        target = _target(spec["target"])
         if target.prime != p:
             raise SpecValidationError("target and scheme primes differ")
-    grid_cfg = obj.get("grid", {"k_lo": -6, "k_hi": 6})
+    grid_cfg = spec["grid"]
     if grid_cfg["k_lo"] > grid_cfg["k_hi"]:
         raise SpecValidationError("grid is empty: k_lo exceeds k_hi")
     grid = tuple(grid_points(p, grid_cfg["k_lo"], grid_cfg["k_hi"]))
-    if "balls" in obj:
-        balls = tuple(parse_set_literal(lit, p) for lit in obj["balls"])
+    if "balls" in spec:
+        balls = tuple(parse_set_literal(lit, p) for lit in spec["balls"])
     else:
-        balls = tuple(default_ball_family(p, 10))
+        balls = tuple(default_ball_family(p, _DEFAULT_BALLS))
     if not all(isinstance(b, Ball) for b in balls):
         raise SpecValidationError("ball family entries must be balls")
-    sets = tuple(
-        parse_set_literal(lit, p) for lit in obj.get("sets", ["annulus(0,inf)"])
-    )
-    n_list = sorted(obj["n_list"])
+    sets = tuple(parse_set_literal(lit, p) for lit in spec["sets"])
+    n_list = sorted(spec["n_list"])
     for a, b in zip(n_list, n_list[1:]):
         if a == b:
             raise SpecValidationError(f"n_list repeats n = {a}")
-    if scheme.mode == "explicit" and n_list[-1] > scheme.n_max:
-        raise SpecValidationError("n_list exceeds explicit scheme length")
+    # the scheme checked its k(n) up to n_max only
+    if n_list[-1] > scheme.n_max:
+        raise SpecValidationError(f"n_list exceeds {scheme.mode} scheme length")
     return Scenario(
-        name=obj["name"],
+        name=spec["name"],
         prime=p,
         law=law,
         scheme=scheme,
         grid=grid,
         balls=balls,
         sets=sets,
-        m=obj["m"],
-        seed=obj["seed"],
+        m=spec["m"],
+        seed=spec["seed"],
         n_list=tuple(n_list),
-        law_source=law_source_from_spec(obj["law"], law),
+        law_source=law_source,
         target=target,
-        kind=obj.get("kind", "generic"),
-        tolerances=dict(obj.get("tolerances", {})),
-        law_spec=dict(obj["law"]),
+        kind=spec["kind"],
+        tolerances=dict(spec["tolerances"]),
+        law_spec=dict(spec["law"]),
     )

@@ -30,7 +30,7 @@ from padicprob.errors import PrecisionError, PrimeMismatchError
 from padicprob.levy import JumpMeasure, make_example_measure, make_measure, measure_mass
 from padicprob.padic import PAdicNumber, chi, from_rational, grid_points
 from padicprob.sets import Ball, integrate_char_exact, sphere
-from padicprob.specs import law_source_from_spec, sampler_from_spec
+from padicprob.specs import law_from_spec
 
 # frozen independent oracle: sum_{j<=0} 2**(j-1) exp(-2**j), j down to -60
 Z2_STABLE_MASS = 0.5480427915295704
@@ -142,7 +142,7 @@ def test_haar_sampler_frequency():
 
 def test_radial_sampler_matches_ball_probability():
     params = StableParams(1.0, 1.0, 2)
-    s = stable_sampler(params, resolution=-8)
+    s = stable_sampler(params, resolution=-8, n_lo=-40, n_hi=40)
     rng = substream(3, 0)
     n = 4000
     draws = s.sample(rng, n)
@@ -153,7 +153,7 @@ def test_radial_sampler_matches_ball_probability():
 
 def test_radial_sampler_first_digit_uniform():
     params = StableParams(1.0, 1.0, 5)
-    s = stable_sampler(params, resolution=-6)
+    s = stable_sampler(params, resolution=-6, n_lo=-40, n_hi=40)
     rng = substream(4, 0)
     counts = Counter()
     n = 3000
@@ -172,7 +172,7 @@ def test_radial_sphere_frequencies_match_the_table(p, seed):
     # its total, with the mass at or below the resolution drawn as zero
     # and the tail drawn on the top sphere; bins: zero or |x| <= p**-3,
     # the spheres p**-2 .. p**2, and |x| >= p**3
-    s = stable_sampler(StableParams(1.0, 1.0, p), resolution=-6)
+    s = stable_sampler(StableParams(1.0, 1.0, p), resolution=-6, n_lo=-40, n_hi=40)
 
     def bin_of(k):
         return 0 if k is None or k <= -3 else min(k, 3) + 3
@@ -407,7 +407,7 @@ def test_empirical_cf_resolution_guard():
 
 def test_empirical_cf_symmetric_imaginary_part_shrinks():
     params = StableParams(1.0, 1.0, 2)
-    s = stable_sampler(params, resolution=-8)
+    s = stable_sampler(params, resolution=-8, n_lo=-40, n_hi=40)
     t = from_rational(1, 4, p=2)
     sizes = (200, 3200)
     ims = []
@@ -469,8 +469,7 @@ _LAW_SPECS = {
 
 
 def _law_source(kind):
-    spec = _LAW_SPECS[kind]
-    return law_source_from_spec(spec, sampler_from_spec(spec))
+    return law_from_spec(_LAW_SPECS[kind])[1]
 
 
 # every kind of transform over p = 3, and the spec laws' sources

@@ -16,6 +16,7 @@ from padicprob.errors import (
     ToleranceError,
 )
 from padicprob.levy import (
+    REFINE_CAP,
     JumpMeasure,
     LevyExponent,
     _probe_sphere,
@@ -255,6 +256,9 @@ def test_inversion_memo_changes_no_bit(m):
     assert [invert(backwards, i, l) for i, l in MEMO_REGIONS[::-1]] == fresh[::-1]
     # the ball integrals of later regions reuse the spheres of earlier ones
     assert len(shared.sphere_integrals) < spheres
+    # keyed by the sphere m alone: ball(i) sums the spheres m <= -i
+    top = max(-i for i, _ in MEMO_REGIONS)
+    assert set(shared.sphere_integrals) == set(range(min(shared.sphere_integrals), top + 1))
 
 
 def test_repeated_inversion_evaluates_no_new_point():
@@ -314,12 +318,13 @@ def test_other_evaluators_get_a_memo_per_call():
 
 
 def test_invert_exponent_refinement_cap():
-    # an evaluator that is not locally constant anywhere
+    # an evaluator that is not locally constant anywhere; at p = 2 the
+    # cap's depth is 2**REFINE_CAP points
     import random
 
     noisy = Pointwise(lambda t: random.random(), 2)
-    with pytest.raises(ToleranceError):
-        invert_exponent(noisy, 0, 2, 2, refine_cap=3)
+    with pytest.raises(ToleranceError, match=f"refinement cap {REFINE_CAP} hit"):
+        invert_exponent(noisy, 0, 2, 2)
 
 
 def test_classify_cutoff():

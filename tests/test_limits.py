@@ -120,7 +120,7 @@ def test_simulate_sums_budget():
 def test_simulate_sums_mc_matches_theory():
     p = 2
     params = StableParams(1.0, 1.0, p)
-    law = stable_sampler(params, resolution=-8)
+    law = stable_sampler(params, resolution=-8, n_lo=-40, n_hi=40)
     m = make_example_measure(1, 1, p)
     scheme = LimitScheme.geometric(p, m.beta, m.gamma0, n_max=4)
     rng = substream(3, 0)
@@ -518,7 +518,7 @@ def _failing_block_scenario(case: str) -> Scenario:
         name=case, prime=p, law=sampler_from_spec(law_spec),
         scheme=LimitScheme.geometric(p, Fraction(1, 2), 2, n_max=1),
         grid=grid, balls=tuple(balls), sets=(), m=64, seed=seed, n_list=(0, 1),
-        law_spec=law_spec,
+        law_spec=law_spec, kind="generic",
     )
 
 

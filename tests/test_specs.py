@@ -257,6 +257,20 @@ REJECTED_SPECS = [
         dict(STABLE_CONFIG, target={"kind": "radial_stable", "a": 1, "alpha": 1, "p": 2}),
         "invalid scenario spec: 'radial_stable' is not one of ['point_mass', 'haar_ball']",
     ),
+    # an n beyond the scheme's last would run unchecked: a geometric
+    # scheme checks k(n) = floor(beta**-n) only up to its n_max
+    (
+        specs.scenario_from_spec,
+        dict(STABLE_CONFIG, kind="generic", m=16, n_list=[0, 3, 6], scheme={
+            "mode": "geometric", "p": 2, "beta": 0.9, "gamma0": "2", "n_max": 0}),
+        "n_list exceeds geometric scheme length",
+    ),
+    (
+        specs.scenario_from_spec,
+        dict(STABLE_CONFIG, n_list=[0, 2], scheme={
+            "mode": "explicit", "p": 2, "b_list": [1, "1/2"], "k_list": [1, 2]}),
+        "n_list exceeds explicit scheme length",
+    ),
 ]
 
 
@@ -357,6 +371,82 @@ def test_every_tolerance_name_is_read():
     assert read == set(specs.SCENARIO_SCHEMA["properties"]["tolerances"]["properties"])
     sc = specs.scenario_from_spec(dict(STABLE_CONFIG, tolerances={k: 0.5 for k in read}))
     assert all(sc.tol(k, 1.0) == 0.5 for k in read)
+
+
+# ---------------------------------------------------------------------
+# The kind table: what a spec that leaves a key out runs
+# ---------------------------------------------------------------------
+
+# a law spec of each kind over p = 2, without the keys it may leave out
+BARE_LAWS = {
+    "point_mass": {"kind": "point_mass", "xi": "1/2 @ p=2"},
+    "haar_ball": {"kind": "haar_ball", "p": 2, "center": "1/2", "radius_exp": 0},
+    "radial_stable": {"kind": "radial_stable", "a": 1, "alpha": 1, "p": 2},
+    "compound_poisson": {"kind": "compound_poisson",
+                         "measure": {"stable": {"a": 1, "alpha": 1, "p": 2}}},
+}
+
+
+def test_the_table_holds_the_documented_defaults():
+    assert sorted(BARE_LAWS) == sorted(specs._LAWS)
+    assert {kind: entry.defaults for kind, entry in specs._LAWS.items()} == {
+        "point_mass": {},
+        "haar_ball": {"resolution": -12},
+        "radial_stable": {"resolution": -12, "n_lo": -40, "n_hi": 40},
+        "compound_poisson": {"resolution": -6},
+    }
+    assert {kind: entry.defaults for kind, entry in specs._TARGETS.items()} == {
+        "point_mass": {}, "haar_ball": {},
+    }
+    assert {mode: entry.defaults for mode, entry in specs._SCHEMES.items()} == {
+        "geometric": {"n_max": 10}, "explicit": {},
+    }
+    geometric = {key: STABLE_CONFIG["scheme"][key] for key in ("mode", "p", "beta", "gamma0")}
+    assert specs.scheme_from_spec(geometric).n_max == 10
+
+
+def _report_without_law(out_dir: Path) -> bytes:
+    """The bytes limit-verify wrote to ``out_dir``, with the law spec the
+    CSV header and the JSON summary echo taken out: the rows verbatim,
+    the rest as the CLI's own json.dumps writes it."""
+    out = b""
+    for path in sorted(out_dir.iterdir()):
+        text = path.read_text()
+        if path.suffix == ".csv":
+            header, rows = text.split("\n", 1)
+            meta = json.loads(header[2:])
+            del meta["config"]["law"], meta["effective"]["law"]
+            text = json.dumps(meta, sort_keys=True) + "\n" + rows
+        else:
+            payload = json.loads(text)
+            del payload["effective"]["law"]
+            text = json.dumps(payload, sort_keys=True, indent=2)
+        out += path.name.encode() + b"\n" + text.encode()
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(BARE_LAWS))
+def test_a_law_spec_runs_its_kinds_defaults(kind, tmp_path):
+    bare = BARE_LAWS[kind]
+    defaults = specs._LAWS[kind].defaults
+    full = {**bare, **defaults}
+    sampler, law = specs.law_from_spec(bare)
+    assert (sampler, law) == specs.law_from_spec(full)
+    assert specs.sampler_from_spec(bare) == sampler
+    if "resolution" in defaults:
+        assert sampler.resolution == defaults["resolution"]
+    if "n_lo" in defaults:
+        # the table reaches below the resolution, to n_lo
+        assert (sampler.table.n_lo, sampler.table.n_hi) == (defaults["n_lo"], defaults["n_hi"])
+    reports = []
+    for name, spec in (("bare", bare), ("full", full)):
+        config = dict(STABLE_CONFIG, law=spec, m=24, n_list=[0, 2])
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        out_dir = tmp_path / name
+        main(["limit-verify", "--config", str(path), "--out", str(out_dir)])
+        reports.append(_report_without_law(out_dir))
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------
