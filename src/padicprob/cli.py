@@ -19,6 +19,9 @@ from . import __version__
 from .charfn import HaarUniform, PointMass, StableLaw, StableParams, Transform, substream
 from .errors import PrecisionError, ToleranceError
 from .levy import (
+    INVERT_TOL,
+    PROBE_DEPTH,
+    SEARCH_RADIUS_EXP,
     JumpMeasure,
     LevyExponent,
     classify_two_valued,
@@ -317,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     li = sub.add_parser("levy-invert", help="recover a mass from the exponent")
     li.add_argument("--measure", required=True)
     li.add_argument("--set", required=True, help="annulus(<i>,<l>) or annulus(<i>,inf)")
-    li.add_argument("--tol", type=float, default=1e-10)
+    li.add_argument("--tol", type=float, default=INVERT_TOL)
     li.add_argument("--check", type=float, default=None,
                     help="exit 3 if the relative residual exceeds this")
     li.set_defaults(fn=cmd_levy_invert)
@@ -327,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="omega0 | omega:<N> | delta:<rational> | "
                          "stable:a=..,alpha=..,p=.. | measure:<file>")
     cl.add_argument("--p", type=int)
-    cl.add_argument("--radius", type=int, default=6)
-    cl.add_argument("--depth", type=int, default=8)
+    cl.add_argument("--radius", type=int, default=SEARCH_RADIUS_EXP)
+    cl.add_argument("--depth", type=int, default=PROBE_DEPTH)
     cl.set_defaults(fn=cmd_classify)
 
     lv = sub.add_parser("limit-verify", help="run a convergence scenario")

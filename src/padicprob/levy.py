@@ -542,6 +542,8 @@ def _probe_sphere(g, p: int, m: int, units: list[int]) -> list[complex]:
 # most inner spheres a ball integral sums past its own
 REFINE_CAP = 12
 MAX_SPHERES = 200
+# the tolerance on a recovered mass when the caller states none
+INVERT_TOL = 1e-10
 
 
 def _sphere_integral(phi, spheres: dict[int, complex], m: int, p: int) -> complex:
@@ -623,7 +625,7 @@ def invert_exponent(
     i: int,
     l: int | float | None,
     p: int,
-    tol: float = 1e-10,
+    tol: float = INVERT_TOL,
 ) -> float:
     """Recover the jump mass of the annulus {p**(i+1) <= |x| <= p**l}
     from the exponent evaluator alone; ``l=None`` (or inf) gives the tail
@@ -711,6 +713,10 @@ def _snap_phase(value: complex, p: int, max_scale: int) -> Fraction:
 # from 0 or 1 within which it reads a modulus as that value
 PROBE_UNITS_CAP = 512
 CLASSIFY_TOL = 1e-9
+# the probed spheres |t| = p**k, k in [-PROBE_DEPTH, SEARCH_RADIUS_EXP],
+# when the caller states none
+SEARCH_RADIUS_EXP = 6
+PROBE_DEPTH = 8
 
 
 def _probe_depth(p: int, requested: int) -> int:
@@ -748,8 +754,8 @@ def _reconstruct_point(at_power: dict[int, complex], p: int, lo: int, hi: int) -
 def classify_two_valued(
     g,
     p: int,
-    search_radius_exp: int = 6,
-    probe_depth: int = 8,
+    search_radius_exp: int = SEARCH_RADIUS_EXP,
+    probe_depth: int = PROBE_DEPTH,
 ) -> TwoValuedForm:
     """Probe |g| on a canonical grid of spheres |t| = p**k for
     k in [-probe_depth, search_radius_exp].

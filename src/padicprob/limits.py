@@ -274,18 +274,19 @@ def scaling_identity_check(
 
 
 def default_ball_family(p: int, count: int) -> list[Ball]:
-    """Deterministic family of balls used for tightness diagnostics."""
+    """Deterministic family of balls used for tightness diagnostics: the
+    balls around 0 of radius p**-2 .. p**2, then the depth-2, 3, ...
+    balls of the spheres |x| = 1, p, p**2, p**-1.  The balls are distinct
+    by construction: those around 0 differ in radius, the others hold no
+    0, and two of them with one sphere and depth are disjoint balls of
+    one split_sphere."""
     from .sets import split_sphere
 
     fam: list[Ball] = [Ball(p, 0, k) for k in range(-2, 3)]
     depth = 2
     while len(fam) < count and depth <= 8:
         for e in (0, 1, 2, -1):
-            for b in split_sphere(e, depth, p):
-                if len(fam) >= count:
-                    break
-                if b not in fam:
-                    fam.append(b)
+            fam.extend(split_sphere(e, depth, p))
         depth += 1
     return fam[:count]
 

@@ -69,17 +69,6 @@ def _dtype(p: int, width: int):
     return object
 
 
-def decode(p: int, top: int, window: int | None, residue: int) -> PAdicNumber:
-    """The PAdicNumber that ``residue`` stands for in a batch with this
-    top and window (``window=None``: the exact zero)."""
-    if window is None:
-        return PAdicNumber.zero(p)
-    if residue == 0:
-        return PAdicNumber.zero(p, window)
-    v = int_valuation(residue, p)
-    return PAdicNumber(p, v - top, residue // p**v, top + window - v)
-
-
 def replay(xs: Iterable[PAdicNumber], probes: Sequence[Callable]) -> NoReturn:
     """Run each probe on each value, value-major, until one raises.
 
@@ -179,10 +168,37 @@ class ResidueBatch:
         return ResidueBatch(p, self.top - v, self.window + v, values)
 
     def elements(self) -> list[PAdicNumber]:
-        return [
-            decode(self.prime, self.top, self.window, x)
-            for x in self.values.tolist()
-        ]
+        """The values as PAdicNumbers, decoded in one pass.
+
+        A residue X != 0 with valuation v stands for p**(v - top) * X/p**v,
+        known to top + window - v digits; X = 0 stands for the zero
+        certified modulo p**window, and every value of a batch with
+        window None for the exact zero.  The prime, top and window are
+        read once, the valuation of X at p = 2 is its number of trailing
+        zero bits, and every nonzero value is built by PAdicNumber's
+        checking constructor, so a residue out of range raises there.
+        """
+        p, top, window = self.prime, self.top, self.window
+        residues = self.values.tolist()
+        if window is None:
+            return [PAdicNumber.zero(p)] * len(residues)
+        width = top + window
+        zero = PAdicNumber.zero(p, window)
+        out = []
+        for x in residues:
+            if not x:
+                out.append(zero)
+                continue
+            if p == 2:
+                v = (x & -x).bit_length() - 1
+                x >>= v
+            else:
+                v = 0
+                while not x % p:
+                    x //= p
+                    v += 1
+            out.append(PAdicNumber(p, v - top, x, width - v))
+        return out
 
     # -- character phases ---------------------------------------------
 

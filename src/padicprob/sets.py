@@ -51,6 +51,21 @@ def _split(p: int, r) -> tuple[int, int, int] | None:
     return None if r == 0 else split_p_part(r, p)
 
 
+def _reduced(p: int, split, radius_exp: int) -> tuple[int, int] | None:
+    """The canonical pair (v, u) of the center p**v * a/b, split = (v,
+    a, b), in a ball of radius p**radius_exp, or None when that ball
+    holds 0 (split None: the center 0): the one place centers are
+    reduced."""
+    if split is None:
+        return None
+    v, a, b = split
+    k = -radius_exp - v
+    if k <= 0:
+        return None
+    mod = p**k
+    return v, a % mod if b == 1 else a * pow(b, -1, mod) % mod
+
+
 def _center_of(ball) -> Fraction:
     split = ball._center_split
     return _ZERO if split is None else split[1] * _haar(ball.prime, split[0])
@@ -96,19 +111,10 @@ class Ball:
 
     def _assign(self, p: int, split, radius_exp: int) -> None:
         """Set the fields for the center p**v * a/b, split = (v, a, b),
-        or 0 when split is None: the one place centers are reduced."""
-        if split is not None:
-            v, a, b = split
-            k = -radius_exp - v
-            if k > 0:
-                mod = p**k
-                u = a % mod if b == 1 else a * pow(b, -1, mod) % mod
-                split = (v, u)
-            else:
-                split = None
+        or 0 when split is None."""
         object.__setattr__(self, "prime", p)
         object.__setattr__(self, "radius_exp", radius_exp)
-        object.__setattr__(self, "_center_split", split)
+        object.__setattr__(self, "_center_split", _reduced(p, split, radius_exp))
 
     def __reduce__(self):
         return Ball, (self.prime, self.center, self.radius_exp)
@@ -136,15 +142,6 @@ class Ball:
             return None
         return -self._center_split[0]
 
-    def _holds(self, v: int | None, u: int) -> bool:
-        """Membership of p**v * u (u coprime to p), or of 0 if v is None."""
-        if self._center_split is None:
-            return v is None or v >= -self.radius_exp
-        # |center| > p**radius_exp: the point must share the center's
-        # valuation cv and its unit modulo p**(-radius_exp - cv)
-        cv, cu = self._center_split
-        return v == cv and (u - cu) % self.prime ** (-self.radius_exp - cv) == 0
-
     def contains_rational(self, r: Fraction | int) -> bool:
         d = Fraction(r) - self.center
         if d == 0:
@@ -152,22 +149,42 @@ class Ball:
         return rational_valuation(d, self.prime) >= -self.radius_exp
 
     def contains(self, x) -> bool:
-        if isinstance(x, PAdicNumber):
-            if x.prime != self.prime:
-                raise PrimeMismatchError("point over a different prime")
-            # membership depends only on digits above the radius scale
-            if x.known_mod_exp < -self.radius_exp:
-                raise PrecisionError(
-                    "point known modulo p**%s, membership needs p**%d"
-                    % (x.known_mod_exp, -self.radius_exp)
-                )
-            return self._holds(x.valuation, x.unit)
-        return self.contains_rational(x)
+        """Whether x, a PAdicNumber or a rational, lies in the ball.
+
+        A PAdicNumber over another prime raises PrimeMismatchError, and
+        one known modulo p**e with e < -radius_exp raises PrecisionError,
+        since membership needs its digits up to p**-radius_exp.  This is
+        the one statement of point membership, and its fast path: the
+        window is read from the valuation and precision fields (what
+        ``known_mod_exp`` computes), and the point is compared with the
+        centre pair with no further property or method call.
+        """
+        if not isinstance(x, PAdicNumber):
+            return self.contains_rational(x)
+        if x.prime != self.prime:
+            raise PrimeMismatchError("point over a different prime")
+        need = -self.radius_exp
+        v = x.valuation
+        # x is known modulo p**known; an exact zero (None) is known to all digits
+        known = x.precision if v is None else v + x.precision
+        if known is not None and known < need:
+            raise PrecisionError(
+                "point known modulo p**%s, membership needs p**%d" % (known, need)
+            )
+        split = self._center_split
+        if split is None:
+            return v is None or v >= need
+        # |center| > p**radius_exp: the point must share the center's
+        # valuation cv and its unit modulo p**(-radius_exp - cv)
+        cv, cu = split
+        return v == cv and (x.unit - cu) % self.prime ** (need - cv) == 0
 
     def relate(self, other: "Ball") -> str:
         """One of 'equal', 'inside', 'contains', 'disjoint'.
 
-        Ultrametric dichotomy: partial overlap cannot occur.
+        Ultrametric dichotomy: partial overlap cannot occur.  The larger
+        ball holds the smaller one exactly when the smaller one's centre,
+        reduced at the larger radius, is the larger one's centre pair.
         """
         if self.prime != other.prime:
             raise PrimeMismatchError("balls over different primes")
@@ -177,7 +194,10 @@ class Ball:
         big, small = (
             (self, other) if self.radius_exp > other.radius_exp else (other, self)
         )
-        if not big._holds(*(small._center_split or (None, 0))):
+        c = small._center_split
+        if c is not None:
+            c = _reduced(self.prime, (c[0], c[1], 1), big.radius_exp)
+        if c != big._center_split:
             return "disjoint"
         return "inside" if small is self else "contains"
 

@@ -1,10 +1,12 @@
+import inspect
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from padicprob.cli import main
+from padicprob.cli import build_parser, main
+from padicprob.levy import classify_two_valued, invert_exponent
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -125,6 +127,18 @@ def test_levy_invert_tolerance_not_positive_exits_2(tol, capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("error: tol must be > 0")
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # the parser states no default of its own: each is levy's constant
+    parser = build_parser()
+    invert = parser.parse_args(["levy-invert", "--measure", "m.json", "--set", "annulus(0,1)"])
+    classify = parser.parse_args(["classify", "--cf", "omega0"])
+    assert invert.tol == inspect.signature(invert_exponent).parameters["tol"].default == 1e-10
+    defaults = inspect.signature(classify_two_valued).parameters
+    assert (classify.radius, classify.depth) == (
+        defaults["search_radius_exp"].default, defaults["probe_depth"].default
+    ) == (6, 8)
 
 
 def test_sample_dump_format_and_determinism(tmp_path, capsys):

@@ -204,6 +204,16 @@ def test_default_ball_family_deterministic():
     assert len(set(fam1)) == 20
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_default_ball_family_has_count_distinct_balls(p):
+    # the family is built without a repeat test: its balls are distinct
+    # by construction
+    for count in range(41):
+        fam = default_ball_family(p, count)
+        assert len(fam) == count
+        assert len(set(fam)) == count
+
+
 def _stable_preset(**changes) -> Scenario:
     """The stable_limit preset's document, with ``changes``."""
     return scenario_from_spec({**preset_spec("stable_limit"), **changes})

@@ -41,7 +41,9 @@ from padicprob.limits import (
     simulate_sums,
     sum_residues,
 )
-from padicprob.padic import PAdicNumber, grid_points, rational_valuation, reduced_phase
+from padicprob.padic import (
+    PAdicNumber, grid_points, int_valuation, rational_valuation, reduced_phase,
+)
 from padicprob.residues import ResidueBatch, _reduced_phases, tally, tally_blocks
 from padicprob.sets import Ball, split_sphere
 
@@ -801,6 +803,40 @@ def test_ball_contains_matches_rational_membership(ball, x, shift, scale, precis
         assert outcome(ball.contains, point) == outcome(reference_contains, ball, point)
 
 
+@st.composite
+def balls_and_points(draw):
+    """A ball over 2 or 5 (centre 0 among its centres), a digit window
+    over 2 or 5, exact and certified zeros, and points near the centre
+    known exactly to the radius and one digit short of it."""
+    p = draw(st.sampled_from([2, 5]))
+    center = draw(st.sampled_from(
+        [0, 1, -1, p, p * p + 1, Fraction(1, 3), Fraction(1, p), Fraction(3, p**2), Fraction(-2, p**3)]
+    ))
+    ball = Ball(p, center, draw(st.integers(-6, 3)))
+    q = draw(st.sampled_from([2, 5]))
+    lead = draw(st.integers(1, q - 1))
+    tail = draw(st.lists(st.integers(0, q - 1), max_size=8))
+    drawn = PAdicNumber.from_digits(q, draw(st.integers(-6, 4)), [lead] + tail)
+    need = -ball.radius_exp
+    points = [drawn, PAdicNumber.zero(p), PAdicNumber.zero(p, need), PAdicNumber.zero(p, need - 1),
+              PAdicNumber.zero(p, draw(st.integers(-6, 6)))]
+    near = ball.center + draw(st.integers(-30, 30)) * Fraction(p) ** draw(st.integers(-8, 2))
+    if near != 0:
+        v = rational_valuation(near, p)
+        for k in (need - v, need - v - 1, draw(st.integers(1, 10))):
+            if k >= 1:
+                points.append(PAdicNumber.from_rational(near, p=p, precision=k))
+    return ball, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(balls_and_points())
+def test_ball_contains_matches_rational_membership_at_p_2_and_5(ball_points):
+    ball, points = ball_points
+    for x in points:
+        assert outcome(ball.contains, x) == outcome(reference_contains, ball, x)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_ball_contains_pinned_cases(p):
     cases = [
@@ -820,6 +856,55 @@ def test_ball_contains_pinned_cases(p):
         got = outcome(ball.contains, x)
         assert got == outcome(reference_contains, ball, x)
         assert (got[1] if got[0] == "ok" else got[0]) == expected
+
+
+def decode(p: int, top: int, window: int | None, residue: int) -> PAdicNumber:
+    """The PAdicNumber that ``residue`` stands for in a batch with this
+    top and window (``window=None``: the exact zero), one value at a
+    time: the reference for ResidueBatch.elements."""
+    if window is None:
+        return PAdicNumber.zero(p)
+    if residue == 0:
+        return PAdicNumber.zero(p, window)
+    v = int_valuation(residue, p)
+    return PAdicNumber(p, v - top, residue // p**v, top + window - v)
+
+
+@pytest.mark.parametrize("p, top, window, dtype", [
+    (2, 3, 61, np.uint64),  # up to the top bit of a uint64
+    (2, -2, 9, np.uint64),
+    (3, 4, 16, np.uint64),  # odd p with p**(2W) below 2**64
+    (5, 2, 11, np.uint64),
+    (3, 5, 40, object),  # p**W >= 2**64
+    (2, 0, 70, object),
+])
+def test_elements_decode_each_residue(p, top, window, dtype):
+    width = top + window
+    rng = np.random.default_rng(p * width)
+    values = [0, 1, p - 1, p ** (width - 1), (p - 1) * p ** (width - 1), p**width - 1, 0]
+    values += [int(u) * p ** int(v) % p**width
+               for u, v in zip(rng.integers(1, 2**62, 40), rng.integers(0, width, 40))]
+    batch = ResidueBatch(p, top, window, values)
+    assert batch.values.dtype == dtype
+    assert batch.elements() == [decode(p, top, window, x) for x in values]
+
+
+@pytest.mark.parametrize("p, top, window, values", [
+    (5, 0, None, [0, 0, 0]),  # exact zeros
+    (3, 2, 4, [0, 0]),  # zeros certified modulo 3**4
+    (2, 1, 3, []),
+])
+def test_elements_decode_zero_and_empty_batches(p, top, window, values):
+    batch = ResidueBatch(p, top, window, values)
+    assert batch.elements() == [decode(p, top, window, x) for x in values]
+
+
+def test_elements_build_values_through_the_checking_constructor():
+    # 10 is no residue modulo 3**2: decoding it raises the constructor's error
+    with pytest.raises(ValueError, match="unit out of range for stated precision"):
+        decode(3, 0, 2, 10)
+    with pytest.raises(ValueError, match="unit out of range for stated precision"):
+        ResidueBatch(3, 0, 2, [1, 10]).elements()
 
 
 def test_from_padics_round_trip():
