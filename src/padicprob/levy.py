@@ -327,12 +327,18 @@ class LevyExponent:
     integer tables of each sphere, and the tail masses, are filled in
     on first use.
 
-    One cache keyed by a point's prime and canonical digit window holds
-    the exact sum and, once asked for, its complex value; reads dominate
-    and correctness does not depend on hits, so instances may be shared.
+    A ball of sphere r with radius p**R adds terms only at phase scales
+    up to r - R, so phi(p**v * u) depends on u modulo p**D alone, D the
+    deepest r - R over the balls of nonzero weight (at least 1).  One
+    cache keyed by (prime, v, u mod p**D, precision) holds the exact sum
+    and, once asked for, its complex value: the units of one residue
+    class share one entry, bit for bit what each gives alone.  The
+    precision stays in the key, so a window too short for the kernel
+    misses and raises whatever the cache holds.  Reads dominate and
+    correctness does not depend on hits, so instances may be shared.
     ``sphere_exact`` and ``sphere`` give phi at the points p**v * u of one
-    sphere, computing the ones the cache lacks with one kernel call;
-    ``exact`` and ``__call__`` are their one-point cases, with
+    sphere, computing the residue classes the cache lacks with one kernel
+    call; ``exact`` and ``__call__`` are their one-point cases, with
     phi(0) = 0.  A point over another prime always misses, and the
     kernel refuses it.
 
@@ -347,7 +353,16 @@ class LevyExponent:
         self.measure = measure
         self._spheres: dict[int, tuple] = {}
         self._neg_tails: dict[int, Fraction | float] = {}
-        # key -> [exact sum, complex value or None]
+        # a ball B(p**-r * c, p**R) adds a term on the sphere n only when
+        # n <= v + r - R, at the phase scale n - v <= r - R
+        depth = max(
+            (r - ball.radius_exp
+             for r, entries in enumerate(measure.fundamental)
+             for ball, w in entries if w),
+            default=1,
+        )
+        self._residue_mod = measure.prime**depth
+        # (p, v, u mod p**depth, precision) -> [exact sum, complex value or None]
         self._cache: dict[tuple, list] = {}
         self.sphere_integrals: dict[int, complex] = {}
 
@@ -430,8 +445,9 @@ class LevyExponent:
 
     def _entries(self, p: int, v: int, units: Sequence[int], precision: int) -> list[list]:
         cache = self._cache
-        keys = [(p, v, u, precision) for u in units]
-        missing = [key[2] for key in keys if key not in cache]
+        mod = self._residue_mod
+        keys = [(p, v, u % mod, precision) for u in units]
+        missing = list(dict.fromkeys(key[2] for key in keys if key not in cache))
         if missing:
             sums = self._kernel(p, v, missing, precision)
             for u, value in zip(missing, sums):
@@ -496,14 +512,19 @@ class JumpMeasure(Transform):
         """exp(phi) on the sphere, from the exponent's cached values; the
         k-th power scales each exact sum by k, so that where beta**-1 is
         an integer the sum of k(n) summands reproduces the limit bit for
-        bit."""
+        bit.  Units of one residue class share one cached sum, whose
+        power is taken once per call."""
         self._check(p)
         if k is None:
             return [cmath.exp(z) for z in self.exponent.sphere(p, v, units, precision)]
-        return [
-            cmath.exp(value.scale(k).to_complex())
-            for value in self.exponent.sphere_exact(p, v, units, precision)
-        ]
+        powered: dict[int, complex] = {}
+        out = []
+        for value in self.exponent.sphere_exact(p, v, units, precision):
+            z = powered.get(id(value))
+            if z is None:
+                z = powered[id(value)] = cmath.exp(value.scale(k).to_complex())
+            out.append(z)
+        return out
 
     def log_modulus(self, t: PAdicNumber) -> float:
         """Re phi(t): finite everywhere, as exp(phi) has no zero."""
@@ -645,9 +666,11 @@ def invert_exponent(
 
     When phi is a :class:`LevyExponent`, every finished sphere integral
     is kept on it (``sphere_integrals``) for as long as phi lives, and
-    its exponent cache keeps every probed value, so the balls of later
-    calls on the same phi reuse the spheres of earlier ones (ball(i) is
-    sphere(-i) together with ball(i+1)).  A sphere integral depends only
+    its exponent cache keeps every probed value once per residue class
+    of the unit (see LevyExponent), so a refinement deeper than the
+    measure's balls computes no new sum, and the balls of later calls on
+    the same phi reuse the spheres of earlier ones (ball(i) is sphere(-i)
+    together with ball(i+1)).  A sphere integral depends only
     on phi and the sphere, and the ball series sums the
     spheres in the same order, so every result is bit for bit what a
     fresh phi gives.  Any other evaluator gets a dict of sphere

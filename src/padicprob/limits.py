@@ -38,6 +38,10 @@ from .sets import Ball, TailSet
 
 BUDGET_CAP = 10**8
 MC_BLOCKS = 16
+# the spheres p**k, k in [-CLASSIFY_PROBE_DEPTH, CLASSIFY_SEARCH_RADIUS_EXP],
+# on which a report classifies f_n at the final n
+CLASSIFY_SEARCH_RADIUS_EXP = 4
+CLASSIFY_PROBE_DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -587,7 +591,10 @@ def _classification(scenario: Scenario) -> str | None:
     if scenario.kind not in ("beta_one", "bounded_normalizers") or source is None:
         return None
     f_n = SumTransform(source, scenario.scheme, scenario.n_list[-1])
-    return classify_two_valued(f_n, scenario.prime, search_radius_exp=4, probe_depth=6).kind
+    return classify_two_valued(
+        f_n, scenario.prime,
+        search_radius_exp=CLASSIFY_SEARCH_RADIUS_EXP, probe_depth=CLASSIFY_PROBE_DEPTH,
+    ).kind
 
 
 def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceReport:

@@ -1,6 +1,8 @@
 import cmath
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,9 @@ from padicprob.padic import (
     grid_points,
 )
 from padicprob.sets import Ball, CompactOpenSet, TailSet, annulus, sphere, split_sphere
+from padicprob.specs import measure_from_spec
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_example_measure_construction():
@@ -227,15 +232,27 @@ def _memo_measures():
 
 class _CountingExponent(LevyExponent):
     """A LevyExponent that records every point it is asked for, as
-    (valuation, unit): the point call is the one-unit case of ``sphere``."""
+    (valuation, unit, precision): the point call is the one-unit case of
+    ``sphere``."""
 
     def __init__(self, measure):
         super().__init__(measure)
         self.asked = []
 
     def sphere(self, p, v, units, precision):
-        self.asked.extend((v, u) for u in units)
+        self.asked.extend((v, u, precision) for u in units)
         return super().sphere(p, v, units, precision)
+
+
+def _residue_depth(measure):
+    """D, the deepest r - R over the fundamental balls B(p**-r * c, p**R)
+    of nonzero weight, and at least 1: phi(p**v * u) reads u mod p**D."""
+    return max(
+        (r - ball.radius_exp
+         for r, entries in enumerate(measure.fundamental)
+         for ball, w in entries if w),
+        default=1,
+    )
 
 
 @pytest.mark.parametrize("m", list(_memo_measures()), ids=lambda m: f"p{m.prime}j{m.j}")
@@ -267,8 +284,11 @@ def test_repeated_inversion_evaluates_no_new_point():
     first = [invert_exponent(phi, i, l, 3, tol=1e-12) for i, l in MEMO_REGIONS]
     asked = len(phi.asked)
     # each point is asked for once, and the exponent cache is the one
-    # place its value is kept
-    assert asked == len(set(phi.asked)) == len(phi._cache)
+    # place its value is kept: one entry per residue class mod p**D of
+    # the unit, on each sphere and window
+    assert asked == len(set(phi.asked))
+    mod = 3 ** _residue_depth(m)
+    assert len(phi._cache) == len({(v, u % mod, prec) for v, u, prec in phi.asked})
     again = [invert_exponent(phi, i, l, 3, tol=1e-12) for i, l in MEMO_REGIONS]
     assert again == first
     assert len(phi.asked) == asked
@@ -604,6 +624,101 @@ def test_levy_exponent_caches_sum_and_value():
     assert phi(t) == first.to_complex()
     assert phi.exact(from_rational(3, 8, p=2)) is first
     assert phi(t) is phi(t)
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+_FLOAT_BETA_MEASURE = make_example_measure(0.75, 0.7, 3)
+
+
+@st.composite
+def residue_cases(draw):
+    """A measure, a sphere v and units of a few residue classes mod p**D,
+    each class drawn several times at random digits above p**D."""
+    m = draw(st.one_of(
+        st.builds(
+            lambda seed, p: random_self_similar_measure(substream(seed, 0), p),
+            st.integers(0, 2**32 - 1), st.sampled_from((2, 3, 5)),
+        ),
+        st.just(_FLOAT_BETA_MEASURE),
+    ))
+    p, depth = m.prime, _residue_depth(m)
+    mod = p**depth
+    classes = draw(st.lists(
+        st.integers(1, mod - 1).filter(lambda u: u % p), min_size=1, max_size=3
+    ))
+    units = [
+        c + mod * draw(st.integers(0, p ** (48 - depth) - 1))
+        for c in classes
+        for _ in range(draw(st.integers(2, 3)))
+    ]
+    return m, draw(st.integers(-7, 7)), draw(st.permutations(units))
+
+
+@settings(max_examples=120, deadline=None)
+@given(residue_cases(), st.sampled_from((1, 2, 3, 4)))
+def test_units_of_one_residue_class_share_the_exact_value(case, short):
+    m, v, units = case
+    p, depth = m.prime, _residue_depth(m)
+    shared = LevyExponent(m)
+    exact = shared.sphere_exact(p, v, units, 48)
+    values = shared.sphere(p, v, units, 48)
+    for u, cs, z in zip(units, exact, values):
+        alone = LevyExponent(m).sphere_exact(p, v, [u], 48)[0]
+        assert list(cs.terms().items()) == list(alone.terms().items())
+        assert _bits(z) == _bits(LevyExponent(m).sphere(p, v, [u], 48)[0])
+        assert _bits(z) == _bits(alone.to_complex())
+    # the window check reads (v, precision), whatever the cache holds: at
+    # v = R of a deepest ball B(p**-r * c, p**R), r - R = D, that ball
+    # adds its term at the phase scale D, so every window below D raises
+    deep = next(
+        ball.radius_exp for r, entries in enumerate(m.fundamental)
+        for ball, w in entries if w and r - ball.radius_exp == depth
+    )
+    shared.sphere(p, deep, units, 48)
+    for sphere_v, precision in [(v, short)] + [(deep, k) for k in range(1, depth)]:
+        for u in units:
+            t = PAdicNumber(p, sphere_v, u % p**precision, precision)
+            want = _outcome(LevyExponent(m).exact, t)
+            assert _outcome(shared.exact, t) == want
+            if sphere_v == deep and precision < depth:
+                assert want == (
+                    PrecisionError,
+                    f"need {depth} digits below the unit scale, have {precision}",
+                )
+    # the units of the warmed entries over another prime miss every one
+    for call in (shared.sphere, shared.sphere_exact):
+        with pytest.raises(PrimeMismatchError, match="t over a different prime"):
+            call(7, v, units, 48)
+    with pytest.raises(PrimeMismatchError, match="t over a different prime"):
+        shared.exact(PAdicNumber(7, v, 1, 48))
+
+
+def test_custom_measure_inversion_sweep_runs_one_kernel_unit_per_residue(monkeypatch):
+    import padicprob.levy as levy
+
+    spec = json.loads((CONFIG_DIR / "custom_measure.json").read_text())
+    m = measure_from_spec(spec)
+    calls = []
+    real = levy.LevyExponent._kernel
+
+    def counting(self, p, v, units, precision):
+        calls.append(len(units))
+        return real(self, p, v, units, precision)
+
+    monkeypatch.setattr(levy.LevyExponent, "_kernel", counting)
+    phi = LevyExponent(m)
+    for i, l in MEMO_REGIONS:
+        invert_exponent(phi, i, l, 3, tol=1e-12)
+    # 24 spheres, each refined to depth 2: 6 probe units of each, 144
+    # points.  Every ball has depth r - R = 1, so phi reads the unit mod 3:
+    # the depth-1 call computes the 2 classes, and depth 2 computes none
+    # (keyed by point, 144 units in 48 calls)
+    assert _residue_depth(m) == 1
+    assert len(phi.sphere_integrals) == 24
+    assert calls == [2] * 24
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))

@@ -327,7 +327,9 @@ def test_preset_classification_reads_every_probe_point_by_spheres(name, monkeypa
     assert sizes == [486] * 11
     form = classify_two_valued(
         limits.SumTransform(sc.law_source, sc.scheme, sc.n_list[-1]),
-        sc.prime, search_radius_exp=4, probe_depth=6,
+        sc.prime,
+        search_radius_exp=limits.CLASSIFY_SEARCH_RADIUS_EXP,
+        probe_depth=limits.CLASSIFY_PROBE_DEPTH,
     )
     expected = {"beta_one": ("delta", None)}.get(name, ("haar_cutoff", 0))
     assert (form.kind, form.cutoff_exp) == expected
