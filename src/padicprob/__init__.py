@@ -1,7 +1,7 @@
 """Exact p-adic arithmetic, Haar/character integration, self-similar
 jump measures, samplers for their laws, and limit-law experiments."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .errors import (
     InfiniteMassError,

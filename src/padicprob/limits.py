@@ -9,7 +9,10 @@ Carlo transforms with binomial bands, (c) trajectories of the rescaled
 measures k(n) * F(B_n M) on tail sets, (d) residuals of the modulus
 scaling identity |g(gamma0 t)| = |g(t)|**beta, and (e) a positivity check
 of the target on the grid, on log |g| so that float underflow is not read
-as a zero.
+as a zero.  Which limit a report claims follows its target: none without
+one; for a point mass or a Haar ball, that f_n at the final n has its
+two-valued form where the probe looks; for any other, positivity, and an
+exact sup distance where the summands' transform is the target's.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .charfn import Sampler, Transform, ball_probability, substream
+from .charfn import PointMass, Sampler, Transform, ball_probability, substream
 from .errors import ToleranceError
 from .levy import classify_two_valued, measure_mass
 from .padic import (
@@ -307,7 +310,7 @@ class Scenario:
     ``law`` draws the summands and ``law_spec`` is the sampler spec it
     was built from; ``law_source`` (when available) is their exact
     transform, for the theory rows; ``target`` is the transform of the
-    limit law.
+    limit law, which decides the limit verdicts (see the module docstring).
     """
 
     name: str
@@ -321,7 +324,6 @@ class Scenario:
     seed: int
     n_list: tuple[int, ...]
     law_spec: dict
-    kind: str
     law_source: Transform | None = None
     target: Transform | None = None
     tolerances: dict = field(default_factory=dict)
@@ -585,16 +587,25 @@ def _scaling_rows(scenario: Scenario) -> tuple[list[dict], float | None]:
     return rows, min(target.log_modulus(t) for t in scenario.grid)
 
 
-def _classification(scenario: Scenario) -> str | None:
-    """The two-valued form of f_n at the final n, for the degenerate kinds."""
-    source = scenario.law_source
-    if scenario.kind not in ("beta_one", "bounded_normalizers") or source is None:
-        return None
+def _classification(scenario: Scenario) -> tuple[str | None, bool | None]:
+    """For a two-valued target: the kind of f_n's two-valued form at the
+    final n, and whether the target (read from its fields) has that form
+    where the probe looks, as the ball of the points that agree with its
+    xi on the digits read: below its cutoff p**N, or the probe's radius."""
+    source, target, p = scenario.law_source, scenario.target, scenario.prime
+    if source is None or target is None or not target.two_valued:
+        return None, None
     f_n = SumTransform(source, scenario.scheme, scenario.n_list[-1])
-    return classify_two_valued(
-        f_n, scenario.prime,
-        search_radius_exp=CLASSIFY_SEARCH_RADIUS_EXP, probe_depth=CLASSIFY_PROBE_DEPTH,
-    ).kind
+    form = classify_two_valued(
+        f_n, p, search_radius_exp=CLASSIFY_SEARCH_RADIUS_EXP, probe_depth=CLASSIFY_PROBE_DEPTH
+    )
+    delta_r = -CLASSIFY_SEARCH_RADIUS_EXP  # the radius exponent of a delta's ball
+    if isinstance(target, PointMass):
+        want = Ball(p, target.xi, delta_r)
+    else:
+        want = Ball(p, target.ball.center, max(target.ball.radius_exp, delta_r))
+    r = delta_r if form.cutoff_exp is None else -form.cutoff_exp
+    return form.kind, form.xi is not None and Ball(p, form.xi, r) == want
 
 
 def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceReport:
@@ -611,10 +622,12 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
     ball_rows = _ball_rows(scenario, ball_counts)
     phi_rows, phi_final, phi_dropped = _phi_rows(scenario)
     scaling_rows, min_log_abs_target = _scaling_rows(scenario)
-    degenerate = _classification(scenario)
+    degenerate, has_form = _classification(scenario)
+    # a limit law that is not two-valued
+    stable = target is not None and not target.two_valued
 
     verdicts: dict[str, bool] = {}
-    if sup_rows and scenario.kind == "stable_limit":
+    if sup_rows and stable and law in (target, getattr(target, "closed_form", None)):
         verdicts["sup_exact"] = all(
             r["sup_err"] <= scenario.tol("sup", 1e-12) for r in sup_rows
         )
@@ -637,11 +650,10 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
         )
     if ball_rows:
         verdicts["ball_frequencies"] = all(r["within"] for r in ball_rows)
-    if min_log_abs_target is not None and scenario.kind == "stable_limit":
+    if stable:
         verdicts["positivity"] = min_log_abs_target > -math.inf
     if degenerate is not None:
-        expected = {"beta_one": "delta", "bounded_normalizers": "haar_cutoff"}[scenario.kind]
-        verdicts["degenerate_verdict"] = degenerate == expected
+        verdicts["degenerate_verdict"] = has_form
 
     effective = {
         "name": scenario.name,
@@ -655,7 +667,6 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
             "gamma0": str(scenario.scheme.gamma0),
         },
         "law": scenario.law_spec,
-        "kind": scenario.kind,
         "tolerances": dict(scenario.tolerances),
         "grid": [str(t.as_rational()) for t in scenario.grid],
         "balls": [str(b) for b in scenario.balls],
@@ -686,8 +697,8 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
 # The paper's k(n) regimes as scenario documents, presets/<name>.json:
 # the stable limit of k(n) ~ beta**-n (over p = 2, a = alpha = 1), and
 # three degenerate limits with Haar summands on Z_p, at beta = 1 (a point
-# mass), at bounded normalisers (the uniform law on Z_p) and at beta -> 0
-# (a demonstration nothing is asserted of).
+# mass target), at bounded normalisers (the uniform law on Z_p as target)
+# and at beta -> 0 (no target, so a demonstration nothing is asserted of).
 PRESET_DIR = Path(__file__).with_name("presets")
 
 

@@ -838,21 +838,18 @@ def grid_points(
     """Deterministic evaluation grid {u * p**-k : |t| = p**k}.
 
     Every point is an exact rational, so repeated runs and parallel
-    workers see bit-identical inputs.
+    workers see bit-identical inputs.  A unit two digit sets give (at
+    p = 2, (p - 1, p - 1) is (1, 1)) is listed once, where it first occurs.
     """
     if unit_digit_sets is None:
         unit_digit_sets = ((1,), (1, 1), (1, 0, 1), (p - 1, p - 1))
-    pts = []
-    for k in range(k_lo, k_hi + 1):
-        for ds in unit_digit_sets:
-            if any(d >= p for d in ds) or ds[0] == 0:
-                continue
-            u = 0
-            for i, d in enumerate(ds):
-                u += d * p**i
-            pts.append(
-                PAdicNumber.from_rational(
-                    Fraction(u) * Fraction(p) ** (-k), p=p, precision=precision
-                )
-            )
-    return pts
+    units = dict.fromkeys(
+        sum(d * p**i for i, d in enumerate(ds))
+        for ds in unit_digit_sets
+        if ds[0] != 0 and all(d < p for d in ds)
+    )
+    return [
+        PAdicNumber.from_rational(Fraction(u) * Fraction(p) ** (-k), p=p, precision=precision)
+        for k in range(k_lo, k_hi + 1)
+        for u in units
+    ]

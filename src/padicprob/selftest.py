@@ -428,12 +428,16 @@ def criterion_9(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
     form3 = classify_two_valued(
         SumTransform(sc3.law_source, sc3.scheme, max(sc3.n_list)), sc3.prime
     )
+    # the beta = 1 sums against the point mass at 1, which they do not approach
+    doc1 = {**preset_spec("beta_one"), "m": 0, "target": {"kind": "point_mass", "xi": "1 @ p=3"}}
+    rep1 = convergence_report(scenario_from_spec(doc1))
     verdicts_ok = (
         rep2.degenerate == "delta"
         and rep3.degenerate == "haar_cutoff"
         and form3.cutoff_exp == 0
         and form3.xi is not None
         and form3.xi.is_zero
+        and [r.verdicts["degenerate_verdict"] for r in (rep2, rep3, rep1)] == [True, True, False]
     )
     ok = exact2 and exact3 and verdicts_ok
     return _result(
@@ -443,7 +447,8 @@ def criterion_9(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
         started,
         ok,
         f"beta=1 exact pointwise: {exact2}; bounded-B exact: {exact3}; "
-        f"verdicts delta/haar_cutoff(0,0): {verdicts_ok} (zero tolerance)",
+        f"verdicts delta/haar_cutoff(0,0), degenerate_verdict true on both "
+        f"presets and false against a point mass at 1: {verdicts_ok} (zero tolerance)",
         {"beta_one": rep2.degenerate, "bounded_normalizers": rep3.degenerate},
     )
 

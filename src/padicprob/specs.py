@@ -257,7 +257,6 @@ SCENARIO_SCHEMA = {
     "type": "object",
     "properties": {
         "name": {"type": "string"},
-        "kind": {"enum": ["generic", "stable_limit", "beta_one", "bounded_normalizers", "demo"]},
         "law": SAMPLER_SCHEMA,
         "scheme": SCHEME_SCHEMA,
         "target": {"oneOf": [MEASURE_SCHEMA, {"type": "null"}, TWO_VALUED_SCHEMA]},
@@ -581,7 +580,6 @@ def _target(obj) -> Transform:
 # what a scenario spec leaving these keys out runs; without "balls", the
 # first _DEFAULT_BALLS balls of limits.default_ball_family
 _SCENARIO_DEFAULTS = {
-    "kind": "generic",
     "target": None,
     "grid": {"k_lo": -6, "k_hi": 6},
     "sets": ["annulus(0,inf)"],
@@ -634,7 +632,6 @@ def scenario_from_spec(obj) -> Scenario:
         n_list=tuple(n_list),
         law_source=law_source,
         target=target,
-        kind=spec["kind"],
         tolerances=dict(spec["tolerances"]),
         law_spec=dict(spec["law"]),
     )

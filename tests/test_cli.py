@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from padicprob import limits
 from padicprob.cli import build_parser, main
 from padicprob.levy import classify_two_valued, invert_exponent
 
@@ -219,6 +220,51 @@ def test_limit_verify_preset(tmp_path, capsys):
     )
     assert code == 0
     assert "PASS" in out
+
+
+def _limit_verify_summary(spec: dict, tmp_path, capsys) -> tuple[int, dict]:
+    """limit-verify on the scenario document ``spec``: its exit code and
+    the JSON summary it writes."""
+    cfile = tmp_path / "scenario.json"
+    cfile.write_text(json.dumps(spec))
+    out_dir = tmp_path / "out"
+    code, _, _ = run(["limit-verify", "--config", str(cfile), "--out", str(out_dir)], capsys)
+    return code, json.loads((out_dir / f"{spec['name']}.json").read_text())
+
+
+# Two-valued targets the sums do not converge to: those of beta_one go to
+# the point mass at 0, not at 1, and those of bounded_normalizers to the
+# uniform law on Z_3, not on 9 Z_3.  A verdict that compared only the
+# classified kind with one a label expected passed both.
+WRONG_TARGETS = {
+    "beta_one": {"kind": "point_mass", "xi": "1 @ p=3"},
+    "bounded_normalizers": {"kind": "haar_ball", "p": 3, "center": "0", "radius_exp": -2},
+}
+
+
+@pytest.mark.parametrize("m", [0, 800])
+@pytest.mark.parametrize("preset", sorted(WRONG_TARGETS))
+def test_a_wrong_two_valued_target_exits_3(preset, m, tmp_path, capsys):
+    spec = {**limits.preset_spec(preset), "target": WRONG_TARGETS[preset], "m": m}
+    code, summary = _limit_verify_summary(spec, tmp_path, capsys)
+    assert code == 3
+    assert summary["verdicts"]["degenerate_verdict"] is False
+
+
+@pytest.mark.parametrize("xi, code", [("1/3", 0), ("2/3", 3)])
+def test_a_point_mass_target_is_compared_digit_by_digit(xi, code, tmp_path, capsys):
+    # S_0 = X = 1/3 over p = 3, whose digit at 3**-1 the probe reads
+    spec = {
+        "name": "third",
+        "law": {"kind": "point_mass", "xi": "1/3 @ p=3"},
+        "scheme": {"mode": "explicit", "p": 3, "b_list": ["1"], "k_list": [1]},
+        "target": {"kind": "point_mass", "xi": f"{xi} @ p=3"},
+        "m": 0, "seed": 1, "n_list": [0],
+    }
+    got, summary = _limit_verify_summary(spec, tmp_path, capsys)
+    assert got == code
+    assert summary["degenerate"] == "delta"
+    assert summary["verdicts"] == {"degenerate_verdict": code == 0}
 
 
 def test_custom_measure_config_roundtrip(capsys):

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -245,6 +246,34 @@ def test_beta0_demo_runs_without_assertions():
     assert rep.verdicts == {} or all(rep.verdicts.values())
 
 
+_STABLE_VERDICTS = ("phi_trajectory", "positivity", "scaling_identity", "sup_exact")
+_MC_VERDICTS = ("ball_frequencies", "mc_within_bands")
+# Each shipped document's degenerate form, the verdicts it gives at m = 0
+# and those its Monte Carlo rows add at m = 40, every one true, as 0.4.0
+# gave them when a `kind` label chose them: the verdicts read from the
+# target must be the same.
+SHIPPED_VERDICTS = {
+    "beta0_demo": (None, (), ("mc_within_bands",)),
+    "beta_one": ("delta", ("degenerate_verdict",), _MC_VERDICTS),
+    "bounded_normalizers": ("haar_cutoff", ("degenerate_verdict",), _MC_VERDICTS),
+    "stable_limit": (None, _STABLE_VERDICTS, _MC_VERDICTS),
+    "configs/stable_limit.json": (None, _STABLE_VERDICTS, _MC_VERDICTS),
+}
+
+
+@pytest.mark.parametrize("m", [0, 40])
+@pytest.mark.parametrize("name", sorted(SHIPPED_VERDICTS))
+def test_shipped_documents_keep_their_verdicts(name, m):
+    if name in PRESETS:
+        doc = preset_spec(name)
+    else:
+        doc = json.loads((Path(__file__).resolve().parent.parent / name).read_text())
+    degenerate, exact, mc = SHIPPED_VERDICTS[name]
+    rep = convergence_report(scenario_from_spec({**doc, "m": m}))
+    assert rep.verdicts == dict.fromkeys(exact + (mc if m else ()), True)
+    assert rep.degenerate == degenerate
+
+
 def test_stable_limit_report_small_and_parallel_determinism():
     sc = _stable_preset(m=300, n_list=[0, 2], seed=5)
     sc.tolerances["phi_final"] = 0.1  # shallow n_list: trajectory not converged yet
@@ -319,7 +348,8 @@ def test_preset_classification_reads_every_probe_point_by_spheres(name, monkeypa
 
     monkeypatch.setattr(limits, "theoretical_sphere", counting)
     sc = limits.PRESETS[name](m=0)
-    assert limits._classification(sc) == {"beta_one": "delta"}.get(name, "haar_cutoff")
+    kind = {"beta_one": "delta"}.get(name, "haar_cutoff")
+    assert limits._classification(sc) == (kind, True)
     # 11 spheres of all 486 units of probe depth 6 over p = 3: 5346 points,
     # and xi is rebuilt from their first units, read no second time (a
     # one-unit call per sphere up to the cutoff did: 11 on beta_one, 7 on
@@ -364,7 +394,7 @@ def test_measure_source_evaluates_each_point_once(monkeypatch):
         n_list=(0, 1, 2),
         law_spec={"kind": "haar_ball", "p": p, "center": "0", "radius_exp": 0, "resolution": -12},
         law_source=JumpMeasure(m),
-        kind="beta_one",
+        target=PointMass(PAdicNumber.zero(p)),
     )
     seen: dict = {}
     real = levy.LevyExponent._kernel
@@ -377,7 +407,7 @@ def test_measure_source_evaluates_each_point_once(monkeypatch):
 
     monkeypatch.setattr(levy.LevyExponent, "_kernel", counting)
     rep = convergence_report(sc)
-    assert rep.degenerate == "delta"
+    assert rep.degenerate == "delta" and rep.verdicts["degenerate_verdict"]
     assert seen and max(seen.values()) == 1
 
 
@@ -530,7 +560,7 @@ def _failing_block_scenario(case: str) -> Scenario:
         name=case, prime=p, law=sampler_from_spec(law_spec),
         scheme=LimitScheme.geometric(p, Fraction(1, 2), 2, n_max=1),
         grid=grid, balls=tuple(balls), sets=(), m=64, seed=seed, n_list=(0, 1),
-        law_spec=law_spec, kind="generic",
+        law_spec=law_spec,
     )
 
 
@@ -585,7 +615,6 @@ def _stable_p3_scenario(m: int = 0):
         "m": m,
         "seed": 5,
         "n_list": [0, 1],
-        "kind": "stable_limit",
     })
 
 

@@ -22,6 +22,7 @@ from padicprob.padic import (
     chi,
     format_padic,
     from_rational,
+    grid_points,
     parse_number,
     parse_padic,
     rational_char_phase,
@@ -602,3 +603,16 @@ def test_character_value_divides_fraction_integers_as_float_does(p, terms):
     want = _character_value_in_fractions(p, terms)
     got = character_value(p, terms)
     assert (repr(got.real), repr(got.imag)) == (repr(want.real), repr(want.imag))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_grid_points_repeat_no_point(p):
+    # the default units are 1, 1 + p, 1 + p**2 and (p - 1)(1 + p), on each
+    # sphere k in order; at p = 2 the last is 1 + p again, and its points
+    # were listed twice (52 points, 39 distinct)
+    units = [1, 1 + p, 1 + p * p, (p - 1) * (1 + p)]
+    listed = [Fraction(u) * Fraction(p) ** -k for k in range(-6, 7) for u in units]
+    points = [t.as_rational() for t in grid_points(p, -6, 6)]
+    assert len(set(points)) == len(points) == (39 if p == 2 else 52)
+    # an odd p keeps every point in its place, so its reports keep their bytes
+    assert points == (listed if p > 2 else list(dict.fromkeys(listed)))

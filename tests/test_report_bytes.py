@@ -245,18 +245,18 @@ def target_stable_p3(tmp: Path) -> bytes:
     law = {"kind": "radial_stable", "a": 2, "alpha": 1.5, "p": 3, "resolution": -8}
     scheme = {"mode": "geometric", "p": 3, "beta": 3**-1.5, "gamma0": "3", "n_max": 4}
     target = {"stable": {"a": 2, "alpha": 1.5, "p": 3}}
-    config = _small_config("stable-p3", law, scheme, target, kind="stable_limit")
+    config = _small_config("stable-p3", law, scheme, target)
     return _config_report(config, tmp)
 
 
 DIGESTS = {
     "cf_eval_measure": (
-        "c9c2b575b8ce087160c87423b3c43a8c"
-        "7c1924353d7f2b444bf2318173870867"
+        "e5ece9154701a2f800a60137605a6845"
+        "d4d5c2ac383f02f05f4f72e6e36d6c2a"
     ),
     "cf_eval_stable": (
-        "6c3d4a7f964ac3e7ce42452dd8fae7a6"
-        "33a3927356e01f73943f079470b7273d"
+        "784650ae9b91e580751a4d9ea64ee70b"
+        "f2434210a5d42c1aea38bd7865967cb3"
     ),
     "classify_measures": (
         "25dfef2e3d2f020c80c2fe9925fcbf33"
@@ -279,56 +279,56 @@ DIGESTS = {
         "f20a4d40475b96a247e9674616e3ef34"
     ),
     "law_compound_poisson": (
-        "5c413814070d34b364eb91f434607146"
-        "c5e5493b91c82f84c93c41d6a4a4ccab"
+        "0f6053f73bf46bf85f7a819eab7d1958"
+        "5b773da4557d916ca88e7bf75972540a"
     ),
     "law_haar_ball": (
-        "28732c6104c796e61140c0b3294feaa7"
-        "1eb0120f4ccb8fc15968023b9c3748a9"
+        "9aa2c963aee76072bf71d4ca79d63b91"
+        "bed6b1715d50e0373be7a246bdb8f1b9"
     ),
     "law_point_mass": (
-        "df60fb44ad07767bfe2f33a59df4fb5d"
-        "ec2efcadc5ef64ea717213606a478241"
+        "0a9b0b86a6c378ca6c0ae53a5ebaaf09"
+        "386a6e493798ec61fb56e43398603afe"
     ),
     "levy_exponent_csv": (
-        "1a2abf241aa7c14dd1dbc217f3ed7ce3"
-        "65f91de73aee81c1ea35c35b7a722b7a"
+        "0d8297d592024d24dac94359548aa225"
+        "48ea94e2620209a080351a01ee2b1527"
     ),
     "levy_exponent_grid": (
         "8d93df0a92993e9a33b47dfba8b8a33c"
         "c7be0860fbec2a81e8539351182a9f4c"
     ),
     "preset_beta0_demo": (
-        "670b9c03dd1a70266fe7b700a970c59c"
-        "16c634203619b1332d005305899b59fc"
+        "6f8171e2777e6e7affa6d01c93173539"
+        "c33085bd3f334765738a95373466170b"
     ),
     "preset_beta_one": (
-        "9a3c633de65348b8cd4a7f1f8fdbbffd"
-        "f5624a0596557e3c3756384e497a7fda"
+        "fe0179a726272c46d1994068cd03c1a5"
+        "a2cdbd87ae0f13bb6a1e1eefe73e3dac"
     ),
     "preset_bounded_normalizers": (
-        "4d79d9208a2b60c1fac22a4e83b53c0c"
-        "3fa3c7a93c23b261dff5d1941ff38f90"
+        "0fb5c47122673c7856f553ced4101979"
+        "97c4ad9e1d4de49fcd209487c1281074"
     ),
     "preset_stable_limit": (
-        "03b5c214a91df61bd498a35b526a1e1c"
-        "224964d2ade6d3c0f511c62377dfabee"
+        "364c9bcc790bfe9b750b640ca246b5fb"
+        "bfa16e0269395c114fcb737c9a30264e"
     ),
     "scaling_and_masses": (
         "326a981f685836ff85d2db4d1da5259a"
         "be337e54888eeb77628ac2fac8ed326b"
     ),
     "stable_limit_deep_p3": (
-        "0ceae820c5f0a4b01a1959a8004996bc"
-        "6d7075b44f6bedc7a288ed764abc498f"
+        "78ced943b6d300b35cf73d7366cf644c"
+        "70c3678e4d455a75af13495fa88d5197"
     ),
     "stable_limit_report": (
-        "5f99cb230272cdbacef3875c29b6e87c"
-        "6e397b03588cc83cad3b74b4a7ddd2d1"
+        "1c94760826f4fa81cc191bb589ff201b"
+        "959672d930ed25534a9eab61565aef39"
     ),
     "target_stable_p3": (
-        "66b10421a5510cf3a5645e0f9f184c50"
-        "0bbd5b2a37c8924b4697a321fbee3e1f"
+        "4c310292f7f21bb9ed727f9d95f146f5"
+        "0e8697d75007a0cb6ceff3d237faa257"
     ),
 }
 

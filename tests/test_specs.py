@@ -261,7 +261,7 @@ REJECTED_SPECS = [
     # scheme checks k(n) = floor(beta**-n) only up to its n_max
     (
         specs.scenario_from_spec,
-        dict(STABLE_CONFIG, kind="generic", m=16, n_list=[0, 3, 6], scheme={
+        dict(STABLE_CONFIG, m=16, n_list=[0, 3, 6], scheme={
             "mode": "geometric", "p": 2, "beta": 0.9, "gamma0": "2", "n_max": 0}),
         "n_list exceeds geometric scheme length",
     ),
@@ -270,6 +270,14 @@ REJECTED_SPECS = [
         dict(STABLE_CONFIG, n_list=[0, 2], scheme={
             "mode": "explicit", "p": 2, "b_list": [1, "1/2"], "k_list": [1, 2]}),
         "n_list exceeds explicit scheme length",
+    ),
+    # a scenario's verdicts follow its target: the label that once chose
+    # them is refused, so a document written for it fails loudly
+    (
+        specs.scenario_from_spec,
+        dict(STABLE_CONFIG, kind="stable_limit"),
+        "invalid scenario spec: Additional properties are not allowed "
+        "('kind' was unexpected)",
     ),
 ]
 
@@ -285,6 +293,7 @@ def test_spec_rejects_what_no_run_reads(build, obj, text):
     ("law", dict(STABLE_CONFIG["law"], center=0), "radial_stable does not read center"),
     ("scheme", dict(STABLE_CONFIG["scheme"], k_list=[1]), "geometric scheme does not read k_list"),
     ("n_list", [2, 2], "n_list repeats n = 2"),
+    ("kind", "stable_limit", "Additional properties are not allowed ('kind' was unexpected)"),
 ])
 def test_limit_verify_rejects_unread_input_with_exit_2(tmp_path, capsys, field, value, text):
     path = tmp_path / "c.json"
