@@ -43,6 +43,7 @@ from .charfn import (
     StableLaw,
     StableParams,
     Transform,
+    TwoValuedForm,
     ball_probability,
     poisson_draw,
     sphere_masses,
@@ -53,7 +54,6 @@ from .levy import (
     JumpMeasure,
     LevyExponent,
     SelfSimilarLevyMeasure,
-    TwoValuedForm,
     classify_two_valued,
     invert_exponent,
     levy_exponent_exact,

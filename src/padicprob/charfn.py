@@ -96,6 +96,29 @@ def poisson_draw(rng: np.random.Generator, mean: float) -> int:
 # ---------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class TwoValuedForm:
+    """The exact form of a two-valued transform, one whose modulus is 0 or 1.
+
+    kind 'delta': chi(t * xi), the point mass at xi.  kind 'haar_cutoff':
+    chi(t * xi) for |t| <= p**N (N = ``cutoff_exp``) and 0 beyond, the
+    uniform law on the ball of radius p**-N around xi, which fixes xi
+    modulo p**N.  'not_two_valued' is what classify_two_valued gives a
+    transform with no form.
+    """
+
+    kind: str
+    xi: PAdicNumber | None = None
+    cutoff_exp: int | None = None
+
+    def window(self, top: int) -> Ball:
+        """The points that agree with xi below p**min(N, top): all that
+        the transform fixes of its law on the spheres |t| <= p**top.
+        Raises PrecisionError when xi is not known to those digits."""
+        cut = top if self.cutoff_exp is None else min(self.cutoff_exp, top)
+        return Ball(self.xi.prime, self.xi, -cut)
+
+
 class Transform:
     """The characteristic function g(t) = E chi(t X) of a law on Q_p.
 
@@ -112,13 +135,17 @@ class Transform:
     is real, with ``radial_value(k)`` its value on the sphere |t| =
     p**k.  A two-valued one (|g| is 0 or 1: a point mass or a
     Haar-uniform law) gives its ball probabilities in closed form, by
-    ``exact_ball_probability(ball)``.  ``measure`` is the jump measure
-    whose exponent gives g, where there is one.
+    ``exact_ball_probability(ball)``.  ``form`` is the exact
+    TwoValuedForm of a transform whose law is a point mass or a
+    Haar-uniform law (that of a sum of either, too), and None for any
+    other.  ``measure`` is the jump measure whose exponent gives g,
+    where there is one.
     """
 
     prime: int
     is_radial: bool = False
     two_valued: bool = False
+    form: TwoValuedForm | None = None
     measure = None
 
     def _check(self, p: int) -> None:
@@ -216,6 +243,10 @@ class PointMass(Transform):
         mod = p**k
         return _chis(p, v + xi.valuation, [u * xi.unit % mod for u in units], k)
 
+    @property
+    def form(self) -> TwoValuedForm:
+        return TwoValuedForm("delta", self.xi)
+
     def exact_ball_probability(self, ball: Ball) -> Fraction:
         return Fraction(ball.contains(self.xi))
 
@@ -241,6 +272,16 @@ class HaarUniform(Transform):
         # the canonical centre is the integer p**cv * cu
         cv, cu = ball._center_split
         return _chis(self.prime, v + cv, [u * cu for u in units], precision)
+
+    @property
+    def form(self) -> TwoValuedForm:
+        """The cutoff N = -R, and the centre, known modulo p**N exactly:
+        the digits the ball fixes."""
+        n, split = -self.ball.radius_exp, self.ball._center_split
+        if split is None:
+            return TwoValuedForm("haar_cutoff", PAdicNumber.zero(self.prime, n), n)
+        cv, cu = split
+        return TwoValuedForm("haar_cutoff", PAdicNumber(self.prime, cv, cu, n - cv), n)
 
     def exact_ball_probability(self, ball: Ball) -> Fraction:
         rel = self.ball.relate(ball)

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charfn import Transform, substream
+from .charfn import Transform, TwoValuedForm, substream
 from .errors import InfiniteMassError, PrimeMismatchError, ToleranceError
 from .padic import (
     CharacterSum,
@@ -703,75 +703,10 @@ def invert_exponent(
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoValuedForm:
-    """Outcome of probing |g| for the values {0, 1}.
-
-    kind 'delta': g agrees with a pure character chi(t * xi) on the grid
-    (point mass at xi).  kind 'haar_cutoff': |g| is 1 up to |t| = p**N
-    and 0 above, i.e. the uniform law on a ball around xi with transform
-    chi(t xi) on its support.  Otherwise 'not_two_valued'.
-    """
-
-    kind: str
-    xi: PAdicNumber | None = None
-    cutoff_exp: int | None = None
-
-
-def _snap_phase(value: complex, p: int, max_scale: int) -> Fraction:
-    theta = math.atan2(value.imag, value.real) / (2.0 * math.pi)
-    theta %= 1.0
-    mod = p**max_scale
-    num = round(theta * mod) % mod
-    fr = Fraction(num, mod)
-    err = abs(theta - float(fr))
-    if min(err, 1.0 - err) > 2e-6:
-        raise ValueError(
-            f"phase {theta} does not snap to a p-power grid at scale {max_scale}"
-        )
-    return fr
-
-
-# the most units classification probes on one sphere, and the distance
-# from 0 or 1 within which it reads a modulus as that value
-PROBE_UNITS_CAP = 512
-CLASSIFY_TOL = 1e-9
-# the probed spheres |t| = p**k, k in [-PROBE_DEPTH, SEARCH_RADIUS_EXP],
-# when the caller states none
+# the spheres |t| = p**k, k in [-PROBE_DEPTH, SEARCH_RADIUS_EXP], on which
+# classification reads a form when the caller states none
 SEARCH_RADIUS_EXP = 6
 PROBE_DEPTH = 8
-
-
-def _probe_depth(p: int, requested: int) -> int:
-    d = 1
-    while (p - 1) * p**d <= PROBE_UNITS_CAP:
-        d += 1
-    return max(1, min(requested, d))
-
-
-def _reconstruct_point(at_power: dict[int, complex], p: int, lo: int, hi: int) -> PAdicNumber:
-    """Digits of xi from the phases of g at t = p**-m, m in [lo, hi],
-    given as ``at_power[m]`` = g(p**-m).  g(p**-lo) = chi(xi * p**-lo) is
-    1 exactly when xi has no digit below p**lo, which no probe reads; when
-    it is not within CLASSIFY_TOL of 1, raises ValueError."""
-    if abs(at_power[lo] - 1) > CLASSIFY_TOL:
-        raise ValueError(
-            f"xi has a digit below the probe depth {-lo}: g(p**{-lo}) = "
-            f"{at_power[lo]}, not 1"
-        )
-    phis = {m: _snap_phase(at_power[m], p, max(0, m - lo + 2)) for m in range(lo, hi + 1)}
-    value = Fraction(0)
-    for idx in range(lo, hi):
-        d = p * phis[idx + 1] - phis[idx]
-        if d.denominator != 1 or not 0 <= d <= p - 1:
-            raise ValueError(
-                "inconsistent phases: no single point reproduces them at "
-                "this probe depth"
-            )
-        value += int(d) * Fraction(p) ** idx
-    if value == 0:
-        return PAdicNumber.zero(p)
-    return PAdicNumber.from_rational(value, p=p)
 
 
 def classify_two_valued(
@@ -780,57 +715,46 @@ def classify_two_valued(
     search_radius_exp: int = SEARCH_RADIUS_EXP,
     probe_depth: int = PROBE_DEPTH,
 ) -> TwoValuedForm:
-    """Probe |g| on a canonical grid of spheres |t| = p**k for
-    k in [-probe_depth, search_radius_exp].
+    """The two-valued form of g on the spheres |t| = p**k, k in
+    [-probe_depth, search_radius_exp], read from g's exact ``form``; no
+    value of g is evaluated.
 
-    The verdict is relative to the probed grid: a finite probe can only
-    certify two-valuedness where it looked.  Phases are snapped to exact
-    p-power rationals before the point xi is rebuilt digit by digit.
-
-    Each sphere's units a * p**-k (a below p**depth, coprime to p) are
-    read in one call of g's sphere evaluator, ``sphere(p, v, units,
-    precision)`` with the values g gives at those points (a Transform,
-    a LevyExponent, the law of S_n as limits.SumTransform), and a sphere
-    that raises raises what its first point would.
+    A transform with no form (a stable law, a jump measure, a
+    LevyExponent) is 'not_two_valued'.  Otherwise, with cutoff N (None
+    for a delta), the form on those spheres is a 'delta' when N is None
+    or N >= search_radius_exp, and a 'haar_cutoff' at N below that, with
+    xi modulo p**min(N, search_radius_exp) (TwoValuedForm.window).
+    Raises ValueError when the range holds no sphere, when N <
+    -probe_depth (no sphere of modulus one), or when xi has a digit
+    below p**-probe_depth, which no sphere in the range reads; and
+    PrecisionError when xi is not known to the digits the range reads.
     """
     _check_prime(p)
     if search_radius_exp < -probe_depth:
         raise ValueError(f"radius {search_radius_exp} < -{probe_depth} probes no sphere")
-    depth = _probe_depth(p, probe_depth)
-    sphere_kind: dict[int, str] = {}
-    # units[0] is 1, so each sweep reads g(p**-k), which rebuilds xi
-    units = list(_sphere_units(depth, p))
-    at_power: dict[int, complex] = {}
-    for k in range(-probe_depth, search_radius_exp + 1):
-        kinds = set()
-        values = _probe_sphere(g, p, k, units)
-        at_power[k] = values[0]
-        for value in values:
-            v = abs(value)
-            if abs(v - 1.0) <= CLASSIFY_TOL:
-                kinds.add("one")
-            elif v <= CLASSIFY_TOL:
-                kinds.add("zero")
-            else:
-                return TwoValuedForm("not_two_valued")
-        if len(kinds) != 1:
-            return TwoValuedForm("not_two_valued")
-        sphere_kind[k] = kinds.pop()
-
-    ks = sorted(sphere_kind)
-    ones = [k for k in ks if sphere_kind[k] == "one"]
-    if len(ones) == len(ks):
-        xi = _reconstruct_point(at_power, p, -probe_depth, search_radius_exp)
-        return TwoValuedForm("delta", xi=xi)
-    if not ones:
+    form = getattr(g, "form", None)
+    if form is None:
+        return TwoValuedForm("not_two_valued")
+    if form.xi.prime != p:
+        raise PrimeMismatchError(f"form over p={form.xi.prime} classified over p={p}")
+    cut = form.cutoff_exp
+    if cut is not None and cut < -probe_depth:
         raise ValueError(
             "no sphere of modulus one inside the probed grid; cutoff "
             "below probe depth cannot be located"
         )
-    cut = max(ones)
-    if ones != [k for k in ks if k <= cut]:
-        return TwoValuedForm("not_two_valued")
-    xi = _reconstruct_point(at_power, p, -probe_depth, cut)
+    window = form.window(search_radius_exp)
+    if window.sphere_exp is not None and window.sphere_exp > probe_depth:
+        raise ValueError(
+            f"xi has a digit below the probe depth {probe_depth}: |xi| = "
+            f"p**{window.sphere_exp}"
+        )
+    xi = (
+        PAdicNumber.zero(p) if window.contains_zero
+        else PAdicNumber.from_rational(window.center, p=p)
+    )
+    if window.radius_exp == -search_radius_exp:
+        return TwoValuedForm("delta", xi=xi)
     return TwoValuedForm("haar_cutoff", xi=xi, cutoff_exp=cut)
 
 

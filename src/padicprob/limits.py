@@ -10,9 +10,10 @@ measures k(n) * F(B_n M) on tail sets, (d) residuals of the modulus
 scaling identity |g(gamma0 t)| = |g(t)|**beta, and (e) a positivity check
 of the target on the grid, on log |g| so that float underflow is not read
 as a zero.  Which limit a report claims follows its target: none without
-one; for a point mass or a Haar ball, that f_n at the final n has its
-two-valued form where the probe looks; for any other, positivity, and an
-exact sup distance where the summands' transform is the target's.
+one; for a point mass or a Haar ball, that the exact two-valued form of
+f_n at the final n is the target's; for any other, positivity, and an
+exact sup distance where the summands' transform or jump measure is the
+target's.
 """
 
 from __future__ import annotations
@@ -26,14 +27,15 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .charfn import PointMass, Sampler, Transform, ball_probability, substream
+from .charfn import Sampler, Transform, TwoValuedForm, ball_probability, substream
 from .errors import ToleranceError
-from .levy import classify_two_valued, measure_mass
+from .levy import measure_mass
 from .padic import (
     PAdicNumber,
     _check_prime,
     PhaseTable,
     character_values,
+    rational_valuation,
     split_p_part,
 )
 from .residues import ResidueBatch, tally_blocks
@@ -41,10 +43,9 @@ from .sets import Ball, TailSet
 
 BUDGET_CAP = 10**8
 MC_BLOCKS = 16
-# the spheres p**k, k in [-CLASSIFY_PROBE_DEPTH, CLASSIFY_SEARCH_RADIUS_EXP],
-# on which a report classifies f_n at the final n
+# a report compares two-valued forms on the spheres |t| <= p**k, k =
+# CLASSIFY_SEARCH_RADIUS_EXP
 CLASSIFY_SEARCH_RADIUS_EXP = 4
-CLASSIFY_PROBE_DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,6 @@ class LimitScheme:
         if self.mode == "geometric":
             if self.gamma0 is None or self.gamma0 == 0:
                 raise ValueError("geometric mode needs gamma0 != 0")
-            from .padic import rational_valuation
-
             if rational_valuation(Fraction(self.gamma0), self.prime) < 1:
                 raise ValueError("need |gamma0|_p <= 1/p")
             if not 0 < float(self.beta) < 1:
@@ -180,7 +179,8 @@ def theoretical_fn(source: Transform, scheme: LimitScheme, n: int, t: PAdicNumbe
 @dataclass(frozen=True)
 class SumTransform(Transform):
     """f_n, the transform of S_n for the summand law ``source``, as a
-    Transform: its sphere evaluator is theoretical_sphere."""
+    Transform: its sphere evaluator is theoretical_sphere, and its form
+    is the closed form of S_n for a two-valued source."""
 
     source: Transform
     scheme: LimitScheme
@@ -194,6 +194,23 @@ class SumTransform(Transform):
         return theoretical_sphere(
             self.source, self.scheme, self.n, self.prime, v, units, precision
         )
+
+    @property
+    def form(self) -> TwoValuedForm | None:
+        """k = k(n) copies of delta_xi, divided by B_n, give delta at
+        k * xi / B_n; k copies of the uniform law on B(c, p**R), divided by
+        B_n, give the uniform law on B(k * c / B_n, p**R / |B_n|).  The
+        empty sum (k = 0) is the point mass at 0."""
+        form, k = self.source.form, self.scheme.k(self.n)
+        if form is None:
+            return None
+        if k == 0:
+            return TwoValuedForm("delta", PAdicNumber.zero(self.prime))
+        b = self.scheme.B(self.n)
+        cut = form.cutoff_exp
+        if cut is not None:
+            cut -= rational_valuation(b, self.prime)
+        return TwoValuedForm(form.kind, form.xi.mul_rational(k / b), cut)
 
 
 def sum_residues(
@@ -588,24 +605,20 @@ def _scaling_rows(scenario: Scenario) -> tuple[list[dict], float | None]:
 
 
 def _classification(scenario: Scenario) -> tuple[str | None, bool | None]:
-    """For a two-valued target: the kind of f_n's two-valued form at the
-    final n, and whether the target (read from its fields) has that form
-    where the probe looks, as the ball of the points that agree with its
-    xi on the digits read: below its cutoff p**N, or the probe's radius."""
-    source, target, p = scenario.law_source, scenario.target, scenario.prime
-    if source is None or target is None or not target.two_valued:
+    """For a two-valued target: the kind of f_n's exact form at the final
+    n, and whether it is the target's.  Each form is read as its window
+    at CLASSIFY_SEARCH_RADIUS_EXP, the ball of radius p**max(-N,
+    -CLASSIFY_SEARCH_RADIUS_EXP) around its xi, so a Haar ball at least
+    that small reads as a delta.  A law with no form is 'not_two_valued'."""
+    source, target = scenario.law_source, scenario.target
+    if source is None or target is None or target.form is None:
         return None, None
-    f_n = SumTransform(source, scenario.scheme, scenario.n_list[-1])
-    form = classify_two_valued(
-        f_n, p, search_radius_exp=CLASSIFY_SEARCH_RADIUS_EXP, probe_depth=CLASSIFY_PROBE_DEPTH
-    )
-    delta_r = -CLASSIFY_SEARCH_RADIUS_EXP  # the radius exponent of a delta's ball
-    if isinstance(target, PointMass):
-        want = Ball(p, target.xi, delta_r)
-    else:
-        want = Ball(p, target.ball.center, max(target.ball.radius_exp, delta_r))
-    r = delta_r if form.cutoff_exp is None else -form.cutoff_exp
-    return form.kind, form.xi is not None and Ball(p, form.xi, r) == want
+    form = SumTransform(source, scenario.scheme, scenario.n_list[-1]).form
+    if form is None:
+        return "not_two_valued", False
+    window = form.window(CLASSIFY_SEARCH_RADIUS_EXP)
+    kind = "delta" if window.radius_exp == -CLASSIFY_SEARCH_RADIUS_EXP else "haar_cutoff"
+    return kind, window == target.form.window(CLASSIFY_SEARCH_RADIUS_EXP)
 
 
 def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceReport:
@@ -627,7 +640,12 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
     stable = target is not None and not target.two_valued
 
     verdicts: dict[str, bool] = {}
-    if sup_rows and stable and law in (target, getattr(target, "closed_form", None)):
+    # the summands' law is the target's: the target itself, the stable
+    # closed form a shorthand target carries, or its jump measure
+    if sup_rows and stable and (
+        law in (target, getattr(target, "closed_form", None))
+        or law.measure is not None and law.measure == target.measure
+    ):
         verdicts["sup_exact"] = all(
             r["sup_err"] <= scenario.tol("sup", 1e-12) for r in sup_rows
         )

@@ -75,10 +75,12 @@ def test_classify_delta(capsys):
     (["--cf", "delta:1/512", "--p", "2"], 8),
     (["--cf", "delta:1/2", "--p", "2", "--depth", "0"], 0),
     (["--cf", f"delta:1/{2**30}", "--p", "2"], 8),
+    (["--cf", f"delta:1/{2**41}", "--p", "2"], 8),
 ])
 def test_classify_a_point_below_the_probe_depth_exits_2(args, depth, capsys):
     # xi = 2**-9 and 2**-30 at depth 8, and 1/2 at depth 0, have a digit
-    # no probed sphere reads: each printed "delta xi=0" and exited 0
+    # no probed sphere reads: each printed "delta xi=0" and exited 0.
+    # 2**-41 still did, as the float probe did not see its digit
     code, out, err = run(["classify", *args], capsys)
     assert code == 2 and out == ""
     assert f"below the probe depth {depth}" in err
@@ -265,6 +267,37 @@ def test_a_point_mass_target_is_compared_digit_by_digit(xi, code, tmp_path, caps
     assert got == code
     assert summary["degenerate"] == "delta"
     assert summary["verdicts"] == {"degenerate_verdict": code == 0}
+
+
+# Two-valued laws whose form the float probe could not read at its depth
+# 6: a point 7 places below it, and a cutoff 7 below it.  Each document
+# exited 2; the report now decides the matching target and its twin.
+UNREAD_FORMS = {
+    "point_mass": (
+        {"kind": "point_mass", "xi": "1/2187 @ p=3"},
+        {"kind": "point_mass", "xi": "2/2187 @ p=3"},
+    ),
+    "haar_ball": (
+        {"kind": "haar_ball", "p": 3, "center": "0", "radius_exp": 7},
+        {"kind": "haar_ball", "p": 3, "center": "0", "radius_exp": 8},
+    ),
+}
+
+
+@pytest.mark.parametrize("wrong", [False, True])
+@pytest.mark.parametrize("kind", sorted(UNREAD_FORMS))
+def test_a_form_below_the_former_probe_depth_is_decided(kind, wrong, tmp_path, capsys):
+    law, twin = UNREAD_FORMS[kind]
+    spec = {
+        "name": kind,
+        "law": law,
+        "scheme": {"mode": "explicit", "p": 3, "b_list": ["1"], "k_list": [1]},
+        "target": twin if wrong else law,
+        "m": 0, "seed": 1, "n_list": [0],
+    }
+    code, summary = _limit_verify_summary(spec, tmp_path, capsys)
+    assert code == (3 if wrong else 0)
+    assert summary["verdicts"]["degenerate_verdict"] is not wrong
 
 
 def test_custom_measure_config_roundtrip(capsys):

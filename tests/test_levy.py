@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import fraction_balls as oracle
 from evaluators import Pointwise
+from float_probe import probe_classify
 from padicprob.charfn import HaarUniform, PointMass, StableLaw, StableParams, substream
 from padicprob.errors import (
     InfiniteMassError,
@@ -19,6 +20,7 @@ from padicprob.errors import (
 )
 from padicprob.levy import (
     REFINE_CAP,
+    SEARCH_RADIUS_EXP,
     JumpMeasure,
     LevyExponent,
     _probe_sphere,
@@ -35,11 +37,12 @@ from padicprob.levy import (
 )
 from padicprob.padic import (
     CharacterSum,
+    DEFAULT_PRECISION,
     PAdicNumber,
-    chi,
     from_rational,
     grid_points,
 )
+from padicprob.limits import LimitScheme, SumTransform
 from padicprob.sets import Ball, CompactOpenSet, TailSet, annulus, sphere, split_sphere
 from padicprob.specs import measure_from_spec
 
@@ -356,8 +359,7 @@ def test_classify_cutoff():
 
 def test_classify_pure_character():
     xi = Fraction(1, 3)
-    ev = Pointwise(lambda t: chi(3, *t.mul_rational(xi).character_phase()), 3)
-    form = classify_two_valued(ev, 3)
+    form = classify_two_valued(PointMass(from_rational(xi, p=3)), 3)
     assert form.kind == "delta"
     assert form.xi.as_rational() == xi
 
@@ -371,28 +373,10 @@ def test_classify_shifted_cutoff():
     # chi(t xi) on |t| <= p, 0 above: uniform law on a shifted ball
     p = 2
     xi = Fraction(1, 2)
-
-    def ev(t):
-        if t.is_zero or -t.valuation <= 1:
-            return chi(p, *t.mul_rational(xi).character_phase())
-        return complex(0.0, 0.0)
-
-    form = classify_two_valued(Pointwise(ev, p), p)
+    form = classify_two_valued(HaarUniform(Ball(p, xi, -1)), p)
     assert form.kind == "haar_cutoff"
     assert form.cutoff_exp == 1
     assert form.xi.as_rational() == xi
-
-
-def test_classify_inconsistent_phases_raise():
-    # unit-modulus values whose phases fit the snap grid but belong to
-    # no single point
-    quarter = cmath.exp(2j * math.pi * 0.25)
-    with pytest.raises(ValueError):
-        classify_two_valued(Pointwise(lambda t: quarter, 2), 2)
-    # phases that do not even lie on a p-power grid
-    off_grid = cmath.exp(2j * math.pi * 0.137)
-    with pytest.raises(ValueError):
-        classify_two_valued(Pointwise(lambda t: off_grid, 2), 2)
 
 
 def test_classify_refuses_an_empty_probe_range():
@@ -418,6 +402,79 @@ def test_classify_refuses_a_point_below_the_probe_depth():
     # a Haar ball around such a point is refused alike
     with pytest.raises(ValueError, match="below the probe depth 2"):
         classify_two_valued(HaarUniform(Ball(3, Fraction(1, 27), -4)), 3, probe_depth=2)
+
+
+def test_classify_a_digit_far_below_the_probe_depth_raises():
+    # xi = 2**-(8 + j) has its digit j places below the probe depth 8.
+    # The float probe saw it only within its tolerance, and gave
+    # "delta xi=0" at j = 33 and 34; from j = 35 on, xi's 48-digit window
+    # stops short of p**6, the top of the default radius
+    for j in range(1, 65):
+        g = PointMass(from_rational(Fraction(1, 2 ** (8 + j)), p=2))
+        if DEFAULT_PRECISION - (8 + j) < SEARCH_RADIUS_EXP:
+            with pytest.raises(PrecisionError):
+                classify_two_valued(g, 2)
+        else:
+            with pytest.raises(ValueError, match="below the probe depth 8"):
+                classify_two_valued(g, 2)
+
+
+# sum schemes B = p**s * c, k coprime to p: the sum's xi is known to as
+# many digits as the probe's reads of the summand's
+SUM_UNITS = (Fraction(1), Fraction(7, 11), Fraction(13))
+SUM_COUNTS = (1, 2, 3, 4, 7, 9)
+
+
+@st.composite
+def two_valued_cases(draw):
+    """A transform with a two-valued form (or a stable law), a probe
+    range, and xi with its digits within 30 binary places of the depth,
+    p**places <= 2**30, where the float probe still sees them."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    depth = draw(st.integers(0, 8))
+    radius = draw(st.integers(-depth, SEARCH_RADIUS_EXP))
+    places = int(30 / math.log2(p))
+    kind = draw(st.sampled_from(("point", "haar", "sum_point", "sum_haar", "stable")))
+    if kind == "stable":
+        return StableLaw(StableParams(1.0, 1.0, p)), p, radius, depth
+    value = Fraction(0)
+    if draw(st.integers(0, 5)):
+        unit = draw(st.integers(0, 200)) * p + draw(st.integers(1, p - 1))
+        value = Fraction(p) ** draw(st.integers(-depth - places, 8)) * Fraction(
+            unit, draw(st.sampled_from((1, 7, 11)))
+        )
+    radius_exp = draw(st.integers(-8, 10))  # of the law's ball
+    s, k = 0, 1
+    if kind.startswith("sum"):
+        s = draw(st.integers(-3, 3))
+        b = Fraction(p) ** s * draw(st.sampled_from(SUM_UNITS))
+        k = draw(st.sampled_from([k for k in SUM_COUNTS if k % p]))
+        value = value * b / k
+    if kind.endswith("point"):
+        precision = draw(st.integers(1, DEFAULT_PRECISION))
+        g = PointMass(
+            from_rational(value, p=p, precision=precision) if value else PAdicNumber.zero(p)
+        )
+    else:
+        g = HaarUniform(Ball(p, value, radius_exp - s))
+    if kind.startswith("sum"):
+        g = SumTransform(g, LimitScheme.explicit(p, [b], [k]), 0)
+    return g, p, radius, depth
+
+
+def _classified(classify, g, p, radius, depth):
+    try:
+        return classify(g, p, radius, depth)
+    except PrecisionError:
+        return PrecisionError
+    except ValueError as err:
+        return str(err).split(":")[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_valued_cases())
+def test_classify_reads_the_form_the_float_probe_saw(case):
+    assert _classified(classify_two_valued, *case) == _classified(probe_classify, *case)
 
 
 def test_classify_symmetric_never_offcenter_delta():
@@ -729,7 +786,8 @@ def test_probe_points_match_former_construction(p):
             new = []
             asked = Pointwise(lambda t: new.append(t) or 0j, p)
             _probe_sphere(asked, p, m, list(_sphere_units(depth, p)))
-            # classification read the centres of split_sphere ...
+            # the float probe of classification (tests/float_probe.py)
+            # read the centres of split_sphere ...
             assert new == [
                 PAdicNumber.from_rational(b.center, p=p)
                 for b in split_sphere(m, depth, p)
@@ -753,9 +811,11 @@ def test_inversion_and_classification_match_oracle_values():
             assert invert_exponent(LevyExponent(m), i, l, p) == invert_exponent(
                 oracle, i, l, p
             )
+    # a jump measure's transform has no two-valued form, and probing
+    # the oracle's values finds none either
     m = make_example_measure(1, 1, 2)
     ev = Pointwise(lambda t: cmath.exp(oracle_exponent(m, t).to_complex()), 2)
-    assert classify_two_valued(JumpMeasure(m), 2, 3, 4) == classify_two_valued(
+    assert classify_two_valued(JumpMeasure(m), 2, 3, 4) == probe_classify(
         ev, 2, 3, 4
     )
 

@@ -274,6 +274,17 @@ def test_shipped_documents_keep_their_verdicts(name, m):
     assert rep.degenerate == degenerate
 
 
+def test_a_compound_poisson_law_of_the_stable_target_measure_is_exact():
+    # the law's transform is JumpMeasure(M) and the shorthand target's
+    # JumpMeasure(M, closed_form): unequal transforms of one measure, so
+    # no sup_exact was given although every sup_err is 0.0
+    doc = json.loads((Path(__file__).resolve().parent.parent / "configs/stable_limit.json").read_text())
+    law = {"kind": "compound_poisson", "measure": doc["target"]}
+    rep = convergence_report(scenario_from_spec({**doc, "law": law, "m": 0}))
+    assert [r["sup_err"] for r in rep.sup_rows] == [0.0] * len(doc["n_list"])
+    assert rep.verdicts["sup_exact"] is True
+
+
 def test_stable_limit_report_small_and_parallel_determinism():
     sc = _stable_preset(m=300, n_list=[0, 2], seed=5)
     sc.tolerances["phi_final"] = 0.1  # shallow n_list: trajectory not converged yet
@@ -336,42 +347,44 @@ def test_phi_trajectory_fails_when_every_row_is_dropped(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["beta_one", "bounded_normalizers"])
-def test_preset_classification_reads_every_probe_point_by_spheres(name, monkeypatch):
+def test_preset_classification_reads_no_transform_value(name, monkeypatch):
+    # the float probe read 5346 points of f_n here; the exact form reads none
     import padicprob.limits as limits
 
-    sizes = []
-    real = limits.theoretical_sphere
+    def refuse(*args, **kwargs):
+        raise AssertionError("classification read a transform value")
 
-    def counting(source, scheme, n, p, v, units, precision):
-        sizes.append(len(units))
-        return real(source, scheme, n, p, v, units, precision)
-
-    monkeypatch.setattr(limits, "theoretical_sphere", counting)
     sc = limits.PRESETS[name](m=0)
+    monkeypatch.setattr(limits, "theoretical_sphere", refuse)
+    monkeypatch.setattr(charfn.Transform, "sphere", refuse)
     kind = {"beta_one": "delta"}.get(name, "haar_cutoff")
     assert limits._classification(sc) == (kind, True)
-    # 11 spheres of all 486 units of probe depth 6 over p = 3: 5346 points,
-    # and xi is rebuilt from their first units, read no second time (a
-    # one-unit call per sphere up to the cutoff did: 11 on beta_one, 7 on
-    # bounded_normalizers)
-    assert sizes == [486] * 11
     form = classify_two_valued(
         limits.SumTransform(sc.law_source, sc.scheme, sc.n_list[-1]),
         sc.prime,
         search_radius_exp=limits.CLASSIFY_SEARCH_RADIUS_EXP,
-        probe_depth=limits.CLASSIFY_PROBE_DEPTH,
     )
     expected = {"beta_one": ("delta", None)}.get(name, ("haar_cutoff", 0))
     assert (form.kind, form.cutoff_exp) == expected
     assert form.xi.is_zero
 
 
+def test_the_empty_sum_has_the_form_of_the_point_mass_at_0():
+    # k = 0 summands: S_n = 0, whatever the summand law
+    import padicprob.limits as limits
+
+    scheme = LimitScheme.explicit(2, [Fraction(1, 4)], [0])
+    for law in (HaarUniform(Ball(2, 0, 0)), PointMass(from_rational(1, p=2))):
+        form = limits.SumTransform(law, scheme, 0).form
+        assert form == charfn.TwoValuedForm("delta", PAdicNumber.zero(2))
+
+
 def test_measure_source_evaluates_each_point_once(monkeypatch):
-    # a beta_one-style report whose law is given by a jump measure: the
-    # theory rows and the classification share one cached exponent.  The
-    # weights are so small that |f_n| is 1 to within the classification
-    # tolerance, so classification probes every sphere and then re-reads
-    # the points p**-m to rebuild xi.
+    # a beta_one-style report whose law is given by a jump measure, with
+    # weights so small that |f_n| is 1 to within 1e-9: the float probe
+    # read it as the point mass at 0, and the verdict held.  A jump
+    # measure's transform has no two-valued form, so the report says so,
+    # and reads the exponent for its theory rows alone, each point once.
     import padicprob.levy as levy
     from padicprob.limits import Scenario
     from padicprob.sets import split_sphere
@@ -407,7 +420,8 @@ def test_measure_source_evaluates_each_point_once(monkeypatch):
 
     monkeypatch.setattr(levy.LevyExponent, "_kernel", counting)
     rep = convergence_report(sc)
-    assert rep.degenerate == "delta" and rep.verdicts["degenerate_verdict"]
+    assert rep.degenerate == "not_two_valued"
+    assert rep.verdicts["degenerate_verdict"] is False
     assert seen and max(seen.values()) == 1
 
 
