@@ -177,9 +177,11 @@ class Transform:
 
     def _powers(self, values: list[complex], k: int | None) -> list[complex]:
         """Each value to the k-th power in floats: through exp and log
-        for a positive radial value."""
+        for a positive radial value.  The 0-th power is 1, also at 0.0."""
         if k is None:
             return values
+        if k == 0:
+            return [complex(1.0, 0.0)] * len(values)
         if not self.is_radial:
             return [x**k for x in values]
         out = []

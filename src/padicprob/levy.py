@@ -200,55 +200,55 @@ def make_example_measure(a, alpha, p: int) -> SelfSimilarLevyMeasure:
 # ---------------------------------------------------------------------
 
 
-def _ball_mass(measure: SelfSimilarLevyMeasure, ball: Ball) -> Fraction | float:
-    """The mass of one ball over the measure's prime, decided on integers.
-
-    The ball B(p**-c * cu, p**R) on the sphere c = r + j*k keeps d = c - R
-    digits of its unit.  Its image under gamma0**k lies in the fundamental
-    sphere r and keeps d digits of the unit cu * (a/b)**k.  A fundamental
-    ball there, with qd digits of its unit, meets the image iff the two
-    units agree on their first min(d, qd) digits; it then holds the image
-    (d >= qd), which takes p**(qd - d) of its weight, or lies inside it
-    and gives all of it.
-    """
-    split = ball._center_split
-    if split is None:
-        raise InfiniteMassError(
-            "the set contains a neighbourhood of 0; total jump mass there "
-            "is infinite"
-        )
-    j, a, b = measure._gamma_split
-    p = measure.prime
-    cv, cu = split
-    r = -cv % j
-    k = (-cv - r) // j
-    d = -ball.radius_exp - cv
-    mod = p**d
-    g = a if b == 1 else a * pow(b, -1, mod)  # the unit of gamma0, mod p**d
-    iu = cu * pow(g, k, mod) % mod
-    total: Fraction | float = _ZERO
-    for q, w in measure.fundamental[r]:
-        qd = r - q.radius_exp
-        if (iu - q._center_split[1]) % p ** min(d, qd):
-            continue
-        total = total + (w * _haar(p, qd - d) if d >= qd else w)
-    return measure.beta_pow(k) * total
-
-
 def measure_mass(measure: SelfSimilarLevyMeasure, m) -> Fraction | float:
-    """Exact mass of a compact-open set or of a tail {|x| > p**i}."""
+    """Exact mass of a compact-open set or of a tail {|x| > p**i}.
+
+    A ball's mass is decided on integers.  The ball B(p**-c * cu, p**R) on
+    the sphere c = r + j*k keeps d = c - R digits of its unit.  Its image
+    under gamma0**k lies in the fundamental sphere r and keeps d digits of
+    the unit cu * (a/b)**k.  A fundamental ball there, with qd digits of
+    its unit, meets the image iff the two units agree on their first
+    min(d, qd) digits; it then holds the image (d >= qd), which takes
+    p**(qd - d) of its weight, or lies inside it and gives all of it.
+
+    The measure's fields are read once for the whole set.  Each ball's
+    mass is beta**k times the sum of its shares, and a set adds its balls'
+    masses in order, so float weights or a float beta see the same
+    operations in the same order, and every mass keeps its bits and type.
+    """
     if not isinstance(m, (Ball, CompactOpenSet, TailSet)):
         raise TypeError(f"no mass for {type(m).__name__}")
     if m.prime != measure.prime:
         raise PrimeMismatchError("set over a different prime")
     if isinstance(m, TailSet):
         return measure.tail_mass(m.radius_exp)
-    if isinstance(m, Ball):
-        return _ball_mass(measure, m)
+    p, (j, a, b) = measure.prime, measure._gamma_split
+    fundamental, beta_pow = measure.fundamental, measure.beta_pow
+    single = isinstance(m, Ball)
     total: Fraction | float = _ZERO
-    for b in m:
-        total = total + _ball_mass(measure, b)
-    return total
+    for ball in (m,) if single else m.balls:
+        split = ball._center_split
+        if split is None:
+            raise InfiniteMassError(
+                "the set contains a neighbourhood of 0; total jump mass there "
+                "is infinite"
+            )
+        cv, cu = split
+        r = -cv % j
+        k = (-cv - r) // j
+        d = -ball.radius_exp - cv
+        mod = p**d
+        g = a if b == 1 else a * pow(b, -1, mod)  # the unit of gamma0, mod p**d
+        iu = cu * pow(g, k, mod) % mod
+        shares: Fraction | float = _ZERO
+        for q, w in fundamental[r]:
+            qd = r - q.radius_exp
+            if (iu - q._center_split[1]) % p ** min(d, qd):
+                continue
+            shares = shares + (w * _haar(p, qd - d) if d >= qd else w)
+        mass = beta_pow(k) * shares
+        total = total + mass
+    return mass if single else total
 
 
 @dataclass(frozen=True)
@@ -412,20 +412,21 @@ class LevyExponent:
                     if w
                 ))
             k, balls = hit
-            contributed = False
             sv = v - j * k  # valuation of t * gamma0**-k
             at: dict[int, int] = {}  # f -> index in gens, on this sphere
-            gk = None  # the unit of gamma0**-k, once a ball needs it
+            # the phase scale m of this sphere and p**m, found at the first
+            # ball within its radius bound (a short window raises there)
+            m = gk = None
             for radius_exp, cu, c in balls:
                 if sv < radius_exp:
                     continue
-                m = phase_scale(-(n - v), precision)  # the scale of every phase here
-                contributed = True
+                if m is None:
+                    m = phase_scale(-(n - v), precision)
+                    q = p**m
                 if not c:
                     continue
                 if gk is None:
-                    gk = pow(ginv, k, mod)
-                q = p**m
+                    gk = pow(ginv, k, mod)  # the unit of gamma0**-k
                 f = gk * cu % q
                 # balls with equal f give every unit one phase; weights and
                 # beta are positive, so merged terms never cancel
@@ -435,7 +436,7 @@ class LevyExponent:
                     gens.append((m, q, f, c))
                 else:
                     gens[i] = (m, q, f, gens[i][3] + c)
-            empty_streak = 0 if contributed else empty_streak + 1
+            empty_streak = 0 if m is not None else empty_streak + 1
             n += 1
         # every coefficient is nonzero, and p is the measure's prime
         return [

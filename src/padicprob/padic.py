@@ -760,8 +760,10 @@ class CharacterSum:
     def scale(self, c: Fraction | float | int) -> "CharacterSum":
         if not c:
             return CharacterSum(self.prime)
-        return CharacterSum.from_reduced(
-            self.prime, {ph: coeff * c for ph, coeff in self._terms.items()}
+        # the prime is checked; a float product can still underflow to 0.0
+        return CharacterSum._own(
+            self.prime,
+            {ph: x for ph, coeff in self._terms.items() if (x := coeff * c)},
         )
 
     def to_complex(self) -> complex:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import PrecisionError, PrimeMismatchError
 from .padic import (
@@ -107,14 +107,7 @@ class Ball:
             )
         else:
             split = _split(prime, center)
-        self._assign(prime, split, radius_exp)
-
-    def _assign(self, p: int, split, radius_exp: int) -> None:
-        """Set the fields for the center p**v * a/b, split = (v, a, b),
-        or 0 when split is None."""
-        object.__setattr__(self, "prime", p)
-        object.__setattr__(self, "radius_exp", radius_exp)
-        object.__setattr__(self, "_center_split", _reduced(p, split, radius_exp))
+        _set_ball(self, prime, radius_exp, _reduced(prime, split, radius_exp))
 
     def __reduce__(self):
         return Ball, (self.prime, self.center, self.radius_exp)
@@ -124,7 +117,7 @@ class Ball:
         """The ball of radius p**radius_exp around p**v * a/b, with
         split = (v, a, b) or None for center 0; p is not checked."""
         ball = object.__new__(cls)
-        ball._assign(p, split, radius_exp)
+        _set_ball(ball, p, radius_exp, _reduced(p, split, radius_exp))
         return ball
 
     @property
@@ -220,6 +213,20 @@ class Ball:
         return f"ball({self.center},{self.radius_exp})"
 
 
+# the slots' own descriptors, which assign past the frozen __setattr__
+_set_ball_prime, _set_radius_exp, _set_center_split = (
+    Ball.__dict__[name].__set__ for name in ("prime", "radius_exp", "_center_split")
+)
+
+
+def _set_ball(ball: Ball, p: int, radius_exp: int, pair) -> None:
+    """Set the fields of ``ball`` to the canonical centre pair ``pair``
+    (None for the centre 0) at radius p**radius_exp; nothing is checked."""
+    _set_ball_prime(ball, p)
+    _set_radius_exp(ball, radius_exp)
+    _set_center_split(ball, pair)
+
+
 @read_only
 @dataclass(frozen=True, slots=True)
 class TailSet:
@@ -244,23 +251,17 @@ class TailSet:
         return f"annulus({self.radius_exp},inf)"
 
 
-def _center_keys(p: int, balls: Sequence[Ball]) -> list[int]:
-    """One integer per ball, ordered as the balls' centres: p**v * u times
-    p**shift, with one shift for all the balls that makes every exponent
-    nonnegative, and 0 for the centre 0."""
-    splits = [b._center_split for b in balls]
-    shift = -min((s[0] for s in splits if s is not None), default=0)
-    return [0 if s is None else s[1] * p ** (s[0] + shift) for s in splits]
-
-
 class CompactOpenSet:
     """Canonical finite disjoint union of balls.
 
     Normalisation drops balls nested inside others and sorts the rest by
     (center, radius_exp), so the representation is deterministic and
     idempotent; it does not merge complete sibling families into their
-    parent.  Both orders are read on the integer centre splits (see
-    :func:`_center_keys`).
+    parent.  Both steps read the integer centre splits: a ball lies in a
+    larger or equal one when its centre, reduced at that one's radius, is
+    that one's pair, and the centres sort by one integer per ball, p**v * u
+    times p**shift, with one shift for the whole set that makes every
+    exponent nonnegative (0 for the centre 0).
     """
 
     __slots__ = ("prime", "balls")
@@ -271,26 +272,19 @@ class CompactOpenSet:
         for b in pool:
             if b.prime != prime:
                 raise PrimeMismatchError("mixed primes in set")
-        keys = _center_keys(prime, pool)
+        low = min((b._center_split[0] for b in pool if b._center_split), default=0)
+        kept: dict[int, set] = {}  # radius_exp -> the centre pairs kept there
+        rows = []
         # largest balls first, so a ball is dropped only for one before it
-        kept: list[int] = []
-        for _, _, i in sorted(
-            (-b.radius_exp, key, i) for i, (b, key) in enumerate(zip(pool, keys))
-        ):
-            if not any(pool[i].relate(pool[k]) in ("inside", "equal") for k in kept):
-                kept.append(i)
-        self._fill(prime, [pool[i] for i in kept], [keys[i] for i in kept])
-
-    def _fill(self, prime: int, balls: list[Ball], keys: list[int]) -> None:
-        """Keep ``balls`` (disjoint, none inside another, with their centre
-        keys) in (center, radius_exp) order."""
+        for i, ball in sorted(enumerate(pool), key=lambda item: -item[1].radius_exp):
+            c, radius_exp = ball._center_split, ball.radius_exp
+            split = None if c is None else (c[0], c[1], 1)
+            if any(_reduced(prime, split, r) in pairs for r, pairs in kept.items()):
+                continue
+            kept.setdefault(radius_exp, set()).add(c)
+            rows.append((0 if c is None else c[1] * prime ** (c[0] - low), radius_exp, i))
         self.prime = prime
-        self.balls = tuple(
-            balls[i]
-            for _, _, i in sorted(
-                (key, b.radius_exp, i) for i, (b, key) in enumerate(zip(balls, keys))
-            )
-        )
+        self.balls = tuple(pool[i] for _, _, i in sorted(rows))
 
     def __iter__(self) -> Iterator[Ball]:
         return iter(self.balls)
@@ -318,11 +312,32 @@ class CompactOpenSet:
         split = _split(self.prime, r)
         if split is None:
             raise ValueError("cannot scale a ball by zero")
-        # multiplying by r is a bijection on balls: the images stay
-        # disjoint and none falls inside another, so only the order changes
-        balls = [b._scaled(*split) for b in self.balls]
+        # multiplying by r = p**w * a/b is a bijection on balls: the images
+        # stay disjoint and none falls inside another, so only the order
+        # changes.  B(p**v * u, p**R) goes to radius p**(R - w) around
+        # p**(v + w) * u * a/b, which keeps its -R - v digits of unit.
+        p = self.prime
+        w, a, b = split
+        low = min((x._center_split[0] for x in self.balls if x._center_split), default=0)
+        rows = []
+        for ball in self.balls:
+            c = ball._center_split
+            if c is None:
+                rows.append((0, ball.radius_exp - w, None))
+                continue
+            v, u = c
+            mod = p ** (-ball.radius_exp - v)
+            u = u * a % mod if b == 1 else u * a * pow(b, -1, mod) % mod
+            rows.append((u * p ** (v - low), ball.radius_exp - w, (v + w, u)))
+        balls = []
+        # a canonical set has one ball per (centre, radius): no pair is compared
+        for _, radius_exp, pair in sorted(rows):
+            ball = object.__new__(Ball)
+            _set_ball(ball, p, radius_exp, pair)
+            balls.append(ball)
         scaled = object.__new__(CompactOpenSet)
-        scaled._fill(self.prime, balls, _center_keys(self.prime, balls))
+        scaled.prime = p
+        scaled.balls = tuple(balls)
         return scaled
 
     def __str__(self) -> str:
@@ -365,39 +380,46 @@ def annulus(i: int, l: int, p: int) -> CompactOpenSet:
 # ---------------------------------------------------------------------
 
 
-def _ball_phase(ball: Ball, t: PAdicNumber) -> tuple[int, int] | None:
-    """The phase chi(t*c) of the integral of chi(t*y) dy over the ball
-    B(c, p**N), or None where the integral vanishes (|t| > p**-N).
-
-    With c = p**v * u and t = p**v_t * u_t this is the phase of
-    p**(v_t + v) * u_t * u."""
-    if ball.prime != t.prime:
-        raise PrimeMismatchError("character sums over different primes")
-    if t.is_zero:
-        if not t.abs_le_exp(-ball.radius_exp):
-            return None
-        if ball.contains_zero:
-            return 0, 0
-        return t.mul_rational(ball.center).character_phase()
-    if t.valuation < ball.radius_exp:
-        return None
-    split = ball._center_split
-    if split is None:
-        return 0, 0
-    v, u = split
-    return unit_phase(ball.prime, t.valuation + v, t.unit * u, t.precision)
-
-
 def integrate_char_exact(m, t: PAdicNumber) -> CharacterSum:
-    """Integral of chi(t*y) over a Ball or CompactOpenSet, kept exact."""
-    balls = [m] if isinstance(m, Ball) else m
-    terms: dict[tuple[int, int], Fraction] = {}
-    for b in balls:
-        phase = _ball_phase(b, t)
-        if phase is not None:
-            # Haar masses are positive, so merged terms never cancel
-            terms[phase] = terms[phase] + b.measure if phase in terms else b.measure
-    return CharacterSum.from_reduced(t.prime, terms)
+    """Integral of chi(t*y) over a Ball or CompactOpenSet, kept exact.
+
+    The ball B(c, p**N) adds chi(t*c) * p**N when |t| <= p**-N and nothing
+    otherwise; with c = p**v * u and t = p**v_t * u_t the phase is that of
+    p**(v_t + v) * u_t * u.  Each ball's prime and window are checked in
+    the set's order.  The Haar masses of one phase are added as an integer
+    n in units of p**e, e the smallest radius exponent among its balls, so
+    a phase of one ball takes the cached Fraction p**N and a merged phase
+    makes one Fraction.
+    """
+    p, tv = t.prime, t.valuation
+    masses: dict[tuple[int, int], tuple[int, int]] = {}  # phase -> (n, e)
+    for ball in (m,) if isinstance(m, Ball) else m:
+        if ball.prime != p:
+            raise PrimeMismatchError("character sums over different primes")
+        radius_exp, c = ball.radius_exp, ball._center_split
+        if tv is None:  # a certified zero: its window decides |t| <= p**-N
+            if not t.abs_le_exp(-radius_exp):
+                continue
+            phase = (0, 0) if c is None else t.mul_rational(ball.center).character_phase()
+        elif tv < radius_exp:
+            continue
+        else:
+            phase = (0, 0) if c is None else unit_phase(p, tv + c[0], t.unit * c[1], t.precision)
+        hit = masses.get(phase)
+        if hit is None:
+            masses[phase] = 1, radius_exp
+        else:
+            n, e = hit
+            masses[phase] = (
+                (n + p ** (radius_exp - e), e) if radius_exp >= e
+                else (n * p ** (e - radius_exp) + 1, radius_exp)
+            )
+    # Haar masses are positive, so merged terms never cancel, and p is the
+    # prime of t, checked when t was built
+    return CharacterSum._own(p, {
+        phase: _haar(p, e) if n == 1 else n * _haar(p, e)
+        for phase, (n, e) in masses.items()
+    })
 
 
 def integrate_char(m, t: PAdicNumber) -> complex:

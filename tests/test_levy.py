@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_balls as oracle
+import per_ball
 from evaluators import Pointwise
 from float_probe import probe_classify
 from padicprob.charfn import HaarUniform, PointMass, StableLaw, StableParams, substream
@@ -1050,3 +1051,47 @@ def test_integer_masses_match_image_balls(m, skewed, data):
         if isinstance(s, CompactOpenSet) and s.prime == m.prime:
             for b in s:
                 assert _mass_repr(measure_mass, m, b) == _mass_repr(image_ball_mass, m, b)
+
+
+# ---------------------------------------------------------------------
+# One loop over a set's balls against the per-ball loop it replaced
+# ---------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        mass_measures(),
+        st.just(make_example_measure(Fraction(3, 4), 2, 3)),
+        st.just(make_example_measure(0.75, 0.7, 3)),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_set_masses_match_the_per_ball_loop(m, seed):
+    # bit for bit and type for type: float weights or a float beta see the
+    # same operations in the same order
+    rng = substream(seed, 11)
+    for _ in range(4):
+        s = random_compact_open(rng, m.prime, -6, 6, 5)
+        want = _mass_repr(per_ball.measure_mass, m, s.balls)
+        assert _mass_repr(measure_mass, m, s) == want
+        for b in s:
+            assert _mass_repr(measure_mass, m, b) == _mass_repr(per_ball.ball_mass, m, b)
+    with_zero = CompactOpenSet(m.prime, [Ball(m.prime, 1, -2), Ball(m.prime, 0, -3)])
+    assert _mass_repr(measure_mass, m, with_zero) == _mass_repr(
+        per_ball.measure_mass, m, with_zero.balls
+    )
+
+
+def test_a_float_measure_gives_a_float_zero_to_sets_it_misses():
+    # sphere 1 carries no ball, and the ball of sphere 0 misses 2 + 3Z_3:
+    # each ball's mass is the float beta**k times Fraction(0), so the set's
+    # mass is 0.0, not the Fraction(0) a sum grouped by k would give
+    m = make_measure(3, 0.3, 9, (((Ball(3, 1, -1), 0.5),), ()))
+    for s in (
+        CompactOpenSet(3, [Ball(3, 2, -1), Ball(3, Fraction(1, 3), -1)]),
+        CompactOpenSet(3, [Ball(3, 2, -2), Ball(3, Fraction(2, 27), -2)]),
+    ):
+        got = measure_mass(m, s)
+        assert type(got) is float and got == 0.0
+        assert _mass_repr(measure_mass, m, s) == _mass_repr(per_ball.measure_mass, m, s.balls)

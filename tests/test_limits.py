@@ -379,6 +379,21 @@ def test_the_empty_sum_has_the_form_of_the_point_mass_at_0():
         assert form == charfn.TwoValuedForm("delta", PAdicNumber.zero(2))
 
 
+def test_the_empty_sum_has_transform_1_where_the_law_vanishes():
+    # k = 0 gives 1 at every t, also where g(t / B_n) is 0.0: the radial
+    # branch took a zero radial value to 0j for every k
+    scheme = LimitScheme.explicit(2, [1], [0])
+    laws = (
+        HaarUniform(Ball(2, 0, 0)),  # radial
+        HaarUniform(Ball(2, 1, -1)),  # not radial
+        JumpMeasure(make_example_measure(1, 1, 2)),
+    )
+    for law in laws:
+        for t in (from_rational(1, 4, p=2), from_rational(3, p=2), PAdicNumber.zero(2)):
+            assert theoretical_fn(law, scheme, 0, t) == complex(1.0, 0.0)
+        assert law.sphere(2, -2, (1, 3), 8, 0) == [complex(1.0, 0.0)] * 2
+
+
 def test_measure_source_evaluates_each_point_once(monkeypatch):
     # a beta_one-style report whose law is given by a jump measure, with
     # weights so small that |f_n| is 1 to within 1e-9: the float probe

@@ -361,6 +361,10 @@ def test_character_sum_algebra():
     cancel = shifted + shifted.scale(-1)
     assert not cancel
     assert (one + one.scale(-1)).to_complex() == 0j
+    # a float product that underflows to 0.0 drops its term
+    tiny = CharacterSum(p, {(1, 1): 1e-300, (0, 0): Fraction(1, 2)}).scale(1e-300)
+    assert tiny.terms() == {(0, 0): 5e-301}
+    assert not CharacterSum(p, {(1, 1): 1e-300}).scale(1e-300)
 
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_balls as oracle
+import per_ball
 from padicprob.charfn import substream
 from padicprob.errors import PrecisionError, PrimeMismatchError
 from padicprob.levy import random_compact_open
@@ -442,3 +443,106 @@ def test_scaling_by_zero_has_one_text():
         for zero in (0, Fraction(0), 0.0):
             with pytest.raises(ValueError, match="^cannot scale a ball by zero$"):
                 s.scale(zero)
+
+
+# ---------------------------------------------------------------------
+# One loop over a set's balls against the per-ball loops it replaced
+# ---------------------------------------------------------------------
+
+
+@st.composite
+def ball_families(draw, p):
+    """Balls over p with nested and equal ones among them: for each base
+    ball B(c, p**R), balls around c + k * p**-R (inside it) of radius R or
+    less, and the base ball again."""
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(centers(p).filter(lambda c: not isinstance(c, PAdicNumber)))
+        radius_exp = draw(st.integers(-4, 3))
+        out.append(Ball(p, c, radius_exp))
+        for _ in range(draw(st.integers(0, 4))):
+            k = draw(st.integers(-2 * p, 2 * p))
+            inner = radius_exp - draw(st.integers(0, 3))
+            out.append(Ball(p, Fraction(c) + k * Fraction(p) ** -radius_exp, inner))
+        if draw(st.booleans()):
+            out.append(Ball(p, c, radius_exp))
+    return draw(st.permutations(out))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIMES), st.data())
+def test_normalisation_matches_the_relate_reference(p, data):
+    pool = data.draw(ball_families(p))
+    got = CompactOpenSet(p, pool)
+    want = per_ball.normalise(p, pool)
+    assert [_state(b) for b in got] == [_state(b) for b in want]
+    assert CompactOpenSet(p, got.balls) == got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIMES), st.data())
+def test_integrate_char_matches_the_per_ball_loop(p, data):
+    # children of one base ball B(c, p**R) share the phase of t*c wherever
+    # |t| <= p**-R, at radii that differ: same terms, in the same order
+    s = CompactOpenSet(p, data.draw(ball_families(p)))
+    low = min(b.radius_exp for b in s)
+    ts = data.draw(st.lists(
+        st.one_of(
+            padics(p),
+            st.builds(
+                PAdicNumber, st.just(p), st.integers(low, low + 6),
+                st.integers(1, p**6 - 1).filter(lambda u: u % p), st.just(6),
+            ),
+        ),
+        min_size=1, max_size=4,
+    ))
+    for t in ts:
+        assert _integral(integrate_char_exact, s, t) == _integral(
+            per_ball.integrate_char_exact, s, t
+        )
+
+
+def test_integrate_char_merges_a_phase_over_balls_of_different_radii():
+    # 2 + 9Z_3 and 5 + 27Z_3 are disjoint and t*c has the phase 2/3 on both
+    s = CompactOpenSet(3, [Ball(3, 5, -3), Ball(3, 2, -2), Ball(3, 1, -1)])
+    t = from_rational(1, 3, p=3)
+    got = integrate_char_exact(s, t)
+    assert got.terms() == {(1, 1): Fraction(1, 3), (1, 2): Fraction(4, 27)}
+    assert list(got.terms()) == [(1, 1), (1, 2)]
+    assert _integral(integrate_char_exact, s, t) == _integral(
+        per_ball.integrate_char_exact, s, t
+    )
+
+
+def test_integrate_char_raises_at_the_first_ball_that_fails():
+    # the prime and the window are checked ball by ball, in order, so the
+    # first failing ball names the error
+    short = PAdicNumber(3, -1, 2, 1)  # needs digits it lacks on B(1/3, p**-2)
+    zero = PAdicNumber.zero(3, 1)
+    mixed = [
+        [Ball(3, 1, -1), Ball(3, Fraction(1, 3), -2), Ball(2, 1, -1)],
+        [Ball(3, 1, -1), Ball(2, 1, -1), Ball(3, Fraction(1, 3), -2)],
+        [Ball(3, 1, -1), Ball(2, 0, 2)],  # a foreign ball whose integral is 0
+        [Ball(2, Fraction(1, 2), -2), Ball(3, 1, -1)],  # and one t is short for
+        [Ball(3, 0, 2), Ball(3, 0, -3)],
+        [Ball(3, 0, -3), Ball(3, Fraction(1, 3), -2)],
+    ]
+    seen = set()
+    for balls in mixed:
+        for t in (short, zero, from_rational(1, p=3), PAdicNumber.zero(3, 3)):
+            got = _integral(integrate_char_exact, balls, t)
+            assert got == _integral(per_ball.integrate_char_exact, balls, t)
+            if isinstance(got[0], type):
+                seen.add(got)
+            if all(b.prime == 3 for b in balls):
+                s = CompactOpenSet(3, balls)
+                assert _integral(integrate_char_exact, s, t) == _integral(
+                    per_ball.integrate_char_exact, s, t
+                )
+    assert {exc for exc, _ in seen} == {PrecisionError, PrimeMismatchError}
+    # a set over another prime than t fails at its first ball
+    s = CompactOpenSet(2, [Ball(2, 1, -1), Ball(2, 0, -3)])
+    for t in (from_rational(1, p=3), PAdicNumber.zero(3, 0)):
+        got = _integral(integrate_char_exact, s, t)
+        assert got == (PrimeMismatchError, "character sums over different primes")
+        assert got == _integral(per_ball.integrate_char_exact, s, t)
