@@ -12,8 +12,9 @@ and for a ball away from the origin with |center| = p**C > p**N,
     mu(B(c, p**N)) = p**N * ( sum_{k <= -C} (1-1/p) p**k g(p**k)
                               - p**-C g(p**(1-C)) ).
 
-Both series carry a certified geometric tail bound; a point mass or a
-Haar-uniform law gives its ball probabilities as exact rationals instead.
+Both series carry a certified geometric tail bound; a transform with a
+two-valued form (a point mass, a Haar-uniform law, or a sum of either)
+gives its ball probabilities as exact rationals instead.
 
 Sampling follows a splittable counter-based RNG contract: streams are
 keyed by (seed, *indices) so parallel replication is deterministic.
@@ -35,6 +36,7 @@ from .padic import (
     PAdicNumber,
     _check_prime,
     chi,
+    phase_known,
     phase_scale,
     split_p_part,
 )
@@ -118,6 +120,18 @@ class TwoValuedForm:
         cut = top if self.cutoff_exp is None else min(self.cutoff_exp, top)
         return Ball(self.xi.prime, self.xi, -cut)
 
+    def ball_probability(self, ball: Ball) -> Fraction:
+        """The exact probability of ``ball``: whether it holds xi for a
+        delta; for a cutoff N, the share of the support B(xi, p**-N) that
+        it covers."""
+        if self.cutoff_exp is None:
+            return Fraction(ball.contains(self.xi))
+        support = Ball(self.xi.prime, self.xi, -self.cutoff_exp)
+        rel = support.relate(ball)
+        if rel == "contains":
+            return ball.measure / support.measure
+        return Fraction(rel != "disjoint")
+
 
 class Transform:
     """The characteristic function g(t) = E chi(t X) of a law on Q_p.
@@ -133,18 +147,17 @@ class Transform:
 
     A radial transform (``is_radial``) depends on t only through |t| and
     is real, with ``radial_value(k)`` its value on the sphere |t| =
-    p**k.  A two-valued one (|g| is 0 or 1: a point mass or a
-    Haar-uniform law) gives its ball probabilities in closed form, by
-    ``exact_ball_probability(ball)``.  ``form`` is the exact
-    TwoValuedForm of a transform whose law is a point mass or a
-    Haar-uniform law (that of a sum of either, too), and None for any
-    other.  ``measure`` is the jump measure whose exponent gives g,
-    where there is one.
+    p**k.  ``form`` is the exact TwoValuedForm of a transform whose law
+    is a point mass or a Haar-uniform law (that of a sum of either, too),
+    built once with the transform, and None for any other: it is the one
+    statement of a two-valued law (|g| is 0 or 1), and ball
+    probabilities, ``log_modulus`` and classification read it.
+    ``measure`` is the jump measure whose exponent gives g, where there
+    is one.
     """
 
     prime: int
     is_radial: bool = False
-    two_valued: bool = False
     form: TwoValuedForm | None = None
     measure = None
 
@@ -202,10 +215,10 @@ class Transform:
     def log_modulus(self, t: PAdicNumber) -> float:
         """log |g(t)|, and -inf exactly where g(t) is a certified zero.
 
-        Here for a two-valued transform, whose modulus is 0 or 1; any other
-        reads it from its exponent, so that a tiny |g| that underflows is
-        never taken for a zero."""
-        if not self.two_valued:
+        Here for a transform with a form, whose modulus is 0 or 1; any
+        other reads it from its exponent, so that a tiny |g| that
+        underflows is never taken for a zero."""
+        if self.form is None:
             raise NotImplementedError
         return 0.0 if self(t) != 0 else -math.inf
 
@@ -215,12 +228,22 @@ class Transform:
         return self.sphere(self.prime, -k, (1,), DEFAULT_PRECISION)[0].real
 
 
-def _chis(p: int, v: int, units: Sequence[int], precision: int) -> list[complex]:
-    """chi(p**v * u) for each u in ``units`` (coprime to p, known modulo
-    p**precision), with the digit window checked once (see phase_scale)."""
-    s = phase_scale(v, precision)
+def _point_chis(xi: PAdicNumber, v: int, units: Sequence[int], precision: int) -> list[complex]:
+    """chi(t * xi) at t = p**v * u for each u in ``units`` (coprime to p,
+    known modulo p**precision), with the digit window checked once (see
+    phase_scale): the one point-character kernel."""
+    p = xi.prime
+    if xi.is_zero:
+        # t * O(p**e) is O(p**(e + v)), whatever the unit of t: its phase
+        # is 0 when known, and character_phase raises when it is not
+        e = None if xi.precision is None else xi.precision + v
+        if e is None or phase_known(e, e):
+            return [complex(1.0, 0.0)] * len(units)
+        return [chi(p, *PAdicNumber.zero(p, e).character_phase())] * len(units)
+    # t * xi is known to the shorter of the two windows
+    s = phase_scale(v + xi.valuation, min(precision, xi.precision))
     mod = p**s
-    return [chi(p, s, u % mod) for u in units]
+    return [chi(p, s, u * xi.unit % mod) for u in units]
 
 
 @dataclass(frozen=True)
@@ -228,70 +251,36 @@ class PointMass(Transform):
     """chi(t * xi), the transform of the point mass at xi (radial when xi = 0)."""
 
     xi: PAdicNumber
-    two_valued = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prime", self.xi.prime)
         object.__setattr__(self, "is_radial", self.xi.is_zero)
+        object.__setattr__(self, "form", TwoValuedForm("delta", self.xi))
 
     def _sphere(self, v: int, units: Sequence[int], precision: int) -> list[complex]:
-        xi, p = self.xi, self.prime
-        if xi.is_zero:
-            # t * O(p**e) is O(p**(e + v)), whatever the unit of t
-            e = None if xi.precision is None else xi.precision + v
-            return [chi(p, *PAdicNumber.zero(p, e).character_phase())] * len(units)
-        # t * xi is known to the shorter of the two windows
-        k = min(precision, xi.precision)
-        mod = p**k
-        return _chis(p, v + xi.valuation, [u * xi.unit % mod for u in units], k)
-
-    @property
-    def form(self) -> TwoValuedForm:
-        return TwoValuedForm("delta", self.xi)
-
-    def exact_ball_probability(self, ball: Ball) -> Fraction:
-        return Fraction(ball.contains(self.xi))
+        return _point_chis(self.xi, v, units, precision)
 
 
 @dataclass(frozen=True)
 class HaarUniform(Transform):
     """The transform of the Haar-uniform law on a ball B(c, p**R): chi(t * c)
-    where |t| <= p**-R and 0 beyond (radial when the ball holds 0)."""
+    where |t| <= p**-R and 0 beyond (radial when the ball holds 0).  Its
+    form's xi is c modulo p**-R, the digits the ball fixes, and inside
+    the cutoff its spheres are the point kernel's at that xi."""
 
     ball: Ball
-    two_valued = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prime", self.ball.prime)
-        object.__setattr__(self, "is_radial", self.ball.contains_zero)
+        p, n, split = self.ball.prime, -self.ball.radius_exp, self.ball._center_split
+        xi = PAdicNumber.zero(p, n) if split is None else PAdicNumber(p, *split, n - split[0])
+        object.__setattr__(self, "prime", p)
+        object.__setattr__(self, "is_radial", split is None)
+        object.__setattr__(self, "form", TwoValuedForm("haar_cutoff", xi, n))
 
     def _sphere(self, v: int, units: Sequence[int], precision: int) -> list[complex]:
-        ball = self.ball
-        if v < ball.radius_exp:
+        if v < self.ball.radius_exp:
             return [complex(0.0, 0.0)] * len(units)
-        if ball.contains_zero:
-            return [complex(1.0, 0.0)] * len(units)
-        # the canonical centre is the integer p**cv * cu
-        cv, cu = ball._center_split
-        return _chis(self.prime, v + cv, [u * cu for u in units], precision)
-
-    @property
-    def form(self) -> TwoValuedForm:
-        """The cutoff N = -R, and the centre, known modulo p**N exactly:
-        the digits the ball fixes."""
-        n, split = -self.ball.radius_exp, self.ball._center_split
-        if split is None:
-            return TwoValuedForm("haar_cutoff", PAdicNumber.zero(self.prime, n), n)
-        cv, cu = split
-        return TwoValuedForm("haar_cutoff", PAdicNumber(self.prime, cv, cu, n - cv), n)
-
-    def exact_ball_probability(self, ball: Ball) -> Fraction:
-        rel = self.ball.relate(ball)
-        if rel == "disjoint":
-            return Fraction(0)
-        if rel == "contains":
-            return ball.measure / self.ball.measure
-        return Fraction(1)
+        return _point_chis(self.form.xi, v, units, precision)
 
 
 @dataclass(frozen=True)
@@ -368,15 +357,16 @@ def ball_probability(
 ) -> BallProbability:
     """Probability of a ball under the law with transform g.
 
-    Exact (bound 0) for a two-valued g; otherwise g must be radial, and
-    the result is the truncated sphere series with its certified tail
-    bound.
+    Exact (bound 0) for a g with a two-valued form, read from the form;
+    otherwise g must be radial, and the result is the truncated sphere
+    series with its certified tail bound.
     """
     p = g.prime
     if ball.prime != p:
         raise PrimeMismatchError("ball and transform over different primes")
-    if g.two_valued:
-        exact = g.exact_ball_probability(ball)
+    form = g.form
+    if form is not None:
+        exact = form.ball_probability(ball)
         return BallProbability(float(exact), 0.0, exact)
     if not g.is_radial:
         raise ValueError(f"the sphere series needs a radial transform, not {g!r}")

@@ -180,37 +180,36 @@ def theoretical_fn(source: Transform, scheme: LimitScheme, n: int, t: PAdicNumbe
 class SumTransform(Transform):
     """f_n, the transform of S_n for the summand law ``source``, as a
     Transform: its sphere evaluator is theoretical_sphere, and its form
-    is the closed form of S_n for a two-valued source."""
+    is the closed form of S_n for a two-valued source.
+
+    k = k(n) copies of delta_xi, divided by B_n, give delta at k * xi /
+    B_n; k copies of the uniform law on B(c, p**R), divided by B_n, give
+    the uniform law on B(k * c / B_n, p**R / |B_n|).  The empty sum (k =
+    0) is the point mass at 0."""
 
     source: Transform
     scheme: LimitScheme
     n: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prime", self.source.prime)
+        p, form = self.source.prime, self.source.form
+        object.__setattr__(self, "prime", p)
         object.__setattr__(self, "is_radial", self.source.is_radial)
+        if form is not None:
+            k, b = self.scheme.k(self.n), self.scheme.B(self.n)
+            if k == 0:
+                form = TwoValuedForm("delta", PAdicNumber.zero(p))
+            else:
+                cut = form.cutoff_exp
+                if cut is not None:
+                    cut -= rational_valuation(b, p)
+                form = TwoValuedForm(form.kind, form.xi.mul_rational(k / b), cut)
+        object.__setattr__(self, "form", form)
 
     def _sphere(self, v: int, units: Sequence[int], precision: int) -> list[complex]:
         return theoretical_sphere(
             self.source, self.scheme, self.n, self.prime, v, units, precision
         )
-
-    @property
-    def form(self) -> TwoValuedForm | None:
-        """k = k(n) copies of delta_xi, divided by B_n, give delta at
-        k * xi / B_n; k copies of the uniform law on B(c, p**R), divided by
-        B_n, give the uniform law on B(k * c / B_n, p**R / |B_n|).  The
-        empty sum (k = 0) is the point mass at 0."""
-        form, k = self.source.form, self.scheme.k(self.n)
-        if form is None:
-            return None
-        if k == 0:
-            return TwoValuedForm("delta", PAdicNumber.zero(self.prime))
-        b = self.scheme.B(self.n)
-        cut = form.cutoff_exp
-        if cut is not None:
-            cut -= rational_valuation(b, self.prime)
-        return TwoValuedForm(form.kind, form.xi.mul_rational(k / b), cut)
 
 
 def sum_residues(
@@ -255,9 +254,12 @@ def phi_n_measure(
 
     M may be a Ball, CompactOpenSet, or TailSet bounded away from 0;
     raises ToleranceError when the certified ball-probability bounds,
-    amplified by k(n), exceed ``tol``.
+    amplified by k(n), exceed ``tol``.  The empty sum (k(n) = 0) gives
+    0.0 with no ball series run.
     """
     k = scheme.k(n)
+    if k == 0:
+        return 0.0
     scaled = m.scale(scheme.B(n))
     inner_tol = max(1e-15, tol / (4.0 * k))
     if isinstance(scaled, TailSet):
@@ -558,10 +560,10 @@ def _phi_rows(scenario: Scenario) -> tuple[list[dict], list[dict | None], int]:
     """k(n) F(B_n M) against the target's jump measure Phi(M), each set's
     row at the final n (None where it was dropped) and the number of (set,
     n) rows dropped because the ball series missed its tolerance.  The
-    rows follow a radial law that is not two-valued: a report over a point
+    rows follow a radial law with no two-valued form: a report over a point
     mass or a Haar ball has had none, and keeps its bytes."""
     law, target = scenario.law_source, scenario.target
-    if law is None or not law.is_radial or law.two_valued:
+    if law is None or not law.is_radial or law.form is not None:
         return [], [], 0
     if target is None or target.measure is None:
         return [], [], 0
@@ -636,8 +638,8 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
     phi_rows, phi_final, phi_dropped = _phi_rows(scenario)
     scaling_rows, min_log_abs_target = _scaling_rows(scenario)
     degenerate, has_form = _classification(scenario)
-    # a limit law that is not two-valued
-    stable = target is not None and not target.two_valued
+    # a limit law with no two-valued form
+    stable = target is not None and target.form is None
 
     verdicts: dict[str, bool] = {}
     # the summands' law is the target's: the target itself, the stable

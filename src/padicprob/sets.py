@@ -22,7 +22,6 @@ from .padic import (
     _check_prime,
     _integral_exp,
     int_valuation,
-    rational_valuation,
     read_only,
     split_p_part,
     unit_phase,
@@ -49,6 +48,14 @@ def _split(p: int, r) -> tuple[int, int, int] | None:
     if not isinstance(r, Fraction):
         r = Fraction(r)
     return None if r == 0 else split_p_part(r, p)
+
+
+def _nonzero_split(p: int, r) -> tuple[int, int, int]:
+    """_split of a scale factor, which must not be 0."""
+    split = _split(p, r)
+    if split is None:
+        raise ValueError("cannot scale a ball by zero")
+    return split
 
 
 def _reduced(p: int, split, radius_exp: int) -> tuple[int, int] | None:
@@ -136,10 +143,9 @@ class Ball:
         return -self._center_split[0]
 
     def contains_rational(self, r: Fraction | int) -> bool:
-        d = Fraction(r) - self.center
-        if d == 0:
-            return True
-        return rational_valuation(d, self.prime) >= -self.radius_exp
+        """Whether the rational r, reduced at the radius, is the centre pair."""
+        p = self.prime
+        return _reduced(p, _split(p, r), self.radius_exp) == self._center_split
 
     def contains(self, x) -> bool:
         """Whether x, a PAdicNumber or a rational, lies in the ball.
@@ -195,10 +201,7 @@ class Ball:
         return "inside" if small is self else "contains"
 
     def scale(self, r: Fraction | int) -> "Ball":
-        split = _split(self.prime, r)
-        if split is None:
-            raise ValueError("cannot scale a ball by zero")
-        return self._scaled(*split)
+        return self._scaled(*_nonzero_split(self.prime, r))
 
     def _scaled(self, w: int, a: int, b: int) -> "Ball":
         """The image under multiplication by p**w * a/b (a, b coprime to p)."""
@@ -242,10 +245,7 @@ class TailSet:
         )
 
     def scale(self, r: Fraction | int) -> "TailSet":
-        split = _split(self.prime, r)
-        if split is None:
-            raise ValueError("cannot scale a ball by zero")
-        return TailSet(self.prime, self.radius_exp - split[0])
+        return TailSet(self.prime, self.radius_exp - _nonzero_split(self.prime, r)[0])
 
     def __str__(self) -> str:
         return f"annulus({self.radius_exp},inf)"
@@ -309,15 +309,12 @@ class CompactOpenSet:
         return any(b.contains(x) for b in self.balls)
 
     def scale(self, r: Fraction | int) -> "CompactOpenSet":
-        split = _split(self.prime, r)
-        if split is None:
-            raise ValueError("cannot scale a ball by zero")
         # multiplying by r = p**w * a/b is a bijection on balls: the images
         # stay disjoint and none falls inside another, so only the order
         # changes.  B(p**v * u, p**R) goes to radius p**(R - w) around
         # p**(v + w) * u * a/b, which keeps its -R - v digits of unit.
         p = self.prime
-        w, a, b = split
+        w, a, b = _nonzero_split(p, r)
         low = min((x._center_split[0] for x in self.balls if x._center_split), default=0)
         rows = []
         for ball in self.balls:

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_balls as oracle
 from evaluators import empirical_cf
-from padicprob import charfn
+from padicprob import charfn, limits
 from padicprob.charfn import (
     HaarBallSampler,
     HaarUniform,
@@ -45,7 +46,7 @@ from padicprob.limits import (
 from padicprob.specs import sampler_from_spec, scenario_from_spec
 from padicprob.errors import PrecisionError, PrimeMismatchError
 from padicprob.residues import tally
-from padicprob.padic import PAdicNumber, from_rational, grid_points
+from padicprob.padic import PAdicNumber, from_rational, grid_points, rational_valuation
 from padicprob.sets import Ball, TailSet, annulus
 
 
@@ -174,6 +175,20 @@ def test_phi_n_measure_point_mass_zero():
     scheme = LimitScheme.geometric(p, Fraction(1, 2), 2, n_max=4)
     assert phi_n_measure(g, scheme, 3, TailSet(p, 0)) == 0.0
     assert phi_n_measure(g, scheme, 3, annulus(0, 2, p)) == 0.0
+
+
+def test_phi_n_measure_of_the_empty_sum_is_0(monkeypatch):
+    # k(n) = 0: the rescaled measure is 0 * F(B_n M), with no ball
+    # series run; it divided the tolerance by k
+    def refuse(*args, **kwargs):
+        raise AssertionError("the empty sum ran a ball series")
+
+    monkeypatch.setattr(limits, "ball_probability", refuse)
+    scheme = LimitScheme.explicit(2, [1], [0])
+    for g in (StableLaw(StableParams(1.0, 1.0, 2)), HaarUniform(Ball(2, 0, 0))):
+        for m in (TailSet(2, 0), annulus(0, 2, 2), Ball(2, 1, -1)):
+            val = phi_n_measure(g, scheme, 0, m)
+            assert val == 0.0 and type(val) is float
 
 
 def test_phi_n_measure_additive():
@@ -392,6 +407,98 @@ def test_the_empty_sum_has_transform_1_where_the_law_vanishes():
         for t in (from_rational(1, 4, p=2), from_rational(3, p=2), PAdicNumber.zero(2)):
             assert theoretical_fn(law, scheme, 0, t) == complex(1.0, 0.0)
         assert law.sphere(2, -2, (1, 3), 8, 0) == [complex(1.0, 0.0)] * 2
+
+
+def _closed_form_probability(p, point, radius_exp, ball):
+    """P(ball) under the point mass at the rational ``point`` (radius_exp
+    None) or the uniform law on B(point, p**radius_exp), from Fractions
+    alone."""
+    b = oracle.ball(p, ball.center, ball.radius_exp)
+    if radius_exp is None or ball.radius_exp >= radius_exp:
+        return Fraction(oracle.contains_rational(b, point))
+    if not oracle.contains_rational(oracle.ball(p, point, radius_exp), ball.center):
+        return Fraction(0)
+    return Fraction(p) ** (ball.radius_exp - radius_exp)
+
+
+def _law_of(form):
+    """The point mass or Haar-uniform law a two-valued form states."""
+    if form.cutoff_exp is None:
+        return PointMass(form.xi)
+    return HaarUniform(Ball(form.xi.prime, form.xi, -form.cutoff_exp))
+
+
+@st.composite
+def two_valued_sums(draw):
+    """A sum of k(0) copies of a point mass or a Haar ball, divided by
+    B_0, with the point and radius of its closed-form law (radius None for
+    a point mass), and balls around that point."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    den = p ** draw(st.integers(0, 3)) * draw(st.sampled_from((1, 2, 7)))
+    x = Fraction(draw(st.integers(-50, 50)), den)
+    unit = draw(st.sampled_from((1, -1, 2, 3, Fraction(1, 7))))
+    b = Fraction(p) ** draw(st.integers(-3, 3)) * unit
+    k = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        source, radius = PointMass(from_rational(x, p=p)), None
+    else:
+        r = draw(st.integers(-3, 2))
+        source, radius = HaarUniform(Ball(p, x, r)), r + rational_valuation(b, p)
+    point = k * x / b
+    if k == 0:
+        point, radius = Fraction(0), None
+    sum_ = limits.SumTransform(source, LimitScheme.explicit(p, [b], [k]), 0)
+    near = radius if radius is not None else draw(st.integers(-4, 2))
+    balls = []
+    for _ in range(4):
+        shift = Fraction(p) ** draw(st.integers(-4, 4)) * draw(st.integers(-3, 3))
+        balls.append(Ball(p, point + shift, near + draw(st.integers(-3, 3))))
+    return sum_, point, radius, balls
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_valued_sums())
+def test_a_two_valued_sum_has_exact_ball_probabilities(case):
+    g, point, radius, balls = case
+    law = _law_of(g.form)
+    for ball in balls:
+        want = _closed_form_probability(g.prime, point, radius, ball)
+        got = charfn.ball_probability(g, ball)
+        assert got == (float(want), 0.0, want)
+        assert charfn.ball_probability(law, ball).exact == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_valued_sums())
+def test_a_two_valued_sum_has_the_log_modulus_of_its_form(case):
+    g, _, radius, _ = case
+    law = _law_of(g.form)
+    for t in [PAdicNumber.zero(g.prime)] + grid_points(g.prime, -6, 6):
+        # |f_n(t)| is 1 on the ball |t| <= p**-radius and 0 beyond
+        inside = radius is None or t.is_zero or t.valuation >= radius
+        want = 0.0 if inside else -math.inf
+        assert g.log_modulus(t) == law.log_modulus(t) == want
+
+
+def test_two_valued_sums_are_exact_on_the_quoted_balls():
+    # the uniform law on Z_3, two copies divided by 1/9: uniform on
+    # B(0, 3**-2); read through the float sphere series this gave
+    # 0.9999999999996064 and -3.9e-13
+    scheme = LimitScheme.explicit(3, [Fraction(1, 9)], [2])
+    g = limits.SumTransform(HaarUniform(Ball(3, 0, 0)), scheme, 0)
+    assert charfn.ball_probability(g, Ball(3, 0, -2)) == (1.0, 0.0, 1)
+    assert charfn.ball_probability(g, Ball(3, 2, -3)) == (0.0, 0.0, 0)
+    # a non-radial source, which had no sphere series at all
+    g = limits.SumTransform(HaarUniform(Ball(3, 1, -1)), LimitScheme.explicit(3, [3], [2]), 0)
+    assert not g.is_radial
+    assert charfn.ball_probability(g, Ball(3, Fraction(2, 3), -1)).exact == Fraction(1, 3)
+    assert charfn.ball_probability(g, Ball(3, Fraction(1, 3), 0)).exact == 0
+    # the empty sum is the point mass at 0
+    scheme = LimitScheme.explicit(2, [Fraction(1, 4)], [0])
+    for law in (HaarUniform(Ball(2, 1, -1)), PointMass(from_rational(3, p=2))):
+        g = limits.SumTransform(law, scheme, 0)
+        assert charfn.ball_probability(g, Ball(2, 0, -9)) == (1.0, 0.0, 1)
+        assert charfn.ball_probability(g, Ball(2, Fraction(1, 2), 0)) == (0.0, 0.0, 0)
 
 
 def test_measure_source_evaluates_each_point_once(monkeypatch):

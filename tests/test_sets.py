@@ -283,6 +283,41 @@ def test_ball_integer_and_padic_centres_with_negative_radius():
     assert _outcome(Ball, 3, short, -1)[0] is PrecisionError
 
 
+@st.composite
+def rational_points(draw, p, center):
+    """Rational points for membership: ints, Fractions, floats, 0, the
+    centre itself, and points a power of p away from it."""
+    kind = draw(st.sampled_from(("int", "fraction", "float", "zero", "center", "near")))
+    if kind == "int":
+        return draw(st.integers(-(10**6), 10**6))
+    if kind == "fraction":
+        den = p ** draw(st.integers(0, 6)) * draw(st.sampled_from((1, 2, 3, 7)))
+        return Fraction(draw(st.integers(-(10**4), 10**4)), den)
+    if kind == "float":
+        return draw(st.floats(-1e6, 1e6, allow_nan=False))
+    if kind == "zero":
+        return draw(st.sampled_from((0, Fraction(0), 0.0)))
+    if kind == "center":
+        return center
+    shift = Fraction(p) ** draw(st.integers(-8, 8)) * draw(st.integers(-3, 3))
+    return center + shift
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_contains_rational_matches_fraction_oracle(data):
+    p, center, radius_exp = data.draw(balls())
+    want_ball = _outcome(oracle.ball, p, center, radius_exp)
+    if want_ball[0] != p:  # the centre raised
+        return
+    ball = Ball(p, center, radius_exp)
+    for _ in range(4):
+        x = data.draw(rational_points(p, want_ball[1]))
+        want = oracle.contains_rational(want_ball, x)
+        assert ball.contains_rational(x) is want
+        assert ball.contains(x) is want
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_split_sphere_matches_fraction_oracle(p):
     for n in range(-3, 4):

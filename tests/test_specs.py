@@ -22,6 +22,13 @@ STABLE_CONFIG = json.loads((CONFIGS / "stable_limit.json").read_text())
 CUSTOM_MEASURE = json.loads((CONFIGS / "custom_measure.json").read_text())
 
 
+def test_the_stable_limit_config_is_the_preset_document():
+    # the benchmark reads the config and --preset stable_limit the preset:
+    # two copies of one document, which must not drift apart
+    shipped = json.loads((CONFIGS / "stable_limit.json").read_text())
+    assert shipped == limits.preset_spec("stable_limit")
+
+
 def _spec_with_sphere(r: int) -> dict:
     # p = 3, gamma0 = 9: j = 2, so only spheres 0 and 1 exist
     return {
