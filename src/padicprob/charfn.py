@@ -40,7 +40,7 @@ from .padic import (
     phase_scale,
     split_p_part,
 )
-from .residues import ResidueBatch, tally
+from .residues import ResidueBatch, lift, tally
 from .sets import Ball
 
 
@@ -361,6 +361,13 @@ def ball_probability(
     otherwise g must be radial, and the result is the truncated sphere
     series with its certified tail bound.
     """
+    return _ball_probability(g, ball, tol, {})
+
+
+def _ball_probability(g: Transform, ball: Ball, tol: float, series: dict) -> BallProbability:
+    """ball_probability, with each series term (1 - 1/p) p**k g(p**k)
+    read from ``series`` (keyed by k) and computed into it on a miss, so
+    that the balls of one table share their terms."""
     p = g.prime
     if ball.prime != p:
         raise PrimeMismatchError("ball and transform over different primes")
@@ -382,10 +389,13 @@ def ball_probability(
     acc = 0.0
     k = start
     terms = 0
-    frac = (p - 1) / p
+    frac, fp = (p - 1) / p, float(p)
     while True:
-        acc += frac * float(p) ** k * g.radial_value(k)
-        bound = float(p) ** (n + k - 1)
+        term = series.get(k)
+        if term is None:
+            term = series[k] = frac * fp**k * g.radial_value(k)
+        acc += term
+        bound = fp ** (n + k - 1)
         if bound <= tol:
             break
         k -= 1
@@ -395,8 +405,8 @@ def ball_probability(
                 f"ball probability did not reach tol={tol} in {BALL_SERIES_TERMS} terms"
             )
     if corr_sphere is not None:
-        acc -= float(p) ** start * g.radial_value(corr_sphere)
-    return BallProbability(float(p) ** n * acc, bound, None)
+        acc -= fp**start * g.radial_value(corr_sphere)
+    return BallProbability(fp**n * acc, bound, None)
 
 
 @dataclass(frozen=True)
@@ -425,13 +435,16 @@ class SphereMassTable:
 
 def sphere_masses(g: Transform, n_lo: int, n_hi: int) -> SphereMassTable:
     """Sphere masses as differences of ball probabilities, each within
-    SPHERE_MASS_TOL."""
+    SPHERE_MASS_TOL.  The balls B(0, p**n) are those of ball_probability,
+    their series summed term by term in its order, and each term is
+    computed once for the table."""
     if n_lo > n_hi:
         raise ValueError("need n_lo <= n_hi")
     p = g.prime
     probs: dict[int, BallProbability] = {}
+    series: dict[int, float] = {}
     for n in range(n_lo - 1, n_hi + 1):
-        probs[n] = ball_probability(g, Ball(p, 0, n), tol=SPHERE_MASS_TOL)
+        probs[n] = _ball_probability(g, Ball(p, 0, n), SPHERE_MASS_TOL, series)
     masses = []
     clamped = []
     bound = 2.0 * max(pr.error_bound for pr in probs.values())
@@ -660,8 +673,9 @@ class RadialSampler(_BlockSampler):
         object.__setattr__(self, "_rest_digits", np.array(
             [n - res - 1 if ok else 0 for n, ok in zip(labels, live)], dtype=np.int64
         ))
-        object.__setattr__(self, "_scales", tuple(
-            p ** (top - n) if ok else 0 for n, ok in zip(labels, live)
+        object.__setattr__(self, "_scales", np.array(
+            [p ** (top - n) if ok else 0 for n, ok in zip(labels, live)],
+            dtype=_residue_dtype(p ** (top - res)),
         ))
 
     @property
@@ -669,15 +683,13 @@ class RadialSampler(_BlockSampler):
         return self.table.prime
 
     def _draw_block(self, rng: np.random.Generator, count: int) -> tuple[int, np.ndarray]:
-        p, top = self.table.prime, self._top  # type: ignore[attr-defined]
-        dtype = _residue_dtype(p ** (top - self.resolution))
+        p, scales = self.table.prime, self._scales  # type: ignore[attr-defined]
         edges = self._edges  # type: ignore[attr-defined]
         u = rng.random(count) * edges[-1]
         bins = np.minimum(np.searchsorted(edges, u, side="right"), len(edges) - 1)
-        first = rng.integers(1, p, count).astype(dtype)
-        rest = _uniform_digits(rng, p, self._rest_digits[bins], dtype)  # type: ignore[attr-defined]
-        scales = np.array(self._scales, dtype=dtype)  # type: ignore[attr-defined]
-        return top, (first + p * rest) * scales[bins]
+        first = rng.integers(1, p, count).astype(scales.dtype)
+        rest = _uniform_digits(rng, p, self._rest_digits[bins], scales.dtype)  # type: ignore[attr-defined]
+        return self._top, (first + p * rest) * scales[bins]  # type: ignore[attr-defined]
 
     # its own attribute, so the class's draws can be traced by name
     draw = Sampler.draw
@@ -850,11 +862,7 @@ class CompoundPoissonSampler(_BlockSampler):
             for i in range(0, count, CP_CHUNK)
         ]
         top = max((t for t, _ in chunks), default=res + 1)
-        dtype = _residue_dtype(p ** (top - res))
-        # the residue of x at a chunk's top t, times p**(top - t), is its
-        # residue at the block's top
-        lifted = [sums.astype(dtype) * p ** (top - t) for t, sums in chunks]
-        return top, np.concatenate(lifted) if lifted else np.zeros(0, dtype=dtype)
+        return top, lift(p, chunks, top, _residue_dtype(p ** (top - res)))
 
     # its own attribute, so the class's draws can be traced by name
     draw = Sampler.draw

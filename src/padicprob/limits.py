@@ -92,6 +92,8 @@ class LimitScheme:
                 b > a for a, b in zip(self.k_list[1:], self.k_list)
             ):
                 raise ValueError("k(n) must be non-decreasing")
+            if self.k_list[0] < 0:
+                raise ValueError("k(n) must be >= 0")
             object.__setattr__(self, "n_max", len(self.b_list) - 1)
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -212,6 +214,19 @@ class SumTransform(Transform):
         )
 
 
+def _summands(scheme: LimitScheme, n: int, replicates: int) -> int:
+    """k(n), for ``replicates`` sums of k(n) draws each: refused when the
+    draws number more than BUDGET_CAP, or when a sum has no summand."""
+    k = scheme.k(n)
+    if k * replicates > BUDGET_CAP:
+        raise ValueError(
+            f"budget exceeded: k(n)*m = {k * replicates} > {BUDGET_CAP}"
+        )
+    if k < 1 and replicates:
+        raise ValueError(f"k({n}) = {k}: a sum needs at least one summand")
+    return k
+
+
 def sum_residues(
     sampler: Sampler,
     scheme: LimitScheme,
@@ -221,13 +236,7 @@ def sum_residues(
 ) -> ResidueBatch:
     """Replicates of S_n = B_n**-1 (X_1 + ... + X_k(n)) as one residue
     batch: exact modular arithmetic throughout."""
-    k = scheme.k(n)
-    if k * replicates > BUDGET_CAP:
-        raise ValueError(
-            f"budget exceeded: k(n)*m = {k * replicates} > {BUDGET_CAP}"
-        )
-    if k < 1 and replicates:
-        raise ValueError(f"k({n}) = {k}: a sum needs at least one summand")
+    k = _summands(scheme, n, replicates)
     return sampler.residue_sums(rng, k, replicates).scale(1 / scheme.B(n))
 
 
@@ -396,17 +405,22 @@ def _mc_blocks(
     grid: Sequence[PAdicNumber],
     balls: Sequence[Ball],
 ) -> tuple[PhaseTable, list[int]]:
-    """Monte Carlo replicates of S_n over the given (block, count) pairs:
-    each block drawn from its own substream (seed, n_idx, block), then
-    all of them counted as one batch by residues.tally_blocks, which
-    gives the phase table of the grid (row i for grid[i]) and each ball's
-    count, and on an undecidable query the exception of the first block
-    that fails."""
-    batches = [
-        sum_residues(sampler, scheme, n, count, substream(seed, n_idx, block))
+    """Monte Carlo replicates of S_n over the given (block, count) pairs,
+    as one batch: each block's sums of k(n) draws come from its own
+    substream (seed, n_idx, block), in block order; their row sums are
+    joined (ResidueBatch.concat), divided by B_n once and counted once by
+    residues.tally_blocks, which gives the phase table of the grid (row i
+    for grid[i]) and each ball's count, and on an undecidable query the
+    exception of the first block that fails.  Each block is what
+    sum_residues draws from its substream: the joined residues, scaled,
+    are the scaled blocks' lifted to one top."""
+    p, sizes = sampler.prime, [count for _, count in blocks]
+    k = _summands(scheme, n, sum(sizes))
+    sums = ResidueBatch.concat(p, [
+        sampler.residue_sums(substream(seed, n_idx, block), k, count)
         for block, count in blocks
-    ]
-    return tally_blocks(sampler.prime, batches, grid, balls)
+    ])
+    return tally_blocks(sums.scale(1 / scheme.B(n)), sizes, grid, balls)
 
 
 def _block_sizes(m: int) -> list[int]:
@@ -506,6 +520,9 @@ def _mc_rows(scenario: Scenario, theo: dict, workers: int):
     ball_counts = None
     if scenario.m <= 0:
         return cf_rows, ball_counts
+    # the budget holds for each n's whole run, checked before any draw
+    for n in scenario.n_list:
+        _summands(scenario.scheme, n, scenario.m)
     band = 4.0 / math.sqrt(scenario.m)
     labels = [_t_label(t) for t in scenario.grid]
     parts = max(1, min(workers, scenario.m, MC_BLOCKS))

@@ -41,11 +41,13 @@ numerator, count), row i for the i-th grid point, which
 transform of every grid point at once.
 
 :func:`tally_blocks` counts the blocks of one Monte Carlo step as a
-single batch: their residues are lifted to a common top and
-concatenated, so each n of a report is tallied once.  Its counts are the
-per-block counts summed, and when any block leaves a query undecidable
-it tallies the blocks one by one, in order, so the first failing block
-raises what a per-block tally raises.
+single batch: the caller joins their row sums with
+:meth:`ResidueBatch.concat` (:func:`lift` takes each block's residues
+to the largest top) and scales the joined batch once, so each n of a
+report is checked and tallied once.  Its counts are the per-block counts
+summed, and when the joined batch leaves a query undecidable it tallies
+the blocks one by one, in order, as slices of that batch, so the first
+failing block raises what a per-block tally raises.
 """
 
 from __future__ import annotations
@@ -67,6 +69,18 @@ def _dtype(p: int, width: int):
     if (p == 2 and width <= 64) or p ** (2 * width) < 2**64:
         return np.uint64
     return object
+
+
+def lift(p: int, parts: Sequence[tuple[int, np.ndarray]], top: int, dtype) -> np.ndarray:
+    """Residue arrays, each (t, values) at its own top t <= ``top`` over
+    one window, as one array of ``dtype`` at ``top``, in order: the
+    residue of x at t, times p**(top - t), is its residue at top, which
+    leaves every value and every query's answer unchanged."""
+    lifted = [
+        values.astype(dtype) * p ** (top - t) if t < top else values.astype(dtype, copy=False)
+        for t, values in parts
+    ]
+    return np.concatenate(lifted) if lifted else np.zeros(0, dtype=dtype)
 
 
 def replay(xs: Iterable[PAdicNumber], probes: Sequence[Callable]) -> NoReturn:
@@ -140,8 +154,7 @@ class ResidueBatch:
         """The values of ``batches`` over p, in order, as one batch.
 
         The batches share a window (a sampler's window does not depend
-        on its draws); each residue is lifted to the largest top, which
-        leaves its value and every query's answer unchanged.
+        on its draws); each residue is lifted to the largest top (lift).
         """
         windows = {b.window for b in batches}
         if len(windows) > 1:
@@ -149,12 +162,7 @@ class ResidueBatch:
         window = windows.pop() if windows else None
         top = max((b.top for b in batches), default=0)
         dtype = _dtype(p, 0 if window is None else top + window)
-        parts = [
-            b.values.astype(dtype) * p ** (top - b.top) if b.top < top
-            else b.values.astype(dtype)
-            for b in batches
-        ]
-        return cls(p, top, window, np.concatenate(parts) if parts else [])
+        return cls(p, top, window, lift(p, [(b.top, b.values) for b in batches], top, dtype))
 
     def scale(self, r: Fraction) -> "ResidueBatch":
         """Every value times the nonzero rational r."""
@@ -371,19 +379,25 @@ def tally(
 
 
 def tally_blocks(
-    p: int,
-    batches: Sequence[ResidueBatch],
+    batch: ResidueBatch,
+    sizes: Sequence[int],
     grid: Sequence[PAdicNumber],
     balls: Sequence,
 ) -> tuple[PhaseTable, list[int]]:
-    """tally over the values of ``batches`` (the blocks of one Monte Carlo
-    step, in block order) as one batch: the counts are those of tallying
-    each block and adding, each key once in the table.  A query that one
-    block cannot decide is one the joined batch cannot decide; then the
-    blocks are tallied one by one, in order, so the first failing block
-    raises what its own tally raises."""
-    whole = ResidueBatch.concat(p, batches)
-    if not (all(whole.phase_ok(t) for t in grid) and all(whole.ball_ok(b) for b in balls)):
-        for batch in batches:
-            tally(p, batch, grid, balls)
-    return tally(p, whole, grid, balls)
+    """tally over ``batch``, the blocks of one Monte Carlo step joined in
+    block order (``sizes`` values each, see ResidueBatch.concat): the
+    counts are those of tallying each block and adding, each key once in
+    the table.  A query that one block cannot decide is one the joined
+    batch cannot decide (the blocks share the window, and the least
+    valuation of the batch is a block's); then the blocks are tallied one
+    by one, in order, so the first failing block raises what its own
+    tally raises."""
+    if all(batch.phase_ok(t) for t in grid) and all(batch.ball_ok(b) for b in balls):
+        return batch.phase_counts(grid), [batch.ball_count(b) for b in balls]
+    p, start = batch.prime, 0
+    for size in sizes:
+        # a block lifted to the joined top has the block's values
+        tally(p, ResidueBatch(p, batch.top, batch.window, batch.values[start:start + size]),
+              grid, balls)
+        start += size
+    return tally(p, batch, grid, balls)

@@ -5,11 +5,17 @@ import pickle
 from collections import Counter
 from fractions import Fraction
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evaluators import empirical_cf
+from padicprob import charfn
 from padicprob.charfn import (
+    SPHERE_MASS_TOL,
     CompoundPoissonSampler,
     HaarBallSampler,
     HaarUniform,
@@ -18,6 +24,7 @@ from padicprob.charfn import (
     RadialSampler,
     SphereMassTable,
     StableParams,
+    Transform,
     ball_counts,
     ball_probability,
     poisson_draw,
@@ -26,7 +33,7 @@ from padicprob.charfn import (
     stable_sampler,
     substream,
 )
-from padicprob.errors import PrecisionError, PrimeMismatchError
+from padicprob.errors import PrecisionError, PrimeMismatchError, ToleranceError
 from padicprob.levy import JumpMeasure, make_example_measure, make_measure, measure_mass
 from padicprob.padic import PAdicNumber, chi, from_rational, grid_points
 from padicprob.sets import Ball, integrate_char_exact, sphere
@@ -121,6 +128,95 @@ def test_sphere_masses_stable_normalised():
     g = StableLaw(StableParams(1.0, 1.0, 2))
     table = sphere_masses(g, -40, 40)
     assert abs(table.total() - 1.0) <= 1e-12
+
+
+class _DippedRadial(Transform):
+    """Radial values 1 on every sphere but |t| = p**dip, where it is -1:
+    no law has them, and the sphere mass at p**(-dip - 1) is negative."""
+
+    is_radial = True
+
+    def __init__(self, p: int, dip: int):
+        self.prime, self.dip = p, dip
+
+    def radial_value(self, k: int) -> float:
+        return -1.0 if k == self.dip else 1.0
+
+
+def per_ball_sphere_masses(g, n_lo: int, n_hi: int) -> SphereMassTable:
+    """The mass table from one ball_probability call per ball B(0, p**n),
+    n_lo - 1 <= n <= n_hi, each series summed on its own."""
+    if n_lo > n_hi:
+        raise ValueError("need n_lo <= n_hi")
+    p = g.prime
+    probs = {n: ball_probability(g, Ball(p, 0, n), tol=SPHERE_MASS_TOL)
+             for n in range(n_lo - 1, n_hi + 1)}
+    masses, clamped = [], []
+    bound = 2.0 * max(pr.error_bound for pr in probs.values())
+    for n in range(n_lo, n_hi + 1):
+        m = probs[n].value - probs[n - 1].value
+        if m < 0:
+            if m < -(SPHERE_MASS_TOL + bound):
+                raise ToleranceError(
+                    f"sphere mass at {n} is {m}, below -tol; transform is "
+                    "not a valid radial characteristic function at this tol"
+                )
+            m = 0.0
+            clamped.append(n)
+        masses.append((n, m))
+    return SphereMassTable(p, n_lo, n_hi, tuple(masses), probs[n_lo - 1].value,
+                           max(0.0, 1.0 - probs[n_hi].value), bound, tuple(clamped))
+
+
+def _table_outcome(fn, *args):
+    """repr of a result or of an exception's type and text: repr tells
+    every float apart bit for bit (0.0 from -0.0 too)."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return repr((type(exc).__name__, str(exc)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.floats(0.05, 5.0),
+    st.floats(0.1, 3.0),
+    st.integers(-40, 10),
+    st.integers(0, 50),
+    st.one_of(st.none(), st.integers(-50, 40)),
+)
+@example(2, 1.0, 1.0, -60, 70, 3)  # masses clamped, then one raises
+@example(3, 1.0, 1.0, -41, 81, None)  # the shipped config's table, at p = 3
+def test_sphere_masses_match_per_ball_probabilities(p, a, alpha, n_lo, width, dip):
+    # each ball of the table is ball_probability's, in value and bound,
+    # so the table is the per-ball table bit for bit, and it raises at the
+    # same n with the same text
+    g = StableLaw(StableParams(a, alpha, p)) if dip is None else _DippedRadial(p, dip)
+    n_hi = n_lo + width
+    seen = []
+    real = charfn._ball_probability
+
+    def recording(g, ball, tol, series):
+        seen.append((ball, real(g, ball, tol, series)))
+        return seen[-1][1]
+
+    with patch.object(charfn, "_ball_probability", recording):
+        got = _table_outcome(sphere_masses, g, n_lo, n_hi)
+    assert got == _table_outcome(per_ball_sphere_masses, g, n_lo, n_hi)
+    assert [ball for ball, _ in seen] == [Ball(p, 0, n) for n in range(n_lo - 1, n_lo - 1 + len(seen))]
+    for ball, bp in seen:
+        assert repr(bp) == repr(ball_probability(g, ball, SPHERE_MASS_TOL))
+
+
+def test_sphere_masses_raise_at_the_negative_mass():
+    # the masses below p**-4 are negative, from -2**-2 at n = -4 down:
+    # those within the tolerance are clamped, the first beyond it raises
+    with pytest.raises(ToleranceError, match="sphere mass at -4 is -0.25,"):
+        sphere_masses(_DippedRadial(2, 3), -4, 10)
+    with pytest.raises(ToleranceError, match="sphere mass at -40 is"):
+        sphere_masses(_DippedRadial(2, 3), -60, 10)
+    assert sphere_masses(_DippedRadial(2, 3), -2, 10).clamped == ()
 
 
 def test_point_mass_sampler():

@@ -68,6 +68,12 @@ def test_explicit_scheme_validation():
     assert s.n_max == 1
     with pytest.raises(ValueError):
         LimitScheme.explicit(3, [1, 0], [1, 2])
+    # a sum has no negative number of summands; the empty sum is legal
+    with pytest.raises(ValueError, match="k\\(n\\) must be >= 0"):
+        LimitScheme.explicit(2, [1], [-1])
+    with pytest.raises(ValueError, match="k\\(n\\) must be >= 0"):
+        LimitScheme.explicit(2, [1, 1], [-2, 3])
+    assert LimitScheme.explicit(2, [1], [0]).k(0) == 0
     with pytest.raises(ValueError):
         LimitScheme.explicit(3, [1, 1], [2, 1])
 
@@ -117,6 +123,40 @@ def test_simulate_sums_budget():
     scheme = LimitScheme.geometric(p, Fraction(1, 2), 2, n_max=30)
     with pytest.raises(ValueError):
         simulate_sums(law, scheme, 25, 10**5, substream(0, 0))
+
+
+def _point_mass_budget_scenario(m: int) -> Scenario:
+    """k(20) = 2**20 summands of a point mass per replicate: k(n) * m
+    exceeds BUDGET_CAP from m = 96, and k(n) times the largest of the 16
+    blocks from m = 1526."""
+    p = 2
+    return Scenario(
+        name="budget", prime=p, law=PointMassSampler(xi=from_rational(1, p=p)),
+        scheme=LimitScheme.geometric(p, Fraction(1, 2), 2, n_max=20),
+        grid=(from_rational(1, p=p),), balls=(Ball(p, 0, 0),), sets=(), m=m,
+        seed=0, n_list=(0, 20), law_spec={"kind": "point_mass", "xi": "1"},
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("m", [1520, 1600])
+def test_report_budget_is_k_times_m_per_run(m, workers, monkeypatch):
+    # the cap holds for k(n) * m, the whole run of an n, not for each
+    # block of m / 16, and it is checked before any block is drawn
+    drawn = []
+    monkeypatch.setattr(PointMassSampler, "residue_sums",
+                        lambda self, *args: drawn.append(args))
+    sc = _point_mass_budget_scenario(m)
+    with pytest.raises(ValueError) as err:
+        convergence_report(sc, workers=workers)
+    assert str(err.value) == f"budget exceeded: k(n)*m = {2**20 * m} > {limits.BUDGET_CAP}"
+    assert drawn == []
+
+
+def test_report_within_budget_runs():
+    # k(20) * 95 is under the cap
+    report = convergence_report(_point_mass_budget_scenario(95))
+    assert [r["n"] for r in report.cf_rows] == [0, 20]
 
 
 def test_simulate_sums_mc_matches_theory():

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import per_block
 from padicprob.charfn import (
     CP_CHUNK,
     CompoundPoissonSampler,
@@ -961,7 +962,15 @@ def summed_block_tallies(p, batches, grid, balls):
 
 
 def joined_tally(p, batches, grid, balls):
-    table, hits = tally_blocks(p, batches, grid, balls)
+    whole = ResidueBatch.concat(p, batches)
+    table, hits = tally_blocks(whole, [len(b) for b in batches], grid, balls)
+    return row_counts(table, len(grid)), hits
+
+
+def joined_mc_blocks(sampler, scheme, n, seed, n_idx, blocks, grid, balls):
+    """_mc_blocks' counts: the blocks' row sums joined, scaled and
+    tallied once."""
+    table, hits = _mc_blocks(sampler, scheme, n, seed, n_idx, blocks, grid, balls)
     return row_counts(table, len(grid)), hits
 
 
@@ -1012,4 +1021,72 @@ def test_joined_blocks_match_summed_block_tallies(args):
                    for block, count in blocks]
         return tally_fn(p, batches, grid, balls)
 
-    assert outcome(run, joined_tally) == outcome(run, summed_block_tallies)
+    assert outcome(joined_mc_blocks, *args) == outcome(run, summed_block_tallies)
+
+
+def table_and_hits(fn, *args):
+    """A (phase table, ball counts) result with each table column as its
+    dtype and values, so that two results compare array for array."""
+    table, hits = fn(*args)
+    return [(column.dtype.str, column.tolist()) for column in table], hits
+
+
+# each sampler class; compound-Poisson blocks of different tops, with an
+# empty block among them; windows wider than 64 bits (object residues);
+# a first block that fails a ball where a later one fails a grid point
+_SCHEME_2 = LimitScheme.geometric(2, Fraction(1, 2), Fraction(6, 5), n_max=3)
+JOINED_CASES = [
+    (compound_poisson(2), _SCHEME_2, 1, 9, 1, [(0, 8), (3, 0), (5, 8), (6, 7)],
+     tuple(grid_points(2, -4, 2)), tuple(default_ball_family(2, 6))),
+    (compound_poisson(3), LimitScheme.explicit(3, [Fraction(1, 3), 1], [2, 3]), 1, 4, 0,
+     [(2, 6), (0, 0), (1, 8)], tuple(grid_points(3, -2, 2)), tuple(default_ball_family(3, 6))),
+    (radial(2, -6, 70), _SCHEME_2, 2, 3, 2, [(0, 5), (1, 0), (7, 6)],
+     tuple(grid_points(2, -4, 4, precision=48)), tuple(default_ball_family(2, 6))),
+    (radial(3, -12, 40), LimitScheme.explicit(3, [9, 1, 1, 1], [1, 2, 3, 4]), 0, 5, 0,
+     [(4, 3), (1, 0), (2, 4)], tuple(grid_points(3, -2, 3, precision=48)),
+     tuple(default_ball_family(3, 6))),
+    (HaarBallSampler(Ball(5, Fraction(7, 3), -1), -4), LimitScheme.explicit(
+        5, [Fraction(1, 5), 1, 1, 1], [1, 2, 3, 4]), 0, 11, 0, [(0, 4), (1, 0), (2, 3)],
+     tuple(grid_points(5, -2, 2)), tuple(default_ball_family(5, 6))),
+    (point_mass(3, "short", 2), LimitScheme.explicit(3, [1, 1, 1, 1], [1, 2, 3, 9]), 3, 0, 3,
+     [(0, 2), (1, 0), (2, 2)], tuple(grid_points(3, -2, 2)), tuple(default_ball_family(3, 6))),
+    (radial(2, -6, 12), _SCHEME_2, 0, 2, 0, [(0, 8), (1, 8)],
+     (PAdicNumber.from_rational(Fraction(1, 2), p=2, precision=5),),
+     (Ball(2, 0, 0), Ball(2, Fraction(1, 2), -12))),
+]
+
+
+def test_joined_cases_reach_each_shape():
+    # the pinned cases of the property below hold what it must cover
+    kinds = {type(case[0]) for case in JOINED_CASES}
+    assert kinds == {CompoundPoissonSampler, RadialSampler, HaarBallSampler, PointMassSampler}
+    for sampler, scheme, n, seed, n_idx, blocks, _, _ in JOINED_CASES[:-1]:
+        assert any(count == 0 for _, count in blocks)
+        if isinstance(sampler, CompoundPoissonSampler):
+            tops = {sampler.residue_sums(substream(seed, n_idx, b), scheme.k(n), count).top
+                    for b, count in blocks if count}
+            assert len(tops) > 1
+    wide = [ResidueBatch.concat(case[0].prime, [
+        case[0].residue_sums(substream(case[3], case[4], b), case[1].k(case[2]), count)
+        for b, count in case[5]]).values.dtype for case in JOINED_CASES[2:4]]
+    assert wide == [np.dtype(object)] * 2
+    assert outcome(per_block.mc_blocks, *JOINED_CASES[-1])[0] == "PrecisionError"
+
+
+def _joined_examples(test):
+    for case in JOINED_CASES:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(block_runs())
+@_joined_examples
+def test_mc_blocks_match_the_per_block_reference(args):
+    # one k(n), B(n), scale and tally per n: the phase table, column by
+    # column, the ball counts and the exception of the first failing
+    # block are those of drawing, scaling and checking block by block
+    assert outcome(table_and_hits, _mc_blocks, *args) == outcome(
+        table_and_hits, per_block.mc_blocks, *args
+    )
