@@ -46,11 +46,26 @@ EXIT_CONFIG = 2
 EXIT_TOLERANCE = 3
 
 
-def _default_seed(args_seed) -> int:
+def _seed(text: str) -> int:
+    """argparse type of --seed, and the check of PADICPROB_SEED: an
+    integer of at least 0, as numpy's seed streams take."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"need a seed of at least 0, got {n}")
+    return n
+
+
+def _default_seed(args_seed: int | None, default: int) -> int:
+    """--seed when given, else PADICPROB_SEED when set, else ``default``."""
     if args_seed is not None:
-        return int(args_seed)
+        return args_seed
     env = os.environ.get("PADICPROB_SEED")
-    return int(env) if env else 0
+    if not env:
+        return default
+    try:
+        return _seed(env)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValueError(f"PADICPROB_SEED={env!r}: {exc}") from None
 
 
 def _worker_count(text: str) -> int:
@@ -155,7 +170,7 @@ def cmd_cf_eval(args) -> int:
 def cmd_sample(args) -> int:
     spec = _load_json(args.sampler) if os.path.exists(args.sampler) else json.loads(args.sampler)
     sampler = sampler_from_spec(spec)
-    seed = _default_seed(args.seed)
+    seed = _default_seed(args.seed, 0)
     rng = substream(seed, 0)
     draws = sampler.sample(rng, args.count)
     header = json.dumps(
@@ -249,7 +264,7 @@ def cmd_limit_verify(args) -> int:
         raise SpecValidationError("pass --config FILE or --preset NAME")
     scenario = scenario_from_spec(config)
     if args.seed is not None:
-        scenario.seed = int(args.seed)
+        scenario.seed = args.seed
     report = convergence_report(scenario, workers=args.workers)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -270,9 +285,7 @@ def cmd_limit_verify(args) -> int:
 def cmd_selftest(args) -> int:
     from .selftest import DEFAULT_SEED, run_selftest
 
-    seed = args.seed if args.seed is not None else int(
-        os.environ.get("PADICPROB_SEED", DEFAULT_SEED)
-    )
+    seed = _default_seed(args.seed, DEFAULT_SEED)
     results, report = run_selftest(
         filter_substr=args.filter,
         seed=seed,
@@ -306,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sample", help="draw from a sampler spec")
     sp.add_argument("--sampler", required=True, help="JSON file or inline JSON")
     sp.add_argument("--count", type=int, required=True)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=_seed)
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_sample)
 
@@ -338,13 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     lv.add_argument("--config", help="scenario JSON file")
     lv.add_argument("--preset", help="named preset scenario")
     lv.add_argument("--out", help="output directory")
-    lv.add_argument("--seed", type=int)
+    lv.add_argument("--seed", type=_seed)
     lv.add_argument("--workers", type=_worker_count, default=1)
     lv.set_defaults(fn=cmd_limit_verify)
 
     st = sub.add_parser("selftest", help="run the acceptance battery")
     st.add_argument("--filter", help="substring filter on criterion id or tags")
-    st.add_argument("--seed", type=int)
+    st.add_argument("--seed", type=_seed)
     st.add_argument("--negative-control", action="store_true",
                     help="corrupt one tolerance to prove failures are detected")
     st.add_argument("--workers", type=_worker_count, default=1)

@@ -24,6 +24,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -33,7 +34,6 @@ from .levy import measure_mass
 from .padic import (
     PAdicNumber,
     _check_prime,
-    PhaseTable,
     character_values,
     rational_valuation,
     split_p_part,
@@ -395,98 +395,21 @@ class ConvergenceReport:
         }
 
 
-def _mc_blocks(
-    sampler: Sampler,
-    scheme: LimitScheme,
-    n: int,
-    seed: int,
-    n_idx: int,
-    blocks: Sequence[tuple[int, int]],
-    grid: Sequence[PAdicNumber],
-    balls: Sequence[Ball],
-) -> tuple[PhaseTable, list[int]]:
-    """Monte Carlo replicates of S_n over the given (block, count) pairs,
-    as one batch: each block's sums of k(n) draws come from its own
-    substream (seed, n_idx, block), in block order; their row sums are
-    joined (ResidueBatch.concat), divided by B_n once and counted once by
-    residues.tally_blocks, which gives the phase table of the grid (row i
-    for grid[i]) and each ball's count, and on an undecidable query the
-    exception of the first block that fails.  Each block is what
-    sum_residues draws from its substream: the joined residues, scaled,
-    are the scaled blocks' lifted to one top."""
-    p, sizes = sampler.prime, [count for _, count in blocks]
-    k = _summands(scheme, n, sum(sizes))
-    sums = ResidueBatch.concat(p, [
+def _mc_draw(sampler: Sampler, k: int, seed: int, n_idx: int, blocks) -> ResidueBatch:
+    """One Monte Carlo job: for each (block, count) pair, in order, count
+    sums of k draws from the block's own substream (seed, n_idx, block),
+    as the blocks' row sums joined unscaled (ResidueBatch.concat).  It
+    reads nothing but its arguments, so a pool worker runs it as the
+    parent would."""
+    return ResidueBatch.concat(sampler.prime, [
         sampler.residue_sums(substream(seed, n_idx, block), k, count)
         for block, count in blocks
     ])
-    return tally_blocks(sums.scale(1 / scheme.B(n)), sizes, grid, balls)
 
 
 def _block_sizes(m: int) -> list[int]:
     base, extra = divmod(m, MC_BLOCKS)
     return [base + (1 if i < extra else 0) for i in range(MC_BLOCKS)]
-
-
-def _mc_range(scenario: Scenario, n: int, n_idx: int, lo: int, hi: int):
-    """_mc_blocks over the scenario's blocks lo, ..., hi - 1."""
-    sizes = _block_sizes(scenario.m)
-    return _mc_blocks(
-        scenario.law, scenario.scheme, n, scenario.seed, n_idx,
-        [(b, sizes[b]) for b in range(lo, hi)],
-        scenario.grid, scenario.balls,
-    )
-
-
-# A pool worker's scenario, set once per worker by _init_worker, so that
-# a job carries only integers.
-_WORKER_SCENARIO: Scenario | None = None
-
-
-def _init_worker(scenario: Scenario) -> None:
-    global _WORKER_SCENARIO
-    _WORKER_SCENARIO = scenario
-
-
-def _mc_job(job: tuple[int, int, int, int]):
-    """One pool job (n, n_idx, lo, hi): _mc_range on the worker's scenario."""
-    return _mc_range(_WORKER_SCENARIO, *job)
-
-
-def _add_counts(parts):
-    """The sum of several (phase table, ball counts) results: the tables
-    joined (character_values adds the counts of equal keys) and the ball
-    counts added."""
-    tables, balls = zip(*parts)
-    return PhaseTable.concat(tables), [sum(c) for c in zip(*balls)]
-
-
-def _run_blocks(scenario: Scenario, pool, parts: int):
-    """Yield (phase table, ball counts) for each n of the scenario, in
-    order.
-
-    The drawn blocks of each n are cut into ``parts`` contiguous ranges,
-    one job (n, n_idx, lo, hi) each.  Serially the jobs run here, one n
-    at a time.  With a pool (see _mc_rows) every job is submitted at once
-    and each n is yielded as soon as its parts are back, so the caller's
-    work on one n overlaps the workers' on the next; a worker's result
-    is its phase table, four arrays, and its ball counts.  Results are
-    read in (n, block) order, so the first failing block raises, as
-    serially.
-    """
-    drawn = min(scenario.m, MC_BLOCKS)
-    cuts = [drawn * i // parts for i in range(parts + 1)]
-    jobs = [
-        (n, n_idx, lo, hi)
-        for n_idx, n in enumerate(scenario.n_list)
-        for lo, hi in zip(cuts, cuts[1:])
-    ]
-    if pool is None:
-        results = (_mc_range(scenario, *job) for job in jobs)
-    else:
-        results = pool.map(_mc_job, jobs)
-    for _ in scenario.n_list:
-        yield _add_counts([next(results) for _ in range(parts)])
 
 
 def _t_label(t: PAdicNumber) -> str:
@@ -495,48 +418,67 @@ def _t_label(t: PAdicNumber) -> str:
 
 def _theory_rows(scenario: Scenario) -> tuple[dict, list[dict]]:
     """f_n on the grid, keyed by (n, grid index), and its sup distance to
-    the target for each n."""
+    the target for each n; the target is evaluated once per grid point."""
     source, target = scenario.law_source, scenario.target
     theo: dict[tuple[int, int], complex] = {}
     sup_rows: list[dict] = []
     if source is None:
         return theo, sup_rows
+    limit = None if target is None else [target(t) for t in scenario.grid]
     for n in scenario.n_list:
-        sup_err = 0.0
-        for i, t in enumerate(scenario.grid):
-            fn = theo[(n, i)] = theoretical_fn(source, scenario.scheme, n, t)
-            if target is not None:
-                sup_err = max(sup_err, abs(fn - target(t)))
-        if target is not None:
+        fns = [theoretical_fn(source, scenario.scheme, n, t) for t in scenario.grid]
+        theo.update(((n, i), fn) for i, fn in enumerate(fns))
+        if limit is not None:
+            sup_err = max([0.0, *(abs(fn - g) for fn, g in zip(fns, limit))])
             sup_rows.append({"n": n, "sup_err": sup_err})
     return theo, sup_rows
 
 
 def _mc_rows(scenario: Scenario, theo: dict, workers: int):
     """The empirical transform of S_n on the grid against f_n for each n,
-    with one process pool for all of them when ``workers`` > 1; also the
-    ball counts of the final n."""
+    and the ball counts of the final n.
+
+    Each n's drawn blocks are cut into up to ``workers`` contiguous
+    ranges, one _mc_draw job each.  The jobs run here, or all at once in
+    one process pool when there is more than one range, so that the
+    counting of one n overlaps the drawing of the next.  Either way each
+    n's parts are joined, divided by B_n once and counted once by
+    tally_blocks, so the first failing block raises as it does serially
+    and the report does not depend on ``workers``."""
     cf_rows: list[dict] = []
     ball_counts = None
     if scenario.m <= 0:
         return cf_rows, ball_counts
     # the budget holds for each n's whole run, checked before any draw
-    for n in scenario.n_list:
-        _summands(scenario.scheme, n, scenario.m)
+    ks = [_summands(scenario.scheme, n, scenario.m) for n in scenario.n_list]
     band = 4.0 / math.sqrt(scenario.m)
     labels = [_t_label(t) for t in scenario.grid]
-    parts = max(1, min(workers, scenario.m, MC_BLOCKS))
+    blocks = [(b, count) for b, count in enumerate(_block_sizes(scenario.m)) if count]
+    sizes = [count for _, count in blocks]
+    parts = max(1, min(workers, len(blocks)))
+    cuts = [len(blocks) * i // parts for i in range(parts + 1)]
+    ranges = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    context = nullcontext()
     if parts > 1:
         # imported here, so that a serial run never loads it
         from concurrent.futures import ProcessPoolExecutor
 
-        context = ProcessPoolExecutor(parts, initializer=_init_worker, initargs=(scenario,))
-    else:
-        context = nullcontext()
+        context = ProcessPoolExecutor(parts)
     with context as pool:
-        for n, (table, ball_counts) in zip(
-            scenario.n_list, _run_blocks(scenario, pool, parts)
-        ):
+        # the jobs (sampler, k(n), seed, n_idx, range), n-major
+        drawn = (map if pool is None else pool.map)(
+            _mc_draw,
+            repeat(scenario.law),
+            [k for k in ks for _ in ranges],
+            repeat(scenario.seed),
+            [n_idx for n_idx in range(len(ks)) for _ in ranges],
+            ranges * len(ks),
+        )
+        for n in scenario.n_list:
+            sums = ResidueBatch.concat(scenario.law.prime, [next(drawn) for _ in ranges])
+            table, ball_counts = tally_blocks(
+                sums.scale(1 / scenario.scheme.B(n)), sizes, scenario.grid, scenario.balls
+            )
             emps = character_values(scenario.prime, table, len(labels), scenario.m)
             for i, (label, emp) in enumerate(zip(labels, emps)):
                 ref = theo.get((n, i))

@@ -548,8 +548,8 @@ class PhaseTable(NamedTuple):
     ``count[j]`` values have the reduced phase numerator[j] / p**scale[j]
     in row ``row[j]``.  row, scale and count are int64; numerator is
     uint64, or object (Python ints) when a phase outgrows 64 bits.  A key
-    (row, scale, numerator) may appear more than once, as when the
-    tables of several workers are joined; its counts then add."""
+    (row, scale, numerator) may appear more than once; its counts then
+    add."""
 
     row: np.ndarray
     scale: np.ndarray
@@ -569,11 +569,6 @@ class PhaseTable(NamedTuple):
             np.array(numerator, dtype=object if items else np.uint64),
             np.array(count, dtype=np.int64),
         )
-
-    @classmethod
-    def concat(cls, tables: Sequence["PhaseTable"]) -> "PhaseTable":
-        """The terms of all ``tables`` in one table."""
-        return cls(*(np.concatenate(column) for column in zip(*tables)))
 
 
 def character_values(

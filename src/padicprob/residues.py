@@ -40,11 +40,11 @@ numerator, count), row i for the i-th grid point, which
 :func:`~padicprob.padic.character_values` turns into the empirical
 transform of every grid point at once.
 
-:func:`tally_blocks` counts the blocks of one Monte Carlo step as a
-single batch: the caller joins their row sums with
-:meth:`ResidueBatch.concat` (:func:`lift` takes each block's residues
-to the largest top) and scales the joined batch once, so each n of a
-report is checked and tallied once.  Its counts are the per-block counts
+:func:`tally_blocks` counts the blocks of one n of a report as a single
+batch.  The report's jobs only draw: each joins its blocks' unscaled row
+sums with :meth:`ResidueBatch.concat` (:func:`lift` takes each block's
+residues to the largest top), and the report joins its jobs' batches the
+same way and scales the result once.  The counts are the per-block counts
 summed, and when the joined batch leaves a query undecidable it tallies
 the blocks one by one, in order, as slices of that batch, so the first
 failing block raises what a per-block tally raises.

@@ -272,7 +272,7 @@ SCENARIO_SCHEMA = {
         "balls": {"type": "array", "items": {"type": "string"}},
         "sets": {"type": "array", "items": {"type": "string"}},
         "m": {"type": "integer", "minimum": 0},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "n_list": {
             "type": "array",
             "items": {"type": "integer", "minimum": 0},

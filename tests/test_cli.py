@@ -389,6 +389,49 @@ def test_workers_below_one_rejected_at_parse_time(command, workers, tmp_path, ca
     assert "--workers" in capsys.readouterr().err
 
 
+_HAAR_SPEC = json.dumps(
+    {"kind": "haar_ball", "p": 2, "center": 0, "radius_exp": 0, "resolution": -6}
+)
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--sampler", _HAAR_SPEC, "--count", "5"],
+    ["limit-verify", "--preset", "beta_one"],
+    ["selftest", "--filter", "c3"],
+])
+@pytest.mark.parametrize("seed", ["-1", "1.5", "seven"])
+def test_seed_below_zero_rejected_at_parse_time(command, seed, tmp_path, capsys):
+    # a negative seed reached numpy's seed streams: sample exited 2 with
+    # numpy's text, and selftest exited 3 as if a tolerance had failed
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--out", str(tmp_path / "out"), "--seed", seed])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--sampler", _HAAR_SPEC, "--count", "5"],
+    ["selftest", "--filter", "c3"],
+])
+@pytest.mark.parametrize("seed", ["-1", "seven"])
+def test_env_seed_below_zero_exits_2(command, seed, tmp_path, capsys, monkeypatch):
+    # PADICPROB_SEED passes the check of --seed
+    monkeypatch.setenv("PADICPROB_SEED", seed)
+    code, out, err = run([*command, "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "PADICPROB_SEED" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_zero_is_a_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PADICPROB_SEED", "0")
+    f = tmp_path / "dump.txt"
+    assert run(["sample", "--sampler", _HAAR_SPEC, "--count", "5", "--out", str(f)],
+               capsys)[0] == 0
+    assert json.loads(f.read_text().splitlines()[0][2:])["seed"] == 0
+
+
 def test_importing_the_cli_loads_no_schema_or_pool_machinery(tmp_path):
     import os
     import subprocess

@@ -697,6 +697,26 @@ def test_each_report_evaluates_through_its_own_exponent():
     assert charfn._measure_radial_value.cache_info().currsize == 0
 
 
+def test_theory_rows_evaluate_the_target_once_per_grid_point(monkeypatch):
+    # the target does not depend on n: a report evaluates it once per grid
+    # point for the sup rows and twice for the scaling identity, however
+    # many n it lists (it was once per (n, grid point) for the sup rows)
+    calls = []
+    real = charfn.Transform.__call__
+
+    def counting(self, t):
+        calls.append(type(self).__name__)
+        return real(self, t)
+
+    monkeypatch.setattr(charfn.Transform, "__call__", counting)
+    for n_list in ([6], [0, 2, 4, 6]):
+        calls.clear()
+        sc = _stable_preset(m=0, n_list=n_list)
+        rep = convergence_report(sc)
+        assert len(rep.sup_rows) == len(n_list)
+        assert calls == ["JumpMeasure"] * (3 * len(sc.grid))
+
+
 def test_one_process_pool_per_report(monkeypatch):
     import concurrent.futures
 

@@ -472,9 +472,9 @@ def test_character_value_pairs_conjugates_and_divides_once():
 
 
 def _split_table(rows, seed: int, object_numerators: bool) -> PhaseTable:
-    """rows as a PhaseTable joined from two workers' tables: each count
-    split in two at random, each part in one of them, the terms
-    shuffled."""
+    """rows as a PhaseTable joined from two tables, so that a key may
+    appear twice: each count split in two at random, each part in one of
+    them, the terms shuffled."""
     rng = np.random.default_rng(seed)
     parts = ([], [])
     for i, terms in enumerate(rows):
@@ -492,7 +492,7 @@ def _split_table(rows, seed: int, object_numerators: bool) -> PhaseTable:
             np.array(numerator, dtype=object if object_numerators else np.uint64),
             np.array(count, dtype=np.int64),
         ))
-    return PhaseTable.concat(tables)
+    return PhaseTable(*(np.concatenate(column) for column in zip(*tables)))
 
 
 @st.composite
@@ -501,7 +501,7 @@ def phase_tables(draw):
     among them the zero phase, the p = 2 axis phases 1/2, 1/4 and 3/4,
     conjugate pairs with and without their second half, and scales with
     p**s past 2**53 and 2**63; the table holds the same counts split
-    between two workers' tables."""
+    between two joined tables."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     # p**s passes 2**53 and 2**63 within each deep range
     scales = st.one_of(

@@ -377,6 +377,27 @@ def test_law_reports_keep_their_bytes_under_a_process_pool(name, tmp_path):
     assert _digest(CASES[name](tmp_path, "--workers", "2")) == DIGESTS[name]
 
 
+@pytest.mark.parametrize("m", [7, 100])
+@pytest.mark.parametrize(
+    "name", ["law_compound_poisson", "law_haar_ball", "law_point_mass", "stable_limit"]
+)
+def test_reports_do_not_depend_on_the_worker_count(name, m, tmp_path):
+    # one Monte Carlo path for every worker count: three workers cut the 7
+    # drawn blocks of m = 7, and the 16 of m = 100, into uneven ranges, and
+    # compound-Poisson blocks have different tops
+    if name == "stable_limit":  # radial stable draws
+        config = json.loads((CONFIG_DIR / "stable_limit.json").read_text())
+    else:
+        config = LAW_CONFIGS[name]
+    config = dict(config, m=m)
+    reports = []
+    for workers in ("1", "3"):
+        (tmp_path / workers).mkdir()
+        reports.append(_config_report(config, tmp_path / workers, "--workers", workers))
+    assert b"\ncf," in reports[0]
+    assert reports[0] == reports[1]
+
+
 def _scenarios() -> dict:
     """Each preset, each shipped scenario config and each law_* config,
     at m = 0."""

@@ -37,7 +37,8 @@ from padicprob.errors import PrecisionError, PrimeMismatchError
 from padicprob.levy import make_example_measure, make_measure
 from padicprob.limits import (
     LimitScheme,
-    _mc_blocks,
+    _mc_draw,
+    _summands,
     default_ball_family,
     simulate_sums,
     sum_residues,
@@ -207,11 +208,22 @@ def row_counts(table, n_rows: int) -> list[Counter]:
     return out
 
 
+def count_blocks(sampler, scheme, n, seed, n_idx, blocks, grid, balls):
+    """A report's count of one n over the (block, count) pairs: the job's
+    joined row sums (_mc_draw) divided by B_n once and counted once by
+    tally_blocks, after the budget check of the whole run."""
+    sizes = [count for _, count in blocks]
+    sums = _mc_draw(sampler, _summands(scheme, n, sum(sizes)), seed, n_idx, blocks)
+    return tally_blocks(sums.scale(1 / scheme.B(n)), sizes, grid, balls)
+
+
 def mc_block(args):
-    """_mc_blocks on the one block of ``args``, with the block index and
+    """count_blocks on the one block of ``args``, with the block index and
     size read from them."""
     (sampler, scheme, n, seed, n_idx, block, count, grid, balls) = args
-    table, ball_hits = _mc_blocks(sampler, scheme, n, seed, n_idx, [(block, count)], grid, balls)
+    table, ball_hits = count_blocks(
+        sampler, scheme, n, seed, n_idx, [(block, count)], grid, balls
+    )
     return block, row_counts(table, len(grid)), ball_hits, count
 
 
@@ -968,9 +980,9 @@ def joined_tally(p, batches, grid, balls):
 
 
 def joined_mc_blocks(sampler, scheme, n, seed, n_idx, blocks, grid, balls):
-    """_mc_blocks' counts: the blocks' row sums joined, scaled and
+    """count_blocks' counts: the blocks' row sums joined, scaled and
     tallied once."""
-    table, hits = _mc_blocks(sampler, scheme, n, seed, n_idx, blocks, grid, balls)
+    table, hits = count_blocks(sampler, scheme, n, seed, n_idx, blocks, grid, balls)
     return row_counts(table, len(grid)), hits
 
 
@@ -1087,6 +1099,6 @@ def test_mc_blocks_match_the_per_block_reference(args):
     # one k(n), B(n), scale and tally per n: the phase table, column by
     # column, the ball counts and the exception of the first failing
     # block are those of drawing, scaling and checking block by block
-    assert outcome(table_and_hits, _mc_blocks, *args) == outcome(
+    assert outcome(table_and_hits, count_blocks, *args) == outcome(
         table_and_hits, per_block.mc_blocks, *args
     )

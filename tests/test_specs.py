@@ -166,6 +166,13 @@ INVALID_SPECS = [
         ]}),
         "invalid scenario spec: 'weight' is a required property",
     ),
+    (
+        # numpy's seed streams take no negative seed; at m > 0 one used to
+        # fail only after the theory rows, and at m = 0 not at all
+        specs.scenario_from_spec,
+        dict(STABLE_CONFIG, seed=-3),
+        "invalid scenario spec: -3 is less than the minimum of 0",
+    ),
 ]
 
 
