@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .charfn import HaarUniform, PointMass, StableLaw, StableParams, Transform, substream
+from .charfn import HaarUniform, PointMass, StableLaw, StableParams, Transform
 from .errors import PrecisionError, ToleranceError
 from .levy import (
     INVERT_TOL,
@@ -168,6 +168,8 @@ def cmd_cf_eval(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .samplers import substream
+
     spec = _load_json(args.sampler) if os.path.exists(args.sampler) else json.loads(args.sampler)
     sampler = sampler_from_spec(spec)
     seed = _default_seed(args.seed, 0)
@@ -263,8 +265,7 @@ def cmd_limit_verify(args) -> int:
     else:
         raise SpecValidationError("pass --config FILE or --preset NAME")
     scenario = scenario_from_spec(config)
-    if args.seed is not None:
-        scenario.seed = args.seed
+    scenario.seed = _default_seed(args.seed, scenario.seed)
     report = convergence_report(scenario, workers=args.workers)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)

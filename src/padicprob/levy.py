@@ -26,11 +26,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .charfn import Transform, TwoValuedForm, substream
+from .charfn import Transform, TwoValuedForm
 from .errors import InfiniteMassError, PrimeMismatchError, ToleranceError
 from .padic import (
     CharacterSum,
@@ -42,6 +40,9 @@ from .padic import (
     split_p_part,
 )
 from .sets import _ZERO, Ball, CompactOpenSet, TailSet, _haar, split_sphere
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @lru_cache(maxsize=1)
@@ -295,6 +296,8 @@ def validate_scaling(
     With rational data both sides are exact rationals and the comparison
     is equality; float data is compared to 1e-12 relative.
     """
+    from .samplers import substream
+
     rng = substream(seed, 97)
     failures = []
     for i in range(trials):

@@ -26,20 +26,17 @@ from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .charfn import Sampler, Transform, TwoValuedForm, ball_probability, substream
+from .charfn import Transform, TwoValuedForm, ball_probability
 from .errors import ToleranceError
 from .levy import measure_mass
-from .padic import (
-    PAdicNumber,
-    _check_prime,
-    character_values,
-    rational_valuation,
-    split_p_part,
-)
-from .residues import ResidueBatch, tally_blocks
+from .padic import PAdicNumber, _check_prime, rational_valuation, split_p_part
 from .sets import Ball, TailSet
+
+if TYPE_CHECKING:
+    from .residues import ResidueBatch
+    from .samplers import Sampler
 
 BUDGET_CAP = 10**8
 MC_BLOCKS = 16
@@ -401,6 +398,9 @@ def _mc_draw(sampler: Sampler, k: int, seed: int, n_idx: int, blocks) -> Residue
     as the blocks' row sums joined unscaled (ResidueBatch.concat).  It
     reads nothing but its arguments, so a pool worker runs it as the
     parent would."""
+    from .residues import ResidueBatch
+    from .samplers import substream
+
     return ResidueBatch.concat(sampler.prime, [
         sampler.residue_sums(substream(seed, n_idx, block), k, count)
         for block, count in blocks
@@ -449,6 +449,8 @@ def _mc_rows(scenario: Scenario, theo: dict, workers: int):
     ball_counts = None
     if scenario.m <= 0:
         return cf_rows, ball_counts
+    from .residues import ResidueBatch, character_values, tally_blocks
+
     # the budget holds for each n's whole run, checked before any draw
     ks = [_summands(scenario.scheme, n, scenario.m) for n in scenario.n_list]
     band = 4.0 / math.sqrt(scenario.m)

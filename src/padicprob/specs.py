@@ -22,24 +22,16 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from numbers import Number
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .charfn import (
-    CompoundPoissonSampler,
-    HaarBallSampler,
-    HaarUniform,
-    PointMass,
-    PointMassSampler,
-    Sampler,
-    StableLaw,
-    StableParams,
-    Transform,
-    stable_sampler,
-)
+from .charfn import HaarUniform, PointMass, StableLaw, StableParams, Transform
 from .levy import JumpMeasure, SelfSimilarLevyMeasure, make_example_measure
 from .limits import LimitScheme, Scenario, default_ball_family
 from .padic import grid_points, parse_number, rational_valuation
 from .sets import Ball, TailSet, annulus, sphere
+
+if TYPE_CHECKING:
+    from .samplers import Sampler
 
 
 class SpecValidationError(ValueError):
@@ -162,7 +154,8 @@ class _Kind(NamedTuple):
     needs: tuple[str, ...]
     defaults: dict
     build: Callable  # a law's exact transform, or a scheme
-    sampler: Callable | None = None  # a law's sampler, from its transform and spec
+    # a law's sampler, from the samplers module, its transform and spec
+    sampler: Callable | None = None
 
 
 def _rational_or_float(value):
@@ -173,22 +166,22 @@ _LAWS = {
     "point_mass": _Kind(
         ("xi",), {},
         lambda s: PointMass(parse_number(s["xi"])),
-        lambda g, s: PointMassSampler(g.xi),
+        lambda sm, g, s: sm.PointMassSampler(g.xi),
     ),
     "haar_ball": _Kind(
         ("p", "center", "radius_exp"), {"resolution": -12},
         lambda s: HaarUniform(Ball(s["p"], parse_rational(s["center"]), s["radius_exp"])),
-        lambda g, s: HaarBallSampler(g.ball, s["resolution"]),
+        lambda sm, g, s: sm.HaarBallSampler(g.ball, s["resolution"]),
     ),
     "radial_stable": _Kind(
         ("p", "a", "alpha"), {"resolution": -12, "n_lo": -40, "n_hi": 40},
         lambda s: StableLaw(StableParams(s["a"], s["alpha"], s["p"])),
-        lambda g, s: stable_sampler(g.params, s["resolution"], s["n_lo"], s["n_hi"]),
+        lambda sm, g, s: sm.stable_sampler(g.params, s["resolution"], s["n_lo"], s["n_hi"]),
     ),
     "compound_poisson": _Kind(
         ("measure",), {"resolution": -6},
         lambda s: JumpMeasure(_measure(s["measure"])),
-        lambda g, s: CompoundPoissonSampler(g.measure, s["resolution"]),
+        lambda sm, g, s: sm.CompoundPoissonSampler(g.measure, s["resolution"]),
     ),
 }
 # a two-valued law as a target (a delta or Haar-cutoff limit law): it is
@@ -549,9 +542,11 @@ def sampler_from_spec(obj) -> Sampler:
 
 
 def _law(obj) -> tuple[Sampler, Transform]:
+    from . import samplers  # numpy loads with the first sampler built
+
     kind, spec = _read(obj, "kind", _LAWS, obj["kind"])
     law = kind.build(spec)
-    return kind.sampler(law, spec), law
+    return kind.sampler(samplers, law, spec), law
 
 
 def scheme_from_spec(obj) -> LimitScheme:

@@ -8,8 +8,8 @@ empirical characteristic function of a sample, summed by the same
 """
 
 from padicprob.charfn import Transform
-from padicprob.padic import PAdicNumber, character_values
-from padicprob.residues import tally
+from padicprob.padic import PAdicNumber
+from padicprob.residues import character_values, tally
 
 
 class Pointwise(Transform):

@@ -10,9 +10,9 @@ this is the loop it replaced, so a test can ask for the same phase
 tables, ball counts and exception texts.
 """
 
-from padicprob.charfn import substream
 from padicprob.limits import sum_residues
 from padicprob.residues import ResidueBatch, tally
+from padicprob.samplers import substream
 
 
 def mc_blocks(sampler, scheme, n, seed, n_idx, blocks, grid, balls):

@@ -16,26 +16,28 @@ from evaluators import empirical_cf
 from padicprob import charfn
 from padicprob.charfn import (
     SPHERE_MASS_TOL,
-    CompoundPoissonSampler,
-    HaarBallSampler,
     HaarUniform,
     PointMass,
-    PointMassSampler,
-    RadialSampler,
     SphereMassTable,
     StableParams,
     Transform,
-    ball_counts,
     ball_probability,
-    poisson_draw,
     sphere_masses,
     StableLaw,
-    stable_sampler,
-    substream,
 )
 from padicprob.errors import PrecisionError, PrimeMismatchError, ToleranceError
 from padicprob.levy import JumpMeasure, make_example_measure, make_measure, measure_mass
 from padicprob.padic import PAdicNumber, chi, from_rational, grid_points
+from padicprob.samplers import (
+    CompoundPoissonSampler,
+    HaarBallSampler,
+    PointMassSampler,
+    RadialSampler,
+    ball_counts,
+    poisson_draw,
+    stable_sampler,
+    substream,
+)
 from padicprob.sets import Ball, integrate_char_exact, sphere
 from padicprob.specs import law_from_spec
 

@@ -412,6 +412,7 @@ def test_seed_below_zero_rejected_at_parse_time(command, seed, tmp_path, capsys)
 
 @pytest.mark.parametrize("command", [
     ["sample", "--sampler", _HAAR_SPEC, "--count", "5"],
+    ["limit-verify", "--preset", "beta_one"],
     ["selftest", "--filter", "c3"],
 ])
 @pytest.mark.parametrize("seed", ["-1", "seven"])
@@ -430,6 +431,20 @@ def test_seed_zero_is_a_seed(tmp_path, capsys, monkeypatch):
     assert run(["sample", "--sampler", _HAAR_SPEC, "--count", "5", "--out", str(f)],
                capsys)[0] == 0
     assert json.loads(f.read_text().splitlines()[0][2:])["seed"] == 0
+
+
+@pytest.mark.parametrize("argv_seed, want", [([], 99), (["--seed", "5"], 5)])
+def test_limit_verify_reads_env_seed(argv_seed, want, tmp_path, capsys, monkeypatch):
+    # limit-verify once wrote the preset's seed (11) whatever PADICPROB_SEED said
+    monkeypatch.setenv("PADICPROB_SEED", "99")
+    out = tmp_path / "out"
+    code, _, _ = run(["limit-verify", "--preset", "beta_one", "--out", str(out), *argv_seed],
+                     capsys)
+    assert code == 0
+    report = json.loads((out / "beta-one-degenerate.json").read_text())
+    header = (out / "beta-one-degenerate.csv").read_text().splitlines()[0]
+    assert report["effective"]["seed"] == want
+    assert json.loads(header[2:])["seed"] == want
 
 
 def test_importing_the_cli_loads_no_schema_or_pool_machinery(tmp_path):
@@ -464,6 +479,49 @@ def test_importing_the_cli_loads_no_schema_or_pool_machinery(tmp_path):
     assert out.stderr == (
         "error: invalid measure spec: {'p': 3, 'beta': '1/4', 'gamma0': '9', "
         "'fundamental': [], 'extra': 1} is not valid under any of the given schemas\n"
+    )
+
+
+_CUSTOM = str(CONFIG_DIR / "custom_measure.json")
+_RUNS = {
+    "classify": ["classify", "--cf", "delta:1/256", "--p", "2"],
+    "cf-eval": ["cf-eval", "--stable", "a=1,alpha=1,p=2", "--t", "1/1 @ p=2"],
+    "levy-exponent": ["levy-exponent", "--measure", _CUSTOM, "--grid=0:1"],
+    "levy-invert": ["levy-invert", "--measure", _CUSTOM, "--set", "annulus(0,2)"],
+    "sample": ["sample", "--sampler", _HAAR_SPEC, "--count", "5", "--out", "{tmp}/dump.txt"],
+    "limit-verify": ["limit-verify", "--preset", "beta_one", "--out", "{tmp}"],
+}
+_STATEMENTS = {
+    "import": "import padicprob",
+    # the import line of perfbench/workloads.py
+    "perfbench": "from padicprob import charfn, cli, levy, limits, padic, selftest, sets, specs",
+    **{name: f"from padicprob.cli import main; assert main({argv!r}) == 0"
+       for name, argv in _RUNS.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STATEMENTS))
+def test_only_a_command_that_draws_loads_numpy(case, tmp_path):
+    # numpy and the Monte Carlo layer load on the first draw: importing
+    # the package or running an exact command loads none of them
+    import os
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    probe = (
+        _STATEMENTS[case].replace("{tmp}", str(tmp_path)) + "\n"
+        "import sys\n"
+        "print(sorted(m for m in sys.modules"
+        " if m in ('numpy', 'padicprob.residues', 'padicprob.samplers')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    drew = case in ("sample", "limit-verify")
+    assert out.stdout.splitlines()[-1] == str(
+        ["numpy", "padicprob.residues", "padicprob.samplers"] if drew else []
     )
 
 

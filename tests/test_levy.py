@@ -12,7 +12,7 @@ import fraction_balls as oracle
 import per_ball
 from evaluators import Pointwise
 from float_probe import probe_classify
-from padicprob.charfn import HaarUniform, PointMass, StableLaw, StableParams, substream
+from padicprob.charfn import HaarUniform, PointMass, StableLaw, StableParams
 from padicprob.errors import (
     InfiniteMassError,
     PrecisionError,
@@ -44,6 +44,7 @@ from padicprob.padic import (
     grid_points,
 )
 from padicprob.limits import LimitScheme, SumTransform
+from padicprob.samplers import substream
 from padicprob.sets import Ball, CompactOpenSet, TailSet, annulus, sphere, split_sphere
 from padicprob.specs import measure_from_spec
 

@@ -11,16 +11,7 @@ from hypothesis import strategies as st
 import fraction_balls as oracle
 from evaluators import empirical_cf
 from padicprob import charfn, limits
-from padicprob.charfn import (
-    HaarBallSampler,
-    HaarUniform,
-    PointMass,
-    PointMassSampler,
-    StableLaw,
-    StableParams,
-    stable_sampler,
-    substream,
-)
+from padicprob.charfn import HaarUniform, PointMass, StableLaw, StableParams
 from padicprob.levy import (
     JumpMeasure,
     classify_two_valued,
@@ -47,6 +38,7 @@ from padicprob.specs import sampler_from_spec, scenario_from_spec
 from padicprob.errors import PrecisionError, PrimeMismatchError
 from padicprob.residues import tally
 from padicprob.padic import PAdicNumber, from_rational, grid_points, rational_valuation
+from padicprob.samplers import HaarBallSampler, PointMassSampler, stable_sampler, substream
 from padicprob.sets import Ball, TailSet, annulus
 
 

@@ -15,10 +15,8 @@ from padicprob.padic import (
     DEFAULT_PRECISION,
     CharacterSum,
     PAdicNumber,
-    PhaseTable,
     _check_prime,
     character_value,
-    character_values,
     chi,
     format_padic,
     from_rational,
@@ -27,6 +25,7 @@ from padicprob.padic import (
     parse_padic,
     rational_char_phase,
 )
+from padicprob.residues import PhaseTable, character_values
 from padicprob.sets import Ball, TailSet, integrate_char_exact, split_sphere
 
 PRIMES = (2, 3, 5)

@@ -24,8 +24,9 @@ import pytest
 
 import padicprob
 from padicprob import levy, limits, padic, sets, specs
-from padicprob.charfn import HaarUniform, substream
+from padicprob.charfn import HaarUniform
 from padicprob.cli import main
+from padicprob.samplers import substream
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CUSTOM = str(CONFIG_DIR / "custom_measure.json")

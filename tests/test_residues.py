@@ -21,18 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import per_block
-from padicprob.charfn import (
-    CP_CHUNK,
-    CompoundPoissonSampler,
-    HaarBallSampler,
-    PointMassSampler,
-    RadialSampler,
-    SphereMassTable,
-    StableParams,
-    ball_counts,
-    stable_sampler,
-    substream,
-)
+from padicprob.charfn import SphereMassTable, StableParams
 from padicprob.errors import PrecisionError, PrimeMismatchError
 from padicprob.levy import make_example_measure, make_measure
 from padicprob.limits import (
@@ -47,6 +36,16 @@ from padicprob.padic import (
     PAdicNumber, grid_points, int_valuation, rational_valuation, reduced_phase,
 )
 from padicprob.residues import ResidueBatch, _reduced_phases, tally, tally_blocks
+from padicprob.samplers import (
+    CP_CHUNK,
+    CompoundPoissonSampler,
+    HaarBallSampler,
+    PointMassSampler,
+    RadialSampler,
+    ball_counts,
+    stable_sampler,
+    substream,
+)
 from padicprob.sets import Ball, split_sphere
 
 # ---------------------------------------------------------------------

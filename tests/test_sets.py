@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 import fraction_balls as oracle
 import per_ball
-from padicprob.charfn import substream
 from padicprob.errors import PrecisionError, PrimeMismatchError
 from padicprob.levy import random_compact_open
 from padicprob.padic import PAdicNumber, from_rational, rational_char_phase
+from padicprob.samplers import substream
 from padicprob.sets import (
     Ball,
     CompactOpenSet,

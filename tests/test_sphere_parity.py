@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicprob.charfn import HaarUniform, PointMass, StableLaw, StableParams, substream
+from padicprob.charfn import HaarUniform, PointMass, StableLaw, StableParams
 from padicprob.errors import PrecisionError, PrimeMismatchError
 from padicprob.levy import (
     JumpMeasure,
@@ -29,6 +29,7 @@ from padicprob.levy import (
 )
 from padicprob.limits import LimitScheme, SumTransform
 from padicprob.padic import PAdicNumber, chi
+from padicprob.samplers import substream
 from padicprob.sets import Ball
 from test_levy import oracle_exponent
 
