@@ -412,21 +412,26 @@ def _block_sizes(m: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(MC_BLOCKS)]
 
 
-def _t_label(t: PAdicNumber) -> str:
-    return str(t.as_rational())
-
-
 def _theory_rows(scenario: Scenario) -> tuple[dict, list[dict]]:
-    """f_n on the grid, keyed by (n, grid index), and its sup distance to
-    the target for each n; the target is evaluated once per grid point."""
-    source, target = scenario.law_source, scenario.target
+    """f_n on the grid, keyed by (n, grid index), read once per sphere, and
+    its sup distance to the target, evaluated once per grid point, per n."""
+    source, target, scheme, grid = (
+        scenario.law_source, scenario.target, scenario.scheme, scenario.grid)
     theo: dict[tuple[int, int], complex] = {}
     sup_rows: list[dict] = []
     if source is None:
         return theo, sup_rows
-    limit = None if target is None else [target(t) for t in scenario.grid]
+    limit = None if target is None else [target(t) for t in grid]
+    spheres: dict[tuple[int, int, int], list[int]] = {}
+    for i, t in enumerate(grid):
+        if not t.is_zero:
+            spheres.setdefault((t.prime, t.valuation, t.precision), []).append(i)
     for n in scenario.n_list:
-        fns = [theoretical_fn(source, scenario.scheme, n, t) for t in scenario.grid]
+        fns = [theoretical_fn(source, scheme, n, t) if t.is_zero else None for t in grid]
+        for (p, v, precision), idx in spheres.items():
+            units = [grid[i].unit for i in idx]
+            for i, fn in zip(idx, theoretical_sphere(source, scheme, n, p, v, units, precision)):
+                fns[i] = fn
         theo.update(((n, i), fn) for i, fn in enumerate(fns))
         if limit is not None:
             sup_err = max([0.0, *(abs(fn - g) for fn, g in zip(fns, limit))])
@@ -434,9 +439,9 @@ def _theory_rows(scenario: Scenario) -> tuple[dict, list[dict]]:
     return theo, sup_rows
 
 
-def _mc_rows(scenario: Scenario, theo: dict, workers: int):
-    """The empirical transform of S_n on the grid against f_n for each n,
-    and the ball counts of the final n.
+def _mc_rows(scenario: Scenario, theo: dict, labels: list[str], workers: int):
+    """The empirical transform of S_n on the grid (the points ``labels``)
+    against f_n for each n, and the ball counts of the final n.
 
     Each n's drawn blocks are cut into up to ``workers`` contiguous
     ranges, one _mc_draw job each.  The jobs run here, or all at once in
@@ -454,7 +459,6 @@ def _mc_rows(scenario: Scenario, theo: dict, workers: int):
     # the budget holds for each n's whole run, checked before any draw
     ks = [_summands(scenario.scheme, n, scenario.m) for n in scenario.n_list]
     band = 4.0 / math.sqrt(scenario.m)
-    labels = [_t_label(t) for t in scenario.grid]
     blocks = [(b, count) for b, count in enumerate(_block_sizes(scenario.m)) if count]
     sizes = [count for _, count in blocks]
     parts = max(1, min(workers, len(blocks)))
@@ -553,17 +557,17 @@ def _phi_rows(scenario: Scenario) -> tuple[list[dict], list[dict | None], int]:
     return rows, final, dropped
 
 
-def _scaling_rows(scenario: Scenario) -> tuple[list[dict], float | None]:
+def _scaling_rows(scenario: Scenario, labels: list[str]) -> tuple[list[dict], float | None]:
     """Residuals of the target's modulus scaling identity (geometric
-    schemes), and the least log |target| on the grid (-inf where the
-    target has a certified zero)."""
+    schemes) at the grid points ``labels``, and the least log |target| on
+    the grid (-inf where the target has a certified zero)."""
     target, scheme = scenario.target, scenario.scheme
     if target is None:
         return [], None
     rows = []
     if scheme.mode == "geometric":
-        for t, res in scaling_identity_check(target, scheme.gamma0, scheme.beta, scenario.grid):
-            rows.append({"t": _t_label(t), "residual": res})
+        checks = scaling_identity_check(target, scheme.gamma0, scheme.beta, scenario.grid)
+        rows = [{"t": label, "residual": res} for label, (_, res) in zip(labels, checks)]
     return rows, min(target.log_modulus(t) for t in scenario.grid)
 
 
@@ -593,11 +597,12 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
         law_source=None if law is None else law.fresh(),
         target=None if target is None else target.fresh(),
     )
+    labels = [str(t.as_rational()) for t in scenario.grid]
     theo, sup_rows = _theory_rows(scenario)
-    cf_rows, ball_counts = _mc_rows(scenario, theo, workers)
+    cf_rows, ball_counts = _mc_rows(scenario, theo, labels, workers)
     ball_rows = _ball_rows(scenario, ball_counts)
     phi_rows, phi_final, phi_dropped = _phi_rows(scenario)
-    scaling_rows, min_log_abs_target = _scaling_rows(scenario)
+    scaling_rows, min_log_abs_target = _scaling_rows(scenario, labels)
     degenerate, has_form = _classification(scenario)
     # a limit law with no two-valued form
     stable = target is not None and target.form is None
@@ -649,7 +654,7 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
         },
         "law": scenario.law_spec,
         "tolerances": dict(scenario.tolerances),
-        "grid": [str(t.as_rational()) for t in scenario.grid],
+        "grid": labels,
         "balls": [str(b) for b in scenario.balls],
         "sets": [str(s) for s in scenario.sets],
         "phi_rows_dropped": phi_dropped,

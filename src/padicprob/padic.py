@@ -205,6 +205,16 @@ class PAdicNumber:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _of(cls, p: int, v: int, unit: int, precision: int) -> "PAdicNumber":
+        """p**v * unit to ``precision`` digits, from fields a caller has checked."""
+        x = object.__new__(cls)
+        _set_prime(x, p)
+        _set_valuation(x, v)
+        _set_unit(x, unit)
+        _set_precision(x, precision)
+        return x
+
+    @classmethod
     def zero(cls, p: int, certified_exp: int | None = None) -> "PAdicNumber":
         return cls(p, None, 0, certified_exp)
 

@@ -185,17 +185,20 @@ class ResidueBatch:
         A residue X != 0 with valuation v stands for p**(v - top) * X/p**v,
         known to top + window - v digits; X = 0 stands for the zero
         certified modulo p**window, and every value of a batch with
-        window None for the exact zero.  The prime, top and window are
-        read once, the valuation of X at p = 2 is its number of trailing
-        zero bits, and every nonzero value is built by PAdicNumber's
-        checking constructor, so a residue out of range raises there.
+        window None for the exact zero.  The batch is checked once (a
+        residue outside [0, p**(top + window)) raises PAdicNumber's range
+        error); within it the decode gives valid fields, so each value is
+        built trusted.  At p = 2 the valuation of X is its trailing zeros.
         """
         p, top, window = self.prime, self.top, self.window
         residues = self.values.tolist()
         if window is None:
             return [PAdicNumber.zero(p)] * len(residues)
         width = top + window
+        if residues and (self.values.min() < 0 or int(self.values.max()) >= p**width):
+            raise ValueError("unit out of range for stated precision")
         zero = PAdicNumber.zero(p, window)
+        of = PAdicNumber._of
         out = []
         for x in residues:
             if not x:
@@ -209,7 +212,7 @@ class ResidueBatch:
                 while not x % p:
                     x //= p
                     v += 1
-            out.append(PAdicNumber(p, v - top, x, width - v))
+            out.append(of(p, v - top, x, width - v))
         return out
 
     # -- character phases ---------------------------------------------
@@ -316,12 +319,12 @@ class ResidueBatch:
         """Number of values in ``ball``; requires ball_ok(ball)."""
         if self.window is None or not len(self):
             return len(self) if ball.contains_zero else 0
-        p = self.prime
-        center = ball.center * Fraction(p) ** self.top
-        if center.denominator != 1:
+        p, top, split = self.prime, self.top, ball._center_split  # center p**v * u
+        if split is not None and split[0] + top < 0:
             return 0  # |center| > p**top >= |x| for every value x
-        e = max(self.top - ball.radius_exp, 0)
-        hits = self._mod(self.values, e) == int(center) % p**e
+        center = 0 if split is None else split[1] * p ** (split[0] + top)
+        e = max(top - ball.radius_exp, 0)
+        hits = self._mod(self.values, e) == center % p**e
         return int(np.count_nonzero(hits))
 
 
@@ -440,23 +443,29 @@ def character_values(
 ) -> list[complex]:
     """character_value(p, terms_i, denominator) for each row i < n_rows of
     ``table`` (terms_i: row i's {(scale, numerator): count}, equal keys
-    added), bit for bit, with array operations in place of the loop.
+    added), bit for bit, with array operations in place of the loop; a
+    row of ``table`` outside [0, n_rows) raises ValueError.
 
-    Keys are summed in int64, sorted by (row, s, k), and each conjugate
-    (s, p**s - k) is found by a search within its (row, s).  Each kept
-    term, a conjugate pair led by its smaller numerator or an unpaired
-    key, gets the loop's float operations in the loop's order: k / p**s
-    is divided as floats only while p**s < 2**53, where that is the
-    correctly rounded quotient Python gives, and as Python ints beyond;
-    cos and sin are math's, once per distinct angle; an unpaired term is
-    the complex product float(c) / denominator * chi, written out.  Each
-    row is then summed strictly in sequence from 0.0 by
-    np.add.accumulate (np.sum adds pairwise, which changes bits).
+    Keys are summed in int64, sorted by (row, s, k) in one stable argsort
+    of (row * (S + 1) + s) * W + rank(k) (S: the largest scale, W: the
+    distinct numerators and conjugates; n_rows * (S + 1) * W < 2**63 for
+    any table that fits in memory), and each conjugate (s, p**s - k) is
+    found by a search within its (row, s).  Each kept term, a conjugate
+    pair led by its smaller numerator or an unpaired key, gets the loop's
+    float operations in the loop's order: k / p**s is divided as floats
+    only while p**s < 2**53, where that is the correctly rounded quotient
+    Python gives, and as Python ints beyond; cos and sin are math's, once
+    per distinct angle; an unpaired term is the complex product float(c) /
+    denominator * chi, written out.  Each row is then summed strictly in
+    sequence from 0.0 by np.add.accumulate (np.sum adds pairwise, which
+    changes bits).
     """
     row, scale, numerator, count = table
     if not len(row):
         return [complex(0.0, 0.0)] * n_rows
-    top = p ** int(scale.max())
+    if not 0 <= row.min() <= row.max() < n_rows:
+        raise ValueError(f"phase table rows {row.min()}..{row.max()} not all in [0, {n_rows = })")
+    top = p ** (s_max := int(scale.max()))
     if top >= 2**63:
         k = numerator.astype(object)
         power = p ** scale.astype(object)
@@ -465,10 +474,11 @@ def character_values(
         power = np.int64(p) ** scale
     size = len(k)
     # ranks of numerators and conjugate numerators on one scale, so that
-    # (group, rank) packs into one int64
+    # (row, scale, rank) and (group, rank) pack into one int64
     ranked, rank = np.unique(np.concatenate([k, power - k]), return_inverse=True)
     width = len(ranked)
-    order = np.lexsort((rank[:size], scale, row))
+    assert n_rows * (s_max + 1) * width < 2**63
+    order = np.argsort((row * (s_max + 1) + scale) * width + rank[:size], kind="stable")
     row, scale, k, power = row[order], scale[order], k[order], power[order]
     rk, rc, count = rank[:size][order], rank[size:][order], count[order]
     new_group = np.ones(size, dtype=bool)

@@ -709,6 +709,62 @@ def test_theory_rows_evaluate_the_target_once_per_grid_point(monkeypatch):
         assert calls == ["JumpMeasure"] * (3 * len(sc.grid))
 
 
+def test_theory_rows_evaluate_f_n_once_per_sphere(monkeypatch):
+    # the grid's 39 points lie on 13 spheres: f_n is evaluated once per
+    # (n, sphere), 52 times for four n (once per point, it was 156)
+    calls = []
+    real = limits.theoretical_sphere
+
+    def counting(*args):
+        calls.append((args[2], args[4], args[6]))  # n, v, precision
+        return real(*args)
+
+    monkeypatch.setattr(limits, "theoretical_sphere", counting)
+    sc = _stable_preset(m=0, n_list=[0, 2, 4, 6])
+    convergence_report(sc)
+    spheres = {(t.valuation, t.precision) for t in sc.grid}
+    assert len(calls) == len(set(calls)) == 4 * len(spheres) == 52
+
+
+def _non_radial_measure(p):
+    return make_measure(p, Fraction(1, p), p, (((Ball(p, 1, -2), Fraction(1, 2)),),))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 5)),
+    law=st.sampled_from(("point", "haar", "stable", "non_radial")),
+    explicit=st.booleans(),
+)
+def test_theory_rows_are_the_point_values(p, law, explicit):
+    # f_n read a sphere at a time gives each point's theoretical_fn, bit
+    # for bit, also at the exact and the certified zero
+    from types import SimpleNamespace
+
+    source = {
+        "point": lambda: PointMass(PAdicNumber(p, -2, p + 1, 40)),
+        "haar": lambda: HaarUniform(Ball(p, Fraction(1, p), -2)),
+        "stable": lambda: StableLaw(StableParams(1.5, 0.7, p)),
+        "non_radial": lambda: JumpMeasure(_non_radial_measure(p)),
+    }[law]()
+    assert source.is_radial == (law == "stable")
+    scheme = (
+        LimitScheme.explicit(p, [Fraction(p**n, 1 + p) for n in range(4)], [1, 1, 4, 7])
+        if explicit else LimitScheme.geometric(p, Fraction(1, p), p, n_max=3)
+    )
+    grid = (
+        PAdicNumber.zero(p), *grid_points(p, -3, 3), PAdicNumber.zero(p, 3),
+        *grid_points(p, -2, 2, precision=20),
+    )
+    sc = SimpleNamespace(law_source=source, target=None, scheme=scheme, grid=grid,
+                         n_list=(0, 1, 3))
+    theo, _ = limits._theory_rows(sc)
+    want = {(n, i): theoretical_fn(source, scheme, n, t)
+            for n in sc.n_list for i, t in enumerate(grid)}
+    assert list(theo) == list(want)
+    assert [repr(z) for z in theo.values()] == [repr(z) for z in want.values()]
+
+
 def test_one_process_pool_per_report(monkeypatch):
     import concurrent.futures
 

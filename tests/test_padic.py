@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -537,6 +538,37 @@ def test_character_values_match_character_value_bit_for_bit(case):
     assert [(repr(z.real), repr(z.imag)) for z in got] == [
         (repr(z.real), repr(z.imag)) for z in want
     ]
+
+
+@pytest.mark.parametrize("p, scales", [(2, (1, 2, 54, 60, 62)), (3, (1, 3, 34, 40, 45))])
+def test_character_values_on_many_rows_and_deep_scales(p, scales):
+    # 70 rows and phases past p**s = 2**53 pack (row, scale, rank) into a
+    # large int64 key (and, at p = 3, go through Python-int numerators)
+    rng = random.Random(p)
+    rows = []
+    for i in range(70):
+        terms = {(0, 0): rng.randrange(1, 50)} if i % 3 else {}
+        for s in scales:
+            for _ in range(2):
+                k = rng.randrange(1, p**s)
+                k += k % p == 0
+                terms[s, k] = rng.randrange(1, 10**6)
+                if rng.randrange(2):
+                    terms[s, p**s - k] = rng.randrange(1, 10**6)
+        rows.append(terms)
+    table = _split_table(rows, 7, any(k >= 2**64 for terms in rows for _, k in terms))
+    got = character_values(p, table, len(rows), 10**6 + 3)
+    want = [character_value(p, terms, 10**6 + 3) for terms in rows]
+    assert [(repr(z.real), repr(z.imag)) for z in got] == [
+        (repr(z.real), repr(z.imag)) for z in want
+    ]
+
+
+def test_character_values_refuses_a_row_past_n_rows():
+    # numpy's IndexError named neither the table's row nor n_rows
+    table = PhaseTable.from_counts([{(2, 1): 3}, {}, {(3, 5): 2}])
+    with pytest.raises(ValueError, match=r"rows 0\.\.2 not all in \[0, n_rows = 2\)"):
+        character_values(2, table, 2, 5)
 
 
 @pytest.mark.parametrize(

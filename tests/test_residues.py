@@ -791,6 +791,37 @@ def test_ball_counts_on_a_residue_batch(p):
     assert outcome(ball_counts, ResidueBatch(p, 0, 2, []), balls) == ("ok", [0] * 12)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("p, widths, dtype", [
+    (2, (1, 20), np.uint64), (3, (1, 20), np.uint64), (5, (1, 13), np.uint64),
+    (2, (65, 80), object), (3, (21, 45), object),
+])
+def test_ball_count_counts_the_decoded_values(p, widths, dtype, data):
+    # balls around 0 and elsewhere, with centres of any valuation, also
+    # beyond the batch's top (|centre| > p**top, so no value lies in them)
+    top = data.draw(st.integers(-4, 5), label="top")
+    width = data.draw(st.integers(max(widths[0], top + 1), widths[1]), label="width")
+    window = width - top
+    residues = data.draw(st.lists(st.builds(
+        lambda u, k: u * p**k % p**width, st.integers(0, p**width - 1), st.integers(0, width)
+    ), max_size=30), label="residues")
+    batch = ResidueBatch(p, top, window, residues)
+    assert batch.values.dtype == dtype
+    values = batch.elements()
+    for _ in range(4):
+        radius = data.draw(st.integers(-window, top + 3), label="radius")
+        centre = data.draw(st.one_of(st.just(Fraction(0)), st.builds(
+            lambda a, b, v: Fraction(a, b) * Fraction(p) ** v,
+            st.integers(-(p**8), p**8).filter(bool),
+            st.integers(1, 30).filter(lambda b: b % p),
+            st.integers(-top - 4, window + 2),
+        )), label="centre")
+        ball = Ball(p, centre, radius)
+        assert batch.ball_ok(ball)
+        assert batch.ball_count(ball) == sum(ball.contains(x) for x in values)
+
+
 ball_args = st.builds(
     Ball,
     st.just(3),
