@@ -22,6 +22,7 @@ This module imports no numpy.  The samplers of these laws live in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,7 +38,6 @@ from .padic import (
     phase_scale,
 )
 from .sets import Ball
-
 
 # ---------------------------------------------------------------------
 # Transforms
@@ -261,7 +261,13 @@ class StableLaw(Transform):
         return math.exp(self._log_radial(k))
 
     def _log_radial(self, k: int) -> float:
-        return -self.params.a * float(self.prime) ** (self.params.alpha * k)
+        """-a * p**(alpha * k), or the least float where that leaves the
+        float range: a value that underflows, not a certified zero."""
+        try:
+            log = -self.params.a * float(self.prime) ** (self.params.alpha * k)
+        except OverflowError:
+            log = -math.inf
+        return max(log, -sys.float_info.max)
 
     def log_modulus(self, t: PAdicNumber) -> float:
         self._check(t.prime)
@@ -377,6 +383,20 @@ class SphereMassTable:
 
     def total(self) -> float:
         return self.mass_at_zero + sum(v for _, v in self.masses) + self.tail_above
+
+    def folds(self, resolution: int) -> dict:
+        """What a RadialSampler of the table at ``resolution`` folds:
+        ``zero_mass`` is drawn as the zero at the resolution (the mass
+        below n_lo and on the spheres at or below the resolution),
+        ``top_tail`` (the mass above n_hi) from the top sphere; ``clamped``
+        spheres had a small negative mass set to 0, and every mass is
+        within ``error_bound`` of the law's."""
+        return {
+            "zero_mass": self.mass_at_zero + sum(m for n, m in self.masses if n <= resolution),
+            "top_tail": self.tail_above,
+            "clamped": list(self.clamped),
+            "error_bound": self.error_bound,
+        }
 
 
 def sphere_masses(g: Transform, n_lo: int, n_hi: int) -> SphereMassTable:

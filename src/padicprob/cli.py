@@ -34,10 +34,10 @@ from .sets import Ball
 from .specs import (
     _ANNULUS_RE,
     SpecValidationError,
+    law_from_spec,
     measure_from_spec,
     parse_rational,
     parse_set_literal,
-    sampler_from_spec,
     scenario_from_spec,
 )
 
@@ -171,7 +171,7 @@ def cmd_sample(args) -> int:
     from .samplers import substream
 
     spec = _load_json(args.sampler) if os.path.exists(args.sampler) else json.loads(args.sampler)
-    sampler = sampler_from_spec(spec)
+    sampler = law_from_spec(spec).sampler
     seed = _default_seed(args.seed, 0)
     rng = substream(seed, 0)
     draws = sampler.sample(rng, args.count)

@@ -37,6 +37,7 @@ from .sets import Ball, TailSet
 if TYPE_CHECKING:
     from .residues import ResidueBatch
     from .samplers import Sampler
+    from .specs import Law
 
 BUDGET_CAP = 10**8
 MC_BLOCKS = 16
@@ -332,15 +333,15 @@ def default_ball_family(p: int, count: int) -> list[Ball]:
 class Scenario:
     """A reproducible convergence experiment.
 
-    ``law`` draws the summands and ``law_spec`` is the sampler spec it
-    was built from; ``law_source`` (when available) is their exact
-    transform, for the theory rows; ``target`` is the transform of the
-    limit law, which decides the limit verdicts (see the module docstring).
+    ``law`` is the summands' law (see specs.Law): its transform gives the
+    theory rows, its sampler the Monte Carlo rows and its spec the report's
+    ``effective.law``.  ``target`` is the transform of the limit law, which
+    decides the limit verdicts (see the module docstring).
     """
 
     name: str
     prime: int
-    law: Sampler
+    law: Law
     scheme: LimitScheme
     grid: tuple[PAdicNumber, ...]
     balls: tuple[Ball, ...]
@@ -348,8 +349,6 @@ class Scenario:
     m: int
     seed: int
     n_list: tuple[int, ...]
-    law_spec: dict
-    law_source: Transform | None = None
     target: Transform | None = None
     tolerances: dict = field(default_factory=dict)
 
@@ -416,11 +415,9 @@ def _theory_rows(scenario: Scenario) -> tuple[dict, list[dict]]:
     """f_n on the grid, keyed by (n, grid index), read once per sphere, and
     its sup distance to the target, evaluated once per grid point, per n."""
     source, target, scheme, grid = (
-        scenario.law_source, scenario.target, scenario.scheme, scenario.grid)
+        scenario.law.transform, scenario.target, scenario.scheme, scenario.grid)
     theo: dict[tuple[int, int], complex] = {}
     sup_rows: list[dict] = []
-    if source is None:
-        return theo, sup_rows
     limit = None if target is None else [target(t) for t in grid]
     spheres: dict[tuple[int, int, int], list[int]] = {}
     for i, t in enumerate(grid):
@@ -449,16 +446,18 @@ def _mc_rows(scenario: Scenario, theo: dict, labels: list[str], workers: int):
     counting of one n overlaps the drawing of the next.  Either way each
     n's parts are joined, divided by B_n once and counted once by
     tally_blocks, so the first failing block raises as it does serially
-    and the report does not depend on ``workers``."""
-    cf_rows: list[dict] = []
-    ball_counts = None
+    and the report does not depend on ``workers``.  The law's sampler is
+    built here, before any job, and the jobs receive it alone."""
     if scenario.m <= 0:
-        return cf_rows, ball_counts
+        return [], None
     from .residues import ResidueBatch, character_values, tally_blocks
 
     # the budget holds for each n's whole run, checked before any draw
     ks = [_summands(scenario.scheme, n, scenario.m) for n in scenario.n_list]
+    sampler = scenario.law.sampler
     band = 4.0 / math.sqrt(scenario.m)
+    cf_rows: list[dict] = []
+    ball_counts = None
     blocks = [(b, count) for b, count in enumerate(_block_sizes(scenario.m)) if count]
     sizes = [count for _, count in blocks]
     parts = max(1, min(workers, len(blocks)))
@@ -474,28 +473,28 @@ def _mc_rows(scenario: Scenario, theo: dict, labels: list[str], workers: int):
         # the jobs (sampler, k(n), seed, n_idx, range), n-major
         drawn = (map if pool is None else pool.map)(
             _mc_draw,
-            repeat(scenario.law),
+            repeat(sampler),
             [k for k in ks for _ in ranges],
             repeat(scenario.seed),
             [n_idx for n_idx in range(len(ks)) for _ in ranges],
             ranges * len(ks),
         )
         for n in scenario.n_list:
-            sums = ResidueBatch.concat(scenario.law.prime, [next(drawn) for _ in ranges])
+            sums = ResidueBatch.concat(scenario.prime, [next(drawn) for _ in ranges])
             table, ball_counts = tally_blocks(
                 sums.scale(1 / scenario.scheme.B(n)), sizes, scenario.grid, scenario.balls
             )
             emps = character_values(scenario.prime, table, len(labels), scenario.m)
             for i, (label, emp) in enumerate(zip(labels, emps)):
-                ref = theo.get((n, i))
+                ref = theo[n, i]
                 cf_rows.append({
                     "n": n,
                     "t": label,
-                    "theoretical_re": "" if ref is None else ref.real,
-                    "theoretical_im": "" if ref is None else ref.imag,
+                    "theoretical_re": ref.real,
+                    "theoretical_im": ref.imag,
                     "empirical_re": emp.real,
                     "empirical_im": emp.imag,
-                    "residual": "" if ref is None else abs(emp - ref),
+                    "residual": abs(emp - ref),
                     "band": band,
                 })
     return cf_rows, ball_counts
@@ -527,10 +526,8 @@ def _phi_rows(scenario: Scenario) -> tuple[list[dict], list[dict | None], int]:
     n) rows dropped because the ball series missed its tolerance.  The
     rows follow a radial law with no two-valued form: a report over a point
     mass or a Haar ball has had none, and keeps its bytes."""
-    law, target = scenario.law_source, scenario.target
-    if law is None or not law.is_radial or law.form is not None:
-        return [], [], 0
-    if target is None or target.measure is None:
+    law, target = scenario.law.transform, scenario.target
+    if not law.is_radial or law.form is not None or target is None or target.measure is None:
         return [], [], 0
     rows: list[dict] = []
     final: list[dict | None] = []
@@ -577,8 +574,8 @@ def _classification(scenario: Scenario) -> tuple[str | None, bool | None]:
     at CLASSIFY_SEARCH_RADIUS_EXP, the ball of radius p**max(-N,
     -CLASSIFY_SEARCH_RADIUS_EXP) around its xi, so a Haar ball at least
     that small reads as a delta.  A law with no form is 'not_two_valued'."""
-    source, target = scenario.law_source, scenario.target
-    if source is None or target is None or target.form is None:
+    source, target = scenario.law.transform, scenario.target
+    if target is None or target.form is None:
         return None, None
     form = SumTransform(source, scenario.scheme, scenario.n_list[-1]).form
     if form is None:
@@ -591,10 +588,10 @@ def _classification(scenario: Scenario) -> tuple[str | None, bool | None]:
 def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceReport:
     """Run the full diagnostic battery for one scenario."""
     # no memo outlives a report: each starts from fresh transforms
-    law, target = scenario.law_source, scenario.target
+    law, target = scenario.law.transform, scenario.target
     scenario = replace(
         scenario,
-        law_source=None if law is None else law.fresh(),
+        law=scenario.law.fresh(),
         target=None if target is None else target.fresh(),
     )
     labels = [str(t.as_rational()) for t in scenario.grid]
@@ -622,11 +619,9 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
             r["residual"] <= scenario.tol("scaling", 1e-12)
             for r in scaling_rows
         )
-    if cf_rows and scenario.law_source is not None:
-        scored = [r for r in cf_rows if r["residual"] != ""]
-        within = sum(r["residual"] <= r["band"] for r in scored)
-        frac_within = within / len(scored) if scored else 1.0
-        verdicts["mc_within_bands"] = frac_within >= scenario.tol(
+    if cf_rows:
+        within = sum(r["residual"] <= r["band"] for r in cf_rows)
+        verdicts["mc_within_bands"] = within / len(cf_rows) >= scenario.tol(
             "mc_fraction", 0.95
         )
     if phi_final:
@@ -652,16 +647,15 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
             "beta": str(scenario.scheme.beta),
             "gamma0": str(scenario.scheme.gamma0),
         },
-        "law": scenario.law_spec,
+        "law": scenario.law.spec,
         "tolerances": dict(scenario.tolerances),
         "grid": labels,
         "balls": [str(b) for b in scenario.balls],
         "sets": [str(s) for s in scenario.sets],
         "phi_rows_dropped": phi_dropped,
     }
-    folds = scenario.law.folds()
-    if folds is not None:
-        effective["folds"] = folds
+    if scenario.law.folds is not None:
+        effective["folds"] = scenario.law.folds
     return ConvergenceReport(
         scenario=scenario.name,
         effective=effective,

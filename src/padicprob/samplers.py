@@ -125,11 +125,6 @@ class Sampler:
     def draw(self, rng: np.random.Generator) -> PAdicNumber:
         return self.sample(rng, 1)[0]
 
-    def folds(self) -> dict | None:
-        """What the sampler folds, clamps or bounds away from the law it
-        stands for (None when it draws that law exactly)."""
-        return None
-
 
 def _residue_dtype(mod: int):
     """uint64 for residues below ``mod`` when it fits, else Python ints."""
@@ -293,20 +288,6 @@ class RadialSampler(_BlockSampler):
 
     # its own attribute, so the class's draws can be traced by name
     draw = Sampler.draw
-
-    def folds(self) -> dict:
-        """The table's folds: ``zero_mass`` is drawn as the zero at the
-        resolution (the mass below n_lo and on the spheres at or below the
-        resolution), ``top_tail`` (the mass above n_hi) from the top
-        sphere; ``clamped`` spheres had a small negative mass set to 0, and
-        every mass is within ``error_bound`` of the law's."""
-        table, res = self.table, self.resolution
-        return {
-            "zero_mass": table.mass_at_zero + sum(m for n, m in table.masses if n <= res),
-            "top_tail": table.tail_above,
-            "clamped": list(table.clamped),
-            "error_bound": table.error_bound,
-        }
 
 
 def stable_sampler(

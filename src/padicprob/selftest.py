@@ -412,7 +412,7 @@ def criterion_9(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
     exact2 = True
     for n in sc2.n_list:
         for t in sc2.grid:
-            fn = theoretical_fn(sc2.law_source, sc2.scheme, n, t)
+            fn = theoretical_fn(sc2.law.transform, sc2.scheme, n, t)
             tau = -t.valuation
             want = 1.0 if n >= tau else 0.0
             if fn != complex(want, 0.0):
@@ -423,13 +423,13 @@ def criterion_9(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
     exact3 = True
     for n in sc3.n_list:
         for t in sc3.grid:
-            fn = theoretical_fn(sc3.law_source, sc3.scheme, n, t)
+            fn = theoretical_fn(sc3.law.transform, sc3.scheme, n, t)
             want = 1.0 if t.abs_le_exp(0) else 0.0
             if fn != complex(want, 0.0):
                 exact3 = False
     rep3 = convergence_report(sc3)
     form3 = classify_two_valued(
-        SumTransform(sc3.law_source, sc3.scheme, max(sc3.n_list)), sc3.prime
+        SumTransform(sc3.law.transform, sc3.scheme, max(sc3.n_list)), sc3.prime
     )
     # the beta = 1 sums against the point mass at 1, which they do not approach
     doc1 = {**preset_spec("beta_one"), "m": 0, "target": {"kind": "point_mass", "xi": "1 @ p=3"}}

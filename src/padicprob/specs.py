@@ -20,11 +20,13 @@ bool, so 8.0 is refused where JSON Schema admits it.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 from numbers import Number
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .charfn import HaarUniform, PointMass, StableLaw, StableParams, Transform
+from .charfn import HaarUniform, PointMass, StableLaw, StableParams, Transform, sphere_masses
 from .levy import JumpMeasure, SelfSimilarLevyMeasure, make_example_measure
 from .limits import LimitScheme, Scenario, default_ball_family
 from .padic import grid_points, parse_number, rational_valuation
@@ -154,8 +156,9 @@ class _Kind(NamedTuple):
     needs: tuple[str, ...]
     defaults: dict
     build: Callable  # a law's exact transform, or a scheme
-    # a law's sampler, from the samplers module, its transform and spec
+    # a law's sampler, from the samplers module, its transform, spec and table
     sampler: Callable | None = None
+    table: Callable | None = None  # a law's sphere mass table, if it draws from one
 
 
 def _rational_or_float(value):
@@ -166,22 +169,24 @@ _LAWS = {
     "point_mass": _Kind(
         ("xi",), {},
         lambda s: PointMass(parse_number(s["xi"])),
-        lambda sm, g, s: sm.PointMassSampler(g.xi),
+        lambda sm, g, s, table: sm.PointMassSampler(g.xi),
     ),
     "haar_ball": _Kind(
         ("p", "center", "radius_exp"), {"resolution": -12},
         lambda s: HaarUniform(Ball(s["p"], parse_rational(s["center"]), s["radius_exp"])),
-        lambda sm, g, s: sm.HaarBallSampler(g.ball, s["resolution"]),
+        lambda sm, g, s, table: sm.HaarBallSampler(g.ball, s["resolution"]),
     ),
     "radial_stable": _Kind(
         ("p", "a", "alpha"), {"resolution": -12, "n_lo": -40, "n_hi": 40},
         lambda s: StableLaw(StableParams(s["a"], s["alpha"], s["p"])),
-        lambda sm, g, s: sm.stable_sampler(g.params, s["resolution"], s["n_lo"], s["n_hi"]),
+        # stable_sampler's table and sampler
+        lambda sm, g, s, table: sm.RadialSampler(table, s["resolution"]),
+        lambda g, s: sphere_masses(g, min(s["n_lo"], s["resolution"] + 1), s["n_hi"]),
     ),
     "compound_poisson": _Kind(
         ("measure",), {"resolution": -6},
         lambda s: JumpMeasure(_measure(s["measure"])),
-        lambda sm, g, s: sm.CompoundPoissonSampler(g.measure, s["resolution"]),
+        lambda sm, g, s, table: sm.CompoundPoissonSampler(g.measure, s["resolution"]),
     ),
 }
 # a two-valued law as a target (a delta or Haar-cutoff limit law): it is
@@ -495,28 +500,6 @@ def _measure(obj) -> SelfSimilarLevyMeasure:
     return SelfSimilarLevyMeasure(p, _rational_or_float(obj["beta"]), gamma0, fundamental)
 
 
-def measure_to_spec(m: SelfSimilarLevyMeasure) -> dict:
-    return {
-        "p": m.prime,
-        "beta": str(m.beta) if isinstance(m.beta, Fraction) else m.beta,
-        "gamma0": str(m.gamma0),
-        "fundamental": [
-            {
-                "sphere": r,
-                "balls": [
-                    {
-                        "center": str(b.center),
-                        "radius_exp": b.radius_exp,
-                        "weight": str(w) if isinstance(w, Fraction) else w,
-                    }
-                    for b, w in entries
-                ],
-            }
-            for r, entries in enumerate(m.fundamental)
-        ],
-    }
-
-
 def _read(obj, field: str, table: dict, what: str) -> tuple[_Kind, dict]:
     """The table entry of a spec part's kind, and the part with the
     entry's defaults filled in."""
@@ -530,23 +513,46 @@ def _read(obj, field: str, table: dict, what: str) -> tuple[_Kind, dict]:
     return kind, {**kind.defaults, **obj}
 
 
-def law_from_spec(obj) -> tuple[Sampler, Transform]:
-    """The sampler of a law spec, and the exact transform of its law for
-    theoretical curves."""
+@dataclass(frozen=True)
+class Law:
+    """A summand law: ``spec``, the law spec as written; ``transform``,
+    its exact transform; ``folds``, what its sampler folds, clamps or
+    bounds away from that law (None where it draws the law exactly, see
+    SphereMassTable.folds); and ``sampler``, built on first access, which
+    loads numpy.  ``fresh`` gives the law with a fresh transform, sharing
+    the sampler."""
+
+    spec: dict
+    transform: Transform
+    folds: dict | None
+    _sampler: Callable[[], Sampler] = field(repr=False, compare=False)
+
+    @property
+    def sampler(self) -> Sampler:
+        return self._sampler()
+
+    def fresh(self) -> Law:
+        return replace(self, transform=self.transform.fresh())
+
+
+def law_from_spec(obj) -> Law:
     validate(obj, SAMPLER_SCHEMA, "sampler spec")
     return _law(obj)
 
 
-def sampler_from_spec(obj) -> Sampler:
-    return law_from_spec(obj)[0]
-
-
-def _law(obj) -> tuple[Sampler, Transform]:
-    from . import samplers  # numpy loads with the first sampler built
-
+def _law(obj) -> Law:
     kind, spec = _read(obj, "kind", _LAWS, obj["kind"])
-    law = kind.build(spec)
-    return kind.sampler(samplers, law, spec), law
+    g = kind.build(spec)
+    table = None if kind.table is None else kind.table(g, spec)
+
+    @cache
+    def sampler() -> Sampler:
+        from . import samplers  # numpy loads with the first sampler built
+
+        return kind.sampler(samplers, g, spec, table)
+
+    folds = None if table is None else table.folds(spec["resolution"])
+    return Law(dict(obj), g, folds, sampler)
 
 
 def scheme_from_spec(obj) -> LimitScheme:
@@ -586,10 +592,10 @@ _DEFAULT_BALLS = 10
 def scenario_from_spec(obj) -> Scenario:
     validate(obj, SCENARIO_SCHEMA, "scenario spec")
     spec = {**_SCENARIO_DEFAULTS, **obj}
-    law, law_source = _law(spec["law"])
+    law = _law(spec["law"])
     scheme = _scheme(spec["scheme"])
     p = scheme.prime
-    if law.prime != p:
+    if law.transform.prime != p:
         raise SpecValidationError("law and scheme primes differ")
     target = None
     if spec["target"] is not None:
@@ -625,8 +631,6 @@ def scenario_from_spec(obj) -> Scenario:
         m=spec["m"],
         seed=spec["seed"],
         n_list=tuple(n_list),
-        law_source=law_source,
         target=target,
         tolerances=dict(spec["tolerances"]),
-        law_spec=dict(spec["law"]),
     )

@@ -567,7 +567,7 @@ _LAW_SPECS = {
 
 
 def _law_source(kind):
-    return law_from_spec(_LAW_SPECS[kind])[1]
+    return law_from_spec(_LAW_SPECS[kind]).transform
 
 
 # every kind of transform over p = 3, and the spec laws' sources

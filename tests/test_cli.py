@@ -361,6 +361,29 @@ def test_cf_eval_zero_denominator_exits_2(capsys):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+_HUGE_STABLE = {"kind": "radial_stable", "a": 1.0, "alpha": 30, "p": 2}
+
+
+@pytest.mark.parametrize("command", ["sample", "cf-eval", "limit-verify"])
+def test_a_stable_law_past_the_float_range_keeps_the_exit_contract(command, tmp_path, capsys):
+    # exp(-a |t|**alpha) at alpha = 30: p**(alpha * k) left the float
+    # range, and each command exited 1 with an OverflowError traceback
+    if command == "sample":
+        args = ["sample", "--sampler", json.dumps(_HUGE_STABLE), "--count", "3"]
+    elif command == "cf-eval":
+        args = ["cf-eval", "--stable", "a=1,alpha=30,p=2", "--t", f"1/{2**40} @ p=2"]
+    else:
+        config = json.loads((CONFIG_DIR / "stable_limit.json").read_text())
+        config.update(law=_HUGE_STABLE, target=None, m=40, n_list=[0])
+        config["scheme"]["beta"] = f"1/{2**30}"
+        (tmp_path / "huge.json").write_text(json.dumps(config))
+        args = ["limit-verify", "--config", str(tmp_path / "huge.json"), "--out", str(tmp_path)]
+    code, out, err = run(args, capsys)
+    assert (code, err) == (0, "")
+    if command == "cf-eval":
+        assert out == "0\n"
+
+
 def test_sample_negative_count_exits_2(tmp_path, capsys):
     spec = json.dumps(
         {"kind": "haar_ball", "p": 2, "center": 0, "radius_exp": 0,
@@ -490,6 +513,9 @@ _RUNS = {
     "levy-invert": ["levy-invert", "--measure", _CUSTOM, "--set", "annulus(0,2)"],
     "sample": ["sample", "--sampler", _HAAR_SPEC, "--count", "5", "--out", "{tmp}/dump.txt"],
     "limit-verify": ["limit-verify", "--preset", "beta_one", "--out", "{tmp}"],
+    # m = 0 runs, which draw nothing
+    "limit-verify-m0": ["limit-verify", "--config", "{tmp}/m0.json", "--out", "{tmp}"],
+    "limit-verify-beta0": ["limit-verify", "--preset", "beta0_demo", "--out", "{tmp}"],
 }
 _STATEMENTS = {
     "import": "import padicprob",
@@ -510,6 +536,8 @@ def test_only_a_command_that_draws_loads_numpy(case, tmp_path):
 
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    config = json.loads((CONFIG_DIR / "stable_limit.json").read_text())
+    (tmp_path / "m0.json").write_text(json.dumps(dict(config, m=0)))
     probe = (
         _STATEMENTS[case].replace("{tmp}", str(tmp_path)) + "\n"
         "import sys\n"
@@ -523,6 +551,20 @@ def test_only_a_command_that_draws_loads_numpy(case, tmp_path):
     assert out.stdout.splitlines()[-1] == str(
         ["numpy", "padicprob.residues", "padicprob.samplers"] if drew else []
     )
+
+
+def test_an_m0_report_states_the_folds_of_the_sampler_it_did_not_build(tmp_path, capsys):
+    # the folds are the law's, read off its sphere mass table, whether or
+    # not a draw builds its sampler
+    config = json.loads((CONFIG_DIR / "stable_limit.json").read_text())
+    folds = []
+    for m in (0, 40):
+        path = tmp_path / f"m{m}.json"
+        path.write_text(json.dumps(dict(config, m=m)))
+        assert main(["limit-verify", "--config", str(path), "--out", str(tmp_path / str(m))]) == 0
+        report = json.loads((tmp_path / str(m) / "stable-limit-example.json").read_text())
+        folds.append(report["effective"]["folds"])
+    assert folds[0] == folds[1] and folds[0]["zero_mass"] > 0
 
 
 def test_src_imports_only_the_stdlib_and_the_declared_dependencies():

@@ -34,7 +34,7 @@ from padicprob.limits import (
     sum_residues,
     theoretical_fn,
 )
-from padicprob.specs import sampler_from_spec, scenario_from_spec
+from padicprob.specs import law_from_spec, scenario_from_spec
 from padicprob.errors import PrecisionError, PrimeMismatchError
 from padicprob.residues import tally
 from padicprob.padic import PAdicNumber, from_rational, grid_points, rational_valuation
@@ -123,10 +123,10 @@ def _point_mass_budget_scenario(m: int) -> Scenario:
     blocks from m = 1526."""
     p = 2
     return Scenario(
-        name="budget", prime=p, law=PointMassSampler(xi=from_rational(1, p=p)),
+        name="budget", prime=p, law=law_from_spec({"kind": "point_mass", "xi": "1 @ p=2"}),
         scheme=LimitScheme.geometric(p, Fraction(1, 2), 2, n_max=20),
         grid=(from_rational(1, p=p),), balls=(Ball(p, 0, 0),), sets=(), m=m,
-        seed=0, n_list=(0, 20), law_spec={"kind": "point_mass", "xi": "1"},
+        seed=0, n_list=(0, 20),
     )
 
 
@@ -276,7 +276,7 @@ def test_beta_one_scenario_degenerate():
     for t in sc.grid:
         tau = -t.valuation
         for n in sc.n_list:
-            fn = theoretical_fn(sc.law_source, sc.scheme, n, t)
+            fn = theoretical_fn(sc.law.transform, sc.scheme, n, t)
             assert fn == complex(1.0 if n >= tau else 0.0, 0.0)
 
 
@@ -407,7 +407,7 @@ def test_preset_classification_reads_no_transform_value(name, monkeypatch):
     kind = {"beta_one": "delta"}.get(name, "haar_cutoff")
     assert limits._classification(sc) == (kind, True)
     form = classify_two_valued(
-        limits.SumTransform(sc.law_source, sc.scheme, sc.n_list[-1]),
+        limits.SumTransform(sc.law.transform, sc.scheme, sc.n_list[-1]),
         sc.prime,
         search_radius_exp=limits.CLASSIFY_SEARCH_RADIUS_EXP,
     )
@@ -548,10 +548,18 @@ def test_measure_source_evaluates_each_point_once(monkeypatch):
         p, Fraction(1, 3), p,
         ((tuple((b, Fraction(1, 10**15)) for b in split_sphere(0, 1, p))),),
     )
+    fundamental = [{"sphere": 0, "balls": [
+        {"center": str(b.center), "radius_exp": b.radius_exp, "weight": str(w)}
+        for b, w in m.fundamental[0]
+    ]}]
+    law = law_from_spec({"kind": "compound_poisson", "measure": {
+        "p": p, "beta": str(m.beta), "gamma0": str(m.gamma0), "fundamental": fundamental,
+    }})
+    assert law.transform == JumpMeasure(m)
     sc = Scenario(
         name="measure-beta-one",
         prime=p,
-        law=HaarBallSampler(ball=Ball(p, 0, 0), resolution=-12),
+        law=law,
         scheme=LimitScheme.geometric(p, m.beta, m.gamma0, n_max=2),
         grid=tuple(grid_points(p, -2, 2)),
         balls=(),
@@ -559,8 +567,6 @@ def test_measure_source_evaluates_each_point_once(monkeypatch):
         m=0,
         seed=0,
         n_list=(0, 1, 2),
-        law_spec={"kind": "haar_ball", "p": p, "center": "0", "radius_exp": 0, "resolution": -12},
-        law_source=JumpMeasure(m),
         target=PointMass(PAdicNumber.zero(p)),
     )
     seen: dict = {}
@@ -684,9 +690,29 @@ def test_each_report_evaluates_through_its_own_exponent():
     first = convergence_report(sc)
     second = convergence_report(sc)
     assert first.sup_rows == second.sup_rows and first.sup_rows
-    assert not sc.law_source.exponent._cache
+    assert not sc.law.transform.exponent._cache
     assert not sc.target.exponent._cache
     assert charfn._measure_radial_value.cache_info().currsize == 0
+
+
+def test_reports_of_one_scenario_share_its_table_and_sampler(monkeypatch):
+    # each report starts from fresh transforms, but not from a fresh law:
+    # its sphere mass table is built once, with the scenario, and its
+    # sampler once, on the first draw
+    from padicprob import samplers, specs
+
+    tables, samplers_built = [], []
+    real_masses, real_init = specs.sphere_masses, samplers.RadialSampler.__post_init__
+    monkeypatch.setattr(specs, "sphere_masses", lambda *a: tables.append(a) or real_masses(*a))
+    monkeypatch.setattr(samplers.RadialSampler, "__post_init__",
+                        lambda self: samplers_built.append(self) or real_init(self))
+    sc = _stable_preset(m=0, n_list=[0, 2])
+    convergence_report(sc)
+    assert (len(tables), samplers_built) == (1, [])
+    sc.m = 16
+    first, second = convergence_report(sc), convergence_report(sc)
+    assert first.cf_rows == second.cf_rows
+    assert (len(tables), samplers_built) == (1, [sc.law.sampler])
 
 
 def test_theory_rows_evaluate_the_target_once_per_grid_point(monkeypatch):
@@ -756,8 +782,8 @@ def test_theory_rows_are_the_point_values(p, law, explicit):
         PAdicNumber.zero(p), *grid_points(p, -3, 3), PAdicNumber.zero(p, 3),
         *grid_points(p, -2, 2, precision=20),
     )
-    sc = SimpleNamespace(law_source=source, target=None, scheme=scheme, grid=grid,
-                         n_list=(0, 1, 3))
+    sc = SimpleNamespace(law=SimpleNamespace(transform=source), target=None, scheme=scheme,
+                         grid=grid, n_list=(0, 1, 3))
     theo, _ = limits._theory_rows(sc)
     want = {(n, i): theoretical_fn(source, scheme, n, t)
             for n in sc.n_list for i, t in enumerate(grid)}
@@ -801,10 +827,9 @@ def _failing_block_scenario(case: str) -> Scenario:
         seed, precision = 5, 6
     grid = (from_rational(1, 4, p=p), from_rational(1, 2, p=p, precision=precision))
     return Scenario(
-        name=case, prime=p, law=sampler_from_spec(law_spec),
+        name=case, prime=p, law=law_from_spec(law_spec),
         scheme=LimitScheme.geometric(p, Fraction(1, 2), 2, n_max=1),
         grid=grid, balls=tuple(balls), sets=(), m=64, seed=seed, n_list=(0, 1),
-        law_spec=law_spec,
     )
 
 
@@ -813,7 +838,9 @@ def _first_block_error(sc: Scenario):
     block that raises, and its exception."""
     for n_idx, n in enumerate(sc.n_list):
         for block, count in enumerate(_block_sizes(sc.m)):
-            sums = sum_residues(sc.law, sc.scheme, n, count, substream(sc.seed, n_idx, block))
+            sums = sum_residues(
+                sc.law.sampler, sc.scheme, n, count, substream(sc.seed, n_idx, block)
+            )
             try:
                 tally(sc.prime, sums, sc.grid, sc.balls)
             except (PrecisionError, PrimeMismatchError) as exc:
@@ -874,6 +901,22 @@ def test_positivity_is_decided_on_the_log_modulus():
     assert rep.min_log_abs_target == least
     assert least < -1000
     assert rep.json_summary()["min_log_abs_target"] == least
+
+
+@pytest.mark.parametrize("a", [1.0, 1e300])
+def test_a_stable_value_beyond_the_float_range_underflows_to_zero(a):
+    # p**(alpha * k) past the float range raised OverflowError, and a
+    # product with a past it gave log |g| = -inf; the value is a tiny
+    # positive number that underflows, so log |g| stays finite: -inf is a
+    # certified zero
+    stable = StableLaw(StableParams(a, 30.0, 2))
+    t = from_rational(Fraction(1, 2**40), p=2)
+    assert stable.radial_value(40) == 0.0
+    assert stable(t) == 0.0
+    assert stable.sphere(2, -40, (1, 3), 8, 5) == [0j, 0j]
+    for k in (1, 30, 40):
+        assert -math.inf < stable.log_modulus(from_rational(Fraction(1, 2**k), p=2)) < 0
+    assert stable.log_modulus(t) < -1e300
 
 
 def test_log_modulus_of_each_transform():

@@ -250,6 +250,25 @@ def target_stable_p3(tmp: Path) -> bytes:
     return _config_report(config, tmp)
 
 
+# one spec of each law kind
+SAMPLE_SPECS = (
+    {"kind": "point_mass", "xi": "1/3 @ p=2"},
+    {"kind": "haar_ball", "p": 3, "center": "1/3", "radius_exp": -2, "resolution": -8},
+    {"kind": "radial_stable", "a": 1.0, "alpha": 1.0, "p": 2, "resolution": -8},
+    {"kind": "compound_poisson", "resolution": -4,
+     "measure": {"stable": {"a": 1, "alpha": 1, "p": 2}}},
+)
+
+
+def sample_dumps(tmp: Path) -> bytes:
+    """padicprob sample on each of SAMPLE_SPECS: pins each kind's draws
+    and dump header."""
+    out = b""
+    for spec in SAMPLE_SPECS:
+        out += _cli_stdout(["sample", "--sampler", json.dumps(spec), "--count", "12"])
+    return out
+
+
 DIGESTS = {
     "cf_eval_measure": (
         "e5ece9154701a2f800a60137605a6845"
@@ -315,6 +334,10 @@ DIGESTS = {
         "364c9bcc790bfe9b750b640ca246b5fb"
         "bfa16e0269395c114fcb737c9a30264e"
     ),
+    "sample_dumps": (
+        "e43fc3835afd55e524dc71595b54769f"
+        "ecabbde16f5ce066c5d119a881a8046c"
+    ),
     "scaling_and_masses": (
         "326a981f685836ff85d2db4d1da5259a"
         "be337e54888eeb77628ac2fac8ed326b"
@@ -356,6 +379,7 @@ CASES = {
     "stable_limit_deep_p3": stable_limit_deep_p3,
     **{name: functools.partial(_config_report, config) for name, config in LAW_CONFIGS.items()},
     "target_stable_p3": target_stable_p3,
+    "sample_dumps": sample_dumps,
 }
 
 
@@ -415,8 +439,8 @@ def _scenarios() -> dict:
 def test_every_report_names_a_valid_law_spec(name):
     # a report's effective law is the spec its law was built from
     scenario = _scenarios()[name]()
-    law = limits.convergence_report(scenario).effective["law"]
-    assert specs.sampler_from_spec(law) == scenario.law
+    law = specs.law_from_spec(limits.convergence_report(scenario).effective["law"])
+    assert (law.transform, law.sampler) == (scenario.law.transform, scenario.law.sampler)
 
 
 @pytest.mark.parametrize("name", sorted(limits.PRESETS))
