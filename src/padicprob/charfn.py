@@ -239,8 +239,8 @@ class StableParams:
 
     def __post_init__(self) -> None:
         _check_prime(self.prime)
-        if not (self.a > 0 and self.alpha > 0):
-            raise ValueError("need a > 0 and alpha > 0")
+        if not (0 < self.a < math.inf and 0 < self.alpha < math.inf):
+            raise ValueError("need finite a > 0 and alpha > 0")
 
 
 @dataclass(frozen=True)

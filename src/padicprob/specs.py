@@ -4,7 +4,10 @@ command line.
 
 All configs are schema-validated before execution and unknown keys are
 rejected; rationals may be written as strings ("2/3") to stay exact
-through JSON.
+through JSON.  A law, target or scheme spec names a kind: a ``_Kind``
+record holding every key the kind reads with its schema, the defaults
+and the builders.  The flat schemas of these parts are built from the
+kinds' tables.
 
 The schemas are JSON Schema dicts, the one description of a spec, and
 ``validate`` interprets them itself.  It implements only the keywords
@@ -13,17 +16,19 @@ they use: ``type`` (a name or a list of names, ``null`` included),
 (of strings), ``minimum``, ``exclusiveMinimum``, ``items``, ``minItems``
 and ``oneOf``.  Each fails with jsonschema's message, and of several
 errors ``validate`` reports the one jsonschema's ``best_match`` picks.
-The one difference in verdict: an ``integer`` is an int that is not a
-bool, so 8.0 is refused where JSON Schema admits it.
+Two differences in verdict: an ``integer`` is an int that is not a
+bool, so 8.0 is refused, and a ``number`` is finite, so the inf and nan
+Python's json reads from 1e400, Infinity and NaN are refused.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
-from numbers import Number
+from numbers import Real
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .charfn import HaarUniform, PointMass, StableLaw, StableParams, Transform, sphere_masses
@@ -147,109 +152,99 @@ MEASURE_SCHEMA = {
 
 
 class _Kind(NamedTuple):
-    """A sampler kind, target kind or scheme mode: the keys a spec of it
-    needs beyond the one naming it, the further keys it reads with the
-    value each takes when left out, and its builder, given the spec with
+    """A sampler kind, target kind or scheme mode: every key a spec of it
+    reads beyond the one naming it, each with its JSON Schema; the value
+    each key it may leave out takes; and its builder, given the spec with
     those values filled in.  A spec with any other key is refused, as the
     kind would silently ignore it."""
 
-    needs: tuple[str, ...]
+    keys: dict
     defaults: dict
     build: Callable  # a law's exact transform, or a scheme
     # a law's sampler, from the samplers module, its transform, spec and table
     sampler: Callable | None = None
     table: Callable | None = None  # a law's sphere mass table, if it draws from one
 
+    @property
+    def needs(self) -> tuple[str, ...]:
+        return tuple(key for key in self.keys if key not in self.defaults)
+
 
 def _rational_or_float(value):
     return parse_rational(value) if isinstance(value, str) else value
 
 
+_P = {"type": "integer", "minimum": 2}
+_INT = {"type": "integer"}
 _LAWS = {
     "point_mass": _Kind(
-        ("xi",), {},
+        {"xi": {"type": "string"}}, {},
         lambda s: PointMass(parse_number(s["xi"])),
         lambda sm, g, s, table: sm.PointMassSampler(g.xi),
     ),
     "haar_ball": _Kind(
-        ("p", "center", "radius_exp"), {"resolution": -12},
+        {"p": _P, "center": _RAT, "radius_exp": _INT, "resolution": _INT}, {"resolution": -12},
         lambda s: HaarUniform(Ball(s["p"], parse_rational(s["center"]), s["radius_exp"])),
         lambda sm, g, s, table: sm.HaarBallSampler(g.ball, s["resolution"]),
     ),
     "radial_stable": _Kind(
-        ("p", "a", "alpha"), {"resolution": -12, "n_lo": -40, "n_hi": 40},
+        {"p": _P, "a": {"type": "number"}, "alpha": {"type": "number"},
+         "resolution": _INT, "n_lo": _INT, "n_hi": _INT},
+        {"resolution": -12, "n_lo": -40, "n_hi": 40},
         lambda s: StableLaw(StableParams(s["a"], s["alpha"], s["p"])),
         # stable_sampler's table and sampler
         lambda sm, g, s, table: sm.RadialSampler(table, s["resolution"]),
         lambda g, s: sphere_masses(g, min(s["n_lo"], s["resolution"] + 1), s["n_hi"]),
     ),
     "compound_poisson": _Kind(
-        ("measure",), {"resolution": -6},
+        {"measure": MEASURE_SCHEMA, "resolution": _INT}, {"resolution": -6},
         lambda s: JumpMeasure(_measure(s["measure"])),
         lambda sm, g, s, table: sm.CompoundPoissonSampler(g.measure, s["resolution"]),
     ),
 }
 # a two-valued law as a target (a delta or Haar-cutoff limit law): it is
-# drawn from by no run, so it reads no resolution
-_TARGETS = {kind: _LAWS[kind]._replace(defaults={}) for kind in ("point_mass", "haar_ball")}
+# drawn from by no run, so it reads only the keys its law needs
+_TARGETS = {
+    kind: law._replace(keys={key: law.keys[key] for key in law.needs}, defaults={})
+    for kind, law in _LAWS.items() if kind in ("point_mass", "haar_ball")
+}
 _SCHEMES = {
     "geometric": _Kind(
-        ("p", "beta", "gamma0"), {"n_max": 10},
+        {"p": _P, "beta": _RAT, "gamma0": {"type": "string"},
+         "n_max": {"type": "integer", "minimum": 0}},
+        {"n_max": 10},
         lambda s: LimitScheme.geometric(
             s["p"], _rational_or_float(s["beta"]), parse_rational(s["gamma0"]), s["n_max"]
         ),
     ),
     "explicit": _Kind(
-        ("p", "b_list", "k_list"), {},
+        {"p": _P, "b_list": {"type": "array", "items": _RAT},
+         "k_list": {"type": "array", "items": {"type": "integer", "minimum": 1}}},
+        {},
         lambda s: LimitScheme.explicit(
             s["p"], [parse_rational(b) for b in s["b_list"]], s["k_list"]
         ),
     ),
 }
 
-SAMPLER_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": list(_LAWS)},
-        "p": {"type": "integer", "minimum": 2},
-        "xi": {"type": "string"},
-        "center": _RAT,
-        "radius_exp": {"type": "integer"},
-        "a": {"type": "number"},
-        "alpha": {"type": "number"},
-        "measure": MEASURE_SCHEMA,
-        "resolution": {"type": "integer"},
-        "n_lo": {"type": "integer"},
-        "n_hi": {"type": "integer"},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
 
-SCHEME_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "mode": {"enum": list(_SCHEMES)},
-        "p": {"type": "integer", "minimum": 2},
-        "beta": _RAT,
-        "gamma0": {"type": "string"},
-        "n_max": {"type": "integer", "minimum": 0},
-        "b_list": {"type": "array", "items": _RAT},
-        "k_list": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-    },
-    "required": ["mode", "p"],
-    "additionalProperties": False,
-}
+def _schema(tag: str, table: dict) -> dict:
+    """The schema of a spec part whose ``tag`` names a kind of ``table``:
+    any kind's keys, and the tag and each key every kind needs required.
+    ``_read`` then holds the part to its own kind's keys."""
+    keys = {key: sub for kind in table.values() for key, sub in kind.keys.items()}
+    needed = [key for key in keys if all(key in kind.needs for kind in table.values())]
+    return {
+        "type": "object",
+        "properties": {tag: {"enum": list(table)}, **keys},
+        "required": [tag, *needed],
+        "additionalProperties": False,
+    }
 
-TWO_VALUED_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": list(_TARGETS)},
-        **{key: SAMPLER_SCHEMA["properties"][key] for key in ("p", "xi", "center", "radius_exp")},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
+
+SAMPLER_SCHEMA = _schema("kind", _LAWS)
+SCHEME_SCHEMA = _schema("mode", _SCHEMES)
+TWO_VALUED_SCHEMA = _schema("kind", _TARGETS)
 
 SCENARIO_SCHEMA = {
     "type": "object",
@@ -299,7 +294,8 @@ SCHEMA_TYPES = {
     "object": lambda x: isinstance(x, dict),
     "array": lambda x: isinstance(x, list),
     "string": lambda x: isinstance(x, str),
-    "number": lambda x: isinstance(x, Number) and not isinstance(x, bool),
+    # not the inf or nan Python's json reads from 1e400, Infinity or NaN
+    "number": lambda x: isinstance(x, Real) and not isinstance(x, bool) and abs(x) < math.inf,
     # JSON Schema's integer also admits 8.0, which every reader of an
     # integer field here would crash on or echo into a report as a float
     "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
@@ -444,11 +440,12 @@ def validate(obj, schema: dict, what: str = "config") -> None:
     message of the error jsonschema's ``best_match`` would pick.
 
     The schema may use only the keywords in SCHEMA_KEYWORDS and the types
-    in SCHEMA_TYPES; ``integer`` is an int that is not a bool.  Each
-    keyword fails with jsonschema's message.  Of several errors the
-    shallowest wins, then the one at the later path, then one that is
-    not a oneOf.  From a oneOf error the choice descends into the errors
-    of its branches, the deepest first, unless the two best of them tie."""
+    in SCHEMA_TYPES; ``integer`` is an int that is not a bool, and
+    ``number`` a finite real.  Each keyword fails with jsonschema's
+    message.  Of several errors the shallowest wins, then the one at the
+    later path, then one that is not a oneOf.  From a oneOf error the
+    choice descends into the errors of its branches, the deepest first,
+    unless the two best of them tie."""
     best = max(_errors(obj, schema), key=_Error.relevance, default=None)
     while best is not None and best.context:
         first, *rest = sorted(best.context, key=_Error.relevance)[:2]
@@ -507,7 +504,7 @@ def _read(obj, field: str, table: dict, what: str) -> tuple[_Kind, dict]:
     for key in kind.needs:
         if key not in obj:
             raise SpecValidationError(f"{what} needs {key}")
-    unread = sorted(set(obj) - {field, *kind.needs, *kind.defaults})
+    unread = sorted(set(obj) - {field, *kind.keys})
     if unread:
         raise SpecValidationError(f"{what} does not read {', '.join(unread)}")
     return kind, {**kind.defaults, **obj}

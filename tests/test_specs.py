@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -333,6 +334,48 @@ def test_limit_verify_refuses_integral_floats_with_exit_2(tmp_path, capsys, fiel
     assert capsys.readouterr().err == f"error: invalid scenario spec: {text}\n"
 
 
+# JSON has no inf or nan, but Python's json reads 1e400, Infinity and
+# NaN as them: a spec holding one exits 2, not with an OverflowError from
+# a builder (exit 1) or a run of a law that is not a law (exit 0)
+NON_FINITE_SPECS = [
+    ("sample", '{"kind": "haar_ball", "p": 2, "center": 1e400, "radius_exp": 0}',
+     "inf is not of type 'number', 'string'"),
+    ("sample", '{"kind": "radial_stable", "a": 1e400, "alpha": 1, "p": 2}',
+     "inf is not of type 'number'"),
+    ("sample", '{"kind": "radial_stable", "a": 1, "alpha": NaN, "p": 2}',
+     "nan is not of type 'number'"),
+    ("sample", '{"kind": "radial_stable", "a": -Infinity, "alpha": 1, "p": 2}',
+     "-inf is not of type 'number'"),
+    ("measure", '{"stable": {"a": Infinity, "alpha": 1, "p": 2}}',
+     "inf is not of type 'number'"),
+    ("measure", json.dumps(CUSTOM_MEASURE).replace('"weight": "2/3"', '"weight": 1e400', 1),
+     "inf is not of type 'number', 'string'"),
+]
+
+
+@pytest.mark.parametrize("command, text, message", NON_FINITE_SPECS)
+def test_a_non_finite_number_in_a_spec_exits_2(tmp_path, capsys, command, text, message):
+    if command == "sample":
+        argv = ["sample", "--sampler", text, "--count", "3"]
+    else:
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        argv = ["levy-exponent", "--measure", str(path), "--grid=0:1"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cf-eval", "--stable", "a=inf,alpha=1,p=2", "--t", "1 @ p=2"],
+    ["cf-eval", "--stable", "a=1,alpha=nan,p=2", "--t", "1 @ p=2"],
+    ["classify", "--cf", "stable:a=1,alpha=inf,p=2"],
+    ["classify", "--cf", "stable:a=1e400,alpha=1,p=2"],
+])
+def test_a_non_finite_stable_grammar_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert "need finite a > 0 and alpha > 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("target, transform", [
     ({"kind": "point_mass", "xi": "1/2 @ p=2"}, PointMass(parse_number("1/2 @ p=2"))),
     ({"kind": "haar_ball", "p": 2, "center": "1/2", "radius_exp": 1},
@@ -427,6 +470,85 @@ def test_the_table_holds_the_documented_defaults():
     assert specs.scheme_from_spec(geometric).n_max == 10
 
 
+# the flat schemas as they were written out by hand before they were
+# built from the kind tables
+_RAT = {"type": ["number", "string"]}
+LITERAL_SAMPLER_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "kind": {"enum": ["point_mass", "haar_ball", "radial_stable", "compound_poisson"]},
+        "p": {"type": "integer", "minimum": 2},
+        "xi": {"type": "string"},
+        "center": _RAT,
+        "radius_exp": {"type": "integer"},
+        "a": {"type": "number"},
+        "alpha": {"type": "number"},
+        "measure": specs.MEASURE_SCHEMA,
+        "resolution": {"type": "integer"},
+        "n_lo": {"type": "integer"},
+        "n_hi": {"type": "integer"},
+    },
+    "required": ["kind"],
+    "additionalProperties": False,
+}
+LITERAL_SCHEME_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "mode": {"enum": ["geometric", "explicit"]},
+        "p": {"type": "integer", "minimum": 2},
+        "beta": _RAT,
+        "gamma0": {"type": "string"},
+        "n_max": {"type": "integer", "minimum": 0},
+        "b_list": {"type": "array", "items": _RAT},
+        "k_list": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+    },
+    "required": ["mode", "p"],
+    "additionalProperties": False,
+}
+LITERAL_TWO_VALUED_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "kind": {"enum": ["point_mass", "haar_ball"]},
+        **{key: LITERAL_SAMPLER_SCHEMA["properties"][key]
+           for key in ("p", "xi", "center", "radius_exp")},
+    },
+    "required": ["kind"],
+    "additionalProperties": False,
+}
+
+
+@pytest.mark.parametrize("built, literal", [
+    (specs.SAMPLER_SCHEMA, LITERAL_SAMPLER_SCHEMA),
+    (specs.SCHEME_SCHEMA, LITERAL_SCHEME_SCHEMA),
+    (specs.TWO_VALUED_SCHEMA, LITERAL_TWO_VALUED_SCHEMA),
+])
+def test_a_flat_schema_built_from_its_table_is_the_literal(built, literal):
+    # ties between errors at one place follow the order of the keywords
+    # and of the enum and required lists, which == compares; errors under
+    # two properties never tie, as their paths differ, so the order of the
+    # properties is free
+    assert built == literal
+    assert list(built) == list(literal)
+
+
+@pytest.mark.parametrize("table", [specs._LAWS, specs._TARGETS, specs._SCHEMES])
+def test_a_key_two_kinds_share_has_one_schema(table):
+    seen = {}
+    for entry in table.values():
+        assert set(entry.defaults) <= set(entry.keys)
+        for key, sub in entry.keys.items():
+            assert seen.setdefault(key, sub) == sub, key
+
+
+def test_a_target_reads_the_keys_its_law_needs():
+    for kind, target in specs._TARGETS.items():
+        law = specs._LAWS[kind]
+        assert list(target.keys) == list(law.needs) == list(target.needs)
+        assert target.keys == {key: law.keys[key] for key in law.needs}
+    assert specs._LAWS["radial_stable"].needs == ("p", "a", "alpha")
+    assert specs._SCHEMES["geometric"].needs == ("p", "beta", "gamma0")
+
+
 def _report_without_law(out_dir: Path) -> bytes:
     """The bytes limit-verify wrote to ``out_dir``, with the law spec the
     CSV header and the JSON summary echo taken out: the rows verbatim,
@@ -499,13 +621,18 @@ def test_schemas_use_only_what_the_validator_interprets(schema):
         assert all(isinstance(value, str) for value in sub.get("enum", ())), sub
 
 
-# the one intended difference: "integer" is int and not bool, where
-# JSON Schema also admits integral floats such as 8.0
+# the two intended differences: "integer" is int and not bool, where
+# JSON Schema also admits integral floats such as 8.0, and "number" is
+# finite, where JSON Schema admits the inf and nan Python's json reads
 INT_ONLY = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda checker, x: isinstance(x, int) and not isinstance(x, bool)
-    ),
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many({
+        "integer": lambda checker, x: isinstance(x, int) and not isinstance(x, bool),
+        "number": lambda checker, x: (
+            jsonschema.Draft202012Validator.TYPE_CHECKER.is_type(x, "number")
+            and abs(x) < math.inf
+        ),
+    }),
 )
 
 
@@ -539,6 +666,17 @@ OVERLAP = {"oneOf": [{"type": "number"}, {"type": "integer"}, {"type": "string"}
 ])
 def test_validator_matches_jsonschema_on_small_oneof_schemas(schema, doc):
     assert _verdict(doc, schema) == _oracle(INT_ONLY, doc, schema)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1e308, -0.0, 10**400])
+@pytest.mark.parametrize("schema", [
+    {"type": "number"}, {"type": "integer"}, {"type": ["number", "string"]},
+    {"type": "number", "exclusiveMinimum": 0}, {"type": "integer", "minimum": 2},
+])
+def test_validator_matches_jsonschema_on_non_finite_numbers(schema, value):
+    assert _verdict(value, schema) == _oracle(INT_ONLY, value, schema)
+    if isinstance(value, float) and not math.isfinite(value):
+        assert _verdict(value, schema) is not None
 
 
 def _has_integral_float(doc):
