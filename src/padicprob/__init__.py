@@ -27,7 +27,7 @@ _EXPORTS = {
         measure_mass random_self_similar_measure validate_scaling""",
     "limits": """ConvergenceReport LimitScheme Scenario SumTransform convergence_report
         default_ball_family phi_n_measure scaling_identity_check simulate_sums
-        theoretical_fn theoretical_sphere""",
+        theoretical_fn""",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_MODULE_OF)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from .charfn import Transform, TwoValuedForm
+from .charfn import StableParams, Transform, TwoValuedForm
 from .errors import InfiniteMassError, PrimeMismatchError, ToleranceError
 from .padic import (
     CharacterSum,
@@ -100,8 +100,10 @@ class SelfSimilarLevyMeasure:
                     )
                 if ball.radius_exp > r - 1:
                     raise ValueError("fundamental ball too large for its sphere")
-                if float(w) < 0:
+                if w < 0:
                     raise ValueError("weights must be nonnegative")
+                if not w < math.inf:
+                    raise ValueError("weights must be finite")
                 for other, _ in entries[i + 1:]:
                     if ball.relate(other) != "disjoint":
                         raise ValueError("fundamental balls must be disjoint")
@@ -176,9 +178,7 @@ def make_example_measure(a, alpha, p: int) -> SelfSimilarLevyMeasure:
     sphere, spread uniformly; the coefficient stays an exact rational for
     integer alpha.
     """
-    _check_prime(p)
-    if not (float(a) > 0 and float(alpha) > 0):
-        raise ValueError("need a > 0 and alpha > 0")
+    StableParams(a, alpha, p)  # the one check of p, a and alpha
     if float(alpha).is_integer():
         # p**alpha is rational, so the whole construction stays exact
         pa = Fraction(p) ** int(alpha)

@@ -3,17 +3,18 @@ rescaled jump measures, convergence diagnostics, and the presets.
 
 The scheme S_n = B_n**-1 (X_1 + ... + X_k(n)) is driven either by the
 geometric construction B_n = gamma0**-n, k(n) = floor(beta**-n), or by
-explicit user-supplied sequences.  Weak convergence is surrogated at desk
-scale by (a) sup-distance of transforms on a fixed exact grid, (b) Monte
-Carlo transforms with binomial bands, (c) trajectories of the rescaled
-measures k(n) * F(B_n M) on tail sets, (d) residuals of the modulus
-scaling identity |g(gamma0 t)| = |g(t)|**beta, and (e) a positivity check
-of the target on the grid, on log |g| so that float underflow is not read
-as a zero.  Which limit a report claims follows its target: none without
-one; for a point mass or a Haar ball, that the exact two-valued form of
-f_n at the final n is the target's; for any other, positivity, and an
-exact sup distance where the summands' transform or jump measure is the
-target's.
+explicit user-supplied sequences.  Its transform f_n(t) = g(t / B_n)**k(n)
+is SumTransform, the one evaluator of f_n.  Weak convergence is
+surrogated at desk scale by (a) sup-distance of transforms on a fixed
+exact grid, (b) Monte Carlo transforms with binomial bands, (c)
+trajectories of the rescaled measures k(n) * F(B_n M) on tail sets, (d)
+residuals of the modulus scaling identity |g(gamma0 t)| = |g(t)|**beta,
+and (e) a positivity check of the target on the grid, on log |g| so that
+float underflow is not read as a zero.  Which limit a report claims
+follows its target: none without one; for a point mass or a Haar ball,
+that the exact two-valued form of f_n at the final n is the target's;
+for any other, positivity, and an exact sup distance where the summands'
+transform or jump measure is the target's.
 """
 
 from __future__ import annotations
@@ -95,8 +96,6 @@ class LimitScheme:
             object.__setattr__(self, "n_max", len(self.b_list) - 1)
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
-        # (n, p, K) -> (w, a/b mod p**K, p**K) where B_n**-1 = p**w * a/b
-        object.__setattr__(self, "_inv_b", {})
 
     @classmethod
     def geometric(cls, p: int, beta, gamma0, n_max: int) -> "LimitScheme":
@@ -125,67 +124,25 @@ class LimitScheme:
             return math.floor(x)
         return self.k_list[n]
 
-    def rho(self, n: int) -> float:
-        return self.k(n) / self.k(n + 1)
-
-    def move_sphere(
-        self, n: int, p: int, v: int, units: Sequence[int], precision: int
-    ) -> tuple[int, list[int]]:
-        """The points p**v * u (u in ``units``, known modulo p**precision)
-        times B_n**-1, as the valuation and units of their sphere; the
-        split of B_n**-1 is computed once per (n, p, digit window)."""
-        key = (n, p, precision)
-        hit = self._inv_b.get(key)
-        if hit is None:
-            w, a, b = split_p_part(1 / self.B(n), p)
-            mod = p**precision
-            hit = self._inv_b[key] = (w, a * pow(b, -1, mod) % mod, mod)
-        w, unit, mod = hit
-        return v + w, [u * unit % mod for u in units]
-
 
 # ---------------------------------------------------------------------
 # Theoretical transform of S_n
 # ---------------------------------------------------------------------
 
 
-def theoretical_sphere(
-    source: Transform,
-    scheme: LimitScheme,
-    n: int,
-    p: int,
-    v: int,
-    units: Sequence[int],
-    precision: int,
-) -> list[complex]:
-    """f_n at p**v * u for each u in ``units``: the sphere moved by B_n**-1
-    (LimitScheme.move_sphere), where ``source`` is evaluated and each
-    value raised to k(n) (see Transform.sphere)."""
-    w, moved = scheme.move_sphere(n, p, v, units, precision)
-    return source.sphere(p, w, moved, precision, scheme.k(n))
-
-
-def theoretical_fn(source: Transform, scheme: LimitScheme, n: int, t: PAdicNumber) -> complex:
-    """f_n(t) = g(t / B_n)**k(n) for the summand law with transform g =
-    ``source``: f_n(0) = 1, and any other t is the one-unit case of
-    theoretical_sphere."""
-    if t.is_zero:
-        return source.power(t, scheme.k(n))
-    return theoretical_sphere(
-        source, scheme, n, t.prime, t.valuation, (t.unit,), t.precision
-    )[0]
-
-
 @dataclass(frozen=True)
 class SumTransform(Transform):
-    """f_n, the transform of S_n for the summand law ``source``, as a
-    Transform: its sphere evaluator is theoretical_sphere, and its form
-    is the closed form of S_n for a two-valued source.
+    """f_n(t) = g(t / B_n)**k(n), the transform of S_n for the summand law
+    with transform g = ``source``, as a Transform.
 
-    k = k(n) copies of delta_xi, divided by B_n, give delta at k * xi /
-    B_n; k copies of the uniform law on B(c, p**R), divided by B_n, give
-    the uniform law on B(k * c / B_n, p**R / |B_n|).  The empty sum (k =
-    0) is the point mass at 0."""
+    B_n**-1 = p**w * a/b is split once, over the source's prime, so a
+    sphere p**v * u moves to p**(v + w) * u * a/b, where ``source`` is
+    evaluated and each value raised to k(n) (see Transform.sphere).  Its
+    form is the closed form of S_n for a two-valued source: k = k(n)
+    copies of delta_xi, divided by B_n, give delta at k * xi / B_n; k
+    copies of the uniform law on B(c, p**R), divided by B_n, give the
+    uniform law on B(k * c / B_n, p**R / |B_n|).  The empty sum (k = 0)
+    is the point mass at 0."""
 
     source: Transform
     scheme: LimitScheme
@@ -193,23 +150,32 @@ class SumTransform(Transform):
 
     def __post_init__(self) -> None:
         p, form = self.source.prime, self.source.form
+        k, b = self.scheme.k(self.n), self.scheme.B(self.n)
         object.__setattr__(self, "prime", p)
         object.__setattr__(self, "is_radial", self.source.is_radial)
+        object.__setattr__(self, "_k", k)
+        object.__setattr__(self, "_split", split_p_part(1 / b, p))
         if form is not None:
-            k, b = self.scheme.k(self.n), self.scheme.B(self.n)
             if k == 0:
                 form = TwoValuedForm("delta", PAdicNumber.zero(p))
             else:
                 cut = form.cutoff_exp
                 if cut is not None:
-                    cut -= rational_valuation(b, p)
+                    cut += self._split[0]
                 form = TwoValuedForm(form.kind, form.xi.mul_rational(k / b), cut)
         object.__setattr__(self, "form", form)
 
     def _sphere(self, v: int, units: Sequence[int], precision: int) -> list[complex]:
-        return theoretical_sphere(
-            self.source, self.scheme, self.n, self.prime, v, units, precision
-        )
+        w, a, b = self._split
+        mod = self.prime**precision
+        unit = a * pow(b, -1, mod) % mod
+        moved = [u * unit % mod for u in units]
+        return self.source.sphere(self.prime, v + w, moved, precision, self._k)
+
+
+def theoretical_fn(source: Transform, scheme: LimitScheme, n: int, t: PAdicNumber) -> complex:
+    """f_n(t), the one-point value of SumTransform."""
+    return SumTransform(source, scheme, n)(t)
 
 
 def _summands(scheme: LimitScheme, n: int, replicates: int) -> int:
@@ -424,10 +390,11 @@ def _theory_rows(scenario: Scenario) -> tuple[dict, list[dict]]:
         if not t.is_zero:
             spheres.setdefault((t.prime, t.valuation, t.precision), []).append(i)
     for n in scenario.n_list:
-        fns = [theoretical_fn(source, scheme, n, t) if t.is_zero else None for t in grid]
+        f_n = SumTransform(source, scheme, n)
+        fns = [f_n(t) if t.is_zero else None for t in grid]
         for (p, v, precision), idx in spheres.items():
             units = [grid[i].unit for i in idx]
-            for i, fn in zip(idx, theoretical_sphere(source, scheme, n, p, v, units, precision)):
+            for i, fn in zip(idx, f_n.sphere(p, v, units, precision)):
                 fns[i] = fn
         theo.update(((n, i), fn) for i, fn in enumerate(fns))
         if limit is not None:

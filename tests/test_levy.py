@@ -83,6 +83,36 @@ def test_measure_validation():
         )
 
 
+@pytest.mark.parametrize("a, alpha", [
+    (math.inf, 1), (math.inf, 0.5), (math.nan, 1), (1, math.inf), (1, math.nan),
+    (-1, 1), (1, 0),
+])
+def test_example_measure_refuses_what_stable_params_refuses(a, alpha):
+    # an infinite a with an integral alpha raised OverflowError, and with
+    # alpha = 0.5 built a measure of weight inf
+    with pytest.raises(ValueError, match="^need finite a > 0 and alpha > 0$"):
+        make_example_measure(a, alpha, 2)
+
+
+@pytest.mark.parametrize("w, message", [
+    (math.inf, "weights must be finite"),
+    (math.nan, "weights must be finite"),
+    (-math.inf, "weights must be nonnegative"),
+    (Fraction(-1, 3), "weights must be nonnegative"),
+])
+def test_measure_refuses_a_weight_that_is_not_finite(w, message):
+    # a nan weight gave a nan tail mass and g(1/2) = nan+nanj; an infinite
+    # one gave g(1/2) = 0j, which reads as a certified zero
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_measure(2, Fraction(1, 2), 2, (((Ball(2, 1, -1), w),),))
+
+
+def test_measure_takes_a_finite_weight_beyond_the_float_range():
+    w = Fraction(10**400)
+    m = make_measure(2, Fraction(1, 2), 2, (((Ball(2, 1, -1), w),),))
+    assert measure_mass(m, Ball(2, 1, -1)) == w
+
+
 def test_validate_scaling_example_and_empty():
     m = make_example_measure(1, 1, 2)
     assert validate_scaling(m, trials=30, seed=5).passed

@@ -47,7 +47,6 @@ def test_geometric_scheme_basic():
     assert s.k(0) == 1
     assert [s.k(n) for n in range(5)] == [1, 2, 4, 8, 16]
     assert s.B(3) == Fraction(1, 8)
-    assert s.rho(4) == 0.5
 
 
 def test_geometric_scheme_rejects_non_increasing_k():
@@ -402,7 +401,7 @@ def test_preset_classification_reads_no_transform_value(name, monkeypatch):
         raise AssertionError("classification read a transform value")
 
     sc = limits.PRESETS[name](m=0)
-    monkeypatch.setattr(limits, "theoretical_sphere", refuse)
+    monkeypatch.setattr(limits.SumTransform, "_sphere", refuse)
     monkeypatch.setattr(charfn.Transform, "sphere", refuse)
     kind = {"beta_one": "delta"}.get(name, "haar_cutoff")
     assert limits._classification(sc) == (kind, True)
@@ -587,7 +586,7 @@ def test_measure_source_evaluates_each_point_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------
-# t / B_n from a cached split, against mul_rational(1 / B(n))
+# t / B_n from one split per f_n, against mul_rational(1 / B(n))
 # ---------------------------------------------------------------------
 
 
@@ -632,24 +631,50 @@ def schemes(draw):
 
 @st.composite
 def points(draw, p):
-    """Nonzero t over p: move_sphere moves the points of a sphere."""
+    """Nonzero t over p: SumTransform moves the points of a sphere."""
     precision = draw(st.sampled_from((1, 2, 3, 48)))
     unit = draw(st.integers(1, p**precision - 1).filter(lambda u: u % p))
     return PAdicNumber(p, draw(st.integers(-6, 6)), unit, precision)
 
 
+class RecordingTransform(charfn.Transform):
+    """A source that records each sphere it is asked for, and its power."""
+
+    def __init__(self, p):
+        self.prime, self.calls = p, []
+
+    def sphere(self, p, v, units, precision, k=None):
+        self.calls.append((p, v, list(units), precision, k))
+        return super().sphere(p, v, units, precision, k)
+
+    def _sphere(self, v, units, precision):
+        return [complex(1.0, 0.0)] * len(units)
+
+
 @settings(max_examples=120, deadline=None)
 @given(schemes(), st.data())
-def test_move_sphere_matches_mul_rational(scheme, data):
+def test_sum_transform_moves_a_sphere_by_mul_rational(scheme, data):
     p = scheme.prime
     other = 7 if p != 7 else 11
+    source = RecordingTransform(p)
     for t in data.draw(st.lists(st.one_of(points(p), points(other)), max_size=6)):
         for n in range(scheme.n_max + 1):
+            f_n = limits.SumTransform(source, scheme, n)
+            if t.prime != p:
+                with pytest.raises(PrimeMismatchError) as err:
+                    f_n(t)
+                assert str(err.value) == (
+                    f"transform over p={p} evaluated at a point over p={other}"
+                )
+                continue
             want = t.mul_rational(1 / scheme.B(n))
-            # twice: the second call reads the cached split
+            # twice: the split of B_n**-1 is made once, with f_n
             for _ in range(2):
-                v, (u,) = scheme.move_sphere(n, t.prime, t.valuation, (t.unit,), t.precision)
-                assert PAdicNumber(t.prime, v, u, t.precision) == want
+                source.calls.clear()
+                f_n(t)
+                [(q, v, (u,), precision, k)] = source.calls
+                assert (q, k) == (p, scheme.k(n))
+                assert PAdicNumber(q, v, u, precision) == want
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -739,13 +764,13 @@ def test_theory_rows_evaluate_f_n_once_per_sphere(monkeypatch):
     # the grid's 39 points lie on 13 spheres: f_n is evaluated once per
     # (n, sphere), 52 times for four n (once per point, it was 156)
     calls = []
-    real = limits.theoretical_sphere
+    real = limits.SumTransform._sphere
 
-    def counting(*args):
-        calls.append((args[2], args[4], args[6]))  # n, v, precision
-        return real(*args)
+    def counting(self, v, units, precision):
+        calls.append((self.n, v, precision))
+        return real(self, v, units, precision)
 
-    monkeypatch.setattr(limits, "theoretical_sphere", counting)
+    monkeypatch.setattr(limits.SumTransform, "_sphere", counting)
     sc = _stable_preset(m=0, n_list=[0, 2, 4, 6])
     convergence_report(sc)
     spheres = {(t.valuation, t.precision) for t in sc.grid}
