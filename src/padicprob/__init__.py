@@ -21,7 +21,7 @@ _EXPORTS = {
     "charfn": """BallProbability HaarUniform PointMass SphereMassTable StableLaw
         StableParams Transform TwoValuedForm ball_probability sphere_masses""",
     "samplers": """CompoundPoissonSampler HaarBallSampler PointMassSampler RadialSampler
-        Sampler poisson_draw stable_sampler substream""",
+        Sampler poisson_draw substream""",
     "levy": """JumpMeasure LevyExponent SelfSimilarLevyMeasure classify_two_valued
         invert_exponent levy_exponent_exact make_example_measure make_measure
         measure_mass random_self_similar_measure validate_scaling""",

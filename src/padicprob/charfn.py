@@ -87,9 +87,9 @@ class Transform:
     (coprime to p, below p**precision) on one digit window, each value
     raised to the power k unless k is None.  It holds the one check that
     the points lie over ``prime``, and a point that needs digits the
-    window lacks raises what the whole sphere raises.  ``power(t, k)``,
-    g(t)**k, and ``__call__(t)``, g(t), are its one-point cases, with
-    g(0) = 1.
+    window lacks raises what the whole sphere raises.  ``__call__(t)``,
+    g(t), is its one-point case, with g(0) = 1; g(t)**k, the transform of
+    a sum of k independent copies, is a one-unit ``sphere`` call.
 
     A radial transform (``is_radial``) depends on t only through |t| and
     is real, with ``radial_value(k)`` its value on the sphere |t| =
@@ -114,15 +114,10 @@ class Transform:
             )
 
     def __call__(self, t: PAdicNumber) -> complex:
-        return self.power(t, None)
-
-    def power(self, t: PAdicNumber, k: int | None) -> complex:
-        """g(t)**k, the transform of a sum of k independent copies (g(t)
-        when k is None)."""
         if t.is_zero:
             self._check(t.prime)
             return complex(1.0, 0.0)
-        return self.sphere(t.prime, t.valuation, (t.unit,), t.precision, k)[0]
+        return self.sphere(t.prime, t.valuation, (t.unit,), t.precision)[0]
 
     def sphere(
         self, p: int, v: int, units: Sequence[int], precision: int, k: int | None = None

@@ -115,18 +115,21 @@ def _fmt_value(v: complex) -> str:
     return f"{v.real:.15g}{v.imag:+.15g}j"
 
 
-def _parse_kv(text: str) -> dict:
-    out = {}
-    for part in text.split(","):
-        key, _, val = part.partition("=")
-        if not _:
-            raise SpecValidationError(f"expected key=value, got {part!r}")
-        out[key.strip()] = val.strip()
-    return out
-
-
 def _stable_from_kv(text: str) -> StableLaw:
-    kv = _parse_kv(text)
+    """The stable law of a=..,alpha=..,p=..: each key once, and no other."""
+    kv = {}
+    for part in text.split(","):
+        key, sep, val = (s.strip() for s in part.partition("="))
+        if not sep:
+            raise SpecValidationError(f"expected key=value, got {part!r}")
+        if key in kv:
+            raise SpecValidationError(f"stable law repeats {key}")
+        kv[key] = val
+    for key in ("a", "alpha", "p"):
+        if key not in kv:
+            raise SpecValidationError(f"stable law needs {key}")
+    if unread := sorted(set(kv) - {"a", "alpha", "p"}):
+        raise SpecValidationError(f"stable law does not read {', '.join(unread)}")
     return StableLaw(StableParams(float(kv["a"]), float(kv["alpha"]), int(kv["p"])))
 
 

@@ -475,7 +475,7 @@ class LevyExponent:
         if t.is_zero:
             if t.prime != self.measure.prime:
                 raise PrimeMismatchError("t over a different prime")
-            return CharacterSum.zero(t.prime)
+            return CharacterSum(t.prime)
         return self.sphere_exact(t.prime, t.valuation, (t.unit,), t.precision)[0]
 
     def __call__(self, t: PAdicNumber) -> complex:

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .charfn import Transform, TwoValuedForm, ball_probability
-from .errors import ToleranceError
+from .errors import PrimeMismatchError, ToleranceError
 from .levy import measure_mass
 from .padic import PAdicNumber, _check_prime, rational_valuation, split_p_part
 from .sets import Ball, TailSet
@@ -125,6 +125,12 @@ class LimitScheme:
         return self.k_list[n]
 
 
+def _check_scheme(scheme: LimitScheme, p: int) -> None:
+    """Refuse a scheme over another prime than its law's."""
+    if scheme.prime != p:
+        raise PrimeMismatchError(f"scheme over p={scheme.prime} used with a law over p={p}")
+
+
 # ---------------------------------------------------------------------
 # Theoretical transform of S_n
 # ---------------------------------------------------------------------
@@ -150,6 +156,7 @@ class SumTransform(Transform):
 
     def __post_init__(self) -> None:
         p, form = self.source.prime, self.source.form
+        _check_scheme(self.scheme, p)
         k, b = self.scheme.k(self.n), self.scheme.B(self.n)
         object.__setattr__(self, "prime", p)
         object.__setattr__(self, "is_radial", self.source.is_radial)
@@ -200,6 +207,7 @@ def sum_residues(
 ) -> ResidueBatch:
     """Replicates of S_n = B_n**-1 (X_1 + ... + X_k(n)) as one residue
     batch: exact modular arithmetic throughout."""
+    _check_scheme(scheme, sampler.prime)
     k = _summands(scheme, n, replicates)
     return sampler.residue_sums(rng, k, replicates).scale(1 / scheme.B(n))
 
@@ -230,6 +238,7 @@ def phi_n_measure(
     amplified by k(n), exceed ``tol``.  The empty sum (k(n) = 0) gives
     0.0 with no ball series run.
     """
+    _check_scheme(scheme, law.prime)
     k = scheme.k(n)
     if k == 0:
         return 0.0
@@ -237,7 +246,7 @@ def phi_n_measure(
     inner_tol = max(1e-15, tol / (4.0 * k))
     if isinstance(scaled, TailSet):
         bp = ball_probability(
-            law, Ball(law.prime, 0, scaled.radius_exp), tol=inner_tol
+            law, Ball(scaled.prime, 0, scaled.radius_exp), tol=inner_tol
         )
         prob = 1.0 - bp.value
         bound = bp.error_bound

@@ -601,16 +601,6 @@ class CharacterSum:
         self._terms = {ph: c for ph, c in merged.items() if c}
 
     @classmethod
-    def from_reduced(
-        cls, prime: int, terms: Mapping[tuple[int, int], Fraction | float]
-    ) -> "CharacterSum":
-        """A sum whose keys are reduced phases already, as unit_phase,
-        reduced_phase and rational_char_phase give them: taken as they
-        are, without the constructor's reduction."""
-        _check_prime(prime)
-        return cls._own(prime, {ph: c for ph, c in terms.items() if c})
-
-    @classmethod
     def _own(
         cls, prime: int, terms: dict[tuple[int, int], Fraction | float]
     ) -> "CharacterSum":
@@ -620,10 +610,6 @@ class CharacterSum:
         out.prime = prime
         out._terms = terms
         return out
-
-    @classmethod
-    def zero(cls, p: int) -> "CharacterSum":
-        return cls(p)
 
     @classmethod
     def constant(cls, p: int, c: Fraction | float) -> "CharacterSum":
@@ -648,7 +634,7 @@ class CharacterSum:
         merged = dict(self._terms)
         for ph, c in other._terms.items():
             merged[ph] = merged.get(ph, 0) + c
-        return CharacterSum.from_reduced(self.prime, merged)
+        return CharacterSum._own(self.prime, {ph: c for ph, c in merged.items() if c})
 
     def scale(self, c: Fraction | float | int) -> "CharacterSum":
         if not c:

@@ -1,5 +1,5 @@
-"""Samplers of the laws in :mod:`padicprob.charfn`, their RNG streams,
-and empirical ball counts: with :mod:`padicprob.residues`, the Monte
+"""Samplers of the laws in :mod:`padicprob.charfn` and their RNG
+streams: with :mod:`padicprob.residues`, which counts draws, the Monte
 Carlo layer, and the only modules that import numpy.  The exact layers
 import neither, so a command loads them on its first draw or count.
 
@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from .charfn import SphereMassTable, StableLaw, StableParams, sphere_masses
+from .charfn import SphereMassTable
 from .padic import PAdicNumber, split_p_part
-from .residues import ResidueBatch, lift, tally
+from .residues import ResidueBatch, lift
 from .sets import Ball
 
 
@@ -290,13 +289,6 @@ class RadialSampler(_BlockSampler):
     draw = Sampler.draw
 
 
-def stable_sampler(
-    params: StableParams, resolution: int, n_lo: int, n_hi: int
-) -> RadialSampler:
-    table = sphere_masses(StableLaw(params), min(n_lo, resolution + 1), n_hi)
-    return RadialSampler(table=table, resolution=resolution)
-
-
 # Draws per chunk of a compound-Poisson block (RNG stream v2): each chunk
 # makes its own RNG calls, so the constant is part of the stream, and it
 # bounds the memory a block's jumps take.
@@ -447,22 +439,3 @@ class CompoundPoissonSampler(_BlockSampler):
 
     # its own attribute, so the class's draws can be traced by name
     draw = Sampler.draw
-
-
-# ---------------------------------------------------------------------
-# Empirical counts
-# ---------------------------------------------------------------------
-
-
-def ball_counts(
-    samples: Sequence[PAdicNumber] | ResidueBatch, balls: Sequence[Ball]
-) -> list[int]:
-    """How many samples lie in each ball, counted on residues.
-
-    ``samples`` is a list of values or a residue batch of them.  Raises
-    what ``Ball.contains`` raises, ball by ball in order.
-    """
-    if not len(samples):
-        return [0] * len(balls)
-    p = samples.prime if isinstance(samples, ResidueBatch) else samples[0].prime
-    return tally(p, samples, [], balls)[1]

@@ -336,7 +336,8 @@ def criterion_6(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
 
 def criterion_7(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
     """Compound-Poisson sampler fidelity against ball probabilities."""
-    from .samplers import CompoundPoissonSampler, ball_counts, substream
+    from .residues import tally
+    from .samplers import CompoundPoissonSampler, substream
 
     started = time.perf_counter()
     p = 2
@@ -354,7 +355,7 @@ def criterion_7(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
     balls = [b for b in default_ball_family(p, 12) if b.radius_exp >= resolution][:10]
     rows = []
     all_within = True
-    for b, hits in zip(balls, ball_counts(draws, balls)):
+    for b, hits in zip(balls, tally(p, draws, [], balls)[1]):
         q = ball_probability(g, b, tol=1e-12).value
         freq = hits / count
         band = 4.0 * math.sqrt(max(q * (1.0 - q), 1e-12) / count)

@@ -192,7 +192,7 @@ _LAWS = {
          "resolution": _INT, "n_lo": _INT, "n_hi": _INT},
         {"resolution": -12, "n_lo": -40, "n_hi": 40},
         lambda s: StableLaw(StableParams(s["a"], s["alpha"], s["p"])),
-        # stable_sampler's table and sampler
+        # a radial sampler on the sphere masses down to the resolution
         lambda sm, g, s, table: sm.RadialSampler(table, s["resolution"]),
         lambda g, s: sphere_masses(g, min(s["n_lo"], s["resolution"] + 1), s["n_hi"]),
     ),
@@ -550,11 +550,6 @@ def _law(obj) -> Law:
 
     folds = None if table is None else table.folds(spec["resolution"])
     return Law(dict(obj), g, folds, sampler)
-
-
-def scheme_from_spec(obj) -> LimitScheme:
-    validate(obj, SCHEME_SCHEMA, "scheme spec")
-    return _scheme(obj)
 
 
 def _scheme(obj) -> LimitScheme:

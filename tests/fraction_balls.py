@@ -91,7 +91,7 @@ def char_exact(b, t: PAdicNumber) -> CharacterSum:
     character_phase."""
     p, c, radius_exp, _ = b
     if not t.abs_le_exp(-radius_exp):
-        return CharacterSum.zero(p)
+        return CharacterSum(p)
     if c == 0:
         phase = (0, 0)
     else:
@@ -101,7 +101,7 @@ def char_exact(b, t: PAdicNumber) -> CharacterSum:
 
 def integrate_char_exact(balls, t: PAdicNumber) -> CharacterSum:
     """One CharacterSum added per ball, for balls over the prime of t."""
-    total = CharacterSum.zero(t.prime)
+    total = CharacterSum(t.prime)
     for b in balls:
         total = total + char_exact(b, t)
     return total

@@ -61,7 +61,7 @@ def integrate_char_exact(m, t):
         phase = ball_phase(b, t)
         if phase is not None:
             terms[phase] = terms[phase] + b.measure if phase in terms else b.measure
-    return CharacterSum.from_reduced(t.prime, terms)
+    return CharacterSum(t.prime, terms)
 
 
 def ball_mass(measure, ball):

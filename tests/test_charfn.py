@@ -28,14 +28,13 @@ from padicprob.charfn import (
 from padicprob.errors import PrecisionError, PrimeMismatchError, ToleranceError
 from padicprob.levy import JumpMeasure, make_example_measure, make_measure, measure_mass
 from padicprob.padic import PAdicNumber, chi, from_rational, grid_points
+from padicprob.residues import tally
 from padicprob.samplers import (
     CompoundPoissonSampler,
     HaarBallSampler,
     PointMassSampler,
     RadialSampler,
-    ball_counts,
     poisson_draw,
-    stable_sampler,
     substream,
 )
 from padicprob.sets import Ball, integrate_char_exact, sphere
@@ -53,6 +52,12 @@ CHI2_999 = {3: 16.266, 6: 22.458, 8: 26.124, 18: 42.312, 24: 51.179}
 def chi2(counts, probs) -> float:
     n = sum(counts)
     return sum((c - n * q) ** 2 / (n * q) for c, q in zip(counts, probs))
+
+
+def radial_stable_sampler(params: StableParams, **keys) -> RadialSampler:
+    """The sampler of the radial_stable law spec of ``params``."""
+    spec = {"kind": "radial_stable", "a": params.a, "alpha": params.alpha, "p": params.prime}
+    return law_from_spec({**spec, **keys}).sampler
 
 
 def test_stable_cf_basics():
@@ -240,7 +245,7 @@ def test_haar_sampler_frequency():
 
 def test_radial_sampler_matches_ball_probability():
     params = StableParams(1.0, 1.0, 2)
-    s = stable_sampler(params, resolution=-8, n_lo=-40, n_hi=40)
+    s = radial_stable_sampler(params, resolution=-8, n_lo=-40, n_hi=40)
     rng = substream(3, 0)
     n = 4000
     draws = s.sample(rng, n)
@@ -249,9 +254,23 @@ def test_radial_sampler_matches_ball_probability():
     assert abs(freq - q) <= 4 * math.sqrt(q * (1 - q) / n)
 
 
+@pytest.mark.parametrize("p, resolution", [(2, -8), (3, -6), (2, -50), (5, -41)])
+def test_the_radial_stable_spec_samples_its_sphere_masses(p, resolution):
+    # the spec's sampler is a RadialSampler on the stable law's sphere
+    # masses from min(n_lo, resolution + 1) to n_hi, so a resolution below
+    # n_lo extends the table down to it
+    params = StableParams(1.0, 1.0, p)
+    s = radial_stable_sampler(params, resolution=resolution, n_lo=-40, n_hi=40)
+    table = sphere_masses(StableLaw(params), min(-40, resolution + 1), 40)
+    assert s.table == table
+    assert s.table.n_lo == min(-40, resolution + 1)
+    direct = RadialSampler(table=table, resolution=resolution)
+    assert s.sample(substream(11, p), 500) == direct.sample(substream(11, p), 500)
+
+
 def test_radial_sampler_first_digit_uniform():
     params = StableParams(1.0, 1.0, 5)
-    s = stable_sampler(params, resolution=-6, n_lo=-40, n_hi=40)
+    s = radial_stable_sampler(params, resolution=-6, n_lo=-40, n_hi=40)
     rng = substream(4, 0)
     counts = Counter()
     n = 3000
@@ -270,7 +289,7 @@ def test_radial_sphere_frequencies_match_the_table(p, seed):
     # its total, with the mass at or below the resolution drawn as zero
     # and the tail drawn on the top sphere; bins: zero or |x| <= p**-3,
     # the spheres p**-2 .. p**2, and |x| >= p**3
-    s = stable_sampler(StableParams(1.0, 1.0, p), resolution=-6, n_lo=-40, n_hi=40)
+    s = radial_stable_sampler(StableParams(1.0, 1.0, p), resolution=-6, n_lo=-40, n_hi=40)
 
     def bin_of(k):
         return 0 if k is None or k <= -3 else min(k, 3) + 3
@@ -294,7 +313,7 @@ def test_haar_sub_ball_frequencies_are_exact(p, seed):
     # p**-2 each
     s = HaarBallSampler(ball=Ball(p, Fraction(1, p), 0), resolution=-6)
     subs = [Ball(p, Fraction(1, p) + d, -2) for d in range(p * p)]
-    counts = ball_counts(s.sample(substream(seed, 0), 6000), subs)
+    counts = tally(p, s.sample(substream(seed, 0), 6000), [], subs)[1]
     assert sum(counts) == 6000
     assert chi2(counts, [1 / p**2] * p**2) <= CHI2_999[p * p - 1]
 
@@ -505,7 +524,7 @@ def test_empirical_cf_resolution_guard():
 
 def test_empirical_cf_symmetric_imaginary_part_shrinks():
     params = StableParams(1.0, 1.0, 2)
-    s = stable_sampler(params, resolution=-8, n_lo=-40, n_hi=40)
+    s = radial_stable_sampler(params, resolution=-8, n_lo=-40, n_hi=40)
     t = from_rational(1, 4, p=2)
     sizes = (200, 3200)
     ims = []
@@ -592,12 +611,13 @@ def test_transform_checks_its_prime_and_pickles(name):
     with pytest.raises(PrimeMismatchError):
         g(foreign)
     with pytest.raises(PrimeMismatchError):
-        g.power(foreign, 3)
+        g.sphere(5, foreign.valuation, (foreign.unit,), foreign.precision, 3)
     h = pickle.loads(pickle.dumps(g))
     assert g(PAdicNumber.zero(3)) == h(PAdicNumber.zero(3)) == 1
     for t in grid_points(3, -3, 3):
         assert h(t) == g(t)
-        assert h.power(t, 4) == g.power(t, 4)
+        point = (3, t.valuation, (t.unit,), t.precision, 4)
+        assert h.sphere(*point) == g.sphere(*point)
 
 
 @pytest.mark.parametrize("name", sorted(TRANSFORMS))

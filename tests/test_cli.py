@@ -592,3 +592,22 @@ def test_src_imports_only_the_stdlib_and_the_declared_dependencies():
                 continue
             stray += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed]
     assert stray == []
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a=1,alpha=1,p=2,bogus=7", "stable law does not read bogus"),
+    ("a=1,alpha=1,p=2,zzz=1,bogus=7", "stable law does not read bogus, zzz"),
+    ("a=1,alpha=1,p=2,a=3", "stable law repeats a"),
+    ("a=1,p=2", "stable law needs alpha"),
+    ("alpha=1,p=2,bogus=7", "stable law needs a"),
+])
+@pytest.mark.parametrize("command", ["cf-eval", "classify"])
+def test_the_stable_key_value_grammar_is_checked(command, text, message, capsys):
+    # an unknown, repeated or missing key is a spec error, not a silently
+    # dropped or overwritten one
+    if command == "cf-eval":
+        argv = ["cf-eval", "--stable", text, "--t", "1 @ p=2"]
+    else:
+        argv = ["classify", "--cf", f"stable:{text}"]
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -549,7 +549,7 @@ def oracle_exponent(measure, t):
     if t.prime != p:
         raise PrimeMismatchError("t over a different prime")
     if t.is_zero:
-        return CharacterSum.zero(p)
+        return CharacterSum(p)
     j = measure.j
     tau = -t.valuation
     total = CharacterSum.constant(p, -measure.tail_mass(-tau))
@@ -663,7 +663,7 @@ def test_exponent_float_alpha_coefficients_equal(p, alpha):
 def test_exponent_zero_and_foreign_prime():
     m = random_self_similar_measure(substream(5, 5), 3)
     for z in (PAdicNumber.zero(3), PAdicNumber.zero(3, 4)):
-        assert levy_exponent_exact(m, z) == CharacterSum.zero(3)
+        assert levy_exponent_exact(m, z) == CharacterSum(3)
         assert LevyExponent(m)(z) == 0j
     t = from_rational(1, 2, p=2)
     assert _outcome(levy_exponent_exact, m, t) == (

@@ -24,6 +24,7 @@ from padicprob.limits import (
     PRESETS,
     LimitScheme,
     Scenario,
+    SumTransform,
     _block_sizes,
     convergence_report,
     default_ball_family,
@@ -38,7 +39,7 @@ from padicprob.specs import law_from_spec, scenario_from_spec
 from padicprob.errors import PrecisionError, PrimeMismatchError
 from padicprob.residues import tally
 from padicprob.padic import PAdicNumber, from_rational, grid_points, rational_valuation
-from padicprob.samplers import HaarBallSampler, PointMassSampler, stable_sampler, substream
+from padicprob.samplers import HaarBallSampler, PointMassSampler, substream
 from padicprob.sets import Ball, TailSet, annulus
 
 
@@ -153,7 +154,8 @@ def test_report_within_budget_runs():
 def test_simulate_sums_mc_matches_theory():
     p = 2
     params = StableParams(1.0, 1.0, p)
-    law = stable_sampler(params, resolution=-8, n_lo=-40, n_hi=40)
+    law = law_from_spec({"kind": "radial_stable", "a": 1.0, "alpha": 1.0, "p": p,
+                         "resolution": -8, "n_lo": -40, "n_hi": 40}).sampler
     m = make_example_measure(1, 1, p)
     scheme = LimitScheme.geometric(p, m.beta, m.gamma0, n_max=4)
     rng = substream(3, 0)
@@ -962,3 +964,27 @@ def test_log_modulus_of_each_transform():
         stable.log_modulus(from_rational(1, p=2))
     with pytest.raises(PrimeMismatchError):
         jump.log_modulus(from_rational(1, p=2))
+
+
+def test_a_scheme_over_another_prime_is_refused():
+    # a 3-adic scheme normalises nothing of a 2-adic law: f_n, the
+    # rescaled measure and the simulated sums each refuse the pair, where
+    # they would read the law's values at the scheme's scales
+    law = StableLaw(StableParams(1.0, 1.0, 2))
+    scheme = LimitScheme.geometric(3, "1/3", 3, 5)
+    message = "^scheme over p=3 used with a law over p=2$"
+    with pytest.raises(PrimeMismatchError, match=message):
+        theoretical_fn(law, scheme, 3, from_rational(1, p=2))
+    with pytest.raises(PrimeMismatchError, match=message):
+        SumTransform(law, scheme, 3)
+    with pytest.raises(PrimeMismatchError, match=message):
+        phi_n_measure(law, scheme, 3, TailSet(2, 0))
+    # so does a tail set over another prime than the law's, as a ball does
+    two = LimitScheme.geometric(2, "1/2", 2, 5)
+    for m in (TailSet(3, 0), Ball(3, 0, 0), annulus(0, 2, 3)):
+        with pytest.raises(PrimeMismatchError, match="^ball and transform over different primes$"):
+            phi_n_measure(law, two, 3, m)
+    sampler = HaarBallSampler(Ball(2, 0, 0), -8)
+    for simulate in (simulate_sums, sum_residues):
+        with pytest.raises(PrimeMismatchError, match=message):
+            simulate(sampler, scheme, 2, 3, substream(1, 0))

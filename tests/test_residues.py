@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import per_block
-from padicprob.charfn import SphereMassTable, StableParams
+from padicprob.charfn import SphereMassTable
 from padicprob.errors import PrecisionError, PrimeMismatchError
 from padicprob.levy import make_example_measure, make_measure
 from padicprob.limits import (
@@ -42,11 +42,10 @@ from padicprob.samplers import (
     HaarBallSampler,
     PointMassSampler,
     RadialSampler,
-    ball_counts,
-    stable_sampler,
     substream,
 )
 from padicprob.sets import Ball, split_sphere
+from padicprob.specs import law_from_spec
 
 # ---------------------------------------------------------------------
 # Reference: the exact PAdicNumber loops
@@ -256,6 +255,11 @@ def reference_ball_counts(samples, balls) -> list[int]:
     return [sum(1 for x in samples if reference_contains(b, x)) for b in balls]
 
 
+def tally_balls(p, samples, balls) -> list[int]:
+    """How many samples lie in each ball, as the Monte Carlo layer counts."""
+    return tally(p, samples, [], balls)[1]
+
+
 def outcome(fn, *args):
     try:
         return "ok", fn(*args)
@@ -270,9 +274,8 @@ def outcome(fn, *args):
 
 @lru_cache(maxsize=None)
 def radial(p: int, resolution: int, n_hi: int) -> RadialSampler:
-    return stable_sampler(
-        StableParams(1.0, 1.0, p), resolution=resolution, n_lo=-20, n_hi=n_hi
-    )
+    return law_from_spec({"kind": "radial_stable", "a": 1.0, "alpha": 1.0, "p": p,
+                          "resolution": resolution, "n_lo": -20, "n_hi": n_hi}).sampler
 
 
 @lru_cache(maxsize=None)
@@ -440,7 +443,7 @@ def test_empirical_phase_counts_matches_exact_loop(samples, t, other_prime):
 @example([PAdicNumber.from_rational(1, p=3), PAdicNumber.from_rational(1, p=2)],
          [Ball(3, 0, 0)])
 def test_ball_counts_matches_exact_loop(samples, balls):
-    assert outcome(ball_counts, samples, balls) == outcome(
+    assert outcome(tally_balls, 3, samples, balls) == outcome(
         reference_ball_counts, samples, balls
     )
 
@@ -781,14 +784,14 @@ def test_ball_counts_on_a_residue_batch(p):
     batch = sampler.residue_sums(substream(3, p), 1, 400)
     draws = sampler.sample(substream(3, p), 400)
     balls = list(default_ball_family(p, 12))
-    assert outcome(ball_counts, batch, balls) == outcome(
+    assert outcome(tally_balls, p, batch, balls) == outcome(
         reference_ball_counts, draws, balls
     )
     fine = balls[:2] + [Ball(p, 1, sampler.resolution - 1)]
-    got = outcome(ball_counts, batch, fine)
+    got = outcome(tally_balls, p, batch, fine)
     assert got[0] == "PrecisionError"
-    assert got == outcome(ball_counts, draws, fine)
-    assert outcome(ball_counts, ResidueBatch(p, 0, 2, []), balls) == ("ok", [0] * 12)
+    assert got == outcome(tally_balls, p, draws, fine)
+    assert outcome(tally_balls, p, ResidueBatch(p, 0, 2, []), balls) == ("ok", [0] * 12)
 
 
 @settings(max_examples=80, deadline=None)

@@ -97,6 +97,11 @@ def sampler_from_spec(obj):
     return specs.law_from_spec(obj).sampler
 
 
+def scheme_from_spec(obj):
+    """The scheme of the stable-limit scenario run with scheme ``obj``."""
+    return specs.scenario_from_spec(dict(STABLE_CONFIG, scheme=obj)).scheme
+
+
 SCHEMAS = [specs.MEASURE_SCHEMA, specs.SAMPLER_SCHEMA, specs.SCHEME_SCHEMA, specs.SCENARIO_SCHEMA]
 
 
@@ -129,9 +134,9 @@ INVALID_SPECS = [
         "invalid sampler spec: 'x' is not of type 'integer'",
     ),
     (
-        specs.scheme_from_spec,
+        scheme_from_spec,
         {"mode": "geometric"},
-        "invalid scheme spec: 'p' is a required property",
+        "invalid scenario spec: 'p' is a required property",
     ),
     (
         specs.scenario_from_spec,
@@ -210,13 +215,13 @@ REJECTED_SPECS = [
         "compound_poisson does not read p",
     ),
     (
-        specs.scheme_from_spec,
+        scheme_from_spec,
         {"mode": "geometric", "p": 2, "beta": "1/2", "gamma0": "2",
          "b_list": [1, "1/2"], "k_list": [1, 2]},
         "geometric scheme does not read b_list, k_list",
     ),
     (
-        specs.scheme_from_spec,
+        scheme_from_spec,
         {"mode": "explicit", "p": 2, "b_list": [1, "1/2"], "k_list": [1, 2],
          "beta": "1/2", "n_max": 9},
         "explicit scheme does not read beta, n_max",
@@ -408,9 +413,8 @@ def test_a_scenario_spec_is_validated_once(config, monkeypatch):
     assert calls == ["scenario spec"]
     # a part built on its own is validated on its own
     specs.law_from_spec(config["law"])
-    specs.scheme_from_spec(config["scheme"])
     specs.measure_from_spec(config["target"])
-    assert calls == ["scenario spec", "sampler spec", "scheme spec", "measure spec"]
+    assert calls == ["scenario spec", "sampler spec", "measure spec"]
 
 
 PRESET_DOCS = {name: limits.preset_spec(name) for name in limits.PRESETS}
@@ -467,7 +471,7 @@ def test_the_table_holds_the_documented_defaults():
         "geometric": {"n_max": 10}, "explicit": {},
     }
     geometric = {key: STABLE_CONFIG["scheme"][key] for key in ("mode", "p", "beta", "gamma0")}
-    assert specs.scheme_from_spec(geometric).n_max == 10
+    assert scheme_from_spec(geometric).n_max == 10
 
 
 # the flat schemas as they were written out by hand before they were
