@@ -14,8 +14,8 @@ __version__ = "0.5.0"
 # the names the package exports, by the module that defines them
 _EXPORTS = {
     "errors": "InfiniteMassError PrecisionError PrimeMismatchError ToleranceError",
-    "padic": """CharacterSum DEFAULT_PRECISION PAdicNumber format_padic from_rational
-        grid_points parse_number parse_padic rational_char_phase""",
+    "padic": """CharacterSum DEFAULT_PRECISION PAdicNumber format_padic grid_points
+        parse_number parse_padic rational_char_phase""",
     "sets": """Ball CompactOpenSet TailSet annulus integrate_char integrate_char_exact
         sphere split_sphere""",
     "charfn": """BallProbability HaarUniform PointMass SphereMassTable StableLaw

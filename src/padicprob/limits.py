@@ -304,6 +304,10 @@ def default_ball_family(p: int, count: int) -> list[Ball]:
 # ---------------------------------------------------------------------
 
 
+# the tolerances a scenario may set, each with the value it reads when unset
+TOLERANCES = {"sup": 1e-12, "scaling": 1e-12, "mc_fraction": 0.95, "phi_final": 5e-3}
+
+
 @dataclass
 class Scenario:
     """A reproducible convergence experiment.
@@ -327,8 +331,8 @@ class Scenario:
     target: Transform | None = None
     tolerances: dict = field(default_factory=dict)
 
-    def tol(self, key: str, default: float) -> float:
-        return float(self.tolerances.get(key, default))
+    def tol(self, key: str) -> float:
+        return float(self.tolerances.get(key, TOLERANCES[key]))
 
 
 @dataclass
@@ -420,13 +424,14 @@ def _mc_rows(scenario: Scenario, theo: dict, labels: list[str], workers: int):
     ranges, one _mc_draw job each.  The jobs run here, or all at once in
     one process pool when there is more than one range, so that the
     counting of one n overlaps the drawing of the next.  Either way each
-    n's parts are joined, divided by B_n once and counted once by
-    tally_blocks, so the first failing block raises as it does serially
-    and the report does not depend on ``workers``.  The law's sampler is
-    built here, before any job, and the jobs receive it alone."""
+    n's parts are joined, divided by B_n once and counted once by tally,
+    which is given the block sizes, so the first failing block raises as
+    it does serially and the report does not depend on ``workers``.  The
+    law's sampler is built here, before any job, and the jobs receive it
+    alone."""
     if scenario.m <= 0:
         return [], None
-    from .residues import ResidueBatch, character_values, tally_blocks
+    from .residues import ResidueBatch, character_values, tally
 
     # the budget holds for each n's whole run, checked before any draw
     ks = [_summands(scenario.scheme, n, scenario.m) for n in scenario.n_list]
@@ -457,8 +462,8 @@ def _mc_rows(scenario: Scenario, theo: dict, labels: list[str], workers: int):
         )
         for n in scenario.n_list:
             sums = ResidueBatch.concat(scenario.prime, [next(drawn) for _ in ranges])
-            table, ball_counts = tally_blocks(
-                sums.scale(1 / scenario.scheme.B(n)), sizes, scenario.grid, scenario.balls
+            table, ball_counts = tally(
+                sums.scale(1 / scenario.scheme.B(n)), scenario.grid, scenario.balls, sizes
             )
             emps = character_values(scenario.prime, table, len(labels), scenario.m)
             for i, (label, emp) in enumerate(zip(labels, emps)):
@@ -588,21 +593,18 @@ def convergence_report(scenario: Scenario, workers: int = 1) -> ConvergenceRepor
         or law.measure is not None and law.measure == target.measure
     ):
         verdicts["sup_exact"] = all(
-            r["sup_err"] <= scenario.tol("sup", 1e-12) for r in sup_rows
+            r["sup_err"] <= scenario.tol("sup") for r in sup_rows
         )
     if scaling_rows:
         verdicts["scaling_identity"] = all(
-            r["residual"] <= scenario.tol("scaling", 1e-12)
-            for r in scaling_rows
+            r["residual"] <= scenario.tol("scaling") for r in scaling_rows
         )
     if cf_rows:
         within = sum(r["residual"] <= r["band"] for r in cf_rows)
-        verdicts["mc_within_bands"] = within / len(cf_rows) >= scenario.tol(
-            "mc_fraction", 0.95
-        )
+        verdicts["mc_within_bands"] = within / len(cf_rows) >= scenario.tol("mc_fraction")
     if phi_final:
         verdicts["phi_trajectory"] = all(
-            r is not None and r["err"] <= scenario.tol("phi_final", 5e-3)
+            r is not None and r["err"] <= scenario.tol("phi_final")
             for r in phi_final
         )
     if ball_rows:

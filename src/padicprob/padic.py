@@ -11,8 +11,8 @@ raise :class:`PrecisionError` instead of guessing.
 The zero element carries a certified-zero exponent: ``zero(p, e)`` states
 "this value is congruent to 0 modulo p**e" (``e=None`` means exactly
 zero).  Cancellation in addition produces such certified zeros, so
-round-trip identities like ``n*from_rational(m, n) - m`` report an honest
-residual window rather than a fabricated exact zero.
+round-trip identities like ``n * PAdicNumber.from_rational(m, n) - m``
+report an honest residual window rather than a fabricated exact zero.
 
 The canonical additive character chi(x) = exp(2*pi*i*{x}_p) is handled as
 an exact rational phase k / p**s, stored as the reduced integer pair
@@ -657,18 +657,8 @@ class CharacterSum:
 
 
 # ---------------------------------------------------------------------
-# Operation-style aliases and text round-trips
+# Text round-trips
 # ---------------------------------------------------------------------
-
-
-def from_rational(
-    numer: int | Fraction,
-    denom: int = 1,
-    *,
-    p: int,
-    precision: int = DEFAULT_PRECISION,
-) -> PAdicNumber:
-    return PAdicNumber.from_rational(numer, denom, p=p, precision=precision)
 
 
 _DIGITS_RE = re.compile(

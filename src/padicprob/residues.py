@@ -27,9 +27,9 @@ query from residues only when the exact
 :class:`~padicprob.padic.PAdicNumber` arithmetic would answer it.
 :meth:`ResidueBatch.phase_ok` and :meth:`ResidueBatch.ball_ok` decide
 that from the window, the top and the least valuation among the values
-(computed once per batch); when they return False, ``tally`` hands the
-original values to :func:`replay`, which re-runs the exact arithmetic in
-the exact loop's order and so raises the exact path's own exception.
+(computed once per batch); when they return False, ``tally`` decodes the
+values and re-runs the exact arithmetic in the exact loop's order, and
+so raises the exact path's own exception.
 
 A decidable batch is counted all at once: the phase keys of every grid
 point come from one numpy expression over the batch, one sort counts the
@@ -39,14 +39,15 @@ arrays: a :class:`PhaseTable` of (row, scale, numerator, count), row i
 for the i-th grid point, which :func:`character_values` turns into the
 empirical transform of every grid point at once.
 
-:func:`tally_blocks` counts the blocks of one n of a report as a single
-batch.  The report's jobs only draw: each joins its blocks' unscaled row
-sums with :meth:`ResidueBatch.concat` (:func:`lift` takes each block's
-residues to the largest top), and the report joins its jobs' batches the
-same way and scales the result once.  The counts are the per-block counts
-summed, and when the joined batch leaves a query undecidable it tallies
-the blocks one by one, in order, as slices of that batch, so the first
-failing block raises what a per-block tally raises.
+A report counts the blocks of one n as a single batch.  The report's
+jobs only draw: each joins its blocks' unscaled row sums with
+:meth:`ResidueBatch.concat` (:func:`lift` takes each block's residues to
+the largest top), and the report joins its jobs' batches the same way,
+scales the result once and passes ``tally`` the block sizes.  The counts
+are the per-block counts summed, and when the joined batch leaves a
+query undecidable ``tally`` replays the blocks one by one, in order, as
+slices of that batch, so the first failing block raises what a count of
+that block alone raises.
 
 With :mod:`padicprob.samplers` this module is the Monte Carlo layer, and
 no exact module imports it: numpy loads when a command first draws or
@@ -58,11 +59,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import PrimeMismatchError
 from .padic import (
     _AXIS_PHASES, _TWO_PI, PAdicNumber, int_valuation, phase_known, reduced_phase,
     split_p_part,
@@ -85,18 +85,6 @@ def lift(p: int, parts: Sequence[tuple[int, np.ndarray]], top: int, dtype) -> np
         for t, values in parts
     ]
     return np.concatenate(lifted) if lifted else np.zeros(0, dtype=dtype)
-
-
-def replay(xs: Iterable[PAdicNumber], probes: Sequence[Callable]) -> NoReturn:
-    """Run each probe on each value, value-major, until one raises.
-
-    Called only after a batch has reported that some (value, probe) pair
-    cannot be decided, so the exact arithmetic inside a probe raises.
-    """
-    for x in xs:
-        for probe in probes:
-            probe(x)
-    raise RuntimeError("residue batch flagged a query the exact path answers")
 
 
 class ResidueBatch:
@@ -127,31 +115,6 @@ class ResidueBatch:
         return values % self.prime**e
 
     # -- construction -------------------------------------------------
-
-    @classmethod
-    def from_padics(cls, p: int, xs: Sequence[PAdicNumber]) -> "ResidueBatch":
-        """Residues of values over p, cut to the shortest window among them.
-
-        Cutting loses nothing a query can use: every query that needs a
-        digit beyond the shortest window fails on the value that sets it.
-        """
-        windows = []
-        for x in xs:
-            if x.prime != p:
-                raise PrimeMismatchError(f"mixed primes {p} and {x.prime}")
-            if not (x.is_zero and x.precision is None):
-                windows.append(x.known_mod_exp)
-        if not windows:
-            return cls(p, 0, None, [0] * len(xs))
-        window = min(windows)
-        live = [x for x in xs if not x.is_zero and x.valuation < window]
-        top = max((-x.valuation for x in live), default=-window)
-        mod = p ** (top + window)
-        return cls(p, top, window, [
-            0 if x.is_zero or x.valuation >= window
-            else (x.unit * p ** (top + x.valuation)) % mod
-            for x in xs
-        ])
 
     @classmethod
     def concat(cls, p: int, batches: Sequence["ResidueBatch"]) -> "ResidueBatch":
@@ -353,61 +316,43 @@ def _reduced_phases(p: int, keys: np.ndarray, ms: np.ndarray) -> tuple[np.ndarra
 
 
 def tally(
-    p: int,
-    values: ResidueBatch | Sequence[PAdicNumber],
+    batch: ResidueBatch,
     grid: Sequence[PAdicNumber],
     balls: Sequence,
+    sizes: Sequence[int] | None = None,
 ) -> tuple[PhaseTable, list[int]]:
     """The phase table of chi(t*x), row i for grid point grid[i] (see
     ResidueBatch.phase_counts), and the number of values in each ball.
 
-    ``values`` is a residue batch or a list of values over p; a list with
-    a value over another prime fails every query.  Where the exact path
-    raises, the original values (the list as given, since from_padics
-    cuts windows, or the decoded batch) are replayed value-major over the
-    failing grid points, then ball by ball, to raise its exception.
+    ``batch`` holds blocks of ``sizes`` values each, joined in block
+    order (see ResidueBatch.concat; None: one block, the whole batch),
+    and the counts are the blocks' counts added.  A query that one block
+    cannot decide is one the joined batch cannot decide (the blocks share
+    the window, and the least valuation of the batch is a block's).  Then
+    the first block that cannot decide a query is decoded and replayed
+    through the exact arithmetic, value-major over its failing grid
+    points, then ball by ball, so it raises what the exact loop over that
+    block raises.
     """
-    if isinstance(values, ResidueBatch):
-        batch, xs = values, None
-    else:
-        xs = values
-        same = all(x.prime == p for x in xs)
-        batch = ResidueBatch.from_padics(p, xs) if same else None
-    bad_ts = [t for t in grid if batch is None or not batch.phase_ok(t)]
-    if bad_ts:
-        replay(
-            batch.elements() if xs is None else xs,
-            [lambda x, t=t: (t * x).character_phase() for t in bad_ts],
-        )
-    for b in balls:
-        if batch is None or not batch.ball_ok(b):
-            replay(batch.elements() if xs is None else xs, [b.contains])
-    return batch.phase_counts(grid), [batch.ball_count(b) for b in balls]
-
-
-def tally_blocks(
-    batch: ResidueBatch,
-    sizes: Sequence[int],
-    grid: Sequence[PAdicNumber],
-    balls: Sequence,
-) -> tuple[PhaseTable, list[int]]:
-    """tally over ``batch``, the blocks of one Monte Carlo step joined in
-    block order (``sizes`` values each, see ResidueBatch.concat): the
-    counts are those of tallying each block and adding, each key once in
-    the table.  A query that one block cannot decide is one the joined
-    batch cannot decide (the blocks share the window, and the least
-    valuation of the batch is a block's); then the blocks are tallied one
-    by one, in order, so the first failing block raises what its own
-    tally raises."""
     if all(batch.phase_ok(t) for t in grid) and all(batch.ball_ok(b) for b in balls):
         return batch.phase_counts(grid), [batch.ball_count(b) for b in balls]
     p, start = batch.prime, 0
-    for size in sizes:
+    for size in [len(batch)] if sizes is None else sizes:
         # a block lifted to the joined top has the block's values
-        tally(p, ResidueBatch(p, batch.top, batch.window, batch.values[start:start + size]),
-              grid, balls)
+        block = ResidueBatch(p, batch.top, batch.window, batch.values[start:start + size])
         start += size
-    return tally(p, batch, grid, balls)
+        bad_ts = [t for t in grid if not block.phase_ok(t)]
+        bad_balls = [b for b in balls if not block.ball_ok(b)]
+        if bad_ts or bad_balls:
+            xs = block.elements()
+            for x in xs:
+                for t in bad_ts:
+                    (t * x).character_phase()
+            for b in bad_balls:
+                for x in xs:
+                    b.contains(x)
+            break
+    raise RuntimeError("residue batch flagged a query the exact path answers")
 
 
 class PhaseTable(NamedTuple):

@@ -173,10 +173,16 @@ class PointMassSampler(Sampler):
     def residue_sums(
         self, rng: np.random.Generator, k: int, replicates: int
     ) -> ResidueBatch:
-        p = self.prime
-        one = ResidueBatch.from_padics(p, [self.xi])
-        total = k * one.values.tolist()[0] % p**one.width
-        return ResidueBatch(p, one.top, one.window, [total] * replicates)
+        # xi = p**v * u known to K digits: k * u mod p**K at top -v over
+        # the window v + K; a zero certified modulo p**e: 0 at top -e over
+        # the window e; the exact zero: no window
+        xi, p = self.xi, self.prime
+        if not xi.is_zero:
+            top, window, total = -xi.valuation, xi.known_mod_exp, k * xi.unit % p**xi.precision
+        else:
+            e = xi.precision
+            top, window, total = (0, None, 0) if e is None else (-e, e, 0)
+        return ResidueBatch(p, top, window, [total] * replicates)
 
 
 @dataclass(frozen=True)

@@ -355,7 +355,7 @@ def criterion_7(seed: int = DEFAULT_SEED, **_) -> CriterionResult:
     balls = [b for b in default_ball_family(p, 12) if b.radius_exp >= resolution][:10]
     rows = []
     all_within = True
-    for b, hits in zip(balls, tally(p, draws, [], balls)[1]):
+    for b, hits in zip(balls, tally(draws, [], balls)[1]):
         q = ball_probability(g, b, tol=1e-12).value
         freq = hits / count
         band = 4.0 * math.sqrt(max(q * (1.0 - q), 1e-12) / count)

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .charfn import HaarUniform, PointMass, StableLaw, StableParams, Transform, sphere_masses
 from .levy import JumpMeasure, SelfSimilarLevyMeasure, make_example_measure
-from .limits import LimitScheme, Scenario, default_ball_family
+from .limits import TOLERANCES, LimitScheme, Scenario, default_ball_family
 from .padic import grid_points, parse_number, rational_valuation
 from .sets import Ball, TailSet, annulus, sphere
 
@@ -273,11 +273,7 @@ SCENARIO_SCHEMA = {
         },
         "tolerances": {
             "type": "object",
-            # the names Scenario.tol is asked for
-            "properties": {
-                key: {"type": "number"}
-                for key in ("sup", "scaling", "mc_fraction", "phi_final")
-            },
+            "properties": {key: {"type": "number"} for key in TOLERANCES},
             "additionalProperties": False,
         },
     },

@@ -5,9 +5,10 @@ sum_residues batch, with k(n), B(n) and the 1/B_n scale computed once per
 block; the scaled blocks were joined, the joined batch was checked before
 ``tally`` checked it again, and on an undecidable query each block was
 tallied on its own, in order.  The package now joins the blocks' row
-sums and computes k(n), B(n), the scale and the one tally once per n;
-this is the loop it replaced, so a test can ask for the same phase
-tables, ball counts and exception texts.
+sums and computes k(n), B(n), the scale and the one tally once per n,
+which is given the block sizes and replays the first failing block
+itself; this is the loop it replaced, so a test can ask for the same
+phase tables, ball counts and exception texts.
 """
 
 from padicprob.limits import sum_residues
@@ -28,5 +29,5 @@ def mc_blocks(sampler, scheme, n, seed, n_idx, blocks, grid, balls):
     whole = ResidueBatch.concat(p, batches)
     if not (all(whole.phase_ok(t) for t in grid) and all(whole.ball_ok(b) for b in balls)):
         for batch in batches:
-            tally(p, batch, grid, balls)
-    return tally(p, whole, grid, balls)
+            tally(batch, grid, balls)
+    return tally(whole, grid, balls)

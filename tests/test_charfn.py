@@ -27,7 +27,7 @@ from padicprob.charfn import (
 )
 from padicprob.errors import PrecisionError, PrimeMismatchError, ToleranceError
 from padicprob.levy import JumpMeasure, make_example_measure, make_measure, measure_mass
-from padicprob.padic import PAdicNumber, chi, from_rational, grid_points
+from padicprob.padic import PAdicNumber, chi, grid_points
 from padicprob.residues import tally
 from padicprob.samplers import (
     CompoundPoissonSampler,
@@ -63,18 +63,18 @@ def radial_stable_sampler(params: StableParams, **keys) -> RadialSampler:
 def test_stable_cf_basics():
     g = StableLaw(StableParams(1.0, 1.0, 2))
     assert g(PAdicNumber.zero(2)) == 1.0
-    t = from_rational(1, 2, p=2)  # |t| = 2
+    t = PAdicNumber.from_rational(1, 2, p=2)  # |t| = 2
     assert abs(g(t) - math.exp(-2.0)) < 1e-15
     # scaling: g(p t) = g(t)**(p**-alpha)
     for num, den in ((1, 2), (3, 4), (5, 1)):
-        t = from_rational(num, den, p=2)
+        t = PAdicNumber.from_rational(num, den, p=2)
         lhs = g(t.mul_rational(2))
         rhs = g(t) ** 0.5
         assert abs(lhs - rhs) < 1e-14
 
 
 def test_stable_cf_rejects_other_prime():
-    t = from_rational(1, p=3)
+    t = PAdicNumber.from_rational(1, p=3)
     with pytest.raises(PrimeMismatchError):
         StableLaw(StableParams(1.0, 1.0, 2))(t)
     with pytest.raises(PrimeMismatchError):
@@ -227,7 +227,7 @@ def test_sphere_masses_raise_at_the_negative_mass():
 
 
 def test_point_mass_sampler():
-    xi = from_rational(7, 3, p=5)
+    xi = PAdicNumber.from_rational(7, 3, p=5)
     s = PointMassSampler(xi=xi)
     rng = substream(1, 0)
     assert all(x == xi for x in s.sample(rng, 10))
@@ -313,7 +313,8 @@ def test_haar_sub_ball_frequencies_are_exact(p, seed):
     # p**-2 each
     s = HaarBallSampler(ball=Ball(p, Fraction(1, p), 0), resolution=-6)
     subs = [Ball(p, Fraction(1, p) + d, -2) for d in range(p * p)]
-    counts = tally(p, s.sample(substream(seed, 0), 6000), [], subs)[1]
+    # the draws of s.sample, kept as residues: same RNG calls
+    counts = tally(s.residue_sums(substream(seed, 0), 1, 6000), [], subs)[1]
     assert sum(counts) == 6000
     assert chi2(counts, [1 / p**2] * p**2) <= CHI2_999[p * p - 1]
 
@@ -460,7 +461,7 @@ def test_compound_poisson_empirical_cf_agreement():
     band = 4.0 / math.sqrt(n)
     jump = JumpMeasure(m)
     for k in range(-3, 5):
-        t = from_rational(Fraction(2) ** (-k), p=2)
+        t = PAdicNumber.from_rational(Fraction(2) ** (-k), p=2)
         assert abs(empirical_cf(draws, t) - jump(t)) <= band
 
 
@@ -492,16 +493,16 @@ def test_compound_poisson_nonradial_measure_cf_agreement():
 
 
 def test_empirical_cf_point_mass_exact():
-    xi = from_rational(1, 3, p=3)
+    xi = PAdicNumber.from_rational(1, 3, p=3)
     samples = [xi] * 17
-    t = from_rational(1, p=3)
+    t = PAdicNumber.from_rational(1, p=3)
     got = empirical_cf(samples, t)
     want = chi(3, *(t * xi).character_phase())
     assert got == want
 
 
 def test_empirical_cf_zero_t():
-    samples = [from_rational(k + 1, p=2) for k in range(5)]
+    samples = [PAdicNumber.from_rational(k + 1, p=2) for k in range(5)]
     assert empirical_cf(samples, PAdicNumber.zero(2)) == 1.0
 
 
@@ -509,7 +510,7 @@ def test_empirical_cf_haar_local_constancy():
     s = HaarBallSampler(ball=Ball(3, 0, 0), resolution=-8)
     rng = substream(7, 0)
     samples = s.sample(rng, 200)
-    t = from_rational(1, p=3)  # |t| = 1: every character value is exactly 1
+    t = PAdicNumber.from_rational(1, p=3)  # |t| = 1: every character value is exactly 1
     assert empirical_cf(samples, t) == 1.0
 
 
@@ -517,7 +518,7 @@ def test_empirical_cf_resolution_guard():
     s = HaarBallSampler(ball=Ball(2, 0, 0), resolution=-2)
     rng = substream(8, 0)
     samples = s.sample(rng, 5)
-    t = from_rational(1, 16, p=2)  # |t| = 16 exceeds the resolution
+    t = PAdicNumber.from_rational(1, 16, p=2)  # |t| = 16 exceeds the resolution
     with pytest.raises(PrecisionError):
         empirical_cf(samples, t)
 
@@ -525,7 +526,7 @@ def test_empirical_cf_resolution_guard():
 def test_empirical_cf_symmetric_imaginary_part_shrinks():
     params = StableParams(1.0, 1.0, 2)
     s = radial_stable_sampler(params, resolution=-8, n_lo=-40, n_hi=40)
-    t = from_rational(1, 4, p=2)
+    t = PAdicNumber.from_rational(1, 4, p=2)
     sizes = (200, 3200)
     ims = []
     for i, n in enumerate(sizes):
@@ -591,7 +592,7 @@ def _law_source(kind):
 
 # every kind of transform over p = 3, and the spec laws' sources
 TRANSFORMS = {
-    "point_mass": lambda: PointMass(from_rational(1, 3, p=3)),
+    "point_mass": lambda: PointMass(PAdicNumber.from_rational(1, 3, p=3)),
     "point_mass_zero": lambda: PointMass(PAdicNumber.zero(3)),
     "haar_ball": lambda: HaarUniform(Ball(3, Fraction(1, 3), -2)),
     "haar_ball_zero": lambda: HaarUniform(Ball(3, 0, 0)),
@@ -607,7 +608,7 @@ TRANSFORMS = {
 @pytest.mark.parametrize("name", sorted(TRANSFORMS))
 def test_transform_checks_its_prime_and_pickles(name):
     g = TRANSFORMS[name]()
-    foreign = from_rational(1, 5, p=5)
+    foreign = PAdicNumber.from_rational(1, 5, p=5)
     with pytest.raises(PrimeMismatchError):
         g(foreign)
     with pytest.raises(PrimeMismatchError):
@@ -659,7 +660,7 @@ def test_ball_probability_closed_forms_and_the_series_domain():
     assert ball_probability(g, Ball(3, Fraction(1, 3), -3)).exact == Fraction(1, 3)
     assert ball_probability(g, Ball(3, 0, 1)).exact == 1
     assert ball_probability(g, Ball(3, 0, 0)).exact == 0
-    xi = from_rational(1, 3, p=3)
+    xi = PAdicNumber.from_rational(1, 3, p=3)
     assert ball_probability(PointMass(xi), Ball(3, Fraction(1, 3), -2)).exact == 1
     custom = make_measure(
         3, Fraction(1, 4), 9,

@@ -40,7 +40,6 @@ from padicprob.padic import (
     CharacterSum,
     DEFAULT_PRECISION,
     PAdicNumber,
-    from_rational,
     grid_points,
 )
 from padicprob.limits import LimitScheme, SumTransform
@@ -123,7 +122,7 @@ def test_validate_scaling_example_and_empty():
 def test_levy_exponent_closed_form_values():
     m = make_example_measure(1, 1, 2)
     for num, den, want in ((1, 4, -4.0), (1, 1, -1.0), (4, 1, -0.25)):
-        t = from_rational(num, den, p=2)
+        t = PAdicNumber.from_rational(num, den, p=2)
         val = LevyExponent(m)(t)
         assert val == complex(want, 0.0)
     assert LevyExponent(m)(PAdicNumber.zero(2)) == 0
@@ -157,7 +156,7 @@ def test_levy_exponent_brute_force_two_ball():
     b1, b2 = split_sphere(0, 1, p)
     w1, w2 = Fraction(1, 2), Fraction(1, 4)
     m = make_measure(p, Fraction(1, 3), p, (((b1, w1), (b2, w2)),))
-    t = from_rational(1, 3, p=p)
+    t = PAdicNumber.from_rational(1, 3, p=p)
 
     def chi(fr):
         return cmath.exp(2j * math.pi * float(fr % 1))
@@ -179,7 +178,7 @@ def test_cf_matches_closed_form_grid():
         g = StableLaw(StableParams(float(a), float(alpha), p))
         jump = JumpMeasure(m)
         for k in range(-4, 5):
-            t = from_rational(Fraction(p) ** (-k), p=p)
+            t = PAdicNumber.from_rational(Fraction(p) ** (-k), p=p)
             assert abs(jump(t) - g(t)) <= 1e-12
 
 
@@ -391,7 +390,7 @@ def test_classify_cutoff():
 
 def test_classify_pure_character():
     xi = Fraction(1, 3)
-    form = classify_two_valued(PointMass(from_rational(xi, p=3)), 3)
+    form = classify_two_valued(PointMass(PAdicNumber.from_rational(xi, p=3)), 3)
     assert form.kind == "delta"
     assert form.xi.as_rational() == xi
 
@@ -426,7 +425,7 @@ def test_classify_refuses_a_point_below_the_probe_depth():
     # digit below the probe depth; a truncated xi was returned
     cases = ((Fraction(1, 2**9), 2, 8), (Fraction(1, 2), 2, 0), (Fraction(5, 3**4), 3, 3))
     for xi, p, depth in cases:
-        g = PointMass(from_rational(xi, p=p))
+        g = PointMass(PAdicNumber.from_rational(xi, p=p))
         with pytest.raises(ValueError, match=f"below the probe depth {depth}"):
             classify_two_valued(g, p, probe_depth=depth)
         form = classify_two_valued(g, p, probe_depth=depth + 1)
@@ -442,7 +441,7 @@ def test_classify_a_digit_far_below_the_probe_depth_raises():
     # "delta xi=0" at j = 33 and 34; from j = 35 on, xi's 48-digit window
     # stops short of p**6, the top of the default radius
     for j in range(1, 65):
-        g = PointMass(from_rational(Fraction(1, 2 ** (8 + j)), p=2))
+        g = PointMass(PAdicNumber.from_rational(Fraction(1, 2 ** (8 + j)), p=2))
         if DEFAULT_PRECISION - (8 + j) < SEARCH_RADIUS_EXP:
             with pytest.raises(PrecisionError):
                 classify_two_valued(g, 2)
@@ -485,7 +484,8 @@ def two_valued_cases(draw):
     if kind.endswith("point"):
         precision = draw(st.integers(1, DEFAULT_PRECISION))
         g = PointMass(
-            from_rational(value, p=p, precision=precision) if value else PAdicNumber.zero(p)
+            PAdicNumber.from_rational(value, p=p, precision=precision) if value
+            else PAdicNumber.zero(p)
         )
     else:
         g = HaarUniform(Ball(p, value, radius_exp - s))
@@ -665,7 +665,7 @@ def test_exponent_zero_and_foreign_prime():
     for z in (PAdicNumber.zero(3), PAdicNumber.zero(3, 4)):
         assert levy_exponent_exact(m, z) == CharacterSum(3)
         assert LevyExponent(m)(z) == 0j
-    t = from_rational(1, 2, p=2)
+    t = PAdicNumber.from_rational(1, 2, p=2)
     assert _outcome(levy_exponent_exact, m, t) == (
         PrimeMismatchError, "t over a different prime"
     )
@@ -708,10 +708,10 @@ def test_exponent_skips_zero_weights():
 def test_levy_exponent_caches_sum_and_value():
     m = random_self_similar_measure(substream(8, 1), 2)
     phi = LevyExponent(m)
-    t = from_rational(3, 8, p=2)
+    t = PAdicNumber.from_rational(3, 8, p=2)
     first = phi.exact(t)
     assert phi(t) == first.to_complex()
-    assert phi.exact(from_rational(3, 8, p=2)) is first
+    assert phi.exact(PAdicNumber.from_rational(3, 8, p=2)) is first
     assert phi(t) is phi(t)
 
 
@@ -959,11 +959,11 @@ def test_exponent_cache_does_not_answer_another_prime():
     # 1 over p = 5 has the digit window of 1 over p = 3; the cached value
     # of the first point must not answer the second
     phi = LevyExponent(make_example_measure(1, 1, 3))
-    phi(from_rational(1, p=3))
+    phi(PAdicNumber.from_rational(1, p=3))
     with pytest.raises(ValueError):
-        phi(from_rational(1, p=5))
+        phi(PAdicNumber.from_rational(1, p=5))
     with pytest.raises(ValueError):
-        phi.exact(from_rational(1, p=5))
+        phi.exact(PAdicNumber.from_rational(1, p=5))
 
 
 def test_measure_mass_refuses_sets_over_another_prime():

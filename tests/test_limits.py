@@ -38,7 +38,7 @@ from padicprob.limits import (
 from padicprob.specs import law_from_spec, scenario_from_spec
 from padicprob.errors import PrecisionError, PrimeMismatchError
 from padicprob.residues import tally
-from padicprob.padic import PAdicNumber, from_rational, grid_points, rational_valuation
+from padicprob.padic import PAdicNumber, grid_points, rational_valuation
 from padicprob.samplers import HaarBallSampler, PointMassSampler, substream
 from padicprob.sets import Ball, TailSet, annulus
 
@@ -82,13 +82,13 @@ def test_theoretical_fn_exact_in_integer_regime():
 def test_theoretical_fn_n0_is_f():
     g = StableLaw(StableParams(1.0, 1.0, 2))
     scheme = LimitScheme.geometric(2, Fraction(1, 2), 2, n_max=4)
-    t = from_rational(1, 2, p=2)
+    t = PAdicNumber.from_rational(1, 2, p=2)
     assert theoretical_fn(g, scheme, 0, t) == g(t)
 
 
 def test_simulate_sums_point_mass():
     p = 2
-    xi = from_rational(3, p=p)
+    xi = PAdicNumber.from_rational(3, p=p)
     scheme = LimitScheme.geometric(p, Fraction(1, 2), 2, n_max=4)
     rng = substream(0, 0)
     out = simulate_sums(PointMassSampler(xi=xi), scheme, 2, 3, rng)
@@ -105,13 +105,13 @@ def test_simulate_sums_haar_stationary():
     scheme = LimitScheme.explicit(p, [1, 1, 1], [1, 2, 3])
     rng = substream(1, 0)
     sums = simulate_sums(law, scheme, 2, 150, rng)
-    t = from_rational(1, p=p)
+    t = PAdicNumber.from_rational(1, p=p)
     assert empirical_cf(sums, t) == 1.0  # |t| <= 1: group stationarity
 
 
 def test_simulate_sums_budget():
     p = 2
-    law = PointMassSampler(xi=from_rational(1, p=p))
+    law = PointMassSampler(xi=PAdicNumber.from_rational(1, p=p))
     scheme = LimitScheme.geometric(p, Fraction(1, 2), 2, n_max=30)
     with pytest.raises(ValueError):
         simulate_sums(law, scheme, 25, 10**5, substream(0, 0))
@@ -125,7 +125,7 @@ def _point_mass_budget_scenario(m: int) -> Scenario:
     return Scenario(
         name="budget", prime=p, law=law_from_spec({"kind": "point_mass", "xi": "1 @ p=2"}),
         scheme=LimitScheme.geometric(p, Fraction(1, 2), 2, n_max=20),
-        grid=(from_rational(1, p=p),), balls=(Ball(p, 0, 0),), sets=(), m=m,
+        grid=(PAdicNumber.from_rational(1, p=p),), balls=(Ball(p, 0, 0),), sets=(), m=m,
         seed=0, n_list=(0, 20),
     )
 
@@ -346,7 +346,7 @@ def test_stable_limit_report_small_and_parallel_determinism():
 
 def test_simulate_sums_needs_a_summand():
     p = 2
-    law = PointMassSampler(xi=from_rational(1, p=p))
+    law = PointMassSampler(xi=PAdicNumber.from_rational(1, p=p))
     scheme = LimitScheme.explicit(p, [1, 1], [0, 1])
     with pytest.raises(ValueError):
         simulate_sums(law, scheme, 0, 3, substream(0, 0))
@@ -422,7 +422,7 @@ def test_the_empty_sum_has_the_form_of_the_point_mass_at_0():
     import padicprob.limits as limits
 
     scheme = LimitScheme.explicit(2, [Fraction(1, 4)], [0])
-    for law in (HaarUniform(Ball(2, 0, 0)), PointMass(from_rational(1, p=2))):
+    for law in (HaarUniform(Ball(2, 0, 0)), PointMass(PAdicNumber.from_rational(1, p=2))):
         form = limits.SumTransform(law, scheme, 0).form
         assert form == charfn.TwoValuedForm("delta", PAdicNumber.zero(2))
 
@@ -437,7 +437,8 @@ def test_the_empty_sum_has_transform_1_where_the_law_vanishes():
         JumpMeasure(make_example_measure(1, 1, 2)),
     )
     for law in laws:
-        for t in (from_rational(1, 4, p=2), from_rational(3, p=2), PAdicNumber.zero(2)):
+        for t in (PAdicNumber.from_rational(1, 4, p=2), PAdicNumber.from_rational(3, p=2),
+                  PAdicNumber.zero(2)):
             assert theoretical_fn(law, scheme, 0, t) == complex(1.0, 0.0)
         assert law.sphere(2, -2, (1, 3), 8, 0) == [complex(1.0, 0.0)] * 2
 
@@ -473,7 +474,7 @@ def two_valued_sums(draw):
     b = Fraction(p) ** draw(st.integers(-3, 3)) * unit
     k = draw(st.integers(0, 12))
     if draw(st.booleans()):
-        source, radius = PointMass(from_rational(x, p=p)), None
+        source, radius = PointMass(PAdicNumber.from_rational(x, p=p)), None
     else:
         r = draw(st.integers(-3, 2))
         source, radius = HaarUniform(Ball(p, x, r)), r + rational_valuation(b, p)
@@ -528,7 +529,7 @@ def test_two_valued_sums_are_exact_on_the_quoted_balls():
     assert charfn.ball_probability(g, Ball(3, Fraction(1, 3), 0)).exact == 0
     # the empty sum is the point mass at 0
     scheme = LimitScheme.explicit(2, [Fraction(1, 4)], [0])
-    for law in (HaarUniform(Ball(2, 1, -1)), PointMass(from_rational(3, p=2))):
+    for law in (HaarUniform(Ball(2, 1, -1)), PointMass(PAdicNumber.from_rational(3, p=2))):
         g = limits.SumTransform(law, scheme, 0)
         assert charfn.ball_probability(g, Ball(2, 0, -9)) == (1.0, 0.0, 1)
         assert charfn.ball_probability(g, Ball(2, Fraction(1, 2), 0)) == (0.0, 0.0, 0)
@@ -693,7 +694,7 @@ def test_theoretical_fn_matches_oracle(seed):
         StableLaw(StableParams(1.0, 0.7, p)),
         HaarUniform(Ball(p, 0, 0)),
         HaarUniform(Ball(p, Fraction(1, p), -2)),
-        PointMass(from_rational(1, 3, p=p) if p != 3 else from_rational(1, 2, p=p)),
+        PointMass(PAdicNumber.from_rational(1, 3 if p != 3 else 2, p=p)),
     )
     ts = grid_points(p, -3, 3) + [PAdicNumber.zero(p)]
     for sch in (scheme, explicit):
@@ -852,7 +853,8 @@ def _failing_block_scenario(case: str) -> Scenario:
         law_spec = {"kind": "compound_poisson", "resolution": -3,
                     "measure": {"stable": {"a": 1, "alpha": 1, "p": p}}}
         seed, precision = 5, 6
-    grid = (from_rational(1, 4, p=p), from_rational(1, 2, p=p, precision=precision))
+    grid = (PAdicNumber.from_rational(1, 4, p=p),
+            PAdicNumber.from_rational(1, 2, p=p, precision=precision))
     return Scenario(
         name=case, prime=p, law=law_from_spec(law_spec),
         scheme=LimitScheme.geometric(p, Fraction(1, 2), 2, n_max=1),
@@ -869,7 +871,7 @@ def _first_block_error(sc: Scenario):
                 sc.law.sampler, sc.scheme, n, count, substream(sc.seed, n_idx, block)
             )
             try:
-                tally(sc.prime, sums, sc.grid, sc.balls)
+                tally(sums, sc.grid, sc.balls)
             except (PrecisionError, PrimeMismatchError) as exc:
                 return (n_idx, block), (type(exc).__name__, str(exc))
     return None, None
@@ -937,21 +939,21 @@ def test_a_stable_value_beyond_the_float_range_underflows_to_zero(a):
     # positive number that underflows, so log |g| stays finite: -inf is a
     # certified zero
     stable = StableLaw(StableParams(a, 30.0, 2))
-    t = from_rational(Fraction(1, 2**40), p=2)
+    t = PAdicNumber.from_rational(Fraction(1, 2**40), p=2)
     assert stable.radial_value(40) == 0.0
     assert stable(t) == 0.0
     assert stable.sphere(2, -40, (1, 3), 8, 5) == [0j, 0j]
     for k in (1, 30, 40):
-        assert -math.inf < stable.log_modulus(from_rational(Fraction(1, 2**k), p=2)) < 0
+        assert -math.inf < stable.log_modulus(PAdicNumber.from_rational(Fraction(1, 2**k), p=2)) < 0
     assert stable.log_modulus(t) < -1e300
 
 
 def test_log_modulus_of_each_transform():
-    t_big = from_rational(Fraction(1, 3**4), p=3)
+    t_big = PAdicNumber.from_rational(Fraction(1, 3**4), p=3)
     stable = StableLaw(StableParams(2.0, 1.5, 3))
     assert stable.log_modulus(t_big) == -2.0 * 3.0 ** 6.0
     assert stable(t_big) == 0.0  # the value itself underflows
-    t = from_rational(Fraction(1, 3), p=3)
+    t = PAdicNumber.from_rational(Fraction(1, 3), p=3)
     assert math.exp(stable.log_modulus(t)) == stable(t).real
     assert stable.log_modulus(PAdicNumber.zero(3)) == 0.0
     jump = JumpMeasure(make_example_measure(2, 1.5, 3))
@@ -959,11 +961,11 @@ def test_log_modulus_of_each_transform():
     haar = HaarUniform(Ball(3, Fraction(1, 3), -2))
     assert haar.log_modulus(t) == 0.0
     assert haar.log_modulus(t_big) == -math.inf  # a certified zero
-    assert PointMass(from_rational(Fraction(1, 3), p=3)).log_modulus(t_big) == 0.0
+    assert PointMass(PAdicNumber.from_rational(Fraction(1, 3), p=3)).log_modulus(t_big) == 0.0
     with pytest.raises(PrimeMismatchError):
-        stable.log_modulus(from_rational(1, p=2))
+        stable.log_modulus(PAdicNumber.from_rational(1, p=2))
     with pytest.raises(PrimeMismatchError):
-        jump.log_modulus(from_rational(1, p=2))
+        jump.log_modulus(PAdicNumber.from_rational(1, p=2))
 
 
 def test_a_scheme_over_another_prime_is_refused():
@@ -974,7 +976,7 @@ def test_a_scheme_over_another_prime_is_refused():
     scheme = LimitScheme.geometric(3, "1/3", 3, 5)
     message = "^scheme over p=3 used with a law over p=2$"
     with pytest.raises(PrimeMismatchError, match=message):
-        theoretical_fn(law, scheme, 3, from_rational(1, p=2))
+        theoretical_fn(law, scheme, 3, PAdicNumber.from_rational(1, p=2))
     with pytest.raises(PrimeMismatchError, match=message):
         SumTransform(law, scheme, 3)
     with pytest.raises(PrimeMismatchError, match=message):

@@ -20,7 +20,6 @@ from padicprob.padic import (
     character_value,
     chi,
     format_padic,
-    from_rational,
     grid_points,
     parse_number,
     parse_padic,
@@ -42,77 +41,77 @@ def test_check_prime_rejects_with_the_value_named():
 
 
 def test_from_rational_12_base2():
-    x = from_rational(12, p=2)
+    x = PAdicNumber.from_rational(12, p=2)
     assert x.valuation == 2
     assert x.digits[:2] == (1, 1)
     assert x.abs_value() == Fraction(1, 4)
 
 
 def test_from_rational_third_base3():
-    x = from_rational(1, 3, p=3)
+    x = PAdicNumber.from_rational(1, 3, p=3)
     assert x.valuation == -1
     assert x.digits[0] == 1
     assert set(x.digits[1:]) == {0}
 
 
 def test_minus_one_all_top_digits():
-    x = from_rational(-1, p=5, precision=30)
+    x = PAdicNumber.from_rational(-1, p=5, precision=30)
     assert x.valuation == 0
     assert set(x.digits) == {4}
     # oracle: adding one must cancel through the whole window
-    s = x + from_rational(1, p=5, precision=30)
+    s = x + PAdicNumber.from_rational(1, p=5, precision=30)
     assert s.is_zero
     assert s.precision >= 30
 
 
 def test_add_carry_base3():
-    s = from_rational(1, p=3) + from_rational(2, p=3)
+    s = PAdicNumber.from_rational(1, p=3) + PAdicNumber.from_rational(2, p=3)
     assert s.valuation == 1
     assert s.digits[0] == 1
 
 
 def test_add_inverse_gives_zero():
-    x = from_rational(17, 3, p=5)
+    x = PAdicNumber.from_rational(17, 3, p=5)
     assert (x + (-x)).is_zero
 
 
 def test_halves_sum_to_one():
-    s = from_rational(1, 2, p=2) + from_rational(1, 2, p=2)
+    s = PAdicNumber.from_rational(1, 2, p=2) + PAdicNumber.from_rational(1, 2, p=2)
     assert s.valuation == 0
     assert s.digits[0] == 1
     assert all(d == 0 for d in s.digits[1:])
 
 
 def test_mul_valuations_add():
-    x = from_rational(3, p=3)  # |x| = 1/3
-    y = from_rational(9, p=3)  # |y| = 1/9
+    x = PAdicNumber.from_rational(3, p=3)  # |x| = 1/3
+    y = PAdicNumber.from_rational(9, p=3)  # |y| = 1/9
     assert (x * y).abs_value() == Fraction(1, 27)
 
 
 def test_invert_third_base2():
-    inv = from_rational(3, p=2).invert()
+    inv = PAdicNumber.from_rational(3, p=2).invert()
     assert inv.digits[:6] == (1, 1, 0, 1, 0, 1)
-    back = inv * from_rational(3, p=2)
-    diff = back + from_rational(-1, p=2)
+    back = inv * PAdicNumber.from_rational(3, p=2)
+    diff = back + PAdicNumber.from_rational(-1, p=2)
     assert diff.is_zero
 
 
 def test_mul_identity():
-    x = from_rational(7, 5, p=3)
-    assert x * from_rational(1, p=3) == x
+    x = PAdicNumber.from_rational(7, 5, p=3)
+    assert x * PAdicNumber.from_rational(1, p=3) == x
 
 
 def test_abs_values():
     assert PAdicNumber.zero(7).abs_value() == 0
-    assert from_rational(12, p=2).abs_value() == Fraction(1, 4)
-    assert from_rational(1, 3, p=3).abs_value() == 3
+    assert PAdicNumber.from_rational(12, p=2).abs_value() == Fraction(1, 4)
+    assert PAdicNumber.from_rational(1, 3, p=3).abs_value() == 3
 
 
 def test_frac_part_examples():
-    assert from_rational(7, p=5).frac_part() == 0
-    assert from_rational(1, 3, p=3).frac_part() == Fraction(1, 3)
+    assert PAdicNumber.from_rational(7, p=5).frac_part() == 0
+    assert PAdicNumber.from_rational(1, 3, p=3).frac_part() == Fraction(1, 3)
     # 5/9 = 3**-2 (2 + 1*3 + ...): fractional part keeps both low digits
-    assert from_rational(5, 9, p=3).frac_part() == Fraction(5, 9)
+    assert PAdicNumber.from_rational(5, 9, p=3).frac_part() == Fraction(5, 9)
 
 
 def test_frac_part_insufficient_precision():
@@ -125,7 +124,7 @@ def test_frac_part_insufficient_precision():
 # case needs `need` digits below the unit scale and is run on a digit
 # window w wide (the window of t, or of the sample for empirical_cf).
 def _q(num, den, w=DEFAULT_PRECISION):
-    return from_rational(num, den, p=3, precision=w)
+    return PAdicNumber.from_rational(num, den, p=3, precision=w)
 
 
 _BALL = Ball(3, Fraction(1, 9), -3)
@@ -154,19 +153,19 @@ def test_phase_window_edge(path):
 
 
 def test_character_examples():
-    assert from_rational(1, 3, p=3).character_phase() == (1, 1)
-    assert from_rational(5, p=3).character_phase() == (0, 0)
-    h = from_rational(1, 2, p=2)
+    assert PAdicNumber.from_rational(1, 3, p=3).character_phase() == (1, 1)
+    assert PAdicNumber.from_rational(5, p=3).character_phase() == (0, 0)
+    h = PAdicNumber.from_rational(1, 2, p=2)
     assert (h + h).character_phase() == (0, 0)
 
 
 def test_prime_mismatch():
     with pytest.raises(PrimeMismatchError):
-        from_rational(1, p=2) + from_rational(1, p=3)
+        PAdicNumber.from_rational(1, p=2) + PAdicNumber.from_rational(1, p=3)
 
 
 def test_parse_format_roundtrip():
-    x = from_rational(-7, 6, p=3, precision=12)
+    x = PAdicNumber.from_rational(-7, 6, p=3, precision=12)
     assert parse_padic(format_padic(x)) == x
     y = parse_number("5/9 @ p=3")
     assert y.frac_part() == Fraction(5, 9)
@@ -180,11 +179,11 @@ def test_invert_zero_raises():
 
 def test_from_rational_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        from_rational(1, p=4)
+        PAdicNumber.from_rational(1, p=4)
     with pytest.raises(ValueError):
-        from_rational(1, p=2, precision=0)
+        PAdicNumber.from_rational(1, p=2, precision=0)
     with pytest.raises(ZeroDivisionError):
-        from_rational(1, 0, p=2)
+        PAdicNumber.from_rational(1, 0, p=2)
 
 
 # Every way the constructor rejects integer fields (and a prime of any
@@ -266,7 +265,7 @@ def test_constructor_keeps_the_dataclass_behaviour():
     assert [f.name for f in dataclasses.fields(x)] == [
         "prime", "valuation", "unit", "precision"
     ]
-    for y in (x, z, PAdicNumber.zero(2), from_rational(-1, 3, p=5)):
+    for y in (x, z, PAdicNumber.zero(2), PAdicNumber.from_rational(-1, 3, p=5)):
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             back = pickle.loads(pickle.dumps(y, protocol))
             assert back == y and hash(back) == hash(y)
@@ -293,8 +292,8 @@ rationals = st.tuples(
 @settings(max_examples=150, deadline=None)
 @given(p=st.sampled_from(PRIMES), a=rationals, b=rationals)
 def test_ultrametric_inequality(p, a, b):
-    x = from_rational(a[0], a[1], p=p)
-    y = from_rational(b[0], b[1], p=p)
+    x = PAdicNumber.from_rational(a[0], a[1], p=p)
+    y = PAdicNumber.from_rational(b[0], b[1], p=p)
     s = x + y
     assert s.abs_value() <= max(x.abs_value(), y.abs_value())
     if x.abs_value() != y.abs_value():
@@ -304,16 +303,16 @@ def test_ultrametric_inequality(p, a, b):
 @settings(max_examples=150, deadline=None)
 @given(p=st.sampled_from(PRIMES), a=rationals, b=rationals)
 def test_multiplicativity(p, a, b):
-    x = from_rational(a[0], a[1], p=p)
-    y = from_rational(b[0], b[1], p=p)
+    x = PAdicNumber.from_rational(a[0], a[1], p=p)
+    y = PAdicNumber.from_rational(b[0], b[1], p=p)
     assert (x * y).abs_value() == x.abs_value() * y.abs_value()
 
 
 @settings(max_examples=150, deadline=None)
 @given(p=st.sampled_from(PRIMES), a=rationals, b=rationals)
 def test_character_homomorphism(p, a, b):
-    x = from_rational(a[0], a[1], p=p)
-    y = from_rational(b[0], b[1], p=p)
+    x = PAdicNumber.from_rational(a[0], a[1], p=p)
+    y = PAdicNumber.from_rational(b[0], b[1], p=p)
     lhs = (x + y).frac_part()
     rhs = (x.frac_part() + y.frac_part()) % 1
     assert lhs == rhs
@@ -322,8 +321,8 @@ def test_character_homomorphism(p, a, b):
 @settings(max_examples=100, deadline=None)
 @given(p=st.sampled_from(PRIMES), a=rationals, c=rationals)
 def test_character_local_constancy(p, a, c):
-    x = from_rational(a[0], a[1], p=p)
-    shift = from_rational(c[0], c[1], p=p)
+    x = PAdicNumber.from_rational(a[0], a[1], p=p)
+    shift = PAdicNumber.from_rational(c[0], c[1], p=p)
     if shift.abs_value() <= 1:
         assert (x + shift).character_phase() == x.character_phase()
 
@@ -332,8 +331,8 @@ def test_character_local_constancy(p, a, c):
 @given(p=st.sampled_from(PRIMES), a=rationals)
 def test_rational_round_trip(p, a):
     num, den = a
-    x = from_rational(num, den, p=p, precision=40)
-    resid = x.mul_rational(den) + from_rational(-num, p=p, precision=48)
+    x = PAdicNumber.from_rational(num, den, p=p, precision=40)
+    resid = x.mul_rational(den) + PAdicNumber.from_rational(-num, p=p, precision=48)
     assert resid.abs_value() <= Fraction(p) ** (-(40 - 10))
 
 
@@ -341,7 +340,7 @@ def test_rational_round_trip(p, a):
 @given(p=st.sampled_from(PRIMES), a=rationals)
 def test_rational_char_phase_agrees(p, a):
     r = Fraction(a[0], a[1])
-    assert rational_char_phase(r, p) == from_rational(
+    assert rational_char_phase(r, p) == PAdicNumber.from_rational(
         a[0], a[1], p=p
     ).character_phase()
 

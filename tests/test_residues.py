@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import per_block
+from evaluators import batch_of
 from padicprob.charfn import SphereMassTable
 from padicprob.errors import PrecisionError, PrimeMismatchError
 from padicprob.levy import make_example_measure, make_measure
@@ -35,7 +36,7 @@ from padicprob.limits import (
 from padicprob.padic import (
     PAdicNumber, grid_points, int_valuation, rational_valuation, reduced_phase,
 )
-from padicprob.residues import ResidueBatch, _reduced_phases, tally, tally_blocks
+from padicprob.residues import ResidueBatch, _reduced_phases, tally
 from padicprob.samplers import (
     CP_CHUNK,
     CompoundPoissonSampler,
@@ -209,10 +210,10 @@ def row_counts(table, n_rows: int) -> list[Counter]:
 def count_blocks(sampler, scheme, n, seed, n_idx, blocks, grid, balls):
     """A report's count of one n over the (block, count) pairs: the job's
     joined row sums (_mc_draw) divided by B_n once and counted once by
-    tally_blocks, after the budget check of the whole run."""
+    tally with the block sizes, after the budget check of the whole run."""
     sizes = [count for _, count in blocks]
     sums = _mc_draw(sampler, _summands(scheme, n, sum(sizes)), seed, n_idx, blocks)
-    return tally_blocks(sums.scale(1 / scheme.B(n)), sizes, grid, balls)
+    return tally(sums.scale(1 / scheme.B(n)), grid, balls, sizes)
 
 
 def mc_block(args):
@@ -225,9 +226,9 @@ def mc_block(args):
     return block, row_counts(table, len(grid)), ball_hits, count
 
 
-def phase_counts(samples, t) -> Counter:
+def phase_counts(batch, t) -> Counter:
     """tally's phase counts of one grid point."""
-    table, _ = tally(t.prime, samples, [t], [])
+    table, _ = tally(batch, [t], [])
     return row_counts(table, 1)[0]
 
 
@@ -255,9 +256,10 @@ def reference_ball_counts(samples, balls) -> list[int]:
     return [sum(1 for x in samples if reference_contains(b, x)) for b in balls]
 
 
-def tally_balls(p, samples, balls) -> list[int]:
-    """How many samples lie in each ball, as the Monte Carlo layer counts."""
-    return tally(p, samples, [], balls)[1]
+def tally_balls(batch, balls) -> list[int]:
+    """How many values of the batch lie in each ball, as the Monte Carlo
+    layer counts."""
+    return tally(batch, [], balls)[1]
 
 
 def outcome(fn, *args):
@@ -410,22 +412,18 @@ padic_values = st.one_of(
             st.integers(1, 6),
         ),
     ),
-    st.booleans(),
 )
-# a failing query replays the list as given: the exact loop's exception,
-# not that of the values from_padics cuts to the shortest window, nor
-# from_padics' own refusal of a second prime
+# a failing query replays the batch's values, which batch_of cuts to the
+# shortest window: the exact loop over them raises the same exception
 @example([PAdicNumber.zero(3), PAdicNumber.from_digits(3, -3, [1, 0])],
-         PAdicNumber.zero(3, 0), False)
-@example([PAdicNumber.zero(3, -1), PAdicNumber.from_rational(1, p=2), PAdicNumber.zero(3)],
-         PAdicNumber.zero(3, 0), False)
-def test_empirical_phase_counts_matches_exact_loop(samples, t, other_prime):
-    # mixed windows, exact and certified zeros, and optionally a sample
-    # over another prime
-    if other_prime and samples:
-        samples.insert(len(samples) // 2, PAdicNumber.from_rational(1, p=2))
-    assert outcome(phase_counts, samples, t) == outcome(
-        reference_phase_counts, samples, t
+         PAdicNumber.zero(3, 0))
+@example([PAdicNumber.zero(3, -1), PAdicNumber.zero(3)], PAdicNumber.zero(3, 0))
+def test_empirical_phase_counts_matches_exact_loop(samples, t):
+    # mixed windows, exact and certified zeros, and grid points over
+    # either prime
+    batch = batch_of(3, samples)
+    assert outcome(phase_counts, batch, t) == outcome(
+        reference_phase_counts, batch.elements(), t
     )
 
 
@@ -440,11 +438,10 @@ def test_empirical_phase_counts_matches_exact_loop(samples, t, other_prime):
     ),
 )
 @example([PAdicNumber.zero(3, 0), PAdicNumber.zero(3, -1)], [Ball(3, 0, -1)])
-@example([PAdicNumber.from_rational(1, p=3), PAdicNumber.from_rational(1, p=2)],
-         [Ball(3, 0, 0)])
 def test_ball_counts_matches_exact_loop(samples, balls):
-    assert outcome(tally_balls, 3, samples, balls) == outcome(
-        reference_ball_counts, samples, balls
+    batch = batch_of(3, samples)
+    assert outcome(tally_balls, batch, balls) == outcome(
+        reference_ball_counts, batch.elements(), balls
     )
 
 
@@ -784,14 +781,14 @@ def test_ball_counts_on_a_residue_batch(p):
     batch = sampler.residue_sums(substream(3, p), 1, 400)
     draws = sampler.sample(substream(3, p), 400)
     balls = list(default_ball_family(p, 12))
-    assert outcome(tally_balls, p, batch, balls) == outcome(
+    assert outcome(tally_balls, batch, balls) == outcome(
         reference_ball_counts, draws, balls
     )
     fine = balls[:2] + [Ball(p, 1, sampler.resolution - 1)]
-    got = outcome(tally_balls, p, batch, fine)
+    got = outcome(tally_balls, batch, fine)
     assert got[0] == "PrecisionError"
-    assert got == outcome(tally_balls, p, draws, fine)
-    assert outcome(tally_balls, p, ResidueBatch(p, 0, 2, []), balls) == ("ok", [0] * 12)
+    assert got == outcome(tally_balls, batch_of(p, draws), fine)
+    assert outcome(tally_balls, ResidueBatch(p, 0, 2, []), balls) == ("ok", [0] * 12)
 
 
 @settings(max_examples=80, deadline=None)
@@ -953,13 +950,32 @@ def test_elements_build_values_through_the_checking_constructor():
         ResidueBatch(3, 0, 2, [1, 10]).elements()
 
 
-def test_from_padics_round_trip():
-    xs = [PAdicNumber.from_rational(Fraction(5, 9), p=3, precision=6),
-          PAdicNumber.zero(3, 4), PAdicNumber.from_rational(7, p=3, precision=8)]
-    batch = ResidueBatch.from_padics(3, xs)
-    assert batch.window == 4
-    # every value cut to the shortest window (p**4) and nothing else lost
-    assert [x._truncated_to(4) for x in xs] == batch.elements()
+def point_masses(p: int) -> list[PAdicNumber]:
+    """The exact zero, zeros certified modulo p**4 and p**-1, and two
+    values with 4 known digits, one of each sign of valuation."""
+    return [PAdicNumber.zero(p), PAdicNumber.zero(p, 4), PAdicNumber.zero(p, -1),
+            PAdicNumber.from_digits(p, -2, [1, p - 1, 0, 1]),
+            PAdicNumber.from_digits(p, 3, [1, 1, p - 1, 1])]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("k", [0, 1, 3, "p**4"])
+def test_point_mass_residue_sums_match_the_batch_of_reference(p, k):
+    # k copies of xi as the residue batch_of states for xi, times k;
+    # k = p**4 cancels every known digit of a nonzero xi
+    k = p**4 if k == "p**4" else k
+    for xi in point_masses(p):
+        one = batch_of(p, [xi])
+        want = ResidueBatch(p, one.top, one.window, [k * one.values.tolist()[0] % p**one.width] * 3)
+        got = PointMassSampler(xi=xi).residue_sums(substream(0, 0), k, 3)
+        assert (got.top, got.window, got.values.dtype, got.values.tolist()) == (
+            want.top, want.window, want.values.dtype, want.values.tolist())
+        assert got.elements() == want.elements()
+        if k:
+            total = xi
+            for _ in range(k - 1):
+                total = total + xi
+            assert got.elements() == [total] * 3
 
 
 @pytest.mark.parametrize(
@@ -996,10 +1012,10 @@ def test_reduced_phases_match_reduced_phase(p, m):
 
 def summed_block_tallies(p, batches, grid, balls):
     """tally on each block in order, the counts added: the reference for
-    tally_blocks, whose exception is the first failing block's."""
+    tally with block sizes, whose exception is the first failing block's."""
     phases, hits = [Counter() for _ in grid], [0] * len(balls)
     for batch in batches:
-        table, ball_hits = tally(p, batch, grid, balls)
+        table, ball_hits = tally(batch, grid, balls)
         for total, part in zip(phases, row_counts(table, len(grid))):
             total.update(part)
         hits = [a + b for a, b in zip(hits, ball_hits)]
@@ -1008,7 +1024,7 @@ def summed_block_tallies(p, batches, grid, balls):
 
 def joined_tally(p, batches, grid, balls):
     whole = ResidueBatch.concat(p, batches)
-    table, hits = tally_blocks(whole, [len(b) for b in batches], grid, balls)
+    table, hits = tally(whole, grid, balls, [len(b) for b in batches])
     return row_counts(table, len(grid)), hits
 
 
@@ -1135,3 +1151,16 @@ def test_mc_blocks_match_the_per_block_reference(args):
     assert outcome(table_and_hits, count_blocks, *args) == outcome(
         table_and_hits, per_block.mc_blocks, *args
     )
+
+
+@pytest.mark.parametrize("case", ["ok", "short_t", "fine_ball"])
+def test_tally_without_sizes_is_one_block_of_the_whole_batch(case):
+    # the same counts, or the same exception, as sizes [len(batch)]
+    batch = radial(2, -6, 12).residue_sums(substream(4, 0), 2, 50)
+    grid = grid_points(2, -4, 4, precision=3 if case == "short_t" else 48)
+    balls = default_ball_family(2, 6)
+    if case == "fine_ball":
+        balls.append(Ball(2, Fraction(1, 2), -12))
+    got = outcome(table_and_hits, tally, batch, grid, balls)
+    assert got[0] == ("ok" if case == "ok" else "PrecisionError")
+    assert got == outcome(table_and_hits, tally, batch, grid, balls, [len(batch)])

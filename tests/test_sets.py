@@ -10,7 +10,7 @@ import fraction_balls as oracle
 import per_ball
 from padicprob.errors import PrecisionError, PrimeMismatchError
 from padicprob.levy import random_compact_open
-from padicprob.padic import PAdicNumber, from_rational, rational_char_phase
+from padicprob.padic import PAdicNumber, rational_char_phase
 from padicprob.samplers import substream
 from padicprob.sets import (
     Ball,
@@ -59,7 +59,7 @@ def test_canonical_centers():
     assert Ball(2, 5, 0) == Ball(2, 0, 0)
     assert Ball(2, Fraction(7, 2), -1) == Ball(2, Fraction(3, 2), -1)
     assert Ball(2, Fraction(7, 2), -1) != Ball(2, Fraction(1, 2), -1)
-    b = Ball(3, from_rational(5, 9, p=3), -1)
+    b = Ball(3, PAdicNumber.from_rational(5, 9, p=3), -1)
     assert b.center == Fraction(5, 9)
 
 
@@ -73,8 +73,8 @@ def test_membership():
     b = Ball(2, 1, -2)  # 1 + 4 Z_2
     assert b.contains(Fraction(5))
     assert not b.contains(Fraction(3))
-    assert b.contains(from_rational(5, p=2))
-    assert not b.contains(from_rational(1, 2, p=2))
+    assert b.contains(PAdicNumber.from_rational(5, p=2))
+    assert not b.contains(PAdicNumber.from_rational(1, 2, p=2))
 
 
 def test_split_sphere_examples():
@@ -159,20 +159,20 @@ def test_integrate_char_against_bruteforce(p):
     zp = CompactOpenSet(p, [Ball(p, 0, 0)])
     for tau in range(-2, 3):
         for unit in (1, 1 + p):
-            t = from_rational(Fraction(unit) * Fraction(p) ** (-tau), p=p)
+            t = PAdicNumber.from_rational(Fraction(unit) * Fraction(p) ** (-tau), p=p)
             got = integrate_char(zp, t)
             want = brute_char_integral(zp, t)
             assert abs(got - want) <= 1e-12
     shifted = CompactOpenSet(p, [Ball(p, 1, -1), Ball(p, Fraction(1, p), -2)])
     for tau in range(-2, 3):
-        t = from_rational(Fraction(p) ** (-tau), p=p)
+        t = PAdicNumber.from_rational(Fraction(p) ** (-tau), p=p)
         assert abs(integrate_char(shifted, t) - brute_char_integral(shifted, t)) <= 1e-12
 
 
 def test_integrate_char_unit_ball():
     zp = CompactOpenSet(2, [Ball(2, 0, 0)])
-    assert integrate_char(zp, from_rational(1, p=2)) == 1
-    assert integrate_char(zp, from_rational(1, 2, p=2)) == 0
+    assert integrate_char(zp, PAdicNumber.from_rational(1, p=2)) == 1
+    assert integrate_char(zp, PAdicNumber.from_rational(1, 2, p=2)) == 0
     assert integrate_char(zp, PAdicNumber.zero(2)) == 1
 
 
@@ -180,7 +180,7 @@ def test_integrate_char_exact_cancellation():
     # vanishes identically (not approximately) once |t| exceeds the ball scale
     for n in (-1, 0, 2):
         ball = Ball(3, 0, n)
-        t = from_rational(Fraction(3) ** (n - 1), p=3)  # |t| = p**(-n+1)
+        t = PAdicNumber.from_rational(Fraction(3) ** (n - 1), p=3)  # |t| = p**(-n+1)
         assert not integrate_char_exact(CompactOpenSet(3, [ball]), t)
 
 
@@ -199,7 +199,7 @@ def test_tailset_scaling():
 def test_integrate_char_rejects_a_foreign_prime():
     # a 2-adic set integrated against a 3-adic point used to give a 3-adic
     # sum for balls with a nonzero centre instead of an error
-    t = from_rational(1, p=3)
+    t = PAdicNumber.from_rational(1, p=3)
     for ball in (Ball(2, 1, -1), Ball(2, 1, -3), Ball(2, 0, 0)):
         with pytest.raises(PrimeMismatchError, match="different primes"):
             integrate_char_exact(ball, t)
@@ -277,7 +277,7 @@ def test_ball_integer_and_padic_centres_with_negative_radius():
                         _outcome(oracle.ball, p, x, r)
                     )
     with pytest.raises(PrimeMismatchError, match="different prime"):
-        Ball(2, from_rational(1, p=3), 0)
+        Ball(2, PAdicNumber.from_rational(1, p=3), 0)
     short = PAdicNumber.from_digits(3, -2, (1, 2))
     assert _outcome(Ball, 3, short, -1) == _outcome(oracle.ball, 3, short, -1)
     assert _outcome(Ball, 3, short, -1)[0] is PrecisionError
@@ -540,7 +540,7 @@ def test_integrate_char_matches_the_per_ball_loop(p, data):
 def test_integrate_char_merges_a_phase_over_balls_of_different_radii():
     # 2 + 9Z_3 and 5 + 27Z_3 are disjoint and t*c has the phase 2/3 on both
     s = CompactOpenSet(3, [Ball(3, 5, -3), Ball(3, 2, -2), Ball(3, 1, -1)])
-    t = from_rational(1, 3, p=3)
+    t = PAdicNumber.from_rational(1, 3, p=3)
     got = integrate_char_exact(s, t)
     assert got.terms() == {(1, 1): Fraction(1, 3), (1, 2): Fraction(4, 27)}
     assert list(got.terms()) == [(1, 1), (1, 2)]
@@ -564,7 +564,7 @@ def test_integrate_char_raises_at_the_first_ball_that_fails():
     ]
     seen = set()
     for balls in mixed:
-        for t in (short, zero, from_rational(1, p=3), PAdicNumber.zero(3, 3)):
+        for t in (short, zero, PAdicNumber.from_rational(1, p=3), PAdicNumber.zero(3, 3)):
             got = _integral(integrate_char_exact, balls, t)
             assert got == _integral(per_ball.integrate_char_exact, balls, t)
             if isinstance(got[0], type):
@@ -577,7 +577,7 @@ def test_integrate_char_raises_at_the_first_ball_that_fails():
     assert {exc for exc, _ in seen} == {PrecisionError, PrimeMismatchError}
     # a set over another prime than t fails at its first ball
     s = CompactOpenSet(2, [Ball(2, 1, -1), Ball(2, 0, -3)])
-    for t in (from_rational(1, p=3), PAdicNumber.zero(3, 0)):
+    for t in (PAdicNumber.from_rational(1, p=3), PAdicNumber.zero(3, 0)):
         got = _integral(integrate_char_exact, s, t)
         assert got == (PrimeMismatchError, "character sums over different primes")
         assert got == _integral(per_ball.integrate_char_exact, s, t)

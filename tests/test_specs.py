@@ -437,9 +437,16 @@ def test_every_tolerance_name_is_read():
     from padicprob import limits
 
     read = set(re.findall(r'\.tol\(\s*"(\w+)"', inspect.getsource(limits)))
-    assert read == set(specs.SCENARIO_SCHEMA["properties"]["tolerances"]["properties"])
+    assert read == set(limits.TOLERANCES)
+    # the schema lists the table's names, in its order
+    names = list(specs.SCENARIO_SCHEMA["properties"]["tolerances"]["properties"])
+    assert names == list(limits.TOLERANCES) == ["sup", "scaling", "mc_fraction", "phi_final"]
     sc = specs.scenario_from_spec(dict(STABLE_CONFIG, tolerances={k: 0.5 for k in read}))
-    assert all(sc.tol(k, 1.0) == 0.5 for k in read)
+    assert all(sc.tol(k) == 0.5 for k in read)
+    # an unset tolerance reads its default from the table
+    sc = specs.scenario_from_spec(STABLE_CONFIG)
+    assert {k: sc.tol(k) for k in read} == {
+        "sup": 1e-12, "scaling": 1e-12, "mc_fraction": 0.95, "phi_final": 5e-3}
 
 
 # ---------------------------------------------------------------------
