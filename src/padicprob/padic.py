@@ -30,10 +30,12 @@ from __future__ import annotations
 
 import math
 import re
+from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from itertools import repeat
+from typing import Iterable, Mapping, Sequence
 
 from .errors import PrecisionError, PrimeMismatchError
 
@@ -205,14 +207,19 @@ class PAdicNumber:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _of(cls, p: int, v: int, unit: int, precision: int) -> "PAdicNumber":
-        """p**v * unit to ``precision`` digits, from fields a caller has checked."""
-        x = object.__new__(cls)
-        _set_prime(x, p)
-        _set_valuation(x, v)
-        _set_unit(x, unit)
-        _set_precision(x, precision)
-        return x
+    def _of_each(
+        cls, p: int, valuations: Sequence, units: Sequence, precisions: Sequence
+    ) -> list["PAdicNumber"]:
+        """The values over p with these fields, one per index, from fields
+        a caller has checked.  Each slot is set for every value in one
+        map, so the loop runs in C."""
+        xs = list(map(object.__new__, repeat(cls, len(units))))
+        for setter, column in (
+            (_set_prime, repeat(p)), (_set_valuation, valuations),
+            (_set_unit, units), (_set_precision, precisions),
+        ):
+            deque(map(setter, xs, column), maxlen=0)
+        return xs
 
     @classmethod
     def zero(cls, p: int, certified_exp: int | None = None) -> "PAdicNumber":

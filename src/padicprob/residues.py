@@ -56,9 +56,11 @@ counts.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -150,33 +152,31 @@ class ResidueBatch:
         certified modulo p**window, and every value of a batch with
         window None for the exact zero.  The batch is checked once (a
         residue outside [0, p**(top + window)) raises PAdicNumber's range
-        error); within it the decode gives valid fields, so each value is
-        built trusted.  At p = 2 the valuation of X is its trailing zeros.
+        error); within it the decode gives valid fields, so the values
+        are built trusted, all at once (PAdicNumber._of_each).  The
+        split of X into its valuation and unit is that of the reduced
+        phase X / p**(top + window): array operations on uint64 residues
+        (_reduced_phases), int_valuation on Python ints.
         """
-        p, top, window = self.prime, self.top, self.window
-        residues = self.values.tolist()
+        p, top, window, values = self.prime, self.top, self.window, self.values
         if window is None:
-            return [PAdicNumber.zero(p)] * len(residues)
+            return [PAdicNumber.zero(p)] * len(self)
         width = top + window
-        if residues and (self.values.min() < 0 or int(self.values.max()) >= p**width):
+        if len(self) and (values.min() < 0 or int(values.max()) >= p**width):
             raise ValueError("unit out of range for stated precision")
-        zero = PAdicNumber.zero(p, window)
-        of = PAdicNumber._of
-        out = []
-        for x in residues:
-            if not x:
-                out.append(zero)
-                continue
-            if p == 2:
-                v = (x & -x).bit_length() - 1
-                x >>= v
-            else:
-                v = 0
-                while not x % p:
-                    x //= p
-                    v += 1
-            out.append(of(p, v - top, x, width - v))
-        return out
+        if values.dtype == object:
+            v = np.array([int_valuation(x, p) if x else width for x in values], dtype=object)
+            scales, units = width - v, values // p**v
+        else:
+            scales, units = _reduced_phases(p, values, np.int64(width))
+        # a zero residue has unit 0: the certified zero
+        live = units != 0
+        return PAdicNumber._of_each(
+            p,
+            np.where(live, window - scales, None).tolist(),
+            units.tolist(),
+            np.where(live, scales, window).tolist(),
+        )
 
     # -- character phases ---------------------------------------------
 
@@ -399,9 +399,11 @@ def character_values(
     pair led by its smaller numerator or an unpaired key, gets the loop's
     float operations in the loop's order: k / p**s is divided as floats
     only while p**s < 2**53, where that is the correctly rounded quotient
-    Python gives, and as Python ints beyond; cos and sin are math's, once
-    per distinct angle; an unpaired term is the complex product float(c) /
-    denominator * chi, written out.  Each row is then summed strictly in
+    Python gives, and as Python ints beyond; cos and sin are math's, both
+    from one cmath.rect(1.0, angle) per distinct angle (CPython's rect
+    multiplies the C library's cos and sin, which math.cos and math.sin
+    return, by r = 1.0, which is exact); an unpaired term is the complex
+    product float(c) / denominator * chi, written out.  Each row is then summed strictly in
     sequence from 0.0 by np.add.accumulate (np.sum adds pairwise, which
     changes bits).
     """
@@ -449,10 +451,9 @@ def character_values(
     else:
         ratio = k[trig].astype(np.float64) / power[trig].astype(np.float64)
     angles, which = np.unique(_TWO_PI * ratio, return_inverse=True)
-    angles = angles.tolist()
+    chi = np.fromiter(map(cmath.rect, repeat(1.0), angles.tolist()), complex, len(angles))
     re, im = np.ones(len(k)), np.zeros(len(k))
-    re[trig] = np.array([math.cos(a) for a in angles])[which]
-    im[trig] = np.array([math.sin(a) for a in angles])[which]
+    re[trig], im[trig] = chi.real[which], chi.imag[which]
     for (s, num), z in _AXIS_PHASES.items():
         hit = axis & (scale == s) & (k == num)
         re[hit], im[hit] = z.real, z.imag

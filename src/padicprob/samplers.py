@@ -100,6 +100,46 @@ def _uniform_digits(rng: np.random.Generator, p: int, digits: np.ndarray, dtype)
     return u
 
 
+class BinTable:
+    """The right-closed bin lookup of the radial and compound-Poisson
+    samplers: for u in [0, 1) the bin of u * edges[-1] is the number of
+    edges <= it, at most len(edges) - 1, which is
+    np.searchsorted(edges, u * edges[-1], side="right") clamped, so a bin
+    without mass is never drawn.
+
+    u * edges[-1] rounds monotonically in u, so the bin is monotone too:
+    every u of the cell [c/CELLS, (c+1)/CELLS) has a bin between those of
+    c/CELLS and (c+1)/CELLS, and when the two agree the cell's bin is
+    read from a table built once from the edges.  Only the u of the other
+    cells, those an edge may cut, are searched.  CELLS is a power of two,
+    so u * CELLS is exact and its floor is the cell.
+    """
+
+    CELLS = 4096
+
+    def __init__(self, edges):
+        self.edges = np.asarray(edges, dtype=np.float64)
+        # the bin of each cell's left end and of u = 1 (a table without
+        # bins is never read)
+        ends = (
+            self._search(np.arange(self.CELLS + 1) / self.CELLS)
+            if len(self.edges) else np.full(self.CELLS + 1, -1)
+        )
+        self.cells = np.where(ends[:-1] == ends[1:], ends[:-1], -1)  # -1: searched
+
+    def _search(self, u: np.ndarray) -> np.ndarray:
+        edges = self.edges
+        return np.minimum(edges.searchsorted(u * edges[-1], side="right"), len(edges) - 1)
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """The bin of each u, as intp."""
+        bins = self.cells[(u * self.CELLS).astype(np.intp)]
+        cut = (bins < 0).nonzero()[0]
+        if cut.size:
+            bins[cut] = self._search(u[cut])
+        return bins
+
+
 class Sampler:
     """Base: immutable descriptor, RNG owned by the caller.
 
@@ -137,7 +177,8 @@ class _BlockSampler(Sampler):
     :mod:`padicprob.residues`).
 
     The k-draw sums are row sums of the block, in uint64 when k * p**W <
-    2**64 and in Python ints otherwise, so they never wrap.
+    2**64 and in Python ints otherwise, so they never wrap; at k = 1 they
+    are the block's residues, already below p**W.
     """
 
     def _draw_block(self, rng: np.random.Generator, count: int) -> tuple[int, np.ndarray]:
@@ -150,6 +191,8 @@ class _BlockSampler(Sampler):
     ) -> ResidueBatch:
         p, res = self.prime, self.resolution
         top, draws = self._draw_block(rng, k * replicates)
+        if k == 1:
+            return ResidueBatch(p, top, -res, draws)
         mod = p ** (top - res)
         if max(k, 1) * mod >= 2**64:
             draws = draws.astype(object)
@@ -233,10 +276,12 @@ class RadialSampler(_BlockSampler):
     n_hi draws from the top sphere.
 
     A block of N draws makes three calls (RNG stream v2):
-    ``rng.random(N)`` picks the bins, right-closed so that a bin without
-    mass is never drawn; ``rng.integers(1, p, N)`` gives the leading
-    digits; ``rng.integers(0, p**c)``, with c the other digits of each
-    draw, gives the rest (plus one call per limb beyond 63 bits, see
+    ``rng.random(N)`` picks the bins by a BinTable on the cumulative
+    masses: right-closed, so that a bin without mass is never drawn, and
+    the bins np.searchsorted gives, so the stream is unchanged (most are
+    read from the table's cells); ``rng.integers(1, p, N)`` gives the
+    leading digits; ``rng.integers(0, p**c)``, with c the other digits of
+    each draw, gives the rest (plus one call per limb beyond 63 bits, see
     _uniform_digits).  A draw on the sphere p**N has the residue
     (first + p * rest) * p**(top - N); a draw at or below the resolution
     is 0.
@@ -267,7 +312,7 @@ class RadialSampler(_BlockSampler):
         # residue form: every draw has |x| <= p**top
         top = max(self.table.n_hi, res)
         live = [n is not None and n > res for n in labels]
-        object.__setattr__(self, "_edges", np.array(edges))
+        object.__setattr__(self, "_bins", BinTable(edges))
         object.__setattr__(self, "_labels", tuple(labels))
         object.__setattr__(self, "_top", top)
         object.__setattr__(self, "_rest_digits", np.array(
@@ -284,9 +329,7 @@ class RadialSampler(_BlockSampler):
 
     def _draw_block(self, rng: np.random.Generator, count: int) -> tuple[int, np.ndarray]:
         p, scales = self.table.prime, self._scales  # type: ignore[attr-defined]
-        edges = self._edges  # type: ignore[attr-defined]
-        u = rng.random(count) * edges[-1]
-        bins = np.minimum(np.searchsorted(edges, u, side="right"), len(edges) - 1)
+        bins = self._bins(rng.random(count))  # type: ignore[attr-defined]
         first = rng.integers(1, p, count).astype(scales.dtype)
         rest = _uniform_digits(rng, p, self._rest_digits[bins], scales.dtype)  # type: ignore[attr-defined]
         return self._top, (first + p * rest) * scales[bins]  # type: ignore[attr-defined]
@@ -323,8 +366,9 @@ class CompoundPoissonSampler(_BlockSampler):
 
     RNG stream v2 draws a block CP_CHUNK draws at a time, a chunk of N
     draws with J jumps in four steps: ``rng.poisson(rate, N)`` the jump
-    counts; ``rng.random(J)`` and a right-closed ``np.searchsorted`` the
-    balls (a ball of zero weight is left out of the table);
+    counts; ``rng.random(J)`` and a BinTable on the masses the balls, the
+    right-closed bins np.searchsorted gives (a ball of zero weight is left
+    out of the table);
     ``rng.geometric(1 - beta, J)`` the offsets; ``rng.integers(0,
     p**c)``, with c the digits of z below its ball that the resolution
     needs (plus one call per limb beyond 63 bits, see _uniform_digits),
@@ -354,16 +398,19 @@ class CompoundPoissonSampler(_BlockSampler):
         ]
         _, a, b = split_p_part(meas.gamma0, p)
         object.__setattr__(self, "_lam", float(meas.tail_mass(res)))
-        object.__setattr__(self, "_edges", np.cumsum(
+        object.__setattr__(self, "_bins", BinTable(np.cumsum(
             [float(w * meas.beta_pow(k - k_top)) for _, k, _, w in balls]
+        )))
+        # a jump of the ball with offset t >= 1 lies on the sphere n = t*j +
+        # (k_min - 1)*j + r
+        object.__setattr__(self, "_sphere0", np.array(
+            [(k - 1) * j + r for r, k, _, _ in balls], dtype=np.int64
         ))
-        object.__setattr__(self, "_r", np.array([row[0] for row in balls], dtype=np.int64))
-        object.__setattr__(self, "_k_min", np.array([row[1] for row in balls], dtype=np.int64))
         # z = center + u * p**-radius_exp in the ball, center = p**-r * c_u,
-        # has z * p**r = c_u + u * step, and needs radius_exp - r + n -
-        # resolution digits of u to resolve the jump on the sphere n
+        # has z * p**r = c_u + u * step, and needs _depth + n = radius_exp -
+        # r - resolution + n digits of u to resolve the jump on the sphere n
         object.__setattr__(self, "_depth", np.array(
-            [x.radius_exp - r for r, _, x, _ in balls], dtype=np.int64
+            [x.radius_exp - r - res for r, _, x, _ in balls], dtype=np.int64
         ))
         object.__setattr__(self, "_centres", tuple(x._center_split[1] for _, _, x, _ in balls))
         object.__setattr__(self, "_steps", tuple(p ** (r - x.radius_exp) for r, _, x, _ in balls))
@@ -403,19 +450,15 @@ class CompoundPoissonSampler(_BlockSampler):
         total = int(jumps.sum())
         if not total:
             return res + 1, np.zeros(count, dtype=np.uint64)
-        edges = self._edges  # type: ignore[attr-defined]
-        ball = np.searchsorted(edges, rng.random(total) * edges[-1], side="right")
-        np.minimum(ball, len(edges) - 1, out=ball)
+        ball = self._bins(rng.random(total))  # type: ignore[attr-defined]
         # the sphere n = r + k*j of each jump, k = k_min(r) + offset
         n = rng.geometric(self._q, total)  # type: ignore[attr-defined]
-        n += self._k_min[ball] - 1  # type: ignore[attr-defined]
         n *= j
-        n += self._r[ball]  # type: ignore[attr-defined]
+        n += self._sphere0[ball]  # type: ignore[attr-defined]
         top = int(n.max())
         mod = p ** (top - res)
         dtype = np.uint64 if mod * mod < 2**64 else object
         digits = self._depth[ball] + n  # type: ignore[attr-defined]
-        digits -= res
         np.maximum(digits, 0, out=digits)
         y = _uniform_digits(rng, p, digits, dtype)
         del digits

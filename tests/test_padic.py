@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import re
@@ -537,6 +538,21 @@ def test_character_values_match_character_value_bit_for_bit(case):
     assert [(repr(z.real), repr(z.imag)) for z in got] == [
         (repr(z.real), repr(z.imag)) for z in want
     ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rect_gives_math_cos_and_sin_bit_for_bit(p):
+    # character_values reads cos and sin of each angle from one
+    # cmath.rect(1.0, angle); character_value calls math.cos and math.sin
+    rng = random.Random(p)
+    angles = [
+        2.0 * math.pi * (k / p**s)
+        for s in range(1, 40)
+        for k in {1, p**s - 1, *(rng.randrange(1, p**s) for _ in range(200))}
+    ]
+    for a in angles:
+        z = cmath.rect(1.0, a)
+        assert (repr(z.real), repr(z.imag)) == (repr(math.cos(a)), repr(math.sin(a)))
 
 
 @pytest.mark.parametrize("p, scales", [(2, (1, 2, 54, 60, 62)), (3, (1, 3, 34, 40, 45))])

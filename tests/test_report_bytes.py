@@ -269,6 +269,24 @@ def sample_dumps(tmp: Path) -> bytes:
     return out
 
 
+# 20000 draws reach the bins whose float edges straddle a cell of the
+# samplers' bin lookup, which 12 draws of sample_dumps never do
+LARGE_SAMPLE_SPECS = {
+    "sample_radial_stable_p2": {"kind": "radial_stable", "a": 1.0, "alpha": 1.0, "p": 2},
+    "sample_radial_stable_p3": {"kind": "radial_stable", "a": 1.0, "alpha": 1.0, "p": 3},
+    # three fundamental balls over two spheres
+    "sample_compound_poisson_custom": {
+        "kind": "compound_poisson", "measure": json.loads(Path(CUSTOM).read_text()),
+    },
+}
+
+
+def large_sample(name: str, tmp: Path) -> bytes:
+    """padicprob sample --count 20000 of LARGE_SAMPLE_SPECS[name]."""
+    spec = json.dumps(LARGE_SAMPLE_SPECS[name])
+    return _cli_stdout(["sample", "--sampler", spec, "--count", "20000"])
+
+
 DIGESTS = {
     "cf_eval_measure": (
         "e5ece9154701a2f800a60137605a6845"
@@ -334,9 +352,21 @@ DIGESTS = {
         "364c9bcc790bfe9b750b640ca246b5fb"
         "bfa16e0269395c114fcb737c9a30264e"
     ),
+    "sample_compound_poisson_custom": (
+        "2ee666cf8c919aa8512c9d7869a3d74d"
+        "acaa049133430d22492b51b39de43f72"
+    ),
     "sample_dumps": (
         "e43fc3835afd55e524dc71595b54769f"
         "ecabbde16f5ce066c5d119a881a8046c"
+    ),
+    "sample_radial_stable_p2": (
+        "7f7845b86db4cd8ffbe5b4447b64f879"
+        "8537f4807db2385899aed735c41e2101"
+    ),
+    "sample_radial_stable_p3": (
+        "4134d4ddea03bf5f86ac28fd3021fd54"
+        "0138e0eefc502675811d6841245cbdd1"
     ),
     "scaling_and_masses": (
         "326a981f685836ff85d2db4d1da5259a"
@@ -380,6 +410,7 @@ CASES = {
     **{name: functools.partial(_config_report, config) for name, config in LAW_CONFIGS.items()},
     "target_stable_p3": target_stable_p3,
     "sample_dumps": sample_dumps,
+    **{name: functools.partial(large_sample, name) for name in LARGE_SAMPLE_SPECS},
 }
 
 

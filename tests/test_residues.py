@@ -39,6 +39,7 @@ from padicprob.padic import (
 from padicprob.residues import ResidueBatch, _reduced_phases, tally
 from padicprob.samplers import (
     CP_CHUNK,
+    BinTable,
     CompoundPoissonSampler,
     HaarBallSampler,
     PointMassSampler,
@@ -90,7 +91,7 @@ def reference_radial_draws(sampler: RadialSampler, rng, count: int) -> list[PAdi
     """A block of radial draws, one exact Fraction each: the bin by a
     right-closed lookup, then (first + p * rest) / p**n."""
     p, res = sampler.table.prime, sampler.resolution
-    edges, labels = [float(e) for e in sampler._edges], sampler._labels
+    edges, labels = [float(e) for e in sampler._bins.edges], sampler._labels
     us = rng.random(count).tolist()
     firsts = rng.integers(1, p, count).tolist()
     spheres = [labels[min(bisect.bisect_right(edges, u * edges[-1]), len(labels) - 1)]
@@ -568,6 +569,16 @@ def test_block_draws_match_the_fraction_reference(sampler):
     assert a.random() == b.random()  # the same RNG calls were made
 
 
+@pytest.mark.parametrize("sampler", BLOCK_SAMPLERS.values(), ids=BLOCK_SAMPLERS.keys())
+def test_decoded_draws_pass_the_checked_constructor(sampler):
+    # elements() builds its values unchecked: each must have plain-int
+    # fields that the checking constructor accepts as they are
+    for x in sampler.sample(substream(12, 0), 200):
+        fields = (x.prime, x.valuation, x.unit, x.precision)
+        assert all(f is None or type(f) is int for f in fields)
+        assert PAdicNumber(*fields) == x
+
+
 SCRIPT = [0.0, 0.125, 0.375, 0.875, 0.5, 0.25, 0.999, 0.9999999999999999]
 
 
@@ -735,6 +746,15 @@ def test_cp_never_draws_a_zero_weight_ball():
     assert all(x.unit % 4 == 3 for x in got)  # inside 3 + 4Z_2, scaled by a power of 2
 
 
+def test_cp_without_jump_mass_builds_an_empty_table():
+    # every ball of weight 0: rate 0, a bin table without bins that no
+    # draw reads, and every draw the zero certified at the resolution
+    m = make_measure(2, Fraction(1, 2), 2, (((Ball(2, 1, -1), Fraction(0)),),))
+    sampler = CompoundPoissonSampler(measure=m, resolution=-3)
+    assert sampler._lam == 0 and not len(sampler._bins.edges)
+    assert sampler.sample(substream(1, 1), 5) == [PAdicNumber.zero(2, 3)] * 5
+
+
 def test_cp_scripted_edges_open_the_next_ball():
     # two balls of weight 1/8: u = 0.5 lands on the edge between them and
     # draws the second, right-closed
@@ -757,6 +777,74 @@ def test_radial_never_draws_an_empty_bin():
     sampler = RadialSampler(table=table, resolution=-4)
     for u, valuation in ((0.0, 2), (0.25, 2), (0.5, 0), (0.75, 0)):
         assert sampler.draw(ScriptedRng([u])).valuation == valuation
+
+
+def reference_bins(edges: list[float], us: list[float]) -> list[int]:
+    """The right-closed bin of u * edges[-1], the rule of
+    reference_radial_draws and reference_cp_draws."""
+    return [min(bisect.bisect_right(edges, u * edges[-1]), len(edges) - 1) for u in us]
+
+
+CELL_ENDS = [
+    u
+    for c in range(BinTable.CELLS)
+    for u in (c / BinTable.CELLS, float(np.nextafter((c + 1) / BinTable.CELLS, 0)))
+]
+
+# masses that put bin edges exactly on cell ends (multiples of 1/CELLS of a
+# dyadic total), subnormal masses, zero-mass bins and generic floats
+bin_masses = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.integers(1, 64).map(lambda k: k / BinTable.CELLS),
+        st.integers(1, 2**20).map(lambda k: k * 5e-324),
+        st.floats(1e-300, 1e3),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def check_bins(edges: list[float], us: list[float]) -> None:
+    got = BinTable(np.array(edges))(np.array(us))
+    assert got.dtype == np.intp
+    assert got.tolist() == reference_bins(edges, us)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bin_masses, st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
+def test_bin_table_matches_bisect_right(masses, us):
+    # u = 0, the largest double below 1 and both ends of every cell, on
+    # cumulative edges as RadialSampler (Python sums) and
+    # CompoundPoissonSampler (np.cumsum) build them
+    us = [0.0, float(np.nextafter(1.0, 0)), *CELL_ENDS, *us]
+    acc, edges = 0.0, []
+    for m in masses:
+        acc += m
+        edges.append(acc)
+    check_bins(edges, us)
+    check_bins(np.cumsum(masses).tolist(), us)
+
+
+@pytest.mark.parametrize("edges", [
+    [0.375],  # one bin: a one-ball compound-Poisson table
+    [0.0, 0.0, 1.0],  # zero-mass bins first
+    [0.25, 0.25, 0.5, 1.0],  # a zero-mass bin between edges on cell ends
+    [5e-324, 1e-323, 1e-323],  # subnormal masses only
+    [1e-300, 1.0 - 2**-53, 1.0],  # an edge one ulp below the total
+])
+def test_bin_table_on_chosen_tables(edges):
+    check_bins(edges, [0.0, float(np.nextafter(1.0, 0)), *CELL_ENDS])
+
+
+@pytest.mark.parametrize("sampler", [
+    radial(2, -8, 40), radial(3, -12, 40), compound_poisson(3),
+    BLOCK_SAMPLERS["cp-p3-j2"], BLOCK_SAMPLERS["cp-p2-beta-99/100"],
+], ids=["radial-p2", "radial-p3", "cp-p3", "cp-p3-j2", "cp-p2-beta-99/100"])
+def test_sampler_bins_match_bisect_right(sampler):
+    # the samplers' own tables, on every cell end and a block of draws
+    us = [*CELL_ENDS, *substream(5, 1).random(4000).tolist()]
+    check_bins(sampler._bins.edges.tolist(), us)
 
 
 def test_cp_residue_sums_match_summed_draws():
