@@ -36,6 +36,7 @@ from .padic import (
     PAdicNumber,
     _check_prime,
     _integral_exp,
+    _inverse,
     phase_scale,
     split_p_part,
 )
@@ -100,6 +101,8 @@ class SelfSimilarLevyMeasure:
                     )
                 if ball.radius_exp > r - 1:
                     raise ValueError("fundamental ball too large for its sphere")
+                if isinstance(w, bool):
+                    raise ValueError(f"a bool is not a rational: {w!r}")
                 if w < 0:
                     raise ValueError("weights must be nonnegative")
                 if not w < math.inf:
@@ -116,6 +119,9 @@ class SelfSimilarLevyMeasure:
             masses.append(total)
         object.__setattr__(self, "_sphere_masses", tuple(masses))
         object.__setattr__(self, "_one_minus_beta", 1 - self.beta)
+        object.__setattr__(self, "_rational", isinstance(self.beta, Fraction) and all(
+            isinstance(w, (int, Fraction)) for entries in fund for _, w in entries
+        ))
         object.__setattr__(self, "_beta_powers", (None, {}))
 
     # -- structure ------------------------------------------------------
@@ -213,9 +219,9 @@ def measure_mass(measure: SelfSimilarLevyMeasure, m) -> Fraction | float:
     p**(qd - d) of its weight, or lies inside it and gives all of it.
 
     The measure's fields are read once for the whole set.  Each ball's
-    mass is beta**k times the sum of its shares, and a set adds its balls'
-    masses in order, so float weights or a float beta see the same
-    operations in the same order, and every mass keeps its bits and type.
+    mass is beta**k times the sum of its shares.  Rational data sums them
+    as integer pairs and builds one Fraction, the canonical per-ball sum;
+    float data adds shares and masses in order, keeping bits and type.
     """
     if not isinstance(m, (Ball, CompactOpenSet, TailSet)):
         raise TypeError(f"no mass for {type(m).__name__}")
@@ -225,8 +231,8 @@ def measure_mass(measure: SelfSimilarLevyMeasure, m) -> Fraction | float:
         return measure.tail_mass(m.radius_exp)
     p, (j, a, b) = measure.prime, measure._gamma_split
     fundamental, beta_pow = measure.fundamental, measure.beta_pow
-    single = isinstance(m, Ball)
-    total: Fraction | float = _ZERO
+    single, rational = isinstance(m, Ball), measure._rational
+    total, num, den = _ZERO, 0, 1  # rational data: the total is num / den
     for ball in (m,) if single else m.balls:
         split = ball._center_split
         if split is None:
@@ -239,17 +245,31 @@ def measure_mass(measure: SelfSimilarLevyMeasure, m) -> Fraction | float:
         k = (-cv - r) // j
         d = -ball.radius_exp - cv
         mod = p**d
-        g = a if b == 1 else a * pow(b, -1, mod)  # the unit of gamma0, mod p**d
+        g = a if b == 1 else a * _inverse(b, p, d)  # the unit of gamma0, mod p**d
         iu = cu * pow(g, k, mod) % mod
-        shares: Fraction | float = _ZERO
+        shares, sn, sd = _ZERO, 0, 1  # rational data: the shares are sn / sd
         for q, w in fundamental[r]:
             qd = r - q.radius_exp
             if (iu - q._center_split[1]) % p ** min(d, qd):
                 continue
-            shares = shares + (w * _haar(p, qd - d) if d >= qd else w)
-        mass = beta_pow(k) * shares
-        total = total + mass
+            if rational:
+                sn, sd = _add_ratio(sn, sd, w.numerator, w.denominator * p ** max(d - qd, 0))
+            else:
+                shares = shares + (w * _haar(p, qd - d) if d >= qd else w)
+        if not rational:
+            mass = beta_pow(k) * shares
+            total = total + mass
+        elif sn:
+            bk = beta_pow(k)
+            num, den = _add_ratio(num, den, bk.numerator * sn, bk.denominator * sd)
+    if rational:
+        return Fraction(num, den)
     return mass if single else total
+
+
+def _add_ratio(n: int, d: int, an: int, ad: int) -> tuple[int, int]:
+    """n/d + an/ad as a pair of integers, not reduced."""
+    return (n + an, d) if d == ad else (n * ad + an * d, d * ad)
 
 
 @dataclass(frozen=True)

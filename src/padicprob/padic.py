@@ -105,12 +105,27 @@ def rational_valuation(r: Fraction, p: int) -> int:
     return int_valuation(r.numerator, p) - int_valuation(r.denominator, p)
 
 
-def split_p_part(r: Fraction, p: int) -> tuple[int, int, int]:
+def _rational(r) -> int | Fraction:
+    """r as an int or a Fraction, any other number through Fraction (a
+    float exactly); a bool raises ValueError instead of reading as 0 or 1."""
+    if type(r) is int or type(r) is Fraction:
+        return r
+    if isinstance(r, bool):
+        raise ValueError(f"a bool is not a rational: {r!r}")
+    return Fraction(r)
+
+
+def split_p_part(r: Fraction | int, p: int) -> tuple[int, int, int]:
     """Write a nonzero rational as p**v * a/b with a, b coprime to p.
 
-    Returns (v, a, b) with b > 0; the sign of r is carried by a.
+    Returns (v, a, b) with b > 0; the sign of r is carried by a.  Each
+    split is memoised on (numerator, denominator, p).
     """
-    num, den = r.numerator, r.denominator
+    return _split_parts(r.numerator, r.denominator, p)
+
+
+@lru_cache(maxsize=1024)
+def _split_parts(num: int, den: int, p: int) -> tuple[int, int, int]:
     vn = int_valuation(num, p) if num else 0
     vd = int_valuation(den, p)
     return vn - vd, num // p**vn, den // p**vd
@@ -120,6 +135,12 @@ def split_p_part(r: Fraction, p: int) -> tuple[int, int, int]:
 def _modulus(p: int, precision: int) -> int:
     """p**precision, for the constructor's unit range check."""
     return p**precision
+
+
+@lru_cache(maxsize=1024)
+def _inverse(b: int, p: int, precision: int) -> int:
+    """b**-1 modulo p**precision, for b coprime to p."""
+    return pow(b, -1, p**precision)
 
 
 def _check_int(name: str, value, none_ok: bool) -> None:
@@ -248,8 +269,7 @@ class PAdicNumber:
         if r == 0:
             return cls.zero(p)
         v, a, b = split_p_part(r, p)
-        mod = p**precision
-        unit = (a * pow(b, -1, mod)) % mod
+        unit = (a * _inverse(b, p, precision)) % _modulus(p, precision)
         return cls(p, v, unit, precision)
 
     @classmethod
@@ -392,19 +412,24 @@ class PAdicNumber:
         return self * other.invert()
 
     def mul_rational(self, r: Fraction | int) -> "PAdicNumber":
-        """Exact multiplication by a rational scalar."""
-        r = Fraction(r)
+        """Exact multiplication by a rational scalar; a bool raises
+        ValueError.  The split of r and b**-1 modulo p**precision are
+        memoised, and the unit, coprime to p and reduced below
+        p**precision, is set through the slot setters unchecked."""
+        r = _rational(r)
         p = self.prime
-        if r == 0:
+        if not r:
             return PAdicNumber.zero(p)
         v, a, b = split_p_part(r, p)
-        if self.is_zero:
-            if self.precision is None:
-                return self
-            return PAdicNumber.zero(p, self.precision + v)
-        mod = p**self.precision
-        unit = (self.unit * a * pow(b, -1, mod)) % mod
-        return PAdicNumber(p, self.valuation + v, unit, self.precision)
+        k = self.precision
+        if self.valuation is None:
+            return self if k is None else PAdicNumber.zero(p, k + v)
+        out = object.__new__(PAdicNumber)
+        _set_prime(out, p)
+        _set_valuation(out, self.valuation + v)
+        _set_unit(out, self.unit * a * _inverse(b, p, k) % _modulus(p, k))
+        _set_precision(out, k)
+        return out
 
     # -- fractional part and character ---------------------------------
 
@@ -563,14 +588,13 @@ def character_value(
 def rational_char_phase(r: Fraction | int, p: int) -> tuple[int, int]:
     """Phase (scale, numerator) of chi at an exact rational point (no
     digit window needed)."""
-    r = Fraction(r)
-    if r == 0:
+    r = _rational(r)
+    if not r:
         return 0, 0
     v, a, b = split_p_part(r, p)
     if v >= 0:
         return 0, 0
-    mod = p**-v
-    return -v, (a * pow(b, -1, mod)) % mod
+    return -v, (a * _inverse(b, p, -v)) % p**-v
 
 
 # ---------------------------------------------------------------------

@@ -21,7 +21,8 @@ from .padic import (
     PAdicNumber,
     _check_prime,
     _integral_exp,
-    int_valuation,
+    _inverse,
+    _rational,
     read_only,
     split_p_part,
     unit_phase,
@@ -39,15 +40,9 @@ def _haar(p: int, n: int) -> Fraction:
 
 def _split(p: int, r) -> tuple[int, int, int] | None:
     """A rational as p**v * a/b with a, b coprime to p and b > 0, or None
-    for 0."""
-    if isinstance(r, int):
-        if r == 0:
-            return None
-        v = int_valuation(r, p)
-        return v, r // p**v, 1
-    if not isinstance(r, Fraction):
-        r = Fraction(r)
-    return None if r == 0 else split_p_part(r, p)
+    for 0; a bool raises ValueError."""
+    r = _rational(r)
+    return split_p_part(r, p) if r else None
 
 
 def _nonzero_split(p: int, r) -> tuple[int, int, int]:
@@ -70,7 +65,7 @@ def _reduced(p: int, split, radius_exp: int) -> tuple[int, int] | None:
     if k <= 0:
         return None
     mod = p**k
-    return v, a % mod if b == 1 else a * pow(b, -1, mod) % mod
+    return v, a % mod if b == 1 else a * _inverse(b, p, k) % mod
 
 
 def _center_of(ball) -> Fraction:

@@ -22,9 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from padicprob import charfn, cli, limits
+from padicprob import charfn, cli, limits, padic
 from padicprob.levy import levy_exponent_exact, make_example_measure, random_compact_open
-from padicprob.padic import CharacterSum, grid_points
+from padicprob.padic import CharacterSum, PAdicNumber, grid_points
 from padicprob.sets import integrate_char_exact
 from padicprob.specs import measure_from_spec
 
@@ -33,11 +33,15 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
-def _targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _perfbench_module(path: Path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def _targets():
+    return _perfbench_module(TRACING).TARGETS
 
 
 @pytest.mark.parametrize("target", _targets(), ids=lambda t: t[0])
@@ -58,6 +62,20 @@ def test_workload_memos_resolve():
     sampler._gpow.clear()  # cp_fidelity starts every pass cold
     assert charfn.RadialCharFn.stable is charfn.StableLaw
     charfn._measure_radial_value.cache_info()
+
+
+def test_rational_memos_are_bounded_and_emptied_between_passes():
+    # the rational splits and unit inverses are memoised at module level:
+    # perfbench/run.py's clear_caches must empty them before each pass, so
+    # every pass starts cold, and a bounded size keeps a long run flat
+    memos = (padic._split_parts, padic._inverse)
+    x = PAdicNumber.from_rational(5, p=3).mul_rational(Fraction(7, 9))
+    assert x == PAdicNumber.from_rational(Fraction(35, 9), p=3)
+    assert all(memo.cache_info().currsize for memo in memos)
+    _perfbench_module(ROOT / "perfbench" / "run.py").clear_caches()
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.currsize == 0 and info.maxsize is not None
 
 
 def test_limit_mc_argv_parses():

@@ -1126,3 +1126,66 @@ def test_a_float_measure_gives_a_float_zero_to_sets_it_misses():
         got = measure_mass(m, s)
         assert type(got) is float and got == 0.0
         assert _mass_repr(measure_mass, m, s) == _mass_repr(per_ball.measure_mass, m, s.balls)
+
+
+def test_a_bool_weight_is_refused():
+    # True used to be read as the weight 1
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="^a bool is not a rational: "):
+            make_measure(3, Fraction(1, 4), 9, (((Ball(3, 1, -1), flag),), ()))
+
+
+def _fundamental(weights):
+    """Spheres 0 and 1 of p = 3, gamma0 = 9, with these four weights."""
+    w0, w1, w2, w3 = weights
+    return (
+        ((Ball(3, 1, -1), w0), (Ball(3, 2, -2), w1)),
+        ((Ball(3, Fraction(1, 3), 0), w2), (Ball(3, Fraction(5, 3), -1), w3)),
+    )
+
+
+def _masses_match_per_ball(m, seeds=range(8)):
+    """measure_mass against the per-ball loop, repr and type, on random sets
+    and their balls; returns the types seen."""
+    seen = set()
+    for seed in seeds:
+        s = random_compact_open(substream(seed, 23), 3, -6, 6, 5)
+        got = _mass_repr(measure_mass, m, s)
+        assert got == _mass_repr(per_ball.measure_mass, m, s.balls)
+        seen.add(got[1])
+        for b in s:
+            got = _mass_repr(measure_mass, m, b)
+            assert got == _mass_repr(per_ball.ball_mass, m, b)
+            seen.add(got[1])
+    return seen
+
+
+def test_int_weights_give_fraction_masses():
+    m = make_measure(3, Fraction(1, 4), 9, _fundamental((2, 5, 1, 7)))
+    assert _masses_match_per_ball(m) == {Fraction}
+    assert measure_mass(m, Ball(3, 1, -2)) == Fraction(2, 3)
+
+
+def test_one_float_weight_takes_the_float_path():
+    m = make_measure(
+        3, Fraction(1, 4), 9,
+        _fundamental((Fraction(2, 3), 0.5, Fraction(1, 7), Fraction(5, 2))),
+    )
+    # a set that meets the float weight's ball weighs a float; one that
+    # misses it adds Fractions alone, as the per-ball loop does
+    assert _masses_match_per_ball(m) == {Fraction, float}
+    hit = measure_mass(m, Ball(3, 2, -2))
+    assert type(hit) is float and hit == 0.5
+    assert measure_mass(m, Ball(3, 1, -1)) == Fraction(2, 3)
+
+
+def test_rational_data_gives_fraction_zero_to_sets_it_misses():
+    m = make_measure(3, Fraction(1, 4), 9, _fundamental((2, Fraction(1, 5), 0, 3)))
+    empty = CompactOpenSet(3, [])
+    # 5 + 9Z_3 lies in no fundamental ball, and 1/3 + Z_3 has weight 0
+    missed = [Ball(3, 5, -2), Ball(3, Fraction(1, 3), 0), Ball(3, Fraction(2, 27), -2)]
+    for s in [empty, CompactOpenSet(3, missed)] + missed:
+        got = measure_mass(m, s)
+        assert type(got) is Fraction and got == 0
+        balls = [s] if isinstance(s, Ball) else s.balls
+        assert _mass_repr(measure_mass, m, s) == _mass_repr(per_ball.measure_mass, m, balls)

@@ -25,6 +25,7 @@ from padicprob.padic import (
     parse_number,
     parse_padic,
     rational_char_phase,
+    rational_valuation,
 )
 from padicprob.residues import PhaseTable, character_values
 from padicprob.sets import Ball, TailSet, integrate_char_exact, split_sphere
@@ -666,3 +667,59 @@ def test_grid_points_repeat_no_point(p):
     assert len(set(points)) == len(points) == (39 if p == 2 else 52)
     # an odd p keeps every point in its place, so its reports keep their bytes
     assert points == (listed if p > 2 else list(dict.fromkeys(listed)))
+
+
+def test_a_bool_is_not_a_rational_scalar():
+    # mul_rational(True) used to multiply by 1
+    x = PAdicNumber.from_rational(3, p=5)
+    for flag in (True, False):
+        for call in (x.mul_rational, lambda r: rational_char_phase(r, 5)):
+            with pytest.raises(ValueError, match=f"^a bool is not a rational: {flag}$"):
+                call(flag)
+
+
+@st.composite
+def mul_rational_cases(draw):
+    """(x, r): x an exact zero, a certified zero or a nonzero value of any
+    valuation and window; r an int, a Fraction, a power of p or a float,
+    0 included."""
+    p = draw(st.sampled_from(PRIMES))
+    kind = draw(st.sampled_from(("exact zero", "certified zero", "value", "value")))
+    if kind == "exact zero":
+        x = PAdicNumber.zero(p)
+    elif kind == "certified zero":
+        x = PAdicNumber.zero(p, draw(st.integers(-6, 6)))
+    else:
+        num, den = draw(rationals)
+        shift = draw(st.integers(-6, 6))
+        x = PAdicNumber.from_rational(
+            Fraction(num, den) * Fraction(p) ** shift, p=p, precision=draw(st.integers(1, 20))
+        )
+    r = draw(st.one_of(
+        st.just(0),
+        st.integers(-10**6, 10**6),
+        st.builds(Fraction, st.integers(-500, 500), st.integers(1, 500)),
+        st.builds(lambda k: Fraction(p) ** k, st.integers(-6, 6)),
+        st.floats(-1e6, 1e6, allow_nan=False),
+    ))
+    return x, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(mul_rational_cases())
+def test_mul_rational_matches_a_fraction_oracle(case):
+    x, r = case
+    got = x.mul_rational(r)
+    # the checked constructor accepts every field the fast path set
+    assert PAdicNumber(got.prime, got.valuation, got.unit, got.precision) == got
+    p, exact = x.prime, Fraction(r)
+    if exact == 0 or (x.is_zero and x.precision is None):
+        assert got == PAdicNumber.zero(p)
+    elif x.is_zero:
+        assert got == PAdicNumber.zero(p, x.precision + rational_valuation(exact, p))
+    else:
+        # the same window, and the stored digits are x * r modulo it
+        assert got.precision == x.precision
+        assert got.valuation == x.valuation + rational_valuation(exact, p)
+        residual = got.as_rational() - x.as_rational() * exact
+        assert residual == 0 or rational_valuation(residual, p) >= got.known_mod_exp

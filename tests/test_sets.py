@@ -581,3 +581,16 @@ def test_integrate_char_raises_at_the_first_ball_that_fails():
         got = _integral(integrate_char_exact, s, t)
         assert got == (PrimeMismatchError, "character sums over different primes")
         assert got == _integral(per_ball.integrate_char_exact, s, t)
+
+
+def test_a_bool_is_not_a_rational():
+    # True used to be read as 1: as a centre, and as a scale factor of a
+    # ball, a set or a tail
+    with pytest.raises(ValueError, match="^a bool is not a rational: True$"):
+        Ball(2, True, -1)
+    for s in (Ball(2, 1, -2), CompactOpenSet(2, [Ball(2, 1, -2)]), TailSet(2, 0)):
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=f"^a bool is not a rational: {flag}$"):
+                s.scale(flag)
+    with pytest.raises(ValueError, match="^a bool is not a rational: False$"):
+        Ball(2, 1, -2).contains(False)
